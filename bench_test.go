@@ -828,6 +828,7 @@ func benchmarkIngest(b *testing.B, stripes int, enc controlplane.Encoding, ckptD
 			b.Fatalf("accepted %d entries, want %d (drops would skew the comparison)", got, total)
 		}
 		srv.Close()
+		c.Close() // joins the checkpoint writer before the next iteration reuses ckptDir
 		b.StartTimer()
 	}
 	b.StopTimer()

@@ -17,7 +17,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("autotune: ")
 	var (
-		in         = flag.String("trace", "", "trace file from tracegen, any format — store, gob, or json, auto-detected (empty: synthesize one)")
+		in         = flag.String("trace", "", "trace store file from tracegen (empty: synthesize one)")
 		iterations = flag.Int("iterations", 15, "GP-bandit iterations")
 		seed       = flag.Int64("seed", 1, "random seed")
 		metricsOut = flag.String("metricsout", "", "write Prometheus metrics for the tuning run to this file")
@@ -41,15 +41,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Store files compile out-of-core: chunks stream straight into
-		// the replay columns, so the trace never needs to fit in memory.
+		// The file compiles out-of-core: chunks stream straight into the
+		// replay columns, so the trace never needs to fit in memory.
 		ct, err = h.Compile()
 		if err != nil {
 			log.Fatal(err)
 		}
-		entries = h.Entries()
-		fmt.Printf("trace: %s (%s format), %d entries, %d jobs\n",
-			*in, h.Format(), entries, h.Jobs())
+		entries = h.NumEntries()
+		fmt.Printf("trace: %s, %d entries, %d jobs\n", *in, entries, len(h.Jobs()))
 		if sk := h.Skipped(); sk.Chunks > 0 || sk.Entries > 0 {
 			fmt.Printf("damage skipped: %d chunks, %d entries (replay sees the holes as gap intervals)\n",
 				sk.Chunks, sk.Entries)

@@ -17,7 +17,7 @@ func main() {
 	scaleFlag := flag.String("scale", "small", "experiment scale: small, medium, large")
 	seed := flag.Int64("seed", 1, "random seed")
 	only := flag.String("only", "", "run a single experiment (fig1..fig10, h1, h2, a1, a3)")
-	tracePath := flag.String("trace", "", "run the autotuning experiments against this trace file (store, gob, or json — auto-detected) instead of synthesizing a fleet")
+	tracePath := flag.String("trace", "", "run the autotuning experiments against this trace store file (from tracegen) instead of synthesizing a fleet")
 	flag.Parse()
 
 	var scale experiments.Scale

@@ -23,6 +23,7 @@ func TestRunLoadgen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(ctrl.Close)
 	srv := httptest.NewServer(controlplane.NewServer(ctrl, hub).Handler())
 	defer srv.Close()
 

@@ -137,8 +137,9 @@ func main() {
 
 	// Ingest drains run on a wall-clock ticker; tuning rounds trigger
 	// from inside Tick when the telemetry window spans -round-every.
-	tickDone := make(chan struct{})
+	tickDone, tickExited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(tickExited)
 		t := time.NewTicker(*tick)
 		defer t.Stop()
 		for {
@@ -169,6 +170,7 @@ func main() {
 		log.Printf("shutdown: %v", err)
 	}
 	close(tickDone)
+	<-tickExited
 	rep := ctrl.Drain()
 	st := ctrl.Status()
 	log.Printf("drained %d queued entries in %d ticks (%d corrupt, %d invalid rejected)",
@@ -184,6 +186,7 @@ func main() {
 			log.Printf("final checkpoint: %s", path)
 		}
 	}
+	ctrl.Close() // joins the periodic checkpoint writer: nothing is mid-write at exit
 	log.Printf("final: agents=%d rounds=%d ingested=%d dropped=%d incumbent=(K=%.1f,S=%s)",
 		len(st.Agents), st.Rounds, st.Ingest.Ingested, st.Ingest.DroppedBackpressure,
 		st.Incumbent.K, st.Incumbent.S)

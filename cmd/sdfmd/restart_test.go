@@ -340,10 +340,11 @@ func TestGracefulShutdownWritesFinalCheckpoint(t *testing.T) {
 	}
 
 	// And a full controller restore agrees.
-	_, crep, err := controlplane.Restore(controlplane.Config{CheckpointDir: ckptDir})
+	restored, crep, err := controlplane.Restore(controlplane.Config{CheckpointDir: ckptDir})
 	if err != nil {
 		t.Fatalf("controlplane.Restore: %v", err)
 	}
+	t.Cleanup(restored.Close)
 	if !crep.Restored || crep.QueuedEntries != 0 || crep.Ingested != uint64(sent) {
 		t.Errorf("RestoreReport %+v, want restored with 0 queued and %d ingested", crep, sent)
 	}

@@ -3,14 +3,11 @@
 // tails every 5 minutes) and writes it to a file for offline analysis
 // with the autotune tool or the fast far memory model.
 //
-// The default output format is the chunked columnar store: entries
-// stream to disk as they are generated, so trace size is bounded by the
-// disk, not by memory. The legacy gob and JSON encodings remain
-// available via -format; every consumer auto-detects the format on read.
+// The output is the chunked columnar store: entries stream to disk as
+// they are generated, so trace size is bounded by the disk, not by memory.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -30,7 +27,6 @@ func main() {
 		jobs       = flag.Int("jobs", 6, "job slots per machine")
 		hours      = flag.Float64("hours", 48, "trace duration in hours")
 		seed       = flag.Int64("seed", 1, "random seed")
-		format     = flag.String("format", "store", "output format: store (chunked columnar, streamed), gob (legacy), or json (interoperable)")
 		stats      = flag.Bool("stats", false, "print trace statistics instead of writing a file")
 		metricsOut = flag.String("metricsout", "", "write Prometheus metrics for the generation run to this file")
 	)
@@ -67,43 +63,20 @@ func main() {
 	}
 	defer f.Close()
 
-	var entries, jobCount int
-	switch *format {
-	case "store":
-		// Stream generation straight into the chunked store: the trace
-		// never exists in memory as a whole.
-		w, werr := sdfm.NewTraceWriter(f, sdfm.DefaultTraceMeta())
-		if werr != nil {
-			log.Fatal(werr)
-		}
-		if err := sdfm.GenerateFleetTraceTo(cfg, w); err != nil {
-			log.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			log.Fatal(err)
-		}
-		entries, jobCount = w.Entries(), w.Jobs()
-	case "gob", "json":
-		trace, gerr := sdfm.GenerateFleetTrace(cfg)
-		if gerr != nil {
-			log.Fatal(gerr)
-		}
-		if *format == "gob" {
-			err = trace.Save(f)
-		} else {
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", " ")
-			err = enc.Encode(trace)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		entries, jobCount = trace.Len(), len(trace.Jobs())
-	default:
-		log.Fatalf("unknown format %q", *format)
+	// Stream generation straight into the chunked store: the trace never
+	// exists in memory as a whole.
+	w, err := sdfm.NewTraceWriter(f, sdfm.DefaultTraceMeta())
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("wrote %s (%s): %d entries, %d jobs, %d clusters x %d machines, %.0f h\n",
-		*out, *format, entries, jobCount, *clusters, *machines, *hours)
+	if err := sdfm.GenerateFleetTraceTo(cfg, w); err != nil {
+		log.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("wrote %s: %d entries, %d jobs, %d clusters x %d machines, %.0f h\n",
+		*out, w.Entries(), w.Jobs(), *clusters, *machines, *hours)
 	if err := multi.WriteFiles(*metricsOut, ""); err != nil {
 		log.Fatal(err)
 	}

@@ -1,16 +1,13 @@
-// Command tracestore inspects, verifies, converts, and (for testing)
-// corrupts trace files in the chunked columnar store format. It reads
-// any supported trace encoding — store, legacy gob, or JSON — detected
-// by magic bytes, so it doubles as the format migration tool:
+// Command tracestore inspects, verifies, rewrites, and (for testing)
+// corrupts trace files in the chunked columnar store format:
 //
 //	tracestore inspect fleet.trace           # header, chunk, and job summary
 //	tracestore verify fleet.trace            # full checksum scan, damage report
-//	tracestore convert -o new.trace old.gob  # any format -> store (or -format gob|json)
+//	tracestore convert -o new.trace old.trace  # re-chunk (-chunk) and scrub damage
 //	tracestore corrupt -seed 7 -n 4 f.trace  # flip bytes in place, for recovery drills
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -57,7 +54,7 @@ func usage() {
 commands:
   inspect   print header metadata, chunk index, and job summary
   verify    re-read every chunk, checking all checksums; report damage
-  convert   rewrite a trace (any format) as store, gob, or json (-o, -format)
+  convert   rewrite a trace into a fresh file, re-chunked (-chunk) and scrubbed of damage (-o)
   corrupt   deterministically flip bytes in place (-seed, -n) for recovery drills`)
 }
 
@@ -76,20 +73,13 @@ func inspect(args []string) error {
 
 	meta := h.Meta()
 	minTS, maxTS := h.TimeBounds()
-	fmt.Printf("%s: %s format\n", fs.Arg(0), h.Format())
+	fmt.Printf("%s: trace store, format version %d\n", fs.Arg(0), tracestore.Version)
 	fmt.Printf("scan period: %ds  thresholds: %v\n", meta.ScanPeriodSeconds, meta.Thresholds)
 	fmt.Printf("entries: %d  jobs: %d  time range: [%d, %d] (%.1f h)\n",
-		h.Entries(), h.Jobs(), minTS, maxTS, float64(maxTS-minTS)/3600)
-	r := h.Reader()
-	if r == nil {
-		return nil
-	}
-	fmt.Printf("chunks: %d\n", r.NumChunks())
-	if sk := r.Skipped(); sk.Chunks > 0 || sk.Entries > 0 {
-		fmt.Printf("damage skipped at open: %d chunks, %d entries\n", sk.Chunks, sk.Entries)
-	}
+		h.NumEntries(), len(h.Jobs()), minTS, maxTS, float64(maxTS-minTS)/3600)
+	fmt.Printf("chunks: %d\n", h.NumChunks())
 	if *chunks {
-		for i, ci := range r.Chunks() {
+		for i, ci := range h.Chunks() {
 			comp := "raw"
 			if ci.Compressed {
 				comp = "lz77"
@@ -113,19 +103,11 @@ func verify(args []string) error {
 		return err
 	}
 	defer h.Close()
-	r := h.Reader()
-	if r == nil {
-		// In-memory formats validate fully at open; reaching here means
-		// the file already passed.
-		fmt.Printf("%s: %s format, %d entries — valid (checked at load)\n",
-			fs.Arg(0), h.Format(), h.Entries())
-		return nil
-	}
-	sk, entries, err := r.Verify()
+	sk, entries, err := h.Verify()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d chunks, %d entries readable\n", fs.Arg(0), r.NumChunks(), entries)
+	fmt.Printf("%s: %d chunks, %d entries readable\n", fs.Arg(0), h.NumChunks(), entries)
 	if sk.Chunks == 0 && sk.Entries == 0 {
 		fmt.Println("all checksums verified; no damage")
 		return nil
@@ -144,8 +126,7 @@ func verify(args []string) error {
 func convert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	out := fs.String("o", "", "output file (required)")
-	format := fs.String("format", "store", "output format: store, gob, or json")
-	chunkEntries := fs.Int("chunk", 0, "store chunk size in entries (0: default)")
+	chunkEntries := fs.Int("chunk", 0, "chunk size in entries (0: default)")
 	fs.Parse(args)
 	if fs.NArg() != 1 || *out == "" {
 		return fmt.Errorf("convert: want -o OUT and exactly one input file")
@@ -162,48 +143,25 @@ func convert(args []string) error {
 	}
 	defer f.Close()
 
-	var entries int
-	switch *format {
-	case "store":
-		// Store-to-store streams chunk to chunk; nothing is materialized.
-		var opts []tracestore.WriterOption
-		if *chunkEntries > 0 {
-			opts = append(opts, tracestore.WithChunkEntries(*chunkEntries))
-		}
-		w, werr := tracestore.NewWriter(f, h.Meta(), opts...)
-		if werr != nil {
-			return werr
-		}
-		if err := h.Scan(w.Append); err != nil {
-			return err
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		entries = w.Entries()
-	case "gob", "json":
-		trace, terr := h.Trace()
-		if terr != nil {
-			return terr
-		}
-		if *format == "gob" {
-			err = trace.Save(f)
-		} else {
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", " ")
-			err = enc.Encode(trace)
-		}
-		if err != nil {
-			return err
-		}
-		entries = trace.Len()
-	default:
-		return fmt.Errorf("convert: unknown format %q", *format)
+	// Streams chunk to chunk; nothing is materialized.
+	var opts []tracestore.WriterOption
+	if *chunkEntries > 0 {
+		opts = append(opts, tracestore.WithChunkEntries(*chunkEntries))
+	}
+	w, err := tracestore.NewWriter(f, h.Meta(), opts...)
+	if err != nil {
+		return err
+	}
+	if err := h.Scan(w.Append); err != nil {
+		return err
+	}
+	if err := w.Close(); err != nil {
+		return err
 	}
 	if sk := h.Skipped(); sk.Chunks > 0 || sk.Entries > 0 {
 		fmt.Printf("input damage skipped: %d chunks, %d entries\n", sk.Chunks, sk.Entries)
 	}
-	fmt.Printf("wrote %s (%s): %d entries\n", *out, *format, entries)
+	fmt.Printf("wrote %s: %d entries\n", *out, w.Entries())
 	return nil
 }
 

@@ -83,6 +83,7 @@ func runFleet(trace *sdfm.Trace, cfg sdfm.ControlPlaneConfig, plan *sdfm.FaultPl
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer cp.Close()
 	rep, err := sdfm.RunControlPlaneSim(cp, trace, sdfm.ControlPlaneSimConfig{Faults: plan})
 	if err != nil {
 		log.Fatal(err)

@@ -9,11 +9,23 @@ import (
 	"sdfm/internal/fault"
 	"sdfm/internal/node"
 	"sdfm/internal/telemetry"
+	"sdfm/internal/telemetry/colfmt"
 )
+
+// traceBytes serializes a trace's entries with the module's entry codec,
+// so runs can be compared (and fingerprinted) byte for byte.
+func traceBytes(t *testing.T, trace *telemetry.Trace) []byte {
+	t.Helper()
+	buf, err := colfmt.AppendEntries(nil, trace.Entries, colfmt.Prefixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
 
 // runTrace builds a small cluster, optionally with a fault plan, drives it
 // serially (the collector is not concurrent-safe), and returns the
-// telemetry trace serialized to gob bytes.
+// serialized telemetry trace.
 func runTrace(t *testing.T, seed int64, plan *fault.Plan) []byte {
 	t.Helper()
 	trace := telemetry.NewTrace()
@@ -38,11 +50,7 @@ func runTrace(t *testing.T, seed int64, plan *fault.Plan) []byte {
 	if err := c.Run(2 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := trace.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return traceBytes(t, trace)
 }
 
 // TestFaultedRunsAreDeterministic is the determinism guard: two runs with

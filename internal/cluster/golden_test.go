@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -26,9 +25,14 @@ import (
 // counters and pool statistics, and every job's cumulative accounting,
 // census, and promotion histograms.
 //
-// The checked-in golden value was produced by the pre-SoA walk-based
+// The checked-in golden value descends from the pre-SoA walk-based
 // simulator; the refactored simulator must reproduce it bit for bit
-// (same RNG draw order, same counters, same arena operation order).
+// (same RNG draw order, same counters, same arena operation order). It
+// has been re-pinned once for a reason outside the simulator: the trace
+// used to be hashed through its gob encoding, which no longer exists.
+// One run of the last commit that had both took both digests — the gob
+// one equal to the value checked in then, the entry-column one checked
+// in now — so the chain of equivalence is unbroken (CHANGES.md, PR 17).
 // auditCfg lets the audited variant prove the invariant auditor is
 // observation-only: the hash must not move when it is enabled. hub does
 // the same for the metrics/tracing layer — instrumented runs must
@@ -74,11 +78,7 @@ func goldenFingerprint(t *testing.T, auditCfg audit.Config, hub *obs.Multi) stri
 	}
 
 	h := fnv.New64a()
-	var buf bytes.Buffer
-	if err := trace.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	h.Write(buf.Bytes())
+	h.Write(traceBytes(t, trace))
 
 	for _, m := range c.Machines() {
 		m.WriteFingerprint(h)

@@ -237,6 +237,9 @@ func (c *Controller) maybeCheckpoint() bool {
 	}
 	c.ckptSchedMu.Lock()
 	defer c.ckptSchedMu.Unlock()
+	if c.closed {
+		return false
+	}
 	c.ckptWG.Wait()
 
 	// Re-check under the control mutex: a concurrent Checkpoint call may

@@ -138,10 +138,7 @@ func TestKillRestoreEquivalence(t *testing.T) {
 
 	// Baseline: one controller, never interrupted, no checkpointing.
 	cfg := ckptTestConfig("")
-	base, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	base := newTestController(t, cfg)
 	baseAgents := registerAgents(t, base, rc)
 	cut := len(rc.tsList) * 5 / 8
 	replayIntervals(t, base, baseAgents, rc, 0, cut)
@@ -159,10 +156,7 @@ func TestKillRestoreEquivalence(t *testing.T) {
 	// exercised against the real binary in cmd/sdfmd's restart tests).
 	dir := t.TempDir()
 	cfg = ckptTestConfig(dir)
-	c1, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	c1 := newTestController(t, cfg)
 	agents1 := registerAgents(t, c1, rc)
 	replayIntervals(t, c1, agents1, rc, 0, cut)
 	sendInterval(t, agents1, rc, rc.tsList[cut])
@@ -174,6 +168,7 @@ func TestKillRestoreEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
+	t.Cleanup(c2.Close)
 	if !rep.Restored {
 		t.Fatal("Restore found no checkpoint")
 	}
@@ -202,23 +197,16 @@ func TestKillRestoreEquivalence(t *testing.T) {
 // CheckpointDir, identical rounds and incumbent.
 func TestCheckpointingIsObservationOnly(t *testing.T) {
 	tr := testTrace(t, 1, 2, 3, 9*time.Hour, 11)
-	plain, err := New(ckptTestConfig(""))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	plain := newTestController(t, ckptTestConfig(""))
 	repPlain, err := RunSim(plain, tr, SimConfig{})
 	if err != nil {
 		t.Fatalf("RunSim: %v", err)
 	}
-	ckpted, err := New(ckptTestConfig(t.TempDir()))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	ckpted := newTestController(t, ckptTestConfig(t.TempDir()))
 	repCkpt, err := RunSim(ckpted, tr, SimConfig{})
 	if err != nil {
 		t.Fatalf("RunSim: %v", err)
 	}
-	ckpted.ckptWG.Wait() // join the background writer before TempDir cleanup
 	roundsEqual(t, repCkpt.Rounds, repPlain.Rounds, "checkpointed controller")
 	if got, want := ckpted.Incumbent(), plain.Incumbent(); got != want {
 		t.Errorf("incumbent %+v, want %+v", got, want)
@@ -234,16 +222,13 @@ func TestPeriodicCheckpointCadence(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ckptTestConfig(dir)
 	cfg.CheckpointKeep = 2
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	c := newTestController(t, cfg)
 	rep, err := RunSim(c, tr, SimConfig{})
 	if err != nil {
 		t.Fatalf("RunSim: %v", err)
 	}
 	_ = rep
-	c.ckptWG.Wait() // periodic writes are asynchronous; join before reading the dir
+	c.Close() // periodic writes are asynchronous; join before reading the dir
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -275,10 +260,7 @@ func TestCheckpointConcurrentIngest(t *testing.T) {
 	cfg := ckptTestConfig(dir)
 	cfg.RoundEvery = 1 << 30 * time.Second // never round: shard slices only ever grow
 	cfg.CheckpointEvery = 30 * time.Minute
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	c := newTestController(t, cfg)
 	agents := registerAgents(t, c, rc)
 
 	var wg sync.WaitGroup
@@ -333,10 +315,7 @@ func TestRestoreReconciliation(t *testing.T) {
 	tr := testTrace(t, 1, 2, 3, 7*time.Hour, 5)
 	dir := t.TempDir()
 	cfg := ckptTestConfig(dir)
-	c1, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	c1 := newTestController(t, cfg)
 	if _, err := RunSim(c1, tr, SimConfig{}); err != nil {
 		t.Fatalf("RunSim: %v", err)
 	}
@@ -356,6 +335,7 @@ func TestRestoreReconciliation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
+	t.Cleanup(c2.Close)
 	if !rep.Restored || rep.Agents != len(st1.Agents) || rep.Rounds != len(rounds) {
 		t.Fatalf("RestoreReport %+v, want restored with %d agents / %d rounds", rep, len(st1.Agents), len(rounds))
 	}
@@ -391,10 +371,7 @@ func TestRestoreFallsBackWithAccounting(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ckptTestConfig(dir)
 	cfg.CheckpointDir = dir
-	c1, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	c1 := newTestController(t, cfg)
 	if _, err := RunSim(c1, tr, SimConfig{}); err != nil {
 		t.Fatalf("RunSim: %v", err)
 	}
@@ -416,6 +393,7 @@ func TestRestoreFallsBackWithAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
+	t.Cleanup(c2.Close)
 	if !rep.Restored || len(rep.Skipped) != 1 {
 		t.Fatalf("RestoreReport %+v, want restore with exactly one skip", rep)
 	}
@@ -432,10 +410,7 @@ func TestRestoreFallsBackWithAccounting(t *testing.T) {
 // with the window silently missing.
 func TestCheckpointRefusedMidRound(t *testing.T) {
 	cfg := ckptTestConfig(t.TempDir())
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	c := newTestController(t, cfg)
 	c.mu.Lock()
 	c.roundInFlight = true
 	c.mu.Unlock()
@@ -450,11 +425,61 @@ func TestCheckpointRefusedMidRound(t *testing.T) {
 	}
 	// And without a directory the operation is an explicit error, not a
 	// silent no-op.
-	plain, err := New(ckptTestConfig(""))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	plain := newTestController(t, ckptTestConfig(""))
 	if _, err := plain.Checkpoint(); err != ErrNoCheckpointDir {
 		t.Fatalf("Checkpoint without dir: %v, want ErrNoCheckpointDir", err)
+	}
+}
+
+// TestCloseIsFinal pins the lifecycle contract every owner relies on
+// (tests removing a TempDir, sdfmd exiting, a successor restoring): once
+// Close returns, ingest is sealed, the background writer is joined and
+// left nothing half-written, and no later Tick starts another — even one
+// that finds a checkpoint overdue.
+func TestCloseIsFinal(t *testing.T) {
+	tr := testTrace(t, 1, 2, 2, 4*time.Hour, 3)
+	dir := t.TempDir()
+	c := newTestController(t, ckptTestConfig(dir))
+	if _, err := RunSim(c, tr, SimConfig{}); err != nil {
+		t.Fatalf("RunSim: %v", err)
+	}
+	c.Close()
+	c.Close() // idempotent
+
+	listing := func() []string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	before := listing()
+	if len(before) == 0 {
+		t.Fatal("campaign cut no periodic checkpoint; the test would prove nothing")
+	}
+	for _, name := range before {
+		if filepath.Ext(name) != ".sdfmcp" {
+			t.Errorf("Close left a partial write behind: %s", name)
+		}
+	}
+	if _, err := c.Report(ReportRequest{AgentID: c.Status().Agents[0].ID}); err != ErrDraining {
+		t.Errorf("Report after Close: %v, want ErrDraining", err)
+	}
+	c.mu.Lock()
+	c.telemetryMax += 10 * c.ckptEverySec // a checkpoint is now overdue
+	c.mu.Unlock()
+	if rep := c.Tick(); rep.Checkpointed {
+		t.Error("Tick after Close started a checkpoint writer")
+	}
+	if after := listing(); !reflect.DeepEqual(after, before) {
+		t.Errorf("directory changed after Close: %v -> %v", before, after)
+	}
+	// The caller's own final snapshot still works, on the caller's goroutine.
+	if _, err := c.Checkpoint(); err != nil {
+		t.Errorf("Checkpoint after Close: %v", err)
 	}
 }

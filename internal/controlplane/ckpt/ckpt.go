@@ -7,9 +7,9 @@
 //
 // The format follows the repo's tracestore/wire discipline: a magic +
 // version header, self-describing sections that are each
-// CRC32-Castagnoli-checksummed, columnar entry blocks shared with the
-// telemetry wire codec, and a bounds-checked decoder that survives
-// arbitrary bytes (it is fuzzed — FuzzDecodeCheckpoint). Snapshot
+// CRC32-Castagnoli-checksummed, telemetry entries in the module's one
+// entry-column block (package colfmt), and a bounds-checked decoder that
+// survives arbitrary bytes (it is fuzzed — FuzzDecodeCheckpoint). Snapshot
 // encoding is deterministic: the same state always produces the same
 // bytes, so checkpoint equality is state equality.
 //
@@ -27,7 +27,9 @@
 //	EOF exactly after the last section
 //
 // Sections (all integers varint/uvarint, floats float64 LE, strings
-// uvarint length + bytes, telemetry entries in the wire columnar block):
+// uvarint length + bytes, telemetry entries in colfmt's entry-column
+// block with Prefixed tails — verbatim, damaged ones included, so what
+// was queued is still rejected with accounting after a restore):
 //
 //	1 incumbent  deployed params (K, S), assignment epoch
 //	2 window     open tuning window bounds + telemetry clock
@@ -52,11 +54,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"time"
 
-	"sdfm/internal/controlplane/wire"
 	"sdfm/internal/core"
 	"sdfm/internal/telemetry"
-	"time"
+	"sdfm/internal/telemetry/colfmt"
 )
 
 // Magic opens every checkpoint file.
@@ -241,11 +243,6 @@ func appendParams(dst []byte, p core.Params) []byte {
 	return binary.AppendVarint(dst, int64(p.S))
 }
 
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 // clampString keeps free-form text (round reasons, error strings) within
 // the decoder's string cap; truncation is deterministic, so it cannot
 // break checkpoint-equality arguments.
@@ -277,7 +274,7 @@ func (s *Snapshot) appendAgents(dst []byte) ([]byte, error) {
 		if len(s.Agents[i].ID) > maxStringLen {
 			return nil, fmt.Errorf("ckpt: agent id is %d bytes", len(s.Agents[i].ID))
 		}
-		dst = appendString(dst, s.Agents[i].ID)
+		dst = colfmt.AppendString(dst, s.Agents[i].ID)
 	}
 	for i := range s.Agents {
 		dst = appendParams(dst, s.Agents[i].Params)
@@ -305,7 +302,7 @@ func (s *Snapshot) appendAgents(dst []byte) ([]byte, error) {
 	for i := range s.Agents {
 		all = append(all, s.Agents[i].Queue...)
 	}
-	return wire.AppendEntryColumns(dst, all)
+	return colfmt.AppendEntries(dst, all, colfmt.Prefixed)
 }
 
 func (s *Snapshot) appendShards(dst []byte) ([]byte, error) {
@@ -320,9 +317,7 @@ func (s *Snapshot) appendShards(dst []byte) ([]byte, error) {
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(sh.Jobs)))
 		for j := range sh.Jobs {
-			dst = appendString(dst, sh.Jobs[j].Key.Cluster)
-			dst = appendString(dst, sh.Jobs[j].Key.Machine)
-			dst = appendString(dst, sh.Jobs[j].Key.Job)
+			dst = colfmt.AppendJobKey(dst, sh.Jobs[j].Key)
 		}
 		for j := range sh.Jobs {
 			dst = binary.AppendVarint(dst, sh.Jobs[j].LastTimestampSec)
@@ -338,7 +333,7 @@ func (s *Snapshot) appendShards(dst []byte) ([]byte, error) {
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(sh.Entries)))
 		var err error
-		if dst, err = wire.AppendEntryColumns(dst, sh.Entries); err != nil {
+		if dst, err = colfmt.AppendEntries(dst, sh.Entries, colfmt.Prefixed); err != nil {
 			return nil, err
 		}
 	}
@@ -365,13 +360,13 @@ func (s *Snapshot) appendRounds(dst []byte) ([]byte, error) {
 		} else {
 			dst = append(dst, 0)
 		}
-		dst = appendString(dst, clampString(r.RolledBackAt))
-		dst = appendString(dst, clampString(r.Reason))
+		dst = colfmt.AppendString(dst, clampString(r.RolledBackAt))
+		dst = colfmt.AppendString(dst, clampString(r.Reason))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Coverage))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.P98Rate))
 		dst = binary.AppendVarint(dst, r.GapIntervals)
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Completeness))
-		dst = appendString(dst, clampString(r.Err))
+		dst = colfmt.AppendString(dst, clampString(r.Err))
 	}
 	return dst, nil
 }
@@ -385,107 +380,8 @@ func (s *Snapshot) appendCounters(dst []byte) ([]byte, error) {
 	return binary.AppendUvarint(dst, s.Counters.RejectedInvalid), nil
 }
 
-// cursor is a bounds-checked reader; every read reports truncation as
-// an error, never a panic.
-type cursor struct {
-	buf []byte
-	pos int
-}
-
-var errTruncated = fmt.Errorf("%w: truncated", ErrCorrupt)
-
-func (c *cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.buf[c.pos:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	c.pos += n
-	return v, nil
-}
-
-func (c *cursor) varint() (int64, error) {
-	v, n := binary.Varint(c.buf[c.pos:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	c.pos += n
-	return v, nil
-}
-
-func (c *cursor) f64() (float64, error) {
-	if c.pos+8 > len(c.buf) {
-		return 0, errTruncated
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(c.buf[c.pos:]))
-	c.pos += 8
-	return v, nil
-}
-
-func (c *cursor) byte() (byte, error) {
-	if c.pos >= len(c.buf) {
-		return 0, errTruncated
-	}
-	b := c.buf[c.pos]
-	c.pos++
-	return b, nil
-}
-
-func (c *cursor) str() (string, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxStringLen {
-		return "", fmt.Errorf("%w: string claims %d bytes", ErrCorrupt, n)
-	}
-	if n > uint64(len(c.buf)-c.pos) {
-		return "", errTruncated
-	}
-	s := string(c.buf[c.pos : c.pos+int(n)])
-	c.pos += int(n)
-	return s, nil
-}
-
-func (c *cursor) params() (core.Params, error) {
-	k, err := c.f64()
-	if err != nil {
-		return core.Params{}, err
-	}
-	ns, err := c.varint()
-	if err != nil {
-		return core.Params{}, err
-	}
-	return core.Params{K: k, S: time.Duration(ns)}, nil
-}
-
-// count reads a uvarint count and rejects claims that cannot fit the
-// remaining bytes (each counted element consumes at least minBytes) or
-// exceed the structural cap.
-func (c *cursor) count(max int, minBytes int, what string) (int, error) {
-	v, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(max) {
-		return 0, fmt.Errorf("%w: %s count %d exceeds limit %d", ErrCorrupt, what, v, max)
-	}
-	if minBytes > 0 && v > uint64((len(c.buf)-c.pos)/minBytes) {
-		return 0, fmt.Errorf("%w: %d %s cannot fit %d bytes", ErrCorrupt, v, what, len(c.buf)-c.pos)
-	}
-	return int(v), nil
-}
-
-// entryBlock reads a wire columnar entry block of count entries.
-func (c *cursor) entryBlock(count int) ([]telemetry.Entry, error) {
-	if count == 0 {
-		return nil, nil
-	}
-	entries, n, err := wire.DecodeEntryColumns(c.buf[c.pos:], count)
-	if err != nil {
-		return nil, fmt.Errorf("%w: entry block: %v", ErrCorrupt, err)
-	}
-	c.pos += n
-	return entries, nil
+func readParams(c *colfmt.Cursor) core.Params {
+	return core.Params{K: c.F64(), S: time.Duration(c.Varint())}
 }
 
 // Decode parses one checkpoint file. Any structural damage returns an
@@ -511,7 +407,7 @@ func Decode(buf []byte) (*Snapshot, error) {
 	seen := [numSections + 1]bool{}
 	for i := uint32(0); i < nSections; i++ {
 		if pos+1+4 > len(buf) {
-			return nil, errTruncated
+			return nil, fmt.Errorf("%w: truncated", ErrCorrupt)
 		}
 		id := buf[pos]
 		length := binary.LittleEndian.Uint32(buf[pos+1:])
@@ -519,11 +415,11 @@ func Decode(buf []byte) (*Snapshot, error) {
 			return nil, fmt.Errorf("%w: section %d claims %d bytes", ErrCorrupt, id, length)
 		}
 		end := pos + 1 + 4 + int(length)
-		payload := buf[pos+1+4 : end]
 		want := binary.LittleEndian.Uint32(buf[end:])
 		if got := crc32.Checksum(buf[pos:end], castagnoli); got != want {
 			return nil, fmt.Errorf("%w: section %d CRC %#x, content digests to %#x", ErrCorrupt, id, want, got)
 		}
+		c := colfmt.NewCursor(buf[pos+1+4 : end])
 		pos = end + 4
 		if id < 1 || id > numSections {
 			return nil, fmt.Errorf("%w: unknown section id %d", ErrCorrupt, id)
@@ -532,23 +428,24 @@ func Decode(buf []byte) (*Snapshot, error) {
 			return nil, fmt.Errorf("%w: duplicate section id %d", ErrCorrupt, id)
 		}
 		seen[id] = true
-		var err error
 		switch id {
 		case secIncumbent:
-			err = s.decodeIncumbent(payload)
+			s.decodeIncumbent(&c)
 		case secWindow:
-			err = s.decodeWindow(payload)
+			s.decodeWindow(&c)
 		case secAgents:
-			err = s.decodeAgents(payload)
+			s.decodeAgents(&c)
 		case secShards:
-			err = s.decodeShards(payload)
+			s.decodeShards(&c)
 		case secRounds:
-			err = s.decodeRounds(payload)
+			s.decodeRounds(&c)
 		case secCounters:
-			err = s.decodeCounters(payload)
+			s.decodeCounters(&c)
 		}
-		if err != nil {
-			return nil, err
+		// One check per section: the cursor remembers the first damaged
+		// read, and a sound section ends exactly at its claimed length.
+		if err := c.Done(); err != nil {
+			return nil, fmt.Errorf("%w: section %d: %v", ErrCorrupt, id, err)
 		}
 	}
 	if pos != len(buf) {
@@ -562,96 +459,56 @@ func Decode(buf []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// sectionDone rejects trailing bytes inside a section payload.
-func sectionDone(c *cursor, id int) error {
-	if c.pos != len(c.buf) {
-		return fmt.Errorf("%w: %d trailing bytes in section %d", ErrCorrupt, len(c.buf)-c.pos, id)
-	}
-	return nil
+func (s *Snapshot) decodeIncumbent(c *colfmt.Cursor) {
+	s.Incumbent = readParams(c)
+	s.Epoch = c.Varint()
 }
 
-func (s *Snapshot) decodeIncumbent(payload []byte) (err error) {
-	c := &cursor{buf: payload}
-	if s.Incumbent, err = c.params(); err != nil {
-		return err
-	}
-	if s.Epoch, err = c.varint(); err != nil {
-		return err
-	}
-	return sectionDone(c, secIncumbent)
-}
-
-func (s *Snapshot) decodeWindow(payload []byte) (err error) {
-	c := &cursor{buf: payload}
-	if s.WindowStartSec, err = c.varint(); err != nil {
-		return err
-	}
-	if s.WindowMaxSec, err = c.varint(); err != nil {
-		return err
-	}
-	if s.WindowEntries, err = c.varint(); err != nil {
-		return err
-	}
+func (s *Snapshot) decodeWindow(c *colfmt.Cursor) {
+	s.WindowStartSec = c.Varint()
+	s.WindowMaxSec = c.Varint()
+	s.WindowEntries = c.Varint()
 	if s.WindowEntries < 0 {
-		return fmt.Errorf("%w: negative window entry count %d", ErrCorrupt, s.WindowEntries)
+		c.Failf("negative window entry count %d", s.WindowEntries)
 	}
-	if s.TelemetrySec, err = c.varint(); err != nil {
-		return err
-	}
-	return sectionDone(c, secWindow)
+	s.TelemetrySec = c.Varint()
 }
 
-func (s *Snapshot) decodeAgents(payload []byte) (err error) {
-	c := &cursor{buf: payload}
-	n, err := c.count(maxAgents, 1, "agents")
-	if err != nil {
-		return err
+func (s *Snapshot) decodeAgents(c *colfmt.Cursor) {
+	n := c.Count(maxAgents, 1, "agents")
+	if n == 0 {
+		return
 	}
-	var agents []AgentSnap
-	if n > 0 {
-		agents = make([]AgentSnap, n)
+	agents := make([]AgentSnap, n)
+	for i := range agents {
+		agents[i].ID = c.Str(maxStringLen)
 	}
 	for i := range agents {
-		if agents[i].ID, err = c.str(); err != nil {
-			return err
-		}
+		agents[i].Params = readParams(c)
 	}
 	for i := range agents {
-		if agents[i].Params, err = c.params(); err != nil {
-			return err
-		}
+		agents[i].Epoch = c.Varint()
 	}
 	for i := range agents {
-		if agents[i].Epoch, err = c.varint(); err != nil {
-			return err
-		}
+		agents[i].LastTS = c.Varint()
 	}
 	for i := range agents {
-		if agents[i].LastTS, err = c.varint(); err != nil {
-			return err
-		}
+		agents[i].Reports = c.Uvarint()
 	}
 	for i := range agents {
-		if agents[i].Reports, err = c.uvarint(); err != nil {
-			return err
-		}
+		agents[i].Dropped = c.Uvarint()
 	}
-	for i := range agents {
-		if agents[i].Dropped, err = c.uvarint(); err != nil {
-			return err
-		}
-	}
+	// The queue lengths size nothing themselves; their sum is checked
+	// against the bytes present when the entry block is decoded.
 	qlens := make([]int, n)
 	queued := 0
-	for i := range agents {
-		if qlens[i], err = c.count(1<<31-1, 0, "queued entries"); err != nil {
-			return err
-		}
+	for i := range qlens {
+		qlens[i] = c.Count(math.MaxInt32, 0, "queued entries")
 		queued += qlens[i]
 	}
-	all, err := c.entryBlock(queued)
-	if err != nil {
-		return err
+	all := colfmt.DecodeEntries(c, queued, colfmt.Prefixed)
+	if c.Err() != nil {
+		return
 	}
 	off := 0
 	for i := range agents {
@@ -661,162 +518,74 @@ func (s *Snapshot) decodeAgents(payload []byte) (err error) {
 		off += qlens[i]
 	}
 	s.Agents = agents
-	return sectionDone(c, secAgents)
 }
 
-func (s *Snapshot) decodeShards(payload []byte) (err error) {
-	c := &cursor{buf: payload}
-	n, err := c.count(maxShards, 1, "shards")
-	if err != nil {
-		return err
+func (s *Snapshot) decodeShards(c *colfmt.Cursor) {
+	n := c.Count(maxShards, 1, "shards")
+	if n == 0 {
+		return
 	}
-	var shards []ShardSnap
-	if n > 0 {
-		shards = make([]ShardSnap, n)
+	s.Shards = make([]ShardSnap, n)
+	for i := range s.Shards {
+		sh := &s.Shards[i]
+		if nJobs := c.Count(maxJobsPerShard, 1, "shard jobs"); nJobs > 0 {
+			sh.Jobs = make([]JobSnap, nJobs)
+		}
+		for j := range sh.Jobs {
+			sh.Jobs[j].Key = colfmt.ReadJobKey(c, maxStringLen)
+		}
+		for j := range sh.Jobs {
+			sh.Jobs[j].LastTimestampSec = c.Varint()
+		}
+		for j := range sh.Jobs {
+			sh.Jobs[j].Intervals = c.Varint()
+		}
+		for j := range sh.Jobs {
+			sh.Jobs[j].LastWSSPages = c.Uvarint()
+		}
+		for j := range sh.Jobs {
+			sh.Jobs[j].LastTotalPages = c.Uvarint()
+		}
+		sh.Entries = colfmt.DecodeEntries(c, c.Count(math.MaxInt32, 0, "shard entries"), colfmt.Prefixed)
 	}
-	for i := range shards {
-		sh := &shards[i]
-		nJobs, err := c.count(maxJobsPerShard, 1, "shard jobs")
-		if err != nil {
-			return err
-		}
-		var jobs []JobSnap
-		if nJobs > 0 {
-			jobs = make([]JobSnap, nJobs)
-		}
-		for j := range jobs {
-			if jobs[j].Key.Cluster, err = c.str(); err != nil {
-				return err
-			}
-			if jobs[j].Key.Machine, err = c.str(); err != nil {
-				return err
-			}
-			if jobs[j].Key.Job, err = c.str(); err != nil {
-				return err
-			}
-		}
-		for j := range jobs {
-			if jobs[j].LastTimestampSec, err = c.varint(); err != nil {
-				return err
-			}
-		}
-		for j := range jobs {
-			if jobs[j].Intervals, err = c.varint(); err != nil {
-				return err
-			}
-		}
-		for j := range jobs {
-			if jobs[j].LastWSSPages, err = c.uvarint(); err != nil {
-				return err
-			}
-		}
-		for j := range jobs {
-			if jobs[j].LastTotalPages, err = c.uvarint(); err != nil {
-				return err
-			}
-		}
-		sh.Jobs = jobs
-		nEntries, err := c.count(1<<31-1, 0, "shard entries")
-		if err != nil {
-			return err
-		}
-		if sh.Entries, err = c.entryBlock(nEntries); err != nil {
-			return err
-		}
-	}
-	s.Shards = shards
-	return sectionDone(c, secShards)
 }
 
-func (s *Snapshot) decodeRounds(payload []byte) (err error) {
-	c := &cursor{buf: payload}
-	n, err := c.count(maxRounds, 1, "rounds")
-	if err != nil {
-		return err
+func (s *Snapshot) decodeRounds(c *colfmt.Cursor) {
+	n := c.Count(maxRounds, 1, "rounds")
+	if n == 0 {
+		return
 	}
-	var rounds []Round
-	if n > 0 {
-		rounds = make([]Round, n)
-	}
-	for i := range rounds {
-		r := &rounds[i]
-		if r.Round, err = c.varint(); err != nil {
-			return err
-		}
-		if r.WindowStartSec, err = c.varint(); err != nil {
-			return err
-		}
-		if r.WindowEndSec, err = c.varint(); err != nil {
-			return err
-		}
-		if r.Entries, err = c.varint(); err != nil {
-			return err
-		}
-		if r.Jobs, err = c.varint(); err != nil {
-			return err
-		}
-		if r.TunerEvals, err = c.varint(); err != nil {
-			return err
-		}
-		if r.Candidate, err = c.params(); err != nil {
-			return err
-		}
-		if r.Chosen, err = c.params(); err != nil {
-			return err
-		}
-		b, err := c.byte()
-		if err != nil {
-			return err
-		}
+	s.Rounds = make([]Round, n)
+	for i := range s.Rounds {
+		r := &s.Rounds[i]
+		r.Round = c.Varint()
+		r.WindowStartSec = c.Varint()
+		r.WindowEndSec = c.Varint()
+		r.Entries = c.Varint()
+		r.Jobs = c.Varint()
+		r.TunerEvals = c.Varint()
+		r.Candidate = readParams(c)
+		r.Chosen = readParams(c)
+		b := c.Byte()
 		if b > 1 {
-			return fmt.Errorf("%w: round %d accepted flag %d", ErrCorrupt, i, b)
+			c.Failf("round %d accepted flag %d", i, b)
 		}
 		r.Accepted = b == 1
-		if r.RolledBackAt, err = c.str(); err != nil {
-			return err
-		}
-		if r.Reason, err = c.str(); err != nil {
-			return err
-		}
-		if r.Coverage, err = c.f64(); err != nil {
-			return err
-		}
-		if r.P98Rate, err = c.f64(); err != nil {
-			return err
-		}
-		if r.GapIntervals, err = c.varint(); err != nil {
-			return err
-		}
-		if r.Completeness, err = c.f64(); err != nil {
-			return err
-		}
-		if r.Err, err = c.str(); err != nil {
-			return err
-		}
+		r.RolledBackAt = c.Str(maxStringLen)
+		r.Reason = c.Str(maxStringLen)
+		r.Coverage = c.F64()
+		r.P98Rate = c.F64()
+		r.GapIntervals = c.Varint()
+		r.Completeness = c.F64()
+		r.Err = c.Str(maxStringLen)
 	}
-	s.Rounds = rounds
-	return sectionDone(c, secRounds)
 }
 
-func (s *Snapshot) decodeCounters(payload []byte) (err error) {
-	c := &cursor{buf: payload}
-	if s.Counters.Reports, err = c.uvarint(); err != nil {
-		return err
-	}
-	if s.Counters.Received, err = c.uvarint(); err != nil {
-		return err
-	}
-	if s.Counters.Ingested, err = c.uvarint(); err != nil {
-		return err
-	}
-	if s.Counters.DroppedBackpressure, err = c.uvarint(); err != nil {
-		return err
-	}
-	if s.Counters.RejectedCorrupt, err = c.uvarint(); err != nil {
-		return err
-	}
-	if s.Counters.RejectedInvalid, err = c.uvarint(); err != nil {
-		return err
-	}
-	return sectionDone(c, secCounters)
+func (s *Snapshot) decodeCounters(c *colfmt.Cursor) {
+	s.Counters.Reports = c.Uvarint()
+	s.Counters.Received = c.Uvarint()
+	s.Counters.Ingested = c.Uvarint()
+	s.Counters.DroppedBackpressure = c.Uvarint()
+	s.Counters.RejectedCorrupt = c.Uvarint()
+	s.Counters.RejectedInvalid = c.Uvarint()
 }

@@ -336,9 +336,11 @@ type Controller struct {
 	// serializes checkpoint scheduling (it is taken before the control
 	// mutex, never after); ckptWG tracks the single in-flight writer. A
 	// new write joins the previous one before launching, so generations
-	// land on disk in order and at most one writer ever runs.
+	// land on disk in order and at most one writer ever runs. closed
+	// (guarded by ckptSchedMu) is set by Close: no writer starts after it.
 	ckptSchedMu sync.Mutex
 	ckptWG      sync.WaitGroup
+	closed      bool
 
 	// Tick-side lifetime counters (stripe-side ones live on the stripes).
 	nIngested, nCorrupt, nInvalid uint64
@@ -962,6 +964,22 @@ func (c *Controller) Drain() DrainReport {
 			return rep
 		}
 	}
+}
+
+// Close ends the controller's life: it seals ingest and flushes every
+// queue (Drain), then joins the background checkpoint writer. When it
+// returns, no goroutine the controller started is running and none will
+// start, so nothing touches CheckpointDir behind the caller's back — the
+// caller may remove the directory, or boot a successor from it. Every
+// owner of a controller calls Close when done with it; calling it again
+// is harmless. Read-only methods and Checkpoint (which writes on the
+// caller's goroutine) keep working afterwards.
+func (c *Controller) Close() {
+	c.Drain()
+	c.ckptSchedMu.Lock()
+	c.closed = true
+	c.ckptWG.Wait()
+	c.ckptSchedMu.Unlock()
 }
 
 // AgentStatus is one agent's statusz row.

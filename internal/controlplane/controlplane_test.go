@@ -45,6 +45,7 @@ func newTestController(t *testing.T, cfg Config) *Controller {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	t.Cleanup(c.Close)
 	return c
 }
 

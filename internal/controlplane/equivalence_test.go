@@ -119,7 +119,7 @@ func TestLoopbackMatchesOfflineStagedRollout(t *testing.T) {
 	tcfg.SLO = slo
 	mcfg := model.Config{SLO: slo}
 
-	c, err := New(Config{
+	c := newTestController(t, Config{
 		SLO:        slo,
 		Incumbent:  incumbent,
 		Tuner:      tcfg,
@@ -127,9 +127,6 @@ func TestLoopbackMatchesOfflineStagedRollout(t *testing.T) {
 		Model:      mcfg,
 		RoundEvery: roundEvery,
 	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
 	rep, err := RunSim(c, tr, SimConfig{})
 	if err != nil {
 		t.Fatalf("RunSim: %v", err)

@@ -3,13 +3,12 @@
 // report frames, served over HTTP as Content-Type
 // "application/x-sdfm-telemetry" with JSON kept as the fallback.
 //
-// The format borrows the tracestore chunk approach — columnar entry
-// layout, varint coding, a CRC32-Castagnoli frame check, and a
-// bounds-checked decoder that survives arbitrary bytes (it is fuzzed) —
-// but it is a *transport* frame, not a storage chunk: no compression (the
-// hot ingest path trades a few wire bytes for zero compress/decompress
-// CPU), no footer index, and tail sums are stored as raw varints rather
-// than monotone decrements so that damaged entries (bit-flipped content
+// The entries travel in the module's one entry-column block (package
+// colfmt); this package owns only the frame around it. It is a
+// *transport* frame, not a storage chunk: no compression (the hot ingest
+// path trades a few wire bytes for zero compress/decompress CPU), no
+// footer index, and the block's Prefixed tail layout — raw varints rather
+// than monotone decrements — so that damaged entries (bit-flipped content
 // with stale checksums) survive the wire intact and are rejected with
 // accounting at the controller's Tick validation, exactly as they are
 // over JSON.
@@ -20,18 +19,7 @@
 //	version  uint16 LE
 //	agentID  uvarint length + bytes
 //	count    uint32 LE (entry count)
-//	payload  columnar entry batch:
-//	           job directory (uvarint count, then cluster/machine/job
-//	             strings in first-seen order)
-//	           job index per entry        (uvarint)
-//	           timestamps                 (varint, delta-coded)
-//	           interval minutes           (float64 LE)
-//	           WSS pages                  (uvarint)
-//	           total pages                (uvarint)
-//	           cold tails per entry       (uvarint length + raw uvarints)
-//	           promo tails per entry      (uvarint length + raw uvarints)
-//	           compressible fraction      (float64 LE)
-//	           entry checksum             (uint64 LE)
+//	payload  colfmt entry-column block, Prefixed tails
 //	crc      uint32 LE, CRC32-Castagnoli over every preceding frame byte
 //
 // Every decode is bounds-checked: claimed counts are validated against
@@ -44,9 +32,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"sdfm/internal/telemetry"
+	"sdfm/internal/telemetry/colfmt"
 )
 
 // ContentType is the HTTP media type that selects this codec; any other
@@ -71,14 +59,6 @@ const (
 
 	// maxBatchEntries bounds a single frame's entry count.
 	maxBatchEntries = 1 << 21
-
-	// minEntryBytes is a safe lower bound on one encoded entry (job
-	// index, timestamp, two floats, two counters, two tail lengths, and
-	// the checksum), used to reject counts that cannot fit the frame.
-	minEntryBytes = 30
-
-	// maxTailsPerEntry bounds one entry's tail-sum column length.
-	maxTailsPerEntry = 1 << 16
 )
 
 // ErrCorrupt is returned for any frame the decoder cannot accept:
@@ -109,196 +89,16 @@ func AppendReportBatch(dst []byte, agentID string, entries []telemetry.Entry) ([
 	if len(entries) > maxBatchEntries {
 		return dst, fmt.Errorf("%w: %d entries in one batch", ErrTooLarge, len(entries))
 	}
-	for i := range entries {
-		if len(entries[i].ColdTails) > maxTailsPerEntry || len(entries[i].PromoTails) > maxTailsPerEntry {
-			return dst, fmt.Errorf("%w: entry %d has %d/%d tails", ErrTooLarge,
-				i, len(entries[i].ColdTails), len(entries[i].PromoTails))
-		}
-	}
 	base := len(dst)
 	dst = append(dst, frameMagic...)
 	dst = binary.LittleEndian.AppendUint16(dst, Version)
-	dst = binary.AppendUvarint(dst, uint64(len(agentID)))
-	dst = append(dst, agentID...)
+	dst = colfmt.AppendString(dst, agentID)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(entries)))
-	if len(entries) > 0 {
-		dst = appendEntryColumns(dst, entries)
+	dst, err := colfmt.AppendEntries(dst, entries, colfmt.Prefixed)
+	if err != nil {
+		return dst[:base], fmt.Errorf("%w: %v", ErrTooLarge, err)
 	}
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[base:], castagnoli)), nil
-}
-
-// AppendEntryColumns appends the columnar encoding of entries — job
-// directory, then one column per field — to dst and returns the extended
-// slice. This is the report frame's payload block, exported so other
-// on-disk formats (the control plane checkpoint) reuse the same
-// fuzz-hardened layout; the entry count is not part of the block and
-// must be carried by the caller's own framing. Entries are encoded
-// verbatim, stale checksums included.
-func AppendEntryColumns(dst []byte, entries []telemetry.Entry) ([]byte, error) {
-	for i := range entries {
-		if len(entries[i].ColdTails) > maxTailsPerEntry || len(entries[i].PromoTails) > maxTailsPerEntry {
-			return dst, fmt.Errorf("%w: entry %d has %d/%d tails", ErrTooLarge,
-				i, len(entries[i].ColdTails), len(entries[i].PromoTails))
-		}
-	}
-	if len(entries) == 0 {
-		return dst, nil
-	}
-	return appendEntryColumns(dst, entries), nil
-}
-
-// appendEntryColumns writes the columnar payload block. Callers have
-// already validated the per-entry limits.
-func appendEntryColumns(dst []byte, entries []telemetry.Entry) []byte {
-	// Batch-local job directory in first-seen order. A linear scan over a
-	// small stack-backed directory instead of a map: report batches come
-	// from one machine and span a handful of jobs, and the scan keeps the
-	// steady-state encode path allocation-free. Past 64 distinct jobs
-	// (checkpoint shards spanning whole clusters) a map takes over with
-	// the same first-seen order, so the bytes are identical either way.
-	var dirBuf [64]telemetry.JobKey
-	dir := dirBuf[:0]
-	var dirIdx map[telemetry.JobKey]int
-	ordinal := func(k telemetry.JobKey) int {
-		if dirIdx != nil {
-			if i, ok := dirIdx[k]; ok {
-				return i
-			}
-			return -1
-		}
-		return dirOrdinal(dir, k)
-	}
-	for i := range entries {
-		k := entries[i].Key
-		if ordinal(k) >= 0 {
-			continue
-		}
-		if dirIdx == nil && len(dir) == len(dirBuf) {
-			dirIdx = make(map[telemetry.JobKey]int, 4*len(dir))
-			for j := range dir {
-				dirIdx[dir[j]] = j
-			}
-		}
-		if dirIdx != nil {
-			dirIdx[k] = len(dir)
-		}
-		dir = append(dir, k)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(dir)))
-	for _, k := range dir {
-		dst = appendString(dst, k.Cluster)
-		dst = appendString(dst, k.Machine)
-		dst = appendString(dst, k.Job)
-	}
-	for i := range entries { // job index column
-		dst = binary.AppendUvarint(dst, uint64(ordinal(entries[i].Key)))
-	}
-	prev := int64(0) // timestamp column, delta-coded
-	for i := range entries {
-		if i == 0 {
-			prev = entries[0].TimestampSec
-			dst = binary.AppendVarint(dst, prev)
-			continue
-		}
-		dst = binary.AppendVarint(dst, entries[i].TimestampSec-prev)
-		prev = entries[i].TimestampSec
-	}
-	for i := range entries {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(entries[i].IntervalMinutes))
-	}
-	for i := range entries {
-		dst = binary.AppendUvarint(dst, entries[i].WSSPages)
-	}
-	for i := range entries {
-		dst = binary.AppendUvarint(dst, entries[i].TotalPages)
-	}
-	dst = appendTails(dst, entries, func(e *telemetry.Entry) []uint64 { return e.ColdTails })
-	dst = appendTails(dst, entries, func(e *telemetry.Entry) []uint64 { return e.PromoTails })
-	for i := range entries {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(entries[i].CompressibleFrac))
-	}
-	for i := range entries {
-		dst = binary.LittleEndian.AppendUint64(dst, entries[i].Checksum)
-	}
-	return dst
-}
-
-// dirOrdinal returns k's position in the directory, or -1 when absent.
-func dirOrdinal(dir []telemetry.JobKey, k telemetry.JobKey) int {
-	for i := range dir {
-		if dir[i] == k {
-			return i
-		}
-	}
-	return -1
-}
-
-// appendTails writes one tail-sum column: per entry, a uvarint length
-// followed by the raw values. Raw (not delta-coded) on purpose — see the
-// package comment.
-func appendTails(dst []byte, entries []telemetry.Entry, tails func(*telemetry.Entry) []uint64) []byte {
-	for i := range entries {
-		ts := tails(&entries[i])
-		dst = binary.AppendUvarint(dst, uint64(len(ts)))
-		for _, v := range ts {
-			dst = binary.AppendUvarint(dst, v)
-		}
-	}
-	return dst
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// cursor is a bounds-checked reader over the frame payload. Every read
-// reports truncation as an error, never a panic.
-type cursor struct {
-	buf []byte
-	pos int
-}
-
-var errTruncated = fmt.Errorf("%w: truncated", ErrCorrupt)
-
-func (c *cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.buf[c.pos:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	c.pos += n
-	return v, nil
-}
-
-func (c *cursor) varint() (int64, error) {
-	v, n := binary.Varint(c.buf[c.pos:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	c.pos += n
-	return v, nil
-}
-
-func (c *cursor) uint64() (uint64, error) {
-	if c.pos+8 > len(c.buf) {
-		return 0, errTruncated
-	}
-	v := binary.LittleEndian.Uint64(c.buf[c.pos:])
-	c.pos += 8
-	return v, nil
-}
-
-func (c *cursor) str() (string, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(c.buf)-c.pos) {
-		return "", errTruncated
-	}
-	s := string(c.buf[c.pos : c.pos+int(n)])
-	c.pos += int(n)
-	return s, nil
 }
 
 // DecodeReportBatch decodes one report frame. Any structural damage —
@@ -322,180 +122,12 @@ func DecodeReportBatch(buf []byte) (agentID string, entries []telemetry.Entry, e
 	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(tail); got != want {
 		return "", nil, fmt.Errorf("%w: frame CRC %#x, content digests to %#x", ErrCorrupt, want, got)
 	}
-	c := &cursor{buf: body, pos: 6}
-	idLen, err := c.uvarint()
-	if err != nil {
-		return "", nil, err
-	}
-	if idLen > maxAgentIDLen {
-		return "", nil, fmt.Errorf("%w: agent id claims %d bytes", ErrCorrupt, idLen)
-	}
-	if idLen > uint64(len(body)-c.pos) {
-		return "", nil, errTruncated
-	}
-	agentID = string(body[c.pos : c.pos+int(idLen)])
-	c.pos += int(idLen)
-	if c.pos+4 > len(body) {
-		return "", nil, errTruncated
-	}
-	count := int(binary.LittleEndian.Uint32(body[c.pos:]))
-	c.pos += 4
-	if count == 0 {
-		if c.pos != len(body) {
-			return "", nil, fmt.Errorf("%w: %d trailing bytes after empty batch", ErrCorrupt, len(body)-c.pos)
-		}
-		return agentID, nil, nil
-	}
-	if count > maxBatchEntries || count*minEntryBytes > len(body)-c.pos {
-		return "", nil, fmt.Errorf("%w: %d entries cannot fit %d payload bytes", ErrCorrupt, count, len(body)-c.pos)
-	}
-	if entries, err = decodeEntryColumns(c, count); err != nil {
-		return "", nil, err
-	}
-	if c.pos != len(body) {
-		return "", nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrCorrupt, len(body)-c.pos)
+	c := colfmt.NewCursor(body[6:])
+	agentID = c.Str(maxAgentIDLen)
+	count := c.Fits(uint64(c.U32()), maxBatchEntries, 0, "entries")
+	entries = colfmt.DecodeEntries(&c, count, colfmt.Prefixed)
+	if err := c.Done(); err != nil {
+		return "", nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return agentID, entries, nil
-}
-
-// DecodeEntryColumns decodes count entries from the columnar payload
-// block at the head of buf — the counterpart of AppendEntryColumns —
-// and returns the number of bytes consumed. Every read is
-// bounds-checked: a count that cannot fit the bytes present, or any
-// structural damage inside the block, returns an error wrapping
-// ErrCorrupt rather than panicking or over-allocating (allocation is
-// proportional to len(buf), never to a claimed count).
-func DecodeEntryColumns(buf []byte, count int) ([]telemetry.Entry, int, error) {
-	if count < 0 {
-		return nil, 0, fmt.Errorf("%w: negative entry count %d", ErrCorrupt, count)
-	}
-	if count == 0 {
-		return nil, 0, nil
-	}
-	if int64(count)*minEntryBytes > int64(len(buf)) {
-		return nil, 0, fmt.Errorf("%w: %d entries cannot fit %d payload bytes", ErrCorrupt, count, len(buf))
-	}
-	c := &cursor{buf: buf}
-	entries, err := decodeEntryColumns(c, count)
-	if err != nil {
-		return nil, 0, err
-	}
-	return entries, c.pos, nil
-}
-
-// decodeEntryColumns reads one columnar payload block from c. The caller
-// has already bounded count against the bytes present.
-func decodeEntryColumns(c *cursor, count int) (entries []telemetry.Entry, err error) {
-	body := c.buf
-	nJobs, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nJobs == 0 || nJobs > uint64(count) {
-		return nil, fmt.Errorf("%w: directory claims %d jobs for %d entries", ErrCorrupt, nJobs, count)
-	}
-	jobs := make([]telemetry.JobKey, nJobs)
-	for i := range jobs {
-		if jobs[i].Cluster, err = c.str(); err != nil {
-			return nil, err
-		}
-		if jobs[i].Machine, err = c.str(); err != nil {
-			return nil, err
-		}
-		if jobs[i].Job, err = c.str(); err != nil {
-			return nil, err
-		}
-	}
-	entries = make([]telemetry.Entry, count)
-	for i := range entries {
-		idx, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if idx >= nJobs {
-			return nil, fmt.Errorf("%w: job index %d out of directory", ErrCorrupt, idx)
-		}
-		entries[i].Key = jobs[idx]
-	}
-	ts := int64(0)
-	for i := range entries {
-		d, err := c.varint()
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			ts = d
-		} else {
-			ts += d
-		}
-		entries[i].TimestampSec = ts
-	}
-	for i := range entries {
-		v, err := c.uint64()
-		if err != nil {
-			return nil, err
-		}
-		entries[i].IntervalMinutes = math.Float64frombits(v)
-	}
-	for i := range entries {
-		if entries[i].WSSPages, err = c.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	for i := range entries {
-		if entries[i].TotalPages, err = c.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	// Tail columns grow one shared arena; subslices are cut only after
-	// both columns are fully read, so arena regrowth cannot orphan them.
-	// Entries in practice share one threshold set, so the first entry's
-	// tail count sizes the arena up front — clamped by the bytes actually
-	// present, since every arena value consumes at least one payload byte.
-	arenaCap := 0
-	if n0, sz := binary.Uvarint(body[c.pos:]); sz > 0 && n0 <= maxTailsPerEntry {
-		arenaCap = 2 * count * int(n0)
-		if rem := len(body) - c.pos; arenaCap > rem {
-			arenaCap = rem
-		}
-	}
-	arena := make([]uint64, 0, arenaCap)
-	offs := make([]int, 0, 2*count+1)
-	offs = append(offs, 0)
-	for range []int{0, 1} {
-		for i := 0; i < count; i++ {
-			n, err := c.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if n > maxTailsPerEntry || n > uint64(len(body)-c.pos) {
-				return nil, fmt.Errorf("%w: entry claims %d tail sums", ErrCorrupt, n)
-			}
-			for j := uint64(0); j < n; j++ {
-				v, err := c.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				arena = append(arena, v)
-			}
-			offs = append(offs, len(arena))
-		}
-	}
-	for i := range entries {
-		entries[i].ColdTails = arena[offs[i]:offs[i+1]:offs[i+1]]
-		entries[i].PromoTails = arena[offs[count+i]:offs[count+i+1]:offs[count+i+1]]
-	}
-	for i := range entries {
-		v, err := c.uint64()
-		if err != nil {
-			return nil, err
-		}
-		entries[i].CompressibleFrac = math.Float64frombits(v)
-	}
-	for i := range entries {
-		if entries[i].Checksum, err = c.uint64(); err != nil {
-			return nil, err
-		}
-	}
-	return entries, nil
 }

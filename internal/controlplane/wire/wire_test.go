@@ -11,6 +11,7 @@ import (
 
 	"sdfm/internal/fleet"
 	"sdfm/internal/telemetry"
+	"sdfm/internal/telemetry/colfmt"
 )
 
 func testEntries(t testing.TB) []telemetry.Entry {
@@ -181,7 +182,7 @@ func TestEncoderLimits(t *testing.T) {
 	if _, err := AppendReportBatch(nil, strings.Repeat("x", maxAgentIDLen+1), nil); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized agent id: err = %v, want ErrTooLarge", err)
 	}
-	e := telemetry.Entry{ColdTails: make([]uint64, maxTailsPerEntry+1)}
+	e := telemetry.Entry{ColdTails: make([]uint64, colfmt.MaxTails+1)}
 	if _, err := AppendReportBatch(nil, "a", []telemetry.Entry{e}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized tails: err = %v, want ErrTooLarge", err)
 	}

@@ -13,7 +13,6 @@ import (
 // file instead of a freshly synthesized fleet.
 type TraceFileResult struct {
 	Path      string
-	Format    tracestore.Format
 	Entries   int
 	Jobs      int
 	Skipped   tracestore.Skipped
@@ -23,11 +22,10 @@ type TraceFileResult struct {
 }
 
 // TraceFileAutotune runs the H2 comparison (heuristic baseline vs
-// GP-bandit) plus a staged rollout of the winner against a trace file of
-// any format, auto-detected. Store files are compiled out-of-core —
-// chunks stream straight into the fast model's columnar form — so the
-// experiment works on traces that never fit in memory; damaged chunks
-// are skipped and replay as gap intervals.
+// GP-bandit) plus a staged rollout of the winner against a trace file.
+// The file is compiled out-of-core — chunks stream straight into the fast
+// model's columnar form — so the experiment works on traces that never
+// fit in memory; damaged chunks are skipped and replay as gap intervals.
 func TraceFileAutotune(path string, seed int64) (TraceFileResult, error) {
 	h, err := tracestore.Open(path)
 	if err != nil {
@@ -41,9 +39,8 @@ func TraceFileAutotune(path string, seed int64) (TraceFileResult, error) {
 	}
 	res := TraceFileResult{
 		Path:    path,
-		Format:  h.Format(),
-		Entries: h.Entries(),
-		Jobs:    h.Jobs(),
+		Entries: h.NumEntries(),
+		Jobs:    len(h.Jobs()),
 		Skipped: h.Skipped(),
 	}
 
@@ -61,8 +58,8 @@ func TraceFileAutotune(path string, seed int64) (TraceFileResult, error) {
 	res.Heuristic, res.Autotuned = heur.Best, auto.Best
 
 	// Push the winner through the staged deployment rings, each ring
-	// health-checked against its own slice of the file's timeline. Store
-	// files stream each slice chunk by chunk via the footer's time index.
+	// health-checked against its own slice of the file's timeline, each
+	// slice streamed chunk by chunk via the footer's time index.
 	minTS, maxTS := h.TimeBounds()
 	stageObj := tuner.ScanStageObjective(h.Meta().Thresholds, minTS, maxTS, h.ScanRange,
 		model.Config{SLO: core.DefaultSLO}, len(tuner.DefaultRolloutStages))
@@ -76,7 +73,7 @@ func TraceFileAutotune(path string, seed int64) (TraceFileResult, error) {
 
 // Render prints the session summary.
 func (r TraceFileResult) Render() string {
-	s := fmt.Sprintf("Autotune against trace file %s (%s format)\n", r.Path, r.Format)
+	s := fmt.Sprintf("Autotune against trace file %s\n", r.Path)
 	s += fmt.Sprintf("entries: %d  jobs: %d\n", r.Entries, r.Jobs)
 	if r.Skipped.Chunks > 0 || r.Skipped.Entries > 0 {
 		s += fmt.Sprintf("damage skipped: %d chunks, %d entries (holes replay as gap intervals)\n",

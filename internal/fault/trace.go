@@ -62,7 +62,7 @@ func (f *TraceFilter) Damage() TraceDamage { return f.dmg }
 // entries inside TelemetryDrop windows are removed (the agent never got
 // them out) and entries inside TelemetryCorrupt windows have their tails
 // perturbed without updating the checksum, exactly the damage Scrub and
-// LoadTrace are built to catch.
+// ingest validation are built to catch.
 //
 // Node-agent simulations already drop live exports themselves (the
 // injector suppresses Collector.Record), so for machine-accurate traces

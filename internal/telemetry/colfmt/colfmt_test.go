@@ -1,0 +1,232 @@
+package colfmt
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"sdfm/internal/telemetry"
+)
+
+// testEntries builds n validated entries over jobs distinct jobs with
+// width tails each, interleaved so the directory is exercised.
+func testEntries(n, jobs, width int) []telemetry.Entry {
+	out := make([]telemetry.Entry, n)
+	for i := range out {
+		e := telemetry.Entry{
+			Key:              telemetry.JobKey{Cluster: "c0", Machine: fmt.Sprintf("m%d", i%jobs/4), Job: fmt.Sprintf("job-%d", i%jobs)},
+			TimestampSec:     int64(300 * (1 + i/jobs)),
+			IntervalMinutes:  5,
+			WSSPages:         uint64(1000 + i),
+			TotalPages:       uint64(5000 + 3*i),
+			ColdTails:        make([]uint64, width),
+			PromoTails:       make([]uint64, width),
+			CompressibleFrac: 0.5 + float64(i%7)/20,
+		}
+		for j := 0; j < width; j++ {
+			e.ColdTails[j] = uint64(4000 - 100*j + i)
+			e.PromoTails[j] = uint64(60 - 2*j)
+		}
+		e.Checksum = e.ComputeChecksum()
+		out[i] = e
+	}
+	return out
+}
+
+func decodeAll(t *testing.T, buf []byte, count int, layout TailLayout) []telemetry.Entry {
+	t.Helper()
+	c := NewCursor(buf)
+	got := DecodeEntries(&c, count, layout)
+	if err := c.Done(); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return got
+}
+
+func TestRoundTripBothLayouts(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		layout TailLayout
+		jobs   int
+	}{
+		{"prefixed", Prefixed, 5},
+		{"fixed", Fixed(21), 5},
+		// Past 64 jobs the encoder's directory switches from a scan to a
+		// map; order, and so bytes and decode, must not notice.
+		{"prefixed, 200 jobs", Prefixed, 200},
+		{"fixed, 200 jobs", Fixed(21), 200},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := testEntries(600, tc.jobs, 21)
+			buf, err := AppendEntries(nil, want, tc.layout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := decodeAll(t, buf, len(want), tc.layout)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("entries did not round-trip")
+			}
+			again, err := AppendEntries(nil, got, tc.layout)
+			if err != nil || !bytes.Equal(again, buf) {
+				t.Fatalf("re-encode differs (err %v)", err)
+			}
+		})
+	}
+}
+
+func TestZeroEntriesAreZeroBytes(t *testing.T) {
+	buf, err := AppendEntries([]byte("x"), nil, Prefixed)
+	if err != nil || string(buf) != "x" {
+		t.Fatalf("AppendEntries(nil) = %q, %v", buf, err)
+	}
+	c := NewCursor(nil)
+	if got := DecodeEntries(&c, 0, Fixed(3)); got != nil || c.Done() != nil {
+		t.Fatalf("DecodeEntries(0) = %v, %v", got, c.Done())
+	}
+}
+
+// TestPrefixedCarriesDamagedEntriesVerbatim pins why report frames and
+// checkpoints use the Prefixed layout: stale checksums, ragged and
+// non-monotone tails all survive, so they are rejected where entries are
+// validated and accounted, not lost in transit.
+func TestPrefixedCarriesDamagedEntriesVerbatim(t *testing.T) {
+	want := testEntries(4, 2, 3)
+	want[1].WSSPages++                     // stale checksum
+	want[2].PromoTails = []uint64{1, 5, 2} // non-monotone
+	want[3].ColdTails = []uint64{}         // wrong width
+	buf, err := AppendEntries(nil, want, Prefixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decodeAll(t, buf, len(want), Prefixed); !reflect.DeepEqual(got, want) {
+		t.Fatalf("damaged entries altered in transit:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+func TestAppendEntriesRejectsWhatTheLayoutCannotHold(t *testing.T) {
+	ragged := testEntries(2, 1, 3)
+	ragged[1].PromoTails = ragged[1].PromoTails[:2]
+	if buf, err := AppendEntries([]byte("x"), ragged, Fixed(3)); err == nil || string(buf) != "x" {
+		t.Errorf("ragged tails under Fixed: buf %q, err %v", buf, err)
+	}
+	huge := []telemetry.Entry{{ColdTails: make([]uint64, MaxTails+1)}}
+	if _, err := AppendEntries(nil, huge, Prefixed); err == nil {
+		t.Error("oversized tail column accepted under Prefixed")
+	}
+}
+
+func TestAppendEntriesWarmBufferIsAllocationFree(t *testing.T) {
+	entries := testEntries(64, 5, 21)
+	for _, layout := range []TailLayout{Prefixed, Fixed(21)} {
+		buf, err := AppendEntries(nil, entries, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			buf, _ = AppendEntries(buf[:0], entries, layout)
+		}); allocs != 0 {
+			t.Errorf("layout %+v: warm re-encode allocates %.1f times, want 0", layout, allocs)
+		}
+	}
+}
+
+func TestDecodeRejectsDamage(t *testing.T) {
+	entries := testEntries(6, 3, 4)
+	for _, layout := range []TailLayout{Prefixed, Fixed(4)} {
+		valid, err := AppendEntries(nil, entries, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reject := func(name string, buf []byte, count int) {
+			t.Helper()
+			c := NewCursor(buf)
+			got := DecodeEntries(&c, count, layout)
+			if c.Done() == nil || (c.Err() != nil && got != nil) {
+				t.Errorf("layout %+v, %s: decoded %d entries, err %v", layout, name, len(got), c.Done())
+			}
+		}
+		for n := 0; n < len(valid); n++ {
+			reject(fmt.Sprintf("%d-byte prefix", n), valid[:n], len(entries))
+		}
+		reject("trailing byte", append(append([]byte(nil), valid...), 0), len(entries))
+		reject("count too high", valid, len(entries)+1)
+		reject("count too low", valid, len(entries)-1)
+		reject("negative count", valid, -1)
+		reject("count beyond the input", valid, math.MaxInt32)
+		noDir := append([]byte(nil), valid...)
+		noDir[0] = 0
+		reject("empty directory", noDir, len(entries))
+		bigDir := append([]byte(nil), valid...)
+		bigDir[0] = byte(len(entries) + 1)
+		reject("directory larger than the batch", bigDir, len(entries))
+	}
+}
+
+func TestCursorRemembersFirstFailure(t *testing.T) {
+	c := NewCursor([]byte{0x05, 'a', 'b'})
+	if s := c.Str(math.MaxInt); s != "" || c.Err() == nil {
+		t.Fatalf("Str past the end = %q, err %v", s, c.Err())
+	}
+	first := c.Err()
+	// Every later read is a zero-valued no-op, whatever is asked for.
+	if c.Uvarint() != 0 || c.Varint() != 0 || c.U64() != 0 || c.U32() != 0 || c.F64() != 0 ||
+		c.Byte() != 0 || c.Str(8) != "" || c.Count(10, 1, "x") != 0 || c.Remaining() != 0 {
+		t.Error("reads after a failure returned data")
+	}
+	c.Failf("later damage")
+	if c.Err() != first || c.Done() != first {
+		t.Errorf("first failure %v was replaced by %v", first, c.Err())
+	}
+}
+
+func TestCursorReads(t *testing.T) {
+	buf := AppendString(nil, "agent")
+	buf = append(buf, 0xAC, 0x02) // uvarint 300
+	buf = append(buf, 0x03)       // varint -2
+	buf = append(buf, 7, 0, 0, 0) // u32 7
+	buf = append(buf, 1)          // byte
+	c := NewCursor(buf)
+	if s := c.Str(5); s != "agent" {
+		t.Errorf("Str = %q", s)
+	}
+	if v := c.Uvarint(); v != 300 {
+		t.Errorf("Uvarint = %d", v)
+	}
+	if v := c.Varint(); v != -2 {
+		t.Errorf("Varint = %d", v)
+	}
+	if v := c.U32(); v != 7 {
+		t.Errorf("U32 = %d", v)
+	}
+	if c.Remaining() != 1 || c.Done() == nil {
+		t.Errorf("one unread byte: Remaining %d, Done %v", c.Remaining(), c.Done())
+	}
+	if b := c.Byte(); b != 1 || c.Done() != nil {
+		t.Errorf("Byte = %d, Done %v", b, c.Done())
+	}
+}
+
+func TestCursorGuards(t *testing.T) {
+	long := NewCursor(AppendString(nil, strings.Repeat("x", 9)))
+	if s := long.Str(8); s != "" || long.Err() == nil {
+		t.Errorf("Str over its cap = %q, err %v", s, long.Err())
+	}
+	for _, tc := range []struct {
+		name           string
+		n              uint64
+		max, min, want int
+	}{
+		{"fits", 4, 10, 2, 4},
+		{"over the cap", 11, 10, 0, 0},
+		{"cannot fit the bytes", 5, 10, 2, 0},
+		{"sizes nothing", 1 << 20, 1 << 30, 0, 1 << 20},
+	} {
+		c := NewCursor(make([]byte, 8))
+		if got := c.Fits(tc.n, tc.max, tc.min, "things"); got != tc.want || (got == 0) != (c.Err() != nil) {
+			t.Errorf("%s: Fits = %d (err %v), want %d", tc.name, got, c.Err(), tc.want)
+		}
+	}
+}

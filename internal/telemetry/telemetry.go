@@ -12,12 +12,7 @@
 package telemetry
 
 import (
-	"bufio"
-	"encoding/gob"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -208,9 +203,8 @@ func (t *Trace) Append(e Entry) error {
 }
 
 // Scrub removes entries that fail validation or checksum verification,
-// returning how many were dropped. It is the degraded-mode counterpart to
-// LoadTrace's strict rejection: a control plane that must keep running on
-// a partially corrupted trace scrubs it and replays the gaps-accounted
+// returning how many were dropped: a control plane that must keep running
+// on a partially corrupted trace scrubs it and replays the gaps-accounted
 // remainder (see model.JobResult.GapIntervals).
 func (t *Trace) Scrub() int {
 	kept := t.Entries[:0]
@@ -267,91 +261,6 @@ func (t *Trace) ThresholdIndexFor(bucket int) int {
 		}
 	}
 	return len(t.Thresholds) - 1
-}
-
-// gobMagic prefixes every gob trace written by Save since the format was
-// versioned; the byte after it is the version. Streams without the magic
-// are decoded as version-0 legacy traces for backward compatibility.
-const gobMagic = "SDFMGOB"
-
-// GobVersion is the gob stream version Save writes.
-const GobVersion = 1
-
-// ErrUnsupportedVersion is wrapped by LoadTrace when a trace carries a
-// format version this build does not understand; branch on it with
-// errors.Is instead of parsing a raw gob decode failure.
-var ErrUnsupportedVersion = errors.New("telemetry: unsupported trace format version")
-
-// Save encodes the trace with gob behind a magic/version header, so
-// future layout changes fail loading with a typed version error instead
-// of a gob decode panic deep in the stream.
-func (t *Trace) Save(w io.Writer) error {
-	hdr := append([]byte(gobMagic), GobVersion)
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("telemetry: writing trace header: %w", err)
-	}
-	return gob.NewEncoder(w).Encode(t)
-}
-
-// LoadTrace decodes a trace written by Save — current versioned streams
-// and legacy headerless ones — rejecting unknown versions with an error
-// wrapping ErrUnsupportedVersion, and malformed or corrupted entries
-// with a descriptive error.
-func LoadTrace(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(gobMagic) + 1)
-	if err == nil && string(head[:len(gobMagic)]) == gobMagic {
-		if v := head[len(gobMagic)]; v != GobVersion {
-			return nil, fmt.Errorf("%w: trace is version %d, this build reads %d", ErrUnsupportedVersion, v, GobVersion)
-		}
-		if _, err := br.Discard(len(gobMagic) + 1); err != nil {
-			return nil, fmt.Errorf("telemetry: decoding trace: %w", err)
-		}
-	}
-	var t Trace
-	if err := gob.NewDecoder(br).Decode(&t); err != nil {
-		return nil, fmt.Errorf("telemetry: decoding trace: %w", err)
-	}
-	if err := validateLoaded(&t); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
-// LoadTraceJSON decodes a trace written in the JSON interchange format
-// (cmd/tracegen -format json), with the same validation as LoadTrace.
-func LoadTraceJSON(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("telemetry: decoding JSON trace: %w", err)
-	}
-	if err := validateLoaded(&t); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
-func validateLoaded(t *Trace) error {
-	if t.ScanPeriodSeconds <= 0 {
-		return fmt.Errorf("telemetry: trace with non-positive scan period %d", t.ScanPeriodSeconds)
-	}
-	if len(t.Thresholds) == 0 {
-		return fmt.Errorf("telemetry: trace with no thresholds")
-	}
-	for i := 1; i < len(t.Thresholds); i++ {
-		if t.Thresholds[i] <= t.Thresholds[i-1] {
-			return fmt.Errorf("telemetry: thresholds not strictly increasing at %d", i)
-		}
-	}
-	for i := range t.Entries {
-		if err := t.Entries[i].Validate(len(t.Thresholds)); err != nil {
-			return fmt.Errorf("telemetry: loaded entry %d invalid: %w", i, err)
-		}
-		if err := t.Entries[i].VerifyChecksum(); err != nil {
-			return fmt.Errorf("telemetry: loaded entry %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // EntrySink receives finished interval entries. *Trace is the in-memory

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
-	"errors"
 	"testing"
 	"time"
 
@@ -119,82 +117,6 @@ func TestThresholdIndexFor(t *testing.T) {
 	}
 	if got := tr.ThresholdIndexFor(999); got != len(tr.Thresholds)-1 {
 		t.Errorf("index for huge bucket = %d, want last", got)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	tr := NewTrace()
-	tr.Append(validEntry(JobKey{"c", "m", "a"}, 300))
-	tr.Append(validEntry(JobKey{"c", "m", "b"}, 300))
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 || got.ScanPeriodSeconds != tr.ScanPeriodSeconds {
-		t.Errorf("loaded trace: len=%d period=%d", got.Len(), got.ScanPeriodSeconds)
-	}
-	if got.Entries[0].Key != tr.Entries[0].Key {
-		t.Error("entry key mismatch after round trip")
-	}
-	if got.Entries[0].WSSPages != 100 {
-		t.Error("entry payload mismatch")
-	}
-}
-
-func TestLoadTraceRejectsGarbage(t *testing.T) {
-	if _, err := LoadTrace(bytes.NewReader([]byte("not a gob"))); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
-func TestSaveWritesVersionHeader(t *testing.T) {
-	tr := NewTrace()
-	tr.Append(validEntry(JobKey{"c", "m", "a"}, 300))
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	if string(b[:7]) != "SDFMGOB" || b[7] != GobVersion {
-		t.Fatalf("saved stream starts %q %d, want magic + version %d", b[:7], b[7], GobVersion)
-	}
-}
-
-func TestLoadTraceRejectsUnknownVersion(t *testing.T) {
-	tr := NewTrace()
-	tr.Append(validEntry(JobKey{"c", "m", "a"}, 300))
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	b[7] = GobVersion + 1
-	_, err := LoadTrace(bytes.NewReader(b))
-	if !errors.Is(err, ErrUnsupportedVersion) {
-		t.Fatalf("future version error = %v, want ErrUnsupportedVersion", err)
-	}
-}
-
-// TestLoadTraceLegacyHeaderless keeps traces saved before the format got
-// its version header loadable: a bare gob stream must still decode.
-func TestLoadTraceLegacyHeaderless(t *testing.T) {
-	tr := NewTrace()
-	tr.Append(validEntry(JobKey{"c", "m", "a"}, 300))
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	legacy := buf.Bytes()[8:] // strip magic + version: the pre-header encoding
-	got, err := LoadTrace(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy headerless stream rejected: %v", err)
-	}
-	if got.Len() != 1 {
-		t.Fatalf("legacy load got %d entries, want 1", got.Len())
 	}
 }
 

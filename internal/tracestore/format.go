@@ -13,10 +13,10 @@
 //	        | count, time range, job set
 //	tail    | footer length, footer CRC, magic "SDFMTSIX"
 //
-// Each chunk payload is self-contained: a chunk-local job directory
-// followed by columnar per-entry data (job index, delta-coded timestamps,
-// varint tail-sum deltas, raw float columns), compressed with the
-// repo's LZ77 compressor unless that would expand it. Every chunk carries
+// Each chunk payload is self-contained: one entry-column block (package
+// colfmt, fixed-width tails — a chunk-local job directory followed by one
+// column per field), compressed with the repo's LZ77 compressor unless
+// that would expand it. Every chunk carries
 // a CRC32 over its header and payload; readers validate it before
 // decoding, skip chunks that fail (or fail to decode), and account the
 // skipped time ranges so replay degrades to gap-aware results instead of
@@ -34,6 +34,7 @@ import (
 
 	"sdfm/internal/compress"
 	"sdfm/internal/telemetry"
+	"sdfm/internal/telemetry/colfmt"
 )
 
 // Format identity. The version is part of the 8 leading bytes, so readers
@@ -57,7 +58,11 @@ const (
 	// header claiming more is treated as corrupt rather than allocated.
 	maxChunkBytes = 1 << 30
 	// minEntryBytes is a safe lower bound on one encoded entry, used to
-	// reject entry counts that could not fit the claimed payload.
+	// reject chunk headers whose entry count could not fit the claimed
+	// payload. It is a plausibility check on the header only — colfmt
+	// applies its own exact bound before decoding — and it decides which
+	// damaged headers a footer-less rescan resynchronizes past, so it
+	// stays at its version-1 value.
 	minEntryBytes = 24
 )
 
@@ -230,248 +235,18 @@ func chunkCRC(header, payload []byte) uint32 {
 	return crc32.Update(crc, castagnoli, payload)
 }
 
-// --- chunk payload (columnar entry batch) ---
-
-// encodeChunkPayload renders entries as a self-contained columnar batch:
-// a chunk-local job directory, then one column per field. Tail sums are
-// stored as a leading value plus successive decrements (they are monotone
-// non-increasing by construction), which the varint coder shrinks well.
-func encodeChunkPayload(dst []byte, entries []telemetry.Entry, nThresh int) []byte {
-	localIdx := make(map[telemetry.JobKey]int)
-	var localJobs []telemetry.JobKey
-	for _, e := range entries {
-		if _, ok := localIdx[e.Key]; !ok {
-			localIdx[e.Key] = len(localJobs)
-			localJobs = append(localJobs, e.Key)
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(localJobs)))
-	for _, k := range localJobs {
-		dst = appendString(dst, k.Cluster)
-		dst = appendString(dst, k.Machine)
-		dst = appendString(dst, k.Job)
-	}
-	for _, e := range entries { // job index column
-		dst = binary.AppendUvarint(dst, uint64(localIdx[e.Key]))
-	}
-	prev := int64(0) // timestamp column, delta-coded
-	for i, e := range entries {
-		if i == 0 {
-			prev = e.TimestampSec
-			dst = binary.AppendVarint(dst, e.TimestampSec)
-			continue
-		}
-		dst = binary.AppendVarint(dst, e.TimestampSec-prev)
-		prev = e.TimestampSec
-	}
-	for _, e := range entries {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.IntervalMinutes))
-	}
-	for _, e := range entries {
-		dst = binary.AppendUvarint(dst, e.WSSPages)
-	}
-	for _, e := range entries {
-		dst = binary.AppendUvarint(dst, e.TotalPages)
-	}
-	dst = appendTailColumn(dst, entries, nThresh, func(e *telemetry.Entry) []uint64 { return e.ColdTails })
-	dst = appendTailColumn(dst, entries, nThresh, func(e *telemetry.Entry) []uint64 { return e.PromoTails })
-	for _, e := range entries {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.CompressibleFrac))
-	}
-	for _, e := range entries {
-		dst = binary.LittleEndian.AppendUint64(dst, e.Checksum)
-	}
-	return dst
-}
-
-func appendTailColumn(dst []byte, entries []telemetry.Entry, nThresh int, tails func(*telemetry.Entry) []uint64) []byte {
-	for i := range entries {
-		ts := tails(&entries[i])
-		for j := 0; j < nThresh; j++ {
-			if j == 0 {
-				dst = binary.AppendUvarint(dst, ts[0])
-			} else {
-				dst = binary.AppendUvarint(dst, ts[j-1]-ts[j])
-			}
-		}
-	}
-	return dst
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// payloadCursor is a bounds-checked reader over a raw chunk payload. The
-// decoder must survive arbitrary bytes (it is fuzzed), so every read goes
-// through it and reports truncation as an error, never a panic.
-type payloadCursor struct {
-	buf []byte
-	pos int
-}
-
-var errTruncated = fmt.Errorf("%w: truncated chunk payload", ErrCorrupt)
-
-func (c *payloadCursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.buf[c.pos:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	c.pos += n
-	return v, nil
-}
-
-func (c *payloadCursor) varint() (int64, error) {
-	v, n := binary.Varint(c.buf[c.pos:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	c.pos += n
-	return v, nil
-}
-
-func (c *payloadCursor) uint64() (uint64, error) {
-	if c.pos+8 > len(c.buf) {
-		return 0, errTruncated
-	}
-	v := binary.LittleEndian.Uint64(c.buf[c.pos:])
-	c.pos += 8
-	return v, nil
-}
-
-func (c *payloadCursor) str() (string, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(c.buf)-c.pos) {
-		return "", errTruncated
-	}
-	s := string(c.buf[c.pos : c.pos+int(n)])
-	c.pos += int(n)
-	return s, nil
-}
-
-// decodeChunkPayload decodes a raw (decompressed) chunk payload into
-// entries. It never panics on malformed input; any structural damage
-// returns an error wrapping ErrCorrupt. Entry-content validation
-// (monotonicity, checksums) is the caller's concern.
+// decodeChunkPayload decodes a raw (decompressed) chunk payload — one
+// colfmt entry-column block with fixed-width tails — into entries. It
+// never panics on malformed input; any structural damage returns an error
+// wrapping ErrCorrupt. Entry-content validation (checksums) is the
+// caller's concern.
 func decodeChunkPayload(raw []byte, entryCount, nThresh int) ([]telemetry.Entry, error) {
-	if entryCount <= 0 || entryCount*minEntryBytes > len(raw) {
-		return nil, fmt.Errorf("%w: %d entries cannot fit %d payload bytes", ErrCorrupt, entryCount, len(raw))
-	}
-	c := &payloadCursor{buf: raw}
-	nJobs, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nJobs == 0 || nJobs > uint64(entryCount) {
-		return nil, fmt.Errorf("%w: chunk directory claims %d jobs for %d entries", ErrCorrupt, nJobs, entryCount)
-	}
-	jobs := make([]telemetry.JobKey, nJobs)
-	for i := range jobs {
-		if jobs[i].Cluster, err = c.str(); err != nil {
-			return nil, err
-		}
-		if jobs[i].Machine, err = c.str(); err != nil {
-			return nil, err
-		}
-		if jobs[i].Job, err = c.str(); err != nil {
-			return nil, err
-		}
-	}
-	entries := make([]telemetry.Entry, entryCount)
-	for i := range entries {
-		idx, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if idx >= nJobs {
-			return nil, fmt.Errorf("%w: job index %d out of chunk directory", ErrCorrupt, idx)
-		}
-		entries[i].Key = jobs[idx]
-	}
-	ts := int64(0)
-	for i := range entries {
-		d, err := c.varint()
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			ts = d
-		} else {
-			ts += d
-		}
-		entries[i].TimestampSec = ts
-	}
-	for i := range entries {
-		v, err := c.uint64()
-		if err != nil {
-			return nil, err
-		}
-		entries[i].IntervalMinutes = math.Float64frombits(v)
-	}
-	for i := range entries {
-		if entries[i].WSSPages, err = c.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	for i := range entries {
-		if entries[i].TotalPages, err = c.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	// Both tail columns for all entries share one backing array.
-	tails := make([]uint64, 2*entryCount*nThresh)
-	for i := range entries {
-		col := tails[2*i*nThresh : (2*i+1)*nThresh]
-		if err := readTailColumn(c, col); err != nil {
-			return nil, err
-		}
-		entries[i].ColdTails = col
-	}
-	for i := range entries {
-		col := tails[(2*i+1)*nThresh : (2*i+2)*nThresh]
-		if err := readTailColumn(c, col); err != nil {
-			return nil, err
-		}
-		entries[i].PromoTails = col
-	}
-	for i := range entries {
-		v, err := c.uint64()
-		if err != nil {
-			return nil, err
-		}
-		entries[i].CompressibleFrac = math.Float64frombits(v)
-	}
-	for i := range entries {
-		if entries[i].Checksum, err = c.uint64(); err != nil {
-			return nil, err
-		}
-	}
-	if c.pos != len(raw) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after chunk payload", ErrCorrupt, len(raw)-c.pos)
+	c := colfmt.NewCursor(raw)
+	entries := colfmt.DecodeEntries(&c, entryCount, colfmt.Fixed(nThresh))
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("%w: chunk payload: %v", ErrCorrupt, err)
 	}
 	return entries, nil
-}
-
-func readTailColumn(c *payloadCursor, col []uint64) error {
-	for j := range col {
-		d, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		if j == 0 {
-			col[0] = d
-		} else {
-			if d > col[j-1] {
-				return fmt.Errorf("%w: tail decrement underflows", ErrCorrupt)
-			}
-			col[j] = col[j-1] - d
-		}
-	}
-	return nil
 }
 
 // compressPayload compresses raw unless that would expand it, returning
@@ -497,9 +272,7 @@ func encodeFooter(f footer) []byte {
 	var body []byte
 	body = binary.AppendUvarint(body, uint64(len(f.Jobs)))
 	for _, k := range f.Jobs {
-		body = appendString(body, k.Cluster)
-		body = appendString(body, k.Machine)
-		body = appendString(body, k.Job)
+		body = colfmt.AppendJobKey(body, k)
 	}
 	body = binary.AppendUvarint(body, uint64(len(f.Chunks)))
 	for _, ci := range f.Chunks {
@@ -527,92 +300,42 @@ func encodeFooter(f footer) []byte {
 }
 
 // decodeFooter parses a footer body (the bytes before the fixed tail).
+// The body is read straight off the end of the file, so every count is
+// checked against the bytes that remain before it sizes anything.
 func decodeFooter(body []byte) (footer, error) {
-	c := &payloadCursor{buf: body}
+	c := colfmt.NewCursor(body)
 	var f footer
-	nJobs, err := c.uvarint()
-	if err != nil {
-		return f, err
-	}
-	if nJobs > uint64(len(body)) {
-		return f, fmt.Errorf("%w: footer claims %d jobs", ErrCorrupt, nJobs)
-	}
+	// A job is at least three empty strings; a chunk record at least a
+	// flag byte, six varints and a job count.
+	nJobs := c.Count(math.MaxInt, 3, "footer jobs")
 	f.Jobs = make([]telemetry.JobKey, nJobs)
 	for i := range f.Jobs {
-		if f.Jobs[i].Cluster, err = c.str(); err != nil {
-			return f, err
-		}
-		if f.Jobs[i].Machine, err = c.str(); err != nil {
-			return f, err
-		}
-		if f.Jobs[i].Job, err = c.str(); err != nil {
-			return f, err
-		}
+		f.Jobs[i] = colfmt.ReadJobKey(&c, math.MaxInt)
 	}
-	nChunks, err := c.uvarint()
-	if err != nil {
-		return f, err
-	}
-	if nChunks > uint64(len(body)) {
-		return f, fmt.Errorf("%w: footer claims %d chunks", ErrCorrupt, nChunks)
-	}
-	f.Chunks = make([]chunkInfo, nChunks)
+	f.Chunks = make([]chunkInfo, c.Count(math.MaxInt, 8, "footer chunks"))
 	for i := range f.Chunks {
 		ci := &f.Chunks[i]
-		if c.pos >= len(body) {
-			return f, errTruncated
-		}
-		ci.Compressed = body[c.pos]&flagCompressed != 0
-		c.pos++
-		off, err := c.uvarint()
-		if err != nil {
-			return f, err
-		}
-		ci.Offset = int64(off)
-		sl, err := c.uvarint()
-		if err != nil {
-			return f, err
-		}
-		ci.StoredLen = int(sl)
-		rl, err := c.uvarint()
-		if err != nil {
-			return f, err
-		}
-		ci.RawLen = int(rl)
-		en, err := c.uvarint()
-		if err != nil {
-			return f, err
-		}
-		ci.Entries = int(en)
-		if ci.MinTS, err = c.varint(); err != nil {
-			return f, err
-		}
-		if ci.MaxTS, err = c.varint(); err != nil {
-			return f, err
-		}
-		nj, err := c.uvarint()
-		if err != nil {
-			return f, err
-		}
-		if nj > nJobs {
-			return f, fmt.Errorf("%w: chunk %d references %d jobs, directory has %d", ErrCorrupt, i, nj, nJobs)
-		}
+		ci.Compressed = c.Byte()&flagCompressed != 0
+		ci.Offset = int64(c.Uvarint())
+		ci.StoredLen = int(c.Uvarint())
+		ci.RawLen = int(c.Uvarint())
+		ci.Entries = int(c.Uvarint())
+		ci.MinTS = c.Varint()
+		ci.MaxTS = c.Varint()
+		ci.Jobs = make([]int, c.Count(nJobs, 1, "chunk jobs"))
 		prev := 0
-		ci.Jobs = make([]int, nj)
 		for j := range ci.Jobs {
-			d, err := c.uvarint()
-			if err != nil {
-				return f, err
+			d := c.Uvarint()
+			if d >= uint64(nJobs-prev) {
+				c.Failf("chunk %d job index out of directory of %d", i, nJobs)
+				break
 			}
 			prev += int(d)
-			if prev >= int(nJobs) {
-				return f, fmt.Errorf("%w: chunk %d job index %d out of directory", ErrCorrupt, i, prev)
-			}
 			ci.Jobs[j] = prev
 		}
 	}
-	if c.pos != len(body) {
-		return f, fmt.Errorf("%w: %d trailing footer bytes", ErrCorrupt, len(body)-c.pos)
+	if err := c.Done(); err != nil {
+		return footer{}, fmt.Errorf("%w: footer: %v", ErrCorrupt, err)
 	}
 	return f, nil
 }

@@ -2,243 +2,36 @@ package tracestore
 
 import (
 	"fmt"
-	"io"
 	"os"
-
-	"sdfm/internal/model"
-	"sdfm/internal/telemetry"
 )
 
-// Format identifies a trace file's encoding.
-type Format int
-
-const (
-	// FormatUnknown means detection failed.
-	FormatUnknown Format = iota
-	// FormatStore is this package's chunked columnar format.
-	FormatStore
-	// FormatGob is the legacy telemetry gob encoding (versioned or
-	// headerless).
-	FormatGob
-	// FormatJSON is the JSON interchange encoding.
-	FormatJSON
-)
-
-// String names the format the way CLI -format flags spell it.
-func (f Format) String() string {
-	switch f {
-	case FormatStore:
-		return "store"
-	case FormatGob:
-		return "gob"
-	case FormatJSON:
-		return "json"
-	default:
-		return "unknown"
-	}
-}
-
-// DetectFormat sniffs a file's format from its leading bytes: the store
-// and versioned-gob magics are definitive, a leading '{' (after
-// whitespace) means JSON, and anything else is assumed to be a legacy
-// headerless gob stream.
-func DetectFormat(head []byte) Format {
-	if len(head) >= len(headerMagic) && string(head[:len(headerMagic)]) == headerMagic {
-		return FormatStore
-	}
-	if len(head) >= 7 && string(head[:7]) == "SDFMGOB" {
-		return FormatGob
-	}
-	for _, b := range head {
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		case '{':
-			return FormatJSON
-		default:
-			return FormatGob
-		}
-	}
-	return FormatUnknown
-}
-
-// Handle is one opened trace file, whatever its format. Gob and JSON
-// traces are in-memory formats and are materialized at Open; store files
-// stay on disk and are scanned chunk by chunk, so Compile and ScanRange
-// work out-of-core on traces larger than RAM.
+// Handle is a Reader that owns the file it reads. The file stays on disk
+// and is scanned chunk by chunk, so Compile and ScanRange work
+// out-of-core on traces larger than RAM.
 type Handle struct {
-	format Format
-	path   string
-	file   *os.File
-	trace  *telemetry.Trace // non-nil for gob/json
-	reader *Reader          // non-nil for store
+	*Reader
+	file *os.File
 }
 
-// Open opens a trace file of any supported format, auto-detected by
-// magic bytes — callers need no per-format flags for reading.
+// Open opens a trace store file. A file in any other encoding fails the
+// header check with an error wrapping ErrCorrupt.
 func Open(path string) (*Handle, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	h, err := newHandle(f, path)
+	st, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return h, nil
+	r, err := NewReader(f, st.Size())
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("tracestore: opening %s: %w", path, err)
+	}
+	return &Handle{Reader: r, file: f}, nil
 }
 
-func newHandle(f *os.File, path string) (*Handle, error) {
-	head := make([]byte, 8)
-	n, err := f.ReadAt(head, 0)
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("tracestore: reading %s: %w", path, err)
-	}
-	h := &Handle{path: path, format: DetectFormat(head[:n])}
-	switch h.format {
-	case FormatStore:
-		st, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		r, err := NewReader(f, st.Size())
-		if err != nil {
-			return nil, fmt.Errorf("tracestore: opening %s: %w", path, err)
-		}
-		h.reader = r
-		h.file = f
-		return h, nil
-	case FormatJSON:
-		defer f.Close()
-		t, err := telemetry.LoadTraceJSON(f)
-		if err != nil {
-			return nil, fmt.Errorf("tracestore: %s: %w", path, err)
-		}
-		h.trace = t
-		return h, nil
-	default:
-		defer f.Close()
-		t, err := telemetry.LoadTrace(f)
-		if err != nil {
-			return nil, fmt.Errorf("tracestore: %s: %w", path, err)
-		}
-		h.format = FormatGob
-		h.trace = t
-		return h, nil
-	}
-}
-
-// Format reports the detected encoding.
-func (h *Handle) Format() Format { return h.format }
-
-// Meta returns the trace-wide metadata.
-func (h *Handle) Meta() Meta {
-	if h.reader != nil {
-		return h.reader.Meta()
-	}
-	return MetaOf(h.trace)
-}
-
-// Entries returns the entry count (for store files, the indexed count).
-func (h *Handle) Entries() int {
-	if h.reader != nil {
-		return h.reader.NumEntries()
-	}
-	return h.trace.Len()
-}
-
-// Jobs returns the distinct job count.
-func (h *Handle) Jobs() int {
-	if h.reader != nil {
-		return len(h.reader.Jobs())
-	}
-	return len(h.trace.Jobs())
-}
-
-// TimeBounds returns the [min, max] entry timestamps, in seconds.
-func (h *Handle) TimeBounds() (minTS, maxTS int64) {
-	if h.reader != nil {
-		return h.reader.TimeBounds()
-	}
-	for i, e := range h.trace.Entries {
-		if i == 0 || e.TimestampSec < minTS {
-			minTS = e.TimestampSec
-		}
-		if e.TimestampSec > maxTS {
-			maxTS = e.TimestampSec
-		}
-	}
-	return minTS, maxTS
-}
-
-// Trace materializes the whole file as an in-memory trace. For store
-// files this reads every chunk (damaged ones skipped — see Skipped); for
-// gob/JSON it returns the already-loaded trace.
-func (h *Handle) Trace() (*telemetry.Trace, error) {
-	if h.reader != nil {
-		return h.reader.ReadTrace()
-	}
-	return h.trace, nil
-}
-
-// Scan streams every entry. Store files stream chunk by chunk;
-// in-memory formats iterate their entries.
-func (h *Handle) Scan(fn func(telemetry.Entry) error) error {
-	return h.ScanRange(0, 0, fn)
-}
-
-// ScanRange streams entries with TimestampSec in [lo, hi); hi <= lo
-// means unbounded. Store files prune chunks by the footer's time index.
-func (h *Handle) ScanRange(lo, hi int64, fn func(telemetry.Entry) error) error {
-	if h.reader != nil {
-		return h.reader.ScanRange(lo, hi, fn)
-	}
-	bounded := hi > lo
-	for _, e := range h.trace.Entries {
-		if bounded && (e.TimestampSec < lo || e.TimestampSec >= hi) {
-			continue
-		}
-		if err := fn(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Compile builds the fast model's replay form. Store files compile
-// out-of-core — entries flow from chunks straight into the compiled
-// columns, so autotuning works on traces that never fit in memory at
-// once. Damage is skipped and surfaces as replay gap intervals.
-func (h *Handle) Compile() (*model.CompiledTrace, error) {
-	if h.reader == nil {
-		return model.Compile(h.trace), nil
-	}
-	sc := model.NewStreamCompiler(h.reader.Meta().Thresholds)
-	if err := h.reader.Scan(sc.Add); err != nil {
-		return nil, err
-	}
-	return sc.Finish(), nil
-}
-
-// Skipped reports damage worked around so far (always zero for
-// in-memory formats, which validate strictly at load).
-func (h *Handle) Skipped() Skipped {
-	if h.reader != nil {
-		return h.reader.Skipped()
-	}
-	return Skipped{}
-}
-
-// Reader exposes the underlying chunk reader for store files, nil
-// otherwise.
-func (h *Handle) Reader() *Reader { return h.reader }
-
-// Close releases the underlying file (a no-op for in-memory formats,
-// whose file is closed at Open).
-func (h *Handle) Close() error {
-	if h.file != nil {
-		return h.file.Close()
-	}
-	return nil
-}
+// Close releases the underlying file.
+func (h *Handle) Close() error { return h.file.Close() }

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"sdfm/internal/compress"
+	"sdfm/internal/model"
 	"sdfm/internal/telemetry"
 )
 
@@ -332,6 +333,18 @@ func (r *Reader) readChunk(ci chunkInfo, scratch *[]byte) ([]telemetry.Entry, er
 		}
 	}
 	return decodeChunkPayload(raw, hdr.Entries, len(r.meta.Thresholds))
+}
+
+// Compile builds the fast model's replay form out-of-core — entries flow
+// from chunks straight into the compiled columns, so autotuning works on
+// traces that never fit in memory at once. Damage is skipped and surfaces
+// as replay gap intervals.
+func (r *Reader) Compile() (*model.CompiledTrace, error) {
+	sc := model.NewStreamCompiler(r.meta.Thresholds)
+	if err := r.Scan(sc.Add); err != nil {
+		return nil, err
+	}
+	return sc.Finish(), nil
 }
 
 // ReadTrace materializes the whole store as an in-memory trace,

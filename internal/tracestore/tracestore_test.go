@@ -2,11 +2,12 @@ package tracestore
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"sdfm/internal/histogram"
 	"sdfm/internal/model"
 	"sdfm/internal/telemetry"
+	"sdfm/internal/telemetry/colfmt"
 )
 
 // testTrace synthesizes a small multi-job fleet trace.
@@ -58,16 +60,13 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if h.Format() != FormatStore {
-		t.Fatalf("format = %v, want store", h.Format())
+	if h.NumEntries() != tr.Len() {
+		t.Fatalf("entries = %d, want %d", h.NumEntries(), tr.Len())
 	}
-	if h.Entries() != tr.Len() {
-		t.Fatalf("entries = %d, want %d", h.Entries(), tr.Len())
+	if len(h.Jobs()) != len(tr.Jobs()) {
+		t.Fatalf("jobs = %d, want %d", len(h.Jobs()), len(tr.Jobs()))
 	}
-	if h.Jobs() != len(tr.Jobs()) {
-		t.Fatalf("jobs = %d, want %d", h.Jobs(), len(tr.Jobs()))
-	}
-	got, err := h.Trace()
+	got, err := h.ReadTrace()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +98,7 @@ func TestRoundTrip(t *testing.T) {
 
 // TestReplayEquivalence is the satellite acceptance check: compiling a
 // store file out-of-core must give bit-identical model results to the
-// in-memory gob path.
+// in-memory trace it was written from.
 func TestReplayEquivalence(t *testing.T) {
 	tr := testTrace(t, 12)
 	path := writeStoreFile(t, tr, WithChunkEntries(257)) // odd size: chunks split mid-interval
@@ -138,65 +137,34 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 }
 
+// TestOpenAutoDetectsFormats pins that the store is the only trace file
+// format: Open takes a store file and refuses the retired gob and JSON
+// encodings — like any other file without the store magic — with an
+// error wrapping ErrCorrupt instead of guessing at them.
 func TestOpenAutoDetectsFormats(t *testing.T) {
 	tr := testTrace(t, 3)
-	dir := t.TempDir()
-
-	storePath := filepath.Join(dir, "t.store")
-	sf, err := os.Create(storePath)
+	h, err := Open(writeStoreFile(t, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTrace(sf, tr); err != nil {
-		t.Fatal(err)
+	if h.NumEntries() != tr.Len() {
+		t.Errorf("store file: %d entries, want %d", h.NumEntries(), tr.Len())
 	}
-	sf.Close()
+	h.Close()
 
-	gobPath := filepath.Join(dir, "t.gob")
-	var gobBuf bytes.Buffer
-	if err := tr.Save(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(gobPath, gobBuf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	jsonPath := filepath.Join(dir, "t.json")
-	jb, err := json.Marshal(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(jsonPath, jb, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		path string
-		want Format
-	}{
-		{storePath, FormatStore},
-		{gobPath, FormatGob},
-		{jsonPath, FormatJSON},
+	for name, content := range map[string]string{
+		"gob magic":    "SDFMGOB\x01\x3f\xff\x81\x03\x01\x01\x05Trace",
+		"JSON":         `{"ScanPeriodSeconds":120,"Thresholds":[1,2],"Entries":[]}`,
+		"empty":        "",
+		"short header": headerMagic,
 	} {
-		h, err := Open(tc.path)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.path, err)
+		path := filepath.Join(t.TempDir(), "other")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if h.Format() != tc.want {
-			t.Errorf("%s detected as %v, want %v", tc.path, h.Format(), tc.want)
+		if h, err := Open(path); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s file: Open = %v, %v; want an error wrapping ErrCorrupt", name, h, err)
 		}
-		if h.Entries() != tr.Len() {
-			t.Errorf("%s: %d entries, want %d", tc.path, h.Entries(), tr.Len())
-		}
-		// Every format must compile to the same replay result.
-		ct, err := h.Compile()
-		if err != nil {
-			t.Fatalf("%s: compile: %v", tc.path, err)
-		}
-		if ct.Intervals() != tr.Len() {
-			t.Errorf("%s: compiled %d intervals, want %d", tc.path, ct.Intervals(), tr.Len())
-		}
-		h.Close()
 	}
 }
 
@@ -218,7 +186,7 @@ func TestCorruptChunkRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := clean.Reader().Chunks()
+	chunks := clean.Chunks()
 	clean.Close()
 	if len(chunks) < 3 {
 		t.Fatalf("want >= 3 chunks, got %d", len(chunks))
@@ -304,7 +272,7 @@ func TestFooterLossRescans(t *testing.T) {
 	defer h.Close()
 	// The sequential rescan must find every chunk; only the trailing
 	// garbage (the ex-footer) is unreadable.
-	got, err := h.Trace()
+	got, err := h.ReadTrace()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +454,7 @@ func TestVerifyReportsWithoutMutating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := h.Reader().Chunks()
+	chunks := h.Chunks()
 	h.Close()
 	victim := chunks[0]
 	buf[victim.Offset+chunkHeaderSize+int64(victim.StoredLen)/2] ^= 0xFF
@@ -499,7 +467,7 @@ func TestVerifyReportsWithoutMutating(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	sk, entries, err := h.Reader().Verify()
+	sk, entries, err := h.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,5 +503,73 @@ func TestFlipBytesDeterministic(t *testing.T) {
 	}
 	if fault.FlipBytes(nil, 1, 3) != nil {
 		t.Fatal("FlipBytes on empty buffer should be a no-op")
+	}
+}
+
+// TestTamperedEntrySkippedNotReplayed pins the per-entry integrity check
+// behind the chunk CRC: an entry altered *before* its chunk was sealed —
+// so the chunk CRC is consistent and only the entry's own checksum is
+// stale — is detected, skipped and counted, never replayed.
+func TestTamperedEntrySkippedNotReplayed(t *testing.T) {
+	tr := testTrace(t, 1)
+	entries := append([]telemetry.Entry(nil), tr.Entries[:8]...)
+	tampered := entries[3]
+	entries[3].WSSPages += 99 // checksum now stale
+
+	meta := MetaOf(tr)
+	file := encodeHeader(meta)
+	raw, err := colfmt.AppendEntries(nil, entries, colfmt.Fixed(len(meta.Thresholds)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci := chunkInfo{
+		Offset: int64(len(file)), Entries: len(entries), RawLen: len(raw), StoredLen: len(raw),
+		MinTS: entries[0].TimestampSec, MaxTS: entries[len(entries)-1].TimestampSec,
+	}
+	hdr := encodeChunkHeader(ci)
+	binary.LittleEndian.PutUint32(hdr[chunkHeaderSize-4:], chunkCRC(hdr, raw))
+	file = append(append(file, hdr...), raw...)
+	file = append(file, encodeFooter(footer{Chunks: []chunkInfo{ci}})...)
+
+	r, err := NewReader(bytes.NewReader(file), int64(len(file)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	err = r.Scan(func(e telemetry.Entry) error {
+		if e.Key == tampered.Key && e.TimestampSec == tampered.TimestampSec {
+			t.Errorf("tampered entry %s@%d was replayed", e.Key, e.TimestampSec)
+		}
+		got++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != len(entries)-1 {
+		t.Errorf("scan yielded %d entries, want %d", got, len(entries)-1)
+	}
+	if sk := r.Skipped(); sk.Chunks != 0 || sk.Entries != 1 || len(sk.Ranges) != 1 {
+		t.Errorf("skipped = %+v, want exactly the one tampered entry inside a healthy chunk", sk)
+	}
+}
+
+// TestHostileChunkAllocationBound hands the chunk decoder a payload whose
+// header-level claims pass (24 bytes per entry are present) but whose
+// tail columns — 100,000 entries x 255 thresholds x 2 — cannot possibly
+// fit: it must be refused before anything is sized by the claim.
+func TestHostileChunkAllocationBound(t *testing.T) {
+	raw := make([]byte, 100000*minEntryBytes)
+	raw[0] = 1 // one-job directory of empty strings, then all-zero columns
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeChunkPayload(raw, 100000, 255)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2*uint64(len(raw)) {
+		t.Errorf("decoder allocated %d bytes refusing a %d-byte payload (%.0fx)",
+			grew, len(raw), float64(grew)/float64(len(raw)))
 	}
 }

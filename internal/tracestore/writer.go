@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"sdfm/internal/telemetry"
+	"sdfm/internal/telemetry/colfmt"
 )
 
 // Writer streams telemetry entries into the chunked columnar format. It
@@ -133,7 +134,11 @@ func (w *Writer) Flush() error {
 	}
 	sort.Ints(ci.Jobs)
 
-	raw := encodeChunkPayload(nil, w.batch, len(w.meta.Thresholds))
+	raw, err := colfmt.AppendEntries(nil, w.batch, colfmt.Fixed(len(w.meta.Thresholds)))
+	if err != nil { // unreachable: Append validated every buffered entry
+		w.err = fmt.Errorf("tracestore: %w", err)
+		return w.err
+	}
 	stored, compressed := compressPayload(raw)
 	ci.RawLen = len(raw)
 	ci.StoredLen = len(stored)

@@ -207,9 +207,6 @@ func GenerateFleetTraceTo(cfg FleetConfig, sink EntrySink) error {
 // carries: the production scan period and predefined threshold set.
 func DefaultTraceMeta() TraceMeta { return tracestore.MetaOf(telemetry.NewTrace()) }
 
-// LoadTrace reads a trace written with Trace.Save.
-func LoadTrace(r io.Reader) (*Trace, error) { return telemetry.LoadTrace(r) }
-
 // Replay runs the fast far memory model over a trace, compiling it
 // internally. To evaluate many configurations over one trace, CompileTrace
 // once and call CompiledTrace.Run per configuration instead.
@@ -266,18 +263,11 @@ func TraceObjective(trace *Trace, slo SLO) Objective {
 	}
 }
 
-// LoadTraceJSON reads a trace from its JSON encoding, validating every
-// entry (including checksums) like LoadTrace does.
-func LoadTraceJSON(r io.Reader) (*Trace, error) { return telemetry.LoadTraceJSON(r) }
-
 // Trace storage (the chunked columnar on-disk format).
 type (
-	// TraceHandle is an opened trace file of any supported format (store,
-	// gob, or JSON), auto-detected by magic bytes. Store files stay on
-	// disk and compile out-of-core.
+	// TraceHandle is an opened trace file. It stays on disk and compiles
+	// out-of-core.
 	TraceHandle = tracestore.Handle
-	// TraceFormat identifies a trace file's encoding.
-	TraceFormat = tracestore.Format
 	// TraceWriter streams entries into the chunked columnar format as
 	// they are produced; it implements telemetry.EntrySink, so collectors
 	// and fleet generation can ingest straight to disk.
@@ -288,15 +278,7 @@ type (
 	TraceSkipped = tracestore.Skipped
 )
 
-// Trace file formats, as spelled by CLI -format flags.
-const (
-	TraceFormatStore = tracestore.FormatStore
-	TraceFormatGob   = tracestore.FormatGob
-	TraceFormatJSON  = tracestore.FormatJSON
-)
-
-// OpenTrace opens a trace file of any supported format, auto-detected by
-// magic bytes. Store-format files are not materialized: Handle.Compile
+// OpenTrace opens a trace file. It is not materialized: Handle.Compile
 // streams chunks straight into the fast model's columnar form, so
 // autotuning works on traces that never fit in memory.
 func OpenTrace(path string) (*TraceHandle, error) { return tracestore.Open(path) }
@@ -484,7 +466,8 @@ const (
 // telemetry report frame (internal/controlplane/wire).
 const ControlPlaneWireContentType = wire.ContentType
 
-// NewControlPlane builds a fleet controller.
+// NewControlPlane builds a fleet controller. Close it when done: Close
+// drains it and joins its background checkpoint writer.
 func NewControlPlane(cfg ControlPlaneConfig) (*ControlPlane, error) { return controlplane.New(cfg) }
 
 // RestoreControlPlane boots a controller from the newest valid
@@ -526,10 +509,10 @@ func RunControlPlaneSim(c *ControlPlane, trace *Trace, cfg ControlPlaneSimConfig
 	return controlplane.RunSim(c, trace, cfg)
 }
 
-// HandleStageObjective is TraceStageObjective for an opened trace file of
-// any format: store files stream each stage's slice chunk by chunk
-// (pruned by the footer's time index), so staged rollouts health-check
-// against traces that never fit in memory.
+// HandleStageObjective is TraceStageObjective for an opened trace file:
+// each stage's slice streams chunk by chunk (pruned by the footer's time
+// index), so staged rollouts health-check against traces that never fit
+// in memory.
 func HandleStageObjective(h *TraceHandle, cfg ModelConfig, nStages int) StageObjective {
 	minTS, maxTS := h.TimeBounds()
 	return tuner.ScanStageObjective(h.Meta().Thresholds, minTS, maxTS, h.ScanRange, cfg, nStages)

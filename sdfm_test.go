@@ -1,7 +1,8 @@
 package sdfm_test
 
 import (
-	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -77,7 +78,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
-func TestTraceSaveLoadThroughFacade(t *testing.T) {
+func TestTraceStoreRoundTripThroughFacade(t *testing.T) {
 	trace, err := sdfm.GenerateFleetTrace(sdfm.FleetConfig{
 		Clusters: 1, MachinesPerCluster: 2, JobsPerMachine: 2,
 		Duration: time.Hour, Seed: 5,
@@ -85,11 +86,23 @@ func TestTraceSaveLoadThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := trace.Save(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "fleet.trace")
+	f, err := os.Create(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sdfm.LoadTrace(&buf)
+	if err := sdfm.WriteTraceStore(f, trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h, err := sdfm.OpenTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	got, err := h.ReadTrace()
 	if err != nil {
 		t.Fatal(err)
 	}
