@@ -31,7 +31,6 @@ import (
 	"sdfm/internal/kreclaimd"
 	"sdfm/internal/kstaled"
 	"sdfm/internal/mem"
-	"sdfm/internal/model"
 	"sdfm/internal/pagedata"
 	"sdfm/internal/simtime"
 	"sdfm/internal/telemetry"
@@ -281,8 +280,8 @@ func BenchmarkZswapStoreLoad(b *testing.B) {
 	}
 }
 
-// benchTrace builds the ScaleSmall-equivalent fleet trace the replay and
-// autotune benchmarks share.
+// benchTrace builds the ScaleSmall-equivalent fleet trace the trace-store
+// benchmarks share.
 func benchTrace(b *testing.B) *sdfm.Trace {
 	b.Helper()
 	trace, err := sdfm.GenerateFleetTrace(sdfm.FleetConfig{
@@ -293,68 +292,6 @@ func benchTrace(b *testing.B) *sdfm.Trace {
 		b.Fatal(err)
 	}
 	return trace
-}
-
-// BenchmarkModelReplay measures one fast-model evaluation three ways:
-// the pre-compiled-trace reference path (re-group, re-sort, re-derive the
-// best-threshold feedback, sort the controller history every interval),
-// the compatibility wrapper (compile internally, replay once), and a pure
-// replay of an already-compiled trace — the unit cost a tuning session
-// pays per candidate.
-func BenchmarkModelReplay(b *testing.B) {
-	trace := benchTrace(b)
-	cfg := sdfm.ModelConfig{Params: sdfm.DefaultParams, SLO: sdfm.DefaultSLO}
-	b.Run("baseline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := model.RunBaseline(trace, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("compile+replay", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sdfm.Replay(trace, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("precompiled", func(b *testing.B) {
-		ct := sdfm.CompileTrace(trace)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ct.Run(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAutotune is the tentpole's end-to-end target: a 20-evaluation
-// GP-Bandit session (5 seeds + 15 iterations) over the ScaleSmall trace,
-// per-evaluation-recompile baseline versus compile-once replay. The
-// compiled variant includes its single compile inside the timed region,
-// exactly as a caller pays it.
-func BenchmarkAutotune(b *testing.B) {
-	trace := benchTrace(b)
-	tcfg := sdfm.TunerConfig{SLO: sdfm.DefaultSLO, Seed: benchSeed, InitSamples: 5, Iterations: 15}
-	b.Run("baseline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			obj := func(p sdfm.Params) (sdfm.FleetResult, error) {
-				return model.RunBaseline(trace, model.Config{Params: p, SLO: sdfm.DefaultSLO})
-			}
-			if _, err := sdfm.Autotune(obj, tcfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			obj := sdfm.TraceObjective(trace, sdfm.DefaultSLO)
-			if _, err := sdfm.Autotune(obj, tcfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkTraceStoreIngest measures streaming ingest into the chunked

@@ -105,12 +105,12 @@ func main() {
 			o.Result.Coverage*100, o.Result.P98Rate*100, o.Feasible)
 	}
 
-	dec, err := sdfm.QualifyAndDeploy(res.Best.Params, heur.Best.Params, obj, sdfm.DefaultSLO)
+	dep, err := sdfm.QualifyAndDeploy(res.Best.Params, heur.Best.Params, obj, sdfm.DefaultSLO)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ndeployment: accepted=%v chosen=K=%.1f,S=%s (%s)\n",
-		dec.Accepted, dec.Chosen.K, dec.Chosen.S, dec.Reason)
+		dep.Accepted, dep.Chosen.K, dep.Chosen.S, dep.Stages[0].Reason)
 
 	if err := multi.WriteFiles(*metricsOut, *traceOut); err != nil {
 		log.Fatal(err)

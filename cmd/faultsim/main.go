@@ -126,7 +126,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	faultModel, err := model.Run(faulted.trace, mc)
+	faultCT := model.Compile(faulted.trace)
+	faultModel, err := faultCT.Run(mc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func main() {
 		{Name: "half", Fraction: 0.50},
 		{Name: "fleet", Fraction: 1.00},
 	}
-	obj := tuner.TraceStageObjective(faulted.trace, model.Config{SLO: core.DefaultSLO}, len(stages))
+	obj := tuner.CompiledStageObjective(faultCT, model.Config{SLO: core.DefaultSLO}, len(stages))
 	rep, err := tuner.StagedRollout(candidate, params, obj, stages, core.DefaultSLO)
 	if err != nil {
 		log.Fatal(err)

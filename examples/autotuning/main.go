@@ -35,10 +35,11 @@ func main() {
 	}
 
 	// Train on day 1, qualify on day 2 — the staged deployment of §5.3.
-	day1 := splitTrace(trace, 0, 24*time.Hour)
-	day2 := splitTrace(trace, 24*time.Hour, 48*time.Hour)
-	train := sdfm.TraceObjective(day1, sdfm.DefaultSLO)
-	holdout := sdfm.TraceObjective(day2, sdfm.DefaultSLO)
+	// The trace is compiled once; each day is a slice of the compiled form.
+	const day = int64(24 * time.Hour / time.Second)
+	ct := sdfm.CompileTrace(trace)
+	train := sdfm.CompiledObjective(ct.Slice(0, day, nil), sdfm.DefaultSLO)
+	holdout := sdfm.CompiledObjective(ct.Slice(day, 2*day, nil), sdfm.DefaultSLO)
 
 	heur, err := sdfm.HeuristicTune(train, sdfm.DefaultHeuristicCandidates, sdfm.DefaultSLO)
 	if err != nil {
@@ -76,28 +77,14 @@ func main() {
 			(res.Best.Result.Coverage/heur.Best.Result.Coverage-1)*100)
 	}
 
-	dec, err := sdfm.QualifyAndDeploy(res.Best.Params, heur.Best.Params, holdout, sdfm.DefaultSLO)
+	dep, err := sdfm.QualifyAndDeploy(res.Best.Params, heur.Best.Params, holdout, sdfm.DefaultSLO)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nqualification on holdout day: %s\n", dec.Reason)
-	if dec.Accepted {
-		fmt.Printf("deployed: K=%.1f S=%s\n", dec.Chosen.K, dec.Chosen.S)
+	fmt.Printf("\nqualification on holdout day: %s\n", dep.Stages[0].Reason)
+	if dep.Accepted {
+		fmt.Printf("deployed: K=%.1f S=%s\n", dep.Chosen.K, dep.Chosen.S)
 	} else {
-		fmt.Printf("rolled back to incumbent: K=%.1f S=%s\n", dec.Chosen.K, dec.Chosen.S)
+		fmt.Printf("rolled back to incumbent: K=%.1f S=%s\n", dep.Chosen.K, dep.Chosen.S)
 	}
-}
-
-func splitTrace(t *sdfm.Trace, from, to time.Duration) *sdfm.Trace {
-	out := &sdfm.Trace{
-		ScanPeriodSeconds: t.ScanPeriodSeconds,
-		Thresholds:        append([]int(nil), t.Thresholds...),
-	}
-	fromSec, toSec := int64(from/time.Second), int64(to/time.Second)
-	for _, e := range t.Entries {
-		if e.TimestampSec >= fromSec && e.TimestampSec < toSec {
-			out.Entries = append(out.Entries, e)
-		}
-	}
-	return out
 }

@@ -853,7 +853,7 @@ func (c *Controller) executeRound(w roundWindow, incumbent core.Params) RoundRep
 	// Staged push: each ring's health check replays that ring's slice of
 	// the window, and the ring's agents are switched to the candidate
 	// *before* the check — mid-stage state agents observe through Poll.
-	stageObj := tuner.TraceStageObjective(w.trace, mcfg, len(c.cfg.Stages))
+	stageObj := tuner.CompiledStageObjective(ct, mcfg, len(c.cfg.Stages))
 	push := func(p core.Params, st tuner.RolloutStage, idx int) (model.FleetResult, error) {
 		c.assignFraction(p, st.Fraction)
 		return stageObj(p, st, idx)

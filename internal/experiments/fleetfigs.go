@@ -10,7 +10,6 @@ import (
 	"sdfm/internal/fleet"
 	"sdfm/internal/model"
 	"sdfm/internal/stats"
-	"sdfm/internal/telemetry"
 	"sdfm/internal/tuner"
 )
 
@@ -191,9 +190,12 @@ func Fig5CoverageTimeline(scale Scale, seed int64) (RolloutResult, error) {
 	manualEnd := cfg.Duration * 5 / 8
 
 	// Stage A-B: the histograms exist even while zswap is off, so the
-	// hand-tuning A/B process runs on the pre-rollout slice. Each slice is
-	// compiled once; every candidate evaluation is a pure replay.
-	preSlice := model.Compile(subTrace(trace, 0, offEnd))
+	// hand-tuning A/B process runs on the pre-rollout slice. The trace is
+	// compiled once; every stage is a slice of it and every candidate
+	// evaluation a pure replay.
+	ct := model.Compile(trace)
+	offEndSec, manualEndSec := int64(offEnd/time.Second), int64(manualEnd/time.Second)
+	preSlice := ct.Slice(0, offEndSec, nil)
 	heur, err := tuner.HeuristicTune(func(p core.Params) (model.FleetResult, error) {
 		return preSlice.Run(model.Config{Params: p, SLO: core.DefaultSLO})
 	}, tuner.DefaultHeuristicCandidates, core.DefaultSLO)
@@ -203,7 +205,7 @@ func Fig5CoverageTimeline(scale Scale, seed int64) (RolloutResult, error) {
 	manual := heur.Best.Params
 
 	// Stage C-D: the autotuner trains on the manual stage's data.
-	tuneSlice := model.Compile(subTrace(trace, offEnd, manualEnd))
+	tuneSlice := ct.Slice(offEndSec, manualEndSec, nil)
 	obj := func(p core.Params) (model.FleetResult, error) {
 		return tuneSlice.Run(model.Config{Params: p, SLO: core.DefaultSLO})
 	}
@@ -217,7 +219,7 @@ func Fig5CoverageTimeline(scale Scale, seed int64) (RolloutResult, error) {
 		{Name: "manual", Start: offEnd, Params: manual, Enabled: true},
 		{Name: "autotuned", Start: manualEnd, Params: tuned.Best.Params, Enabled: true},
 	}
-	timeline, err := model.RunTimeline(trace, phases, model.Config{SLO: core.DefaultSLO})
+	timeline, err := ct.Timeline(phases, model.Config{SLO: core.DefaultSLO})
 	if err != nil {
 		return RolloutResult{}, err
 	}
@@ -249,19 +251,6 @@ func stageMean(pts []model.TimelinePoint, stage string, start, end time.Duration
 		return 0
 	}
 	return sum / float64(n)
-}
-
-func subTrace(trace *telemetry.Trace, from, to time.Duration) *telemetry.Trace {
-	out := telemetry.NewTrace()
-	out.ScanPeriodSeconds = trace.ScanPeriodSeconds
-	out.Thresholds = append([]int(nil), trace.Thresholds...)
-	fromSec, toSec := int64(from/time.Second), int64(to/time.Second)
-	for _, e := range trace.Entries {
-		if e.TimestampSec >= fromSec && e.TimestampSec < toSec {
-			out.Entries = append(out.Entries, e)
-		}
-	}
-	return out
 }
 
 // Render prints the coverage timeline (hour granularity) and the stage

@@ -58,11 +58,8 @@ func TraceFileAutotune(path string, seed int64) (TraceFileResult, error) {
 	res.Heuristic, res.Autotuned = heur.Best, auto.Best
 
 	// Push the winner through the staged deployment rings, each ring
-	// health-checked against its own slice of the file's timeline, each
-	// slice streamed chunk by chunk via the footer's time index.
-	minTS, maxTS := h.TimeBounds()
-	stageObj := tuner.ScanStageObjective(h.Meta().Thresholds, minTS, maxTS, h.ScanRange,
-		model.Config{SLO: core.DefaultSLO}, len(tuner.DefaultRolloutStages))
+	// health-checked against its own slice of the compiled timeline.
+	stageObj := tuner.CompiledStageObjective(ct, model.Config{SLO: core.DefaultSLO}, len(tuner.DefaultRolloutStages))
 	rollout, err := tuner.StagedRollout(auto.Best.Params, heur.Best.Params, stageObj, nil, core.DefaultSLO)
 	if err != nil {
 		return TraceFileResult{}, err

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,9 +30,8 @@ import (
 // A CompiledTrace is immutable after Compile and safe for concurrent
 // replays.
 type CompiledTrace struct {
-	thresholds []int
-	nThresh    int
-	jobs       []compiledJob
+	nThresh int
+	jobs    []compiledJob
 
 	// Lazily derived, SLO-dependent best-threshold columns (one []uint8
 	// per job, parallel to jobs). Guarded by mu; replaced wholesale when a
@@ -132,18 +132,80 @@ func (ct *CompiledTrace) bestFor(slo core.SLO) [][]uint8 {
 	return cols
 }
 
-// Run replays the compiled trace under cfg. Results are bit-identical to
-// RunBaseline on the source trace and deterministic regardless of
-// cfg.Workers.
+// TimeBounds returns the [min, max] interval timestamps in the compiled
+// trace, in seconds; (0, 0) when it holds no intervals.
+func (ct *CompiledTrace) TimeBounds() (minSec, maxSec int64) {
+	for i := range ct.jobs {
+		j := &ct.jobs[i]
+		if lo := j.tsSec[0]; i == 0 || lo < minSec {
+			minSec = lo
+		}
+		if hi := j.tsSec[j.n-1]; i == 0 || hi > maxSec {
+			maxSec = hi
+		}
+	}
+	return minSec, maxSec
+}
+
+// Slice returns the part of the compiled trace a staged deployment asks
+// about: the intervals with timestamp in [loSec, hiSec) of the jobs keep
+// accepts (nil keeps every job). hiSec <= loSec selects nothing. The
+// result is a view — its columns alias ct's — that replays exactly as a
+// fresh Compile of the same entries would: jobs left without an interval
+// are omitted and gap counts cover only the selected range.
+func (ct *CompiledTrace) Slice(loSec, hiSec int64, keep func(telemetry.JobKey) bool) *CompiledTrace {
+	nT := ct.nThresh
+	out := &CompiledTrace{nThresh: nT}
+	if hiSec <= loSec {
+		return out
+	}
+	for i := range ct.jobs {
+		j := &ct.jobs[i]
+		a := sort.Search(j.n, func(k int) bool { return j.tsSec[k] >= loSec })
+		b := a + sort.Search(j.n-a, func(k int) bool { return j.tsSec[a+k] >= hiSec })
+		if a == b || (keep != nil && !keep(j.key)) {
+			continue
+		}
+		out.jobs = append(out.jobs, compiledJob{
+			key:         j.key,
+			n:           b - a,
+			tsSec:       j.tsSec[a:b],
+			intervalMin: j.intervalMin[a:b],
+			wssF:        j.wssF[a:b],
+			coldMin:     j.coldMin[a:b],
+			totalF:      j.totalF[a:b],
+			promoTails:  j.promoTails[a*nT : b*nT],
+			coldComp:    j.coldComp[a*nT : b*nT],
+			rateCol:     j.rateCol[a*nT : b*nT],
+			gaps:        inferGaps(j.tsSec[a:b], j.intervalMin[a:b]),
+		})
+	}
+	return out
+}
+
+// Run replays the compiled trace under cfg. Results are deterministic
+// regardless of cfg.Workers.
 func (ct *CompiledTrace) Run(cfg Config) (FleetResult, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return FleetResult{}, err
 	}
-	if err := cfg.SLO.Validate(); err != nil {
+	results, err := ct.replayAll([]Phase{{Params: cfg.Params, Enabled: true}}, cfg, nil)
+	if err != nil {
 		return FleetResult{}, err
 	}
+	return reduce(results, cfg), nil
+}
+
+// replayAll replays every job under the phase schedule (validated by the
+// caller) and returns the per-job results in job order. When cold is
+// non-nil it also receives, per job, the far-memory pages charged in each
+// interval — the series the coverage timeline reduces.
+func (ct *CompiledTrace) replayAll(phases []Phase, cfg Config, cold [][]float64) ([]JobResult, error) {
+	if err := cfg.SLO.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.HistoryLen < 0 {
-		return FleetResult{}, fmt.Errorf("model: negative history length %d", cfg.HistoryLen)
+		return nil, fmt.Errorf("model: negative history length %d", cfg.HistoryLen)
 	}
 	if cfg.HistoryLen == 0 {
 		cfg.HistoryLen = DefaultHistoryLen
@@ -156,48 +218,50 @@ func (ct *CompiledTrace) Run(cfg Config) (FleetResult, error) {
 		workers = len(ct.jobs)
 	}
 
-	best := ct.bestFor(cfg.SLO)
-	results := make([]JobResult, len(ct.jobs))
-	if workers <= 1 {
-		rep := newReplayer(ct, cfg)
-		for i := range ct.jobs {
-			results[i] = rep.replay(&ct.jobs[i], best[i])
-		}
-		return reduce(results, cfg), nil
-	}
-
 	// Fixed worker pool over job shards: each worker owns one replayer
 	// (ring buffer, counting table, rate buffer) reused across the jobs it
 	// claims from the shared index. Output position is the job index, so
 	// the result is identical no matter how jobs land on workers.
-	var next int64
+	best := ct.bestFor(cfg.SLO)
+	results := make([]JobResult, len(ct.jobs))
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep := newReplayer(ct, cfg)
+			rep := newReplayer(ct, phases, cfg)
 			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
+				i := int(next.Add(1)) - 1
 				if i >= len(ct.jobs) {
 					return
 				}
-				results[i] = rep.replay(&ct.jobs[i], best[i])
+				var series []float64
+				if cold != nil {
+					series = make([]float64, ct.jobs[i].n)
+					cold[i] = series
+				}
+				results[i] = rep.replay(&ct.jobs[i], best[i], series)
 			}
 		}()
 	}
 	wg.Wait()
-	return reduce(results, cfg), nil
+	return results, nil
 }
 
 // replayer is one worker's reusable replay state: the §4.3 controller
 // re-implemented over precompiled best-threshold indices, with the
 // K-th-percentile-of-pool lookup done by counting sort over the (at most
 // nThresh distinct) index values instead of re-sorting the history ring
-// every interval.
+// every interval. It is the only replay of that controller outside tests;
+// the core.Controller-based references it must match live in
+// reference_test.go.
 type replayer struct {
-	ct     *CompiledTrace
-	cfg    Config
+	ct  *CompiledTrace
+	cfg Config
+	// phases is the parameter schedule: phases[p] governs every interval
+	// from its Start until the next phase's. A plain Run is one phase.
+	phases []Phase
 	target float64 // SLO promotion-rate limit
 
 	ring   []uint8 // best-threshold history, ring buffer of HistoryLen
@@ -210,10 +274,11 @@ type replayer struct {
 	rates []float64 // per-interval rate buffer, reused across jobs
 }
 
-func newReplayer(ct *CompiledTrace, cfg Config) *replayer {
+func newReplayer(ct *CompiledTrace, phases []Phase, cfg Config) *replayer {
 	return &replayer{
 		ct:     ct,
 		cfg:    cfg,
+		phases: phases,
 		target: cfg.SLO.TargetRatePerMin,
 		ring:   make([]uint8, cfg.HistoryLen),
 	}
@@ -236,7 +301,7 @@ func (r *replayer) reset() {
 // max(K-th percentile of the pool, last interval's best), MaxBucket before
 // any observation. The nearest-rank percentile is found by scanning the
 // value counts — sorted[rank] is the (rank+1)-th smallest value.
-func (r *replayer) threshold() int {
+func (r *replayer) threshold(k float64) int {
 	if !r.have {
 		return histogram.MaxBucket
 	}
@@ -244,7 +309,7 @@ func (r *replayer) threshold() int {
 	if r.full {
 		n = len(r.ring)
 	}
-	rank := int32(r.cfg.Params.K / 100 * float64(n-1))
+	rank := int32(k / 100 * float64(n-1))
 	cum := int32(0)
 	kth := 0
 	for v := 0; v < r.ct.nThresh; v++ {
@@ -275,7 +340,13 @@ func (r *replayer) observe(v uint8) {
 	r.have = true
 }
 
-func (r *replayer) replay(j *compiledJob, best []uint8) JobResult {
+// replay runs the controller over one job's series. Each interval takes
+// its (K, S, Enabled) from the phase in force at its timestamp — looked
+// up by index, so the best-threshold history carries across a phase
+// change exactly as it does across a production config push. cold, when
+// non-nil, has length j.n, is zeroed, and receives the pages charged per
+// interval.
+func (r *replayer) replay(j *compiledJob, best []uint8, cold []float64) JobResult {
 	r.reset()
 	jr := JobResult{Key: j.key, Intervals: j.n, GapIntervals: j.gaps}
 	if j.n == 0 {
@@ -283,29 +354,45 @@ func (r *replayer) replay(j *compiledJob, best []uint8) JobResult {
 	}
 	nT := r.ct.nThresh
 	lastIdx := nT - 1
-	enabledFrom := time.Duration(j.tsSec[0])*time.Second + r.cfg.Params.S
+	jobStart := time.Duration(j.tsSec[0]) * time.Second
 
 	var sumCold, sumColdMin, sumTotal, sumRate float64
+	ph := 0
 	for i := 0; i < j.n; i++ {
+		now := time.Duration(j.tsSec[i]) * time.Second
+		ph = phaseAt(r.phases, ph, now)
+		p := &r.phases[ph]
+		// The cold ceiling (coverage denominator) exists whether or not
+		// zswap is enabled for the job; otherwise a long warmup S would
+		// "improve" coverage simply by excluding young jobs from it.
 		sumColdMin += j.coldMin[i]
 		sumTotal += j.totalF[i]
-		if time.Duration(j.tsSec[i])*time.Second >= enabledFrom {
-			idx := r.threshold()
+		if p.Enabled && now >= jobStart+p.Params.S {
+			// Operating threshold chosen from history before this interval;
+			// with no history yet, the most conservative one.
+			idx := r.threshold(p.Params.K)
 			if idx > lastIdx {
 				idx = lastIdx
 			}
 			rate := j.rateCol[i*nT+idx]
 			jr.Enabled++
 			sumCold += j.coldComp[i*nT+idx]
+			if cold != nil {
+				cold[i] = j.coldComp[i*nT+idx]
+			}
 			sumRate += rate
 			if rate > r.target {
 				jr.Violations++
 			}
 			r.rates = append(r.rates, rate)
 		}
+		// Best threshold for the interval just observed, fed back whether
+		// or not zswap is enabled: the kernel histograms exist regardless.
 		r.observe(best[i])
 	}
 
+	// Far-memory bytes average over the whole lifetime (zero while
+	// disabled); rates average over enabled intervals only.
 	n := float64(jr.Intervals)
 	jr.MeanColdPages = sumCold / n
 	jr.MeanColdAtMinPages = sumColdMin / n

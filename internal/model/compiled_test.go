@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -23,12 +24,44 @@ func equivTrace(t *testing.T) *telemetry.Trace {
 	return tr
 }
 
+// addDuplicateTimestampJob appends a job that reports three different
+// entries per timestamp, out of order: enough of them that an unstable
+// sort would reorder the duplicates, which the replay — order-sensitive
+// through the controller's history — would then show.
+func addDuplicateTimestampJob(t *testing.T, tr *telemetry.Trace) {
+	t.Helper()
+	n := len(tr.Thresholds)
+	key := telemetry.JobKey{Cluster: "c", Machine: "m", Job: "dup"}
+	var entries []telemetry.Entry
+	for i := 0; i < 90; i++ {
+		e := telemetry.Entry{
+			Key: key, TimestampSec: int64(300 * (1 + i/3)), IntervalMinutes: 5,
+			WSSPages: 2000, TotalPages: 10000,
+			ColdTails: make([]uint64, n), PromoTails: make([]uint64, n),
+		}
+		for th := 0; th < n; th++ {
+			e.ColdTails[th] = uint64(6000 - 100*th - 7*i)
+			if th < (i*5)%n {
+				e.PromoTails[th] = 500
+			}
+		}
+		entries = append(entries, e)
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+	for _, e := range entries {
+		if err := tr.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestCompiledReplayEquivalence locks the tentpole invariant: the compiled
 // replay must return results bit-identical to the reference per-evaluation
 // path for the same trace and configuration — including per-job means,
 // percentiles, gap counts, and collected rate samples.
 func TestCompiledReplayEquivalence(t *testing.T) {
 	tr := equivTrace(t)
+	addDuplicateTimestampJob(t, tr)
 	ct := Compile(tr)
 	configs := []Config{
 		{Params: core.DefaultParams, SLO: core.DefaultSLO},

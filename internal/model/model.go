@@ -15,9 +15,6 @@ package model
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"time"
 
 	"sdfm/internal/core"
 	"sdfm/internal/mem"
@@ -115,175 +112,7 @@ func (r FleetResult) MeetsSLO(slo core.SLO) bool {
 // CompiledTrace.Run per candidate instead, which skips the per-evaluation
 // grouping/sorting/column-building work entirely.
 func Run(trace *telemetry.Trace, cfg Config) (FleetResult, error) {
-	if err := cfg.Params.Validate(); err != nil {
-		return FleetResult{}, err
-	}
-	if err := cfg.SLO.Validate(); err != nil {
-		return FleetResult{}, err
-	}
 	return Compile(trace).Run(cfg)
-}
-
-// RunBaseline is the original per-evaluation implementation of Run: it
-// re-groups and re-sorts the trace, re-derives best-threshold indices, and
-// re-runs the controller with a full history sort per interval, spawning
-// one goroutine per job behind a semaphore. It is retained as the
-// reference the compiled path must match bit-for-bit (see the equivalence
-// test) and as the baseline the replay benchmarks compare against.
-func RunBaseline(trace *telemetry.Trace, cfg Config) (FleetResult, error) {
-	if err := cfg.Params.Validate(); err != nil {
-		return FleetResult{}, err
-	}
-	if err := cfg.SLO.Validate(); err != nil {
-		return FleetResult{}, err
-	}
-	if cfg.HistoryLen == 0 {
-		cfg.HistoryLen = DefaultHistoryLen
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	series := trace.JobSeries()
-	keys := trace.Jobs()
-
-	results := make([]JobResult, len(keys))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	var firstErr error
-	var errMu sync.Mutex
-	for i, key := range keys {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, key telemetry.JobKey) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			jr, err := replayJob(trace, key, series[key], cfg)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			results[i] = jr
-		}(i, key)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return FleetResult{}, firstErr
-	}
-	return reduce(results, cfg), nil
-}
-
-// replayJob runs the controller over one job's interval series.
-func replayJob(trace *telemetry.Trace, key telemetry.JobKey, entries []telemetry.Entry, cfg Config) (JobResult, error) {
-	if len(entries) == 0 {
-		return JobResult{Key: key}, nil
-	}
-	ctrl, err := core.NewController(core.ControllerConfig{
-		SLO:        cfg.SLO,
-		Params:     cfg.Params,
-		HistoryLen: cfg.HistoryLen,
-		JobStart:   time.Duration(entries[0].TimestampSec) * time.Second,
-	})
-	if err != nil {
-		return JobResult{}, err
-	}
-	nThresh := len(trace.Thresholds)
-	lastIdx := nThresh - 1
-
-	jr := JobResult{Key: key}
-	var rates []float64
-	var sumCold, sumColdMin, sumTotal, sumRate float64
-	var prevTS int64 = -1
-	var prevInterval float64
-
-	for _, e := range entries {
-		jr.Intervals++
-		now := time.Duration(e.TimestampSec) * time.Second
-		if prevTS >= 0 && prevInterval > 0 {
-			step := float64(e.TimestampSec-prevTS) / 60
-			if step > 1.5*prevInterval {
-				// The job went dark: count the missing intervals instead of
-				// letting the means pretend the series was continuous.
-				jr.GapIntervals += int(step/prevInterval+0.5) - 1
-			}
-		}
-		prevTS, prevInterval = e.TimestampSec, e.IntervalMinutes
-		enabled := ctrl.Enabled(now)
-
-		// The cold ceiling (coverage denominator) exists whether or not
-		// zswap is enabled for the job; otherwise a long warmup S would
-		// "improve" coverage simply by excluding young jobs from it.
-		sumColdMin += float64(e.ColdTails[0])
-		sumTotal += float64(e.TotalPages)
-
-		if enabled {
-			// Operating threshold chosen from history before this interval.
-			idx := ctrl.Threshold()
-			if idx > lastIdx {
-				idx = lastIdx // no history yet: most conservative threshold
-			}
-			// Only compressible cold pages actually end up in zswap; the
-			// incompressible remainder stays resident (§5.1, §6.3).
-			frac := e.CompressibleFrac
-			if frac == 0 {
-				frac = 1
-			}
-			coldPages := uint64(float64(e.ColdTails[idx]) * frac)
-			promos := float64(e.PromoTails[idx]) / e.IntervalMinutes
-			rate := 0.0
-			if e.WSSPages > 0 {
-				rate = promos / float64(e.WSSPages)
-			}
-			jr.Enabled++
-			sumCold += float64(coldPages)
-			sumRate += rate
-			if rate > cfg.SLO.TargetRatePerMin {
-				jr.Violations++
-			}
-			rates = append(rates, rate)
-		}
-
-		// Best threshold for the interval just observed (fed back whether
-		// or not zswap is enabled: the kernel histograms exist regardless).
-		best := bestIndex(e, cfg.SLO)
-		ctrl.Observe(best)
-	}
-
-	if jr.Intervals > 0 {
-		n := float64(jr.Intervals)
-		// Far-memory bytes average over the whole lifetime (zero while
-		// disabled); rates average over enabled intervals only.
-		jr.MeanColdPages = sumCold / n
-		jr.MeanColdAtMinPages = sumColdMin / n
-		jr.MeanTotalPages = sumTotal / n
-	}
-	if jr.Enabled > 0 {
-		jr.MeanRate = sumRate / float64(jr.Enabled)
-		jr.P98Rate = stats.Percentile(rates, 98)
-	}
-	if cfg.CollectSamples {
-		jr.RateSamples = rates
-	}
-	return jr, nil
-}
-
-// bestIndex is core.BestThreshold in predefined-threshold-index space: the
-// smallest threshold index whose promotion rate met the SLO over the
-// interval.
-func bestIndex(e telemetry.Entry, slo core.SLO) int {
-	limit := slo.TargetRatePerMin * float64(e.WSSPages)
-	for i := range e.PromoTails {
-		rate := float64(e.PromoTails[i]) / e.IntervalMinutes
-		if rate <= limit {
-			return i
-		}
-	}
-	return len(e.PromoTails) - 1
 }
 
 func reduce(jobs []JobResult, cfg Config) FleetResult {

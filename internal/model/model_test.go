@@ -226,6 +226,9 @@ func TestRunEmptyTrace(t *testing.T) {
 	}
 }
 
+// TestBestIndexZeroWSS pins the zero-working-set corner of the feedback
+// signal in both derivations: the reference's bestIndex and the compiled
+// best-threshold column.
 func TestBestIndexZeroWSS(t *testing.T) {
 	tr := telemetry.NewTrace()
 	n := len(tr.Thresholds)
@@ -233,17 +236,23 @@ func TestBestIndexZeroWSS(t *testing.T) {
 		IntervalMinutes: 5, WSSPages: 0,
 		ColdTails: make([]uint64, n), PromoTails: make([]uint64, n),
 	}
-	// Zero WSS and zero promotions: the lowest threshold is feasible.
-	if got := bestIndex(e, core.DefaultSLO); got != 0 {
-		t.Errorf("bestIndex = %d, want 0", got)
+	check := func(want int) {
+		t.Helper()
+		if got := bestIndex(e, core.DefaultSLO); got != want {
+			t.Errorf("bestIndex = %d, want %d", got, want)
+		}
+		tr.Entries = []telemetry.Entry{e}
+		if got := int(Compile(tr).bestFor(core.DefaultSLO)[0][0]); got != want {
+			t.Errorf("compiled best column = %d, want %d", got, want)
+		}
 	}
+	// Zero WSS and zero promotions: the lowest threshold is feasible.
+	check(0)
 	// Zero WSS with any promotions: nothing is feasible until promos stop.
 	for i := 0; i < n; i++ {
 		e.PromoTails[i] = uint64(n - i)
 	}
-	if got := bestIndex(e, core.DefaultSLO); got != n-1 {
-		t.Errorf("bestIndex = %d, want %d", got, n-1)
-	}
+	check(n - 1)
 }
 
 func TestFleetResultString(t *testing.T) {

@@ -19,10 +19,8 @@ import (
 // timestamp order are permutation-sorted at Finish. The result is
 // equivalent to Compile on a trace holding the same entries.
 type StreamCompiler struct {
-	thresholds []int
-	nThresh    int
-	jobs       map[telemetry.JobKey]*streamJob
-	entries    int
+	nThresh int
+	jobs    map[telemetry.JobKey]*streamJob
 }
 
 // streamJob is one job's columns under construction, plus the ordering
@@ -36,9 +34,8 @@ type streamJob struct {
 // predefined threshold set.
 func NewStreamCompiler(thresholds []int) *StreamCompiler {
 	return &StreamCompiler{
-		thresholds: append([]int(nil), thresholds...),
-		nThresh:    len(thresholds),
-		jobs:       make(map[telemetry.JobKey]*streamJob),
+		nThresh: len(thresholds),
+		jobs:    make(map[telemetry.JobKey]*streamJob),
 	}
 }
 
@@ -78,12 +75,8 @@ func (sc *StreamCompiler) Add(e telemetry.Entry) error {
 		j.rateCol = append(j.rateCol, rate)
 	}
 	j.n++
-	sc.entries++
 	return nil
 }
-
-// Entries returns how many entries have been folded in.
-func (sc *StreamCompiler) Entries() int { return sc.entries }
 
 // Finish orders each job's columns by timestamp, derives the
 // params-independent gap counts, and returns the immutable compiled
@@ -95,11 +88,7 @@ func (sc *StreamCompiler) Finish() *CompiledTrace {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
 
-	ct := &CompiledTrace{
-		thresholds: sc.thresholds,
-		nThresh:    sc.nThresh,
-		jobs:       make([]compiledJob, 0, len(keys)),
-	}
+	ct := &CompiledTrace{nThresh: sc.nThresh, jobs: make([]compiledJob, 0, len(keys))}
 	for _, k := range keys {
 		j := sc.jobs[k]
 		if !j.sorted {

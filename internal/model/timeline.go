@@ -3,12 +3,10 @@ package model
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"sdfm/internal/core"
 	"sdfm/internal/mem"
-	"sdfm/internal/telemetry"
 )
 
 // Phase is one stage of a parameter rollout (Figure 5): from Start
@@ -34,154 +32,69 @@ type TimelinePoint struct {
 	Phase string
 }
 
-// RunTimeline replays the trace with a staged parameter schedule and
-// returns the per-interval fleet coverage series. Phases must be sorted
-// by Start; jobs keep their controller history across phase changes, as a
-// production config push does.
-func RunTimeline(trace *telemetry.Trace, phases []Phase, cfg Config) ([]TimelinePoint, error) {
+// phaseAt advances ph to the index of the phase in force at t: the last
+// one whose Start has passed, phases[0] before any has. Callers walk time
+// forwards, so the lookup resumes where the previous one stopped.
+func phaseAt(phases []Phase, ph int, t time.Duration) int {
+	for ph+1 < len(phases) && phases[ph+1].Start <= t {
+		ph++
+	}
+	return ph
+}
+
+// Timeline replays the compiled trace with a staged parameter schedule
+// and returns the per-interval fleet coverage series. Phases must be
+// sorted by Start; the first one also governs anything before its Start.
+// Jobs keep their controller history across phase changes, as a
+// production config push does. It is the same replay Run performs, so a
+// single always-enabled phase charges exactly the pages Run averages, and
+// the series is bit-identical for any cfg.Workers.
+func (ct *CompiledTrace) Timeline(phases []Phase, cfg Config) ([]TimelinePoint, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("model: no phases")
 	}
-	for i := 1; i < len(phases); i++ {
-		if phases[i].Start < phases[i-1].Start {
+	for i, ph := range phases {
+		if i > 0 && ph.Start < phases[i-1].Start {
 			return nil, fmt.Errorf("model: phases not sorted at %d", i)
 		}
-	}
-	for _, ph := range phases {
 		if err := ph.Params.Validate(); err != nil {
 			return nil, fmt.Errorf("model: phase %q: %w", ph.Name, err)
 		}
 	}
-	if err := cfg.SLO.Validate(); err != nil {
+	cold := make([][]float64, len(ct.jobs))
+	if _, err := ct.replayAll(phases, cfg, cold); err != nil {
 		return nil, err
 	}
-	if cfg.HistoryLen == 0 {
-		cfg.HistoryLen = DefaultHistoryLen
-	}
 
-	series := trace.JobSeries()
-	keys := trace.Jobs()
-
-	type acc struct {
-		cold, coldMin float64
-	}
-	agg := make(map[time.Duration]*acc)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 8
-	}
-	sem := make(chan struct{}, workers)
-	errCh := make(chan error, 1)
-
-	for _, key := range keys {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(key telemetry.JobKey) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			local, err := replayTimelineJob(trace, series[key], phases, cfg)
-			if err != nil {
-				select {
-				case errCh <- err:
-				default:
-				}
-				return
+	// Reduce in job order, whatever order the workers finished in: float
+	// addition is not associative, so completion order would leak into
+	// the low bits.
+	at := make(map[int64]int)
+	var pts []TimelinePoint
+	for ji := range ct.jobs {
+		j := &ct.jobs[ji]
+		for i, ts := range j.tsSec {
+			k, ok := at[ts]
+			if !ok {
+				k = len(pts)
+				at[ts] = k
+				pts = append(pts, TimelinePoint{Time: time.Duration(ts) * time.Second})
 			}
-			mu.Lock()
-			for ts, a := range local {
-				g, ok := agg[ts]
-				if !ok {
-					g = &acc{}
-					agg[ts] = g
-				}
-				g.cold += a.cold
-				g.coldMin += a.coldMin
-			}
-			mu.Unlock()
-		}(key)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return nil, err
-	default:
-	}
-
-	times := make([]time.Duration, 0, len(agg))
-	for ts := range agg {
-		times = append(times, ts)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	out := make([]TimelinePoint, 0, len(times))
-	for _, ts := range times {
-		a := agg[ts]
-		p := TimelinePoint{
-			Time:           ts,
-			ColdBytes:      a.cold * mem.PageSize,
-			ColdBytesAtMin: a.coldMin * mem.PageSize,
-			Phase:          phaseAt(phases, ts).Name,
+			pts[k].ColdBytes += cold[ji][i]
+			pts[k].ColdBytesAtMin += j.coldMin[i]
 		}
+	}
+	sort.Slice(pts, func(a, b int) bool { return pts[a].Time < pts[b].Time })
+	ph := 0
+	for i := range pts {
+		p := &pts[i]
+		ph = phaseAt(phases, ph, p.Time)
+		p.Phase = phases[ph].Name
+		p.ColdBytes *= mem.PageSize
+		p.ColdBytesAtMin *= mem.PageSize
 		if p.ColdBytesAtMin > 0 {
 			p.Coverage = p.ColdBytes / p.ColdBytesAtMin
 		}
-		out = append(out, p)
 	}
-	return out, nil
-}
-
-func phaseAt(phases []Phase, t time.Duration) Phase {
-	cur := phases[0]
-	for _, ph := range phases {
-		if ph.Start <= t {
-			cur = ph
-		}
-	}
-	return cur
-}
-
-func replayTimelineJob(trace *telemetry.Trace, entries []telemetry.Entry, phases []Phase, cfg Config) (map[time.Duration]struct{ cold, coldMin float64 }, error) {
-	out := make(map[time.Duration]struct{ cold, coldMin float64 }, len(entries))
-	if len(entries) == 0 {
-		return out, nil
-	}
-	ctrl, err := core.NewController(core.ControllerConfig{
-		SLO:        cfg.SLO,
-		Params:     phases[0].Params,
-		HistoryLen: cfg.HistoryLen,
-		JobStart:   time.Duration(entries[0].TimestampSec) * time.Second,
-	})
-	if err != nil {
-		return nil, err
-	}
-	lastIdx := len(trace.Thresholds) - 1
-	curPhase := phases[0]
-	for _, e := range entries {
-		now := time.Duration(e.TimestampSec) * time.Second
-		if ph := phaseAt(phases, now); ph.Name != curPhase.Name {
-			curPhase = ph
-			if err := ctrl.SetParams(ph.Params); err != nil {
-				return nil, err
-			}
-		}
-		var cold float64
-		if curPhase.Enabled && ctrl.Enabled(now) {
-			idx := ctrl.Threshold()
-			if idx > lastIdx {
-				idx = lastIdx
-			}
-			frac := e.CompressibleFrac
-			if frac == 0 {
-				frac = 1
-			}
-			cold = float64(e.ColdTails[idx]) * frac
-		}
-		out[now] = struct{ cold, coldMin float64 }{
-			cold:    cold,
-			coldMin: float64(e.ColdTails[0]),
-		}
-		ctrl.Observe(bestIndex(e, cfg.SLO))
-	}
-	return out, nil
+	return pts, nil
 }

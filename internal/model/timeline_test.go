@@ -1,10 +1,13 @@
 package model
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
 	"sdfm/internal/core"
+	"sdfm/internal/mem"
 	"sdfm/internal/telemetry"
 )
 
@@ -15,7 +18,7 @@ func TestRunTimelineStagedRollout(t *testing.T) {
 		{Name: "manual", Start: time.Hour, Params: core.Params{K: 99, S: 0}, Enabled: true},
 		{Name: "autotuned", Start: 3 * time.Hour, Params: core.Params{K: 70, S: 0}, Enabled: true},
 	}
-	pts, err := RunTimeline(tr, phases, Config{SLO: core.DefaultSLO})
+	pts, err := Compile(tr).Timeline(phases, Config{SLO: core.DefaultSLO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestRunTimelineKDifferenceShows(t *testing.T) {
 		}
 	}
 	mk := func(k float64) float64 {
-		pts, err := RunTimeline(tr, []Phase{
+		pts, err := Compile(tr).Timeline([]Phase{
 			{Name: "run", Start: 0, Params: core.Params{K: k, S: 0}, Enabled: true},
 		}, Config{SLO: core.DefaultSLO})
 		if err != nil {
@@ -115,18 +118,149 @@ func TestRunTimelineKDifferenceShows(t *testing.T) {
 
 func TestRunTimelineValidation(t *testing.T) {
 	tr := buildTrace(1, 5, 2)
-	if _, err := RunTimeline(tr, nil, Config{SLO: core.DefaultSLO}); err == nil {
+	if _, err := Compile(tr).Timeline(nil, Config{SLO: core.DefaultSLO}); err == nil {
 		t.Error("no phases accepted")
 	}
-	if _, err := RunTimeline(tr, []Phase{
+	if _, err := Compile(tr).Timeline([]Phase{
 		{Name: "b", Start: time.Hour, Params: core.DefaultParams},
 		{Name: "a", Start: 0, Params: core.DefaultParams},
 	}, Config{SLO: core.DefaultSLO}); err == nil {
 		t.Error("unsorted phases accepted")
 	}
-	if _, err := RunTimeline(tr, []Phase{
+	if _, err := Compile(tr).Timeline([]Phase{
 		{Name: "a", Start: 0, Params: core.Params{K: 500}},
 	}, Config{SLO: core.DefaultSLO}); err == nil {
 		t.Error("invalid phase params accepted")
+	}
+}
+
+// timelineSchedules are phase schedules that exercise every lookup case:
+// an off stage, a first phase starting after the trace does, two phases
+// sharing a Start, and two sharing a Name.
+func timelineSchedules() [][]Phase {
+	return [][]Phase{
+		{
+			{Name: "off", Start: 0, Params: core.DefaultParams, Enabled: false},
+			{Name: "manual", Start: 2 * time.Hour, Params: core.Params{K: 99, S: time.Hour}, Enabled: true},
+			{Name: "autotuned", Start: 5 * time.Hour, Params: core.Params{K: 60, S: 5 * time.Minute}, Enabled: true},
+		},
+		{
+			{Name: "late", Start: 3 * time.Hour, Params: core.Params{K: 90, S: 0}, Enabled: true},
+			{Name: "skipped", Start: 4 * time.Hour, Params: core.Params{K: 50, S: 0}, Enabled: false},
+			{Name: "same-start", Start: 4 * time.Hour, Params: core.Params{K: 70, S: 20 * time.Minute}, Enabled: true},
+		},
+		{
+			{Name: "run", Start: 0, Params: core.Params{K: 99.9, S: 2 * time.Hour}, Enabled: true},
+			{Name: "run", Start: 4 * time.Hour, Params: core.Params{K: 50, S: 0}, Enabled: true},
+		},
+	}
+}
+
+// TestTimelineMatchesReference holds the compiled timeline to the
+// core.Controller-based reference, point for point and bit for bit, on a
+// shuffled, lossy trace.
+func TestTimelineMatchesReference(t *testing.T) {
+	tr := damagedTrace(t, rand.New(rand.NewSource(3)))
+	ct := Compile(tr)
+	for si, phases := range timelineSchedules() {
+		for _, cfg := range []Config{
+			{SLO: core.DefaultSLO},
+			{SLO: core.DefaultSLO, HistoryLen: 7},
+		} {
+			want, err := referenceTimeline(tr, phases, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ct.Timeline(phases, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("schedule %d: %d points, reference has %d", si, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("schedule %d history %d point %d:\nreference %+v\ncompiled  %+v", si, cfg.HistoryLen, i, want[i], got[i])
+				}
+			}
+		}
+	}
+}
+
+// TestTimelineDeterministic: the series is a pure function of the trace
+// and the schedule — not of the worker count, not of which worker
+// finished first.
+func TestTimelineDeterministic(t *testing.T) {
+	ct := Compile(equivTrace(t))
+	phases := timelineSchedules()[0]
+	want, err := ct.Timeline(phases, Config{SLO: core.DefaultSLO, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4, 16} {
+		for rep := 0; rep < 20; rep++ {
+			got, err := ct.Timeline(phases, Config{SLO: core.DefaultSLO, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("Workers=%d: %d points, want %d", workers, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i].ColdBytes) != math.Float64bits(want[i].ColdBytes) ||
+					math.Float64bits(got[i].ColdBytesAtMin) != math.Float64bits(want[i].ColdBytesAtMin) ||
+					math.Float64bits(got[i].Coverage) != math.Float64bits(want[i].Coverage) {
+					t.Fatalf("Workers=%d repeat %d point %d: %+v differs bitwise from %+v", workers, rep, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestTimelinePhasesSwitchByPosition: a phase is its place in the
+// schedule, not its name — two stages that happen to share a label still
+// hand over.
+func TestTimelinePhasesSwitchByPosition(t *testing.T) {
+	tr := buildTrace(2, 36, 5) // 3 hours
+	pts, err := Compile(tr).Timeline([]Phase{
+		{Name: "stage", Start: 0, Params: core.Params{K: 98, S: 0}, Enabled: false},
+		{Name: "stage", Start: time.Hour, Params: core.Params{K: 98, S: 0}, Enabled: true},
+	}, Config{SLO: core.DefaultSLO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		if on := p.Coverage > 0; on != (p.Time >= time.Hour) {
+			t.Errorf("coverage %.3f at %v: far memory should be off before 1h and on from it", p.Coverage, p.Time)
+		}
+	}
+}
+
+// TestTimelineAgreesWithRun: one always-enabled phase is a plain replay,
+// so the series must add up to the pages Run averages — the two views
+// charge the same whole-page column.
+func TestTimelineAgreesWithRun(t *testing.T) {
+	ct := Compile(equivTrace(t))
+	cfg := Config{Params: core.Params{K: 90, S: 30 * time.Minute}, SLO: core.DefaultSLO}
+	fr, err := ct.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := ct.Timeline([]Phase{{Name: "run", Params: cfg.Params, Enabled: true}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fromRun, fromTimeline float64
+	for _, j := range fr.Jobs {
+		fromRun += j.MeanColdPages * float64(j.Intervals) * mem.PageSize
+	}
+	for _, p := range pts {
+		fromTimeline += p.ColdBytes
+	}
+	if fromRun == 0 {
+		t.Fatal("replay charged no cold pages; the comparison is vacuous")
+	}
+	if rel := math.Abs(fromTimeline-fromRun) / fromRun; rel > 1e-9 {
+		t.Errorf("timeline sums to %.0f cold bytes, Run to %.0f (relative difference %.2g)", fromTimeline, fromRun, rel)
 	}
 }

@@ -224,20 +224,6 @@ func (t *Trace) Scrub() int {
 // Len returns the number of entries.
 func (t *Trace) Len() int { return len(t.Entries) }
 
-// JobSeries groups entries by job, each series sorted by timestamp. The
-// fast model replays each series independently.
-func (t *Trace) JobSeries() map[JobKey][]Entry {
-	out := make(map[JobKey][]Entry)
-	for _, e := range t.Entries {
-		out[e.Key] = append(out[e.Key], e)
-	}
-	for k := range out {
-		s := out[k]
-		sort.Slice(s, func(i, j int) bool { return s[i].TimestampSec < s[j].TimestampSec })
-	}
-	return out
-}
-
 // Jobs returns the distinct job keys in deterministic order.
 func (t *Trace) Jobs() []JobKey {
 	seen := make(map[JobKey]bool)

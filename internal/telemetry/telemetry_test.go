@@ -83,30 +83,6 @@ func TestTraceAppendValidates(t *testing.T) {
 	}
 }
 
-func TestJobSeriesSorted(t *testing.T) {
-	tr := NewTrace()
-	k1 := JobKey{"c1", "m1", "web"}
-	k2 := JobKey{"c1", "m2", "batch"}
-	tr.Append(validEntry(k1, 600))
-	tr.Append(validEntry(k2, 300))
-	tr.Append(validEntry(k1, 300))
-	series := tr.JobSeries()
-	if len(series) != 2 {
-		t.Fatalf("got %d series", len(series))
-	}
-	s1 := series[k1]
-	if len(s1) != 2 || s1[0].TimestampSec != 300 || s1[1].TimestampSec != 600 {
-		t.Errorf("k1 series not sorted: %v", s1)
-	}
-	jobs := tr.Jobs()
-	if len(jobs) != 2 {
-		t.Fatalf("Jobs() = %v", jobs)
-	}
-	if jobs[0].String() >= jobs[1].String() {
-		t.Error("Jobs() not sorted")
-	}
-}
-
 func TestThresholdIndexFor(t *testing.T) {
 	tr := NewTrace()
 	if got := tr.ThresholdIndexFor(1); got != 0 {

@@ -6,8 +6,8 @@ import (
 )
 
 // Handle is a Reader that owns the file it reads. The file stays on disk
-// and is scanned chunk by chunk, so Compile and ScanRange work
-// out-of-core on traces larger than RAM.
+// and is scanned chunk by chunk, so Compile works out-of-core on traces
+// larger than RAM.
 type Handle struct {
 	*Reader
 	file *os.File

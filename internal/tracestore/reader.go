@@ -239,20 +239,9 @@ func (r *Reader) Chunks() []ChunkStat {
 // entries are skipped and recorded (see Skipped); only I/O failures and
 // a non-nil return from fn stop the scan.
 func (r *Reader) Scan(fn func(telemetry.Entry) error) error {
-	return r.ScanRange(0, 0, fn)
-}
-
-// ScanRange streams entries with TimestampSec in [lo, hi), pruning chunks
-// whose indexed time range falls entirely outside. hi <= lo means
-// unbounded (scan everything).
-func (r *Reader) ScanRange(lo, hi int64, fn func(telemetry.Entry) error) error {
-	bounded := hi > lo
 	nT := len(r.meta.Thresholds)
 	var buf []byte
 	for i, ci := range r.idx.Chunks {
-		if bounded && (ci.MaxTS < lo || ci.MinTS >= hi) {
-			continue
-		}
 		entries, err := r.readChunk(ci, &buf)
 		if err != nil {
 			r.skip(i, ci, err.Error())
@@ -260,9 +249,6 @@ func (r *Reader) ScanRange(lo, hi int64, fn func(telemetry.Entry) error) error {
 		}
 		bad := 0
 		for _, e := range entries {
-			if bounded && (e.TimestampSec < lo || e.TimestampSec >= hi) {
-				continue
-			}
 			if e.Validate(nT) != nil || e.VerifyChecksum() != nil {
 				bad++
 				continue

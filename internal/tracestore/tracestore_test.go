@@ -18,6 +18,7 @@ import (
 	"sdfm/internal/model"
 	"sdfm/internal/telemetry"
 	"sdfm/internal/telemetry/colfmt"
+	"sdfm/internal/tuner"
 )
 
 // testTrace synthesizes a small multi-job fleet trace.
@@ -281,7 +282,10 @@ func TestFooterLossRescans(t *testing.T) {
 	}
 }
 
-func TestRangeScanPrunes(t *testing.T) {
+// TestCompiledFileSlicesLikeInMemoryTrace: rollout rings slice the
+// compiled form, so a file compiled out-of-core must slice — and health-
+// check ring by ring — exactly as the same trace compiled from memory.
+func TestCompiledFileSlicesLikeInMemoryTrace(t *testing.T) {
 	tr := testTrace(t, 6)
 	path := writeStoreFile(t, tr, WithChunkEntries(100))
 	h, err := Open(path)
@@ -289,8 +293,15 @@ func TestRangeScanPrunes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
+	ct, err := h.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	minTS, maxTS := h.TimeBounds()
+	if lo, hi := ct.TimeBounds(); lo != minTS || hi != maxTS {
+		t.Fatalf("compiled TimeBounds() = (%d, %d), footer index says (%d, %d)", lo, hi, minTS, maxTS)
+	}
 	lo := minTS + (maxTS-minTS)/3
 	hi := minTS + 2*(maxTS-minTS)/3
 	want := 0
@@ -299,19 +310,26 @@ func TestRangeScanPrunes(t *testing.T) {
 			want++
 		}
 	}
-	got := 0
-	err = h.ScanRange(lo, hi, func(e telemetry.Entry) error {
-		if e.TimestampSec < lo || e.TimestampSec >= hi {
-			t.Fatalf("entry at %d outside [%d, %d)", e.TimestampSec, lo, hi)
-		}
-		got++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if got := ct.Slice(lo, hi, nil).Intervals(); got != want {
+		t.Fatalf("slice [%d, %d) holds %d intervals, the trace has %d entries there", lo, hi, got, want)
 	}
-	if got != want {
-		t.Fatalf("range scan yielded %d entries, want %d", got, want)
+
+	cfg := model.Config{SLO: core.DefaultSLO}
+	stages := tuner.DefaultRolloutStages
+	fromFile := tuner.CompiledStageObjective(ct, cfg, len(stages))
+	fromMemory := tuner.CompiledStageObjective(model.Compile(tr), cfg, len(stages))
+	for idx, st := range stages {
+		got, err := fromFile(core.DefaultParams, st, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fromMemory(core.DefaultParams, st, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ring %q: file-compiled health check %v, in-memory %v", st.Name, got, want)
+		}
 	}
 }
 

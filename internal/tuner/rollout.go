@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sync"
 
 	"sdfm/internal/core"
 	"sdfm/internal/model"
@@ -116,88 +115,43 @@ func StagedRollout(candidate, incumbent core.Params, obj StageObjective, stages 
 	return rep, nil
 }
 
-// RangeScanner streams trace entries with TimestampSec in [lo, hi) —
-// hi <= lo meaning all of them — to fn. tracestore.Handle.ScanRange is
-// one (out-of-core, chunk-pruned); an in-memory trace adapts trivially.
-type RangeScanner func(lo, hi int64, fn func(telemetry.Entry) error) error
-
-// TraceStageObjective builds a StageObjective from a telemetry trace: each
-// stage replays the jobs hashed into its fleet fraction over that stage's
-// slice of the trace timeline (the rollout advances through time as it
-// advances through rings). Job-to-ring assignment is a stable hash of the
-// job key, so a job that carried the candidate in the canary still
-// carries it in every later ring.
-func TraceStageObjective(trace *telemetry.Trace, cfg model.Config, nStages int) StageObjective {
-	var minTS, maxTS int64
-	for i, e := range trace.Entries {
-		if i == 0 || e.TimestampSec < minTS {
-			minTS = e.TimestampSec
-		}
-		if e.TimestampSec > maxTS {
-			maxTS = e.TimestampSec
-		}
-	}
-	scan := func(lo, hi int64, fn func(telemetry.Entry) error) error {
-		bounded := hi > lo
-		for _, e := range trace.Entries {
-			if bounded && (e.TimestampSec < lo || e.TimestampSec >= hi) {
-				continue
-			}
-			if err := fn(e); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return ScanStageObjective(trace.Thresholds, minTS, maxTS, scan, cfg, nStages)
+// QualifyAndDeploy gates a candidate configuration behind a qualification
+// run (a holdout objective, e.g. the model on a later trace slice) before
+// fleet-wide deployment: a staged rollout whose only ring is the holdout,
+// with the same health check and the same rollback to the incumbent.
+func QualifyAndDeploy(candidate, incumbent core.Params, holdout Objective, slo core.SLO) (RolloutReport, error) {
+	obj := func(p core.Params, _ RolloutStage, _ int) (model.FleetResult, error) { return holdout(p) }
+	return StagedRollout(candidate, incumbent, obj, []RolloutStage{{Name: "holdout", Fraction: 1}}, slo)
 }
 
-// ScanStageObjective is TraceStageObjective over any re-scannable entry
-// source — the out-of-core variant. Each stage's slice of the timeline is
-// compiled by streaming the source's entries (filtered to the ring's job
-// fraction) straight into the fast model's columnar form, so staged
-// rollouts health-check against traces that never fit in memory.
-func ScanStageObjective(thresholds []int, minTS, maxTS int64, scan RangeScanner, cfg model.Config, nStages int) StageObjective {
+// TraceStageObjective is CompiledStageObjective for a trace still held as
+// entries; it compiles the trace first. A caller that already holds the
+// compiled form should pass that instead.
+func TraceStageObjective(trace *telemetry.Trace, cfg model.Config, nStages int) StageObjective {
+	return CompiledStageObjective(model.Compile(trace), cfg, nStages)
+}
+
+// CompiledStageObjective builds a StageObjective from a compiled trace:
+// each stage replays the jobs hashed into its fleet fraction over that
+// stage's slice of the trace timeline (the rollout advances through time
+// as it advances through rings). Job-to-ring assignment is a stable hash
+// of the job key, so a job that carried the candidate in the canary still
+// carries it in every later ring. A trace spanning fewer seconds than
+// there are stages leaves the early slices empty; their rings report no
+// enabled observations and StagedRollout rolls back.
+func CompiledStageObjective(ct *model.CompiledTrace, cfg model.Config, nStages int) StageObjective {
 	if nStages <= 0 {
 		nStages = len(DefaultRolloutStages)
 	}
+	minTS, maxTS := ct.TimeBounds()
 	span := maxTS - minTS + 1
-	// Each (stage index, fraction) pair selects a params-independent slice
-	// of the trace, so its compiled form is built once and replayed for
-	// every candidate evaluated on that ring (rollout retries, qualifying
-	// several candidates against the same staging plan, tests).
-	type stageKey struct {
-		idx  int
-		frac float64
-	}
-	var mu sync.Mutex
-	compiled := make(map[stageKey]*model.CompiledTrace)
 	return func(p core.Params, stage RolloutStage, idx int) (model.FleetResult, error) {
-		key := stageKey{idx: idx, frac: stage.Fraction}
-		mu.Lock()
-		ct, ok := compiled[key]
-		mu.Unlock()
-		if !ok {
-			lo := minTS + span*int64(idx)/int64(nStages)
-			hi := minTS + span*int64(idx+1)/int64(nStages)
-			sc := model.NewStreamCompiler(thresholds)
-			err := scan(lo, hi, func(e telemetry.Entry) error {
-				if jobHash(e.Key) >= stage.Fraction {
-					return nil
-				}
-				return sc.Add(e)
-			})
-			if err != nil {
-				return model.FleetResult{}, fmt.Errorf("tuner: scanning stage %q slice: %w", stage.Name, err)
-			}
-			ct = sc.Finish()
-			mu.Lock()
-			compiled[key] = ct
-			mu.Unlock()
-		}
+		lo := minTS + span*int64(idx)/int64(nStages)
+		hi := minTS + span*int64(idx+1)/int64(nStages)
+		ring := ct.Slice(lo, hi, func(k telemetry.JobKey) bool { return jobHash(k) < stage.Fraction })
 		mc := cfg
 		mc.Params = p
-		return ct.Run(mc)
+		return ring.Run(mc)
 	}
 }
 

@@ -97,6 +97,88 @@ func TestQualifyAndDeployErrWrapsSentinel(t *testing.T) {
 	}
 }
 
+// quietTrace is jobs × intervals five-minute reports starting at startSec,
+// with cold memory and no promotions: any enabled interval is healthy.
+func quietTrace(t *testing.T, jobs, intervals int, startSec int64) *telemetry.Trace {
+	t.Helper()
+	tr := telemetry.NewTrace()
+	n := len(tr.Thresholds)
+	for j := 0; j < jobs; j++ {
+		for i := 0; i < intervals; i++ {
+			e := telemetry.Entry{
+				Key:             telemetry.JobKey{Cluster: "c", Machine: "m", Job: string(rune('a' + j))},
+				TimestampSec:    startSec + int64(i)*300,
+				IntervalMinutes: 5,
+				WSSPages:        100,
+				TotalPages:      1000,
+				ColdTails:       make([]uint64, n),
+				PromoTails:      make([]uint64, n),
+			}
+			for k := 0; k < n; k++ {
+				e.ColdTails[k] = uint64(500 - k)
+			}
+			if err := tr.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return tr
+}
+
+// TestQualifyAndDeployNeedsObservations: a candidate whose warmup outlasts
+// the holdout was never enabled on it. Its p98 of nothing is zero, which
+// is within any SLO — and is no evidence at all.
+func TestQualifyAndDeployNeedsObservations(t *testing.T) {
+	slo := core.DefaultSLO
+	ct := model.Compile(quietTrace(t, 4, 48, 300)) // 4 hours
+	holdout := func(p core.Params) (model.FleetResult, error) {
+		return ct.Run(model.Config{Params: p, SLO: slo})
+	}
+	incumbent := core.Params{K: 98, S: time.Hour}
+	rep, err := QualifyAndDeploy(core.Params{K: 90, S: 12 * time.Hour}, incumbent, holdout, slo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Accepted || rep.Chosen != incumbent || !errors.Is(rep.Err, ErrNoObservations) {
+		t.Fatalf("never-enabled candidate qualified: %+v", rep)
+	}
+	if rep, err = QualifyAndDeploy(core.Params{K: 90, S: time.Hour}, incumbent, holdout, slo); err != nil || !rep.Accepted {
+		t.Fatalf("observed, healthy candidate rejected: %+v, %v", rep, err)
+	}
+}
+
+// TestStageObjectiveEmptySliceIsEmpty: a window spanning fewer seconds
+// than there are rings (a forced round on a single-interval window) has
+// nothing to give the early rings. They must see nothing — not, as the
+// old "hi <= lo means unbounded" encoding had it, the entire window.
+func TestStageObjectiveEmptySliceIsEmpty(t *testing.T) {
+	slo := core.DefaultSLO
+	tr := quietTrace(t, 6, 1, 300)
+	everyone := []RolloutStage{{"a", 1}, {"b", 1}, {"c", 1}, {"d", 1}}
+	obj := TraceStageObjective(tr, model.Config{SLO: slo}, len(everyone))
+	p := core.Params{K: 90, S: 0}
+	for idx, st := range everyone {
+		fr, err := obj(p, st, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if idx == len(everyone)-1 {
+			want = 6 // the one timestamp falls in the last slice
+		}
+		if len(fr.Jobs) != want || fr.EnabledIntervals != want {
+			t.Errorf("ring %d saw %d jobs / %d enabled intervals, want %d", idx, len(fr.Jobs), fr.EnabledIntervals, want)
+		}
+	}
+	rep, err := StagedRollout(p, core.Params{K: 98, S: time.Hour}, obj, everyone, slo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Accepted || rep.RolledBackAt != "a" || !errors.Is(rep.Err, ErrNoObservations) {
+		t.Fatalf("rollout judged an empty ring: %+v", rep)
+	}
+}
+
 func TestTraceStageObjectivePartitions(t *testing.T) {
 	// Two jobs, 8 intervals each; with 2 stages the windows split in half
 	// and the fleet stage (fraction 1.0) must see strictly more jobs than

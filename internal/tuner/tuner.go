@@ -370,44 +370,3 @@ var DefaultHeuristicCandidates = []core.Params{
 	{K: 99.5, S: 90 * time.Minute},
 	{K: 99, S: 60 * time.Minute},
 }
-
-// DeploymentDecision reports a staged-rollout qualification outcome.
-type DeploymentDecision struct {
-	Accepted bool
-	Chosen   core.Params
-	// QualResult is the candidate's result on the qualification slice.
-	QualResult model.FleetResult
-	Reason     string
-	// Err is non-nil on rollback and wraps ErrSLOViolated so callers can
-	// branch with errors.Is; a rollback is still a nil-error return from
-	// QualifyAndDeploy (it is a decision, not a failure).
-	Err error
-}
-
-// QualifyAndDeploy gates a candidate configuration behind a qualification
-// run (a holdout objective, e.g. the model on a later trace slice) before
-// fleet-wide deployment, rolling back to the incumbent on SLO violation —
-// the multi-stage deployment with monitoring and rollback of §5.3.
-func QualifyAndDeploy(candidate, incumbent core.Params, holdout Objective, slo core.SLO) (DeploymentDecision, error) {
-	fr, err := holdout(candidate)
-	if err != nil {
-		return DeploymentDecision{}, fmt.Errorf("tuner: qualification run: %w", err)
-	}
-	if fr.P98Rate > slo.TargetRatePerMin {
-		return DeploymentDecision{
-			Accepted:   false,
-			Chosen:     incumbent,
-			QualResult: fr,
-			Reason: fmt.Sprintf("qualification p98 rate %.5f exceeds SLO %.5f; rolled back",
-				fr.P98Rate, slo.TargetRatePerMin),
-			Err: fmt.Errorf("tuner: qualification p98 %.5f > %.5f: %w",
-				fr.P98Rate, slo.TargetRatePerMin, ErrSLOViolated),
-		}, nil
-	}
-	return DeploymentDecision{
-		Accepted:   true,
-		Chosen:     candidate,
-		QualResult: fr,
-		Reason:     fmt.Sprintf("qualification passed with coverage %.3f", fr.Coverage),
-	}, nil
-}

@@ -24,6 +24,8 @@ func syntheticObjective(p core.Params) (model.FleetResult, error) {
 		ColdBytes:      coverage * 1e12,
 		ColdBytesAtMin: 1e12,
 		P98Rate:        p98,
+		// An observed fleet: health checks refuse to judge an empty one.
+		EnabledIntervals: 1000,
 	}, nil
 }
 
@@ -230,8 +232,8 @@ func TestQualifyAndDeploy(t *testing.T) {
 	if dec.Accepted || dec.Chosen != incumbent {
 		t.Errorf("bad candidate deployed: %+v", dec)
 	}
-	if dec.Reason == "" {
-		t.Error("no rollback reason")
+	if len(dec.Stages) != 1 || dec.Stages[0].Reason == "" || dec.RolledBackAt != "holdout" {
+		t.Errorf("rollback not explained: %+v", dec)
 	}
 
 	boom := errors.New("qual fail")

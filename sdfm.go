@@ -178,14 +178,17 @@ type (
 	FleetConfig = fleet.Config
 	// ModelConfig configures a fast-model replay.
 	ModelConfig = model.Config
-	// CompiledTrace is a replay-optimized trace: compile once, replay one
-	// configuration per call with no per-evaluation trace preparation.
+	// CompiledTrace is a replay-optimized trace: compile once, Slice out a
+	// time range × job subset without copying, Run one configuration per
+	// call or Timeline a staged schedule, with no per-evaluation trace
+	// preparation.
 	CompiledTrace = model.CompiledTrace
 	// FleetResult is the model's fleet-level output.
 	FleetResult = model.FleetResult
-	// RolloutPhase is one stage of a staged parameter rollout.
+	// RolloutPhase is one stage of the staged parameter schedule
+	// CompiledTrace.Timeline replays.
 	RolloutPhase = model.Phase
-	// TimelinePoint is one interval of a coverage timeline.
+	// TimelinePoint is one interval of the coverage series it returns.
 	TimelinePoint = model.TimelinePoint
 )
 
@@ -218,11 +221,6 @@ func Replay(trace *Trace, cfg ModelConfig) (FleetResult, error) { return model.R
 // subsequent CompiledTrace.Run.
 func CompileTrace(trace *Trace) *CompiledTrace { return model.Compile(trace) }
 
-// ReplayTimeline replays a trace under a staged parameter rollout.
-func ReplayTimeline(trace *Trace, phases []RolloutPhase, cfg ModelConfig) ([]TimelinePoint, error) {
-	return model.RunTimeline(trace, phases, cfg)
-}
-
 // Autotuning (§5.3).
 type (
 	// TunerConfig configures the GP-Bandit loop.
@@ -231,8 +229,6 @@ type (
 	TunerResult = tuner.Result
 	// Objective evaluates a parameter configuration.
 	Objective = tuner.Objective
-	// DeploymentDecision is a staged-rollout qualification outcome.
-	DeploymentDecision = tuner.DeploymentDecision
 )
 
 // DefaultHeuristicCandidates are the conservative hand-tuning guesses the
@@ -247,9 +243,10 @@ func HeuristicTune(obj Objective, candidates []Params, slo SLO) (TunerResult, er
 	return tuner.HeuristicTune(obj, candidates, slo)
 }
 
-// QualifyAndDeploy gates a candidate configuration behind a holdout run,
-// rolling back on SLO violation.
-func QualifyAndDeploy(candidate, incumbent Params, holdout Objective, slo SLO) (DeploymentDecision, error) {
+// QualifyAndDeploy gates a candidate configuration behind a holdout run:
+// a staged rollout with the holdout as its only ring, rolling back on an
+// SLO violation or when the candidate was never enabled on the holdout.
+func QualifyAndDeploy(candidate, incumbent Params, holdout Objective, slo SLO) (RolloutReport, error) {
 	return tuner.QualifyAndDeploy(candidate, incumbent, holdout, slo)
 }
 
@@ -257,10 +254,7 @@ func QualifyAndDeploy(candidate, incumbent Params, holdout Objective, slo SLO) (
 // The trace is compiled once when the objective is built; each evaluation
 // is a pure replay, so a full tuning session costs one compile.
 func TraceObjective(trace *Trace, slo SLO) Objective {
-	ct := model.Compile(trace)
-	return func(p Params) (FleetResult, error) {
-		return ct.Run(model.Config{Params: p, SLO: slo})
-	}
+	return CompiledObjective(model.Compile(trace), slo)
 }
 
 // Trace storage (the chunked columnar on-disk format).
@@ -507,15 +501,6 @@ func NewControlPlaneServer(c *ControlPlane, hub *Obs) *ControlPlaneServer {
 // damaging the stream with a fault plan's telemetry windows.
 func RunControlPlaneSim(c *ControlPlane, trace *Trace, cfg ControlPlaneSimConfig) (ControlPlaneSimReport, error) {
 	return controlplane.RunSim(c, trace, cfg)
-}
-
-// HandleStageObjective is TraceStageObjective for an opened trace file:
-// each stage's slice streams chunk by chunk (pruned by the footer's time
-// index), so staged rollouts health-check against traces that never fit
-// in memory.
-func HandleStageObjective(h *TraceHandle, cfg ModelConfig, nStages int) StageObjective {
-	minTS, maxTS := h.TimeBounds()
-	return tuner.ScanStageObjective(h.Meta().Thresholds, minTS, maxTS, h.ScanRange, cfg, nStages)
 }
 
 // Sentinel errors for errors.Is branching.
