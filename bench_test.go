@@ -12,22 +12,13 @@ package sdfm_test
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
-	"fmt"
-	"net/http/httptest"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"sdfm"
 	"sdfm/internal/compress"
-	"sdfm/internal/controlplane"
-	"sdfm/internal/controlplane/wire"
 	"sdfm/internal/core"
 	"sdfm/internal/experiments"
-	"sdfm/internal/fleet"
 	"sdfm/internal/kreclaimd"
 	"sdfm/internal/kstaled"
 	"sdfm/internal/mem"
@@ -674,186 +665,4 @@ func BenchmarkThermostatVsKstaled(b *testing.B) {
 		b.ReportMetric(det.ColdFractionEstimate()*100, "thermostatColdEst_%")
 		b.ReportMetric(truth*100, "kstaledColdTruth_%")
 	}
-}
-
-// --- Control-plane ingest benchmarks ---
-
-// benchReportBatch builds the telemetry batch one reporting agent ships
-// per /v1/report call in the ingest benchmarks: ~1.2k entries, the
-// backlog shape agents accumulate between connectivity windows (batching
-// amortizes the per-request HTTP cost, which otherwise dominates).
-func benchReportBatch(b *testing.B) []telemetry.Entry {
-	b.Helper()
-	tr, err := fleet.Generate(fleet.Config{
-		Clusters:           1,
-		MachinesPerCluster: 1,
-		JobsPerMachine:     8,
-		Duration:           12 * time.Hour,
-		Interval:           5 * time.Minute,
-		Seed:               benchSeed,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tr.Entries
-}
-
-// benchmarkIngest measures the controller's ingest path end to end:
-// HTTP, body decode, stripe enqueue, and the final drain that moves
-// every entry into the fleet snapshot. Each iteration is a fixed
-// campaign — 8 concurrent agents each ship 10 report batches to a
-// fresh server, then Drain ingests the backlog — so the work per
-// iteration is identical across variants and b.N scaling never changes
-// queue depth or window size. QueueCap holds a whole agent's campaign,
-// so nothing drops and every variant ingests the same entries.
-func benchmarkIngest(b *testing.B, stripes int, enc controlplane.Encoding, ckptDir string) {
-	entries := benchReportBatch(b)
-	const agents, reportsPerAgent = 8, 10
-	total := int64(agents * reportsPerAgent * len(entries))
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c, err := controlplane.New(controlplane.Config{
-			RoundEvery: 1 << 30 * time.Second, // never round
-			QueueCap:   1 << 14,               // ≥ reportsPerAgent×len(entries): zero drops
-			BatchSize:  1 << 14,
-			Stripes:    stripes,
-			// When ckptDir is set, the campaign's 12h telemetry span
-			// crosses the cadence once: each iteration writes (at least)
-			// one full snapshot on the drain path, so the variant prices
-			// checkpointing into the same fixed campaign.
-			CheckpointDir:   ckptDir,
-			CheckpointEvery: 6 * time.Hour,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv := httptest.NewServer(controlplane.NewServer(c, nil).Handler())
-		clients := make([]*controlplane.Client, agents)
-		ids := make([]string, agents)
-		for a := range clients {
-			clients[a] = controlplane.NewClient(srv.URL)
-			clients[a].Encoding = enc
-			ids[a] = fmt.Sprintf("bench/agent-%03d", a)
-			if _, err := clients[a].Register(ctx, controlplane.RegisterRequest{AgentID: ids[a]}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		var accepted atomic.Int64
-		b.StartTimer()
-		var wg sync.WaitGroup
-		for a := 0; a < agents; a++ {
-			wg.Add(1)
-			go func(cl *controlplane.Client, id string) {
-				defer wg.Done()
-				req := controlplane.ReportRequest{AgentID: id, Entries: entries}
-				for r := 0; r < reportsPerAgent; r++ {
-					resp, err := cl.Report(ctx, req)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					accepted.Add(int64(resp.Accepted))
-				}
-			}(clients[a], ids[a])
-		}
-		wg.Wait()
-		c.Drain()
-		b.StopTimer()
-		if got := accepted.Load(); got != total {
-			b.Fatalf("accepted %d entries, want %d (drops would skew the comparison)", got, total)
-		}
-		srv.Close()
-		c.Close() // joins the checkpoint writer before the next iteration reuses ckptDir
-		b.StartTimer()
-	}
-	b.StopTimer()
-	if s := b.Elapsed().Seconds(); s > 0 {
-		b.ReportMetric(float64(total)*float64(b.N)/s, "entries/s")
-	}
-}
-
-// BenchmarkControlPlaneIngest is the ingest tentpole target: entries/s
-// through /v1/report with parallel reporters. "json-1stripe" is the
-// PR-7 shape (every Report behind one mutex, per-entry JSON bodies);
-// "binary-striped" is the current path (lock-striped registry, binary
-// wire frames). DESIGN.md records the before/after numbers.
-func BenchmarkControlPlaneIngest(b *testing.B) {
-	b.Run("json-1stripe", func(b *testing.B) {
-		benchmarkIngest(b, 1, controlplane.EncodingJSON, "")
-	})
-	b.Run("json-striped", func(b *testing.B) {
-		benchmarkIngest(b, 16, controlplane.EncodingJSON, "")
-	})
-	b.Run("binary-striped", func(b *testing.B) {
-		benchmarkIngest(b, 16, controlplane.EncodingBinary, "")
-	})
-	b.Run("binary-striped-ckpt", func(b *testing.B) {
-		benchmarkIngest(b, 16, controlplane.EncodingBinary, b.TempDir())
-	})
-}
-
-// BenchmarkWireEncodeDecode measures the binary telemetry codec against
-// encoding/json on the same batch, and asserts the warm encode path is
-// allocation-free (the client reuses pooled buffers; a per-call
-// allocation would defeat them).
-func BenchmarkWireEncodeDecode(b *testing.B) {
-	entries := benchReportBatch(b)
-	frame, err := wire.AppendReportBatch(nil, "bench/agent-000", entries)
-	if err != nil {
-		b.Fatal(err)
-	}
-	jsonBody, err := json.Marshal(controlplane.ReportRequest{AgentID: "bench/agent-000", Entries: entries})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("encode", func(b *testing.B) {
-		buf := append([]byte(nil), frame...)
-		if allocs := testing.AllocsPerRun(10, func() {
-			if buf, err = wire.AppendReportBatch(buf[:0], "bench/agent-000", entries); err != nil {
-				b.Fatal(err)
-			}
-		}); allocs != 0 {
-			b.Fatalf("warm encode allocates %.1f times per op, want 0", allocs)
-		}
-		b.SetBytes(int64(len(frame)))
-		b.ReportAllocs()
-		b.ReportMetric(float64(len(frame))/float64(len(jsonBody)), "vsJSONsize_x")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if buf, err = wire.AppendReportBatch(buf[:0], "bench/agent-000", entries); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.SetBytes(int64(len(frame)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := wire.DecodeReportBatch(frame); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("json-encode", func(b *testing.B) {
-		req := controlplane.ReportRequest{AgentID: "bench/agent-000", Entries: entries}
-		b.SetBytes(int64(len(jsonBody)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("json-decode", func(b *testing.B) {
-		b.SetBytes(int64(len(jsonBody)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var req controlplane.ReportRequest
-			if err := json.Unmarshal(jsonBody, &req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

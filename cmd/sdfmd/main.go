@@ -11,7 +11,7 @@
 // Operational endpoints: /metrics (Prometheus text), /statusz (JSON),
 // /healthz, and POST /v1/round to force a tuning round. SIGINT/SIGTERM
 // shut down gracefully: the listener stops, in-flight requests finish,
-// and every queued batch is drained into the fleet snapshot before exit.
+// and every queued batch is drained into the tuning window before exit.
 package main
 
 import (
@@ -43,7 +43,6 @@ func main() {
 		tick       = flag.Duration("tick", 250*time.Millisecond, "wall-clock ingest drain interval")
 		queueCap   = flag.Int("queue-cap", 8192, "per-agent ingest queue bound, entries")
 		batch      = flag.Int("batch", 1024, "entries drained per agent per tick")
-		shards     = flag.Int("shards", 8, "fleet snapshot shard count")
 		stripes    = flag.Int("stripes", 16, "ingest lock-stripe count (agents hash to stripes)")
 		seed       = flag.Int64("seed", 1, "GP-bandit seed (reused every round)")
 		iterations = flag.Int("iterations", 15, "GP-bandit iterations per round")
@@ -98,7 +97,6 @@ func main() {
 		RoundEvery:      *roundEvery,
 		QueueCap:        *queueCap,
 		BatchSize:       *batch,
-		Shards:          *shards,
 		Stripes:         *stripes,
 		Stages:          stages,
 		Tuner:           tuner.Config{Seed: *seed, Iterations: *iterations},
@@ -132,7 +130,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: controlplane.NewServer(ctrl, hub).Handler()}
+	srv := newHTTPServer(controlplane.NewServer(ctrl, hub).Handler())
 	log.Printf("listening on %s (round-every=%s tick=%s queue-cap=%d)", ln.Addr(), roundEvery, tick, *queueCap)
 
 	// Ingest drains run on a wall-clock ticker; tuning rounds trigger
@@ -177,7 +175,7 @@ func main() {
 		rep.Drained, rep.Ticks, rep.RejectedCorrupt, rep.RejectedInvalid)
 	if *ckptDir != "" {
 		// Final snapshot: every entry the daemon ever acked is either in
-		// the fleet snapshot (Drain just flushed the queues) or in a
+		// the tuning window (Drain just flushed the queues) or in a
 		// completed round — the checkpoint a successor restores loses
 		// nothing.
 		if path, err := ctrl.Checkpoint(); err != nil {
@@ -190,6 +188,28 @@ func main() {
 	log.Printf("final: agents=%d rounds=%d ingested=%d dropped=%d incumbent=(K=%.1f,S=%s)",
 		len(st.Agents), st.Rounds, st.Ingest.Ingested, st.Ingest.DroppedBackpressure,
 		st.Incumbent.K, st.Incumbent.S)
+}
+
+// Read-side deadlines, so a client that never finishes its request line
+// or body cannot hold a connection and a goroutine forever. The largest
+// legitimate request is one report batch, which a healthy agent sends in
+// milliseconds. WriteTimeout stays unset: /metrics and /statusz copy
+// what they serve out of the controller before writing, so a slow reader
+// of a response stalls only itself.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server around h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // Transient bind errors (a predecessor's socket still in TIME_WAIT, a

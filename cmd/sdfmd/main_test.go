@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -42,6 +43,20 @@ func TestParseStages(t *testing.T) {
 		if _, err := parseStages(bad); err == nil {
 			t.Errorf("parseStages(%q) accepted", bad)
 		}
+	}
+}
+
+// TestHTTPServerBoundsReads pins the slow-client defence: the server
+// main serves with gives up on a request line, a body, or an idle
+// keep-alive connection that never completes.
+func TestHTTPServerBoundsReads(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout=%v ReadTimeout=%v IdleTimeout=%v; all three must be set",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	if srv.Handler == nil {
+		t.Error("server has no handler")
 	}
 }
 

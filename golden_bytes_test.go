@@ -2,10 +2,12 @@ package sdfm_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"sdfm/internal/controlplane"
 	"sdfm/internal/controlplane/ckpt"
 	"sdfm/internal/controlplane/wire"
 	"sdfm/internal/telemetry"
@@ -19,7 +21,14 @@ import (
 // PR 17) and are never regenerated: each must still decode, and
 // re-encoding what was decoded must reproduce the file byte for byte. A
 // failure here means bytes on the wire or on disk changed — bump the
-// format's Version and keep reading the old one, or undo the change.
+// format's Version (keep a reader for the old one only while something
+// still writes or holds such files), or undo the change.
+//
+// The checkpoint layout took that path once: checkpoint.sdfmcp is the
+// version-1 fixture, kept to pin that it is refused and skipped, and
+// checkpoint.v2.sdfmcp holds the same state in the current layout (the
+// v1 fixture decoded by the last v1 decoder, its shard entries in shard
+// order as the window, the job directory dropped; CHANGES.md, PR 19).
 func TestGoldenBytes(t *testing.T) {
 	for _, tc := range []struct {
 		file string
@@ -78,24 +87,44 @@ func TestGoldenBytes(t *testing.T) {
 			}
 			return out.Bytes()
 		}},
-		{"checkpoint.sdfmcp", func(t *testing.T, golden []byte) []byte {
+		{"checkpoint.v2.sdfmcp", func(t *testing.T, golden []byte) []byte {
 			s, err := ckpt.Decode(golden)
 			if err != nil {
 				t.Fatal(err)
 			}
-			shardEntries := 0
-			for i := range s.Shards {
-				shardEntries += len(s.Shards[i].Entries)
-			}
-			if s.QueuedEntries() == 0 || shardEntries == 0 || len(s.Rounds) == 0 {
-				t.Errorf("checkpoint holds %d queued entries, %d shard entries, %d rounds; want some of each",
-					s.QueuedEntries(), shardEntries, len(s.Rounds))
+			if s.QueuedEntries() == 0 || len(s.Window) == 0 || len(s.Rounds) == 0 {
+				t.Errorf("checkpoint holds %d queued entries, %d window entries, %d rounds; want some of each",
+					s.QueuedEntries(), len(s.Window), len(s.Rounds))
 			}
 			out, err := ckpt.Encode(nil, s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return out
+		}},
+		{"checkpoint.sdfmcp", func(t *testing.T, golden []byte) []byte {
+			if _, err := ckpt.Decode(golden); !errors.Is(err, ckpt.ErrUnsupportedVersion) {
+				t.Errorf("Decode of the version-1 fixture: %v, want ErrUnsupportedVersion", err)
+			}
+			// A daemon that finds only such a file boots fresh and says so.
+			dir := t.TempDir()
+			name := ckpt.FileName(7)
+			if err := os.WriteFile(filepath.Join(dir, name), golden, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c, rep, err := controlplane.Restore(controlplane.Config{CheckpointDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if rep.Restored || len(rep.Skipped) != 1 || rep.Skipped[0].Name != name ||
+				!errors.Is(rep.Skipped[0].Err, ckpt.ErrUnsupportedVersion) {
+				t.Errorf("Restore over a version-1 file: %+v, want a fresh boot with the file skipped as unsupported", rep)
+			}
+			if st := c.Status(); len(st.Agents) != 0 || st.Rounds != 0 || st.Ingest != (controlplane.IngestStats{}) {
+				t.Errorf("fresh boot carries state: %+v", st)
+			}
+			return golden // nothing to re-encode: the fixture only has to stay refused
 		}},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
@@ -108,7 +137,8 @@ func TestGoldenBytes(t *testing.T) {
 			}
 		})
 	}
-	if wire.Version != 1 || tracestore.Version != 1 || ckpt.Version != 1 {
-		t.Errorf("format versions %d/%d/%d; the golden files are version 1", wire.Version, tracestore.Version, ckpt.Version)
+	if wire.Version != 1 || tracestore.Version != 1 || ckpt.Version != 2 {
+		t.Errorf("format versions %d/%d/%d; the golden files are wire 1 / tracestore 1 / ckpt 2",
+			wire.Version, tracestore.Version, ckpt.Version)
 	}
 }

@@ -8,8 +8,8 @@ package controlplane
 // the wall clock: a snapshot is cut when the ingested telemetry clock
 // has advanced CheckpointEvery past the previous snapshot's clock,
 // mirroring how rounds trigger on window span. Checkpoints are never
-// taken while a round is in flight — mid-round the window has been cut
-// out of the shards and would be silently absent from the snapshot.
+// taken while a round is in flight — mid-round the round owns the window
+// and it would be silently absent from the snapshot.
 //
 // Restoring is Restore(cfg): boot a fresh controller, adopt the newest
 // checkpoint that decodes (older generations win over torn newer files,
@@ -60,9 +60,8 @@ type RestoreReport struct {
 // falling back to older generations; an empty or missing directory (or
 // an unset CheckpointDir) is a fresh boot, not an error. The restored
 // controller continues its campaign deterministically: given the same
-// shard count and the same replayed telemetry, its round decisions and
-// final incumbent are byte-identical to a controller that never went
-// down.
+// replayed telemetry, its round decisions and final incumbent are
+// byte-identical to a controller that never went down.
 func Restore(cfg Config) (*Controller, RestoreReport, error) {
 	c, err := New(cfg)
 	if err != nil {
@@ -100,9 +99,6 @@ func Restore(cfg Config) (*Controller, RestoreReport, error) {
 func (c *Controller) adoptSnapshot(s *ckpt.Snapshot) error {
 	c.incumbent = s.Incumbent
 	c.epoch.Store(s.Epoch)
-	c.windowStart = s.WindowStartSec
-	c.windowMax = s.WindowMaxSec
-	c.windowEntries = int(s.WindowEntries)
 	c.telemetryMax = s.TelemetrySec
 	c.ckptBase = s.TelemetrySec
 	c.ckptGen = s.Generation
@@ -141,43 +137,24 @@ func (c *Controller) adoptSnapshot(s *ckpt.Snapshot) error {
 	c.nCorrupt = s.Counters.RejectedCorrupt
 	c.nInvalid = s.Counters.RejectedInvalid
 
-	// Fleet snapshot. With an unchanged shard count the shards are
-	// restored verbatim — window entry order, and therefore round
-	// decisions, are byte-identical. If the configured count changed,
-	// jobs and entries are re-placed by hash (deterministic, but entry
-	// interleaving differs, so the equivalence guarantee is
-	// same-shard-count only; see DESIGN.md).
-	if len(s.Shards) == len(c.shards) {
-		for i := range s.Shards {
-			sh := &c.shards[i]
-			sh.entries = append([]telemetry.Entry(nil), s.Shards[i].Entries...)
-			for j := range s.Shards[i].Jobs {
-				js := &s.Shards[i].Jobs[j]
-				sh.jobs[js.Key] = &jobSnap{
-					LastTimestampSec: js.LastTimestampSec,
-					Intervals:        int(js.Intervals),
-					LastWSSPages:     js.LastWSSPages,
-					LastTotalPages:   js.LastTotalPages,
-				}
-			}
+	// Tuning window. The entries skipped Tick's validation on the way in,
+	// so they get it here (a round panics on one the compiler cannot
+	// take); the window's bounds are read off them, never off the file.
+	// Queued entries need nothing: they reach Tick after the restore.
+	for i := range s.Window {
+		e := &s.Window[i]
+		err := e.Validate(len(telemetry.DefaultThresholds))
+		if err == nil {
+			err = e.VerifyChecksum()
 		}
-	} else {
-		for i := range s.Shards {
-			for j := range s.Shards[i].Jobs {
-				js := &s.Shards[i].Jobs[j]
-				c.shards[shardFor(js.Key, len(c.shards))].jobs[js.Key] = &jobSnap{
-					LastTimestampSec: js.LastTimestampSec,
-					Intervals:        int(js.Intervals),
-					LastWSSPages:     js.LastWSSPages,
-					LastTotalPages:   js.LastTotalPages,
-				}
-			}
-			for _, e := range s.Shards[i].Entries {
-				sh := &c.shards[shardFor(e.Key, len(c.shards))]
-				sh.entries = append(sh.entries, e)
-			}
+		if err != nil {
+			return fmt.Errorf("%w: window entry %d: %v", ckpt.ErrCorrupt, i, err)
+		}
+		if i == 0 || e.TimestampSec > c.windowMax {
+			c.windowMax = e.TimestampSec
 		}
 	}
+	c.window = s.Window
 
 	// Round history, so round numbering and /statusz continue seamlessly.
 	for i := range s.Rounds {
@@ -294,16 +271,19 @@ func (c *Controller) persistSnapshot(s *ckpt.Snapshot) (string, error) {
 // snapshotLocked extracts a checkpoint snapshot. Caller holds the
 // control mutex; stripe mutexes are taken briefly per agent, matching
 // every other whole-registry read (Status, assignFraction). Everything
-// referenced by the snapshot is copied, so encoding can run lock-free.
+// the snapshot references is a copy or immutable, so encoding can run
+// lock-free.
 func (c *Controller) snapshotLocked() *ckpt.Snapshot {
 	s := &ckpt.Snapshot{
-		Generation:     c.ckptGen,
-		TelemetrySec:   c.telemetryMax,
-		Incumbent:      c.incumbent,
-		Epoch:          c.epoch.Load(),
-		WindowStartSec: c.windowStart,
-		WindowMaxSec:   c.windowMax,
-		WindowEntries:  int64(c.windowEntries),
+		Generation:   c.ckptGen,
+		TelemetrySec: c.telemetryMax,
+		Incumbent:    c.incumbent,
+		Epoch:        c.epoch.Load(),
+		// Zero-copy: the window is append-only until a round takes it
+		// (leaving this backing array untouched), so the background encoder
+		// can read this view while ingest keeps appending past it. The
+		// capped three-index slice makes the view immutable.
+		Window: c.window[:len(c.window):len(c.window)],
 	}
 	for _, id := range c.ids {
 		st := c.stripeFor(id)
@@ -322,42 +302,6 @@ func (c *Controller) snapshotLocked() *ckpt.Snapshot {
 		}
 		st.mu.Unlock()
 		s.Agents = append(s.Agents, as)
-	}
-	s.Shards = make([]ckpt.ShardSnap, len(c.shards))
-	for i := range c.shards {
-		sh := &c.shards[i]
-		out := &s.Shards[i]
-		if len(sh.entries) > 0 {
-			// Zero-copy: shard entries are append-only until a round cuts
-			// the window (which swaps in a fresh slice, leaving this
-			// backing array untouched), so the background encoder can
-			// safely read this view while ingest keeps appending past it.
-			// The capped three-index slice makes the view immutable.
-			out.Entries = sh.entries[:len(sh.entries):len(sh.entries)]
-		}
-		if len(sh.jobs) > 0 {
-			out.Jobs = make([]ckpt.JobSnap, 0, len(sh.jobs))
-			for k, js := range sh.jobs {
-				out.Jobs = append(out.Jobs, ckpt.JobSnap{
-					Key:              k,
-					LastTimestampSec: js.LastTimestampSec,
-					Intervals:        int64(js.Intervals),
-					LastWSSPages:     js.LastWSSPages,
-					LastTotalPages:   js.LastTotalPages,
-				})
-			}
-			// Deterministic bytes: the jobs map iterates in random order.
-			sort.Slice(out.Jobs, func(a, b int) bool {
-				ja, jb := out.Jobs[a].Key, out.Jobs[b].Key
-				if ja.Cluster != jb.Cluster {
-					return ja.Cluster < jb.Cluster
-				}
-				if ja.Machine != jb.Machine {
-					return ja.Machine < jb.Machine
-				}
-				return ja.Job < jb.Job
-			})
-		}
 	}
 	for i := range c.rounds {
 		s.Rounds = append(s.Rounds, roundToCkpt(&c.rounds[i]))

@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -143,6 +144,7 @@ func TestKillRestoreEquivalence(t *testing.T) {
 	cut := len(rc.tsList) * 5 / 8
 	replayIntervals(t, base, baseAgents, rc, 0, cut)
 	sendInterval(t, baseAgents, rc, rc.tsList[cut])
+	stCut := base.Status() // the state the interrupted controller dies in
 	base.Tick()
 	replayIntervals(t, base, baseAgents, rc, cut+1, len(rc.tsList))
 	if len(base.Rounds()) < 2 {
@@ -174,6 +176,16 @@ func TestKillRestoreEquivalence(t *testing.T) {
 	}
 	if rep.QueuedEntries == 0 {
 		t.Fatal("checkpoint captured no queued entries; the cut was supposed to land mid-interval")
+	}
+	// The window's bounds are derived from the restored entries, not stored.
+	if stCut.WindowEntries == 0 {
+		t.Fatal("the cut landed on an empty window; the bounds check would prove nothing")
+	}
+	if st := c2.Status(); st.WindowStartSec != stCut.WindowStartSec ||
+		st.WindowEndSec != stCut.WindowEndSec || st.WindowEntries != stCut.WindowEntries {
+		t.Errorf("restored window [%d, %d] with %d entries, want [%d, %d] with %d",
+			st.WindowStartSec, st.WindowEndSec, st.WindowEntries,
+			stCut.WindowStartSec, stCut.WindowEndSec, stCut.WindowEntries)
 	}
 	agents2 := registerAgents(t, c2, rc) // re-registration is idempotent reconciliation
 	c2.Tick()                            // the Tick c1 never got to run
@@ -249,8 +261,8 @@ func TestPeriodicCheckpointCadence(t *testing.T) {
 
 // TestCheckpointConcurrentIngest runs reporters and the tick loop on
 // separate goroutines with a tight checkpoint cadence, so background
-// snapshot encoders read their zero-copy shard-entry views while ingest
-// keeps appending past them. Under -race this pins the append-only
+// snapshot encoders read their zero-copy view of the window while ingest
+// keeps appending past it. Under -race this pins the append-only
 // aliasing discipline; the final restore proves the concurrent writes
 // still produced a valid, complete checkpoint.
 func TestCheckpointConcurrentIngest(t *testing.T) {
@@ -258,7 +270,7 @@ func TestCheckpointConcurrentIngest(t *testing.T) {
 	rc := groupTrace(tr)
 	dir := t.TempDir()
 	cfg := ckptTestConfig(dir)
-	cfg.RoundEvery = 1 << 30 * time.Second // never round: shard slices only ever grow
+	cfg.RoundEvery = 1 << 30 * time.Second // never round: the window only ever grows
 	cfg.CheckpointEvery = 30 * time.Minute
 	c := newTestController(t, cfg)
 	agents := registerAgents(t, c, rc)
@@ -402,6 +414,107 @@ func TestRestoreFallsBackWithAccounting(t *testing.T) {
 	}
 	if got := c2.Incumbent(); got != c1.Incumbent() {
 		t.Errorf("incumbent %+v, want %+v", got, c1.Incumbent())
+	}
+}
+
+// TestRestoreRefusesHostileWindowEntry: the checkpoint directory is a
+// trust boundary. A CRC-valid file whose window entry the compiler cannot
+// take (3 tails instead of 21) must be refused at Restore, not believed
+// and left to panic the next round.
+func TestRestoreRefusesHostileWindowEntry(t *testing.T) {
+	tr := testTrace(t, 1, 1, 1, time.Hour, 1)
+	for name, damage := range map[string]func(e *telemetry.Entry){
+		"invalid": func(e *telemetry.Entry) {
+			e.ColdTails, e.PromoTails = e.ColdTails[:3], e.PromoTails[:3]
+			e.Checksum = e.ComputeChecksum()
+		},
+		"corrupt": func(e *telemetry.Entry) { e.WSSPages++ }, // checksum now stale
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := tr.Entries[0]
+			damage(&e)
+			dir := t.TempDir()
+			if _, err := ckpt.WriteFile(dir, &ckpt.Snapshot{
+				Generation:   1,
+				TelemetrySec: e.TimestampSec,
+				Incumbent:    core.DefaultParams,
+				Window:       []telemetry.Entry{e},
+			}); err != nil {
+				t.Fatalf("WriteFile: %v", err)
+			}
+			c, rep, err := Restore(ckptTestConfig(dir))
+			if err == nil {
+				c.Close()
+				t.Fatalf("Restore believed the file (%+v)", rep)
+			}
+			if !errors.Is(err, ckpt.ErrCorrupt) {
+				t.Fatalf("Restore: %v, want an error wrapping ckpt.ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// churnCheckpointBytes runs `windows` tuning windows over loopback, each
+// carrying keysPerWindow job keys never seen before or again, closes each
+// with RunRound, and returns the size of a checkpoint cut afterwards.
+func churnCheckpointBytes(t *testing.T, windows, keysPerWindow int) int64 {
+	t.Helper()
+	cfg := ckptTestConfig(t.TempDir())
+	cfg.QueueCap = keysPerWindow
+	cfg.BatchSize = keysPerWindow
+	c := newTestController(t, cfg)
+	agent := NewAgent("c/m", NewLoopback(c))
+	if err := agent.Register(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	template := testTrace(t, 1, 1, 1, time.Hour, 1).Entries[0]
+	batch := make([]telemetry.Entry, keysPerWindow)
+	for w := 0; w < windows; w++ {
+		for i := range batch {
+			e := template
+			e.Key.Job = fmt.Sprintf("job-%d-%d", w, i)
+			e.TimestampSec = int64(w) * 3600
+			e.Checksum = e.ComputeChecksum()
+			batch[i] = e
+		}
+		if _, err := agent.Report(context.Background(), batch); err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		if rep := c.Tick(); rep.Drained != keysPerWindow {
+			t.Fatalf("window %d: drained %d of %d entries", w, rep.Drained, keysPerWindow)
+		}
+		if _, err := c.RunRound(); err != nil {
+			t.Fatalf("window %d: RunRound: %v", w, err)
+		}
+	}
+	path, err := c.Checkpoint()
+	if err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestCheckpointBoundedUnderJobChurn pins that the controller forgets a
+// job once its window is judged: after 40,000 churned job keys a drained
+// controller's checkpoint holds agents, rounds and counters only, so it
+// is small and does not grow with the number of keys that passed through.
+func TestCheckpointBoundedUnderJobChurn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ingests 120,000 entries")
+	}
+	const windows, keys = 20, 2000
+	size := churnCheckpointBytes(t, windows, keys)
+	if size >= 16<<10 {
+		t.Errorf("checkpoint after %d churned job keys is %d bytes, want < 16 KiB", windows*keys, size)
+	}
+	twice := churnCheckpointBytes(t, windows, 2*keys)
+	if d := twice - size; d < -64 || d > 64 {
+		t.Errorf("checkpoint is %d bytes at %d keys per window and %d at %d: it grows with job keys",
+			size, keys, twice, 2*keys)
 	}
 }
 

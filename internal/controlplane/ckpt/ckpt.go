@@ -1,9 +1,9 @@
 // Package ckpt implements the control plane's durable checkpoint: a
 // versioned on-disk snapshot of everything a Controller has learned —
-// the agent registry (parameters, epochs, queued telemetry), the
-// sharded fleet snapshot, the open tuning window, the incumbent, the
-// round history, and the lifetime accounting counters — so a restarted
-// sdfmd resumes the campaign instead of forgetting days of tuning.
+// the agent registry (parameters, epochs, queued telemetry), the open
+// tuning window, the incumbent, the round history, and the lifetime
+// accounting counters — so a restarted sdfmd resumes the campaign
+// instead of forgetting days of tuning.
 //
 // The format follows the repo's tracestore/wire discipline: a magic +
 // version header, self-describing sections that are each
@@ -13,7 +13,7 @@
 // encoding is deterministic: the same state always produces the same
 // bytes, so checkpoint equality is state equality.
 //
-// # File layout (version 1)
+// # File layout (version 2)
 //
 //	magic    "SDFMCP" (6 bytes)
 //	version  uint16 LE
@@ -32,14 +32,18 @@
 // was queued is still rejected with accounting after a restore):
 //
 //	1 incumbent  deployed params (K, S), assignment epoch
-//	2 window     open tuning window bounds + telemetry clock
+//	2 window     telemetry clock, then one entry block holding the open
+//	             tuning window in ingest order
 //	3 agents     registry columns: IDs, params, epochs, last-report
 //	             times, per-agent accounting, queue lengths, then one
 //	             entry block holding every queued entry in agent order
-//	4 shards     fleet snapshot: per shard, the job directory (sorted)
-//	             with per-job state, then the shard's window entries
-//	5 rounds     completed RoundReports, oldest first
-//	6 counters   lifetime ingest accounting totals
+//	4 rounds     completed RoundReports, oldest first
+//	5 counters   lifetime ingest accounting totals
+//
+// Nothing the entries determine is stored beside them: the window's
+// bounds and size are read off the entries on restore. Version 1 also
+// carried a sharded per-job directory nothing read; this build refuses
+// such a file with ErrUnsupportedVersion and Restore skips it.
 //
 // A torn or damaged file — truncation, a bad CRC, counts that cannot
 // fit the bytes present — fails decode with an error wrapping
@@ -65,7 +69,7 @@ import (
 const Magic = "SDFMCP"
 
 // Version is the layout version this package writes.
-const Version = 1
+const Version = 2
 
 // Sentinel errors callers can branch on with errors.Is.
 var (
@@ -82,11 +86,10 @@ const (
 	secIncumbent = 1
 	secWindow    = 2
 	secAgents    = 3
-	secShards    = 4
-	secRounds    = 5
-	secCounters  = 6
+	secRounds    = 4
+	secCounters  = 5
 
-	numSections = 6
+	numSections = 5
 )
 
 // Structural limits: a hostile file must not force unbounded work or
@@ -96,8 +99,6 @@ const (
 
 	maxSectionBytes = 1 << 30
 	maxAgents       = 1 << 20
-	maxShards       = 1 << 16
-	maxJobsPerShard = 1 << 21
 	maxRounds       = 1 << 20
 	maxStringLen    = 1 << 10
 )
@@ -116,23 +117,6 @@ type AgentSnap struct {
 	Reports uint64
 	Dropped uint64
 	Queue   []telemetry.Entry
-}
-
-// JobSnap is the fleet snapshot's per-job state.
-type JobSnap struct {
-	Key              telemetry.JobKey
-	LastTimestampSec int64
-	Intervals        int64
-	LastWSSPages     uint64
-	LastTotalPages   uint64
-}
-
-// ShardSnap is one fleet-snapshot shard: its job directory (sorted by
-// key, for deterministic encoding) and its slice of the open tuning
-// window, in ingest order.
-type ShardSnap struct {
-	Jobs    []JobSnap
-	Entries []telemetry.Entry
 }
 
 // Round mirrors controlplane.RoundReport's durable fields (the
@@ -179,14 +163,11 @@ type Snapshot struct {
 	TelemetrySec int64
 	Incumbent    core.Params
 	Epoch        int64
-	// WindowStartSec/WindowMaxSec/WindowEntries are the open tuning
-	// window's bounds (WindowStartSec is -1 when the window is empty).
-	WindowStartSec int64
-	WindowMaxSec   int64
-	WindowEntries  int64
+	// Window is the open tuning window: every entry ingested since the
+	// last round cut, in ingest order.
+	Window []telemetry.Entry
 	// Agents is the registry, sorted by ID.
 	Agents []AgentSnap
-	Shards []ShardSnap
 	Rounds []Round
 	// Counters holds the lifetime totals (per-agent accounting lives on
 	// the AgentSnaps).
@@ -229,7 +210,6 @@ func Encode(dst []byte, s *Snapshot) ([]byte, error) {
 	appendSection(secIncumbent, s.appendIncumbent)
 	appendSection(secWindow, s.appendWindow)
 	appendSection(secAgents, s.appendAgents)
-	appendSection(secShards, s.appendShards)
 	appendSection(secRounds, s.appendRounds)
 	appendSection(secCounters, s.appendCounters)
 	if err != nil {
@@ -259,10 +239,9 @@ func (s *Snapshot) appendIncumbent(dst []byte) ([]byte, error) {
 }
 
 func (s *Snapshot) appendWindow(dst []byte) ([]byte, error) {
-	dst = binary.AppendVarint(dst, s.WindowStartSec)
-	dst = binary.AppendVarint(dst, s.WindowMaxSec)
-	dst = binary.AppendVarint(dst, s.WindowEntries)
-	return binary.AppendVarint(dst, s.TelemetrySec), nil
+	dst = binary.AppendVarint(dst, s.TelemetrySec)
+	dst = binary.AppendUvarint(dst, uint64(len(s.Window)))
+	return colfmt.AppendEntries(dst, s.Window, colfmt.Prefixed)
 }
 
 func (s *Snapshot) appendAgents(dst []byte) ([]byte, error) {
@@ -303,41 +282,6 @@ func (s *Snapshot) appendAgents(dst []byte) ([]byte, error) {
 		all = append(all, s.Agents[i].Queue...)
 	}
 	return colfmt.AppendEntries(dst, all, colfmt.Prefixed)
-}
-
-func (s *Snapshot) appendShards(dst []byte) ([]byte, error) {
-	if len(s.Shards) > maxShards {
-		return nil, fmt.Errorf("ckpt: %d shards exceed the format limit", len(s.Shards))
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(s.Shards)))
-	for i := range s.Shards {
-		sh := &s.Shards[i]
-		if len(sh.Jobs) > maxJobsPerShard {
-			return nil, fmt.Errorf("ckpt: shard %d holds %d jobs", i, len(sh.Jobs))
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(sh.Jobs)))
-		for j := range sh.Jobs {
-			dst = colfmt.AppendJobKey(dst, sh.Jobs[j].Key)
-		}
-		for j := range sh.Jobs {
-			dst = binary.AppendVarint(dst, sh.Jobs[j].LastTimestampSec)
-		}
-		for j := range sh.Jobs {
-			dst = binary.AppendVarint(dst, sh.Jobs[j].Intervals)
-		}
-		for j := range sh.Jobs {
-			dst = binary.AppendUvarint(dst, sh.Jobs[j].LastWSSPages)
-		}
-		for j := range sh.Jobs {
-			dst = binary.AppendUvarint(dst, sh.Jobs[j].LastTotalPages)
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(sh.Entries)))
-		var err error
-		if dst, err = colfmt.AppendEntries(dst, sh.Entries, colfmt.Prefixed); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
 }
 
 func (s *Snapshot) appendRounds(dst []byte) ([]byte, error) {
@@ -435,8 +379,6 @@ func Decode(buf []byte) (*Snapshot, error) {
 			s.decodeWindow(&c)
 		case secAgents:
 			s.decodeAgents(&c)
-		case secShards:
-			s.decodeShards(&c)
 		case secRounds:
 			s.decodeRounds(&c)
 		case secCounters:
@@ -465,13 +407,8 @@ func (s *Snapshot) decodeIncumbent(c *colfmt.Cursor) {
 }
 
 func (s *Snapshot) decodeWindow(c *colfmt.Cursor) {
-	s.WindowStartSec = c.Varint()
-	s.WindowMaxSec = c.Varint()
-	s.WindowEntries = c.Varint()
-	if s.WindowEntries < 0 {
-		c.Failf("negative window entry count %d", s.WindowEntries)
-	}
 	s.TelemetrySec = c.Varint()
+	s.Window = colfmt.DecodeEntries(c, c.Count(math.MaxInt32, 0, "window entries"), colfmt.Prefixed)
 }
 
 func (s *Snapshot) decodeAgents(c *colfmt.Cursor) {
@@ -518,36 +455,6 @@ func (s *Snapshot) decodeAgents(c *colfmt.Cursor) {
 		off += qlens[i]
 	}
 	s.Agents = agents
-}
-
-func (s *Snapshot) decodeShards(c *colfmt.Cursor) {
-	n := c.Count(maxShards, 1, "shards")
-	if n == 0 {
-		return
-	}
-	s.Shards = make([]ShardSnap, n)
-	for i := range s.Shards {
-		sh := &s.Shards[i]
-		if nJobs := c.Count(maxJobsPerShard, 1, "shard jobs"); nJobs > 0 {
-			sh.Jobs = make([]JobSnap, nJobs)
-		}
-		for j := range sh.Jobs {
-			sh.Jobs[j].Key = colfmt.ReadJobKey(c, maxStringLen)
-		}
-		for j := range sh.Jobs {
-			sh.Jobs[j].LastTimestampSec = c.Varint()
-		}
-		for j := range sh.Jobs {
-			sh.Jobs[j].Intervals = c.Varint()
-		}
-		for j := range sh.Jobs {
-			sh.Jobs[j].LastWSSPages = c.Uvarint()
-		}
-		for j := range sh.Jobs {
-			sh.Jobs[j].LastTotalPages = c.Uvarint()
-		}
-		sh.Entries = colfmt.DecodeEntries(c, c.Count(math.MaxInt32, 0, "shard entries"), colfmt.Prefixed)
-	}
 }
 
 func (s *Snapshot) decodeRounds(c *colfmt.Cursor) {

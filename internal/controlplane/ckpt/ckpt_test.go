@@ -31,13 +31,16 @@ func testEntry(cluster, machine, job string, ts int64) telemetry.Entry {
 
 func testSnapshot() *Snapshot {
 	return &Snapshot{
-		Generation:     42,
-		TelemetrySec:   7200,
-		Incumbent:      core.Params{K: 98.5, S: 17 * time.Minute},
-		Epoch:          9,
-		WindowStartSec: 3600,
-		WindowMaxSec:   7200,
-		WindowEntries:  3,
+		Generation:   42,
+		TelemetrySec: 7200,
+		Incumbent:    core.Params{K: 98.5, S: 17 * time.Minute},
+		Epoch:        9,
+		// Ingest order, not time or job order: the block must keep it.
+		Window: []telemetry.Entry{
+			testEntry("c0", "m1", "web", 6600),
+			testEntry("c0", "m0", "batch", 7200),
+			testEntry("c0", "m1", "web", 6900),
+		},
 		Agents: []AgentSnap{
 			{
 				ID:      "c0/m0",
@@ -57,36 +60,6 @@ func testSnapshot() *Snapshot {
 				Epoch:   8,
 				LastTS:  6900,
 				Reports: 23,
-			},
-		},
-		Shards: []ShardSnap{
-			{
-				Jobs: []JobSnap{
-					{
-						Key:              telemetry.JobKey{Cluster: "c0", Machine: "m0", Job: "batch"},
-						LastTimestampSec: 7200,
-						Intervals:        24,
-						LastWSSPages:     1 << 16,
-						LastTotalPages:   1 << 18,
-					},
-				},
-				Entries: []telemetry.Entry{testEntry("c0", "m0", "batch", 7200)},
-			},
-			{},
-			{
-				Jobs: []JobSnap{
-					{
-						Key:              telemetry.JobKey{Cluster: "c0", Machine: "m1", Job: "web"},
-						LastTimestampSec: 6900,
-						Intervals:        23,
-						LastWSSPages:     1 << 14,
-						LastTotalPages:   1 << 17,
-					},
-				},
-				Entries: []telemetry.Entry{
-					testEntry("c0", "m1", "web", 6600),
-					testEntry("c0", "m1", "web", 6900),
-				},
 			},
 		},
 		Rounds: []Round{
@@ -169,7 +142,7 @@ func TestEncodeDeterministic(t *testing.T) {
 }
 
 func TestDecodeEmptySnapshot(t *testing.T) {
-	want := &Snapshot{Generation: 1, WindowStartSec: -1}
+	want := &Snapshot{Generation: 1, TelemetrySec: -1}
 	buf, err := Encode(nil, want)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
@@ -226,14 +199,18 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsFutureVersion covers both directions: a layout from
+// the future and the retired version 1, which has no second decoder.
 func TestDecodeRejectsFutureVersion(t *testing.T) {
 	buf, err := Encode(nil, testSnapshot())
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	buf[6] = 0xff // version low byte
-	if _, err := Decode(buf); !errors.Is(err, ErrUnsupportedVersion) {
-		t.Fatalf("future version: got %v, want ErrUnsupportedVersion", err)
+	for _, v := range []byte{0xff, Version - 1} {
+		buf[6] = v // version low byte
+		if _, err := Decode(buf); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Fatalf("version %d: got %v, want ErrUnsupportedVersion", v, err)
+		}
 	}
 }
 

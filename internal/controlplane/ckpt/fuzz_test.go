@@ -16,7 +16,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	empty, err := Encode(nil, &Snapshot{Generation: 1, WindowStartSec: -1})
+	empty, err := Encode(nil, &Snapshot{Generation: 1, TelemetrySec: -1})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -3,8 +3,8 @@
 // stream their 5-minute telemetry aggregates to it, and poll for the
 // control-plane parameters (K, S) they should run. The controller ingests
 // telemetry through bounded per-agent queues with explicit backpressure
-// and drop accounting, maintains a sharded fleet snapshot, and — every
-// time the ingested telemetry spans a full tuning window — compiles the
+// and drop accounting, keeps the open tuning window, and — every time
+// the ingested telemetry spans a full tuning window — compiles the
 // window into the fast far memory model, asks the GP-bandit for a new
 // candidate, and pushes it through staged deployment rings with a health
 // check after each ring and rollback on violation (tuner.StagedRollout
@@ -18,13 +18,12 @@
 // never contend, and a Report never touches the control mutex at all.
 // Lifetime ingest counters live per stripe and are summed on read. The
 // control mutex guards everything decision-shaped — the sorted agent ID
-// list, the fleet snapshot, the tuning window, the incumbent, round
-// state, and every obs instrument write. Lock order is always control
-// mutex → stripe mutex, and no stripe mutex is ever held while acquiring
-// the control mutex, so the two layers cannot deadlock. Tuning rounds
-// snapshot the window under the control mutex and then run
-// Compile→Autotune→StagedRollout with no locks held; stage pushes
-// re-acquire locks briefly to move agent rings.
+// list, the tuning window, the incumbent, round state, and every obs
+// instrument write. Lock order is always control mutex → stripe mutex,
+// and no stripe mutex is ever held while acquiring the control mutex, so
+// the two layers cannot deadlock. Tuning rounds take the window under the
+// control mutex and then run Compile→Autotune→StagedRollout with no locks
+// held; stage pushes re-acquire locks briefly to move agent rings.
 //
 // The controller itself is transport-agnostic and driven entirely by the
 // telemetry it ingests: tuning rounds trigger on telemetry timestamps, not
@@ -43,13 +42,13 @@ import (
 
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sdfm/internal/core"
-	"sdfm/internal/histogram"
 	"sdfm/internal/model"
 	"sdfm/internal/obs"
 	"sdfm/internal/telemetry"
@@ -76,12 +75,6 @@ type Config struct {
 	// Incumbent is the configuration agents start on (default
 	// core.DefaultParams).
 	Incumbent core.Params
-	// Thresholds is the predefined cold-age threshold set ingested entries
-	// must match (default telemetry.DefaultThresholds).
-	Thresholds []int
-	// ScanPeriodSeconds is the age quantum underlying the thresholds
-	// (default the production 120 s scan period).
-	ScanPeriodSeconds int64
 	// Tuner configures the per-round GP-bandit search. Its SLO and Space
 	// are defaulted from this config when zero. The Seed makes rounds
 	// deterministic; every round reuses the same seed so a round's
@@ -106,9 +99,6 @@ type Config struct {
 	// BatchSize bounds how many entries one Tick drains per agent, so a
 	// single tick's work is bounded regardless of backlog (default 1024).
 	BatchSize int
-	// Shards is the fleet-snapshot shard count (default 8). Jobs hash to
-	// shards; each shard holds its jobs' window entries and latest state.
-	Shards int
 	// Stripes is the ingest lock-stripe count (default 16). Agents hash
 	// to stripes; Report calls from agents on different stripes proceed
 	// fully in parallel. The stripe count never affects round decisions —
@@ -144,12 +134,6 @@ func (c *Config) fillDefaults() {
 	if c.Incumbent == (core.Params{}) {
 		c.Incumbent = core.DefaultParams
 	}
-	if c.Thresholds == nil {
-		c.Thresholds = append([]int(nil), telemetry.DefaultThresholds...)
-	}
-	if c.ScanPeriodSeconds == 0 {
-		c.ScanPeriodSeconds = int64(histogram.DefaultScanPeriod / time.Second)
-	}
 	if c.Tuner.SLO == (core.SLO{}) {
 		c.Tuner.SLO = c.SLO
 	}
@@ -173,9 +157,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 1024
-	}
-	if c.Shards == 0 {
-		c.Shards = 8
 	}
 	if c.Stripes == 0 {
 		c.Stripes = 16
@@ -204,9 +185,9 @@ func (c Config) Validate() error {
 	if c.CheckpointKeep < 0 {
 		return fmt.Errorf("controlplane: negative CheckpointKeep %d", c.CheckpointKeep)
 	}
-	if c.QueueCap < 0 || c.BatchSize < 0 || c.Shards < 0 || c.Stripes < 0 {
-		return fmt.Errorf("controlplane: negative queue/batch/shard/stripe size (%d/%d/%d/%d)",
-			c.QueueCap, c.BatchSize, c.Shards, c.Stripes)
+	if c.QueueCap < 0 || c.BatchSize < 0 || c.Stripes < 0 {
+		return fmt.Errorf("controlplane: negative queue/batch/stripe size (%d/%d/%d)",
+			c.QueueCap, c.BatchSize, c.Stripes)
 	}
 	for _, st := range d.Stages {
 		if st.Fraction <= 0 || st.Fraction > 1 {
@@ -244,22 +225,6 @@ type stripe struct {
 	queued int
 }
 
-// jobSnap is the fleet snapshot's per-job state: what the controller
-// knows about a job independent of the current tuning window.
-type jobSnap struct {
-	LastTimestampSec int64  `json:"last_timestamp_sec"`
-	Intervals        int    `json:"intervals"`
-	LastWSSPages     uint64 `json:"last_wss_pages"`
-	LastTotalPages   uint64 `json:"last_total_pages"`
-}
-
-// shard is one slice of the fleet snapshot. Jobs hash to shards, so both
-// the per-job state maps and the window entry buffers stay small.
-type shard struct {
-	entries []telemetry.Entry // current window, ingest order
-	jobs    map[telemetry.JobKey]*jobSnap
-}
-
 // cpMetrics holds the controller's instrument handles (nil-safe when
 // observability is off).
 type cpMetrics struct {
@@ -289,7 +254,7 @@ type cpMetrics struct {
 }
 
 // Controller is the fleet control plane: lock-striped agent registry,
-// bounded telemetry ingest, sharded fleet snapshot, and the periodic
+// bounded telemetry ingest, the open tuning window, and the periodic
 // tune-and-push loop. All exported methods are safe for concurrent use;
 // under the single-threaded Loopback transport the controller is fully
 // deterministic. See the package comment for the locking discipline.
@@ -311,12 +276,15 @@ type Controller struct {
 	// it is guarded by it.
 	mu        sync.Mutex
 	ids       []string // sorted; ring assignment is a prefix of this
-	shards    []shard
 	incumbent core.Params
 
-	windowStart   int64 // first entry timestamp of the window; -1 when empty
-	windowMax     int64
-	windowEntries int
+	// window is the open tuning window: every entry ingested since the
+	// last round cut, in ingest order, so it starts at window[0]. It is
+	// append-only until a round takes it and leaves nil behind, which
+	// keeps a capped view of it valid for the background checkpoint
+	// writer. windowMax is its newest timestamp.
+	window    []telemetry.Entry
+	windowMax int64
 
 	roundInFlight bool
 	rounds        []RoundReport
@@ -368,9 +336,7 @@ func New(cfg Config) (*Controller, error) {
 		cfg:          cfg,
 		roundSec:     int64(cfg.RoundEvery / time.Second),
 		stripes:      make([]stripe, cfg.Stripes),
-		shards:       make([]shard, cfg.Shards),
 		incumbent:    cfg.Incumbent,
-		windowStart:  -1,
 		telemetryMax: -1,
 		ckptBase:     -1,
 		ckptEverySec: checkpointEverySeconds(cfg.CheckpointEvery),
@@ -378,15 +344,12 @@ func New(cfg Config) (*Controller, error) {
 	for i := range c.stripes {
 		c.stripes[i].agents = make(map[string]*agentState)
 	}
-	for i := range c.shards {
-		c.shards[i].jobs = make(map[telemetry.JobKey]*jobSnap)
-	}
 	if o := cfg.Obs; o != nil {
 		c.m = cpMetrics{
 			agents:      o.Gauge("sdfm_cp_agents", "Registered node agents."),
 			reports:     o.Counter("sdfm_cp_reports_total", "Telemetry reports received."),
 			received:    o.Counter("sdfm_cp_entries_received_total", "Telemetry entries received in reports."),
-			ingested:    o.Counter("sdfm_cp_entries_ingested_total", "Entries accepted into the fleet snapshot."),
+			ingested:    o.Counter("sdfm_cp_entries_ingested_total", "Entries accepted into the tuning window."),
 			dropped:     o.Counter("sdfm_cp_entries_dropped_total", "Entries dropped by per-agent queue backpressure.", obs.Label{Key: "reason", Value: "backpressure"}),
 			rejCorrupt:  o.Counter("sdfm_cp_entries_rejected_total", "Entries rejected at ingest validation.", obs.Label{Key: "reason", Value: "corrupt"}),
 			rejInvalid:  o.Counter("sdfm_cp_entries_rejected_total", "Entries rejected at ingest validation.", obs.Label{Key: "reason", Value: "invalid"}),
@@ -413,29 +376,15 @@ func New(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// FNV-1a 32 constants (hash/fnv's offset basis and prime). Both hashes
-// below hand-roll the hash with the state in a register: shardFor runs
-// once per ingested entry, where the hash.Hash32 indirection and
-// per-Write allocations were a measurable share of the drain path. The
-// values are bit-identical to the previous fnv.New32a implementations,
-// so shard and stripe assignment — and therefore window entry order and
-// round decisions — are unchanged.
-const (
-	fnvOffset32 uint32 = 2166136261
-	fnvPrime32  uint32 = 16777619
-)
-
-// fnv32String folds s into h.
-func fnv32String(h uint32, s string) uint32 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * fnvPrime32
-	}
-	return h
-}
-
-// stripeFor hashes an agent ID onto its lock stripe.
+// stripeFor hashes an agent ID onto its lock stripe: FNV-1a 32 with
+// hash/fnv's offset basis and prime, hand-rolled with the state in a
+// register because it runs on every Report.
 func (c *Controller) stripeFor(agentID string) *stripe {
-	h := fnv32String(fnvOffset32, agentID)
+	const offset32, prime32 uint32 = 2166136261, 16777619
+	h := offset32
+	for i := 0; i < len(agentID); i++ {
+		h = (h ^ uint32(agentID[i])) * prime32
+	}
 	return &c.stripes[h%uint32(len(c.stripes))]
 }
 
@@ -544,7 +493,7 @@ func (c *Controller) Poll(req PollRequest) (PollResponse, error) {
 
 // TickReport summarizes one Tick.
 type TickReport struct {
-	// Drained entries moved from agent queues into the fleet snapshot.
+	// Drained entries moved from agent queues into the tuning window.
 	Drained int
 	// RejectedCorrupt / RejectedInvalid entries failed checksum or schema
 	// validation and were dropped with accounting.
@@ -562,13 +511,13 @@ type TickReport struct {
 	Checkpointed bool
 }
 
-// Tick drains agent queues into the sharded fleet snapshot — at most
+// Tick drains agent queues into the tuning window — at most
 // BatchSize entries per agent, in sorted agent order across all stripes,
 // so one tick's work is bounded and its ingest order (and therefore
 // every round's input) is deterministic regardless of the stripe count —
 // validating every entry (schema and checksum) and accounting rejects.
 // Each agent's stripe mutex is held only long enough to splice its batch
-// out of the queue; validation and snapshot folding run under the
+// out of the queue; validation and the window append run under the
 // control mutex alone, so concurrent Reports keep landing while a tick
 // digests. When the drained window spans RoundEvery of telemetry time,
 // Tick runs a tuning round before returning. The daemon calls Tick on a
@@ -593,7 +542,7 @@ func (c *Controller) Tick() TickReport {
 		s.mu.Unlock()
 		for i := range scratch {
 			e := &scratch[i]
-			if err := e.Validate(len(c.cfg.Thresholds)); err != nil {
+			if err := e.Validate(len(telemetry.DefaultThresholds)); err != nil {
 				rep.RejectedInvalid++
 				c.nInvalid++
 				c.m.rejInvalid.Inc()
@@ -611,8 +560,8 @@ func (c *Controller) Tick() TickReport {
 	}
 	c.drainScratch = scratch[:0]
 	c.syncIngestLocked()
-	trigger := !c.roundInFlight && c.windowStart >= 0 &&
-		c.windowMax-c.windowStart >= c.roundSec
+	trigger := !c.roundInFlight && len(c.window) > 0 &&
+		c.windowMax-c.window[0].TimestampSec >= c.roundSec
 	c.mu.Unlock()
 	if trigger {
 		if rr, err := c.runRound(); err == nil {
@@ -663,27 +612,19 @@ func (c *Controller) syncIngestLocked() (IngestStats, int) {
 	return t, queued
 }
 
-// ingestLocked folds one validated entry into its job's shard.
+// ingestLocked appends one validated entry to the tuning window.
 func (c *Controller) ingestLocked(e telemetry.Entry) {
-	s := &c.shards[shardFor(e.Key, len(c.shards))]
-	s.entries = append(s.entries, e)
-	js, ok := s.jobs[e.Key]
-	if !ok {
-		js = &jobSnap{}
-		s.jobs[e.Key] = js
-	}
-	js.Intervals++
-	if e.TimestampSec >= js.LastTimestampSec {
-		js.LastTimestampSec = e.TimestampSec
-		js.LastWSSPages = e.WSSPages
-		js.LastTotalPages = e.TotalPages
-	}
-	if c.windowStart < 0 {
-		c.windowStart = e.TimestampSec
-		c.windowMax = e.TimestampSec
-	} else if e.TimestampSec > c.windowMax {
+	if len(c.window) == 0 || e.TimestampSec > c.windowMax {
 		c.windowMax = e.TimestampSec
 	}
+	if len(c.window) == cap(c.window) {
+		// Double, where append would grow a large slice by a quarter: the
+		// backing arrays a 1.25× policy abandons sum to four times the
+		// window before a collection reclaims them (a quarter more peak RSS
+		// on one 82k-entry window), doubling's to one.
+		c.window = slices.Grow(c.window, len(c.window))
+	}
+	c.window = append(c.window, e)
 	if e.TimestampSec > c.telemetryMax {
 		c.telemetryMax = e.TimestampSec
 	}
@@ -692,18 +633,8 @@ func (c *Controller) ingestLocked(e telemetry.Entry) {
 		// same way the round cadence starts at the window's first entry.
 		c.ckptBase = e.TimestampSec
 	}
-	c.windowEntries++
 	c.nIngested++
 	c.m.ingested.Inc()
-}
-
-// shardFor hashes a job key onto a shard index (FNV-1a over the
-// NUL-separated key fields, bit-identical to the hash/fnv original).
-func shardFor(k telemetry.JobKey, n int) int {
-	h := fnv32String(fnvOffset32, k.Cluster)
-	h = fnv32String(h*fnvPrime32, k.Machine) // h ^ 0 == h for the \0 separator
-	h = fnv32String(h*fnvPrime32, k.Job)
-	return int(h % uint32(n))
 }
 
 // RoundReport is the outcome of one tuning round: the window it judged,
@@ -736,34 +667,25 @@ type RoundReport struct {
 	Err string `json:"err,omitempty"`
 }
 
-// roundWindow is the snapshot a round judges, extracted under the mutex.
+// roundWindow is the window a round judges, taken under the mutex.
 type roundWindow struct {
 	trace    *telemetry.Trace
 	startSec int64
 	endSec   int64
-	entries  int
 }
 
-// beginRoundLocked drains the window entries out of the shards into a
-// trace and resets the window. Entries ingested after this snapshot
-// belong to the next round.
+// beginRoundLocked hands the (non-empty) window to a round as a trace
+// and leaves an empty one behind. Entries ingested after this belong to
+// the next round.
 func (c *Controller) beginRoundLocked() roundWindow {
 	w := roundWindow{
-		trace: &telemetry.Trace{
-			ScanPeriodSeconds: c.cfg.ScanPeriodSeconds,
-			Thresholds:        append([]int(nil), c.cfg.Thresholds...),
-		},
-		startSec: c.windowStart,
+		trace:    telemetry.NewTrace(),
+		startSec: c.window[0].TimestampSec,
 		endSec:   c.windowMax,
-		entries:  c.windowEntries,
 	}
-	for i := range c.shards {
-		w.trace.Entries = append(w.trace.Entries, c.shards[i].entries...)
-		c.shards[i].entries = nil
-	}
-	c.windowStart = -1
+	w.trace.Entries = c.window
+	c.window = nil
 	c.windowMax = 0
-	c.windowEntries = 0
 	c.roundInFlight = true
 	return w
 }
@@ -776,7 +698,7 @@ func (c *Controller) RunRound() (RoundReport, error) {
 	return c.runRound()
 }
 
-// runRound snapshots the compiled window under the control mutex,
+// runRound takes the window under the control mutex,
 // releases every lock, and runs the round pipeline with ingest fully
 // live: Reports land on their stripes and Ticks keep folding the *next*
 // window while this round's Compile→Autotune→StagedRollout churns.
@@ -786,7 +708,7 @@ func (c *Controller) runRound() (RoundReport, error) {
 		c.mu.Unlock()
 		return RoundReport{}, ErrRoundInFlight
 	}
-	if c.windowEntries == 0 {
+	if len(c.window) == 0 {
 		c.mu.Unlock()
 		return RoundReport{}, ErrNoTelemetry
 	}
@@ -826,7 +748,7 @@ func (c *Controller) executeRound(w roundWindow, incumbent core.Params) RoundRep
 	rr := RoundReport{
 		WindowStartSec: w.startSec,
 		WindowEndSec:   w.endSec,
-		Entries:        w.entries,
+		Entries:        len(w.trace.Entries),
 		Chosen:         incumbent,
 	}
 	ct := model.Compile(w.trace)
@@ -937,11 +859,11 @@ type DrainReport struct {
 	Ticks int
 }
 
-// Drain flushes every agent queue into the fleet snapshot — looping Tick
+// Drain flushes every agent queue into the tuning window — looping Tick
 // until no entries remain, batch bounds included — and stops accepting
 // new registrations and reports. It is the graceful-shutdown hook: after
 // the HTTP server stops accepting connections, Drain guarantees every
-// in-flight batch already acknowledged to an agent reaches the snapshot
+// in-flight batch already acknowledged to an agent reaches the window
 // (and is judged by the next round) instead of dying in a queue.
 func (c *Controller) Drain() DrainReport {
 	c.draining.Store(true)
@@ -993,12 +915,6 @@ type AgentStatus struct {
 	Epoch         int64       `json:"epoch"`
 }
 
-// ShardStatus is one fleet-snapshot shard's statusz row.
-type ShardStatus struct {
-	Jobs          int `json:"jobs"`
-	WindowEntries int `json:"window_entries"`
-}
-
 // IngestStats are the controller's lifetime ingest counters.
 type IngestStats struct {
 	Reports             uint64 `json:"reports"`
@@ -1021,8 +937,7 @@ type Status struct {
 	WindowEndSec   int64 `json:"window_end_sec"`
 	WindowEntries  int   `json:"window_entries"`
 
-	Ingest IngestStats   `json:"ingest"`
-	Shards []ShardStatus `json:"shards"`
+	Ingest IngestStats `json:"ingest"`
 
 	Rounds    int          `json:"rounds"`
 	LastRound *RoundReport `json:"last_round,omitempty"`
@@ -1037,9 +952,9 @@ func (c *Controller) Status() Status {
 		Epoch:          c.epoch.Load(),
 		Incumbent:      c.incumbent,
 		Draining:       c.draining.Load(),
-		WindowStartSec: c.windowStart,
+		WindowStartSec: -1, // an empty window has no start
 		WindowEndSec:   c.windowMax,
-		WindowEntries:  c.windowEntries,
+		WindowEntries:  len(c.window),
 		Ingest:         ingest,
 		Rounds:         len(c.rounds),
 	}
@@ -1058,11 +973,8 @@ func (c *Controller) Status() Status {
 		})
 		s.mu.Unlock()
 	}
-	for i := range c.shards {
-		st.Shards = append(st.Shards, ShardStatus{
-			Jobs:          len(c.shards[i].jobs),
-			WindowEntries: len(c.shards[i].entries),
-		})
+	if len(c.window) > 0 {
+		st.WindowStartSec = c.window[0].TimestampSec
 	}
 	if len(c.rounds) > 0 {
 		last := c.rounds[len(c.rounds)-1]

@@ -140,20 +140,27 @@ func TestTickValidatesEntries(t *testing.T) {
 	invalid := tr.Entries[2]
 	invalid.ColdTails = invalid.ColdTails[:1] // wrong tail count
 
-	if _, err := c.Report(ReportRequest{AgentID: "a", Entries: []telemetry.Entry{valid, corrupt, invalid}}); err != nil {
+	// An interval never ends before simulated time zero; believed, this
+	// one would sit first in the window and stretch its span by two hours.
+	negative := tr.Entries[3]
+	negative.TimestampSec = -7200
+	negative.Checksum = negative.ComputeChecksum()
+
+	if _, err := c.Report(ReportRequest{AgentID: "a", Entries: []telemetry.Entry{negative, valid, corrupt, invalid}}); err != nil {
 		t.Fatalf("Report: %v", err)
 	}
 	rep := c.Tick()
-	if rep.Drained != 1 || rep.RejectedCorrupt != 1 || rep.RejectedInvalid != 1 {
-		t.Errorf("Tick = drained %d corrupt %d invalid %d, want 1/1/1",
+	if rep.Drained != 1 || rep.RejectedCorrupt != 1 || rep.RejectedInvalid != 2 {
+		t.Errorf("Tick = drained %d corrupt %d invalid %d, want 1/1/2",
 			rep.Drained, rep.RejectedCorrupt, rep.RejectedInvalid)
 	}
 	st := c.Status()
-	if st.Ingest.Ingested != 1 || st.Ingest.RejectedCorrupt != 1 || st.Ingest.RejectedInvalid != 1 {
-		t.Errorf("ingest stats = %+v, want 1 ingested, 1 corrupt, 1 invalid", st.Ingest)
+	if st.Ingest.Ingested != 1 || st.Ingest.RejectedCorrupt != 1 || st.Ingest.RejectedInvalid != 2 {
+		t.Errorf("ingest stats = %+v, want 1 ingested, 1 corrupt, 2 invalid", st.Ingest)
 	}
-	if st.WindowEntries != 1 {
-		t.Errorf("window entries = %d, want 1", st.WindowEntries)
+	if st.WindowEntries != 1 || st.WindowStartSec != valid.TimestampSec || st.WindowEndSec != valid.TimestampSec {
+		t.Errorf("window = [%d, %d] with %d entries, want [%d, %d] with 1",
+			st.WindowStartSec, st.WindowEndSec, st.WindowEntries, valid.TimestampSec, valid.TimestampSec)
 	}
 }
 

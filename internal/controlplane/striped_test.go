@@ -108,7 +108,7 @@ func TestConcurrentReportersAgainstTickingController(t *testing.T) {
 	if in.DroppedBackpressure != uint64(dropped.Load()) {
 		t.Errorf("dropped %d, agents saw %d drops", in.DroppedBackpressure, dropped.Load())
 	}
-	// Every acknowledged entry must reach the fleet snapshot (entries in
+	// Every acknowledged entry must reach the tuning window (entries in
 	// the generated trace are valid, so no rejects).
 	if in.Ingested != uint64(accepted.Load()) || in.RejectedCorrupt != 0 || in.RejectedInvalid != 0 {
 		t.Errorf("ingested %d (rejects %d/%d), agents had %d entries acked",

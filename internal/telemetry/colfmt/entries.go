@@ -97,7 +97,7 @@ func AppendEntries(dst []byte, entries []telemetry.Entry, layout TailLayout) ([]
 	// stack-backed directory instead of a map: a report batch comes from
 	// one machine and spans a handful of jobs, and the scan keeps the
 	// steady-state encode allocation-free. Past 64 distinct jobs (chunks
-	// and checkpoint shards span clusters) a map takes over with the same
+	// and checkpoint windows span clusters) a map takes over with the same
 	// first-seen order, so the bytes are identical either way.
 	var dirBuf [64]telemetry.JobKey
 	dir := dirBuf[:0]

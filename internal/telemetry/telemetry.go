@@ -162,6 +162,10 @@ func (e *Entry) Validate(numThresholds int) error {
 	if e.IntervalMinutes <= 0 {
 		return fmt.Errorf("telemetry: entry %s has interval %v", e.Key, e.IntervalMinutes)
 	}
+	if e.TimestampSec < 0 {
+		// An interval end in simulated seconds is never negative.
+		return fmt.Errorf("telemetry: entry %s has negative timestamp %ds", e.Key, e.TimestampSec)
+	}
 	for i := 1; i < len(e.ColdTails); i++ {
 		if e.ColdTails[i] > e.ColdTails[i-1] || e.PromoTails[i] > e.PromoTails[i-1] {
 			return fmt.Errorf("telemetry: entry %s tails not monotone at %d", e.Key, i)

@@ -413,7 +413,7 @@ func TraceStageObjective(trace *Trace, cfg ModelConfig, nStages int) StageObject
 // rollout has assigned to their ring.
 type (
 	// ControlPlane is the fleet controller: agent registry, bounded
-	// telemetry ingest, sharded fleet snapshot, and the periodic
+	// telemetry ingest, the open tuning window, and the periodic
 	// tune-and-push loop.
 	ControlPlane = controlplane.Controller
 	// ControlPlaneConfig configures a ControlPlane.
@@ -465,10 +465,10 @@ const ControlPlaneWireContentType = wire.ContentType
 func NewControlPlane(cfg ControlPlaneConfig) (*ControlPlane, error) { return controlplane.New(cfg) }
 
 // RestoreControlPlane boots a controller from the newest valid
-// checkpoint in cfg.CheckpointDir, skipping torn or corrupt generations
-// with accounting. An empty or missing directory (or an unset
-// CheckpointDir) is a fresh boot, not an error. Given the same shard
-// count and the same replayed telemetry, the restored controller's round
+// checkpoint in cfg.CheckpointDir, skipping torn, corrupt or
+// unsupported-version generations with accounting. An empty or missing
+// directory (or an unset CheckpointDir) is a fresh boot, not an error.
+// Given the same replayed telemetry, the restored controller's round
 // decisions and final incumbent are byte-identical to a controller that
 // never went down.
 func RestoreControlPlane(cfg ControlPlaneConfig) (*ControlPlane, ControlPlaneRestoreReport, error) {
