@@ -27,7 +27,6 @@ import (
 	"sdfm/internal/telemetry"
 	"sdfm/internal/thermostat"
 	"sdfm/internal/tracestore"
-	"sdfm/internal/workload"
 	"sdfm/internal/zsmalloc"
 	"sdfm/internal/zswap"
 )
@@ -450,138 +449,6 @@ func BenchmarkTieredFarMemory(b *testing.B) {
 		}
 		b.ReportMetric(single, "singleTierP50_us")
 		b.ReportMetric(tiered, "tieredMean_us")
-	}
-}
-
-// benchColdStore is a large, mostly-cold job: the page population a
-// warehouse-scale far-memory machine actually carries (a small hot core,
-// a large archive tail). Scan and reclaim walks dominate the step cost,
-// which is exactly what the age-bucketed index is for.
-var benchColdStore = &sdfm.Archetype{
-	Name: "bench-coldstore", PagesMin: 200_000, PagesMax: 200_000,
-	Bands: []workload.Band{
-		{Weight: 0.005, MinPeriod: 10 * time.Second, MaxPeriod: 2 * time.Minute},
-		{Weight: 0.995, MinPeriod: 250 * time.Hour, MaxPeriod: 500 * time.Hour},
-	},
-	Mix:           pagedata.NewMix(0.05, 0.35, 0.25, 0.15, 0.20),
-	WriteFraction: 0.15,
-	CPUCores:      0.05,
-	Priority:      100,
-}
-
-// benchSteadyMachine builds a proactive machine with zswap enabled and
-// steps it past controller warmup so the benchmark loop measures the
-// steady state: cold pages already in far memory, scans and reclaim
-// walks every period.
-func benchSteadyMachine(b *testing.B, jobs int) *sdfm.Machine {
-	return benchSteadyMachineCfg(b, jobs, sdfm.AuditConfig{}, nil)
-}
-
-func benchSteadyMachineAudit(b *testing.B, jobs int, auditCfg sdfm.AuditConfig) *sdfm.Machine {
-	return benchSteadyMachineCfg(b, jobs, auditCfg, nil)
-}
-
-func benchSteadyMachineCfg(b *testing.B, jobs int, auditCfg sdfm.AuditConfig, o *sdfm.Observer) *sdfm.Machine {
-	b.Helper()
-	m, err := sdfm.NewMachine(sdfm.MachineConfig{
-		Name: "bench", Cluster: "bench", DRAMBytes: 4 << 30,
-		Mode: sdfm.ModeProactive, Params: sdfm.DefaultParams,
-		Seed: benchSeed, Audit: auditCfg, Obs: o,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for j := 0; j < jobs; j++ {
-		w, err := sdfm.NewWorkload(sdfm.WorkloadConfig{
-			Archetype: benchColdStore, Name: "cold", Seed: benchSeed + int64(j),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.AddJob(w); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// 120 scan periods (4 h simulated) clears the S=20 min controller
-	// warmup and drains the initial cold burst into the pool, so the
-	// measured loop sees the steady state: scans and reclaim walks every
-	// period with only residual churn from the access pattern.
-	for i := 0; i < 120; i++ {
-		if err := m.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return m
-}
-
-// BenchmarkMachineStep is the tentpole target: one steady-state scan
-// period of a machine holding two 200k-page mostly-cold jobs with zswap
-// enabled — kstaled scans, census rebuild, control decisions, cold
-// reclaim, and telemetry.
-func BenchmarkMachineStep(b *testing.B) {
-	m := benchSteadyMachine(b, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMachineStepAudited is BenchmarkMachineStep with the full
-// cheap invariant catalogue running every step. The catalogue reads only
-// incrementally maintained counters and O(256) histograms, so the
-// audited step must stay within a few percent of the unaudited one —
-// compare the two benchmarks to hold that line.
-func BenchmarkMachineStepAudited(b *testing.B) {
-	m := benchSteadyMachineAudit(b, 2, sdfm.AuditConfig{Enabled: true})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMachineStepInstrumented is BenchmarkMachineStep with the full
-// metrics and tracing layer attached: per-step counter deltas, gauges,
-// the promotion-latency histogram, and phase spans. Instrumentation
-// reads counters the step already maintains, so the instrumented step
-// must stay within a few percent of the bare one — compare against
-// BenchmarkMachineStep to hold that line.
-func BenchmarkMachineStepInstrumented(b *testing.B) {
-	hub := sdfm.NewObs(sdfm.ObsLabel{Key: "run", Value: "bench"})
-	m := benchSteadyMachineCfg(b, 2, sdfm.AuditConfig{}, hub.Observer("bench"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkClusterRun measures one cluster step (all machines) on a
-// warmed 8-machine cluster populated from the standard archetype mix.
-func BenchmarkClusterRun(b *testing.B) {
-	c, err := sdfm.NewCluster(sdfm.ClusterConfig{
-		Name: "bench", Machines: 8, DRAMPerMachine: 2 << 30,
-		Mode: sdfm.ModeProactive, Params: sdfm.DefaultParams,
-		SLO: sdfm.DefaultSLO, Seed: benchSeed,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := c.Populate(24, nil, benchSeed); err != nil {
-		b.Fatal(err)
-	}
-	if err := c.Run(90 * time.Minute); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Step(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -3,11 +3,16 @@
 // Each page of a job draws a characteristic reaccess period from its
 // archetype's band mixture (a heavy-tailed distribution: some pages are
 // touched every few seconds, some every few hours, some essentially
-// never). Accesses are generated as a renewal process per page via an
-// event heap, modulated by a diurnal load curve. This reproduces the
-// phenomenology the paper's evaluation rests on: 1–61% cold memory across
-// job types (Figure 3), diurnal swings in cold memory (Figure 10), and
-// promotions whose rate falls off with the cold-age threshold (Figure 1).
+// never). Accesses are generated as a renewal process per page, modulated
+// by a diurnal load curve. This reproduces the phenomenology the paper's
+// evaluation rests on: 1–61% cold memory across job types (Figure 3),
+// diurnal swings in cold memory (Figure 10), and promotions whose rate
+// falls off with the cold-age threshold (Figure 1).
+//
+// The event queue is a column — one next-access time per page, swept in
+// page order once per Tick — because nothing downstream can see the order
+// of a tick's accesses across pages: the callback carries no timestamp
+// and kstaled reads one accessed bit per page per scan.
 package workload
 
 import (
@@ -68,7 +73,9 @@ type Archetype struct {
 	Priority int
 }
 
-// Validate checks the archetype.
+// Validate checks the archetype. Range checks are written "not inside",
+// not "outside", so that NaN — which compares false to everything and
+// would make every gap NaN, a page Tick never gets past — is rejected.
 func (a *Archetype) Validate() error {
 	if a.PagesMin <= 0 || a.PagesMax < a.PagesMin {
 		return fmt.Errorf("workload: %s has invalid page range [%d, %d]", a.Name, a.PagesMin, a.PagesMax)
@@ -78,19 +85,42 @@ func (a *Archetype) Validate() error {
 	}
 	total := 0.0
 	for _, b := range a.Bands {
-		if b.Weight < 0 || b.MinPeriod <= 0 || b.MaxPeriod < b.MinPeriod {
+		if !within(b.Weight, math.MaxFloat64) || b.MinPeriod <= 0 || b.MaxPeriod < b.MinPeriod {
 			return fmt.Errorf("workload: %s has invalid band %+v", a.Name, b)
 		}
 		total += b.Weight
 	}
-	if total <= 0 {
-		return fmt.Errorf("workload: %s has zero total band weight", a.Name)
+	if !(total > 0 && total <= math.MaxFloat64) {
+		return fmt.Errorf("workload: %s has total band weight %v", a.Name, total)
 	}
-	if a.DiurnalAmplitude < 0 || a.DiurnalAmplitude >= 1 {
-		return fmt.Errorf("workload: %s has diurnal amplitude %v", a.Name, a.DiurnalAmplitude)
+	if !(a.DiurnalAmplitude >= 0 && a.DiurnalAmplitude < 1) {
+		return fmt.Errorf("workload: %s has DiurnalAmplitude %v outside [0, 1)", a.Name, a.DiurnalAmplitude)
+	}
+	if math.IsNaN(a.DiurnalPhase) || math.IsInf(a.DiurnalPhase, 0) {
+		return fmt.Errorf("workload: %s has non-finite DiurnalPhase %v", a.Name, a.DiurnalPhase)
+	}
+	for _, f := range []struct {
+		name    string
+		v, most float64
+	}{
+		{"WriteFraction", a.WriteFraction, 1},
+		{"MlockedFraction", a.MlockedFraction, 1},
+		{"CPUCores", a.CPUCores, math.MaxFloat64},
+		{"GrowthPerHour", a.GrowthPerHour, math.MaxFloat64},
+		{"MemLimitFactor", a.MemLimitFactor, math.MaxFloat64},
+	} {
+		if !within(f.v, f.most) {
+			return fmt.Errorf("workload: %s has %s %v outside [0, %g]", a.Name, f.name, f.v, f.most)
+		}
+	}
+	if a.ScanEvery < 0 || a.BackgroundPeriod < 0 {
+		return fmt.Errorf("workload: %s has negative ScanEvery %v or BackgroundPeriod %v", a.Name, a.ScanEvery, a.BackgroundPeriod)
 	}
 	return nil
 }
+
+// within reports 0 <= v <= most; false for NaN.
+func within(v, most float64) bool { return v >= 0 && v <= most }
 
 // EffectivePeriod blends a page's band period with the archetype's
 // background touch process: rates add, so periods combine harmonically.
@@ -223,87 +253,19 @@ func ArchetypeByName(name string) (*Archetype, bool) {
 	return nil, false
 }
 
-// event is a scheduled page access.
-type event struct {
-	at   time.Duration
-	page mem.PageID
-}
-
-// eventHeap is a binary min-heap on at. It hand-implements the exact
-// sift algorithms of container/heap on the concrete element type: the
-// sequence of comparisons and swaps is identical, so the pop order —
-// including the arrangement-dependent order of equal timestamps — is
-// bit-for-bit the same as the container/heap version it replaces, while
-// avoiding interface dispatch and per-event boxing on the hottest loop
-// in the simulator.
-type eventHeap []event
-
-func (h *eventHeap) init() {
-	n := len(*h)
-	for i := n/2 - 1; i >= 0; i-- {
-		h.down(i, n)
-	}
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	h.down(0, n)
-	e := s[n]
-	*h = s[:n]
-	return e
-}
-
-func (h *eventHeap) up(j int) {
-	s := *h
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || s[j].at >= s[i].at {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-}
-
-func (h *eventHeap) down(i0, n int) {
-	s := *h
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && s[j2].at < s[j1].at {
-			j = j2 // = 2*i + 2  // right child
-		}
-		if s[j].at >= s[i].at {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
-	}
-}
-
 // Workload is one job instance's access generator.
 type Workload struct {
-	arch     *Archetype
-	name     string
-	pages    int
-	initial  int
-	periods  []float64 // per-page mean reaccess period, seconds
-	rng      *rand.Rand
-	events   eventHeap
-	nextScan time.Duration
-	grown    float64 // fractional pages accumulated toward growth
-	lastGrow time.Duration
+	arch      *Archetype
+	name      string
+	pages     int
+	initial   int
+	periods   []float64       // per-page mean reaccess period, seconds
+	next      []time.Duration // per-page time of the next access
+	rng       *rand.Rand
+	bandTotal float64 // Σ band weights
+	nextScan  time.Duration
+	grown     float64 // fractional pages accumulated toward growth
+	lastGrow  time.Duration
 }
 
 // Config instantiates a workload.
@@ -337,38 +299,19 @@ func New(cfg Config) (*Workload, error) {
 		pages:    pages,
 		initial:  pages,
 		periods:  make([]float64, pages),
+		next:     make([]time.Duration, pages),
 		rng:      rng,
-		events:   make(eventHeap, 0, pages),
 		lastGrow: cfg.Start,
 	}
-	total := 0.0
 	for _, b := range a.Bands {
-		total += b.Weight
+		w.bandTotal += b.Weight
 	}
 	for i := 0; i < pages; i++ {
-		// Pick a band, then a log-uniform period within it.
-		u := rng.Float64() * total
-		var band Band
-		for _, b := range a.Bands {
-			if u < b.Weight {
-				band = b
-				break
-			}
-			u -= b.Weight
-		}
-		if band.Weight == 0 {
-			band = a.Bands[len(a.Bands)-1]
-		}
-		lo := math.Log(band.MinPeriod.Seconds())
-		hi := math.Log(band.MaxPeriod.Seconds())
-		p := math.Exp(lo + rng.Float64()*(hi-lo))
-		w.periods[i] = a.EffectivePeriod(p)
+		w.periods[i] = w.drawPeriod()
 		// First access at a uniformly random point within one period
 		// (stationary renewal process start).
-		first := cfg.Start + time.Duration(rng.Float64()*w.periods[i]*float64(time.Second))
-		w.events = append(w.events, event{at: first, page: mem.PageID(i)})
+		w.next[i] = cfg.Start + time.Duration(rng.Float64()*w.periods[i]*float64(time.Second))
 	}
-	w.events.init()
 	if a.ScanEvery > 0 {
 		w.nextScan = cfg.Start + a.ScanEvery
 	}
@@ -397,24 +340,37 @@ func (w *Workload) DiurnalFactor(t time.Duration) float64 {
 	return 1 + w.arch.DiurnalAmplitude*math.Sin(phase)
 }
 
-// Tick emits all accesses scheduled in (prev, now], invoking access for
-// each. Pages reschedule themselves with exponentially distributed gaps
-// around their mean period, divided by the diurnal factor (busier hours
-// reaccess sooner).
+// Tick emits every access due at or before now, invoking access once per
+// access. Each page is a renewal process: an access at time at is followed
+// by the next at at + max(0.5 s, Exp(1)·period/diurnal), the diurnal
+// factor evaluated once, at the tick's now (busier hours reaccess sooner).
+// A ScanEvery sweep that has come due then touches every page read-only.
+//
+// It is one sweep of the next column; a page that is not due costs a
+// comparison. The order is the contract that makes runs reproducible:
+// pages in ascending ID, a page's accesses in time order, per access one
+// Float64 (the write draw) then one ExpFloat64 (the gap draw) — so for a
+// seed the output is a pure function of the sequence of now values. The
+// draws are i.i.d., so this order has the same law as global time order
+// (reference_test.go holds the sweep to the time-ordered generator).
 func (w *Workload) Tick(now time.Duration, access func(id mem.PageID, write bool)) {
-	for len(w.events) > 0 && w.events[0].at <= now {
-		e := w.events.pop()
-		write := w.rng.Float64() < w.arch.WriteFraction
-		access(e.page, write)
-		mean := w.periods[e.page] / w.DiurnalFactor(now)
-		gap := w.rng.ExpFloat64() * mean
-		if gap < 0.5 {
-			gap = 0.5
+	diurnal, writeFraction := w.DiurnalFactor(now), w.arch.WriteFraction
+	rng, periods, next := w.rng, w.periods, w.next
+	for i, at := range next {
+		if at > now {
+			continue
 		}
-		w.events.push(event{
-			at:   e.at + time.Duration(gap*float64(time.Second)),
-			page: e.page,
-		})
+		mean := periods[i] / diurnal
+		for at <= now {
+			access(mem.PageID(i), rng.Float64() < writeFraction)
+			gap := rng.ExpFloat64() * mean
+			// Not "gap < 0.5": a NaN gap must also advance the page.
+			if !(gap >= 0.5) {
+				gap = 0.5
+			}
+			at += time.Duration(gap * float64(time.Second))
+		}
+		next[i] = at
 	}
 	if w.arch.ScanEvery > 0 && now >= w.nextScan {
 		for i := 0; i < w.pages; i++ {
@@ -447,22 +403,16 @@ func (w *Workload) AddPages(n int, now time.Duration) {
 	for i := 0; i < n; i++ {
 		period := w.drawPeriod()
 		w.periods = append(w.periods, period)
-		id := mem.PageID(w.pages)
+		w.next = append(w.next, now+time.Duration(w.rng.ExpFloat64()*period*float64(time.Second)))
 		w.pages++
-		w.events.push(event{
-			at:   now + time.Duration(w.rng.ExpFloat64()*period*float64(time.Second)),
-			page: id,
-		})
 	}
 }
 
+// drawPeriod picks a band by weight, then a log-uniform period within it,
+// blended with the background process: two draws, in that order.
 func (w *Workload) drawPeriod() float64 {
 	a := w.arch
-	total := 0.0
-	for _, b := range a.Bands {
-		total += b.Weight
-	}
-	u := w.rng.Float64() * total
+	u := w.rng.Float64() * w.bandTotal
 	band := a.Bands[len(a.Bands)-1]
 	for _, b := range a.Bands {
 		if u < b.Weight {

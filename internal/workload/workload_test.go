@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,21 +40,96 @@ func TestArchetypeByName(t *testing.T) {
 }
 
 func TestArchetypeValidation(t *testing.T) {
-	bad := []*Archetype{
-		{Name: "a", PagesMin: 0, PagesMax: 10, Bands: []Band{{1, time.Second, time.Minute}}},
-		{Name: "b", PagesMin: 10, PagesMax: 5, Bands: []Band{{1, time.Second, time.Minute}}},
-		{Name: "c", PagesMin: 1, PagesMax: 2},
-		{Name: "d", PagesMin: 1, PagesMax: 2, Bands: []Band{{1, time.Minute, time.Second}}},
-		{Name: "e", PagesMin: 1, PagesMax: 2, Bands: []Band{{0, time.Second, time.Minute}}},
-		{Name: "f", PagesMin: 1, PagesMax: 2, Bands: []Band{{1, time.Second, time.Minute}}, DiurnalAmplitude: 1.5},
-	}
-	for _, a := range bad {
-		if a.Validate() == nil {
-			t.Errorf("archetype %s accepted", a.Name)
+	nan, inf := math.NaN(), math.Inf(1)
+	// Each case breaks one field of an otherwise valid archetype; the
+	// error must name it.
+	for _, tc := range []struct {
+		field string
+		set   func(*Archetype)
+	}{
+		{"page range", func(a *Archetype) { a.PagesMin = 0 }},
+		{"page range", func(a *Archetype) { a.PagesMin, a.PagesMax = 10, 5 }},
+		{"no bands", func(a *Archetype) { a.Bands = nil }},
+		{"band", func(a *Archetype) { a.Bands = []Band{{1, time.Minute, time.Second}} }},
+		{"band", func(a *Archetype) { a.Bands = []Band{{1, 0, time.Second}} }},
+		{"band", func(a *Archetype) { a.Bands = []Band{{-1, time.Second, time.Minute}} }},
+		{"band", func(a *Archetype) { a.Bands = []Band{{nan, time.Second, time.Minute}} }},
+		{"band", func(a *Archetype) { a.Bands = []Band{{inf, time.Second, time.Minute}} }},
+		{"total band weight", func(a *Archetype) { a.Bands = []Band{{0, time.Second, time.Minute}} }},
+		{"total band weight", func(a *Archetype) {
+			a.Bands = []Band{{math.MaxFloat64, time.Second, time.Minute}, {math.MaxFloat64, time.Second, time.Minute}}
+		}},
+		{"DiurnalAmplitude", func(a *Archetype) { a.DiurnalAmplitude = 1.5 }},
+		{"DiurnalAmplitude", func(a *Archetype) { a.DiurnalAmplitude = 1 }},
+		{"DiurnalAmplitude", func(a *Archetype) { a.DiurnalAmplitude = -0.1 }},
+		{"DiurnalAmplitude", func(a *Archetype) { a.DiurnalAmplitude = nan }},
+		{"DiurnalPhase", func(a *Archetype) { a.DiurnalPhase = nan }},
+		{"DiurnalPhase", func(a *Archetype) { a.DiurnalPhase = math.Inf(-1) }},
+		{"WriteFraction", func(a *Archetype) { a.WriteFraction = 7 }},
+		{"WriteFraction", func(a *Archetype) { a.WriteFraction = -0.5 }},
+		{"WriteFraction", func(a *Archetype) { a.WriteFraction = nan }},
+		{"MlockedFraction", func(a *Archetype) { a.MlockedFraction = -3 }},
+		{"MlockedFraction", func(a *Archetype) { a.MlockedFraction = 1.01 }},
+		{"MlockedFraction", func(a *Archetype) { a.MlockedFraction = nan }},
+		{"CPUCores", func(a *Archetype) { a.CPUCores = -1 }},
+		{"CPUCores", func(a *Archetype) { a.CPUCores = nan }},
+		{"CPUCores", func(a *Archetype) { a.CPUCores = inf }},
+		{"GrowthPerHour", func(a *Archetype) { a.GrowthPerHour = -0.1 }},
+		{"GrowthPerHour", func(a *Archetype) { a.GrowthPerHour = nan }},
+		{"GrowthPerHour", func(a *Archetype) { a.GrowthPerHour = inf }},
+		{"MemLimitFactor", func(a *Archetype) { a.MemLimitFactor = -2 }},
+		{"MemLimitFactor", func(a *Archetype) { a.MemLimitFactor = nan }},
+		{"MemLimitFactor", func(a *Archetype) { a.MemLimitFactor = inf }},
+		{"ScanEvery", func(a *Archetype) { a.ScanEvery = -time.Hour }},
+		{"BackgroundPeriod", func(a *Archetype) { a.BackgroundPeriod = -time.Hour }},
+	} {
+		a := *WebFrontend
+		tc.set(&a)
+		_, err := New(Config{Archetype: &a, Name: "bad"})
+		if err == nil {
+			t.Errorf("%s: invalid archetype accepted: %+v", tc.field, a)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("error %q does not name %q", err, tc.field)
 		}
+	}
+	// The bounds themselves are valid.
+	ok := *WebFrontend
+	ok.WriteFraction, ok.MlockedFraction, ok.DiurnalAmplitude = 1, 0, 0
+	ok.CPUCores, ok.GrowthPerHour, ok.MemLimitFactor, ok.ScanEvery, ok.BackgroundPeriod = 0, 0, 0, 0, 0
+	if err := ok.Validate(); err != nil {
+		t.Errorf("boundary values rejected: %v", err)
 	}
 	if _, err := New(Config{Archetype: nil}); err == nil {
 		t.Error("nil archetype accepted")
+	}
+}
+
+// TestTickAdvancesOnNaNPeriod: whatever a page's mean gap is, each access
+// moves it at least 0.5 s, so Tick returns. Validate keeps NaN out of New;
+// this pins the clamp itself, which `gap < 0.5` would not be (NaN compares
+// false, time.Duration(NaN) wraps negative, and the page stays due forever).
+func TestTickAdvancesOnNaNPeriod(t *testing.T) {
+	w := newWL(t, &Archetype{
+		Name: "one-page", PagesMin: 1, PagesMax: 1,
+		Bands: []Band{{1, time.Second, time.Minute}},
+	}, 1)
+	w.periods[0], w.next[0] = math.NaN(), 0
+	n := 0
+	func() {
+		defer func() {
+			if recover() != nil {
+				t.Fatal("Tick kept emitting accesses of a page that never advances")
+			}
+		}()
+		w.Tick(2*time.Minute, func(mem.PageID, bool) {
+			if n++; n > 1000 {
+				panic("runaway")
+			}
+		})
+	}()
+	// Due at 0 s, 0.5 s, …, 120 s.
+	if n != 241 {
+		t.Errorf("NaN-period page emitted %d accesses in 120 s, want 241 (one per 0.5 s)", n)
 	}
 }
 
