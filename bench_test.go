@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"sdfm"
-	"sdfm/internal/compress"
 	"sdfm/internal/core"
 	"sdfm/internal/experiments"
 	"sdfm/internal/kreclaimd"
@@ -223,52 +222,6 @@ func BenchmarkKstaledOverhead(b *testing.B) {
 }
 
 // --- Substrate micro-benchmarks ---
-
-func BenchmarkCompressPage(b *testing.B) {
-	page := make([]byte, mem.PageSize)
-	pagedata.Generate(page, pagedata.ClassText, 7)
-	dst := make([]byte, 0, compress.CompressBound(len(page)))
-	b.SetBytes(mem.PageSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = compress.Compress(dst[:0], page)
-	}
-}
-
-func BenchmarkDecompressPage(b *testing.B) {
-	page := make([]byte, mem.PageSize)
-	pagedata.Generate(page, pagedata.ClassText, 7)
-	comp := compress.Compress(nil, page)
-	out := make([]byte, 0, mem.PageSize)
-	b.SetBytes(mem.PageSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = compress.Decompress(out[:0], comp, mem.PageSize)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkZswapStoreLoad(b *testing.B) {
-	pool := zswap.NewPool()
-	m := mem.NewMemcg(mem.Config{
-		Name: "bench", Pages: 4096,
-		Mix: pagedata.NewMix(0, 1, 1, 1, 0), SeedBase: 9,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := mem.PageID(i % 4096)
-		if m.Flags(id).Has(mem.FlagCompressed) {
-			if _, err := pool.Load(m, id); err != nil {
-				b.Fatal(err)
-			}
-		} else if m.Reclaimable(id) {
-			pool.Store(m, id)
-		}
-	}
-}
 
 // benchTrace builds the ScaleSmall-equivalent fleet trace the trace-store
 // benchmarks share.

@@ -9,12 +9,24 @@
 // references), tuned for 4 KiB pages. The exact bitstream differs from
 // lzo's, but the compression-ratio behaviour by data class — the property
 // the evaluation depends on — is equivalent.
+//
+// A store is a Compress call, and the simulator makes ~10⁵ of them per
+// machine before the first step, so the encoder never clears its 32 KiB
+// match table for a 4 KiB page: tables are pooled and entries are stamped
+// with a per-call base that makes everything an earlier call left behind
+// read as empty (see matcher). The encoder's output is pinned three ways
+// — TestGoldenBytes at the module root, the golden cluster fingerprint,
+// and byte equality with the straightforward encoder kept in
+// reference_test.go — so a speed-up here may not move a byte.
 package compress
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"sync"
 )
 
 const (
@@ -42,8 +54,39 @@ func load32(b []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(b[i:])
 }
 
+func load64(b []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(b[i:])
+}
+
+// matcher is the encoder's match table: for each hash of four bytes, the
+// last position that hashed there. An entry holds pos+base; a call takes
+// the values [base, base+len(src)) for its positions and leaves base at
+// their end, so the table is never cleared between calls. The invariant
+// that makes leftovers harmless: every entry >= base was written by the
+// call in progress — earlier calls wrote only values below their own end,
+// which is at most this call's base — so "entry < base" means exactly
+// what an empty slot means. base starts at 1 so that a zeroed table is all
+// empty.
+type matcher struct {
+	table [hashSize]uint32
+	base  uint32
+}
+
+// matchers lends each Compress call a table. Calls run concurrently
+// (cluster.RunParallel steps machines on several goroutines), hence a pool
+// rather than one package-level table.
+var matchers = sync.Pool{New: func() any { return &matcher{base: 1} }}
+
 // Compress compresses src and appends the result to dst, returning the
-// extended slice. An empty src compresses to an empty block.
+// extended slice. An empty src compresses to an empty block. It is safe for
+// concurrent use and allocates nothing once dst has room (at most
+// CompressBound(len(src)) bytes are appended). src must be shorter than
+// 4 GiB − 1; longer input panics.
+//
+// The bytes produced are a pure function of src: no state carries from one
+// call to the next (see matcher), and the output for a given src is pinned
+// by TestGoldenBytes, the golden cluster fingerprint and
+// TestCompressMatchesReference.
 //
 // Block format (all lengths byte-aligned, offsets little-endian):
 //
@@ -59,45 +102,88 @@ func Compress(dst, src []byte) []byte {
 	if len(src) == 0 {
 		return dst
 	}
-	var table [hashSize]int32
-	for i := range table {
-		table[i] = -1
+	m := matchers.Get().(*matcher)
+	dst = m.compress(dst, src)
+	matchers.Put(m)
+	return dst
+}
+
+func (m *matcher) compress(dst, src []byte) []byte {
+	if uint64(len(src)) >= math.MaxUint32 {
+		panic(fmt.Sprintf("compress: input of %d bytes exceeds the 4 GiB limit", len(src)))
 	}
+	// Positions are stored as pos+base in 32 bits; when this call's would
+	// not fit, start over from an empty table.
+	if uint64(m.base)+uint64(len(src)) > math.MaxUint32 {
+		clear(m.table[:])
+		m.base = 1
+	}
+	base := m.base
+	m.base += uint32(len(src))
 
 	s := 0      // scan position
 	anchor := 0 // start of pending literal run
-	// Leave room so load32 at s and the match extension never read past
-	// the buffer.
-	sLimit := len(src) - minMatch
-
-	for s <= sLimit {
-		h := hash4(load32(src, s))
-		cand := int(table[h])
-		table[h] = int32(s)
-		if cand < 0 || s-cand > maxOffset || load32(src, cand) != load32(src, s) {
-			s++
-			continue
+	for {
+		at, cand := m.nextMatch(src, s, base)
+		if cand < 0 {
+			break
 		}
+		s = at
 		// Extend the match backwards over pending literals.
 		for s > anchor && cand > 0 && src[s-1] == src[cand-1] {
 			s--
 			cand--
 		}
-		// Extend forwards.
-		matchLen := minMatch
-		for s+matchLen < len(src) && src[cand+matchLen] == src[s+matchLen] {
-			matchLen++
-		}
+		matchLen := minMatch + commonPrefix(src, cand+minMatch, s+minMatch)
 		dst = emitSequence(dst, src[anchor:s], matchLen, s-cand)
 		s += matchLen
 		anchor = s
 		// Re-prime the table inside the match so long runs keep matching.
-		if s-2 > 0 && s-2 <= sLimit {
-			table[hash4(load32(src, s-2))] = int32(s - 2)
+		if s-2 > 0 && s-2 <= len(src)-minMatch {
+			m.table[hash4(load32(src, s-2))] = uint32(s-2) + base
 		}
 	}
 	// Final literals-only sequence.
 	return emitSequence(dst, src[anchor:], 0, 0)
+}
+
+// nextMatch scans forward from s, entering every position it passes into
+// the table, until the four bytes at s equal the four at the table's
+// candidate for them; cand < 0 means no position up to the end matched.
+// The scan stops minMatch short of the end so load32 never reads past it.
+// It is a function of its own to keep the per-byte loop's live values in
+// registers; inside compress the same loop ran twice as slow.
+func (m *matcher) nextMatch(src []byte, s int, base uint32) (at, cand int) {
+	for ; s <= len(src)-minMatch; s++ {
+		u := load32(src, s)
+		h := hash4(u)
+		e := m.table[h]
+		m.table[h] = uint32(s) + base
+		if e < base {
+			continue
+		}
+		cand := int(e - base)
+		if s-cand <= maxOffset && load32(src, cand) == u {
+			return s, cand
+		}
+	}
+	return s, -1
+}
+
+// commonPrefix returns how many leading bytes src[a:] and src[b:] share,
+// a < b, comparing eight at a time while both sides have them.
+func commonPrefix(src []byte, a, b int) int {
+	n := 0
+	for b+n+8 <= len(src) {
+		if x := load64(src, a+n) ^ load64(src, b+n); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+		n += 8
+	}
+	for b+n < len(src) && src[a+n] == src[b+n] {
+		n++
+	}
+	return n
 }
 
 func emitSequence(dst, literals []byte, matchLen, offset int) []byte {
@@ -190,8 +276,12 @@ func Decompress(dst, src []byte, maxLen int) ([]byte, error) {
 		if len(dst)-base+matchLen > maxLen {
 			return dst, fmt.Errorf("%w: output exceeds limit %d", ErrCorrupt, maxLen)
 		}
-		// Byte-by-byte copy: matches may overlap their own output.
 		pos := len(dst) - offset
+		if offset >= matchLen {
+			dst = append(dst, dst[pos:pos+matchLen]...)
+			continue
+		}
+		// The match overlaps its own output: copy byte by byte.
 		for k := 0; k < matchLen; k++ {
 			dst = append(dst, dst[pos+k])
 		}

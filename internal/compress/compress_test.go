@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"sdfm/internal/pagedata"
 )
 
 func roundTrip(t *testing.T, src []byte) {
@@ -125,16 +127,19 @@ func TestDecompressRejectsOversizedOutput(t *testing.T) {
 	}
 }
 
+// corruptInputs are malformed blocks Decompress must refuse; they also seed
+// FuzzDecompress.
+var corruptInputs = [][]byte{
+	{0xF0},            // claims 15+ext literals, no extension byte
+	{0x40, 'a'},       // claims 4 literals, only 1 present
+	{0x10, 'a', 5, 0}, // match with offset 5 into empty window
+	{0x10, 'a', 0, 0}, // zero offset
+	{0x00, 3},         // truncated offset
+	{0xFF, 255},       // truncated literal extension
+}
+
 func TestDecompressCorruptInputs(t *testing.T) {
-	cases := [][]byte{
-		{0xF0},            // claims 15+ext literals, no extension byte
-		{0x40, 'a'},       // claims 4 literals, only 1 present
-		{0x10, 'a', 5, 0}, // match with offset 5 into empty window
-		{0x10, 'a', 0, 0}, // zero offset
-		{0x00, 3},         // truncated offset
-		{0xFF, 255},       // truncated literal extension
-	}
-	for i, src := range cases {
+	for i, src := range corruptInputs {
 		if _, err := Decompress(nil, src, 1<<20); err == nil {
 			t.Errorf("case %d: corrupt input accepted", i)
 		}
@@ -231,25 +236,13 @@ func TestCostModelMonotone(t *testing.T) {
 }
 
 func BenchmarkCompressByClass(b *testing.B) {
-	// Per-class compression throughput on 4 KiB pages.
-	classes := []struct {
-		name string
-		gen  func(buf []byte)
-	}{
-		{"zeros", func(buf []byte) {
-			for i := range buf {
-				buf[i] = 0
-			}
-		}},
-		{"text", func(buf []byte) { copy(buf, bytes.Repeat([]byte("the quick brown fox "), 205)) }},
-		{"random", func(buf []byte) { rand.New(rand.NewSource(1)).Read(buf) }},
-	}
-	for _, c := range classes {
-		b.Run(c.name, func(b *testing.B) {
-			src := make([]byte, 4096)
-			c.gen(src)
+	// Per-class compression throughput on 4 KiB pages of pagedata's five
+	// classes, the images every zswap store compresses.
+	for c := pagedata.Class(0); c < pagedata.NumClasses; c++ {
+		b.Run(c.String(), func(b *testing.B) {
+			src := classPage(pageSize, c, 7)
 			dst := make([]byte, 0, CompressBound(len(src)))
-			b.SetBytes(4096)
+			b.SetBytes(pageSize)
 			for i := 0; i < b.N; i++ {
 				dst = Compress(dst[:0], src)
 			}

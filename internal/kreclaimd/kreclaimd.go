@@ -10,6 +10,7 @@
 package kreclaimd
 
 import (
+	"fmt"
 	"time"
 
 	"sdfm/internal/mem"
@@ -30,6 +31,7 @@ type reclaimMetrics struct {
 	stored     *obs.Counter
 	rejected   *obs.Counter
 	poolFull   *obs.Counter
+	errored    *obs.Counter
 	bytes      *obs.Counter
 	cpuSeconds *obs.Counter
 }
@@ -46,6 +48,7 @@ func NewMetrics(o *obs.Observer) *Metrics {
 			stored:     o.Counter("sdfm_kreclaimd_stored_pages_total", "Pages moved to far memory.", l),
 			rejected:   o.Counter("sdfm_kreclaimd_rejected_pages_total", "Pages marked incompressible.", l),
 			poolFull:   o.Counter("sdfm_kreclaimd_pool_full_total", "Pages refused for tier capacity.", l),
+			errored:    o.Counter("sdfm_kreclaimd_errored_pages_total", "Pages left resident by a transient store failure.", l),
 			bytes:      o.Counter("sdfm_kreclaimd_stored_bytes_total", "Compressed payload bytes written.", l),
 			cpuSeconds: o.Counter("sdfm_kreclaimd_cpu_seconds_total", "Compression cycles charged to reclaim.", l),
 		}
@@ -65,19 +68,44 @@ func (mx *Metrics) observe(res Result, pressure bool) {
 	rm.stored.AddInt(res.Stored)
 	rm.rejected.AddInt(res.Rejected)
 	rm.poolFull.AddInt(res.PoolFull)
+	rm.errored.AddInt(res.Errored)
 	rm.bytes.Add(float64(res.StoredBytes))
 	rm.cpuSeconds.Add(res.CPUTime.Seconds())
 }
 
-// Result summarizes one reclaim pass.
+// Result summarizes one reclaim pass. Every eligible page ends in exactly
+// one outcome: Eligible == Stored + Rejected + PoolFull + Errored.
 type Result struct {
 	Scanned     int           // pages examined
 	Eligible    int           // pages past the threshold and reclaimable
 	Stored      int           // pages moved to far memory
 	Rejected    int           // pages marked incompressible this pass
 	PoolFull    int           // pages refused for capacity
+	Errored     int           // pages left resident by a transient store failure
 	StoredBytes uint64        // compressed payload bytes written
 	CPUTime     time.Duration // compression cycles charged
+}
+
+// count files one eligible page's store under its outcome and reports
+// whether the page left near memory.
+func (res *Result) count(sr zswap.StoreResult) bool {
+	res.Eligible++
+	res.CPUTime += sr.CPUTime
+	switch sr.Outcome {
+	case zswap.StoreOK, zswap.StoreZeroFilled:
+		res.Stored++
+		res.StoredBytes += uint64(sr.CompressedSize)
+		return true
+	case zswap.StoreRejectedIncompressible:
+		res.Rejected++
+	case zswap.StoreRejectedFull:
+		res.PoolFull++
+	case zswap.StoreErrored:
+		res.Errored++
+	default:
+		panic(fmt.Sprintf("kreclaimd: unknown store outcome %d", sr.Outcome))
+	}
+	return false
 }
 
 // Reclaimer moves cold pages into a far-memory tier.
@@ -111,18 +139,7 @@ func (r *Reclaimer) ReclaimCold(m *mem.Memcg, thresholdBucket int) Result {
 	// page order, before any store mutates the flags column.
 	r.ids = m.AppendColdReclaimable(r.ids[:0], thresholdBucket)
 	for _, id := range r.ids {
-		res.Eligible++
-		sr := r.tier.Store(m, id)
-		res.CPUTime += sr.CPUTime
-		switch sr.Outcome {
-		case zswap.StoreOK, zswap.StoreZeroFilled:
-			res.Stored++
-			res.StoredBytes += uint64(sr.CompressedSize)
-		case zswap.StoreRejectedIncompressible:
-			res.Rejected++
-		case zswap.StoreRejectedFull:
-			res.PoolFull++
-		}
+		res.count(r.tier.Store(m, id))
 	}
 	r.mx.observe(res, false)
 	return res
@@ -147,18 +164,8 @@ func (r *Reclaimer) ReclaimUnderPressure(m *mem.Memcg, targetBytes uint64) Resul
 			if freed >= targetBytes {
 				break
 			}
-			res.Eligible++
-			sr := r.tier.Store(m, id)
-			res.CPUTime += sr.CPUTime
-			switch sr.Outcome {
-			case zswap.StoreOK, zswap.StoreZeroFilled:
-				res.Stored++
-				res.StoredBytes += uint64(sr.CompressedSize)
+			if res.count(r.tier.Store(m, id)) {
 				freed += mem.PageSize
-			case zswap.StoreRejectedIncompressible:
-				res.Rejected++
-			case zswap.StoreRejectedFull:
-				res.PoolFull++
 			}
 		}
 	}

@@ -2,8 +2,11 @@ package kreclaimd
 
 import (
 	"testing"
+	"time"
 
+	"sdfm/internal/fault"
 	"sdfm/internal/mem"
+	"sdfm/internal/obs"
 	"sdfm/internal/pagedata"
 	"sdfm/internal/zswap"
 )
@@ -161,5 +164,49 @@ func TestTierAccessor(t *testing.T) {
 	pool := zswap.NewPool()
 	if New(pool).Tier() != pool {
 		t.Error("Tier() mismatch")
+	}
+}
+
+// TestReclaimAccountsEveryOutcome drives both reclaim kinds over a tier
+// that produces all five store outcomes — a compressor-error window over a
+// capacity-bounded pool fed zero, text and random pages — and requires
+// every eligible page to be counted under exactly one of them, in the
+// Result and in the metrics.
+func TestReclaimAccountsEveryOutcome(t *testing.T) {
+	plan := &fault.Plan{Name: "errors", Seed: 3, Events: []fault.Event{
+		{Kind: fault.CompressorError, At: 0, Duration: time.Hour, Magnitude: 0.3},
+	}}
+	kinds := []struct {
+		name    string
+		reclaim func(*Reclaimer, *mem.Memcg) Result
+	}{
+		{"proactive", func(r *Reclaimer, m *mem.Memcg) Result { return r.ReclaimCold(m, 5) }},
+		{"pressure", func(r *Reclaimer, m *mem.Memcg) Result { return r.ReclaimUnderPressure(m, 1<<40) }},
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			m := newJob(400, pagedata.NewMix(1, 2, 0, 0, 1))
+			ageAll(m, 100)
+			pool := zswap.NewPool(zswap.WithCapacity(64 << 10))
+			tier := fault.WrapTier(pool, fault.NewInjector(plan, "m0"), func() time.Duration { return time.Minute })
+			r := New(tier)
+			o := &obs.Observer{Reg: obs.NewRegistry()}
+			r.SetMetrics(NewMetrics(o))
+
+			res := k.reclaim(r, m)
+			if res.Stored == 0 || res.Rejected == 0 || res.PoolFull == 0 || res.Errored == 0 {
+				t.Fatalf("fixture must produce every outcome, got %+v", res)
+			}
+			if sum := res.Stored + res.Rejected + res.PoolFull + res.Errored; res.Eligible != sum {
+				t.Errorf("Eligible = %d, but Stored+Rejected+PoolFull+Errored = %d (%+v)", res.Eligible, sum, res)
+			}
+			if got := tier.TierStats().InjectedErrors; uint64(res.Errored) != got {
+				t.Errorf("Errored = %d, tier injected %d", res.Errored, got)
+			}
+			l := obs.Label{Key: "kind", Value: k.name}
+			if got := o.Counter("sdfm_kreclaimd_errored_pages_total", "", l).Value(); got != float64(res.Errored) {
+				t.Errorf("sdfm_kreclaimd_errored_pages_total{kind=%q} = %v, want %d", k.name, got, res.Errored)
+			}
+		})
 	}
 }

@@ -106,8 +106,10 @@ func Generate(buf []byte, class Class, seed uint64) {
 }
 
 // words is a small vocabulary; repeated words give text pages their
-// LZ-compressible structure, as English does.
-var words = []string{
+// LZ-compressible structure, as English does. It is an array so that its
+// length is a constant and drawing a word costs a multiply, not a hardware
+// division.
+var words = [...]string{
 	"the", "query", "server", "request", "latency", "memory", "page",
 	"cache", "error", "status", "handler", "client", "response", "bytes",
 	"shard", "table", "index", "commit", "replica", "user", "session",
@@ -115,14 +117,33 @@ var words = []string{
 	"warehouse", "scale", "computer", "cold", "far", "compressed",
 }
 
+// slot is a word padded to slotSize bytes: away from the end of the buffer
+// a word is written as one fixed-size store instead of a memmove call, and
+// the padding lands where the separator and the next word overwrite it.
+type slot struct {
+	text [slotSize]byte
+	n    int
+}
+
+const slotSize = 16
+
+var slots = func() (t [len(words)]slot) {
+	for i, w := range words {
+		t[i].n = copy(t[i].text[:], w)
+	}
+	return t
+}()
+
 func generateText(buf []byte, seed uint64) {
 	rng := newXorshift(seed)
 	i := 0
 	for i < len(buf) {
-		w := words[rng.intn(len(words))]
-		for j := 0; j < len(w) && i < len(buf); j++ {
-			buf[i] = w[j]
-			i++
+		w := &slots[rng.intn(len(slots))]
+		if i+slotSize <= len(buf) {
+			*(*[slotSize]byte)(buf[i:]) = w.text
+			i += w.n
+		} else {
+			i += copy(buf[i:], w.text[:w.n])
 		}
 		if i < len(buf) {
 			if rng.intn(12) == 0 {

@@ -15,6 +15,7 @@ package zswap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -362,6 +363,11 @@ func (p *Pool) SavedBytes() uint64 {
 
 // isZeroFilled reports whether the page is entirely zero bytes.
 func isZeroFilled(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
 	for _, v := range b {
 		if v != 0 {
 			return false

@@ -535,3 +535,21 @@ func TestLoadValidatedCorruptPayload(t *testing.T) {
 		t.Error("validation error not counted")
 	}
 }
+
+func TestIsZeroFilled(t *testing.T) {
+	// Lengths on both sides of the 8-byte step, with the one nonzero byte
+	// at every position.
+	for n := 0; n <= 25; n++ {
+		b := make([]byte, n)
+		if !isZeroFilled(b) {
+			t.Errorf("%d zero bytes reported as not zero-filled", n)
+		}
+		for i := range b {
+			b[i] = 1
+			if isZeroFilled(b) {
+				t.Errorf("len %d with byte %d set reported as zero-filled", n, i)
+			}
+			b[i] = 0
+		}
+	}
+}
