@@ -21,7 +21,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"sdfm/internal/histogram"
@@ -142,11 +141,12 @@ type Controller struct {
 	pool     []uint8 // per-interval best thresholds, ring buffer
 	poolPos  int
 	poolFull bool
-	lastBest int
-	started  time.Duration // job start time
-	haveObs  bool
-
-	scratch []uint8 // sorted copy reused across Threshold calls
+	// poolCounts[b] is the number of pool entries equal to b, so Threshold
+	// reads a percentile by walking 256 counts instead of sorting the pool.
+	poolCounts [histogram.NumBuckets]uint32
+	lastBest   int
+	started    time.Duration // job start time
+	haveObs    bool
 }
 
 // ControllerConfig configures a Controller.
@@ -211,7 +211,11 @@ func (c *Controller) Observe(bestBucket int) {
 	if bestBucket < 0 || bestBucket > histogram.MaxBucket {
 		panic(fmt.Sprintf("core: best bucket %d out of range", bestBucket))
 	}
+	if c.poolFull {
+		c.poolCounts[c.pool[c.poolPos]]--
+	}
 	c.pool[c.poolPos] = uint8(bestBucket)
+	c.poolCounts[bestBucket]++
 	c.poolPos++
 	if c.poolPos == len(c.pool) {
 		c.poolPos = 0
@@ -243,27 +247,15 @@ func (c *Controller) Threshold() int {
 	if !c.haveObs {
 		return histogram.MaxBucket
 	}
-	n := c.poolPos
-	if c.poolFull {
-		n = len(c.pool)
+	// Nearest-rank percentile: the pool value at index rank in sorted
+	// order, found by counting.
+	rank := int(c.params.K / 100 * float64(c.PoolLen()-1))
+	kth, seen := 0, int(c.poolCounts[0])
+	for seen <= rank {
+		kth++
+		seen += int(c.poolCounts[kth])
 	}
-	if cap(c.scratch) < n {
-		c.scratch = make([]uint8, n)
-	}
-	s := c.scratch[:n]
-	if c.poolFull {
-		copy(s, c.pool)
-	} else {
-		copy(s, c.pool[:n])
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	// Nearest-rank percentile.
-	rank := int(c.params.K / 100 * float64(n-1))
-	kth := int(s[rank])
-	if c.lastBest > kth {
-		return c.lastBest
-	}
-	return kth
+	return max(kth, c.lastBest)
 }
 
 // ThresholdDuration converts the current threshold bucket to an age

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -261,6 +263,50 @@ func TestControllerRingBuffer(t *testing.T) {
 	}
 	if c.PoolLen() != 10 {
 		t.Errorf("PoolLen = %d, want 10", c.PoolLen())
+	}
+}
+
+// TestControllerThresholdMatchesSortedPool holds the counting percentile
+// to its definition — sort the pool's live entries, take index
+// int(K/100·(n−1)), then max with the last best — over random
+// observations, ring wrap and parameter pushes.
+func TestControllerThresholdMatchesSortedPool(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		history := 1 + rng.Intn(40)
+		c, err := NewController(ControllerConfig{
+			SLO: DefaultSLO, Params: Params{K: 100 * rng.Float64()}, HistoryLen: history,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen []int // every observation, oldest first
+		spread := 1 + rng.Intn(histogram.NumBuckets)
+		for step := 0; step < 5*history+10; step++ {
+			if rng.Intn(8) == 0 {
+				k := []float64{0, 50, 98, 100, 100 * rng.Float64()}[rng.Intn(5)]
+				if err := c.SetParams(Params{K: k}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b := rng.Intn(spread)
+			if rng.Intn(10) == 0 {
+				b = histogram.MaxBucket
+			}
+			c.Observe(b)
+			seen = append(seen, b)
+
+			live := append([]int(nil), seen[max(0, len(seen)-history):]...)
+			sort.Ints(live)
+			want := max(live[int(c.Params().K/100*float64(len(live)-1))], b)
+			if got := c.Threshold(); got != want {
+				t.Fatalf("seed %d step %d (history %d, K %v): Threshold = %d, sorted pool says %d",
+					seed, step, history, c.Params().K, got, want)
+			}
+			if c.PoolLen() != len(live) {
+				t.Fatalf("seed %d step %d: PoolLen = %d, want %d", seed, step, c.PoolLen(), len(live))
+			}
+		}
 	}
 }
 

@@ -114,6 +114,28 @@ func TestReclaimColdIdempotent(t *testing.T) {
 	}
 }
 
+// A steady-state pass — cold pages already stored, the reclaim tail kept
+// non-empty by old pages whose accessed bit is set, so the candidate walk
+// runs and finds nothing — allocates nothing.
+func TestReclaimColdSteadyStateAllocatesNothing(t *testing.T) {
+	m := newJob(1003, pagedata.NewMix(0, 1, 1, 1, 0))
+	r := New(zswap.NewPool())
+	ageAll(m, 100)
+	for id := mem.PageID(0); int(id) < m.NumPages(); id += 7 {
+		m.Touch(id, false)
+	}
+	if res := r.ReclaimCold(m, 5); res.Stored == 0 || m.ReclaimTail(5) == 0 {
+		t.Fatalf("warm-up stored %d pages, reclaim tail %d", res.Stored, m.ReclaimTail(5))
+	}
+	var res Result
+	if allocs := testing.AllocsPerRun(100, func() { res = r.ReclaimCold(m, 5) }); allocs != 0 {
+		t.Errorf("steady-state ReclaimCold allocates %v times per pass", allocs)
+	}
+	if res.Scanned != 1003 || res.Eligible != 0 {
+		t.Errorf("steady-state pass: %+v", res)
+	}
+}
+
 func TestReclaimUnderPressureColdestFirst(t *testing.T) {
 	m := newJob(100, pagedata.NewMix(0, 1, 0, 0, 0))
 	r := New(zswap.NewPool())

@@ -108,12 +108,13 @@ func (t *Tracker) Memcg() *mem.Memcg { return t.m }
 // ScanPeriod returns the scan period (the age quantum).
 func (t *Tracker) ScanPeriod() time.Duration { return t.scanPeriod }
 
-// Scan performs one kstaled pass over the memcg: a single flat sweep of
-// the flags/ages columns (mem.ScanAges) ages every page, harvests
-// accessed bits, and rebuilds the memcg's age-bucket index; the cold-age
-// census is then installed wholesale from the bucket counts, and the
-// sweep's age-at-access tallies are folded into the cumulative promotion
-// histogram.
+// Scan performs one kstaled pass over the memcg: mem.ScanAges ages every
+// page by advancing the memcg's scan epoch and harvests the accessed bits
+// of the pages that have one set, keeping the age histograms current; the
+// cold-age census is then installed wholesale from the bucket counts, and
+// the age-at-access tallies are folded into the cumulative promotion
+// histogram. The modelled CPU is that of the kernel's walk — every page's
+// PTEs, touched or not — whatever the simulator's own bookkeeping costs.
 func (t *Tracker) Scan() {
 	var promos [mem.NumAges]uint64
 	t.m.ScanAges(&promos)

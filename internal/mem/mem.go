@@ -8,30 +8,43 @@
 // major fault that the node layer resolves by decompressing (a
 // "promotion").
 //
-// Layout: page state is stored structure-of-arrays — a flags column and an
-// ages column (one byte per page each, so the scan and reclaim walks touch
-// two dense byte arrays) next to a cold-metadata column (content seed,
-// class, compressed-payload handle) that only the store/load paths read.
-// Two bucket indexes are maintained incrementally on every age or flag
-// transition:
+// Layout: page state is stored structure-of-arrays — a flags column (one
+// byte per page) and a born column (one uint32 per page) that the scan and
+// reclaim walks read, next to a cold-metadata column (content seed, class,
+// compressed-payload handle) that only the store/load paths read.
+//
+// Lazy aging. A page does not store its age; it stores the scan epoch at
+// which its age was 0 (born), and the memcg counts scans (scanEpoch), so
+//
+//	Age(id) = min(MaxAge, scanEpoch - born[id])
+//
+// is the one rule for resident and compressed pages alike. A scan
+// therefore writes nothing to an idle page: it bumps scanEpoch, which ages
+// every page at once, and visits only the resident pages whose accessed
+// bit is set, to harvest the bit and stamp them born at the new epoch.
+// scanEpoch starts at MaxAge so that SetAge(MaxAge) on a fresh memcg is
+// representable; 2³² scans of 120 s are ≈ 16,000 years, so it never wraps.
+//
+// Three age histograms are maintained incrementally on every age or flag
+// transition and shifted one bucket (saturating into MaxAge) per scan:
 //
 //   - ageCounts[a] counts all pages at age a (the census source);
 //   - reclaimAges[a] counts the flag-wise reclaim-eligible pages at age a,
 //     so reclaim passes can prove "nothing at or above the threshold" in
-//     256 reads instead of a full walk.
+//     256 reads instead of a full walk;
+//   - compressedAges[a] counts the compressed pages at age a.
 //
-// A third, lazily-compacted index lists the compressed pages so crash and
+// The walks that remain (ScanAges, AppendColdReclaimable,
+// AppendReclaimableAt) load eight flag bytes at a time and visit only the
+// pages whose flags qualify, always in ascending page order: the order in
+// which reclaim stores pages decides zsmalloc placement and where a full
+// pool cuts a pass short, so it is part of the simulated behaviour. What
+// the simulated kernel is charged is not lazy either: kstaled still
+// accounts a PTE walk per page and kreclaimd still reports every page as
+// scanned — only the simulator's own bookkeeping scales with activity.
+//
+// A lazily-compacted index lists the compressed pages so crash and
 // job-exit paths visit only the far-memory set.
-//
-// Compressed pages age lazily. A compressed page has no PTEs, so a scan
-// can neither observe an accessed bit nor reset it: its age just grows by
-// one per scan until promotion. Instead of touching each one every scan,
-// the ages column freezes the age the page had when it was compressed,
-// the page records the scan epoch of that moment, and Age reconstructs
-// the current value as frozen age + elapsed epochs (saturating). The
-// whole compressed cohort then advances in O(NumAges) per scan by
-// shifting its age histogram (compressedAges) one bucket, and the scan
-// walk skips compressed pages entirely.
 package mem
 
 import (
@@ -101,19 +114,17 @@ type PageMeta struct {
 	Handle zsmalloc.Handle
 	// CompressedSize is the payload size while compressed, else 0.
 	CompressedSize int32
-	// epoch is the memcg scan epoch at which the page was compressed (or
-	// last SetAge while compressed); Age adds the epochs elapsed since to
-	// the frozen ages-column value.
-	epoch uint64
 }
 
 // Memcg is a job's memory cgroup: its page population (which can grow as
 // the job allocates) plus resident/compressed accounting. It is not safe
 // for concurrent use.
 type Memcg struct {
-	name       string
-	flags      []uint8 // PageFlags values; []uint8 so scans can load 8 at a time
-	ages       []uint8
+	name  string
+	flags []uint8 // PageFlags values; []uint8 so the walks can load 8 at a time
+	// born[id] is the scan epoch at which page id's age was 0, always
+	// <= scanEpoch; see Age.
+	born       []uint32
 	meta       []PageMeta
 	resident   int // pages currently in near memory
 	compressed int // pages currently in far memory
@@ -126,13 +137,11 @@ type Memcg struct {
 	// agent turns zswap off for jobs at their limit (§5.1).
 	LimitBytes uint64
 
-	// Age-bucket indexes; see the package comment for the invariants.
-	ageCounts   [NumAges]uint64
-	reclaimAges [NumAges]uint64
-	// scanEpoch counts ScanAges passes; compressedAges[a] counts the
-	// compressed pages currently at age a. Together they let the scan age
-	// the whole compressed cohort without visiting it.
-	scanEpoch      uint64
+	// scanEpoch is MaxAge plus the number of ScanAges passes so far.
+	scanEpoch uint32
+	// Age histograms; see the package comment for the invariants.
+	ageCounts      [NumAges]uint64
+	reclaimAges    [NumAges]uint64
 	compressedAges [NumAges]uint64
 	// compressedIDs lists pages that were compressed at some point, in
 	// MarkCompressed order. Entries go stale when pages are promoted and
@@ -162,13 +171,14 @@ func NewMemcg(cfg Config) *Memcg {
 		panic(fmt.Sprintf("mem: memcg %q with %d pages", cfg.Name, cfg.Pages))
 	}
 	m := &Memcg{
-		name:     cfg.Name,
-		flags:    make([]uint8, cfg.Pages),
-		ages:     make([]uint8, cfg.Pages),
-		meta:     make([]PageMeta, cfg.Pages),
-		resident: cfg.Pages,
-		mix:      cfg.Mix,
-		seedBase: cfg.SeedBase,
+		name:      cfg.Name,
+		flags:     make([]uint8, cfg.Pages),
+		born:      make([]uint32, cfg.Pages),
+		meta:      make([]PageMeta, cfg.Pages),
+		resident:  cfg.Pages,
+		mix:       cfg.Mix,
+		seedBase:  cfg.SeedBase,
+		scanEpoch: MaxAge,
 	}
 	mlockEvery := 0
 	if cfg.MlockedFraction > 0 {
@@ -176,6 +186,7 @@ func NewMemcg(cfg Config) *Memcg {
 	}
 	reclaimable := uint64(0)
 	for i := range m.meta {
+		m.born[i] = m.scanEpoch
 		mt := &m.meta[i]
 		mt.Seed = cfg.SeedBase + uint64(i)*0x9E3779B97F4A7C15 + 1
 		// Deterministic class assignment: hash the seed into [0,1).
@@ -214,7 +225,7 @@ func (m *Memcg) Grow(n int) PageID {
 		u := float64(splitmix(mt.Seed)%1_000_000) / 1_000_000
 		mt.Class = m.mix.Sample(u)
 		m.flags = append(m.flags, uint8(FlagAccessed|FlagDirty))
-		m.ages = append(m.ages, 0)
+		m.born = append(m.born, m.scanEpoch)
 		m.meta = append(m.meta, mt)
 		m.resident++
 	}
@@ -252,18 +263,10 @@ func (m *Memcg) ResidentBytes() uint64 { return uint64(m.resident) * PageSize }
 // id, which is always a simulator bug.
 func (m *Memcg) Flags(id PageID) PageFlags { return PageFlags(m.flags[id]) }
 
-// Age returns the age of page id in scan periods. For a compressed page
-// the ages column holds the age frozen at compression time; the scans
-// elapsed since then are added here (saturating at MaxAge).
+// Age returns the age of page id in scan periods: the scans elapsed since
+// the page was last born, saturating at MaxAge.
 func (m *Memcg) Age(id PageID) uint8 {
-	if m.flags[id]&uint8(FlagCompressed) == 0 {
-		return m.ages[id]
-	}
-	a := uint64(m.ages[id]) + (m.scanEpoch - m.meta[id].epoch)
-	if a > MaxAge {
-		return MaxAge
-	}
-	return uint8(a)
+	return uint8(min(m.scanEpoch-m.born[id], MaxAge))
 }
 
 // Meta returns the cold metadata of page id. The pointer stays valid until
@@ -282,9 +285,9 @@ func (m *Memcg) fixReclaim(id PageID, before, after PageFlags) {
 		return
 	}
 	if is {
-		m.reclaimAges[m.ages[id]]++
+		m.reclaimAges[m.Age(id)]++
 	} else {
-		m.reclaimAges[m.ages[id]]--
+		m.reclaimAges[m.Age(id)]--
 	}
 }
 
@@ -307,27 +310,18 @@ func (m *Memcg) ClearFlags(id PageID, f PageFlags) {
 
 // SetAge moves page id to the given age bucket.
 func (m *Memcg) SetAge(id PageID, age uint8) {
-	if m.flags[id]&uint8(FlagCompressed) != 0 {
-		old := m.Age(id)
-		m.ages[id] = age
-		m.meta[id].epoch = m.scanEpoch
-		if old == age {
-			return
-		}
-		m.ageCounts[old]--
-		m.ageCounts[age]++
-		m.compressedAges[old]--
-		m.compressedAges[age]++
-		return
-	}
-	old := m.ages[id]
+	old := m.Age(id)
 	if old == age {
 		return
 	}
-	m.ages[id] = age
+	m.born[id] = m.scanEpoch - uint32(age)
 	m.ageCounts[old]--
 	m.ageCounts[age]++
-	if m.flags[id]&uint8(reclaimMask) == 0 {
+	switch f := PageFlags(m.flags[id]); {
+	case f&FlagCompressed != 0:
+		m.compressedAges[old]--
+		m.compressedAges[age]++
+	case f&reclaimMask == 0:
 		m.reclaimAges[old]--
 		m.reclaimAges[age]++
 	}
@@ -363,8 +357,7 @@ func (m *Memcg) MarkCompressed(id PageID, h zsmalloc.Handle, compressedSize int)
 	mt := &m.meta[id]
 	mt.Handle = h
 	mt.CompressedSize = int32(compressedSize)
-	mt.epoch = m.scanEpoch
-	m.compressedAges[m.ages[id]]++
+	m.compressedAges[m.Age(id)]++
 	m.compressedBytes += uint64(compressedSize)
 	m.resident--
 	m.compressed++
@@ -386,7 +379,7 @@ func (m *Memcg) MarkPromoted(id PageID) {
 	old := m.Age(id)
 	after := (before &^ FlagCompressed) | FlagAccessed
 	m.flags[id] = uint8(after)
-	m.ages[id] = 0
+	m.born[id] = m.scanEpoch
 	m.compressedAges[old]--
 	m.ageCounts[old]--
 	m.ageCounts[0]++
@@ -403,89 +396,88 @@ func (m *Memcg) MarkPromoted(id PageID) {
 	m.compressed--
 }
 
-// ScanAges performs the page-state half of one kstaled pass as a flat,
-// branch-light sweep over the flags and ages columns:
+// Byte-lane constants for the walks that load eight flag bytes at a time.
+const (
+	lanes01 = 0x0101010101010101
+	lanes7f = 0x7f7f7f7f7f7f7f7f
+	lanes80 = 0x8080808080808080
+)
+
+// nextLanes finds the next pages whose flags satisfy flags&mask == want.
+// It reads flags a word of eight pages at a time from page i on (i a
+// multiple of 8) and returns the first word that holds such a page: its
+// first page index and a word with 0x80 in the byte lane of every match,
+// or a zero word when there is none. The lane test is exact — no carry
+// crosses a lane boundary — and a short last word reads as if padded with
+// non-matching pages. It is the one flag reader of the scan and reclaim
+// walks.
+func nextLanes(flags []uint8, i int, mask, want PageFlags) (int, uint64) {
+	mask8, want8 := uint64(mask)*lanes01, uint64(want)*lanes01
+	match := func(w uint64) uint64 {
+		x := (w ^ want8) & mask8
+		return ^((x&lanes7f + lanes7f) | x) & lanes80
+	}
+	for ; i+8 <= len(flags); i += 8 {
+		if hit := match(binary.LittleEndian.Uint64(flags[i:])); hit != 0 {
+			return i, hit
+		}
+	}
+	if i < len(flags) {
+		var last [8]uint8
+		rest := copy(last[:], flags[i:])
+		return i, match(binary.LittleEndian.Uint64(last[:])) & (1<<(8*rest) - 1)
+	}
+	return i, 0
+}
+
+// shiftAges advances an age histogram by one scan: every bucket moves up
+// one age, saturating into MaxAge, and bucket 0 is left empty.
+func shiftAges(h *[NumAges]uint64) {
+	h[MaxAge] += h[MaxAge-1]
+	copy(h[1:MaxAge], h[:MaxAge-1])
+	h[0] = 0
+}
+
+// ScanAges performs the page-state half of one kstaled pass:
 //
 //   - a resident page with the accessed bit set contributes its
 //     age-at-access to promos, then resets to age 0 with the bit cleared;
 //   - a resident page with the bit clear ages by one period (saturating);
 //   - a compressed page ages by one period; it has no PTEs, so the bit is
 //     never set by hardware (faults promote it before any access
-//     completes).
+//     completes), and a bit set on it by other means is left alone.
 //
-// Both bucket indexes are rebuilt from the post-scan state in the same
-// sweep, so the census is afterwards available as AgeCounts in O(1).
+// Only the first kind is visited. Everything else ages by the epoch bump
+// and one shift of each age histogram, so the census is afterwards
+// available as AgeCounts in O(1) and an idle page costs an eighth of a
+// word load.
 func (m *Memcg) ScanAges(promos *[NumAges]uint64) {
-	// Age the whole compressed cohort in O(NumAges): one scan elapses, so
-	// its age histogram shifts up a bucket (saturating into the last one)
-	// and the per-page frozen ages fall one epoch further behind.
-	m.scanEpoch++
-	ca := &m.compressedAges
-	ca[MaxAge] += ca[MaxAge-1]
-	for a := MaxAge - 1; a >= 1; a-- {
-		ca[a] = ca[a-1]
-	}
-	ca[0] = 0
-
-	var ageCounts, reclaimAges [NumAges]uint64
-	flags, ages := m.flags, m.ages
-	n := len(flags)
-	// Eight flag bytes are loaded at a time; bit 5 (FlagCompressed) of the
-	// fused word marks the compressed pages, and the walk visits only the
-	// resident bytes via trailing-zeros iteration. Compressed pages cost
-	// nothing here beyond the shared load — their aging is the histogram
-	// shift above.
-	const compressed8 = uint64(FlagCompressed) * 0x0101010101010101
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		resident := ^binary.LittleEndian.Uint64(flags[i:i+8:i+8]) & compressed8
-		for resident != 0 {
-			j := i + bits.TrailingZeros64(resident)>>3
-			resident &= resident - 1
-			f := PageFlags(flags[j])
-			a := ages[j]
-			if f&FlagAccessed != 0 {
-				promos[a]++
-				a = 0
-				ages[j] = 0
-				f &^= FlagAccessed
-				flags[j] = uint8(f)
-			} else if a < MaxAge {
-				a++
-				ages[j] = a
-			}
-			ageCounts[a]++
-			if f&reclaimMask == 0 {
-				reclaimAges[a]++
-			}
-		}
-	}
-	for ; i < n; i++ {
-		f := PageFlags(flags[i])
-		if f&FlagCompressed != 0 {
-			continue
-		}
-		a := ages[i]
-		if f&FlagAccessed != 0 {
+	next := m.scanEpoch + 1
+	var fresh, freshReclaim uint64
+	// Accessed and resident: the only pages a scan has to touch.
+	const mask, want = FlagAccessed | FlagCompressed, FlagAccessed
+	for i, hit := nextLanes(m.flags, 0, mask, want); hit != 0; i, hit = nextLanes(m.flags, i+8, mask, want) {
+		for ; hit != 0; hit &= hit - 1 {
+			id := PageID(i + bits.TrailingZeros64(hit)>>3)
+			a := m.Age(id)
 			promos[a]++
-			a = 0
-			ages[i] = 0
-			f &^= FlagAccessed
-			flags[i] = uint8(f)
-		} else if a < MaxAge {
-			a++
-			ages[i] = a
-		}
-		ageCounts[a]++
-		if f&reclaimMask == 0 {
-			reclaimAges[a]++
+			m.ageCounts[a]--
+			fresh++
+			f := PageFlags(m.flags[id]) &^ FlagAccessed
+			if f&reclaimMask == 0 {
+				m.reclaimAges[a]--
+				freshReclaim++
+			}
+			m.flags[id] = uint8(f)
+			m.born[id] = next
 		}
 	}
-	for a := 0; a < NumAges; a++ {
-		ageCounts[a] += ca[a]
-	}
-	m.ageCounts = ageCounts
-	m.reclaimAges = reclaimAges
+	m.scanEpoch = next
+	shiftAges(&m.ageCounts)
+	shiftAges(&m.reclaimAges)
+	shiftAges(&m.compressedAges)
+	m.ageCounts[0] = fresh
+	m.reclaimAges[0] = freshReclaim
 }
 
 // AgeCounts returns the full-population age census (bucket a holds the
@@ -506,27 +498,32 @@ func (m *Memcg) ReclaimTail(threshold int) uint64 {
 	return s
 }
 
+// appendBornIn appends to dst the ids (ascending) of the pages whose flags
+// have no bit of mask set and whose born epoch lies in [lo, hi].
+func (m *Memcg) appendBornIn(dst []PageID, mask PageFlags, lo, hi uint32) []PageID {
+	span := hi - lo
+	for i, hit := nextLanes(m.flags, 0, mask, 0); hit != 0; i, hit = nextLanes(m.flags, i+8, mask, 0) {
+		for ; hit != 0; hit &= hit - 1 {
+			id := PageID(i + bits.TrailingZeros64(hit)>>3)
+			if m.born[id]-lo <= span {
+				dst = append(dst, id)
+			}
+		}
+	}
+	return dst
+}
+
 // AppendColdReclaimable appends to dst the ids (ascending) of pages at
 // age >= threshold that are reclaimable and whose accessed bit is clear —
 // exactly the pages a proactive cold-reclaim pass stores. When the
-// reclaim index proves the tail empty, no pages are visited.
+// reclaim index proves the tail empty, no pages are visited; otherwise
+// only the flag-eligible ones are.
 func (m *Memcg) AppendColdReclaimable(dst []PageID, threshold int) []PageID {
 	if threshold > MaxAge || m.ReclaimTail(threshold) == 0 {
 		return dst
 	}
-	th := uint8(0)
-	if threshold > 0 {
-		th = uint8(threshold)
-	}
-	flags, ages := m.flags, m.ages
-	for i := range ages {
-		// Flags first: it rejects compressed pages, whose ages entry is
-		// the frozen compression-time value, not the current age.
-		if flags[i]&uint8(reclaimMask|FlagAccessed) == 0 && ages[i] >= th {
-			dst = append(dst, PageID(i))
-		}
-	}
-	return dst
+	// age >= threshold exactly when born <= scanEpoch - threshold.
+	return m.appendBornIn(dst, reclaimMask|FlagAccessed, 0, m.scanEpoch-uint32(max(threshold, 0)))
 }
 
 // AppendReclaimableAt appends to dst the ids (ascending) of reclaimable
@@ -537,13 +534,12 @@ func (m *Memcg) AppendReclaimableAt(dst []PageID, age uint8) []PageID {
 	if m.reclaimAges[age] == 0 {
 		return dst
 	}
-	flags, ages := m.flags, m.ages
-	for i := range ages {
-		if flags[i]&uint8(reclaimMask) == 0 && ages[i] == age {
-			dst = append(dst, PageID(i))
-		}
+	hi := m.scanEpoch - uint32(age)
+	lo := hi
+	if age == MaxAge {
+		lo = 0 // the saturated bucket holds every older page
 	}
-	return dst
+	return m.appendBornIn(dst, reclaimMask, lo, hi)
 }
 
 // compactCompressedIDs rewrites compressedIDs to the exact live set:
@@ -575,8 +571,9 @@ func (m *Memcg) AppendCompressed(dst []PageID) []PageID {
 
 // ResetAges implements the page-state half of a machine restart: every
 // page refaults cold — age 0, accessed and incompressible bits clear —
-// and the indexes are rebuilt. Mlocked/unevictable markings survive (they
-// are properties of the restarted job's address space, not history).
+// and the histograms are rebuilt. Mlocked/unevictable markings survive
+// (they are properties of the restarted job's address space, not
+// history).
 func (m *Memcg) ResetAges() {
 	reclaimable := uint64(0)
 	for i, fb := range m.flags {
@@ -585,12 +582,7 @@ func (m *Memcg) ResetAges() {
 		if f&reclaimMask == 0 {
 			reclaimable++
 		}
-		if f&FlagCompressed != 0 {
-			m.meta[i].epoch = m.scanEpoch
-		}
-	}
-	for i := range m.ages {
-		m.ages[i] = 0
+		m.born[i] = m.scanEpoch
 	}
 	m.ageCounts = [NumAges]uint64{}
 	m.ageCounts[0] = uint64(len(m.flags))
@@ -612,12 +604,22 @@ func (m *Memcg) CompressedAgeCounts() [NumAges]uint64 { return m.compressedAges 
 
 // VerifyIndexes recounts every index and accounting field from the raw
 // columns and reports the first mismatch; nil means all invariants hold.
-// It exists for tests and costs a full walk.
+// The histograms are recounted through born, so a shift that lost or
+// misplaced a bucket shows up as a diverged index. It exists for tests
+// and the deep audit, and costs a full walk.
 func (m *Memcg) VerifyIndexes() error {
+	if len(m.born) != len(m.flags) || len(m.meta) != len(m.flags) {
+		return fmt.Errorf("mem: %s columns hold %d flags, %d born, %d meta",
+			m.name, len(m.flags), len(m.born), len(m.meta))
+	}
 	var ageCounts, reclaimAges, compressedAges [NumAges]uint64
 	var resident, compressed int
 	var compressedBytes uint64
 	for i, fb := range m.flags {
+		if m.born[i] > m.scanEpoch {
+			return fmt.Errorf("mem: %s page %d born at epoch %d, after scan epoch %d",
+				m.name, i, m.born[i], m.scanEpoch)
+		}
 		f := PageFlags(fb)
 		a := m.Age(PageID(i))
 		ageCounts[a]++
@@ -632,14 +634,20 @@ func (m *Memcg) VerifyIndexes() error {
 			resident++
 		}
 	}
-	if ageCounts != m.ageCounts {
-		return fmt.Errorf("mem: %s ageCounts index diverged from recount", m.name)
-	}
-	if reclaimAges != m.reclaimAges {
-		return fmt.Errorf("mem: %s reclaimAges index diverged from recount", m.name)
-	}
-	if compressedAges != m.compressedAges {
-		return fmt.Errorf("mem: %s compressedAges index diverged from recount", m.name)
+	for _, h := range []struct {
+		name      string
+		got, want *[NumAges]uint64
+	}{
+		{"ageCounts", &m.ageCounts, &ageCounts},
+		{"reclaimAges", &m.reclaimAges, &reclaimAges},
+		{"compressedAges", &m.compressedAges, &compressedAges},
+	} {
+		for a := range h.got {
+			if h.got[a] != h.want[a] {
+				return fmt.Errorf("mem: %s %s index diverged from recount at age %d: %d, recount %d (scan epoch %d)",
+					m.name, h.name, a, h.got[a], h.want[a], m.scanEpoch)
+			}
+		}
 	}
 	if resident != m.resident || compressed != m.compressed {
 		return fmt.Errorf("mem: %s resident/compressed = %d/%d, recount %d/%d",
