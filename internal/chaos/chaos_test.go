@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -226,5 +228,39 @@ func TestShrinkRejectsCleanPlan(t *testing.T) {
 	plan := GeneratePlan(5, PlanConfig{Duration: fc.Duration, Machines: fc.Machines})
 	if _, err := Shrink(plan, fc, 20); err == nil {
 		t.Fatal("shrinking a clean plan succeeded")
+	}
+}
+
+// explodingTier is a zswap pool whose first store panics.
+type explodingTier struct {
+	*zswap.Pool
+	machine int
+}
+
+func (e *explodingTier) Inner() zswap.FarMemory { return e.Pool }
+
+func (e *explodingTier) Store(*mem.Memcg, mem.PageID) zswap.StoreResult {
+	panic(fmt.Sprintf("tier of machine %d exploded", e.machine))
+}
+
+// TestMachinePanicIsAnOutcome: the cluster steps machines on several
+// goroutines, and a panic on any goroutine but the caller's would kill
+// the process before runOnce's recover saw it. Machines 1 and 2 of three
+// panic here — with four processors at least one of them on a spawned
+// worker — and the run must end as OutcomePanic with machine 1's value.
+func TestMachinePanicIsAnOutcome(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	fc := smallFleet()
+	fc.Machines = 3
+	fc.Jobs = 6
+	fc.TierFn = func(_ *fault.Plan, i int) zswap.FarMemory {
+		if i == 0 {
+			return nil
+		}
+		return &explodingTier{Pool: zswap.NewPool(), machine: i}
+	}
+	rep := Run(&fault.Plan{Name: "none"}, fc)
+	if rep.Outcome != OutcomePanic || rep.PanicValue != "tier of machine 1 exploded" {
+		t.Fatalf("outcome %s, want panic with machine 1's value: %s", rep.Outcome, rep.Summary())
 	}
 }

@@ -2,6 +2,12 @@
 // weighted workload sampling, least-loaded scheduling with memory fit,
 // lock-step simulation, A/B machine groups (the Figure 10 methodology),
 // and the eviction-SLO accounting of §4.2.
+//
+// Machines share nothing but the telemetry they export, as in the paper
+// (§5.1–5.3), so Step and Run advance them on every core between two
+// barriers and merge their telemetry in machine order: one seed gives one
+// result — machine state, trace bytes, metrics, errors — whatever the
+// core count. There is one engine (advance) and no choice to make.
 package cluster
 
 import (
@@ -9,6 +15,7 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sdfm/internal/audit"
@@ -41,8 +48,13 @@ type Config struct {
 	CollectSamples bool
 	Seed           int64
 	// Collector, when set, receives every machine's 5-minute telemetry
-	// exports. The collector is not safe for concurrent use: drive the
-	// cluster with Run or Step, not RunParallel, when collecting.
+	// exports, each machine recording through its own stage of it. One
+	// Step or Run call appends all of machine 0's intervals, then machine
+	// 1's, and so on, however many workers ran them; the entries wait in
+	// the stages until the call returns, so a caller streaming a long run
+	// to a tracestore.Writer bounds that staging by calling Run in slices
+	// (examples/bigtable does). A machine stepped directly, outside the
+	// cluster's calls, exports straight through.
 	Collector *telemetry.Collector
 	// Faults, when set and non-empty, injects the plan's faults: each
 	// machine gets its own deterministic injector keyed by machine name.
@@ -62,8 +74,9 @@ type Config struct {
 	TierFn func(machineIdx int) zswap.FarMemory
 	// Obs, when set, gives every machine its own observer (process
 	// "<cluster>/<machine>", labels cluster and machine). Each machine
-	// writes only to its own observer, so instrumented RunParallel output
-	// stays byte-identical to serial runs. Nil disables instrumentation.
+	// writes only to its own observer, so instrumented output does not
+	// depend on how many workers stepped the machines. Nil disables
+	// instrumentation.
 	Obs *obs.Multi
 }
 
@@ -71,7 +84,9 @@ type Config struct {
 type Cluster struct {
 	cfg      Config
 	machines []*node.Machine
-	jobs     int
+	// stages[i] is machine i's stage of cfg.Collector; empty without one.
+	stages []*telemetry.Collector
+	jobs   int
 }
 
 // New builds the cluster's machines.
@@ -93,6 +108,11 @@ func New(cfg Config) (*Cluster, error) {
 		if cfg.TierFn != nil {
 			tier = cfg.TierFn(i)
 		}
+		var stage *telemetry.Collector
+		if cfg.Collector != nil {
+			stage = cfg.Collector.Stage()
+			c.stages = append(c.stages, stage)
+		}
 		var observer *obs.Observer
 		if cfg.Obs != nil {
 			observer = cfg.Obs.Observer(cfg.Name+"/"+name,
@@ -109,7 +129,7 @@ func New(cfg Config) (*Cluster, error) {
 			Tier:           tier,
 			CollectSamples: cfg.CollectSamples,
 			Seed:           cfg.Seed + int64(i),
-			Collector:      cfg.Collector,
+			Collector:      stage,
 			Injector:       fault.NewInjector(cfg.Faults, name),
 			Breaker:        cfg.Breaker,
 			Audit:          cfg.Audit,
@@ -202,56 +222,79 @@ func (c *Cluster) Populate(n int, weights map[string]float64, seed int64) error 
 
 // Step advances every machine one scan period.
 func (c *Cluster) Step() error {
-	for _, m := range c.machines {
-		if err := m.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.advance(0, (*node.Machine).Step)
 }
 
 // Run advances every machine until the given time.
 func (c *Cluster) Run(until time.Duration) error {
-	for _, m := range c.machines {
-		if err := m.Run(until); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.RunParallel(until, 0)
 }
 
-// RunParallel advances every machine until the given time on a worker
-// pool. Machines share no mutable state, so the result is identical to
-// Run regardless of scheduling; wall time improves on multicore hosts.
-// workers <= 0 uses GOMAXPROCS.
+// RunParallel is Run on at most the given number of workers; workers <= 0
+// means GOMAXPROCS, which is what Run uses. The result does not depend on
+// the number — only tests and benchmarks have a reason to name one.
 func (c *Cluster) RunParallel(until time.Duration, workers int) error {
+	return c.advance(workers, func(m *node.Machine) error { return m.Run(until) })
+}
+
+// advance is the one stepping engine: it calls step once on every machine
+// and returns when all have finished. Machines share no mutable state, so
+// they are handed out from a counter to up to workers goroutines, the
+// caller being the first (one worker spawns nothing); telemetry is held
+// in each machine's stage meanwhile and flushed in machine order after
+// the join. Nothing observable depends on workers or on scheduling,
+// failures included: every machine runs to the end of step or to its own
+// first failure, every stage is flushed, and then the lowest-numbered
+// failing machine's error is returned — or its panic re-raised here, on
+// the caller's goroutine, where the caller's recover can see it. A sink
+// error surfaces at the flush, as the error of the machine whose entry
+// the sink refused.
+func (c *Cluster) advance(workers int, step func(*node.Machine) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sem := make(chan struct{}, workers)
+	n := len(c.machines)
+	flushes := make([]func() error, len(c.stages))
+	for i, s := range c.stages {
+		flushes[i] = s.Hold()
+	}
+	errs := make([]error, n)
+	panics := make([]any, n)
+	var next atomic.Int64
+	one := func(i int) {
+		defer func() { panics[i] = recover() }()
+		errs[i] = step(c.machines[i])
+	}
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			one(i)
+		}
+	}
 	var wg sync.WaitGroup
-	errCh := make(chan error, 1)
-	for _, m := range c.machines {
+	for w := 1; w < min(workers, n); w++ {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(m *node.Machine) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			if err := m.Run(until); err != nil {
-				select {
-				case errCh <- err:
-				default:
-				}
-			}
-		}(m)
+			work()
+		}()
 	}
+	work()
 	wg.Wait()
-	select {
-	case err := <-errCh:
-		return err
-	default:
-		return nil
+
+	for i, flush := range flushes {
+		if err := flush(); errs[i] == nil {
+			errs[i] = err
+		}
 	}
+	for i := range c.machines {
+		if panics[i] != nil {
+			panic(panics[i])
+		}
+		if errs[i] != nil {
+			return errs[i]
+		}
+	}
+	return nil
 }
 
 // Evictions sums evictions across machines.

@@ -186,7 +186,11 @@ func TestStepAdvancesAllMachines(t *testing.T) {
 	}
 }
 
-func TestRunParallelMatchesSequential(t *testing.T) {
+// TestWorkerCountFourMatchesOne: machines are independent given their
+// seeds, so four workers must reproduce one worker's state exactly — not
+// just summary counters but every job's accounting, census, and pool
+// statistics.
+func TestWorkerCountFourMatchesOne(t *testing.T) {
 	build := func() *Cluster {
 		c := newCluster(t, Config{
 			Machines: 3, DRAMPerMachine: 2 * gib,
@@ -198,23 +202,29 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		}
 		return c
 	}
-	seq := build()
-	if err := seq.Run(90 * time.Minute); err != nil {
+	one := build()
+	if err := one.RunParallel(90*time.Minute, 1); err != nil {
 		t.Fatal(err)
 	}
-	par := build()
-	if err := par.RunParallel(90*time.Minute, 4); err != nil {
+	four := build()
+	if err := four.RunParallel(90*time.Minute, 4); err != nil {
 		t.Fatal(err)
 	}
-	// Machines are independent given their seeds, so the parallel schedule
-	// must reproduce the sequential run's state exactly — not just summary
-	// counters but every job's accounting, census, and pool statistics.
-	for i := range seq.Machines() {
-		a, b := seq.Machines()[i], par.Machines()[i]
-		fa, fb := machineFingerprint(a), machineFingerprint(b)
+	sameMachines(t, one, four)
+}
+
+// sameMachines fails the test unless every machine of a and b is in the
+// same observable state, showing the first that is not.
+func sameMachines(t *testing.T, a, b *Cluster) {
+	t.Helper()
+	for i := range a.Machines() {
+		fa, fb := machineFingerprint(a.Machines()[i]), machineFingerprint(b.Machines()[i])
 		if fa != fb {
-			t.Fatalf("machine %d state diverges between Run and RunParallel:\nseq:\n%s\npar:\n%s", i, fa, fb)
+			t.Fatalf("machine %d state diverges:\n%s\nvs:\n%s", i, fa, fb)
 		}
+	}
+	if a.Fingerprint() != b.Fingerprint() {
+		t.Fatalf("cluster fingerprints diverge: %016x vs %016x", a.Fingerprint(), b.Fingerprint())
 	}
 }
 
@@ -227,13 +237,13 @@ func machineFingerprint(m *node.Machine) string {
 	return sb.String()
 }
 
-// TestRunParallelAuditedMatchesSequential is the concurrent-audit
+// TestWorkerCountAuditedFourMatchesOne is the concurrent-audit
 // determinism guarantee: with the invariant auditor enabled on every
-// machine and a fault plan active, RunParallel must still produce
-// byte-identical state to the serial run — the auditor reads state and
-// advances only its own per-machine baseline, so worker scheduling
-// cannot leak into the simulation.
-func TestRunParallelAuditedMatchesSequential(t *testing.T) {
+// machine and a fault plan active, four workers must still produce
+// byte-identical state to one — the auditor reads state and advances
+// only its own per-machine baseline, so worker scheduling cannot leak
+// into the simulation.
+func TestWorkerCountAuditedFourMatchesOne(t *testing.T) {
 	duration := 2 * time.Hour
 	build := func() *Cluster {
 		c := newCluster(t, Config{
@@ -249,25 +259,16 @@ func TestRunParallelAuditedMatchesSequential(t *testing.T) {
 		}
 		return c
 	}
-	seq := build()
-	if err := seq.Run(duration); err != nil {
+	one := build()
+	if err := one.RunParallel(duration, 1); err != nil {
 		t.Fatal(err)
 	}
-	par := build()
-	if err := par.RunParallel(duration, 4); err != nil {
+	four := build()
+	if err := four.RunParallel(duration, 4); err != nil {
 		t.Fatal(err)
 	}
-	for i := range seq.Machines() {
-		a, b := seq.Machines()[i], par.Machines()[i]
-		fa, fb := machineFingerprint(a), machineFingerprint(b)
-		if fa != fb {
-			t.Fatalf("machine %d state diverges between audited Run and RunParallel:\nseq:\n%s\npar:\n%s", i, fa, fb)
-		}
-	}
-	if seq.Fingerprint() != par.Fingerprint() {
-		t.Fatalf("cluster fingerprints diverge: %016x vs %016x", seq.Fingerprint(), par.Fingerprint())
-	}
-	if vs := par.Audit(true); len(vs) > 0 {
+	sameMachines(t, one, four)
+	if vs := four.Audit(true); len(vs) > 0 {
 		t.Fatalf("shipped tree violates invariants under the default plan: %v", vs)
 	}
 }

@@ -23,9 +23,8 @@ func traceBytes(t *testing.T, trace *telemetry.Trace) []byte {
 	return buf
 }
 
-// runTrace builds a small cluster, optionally with a fault plan, drives it
-// serially (the collector is not concurrent-safe), and returns the
-// serialized telemetry trace.
+// runTrace builds a small cluster, optionally with a fault plan, runs it,
+// and returns the serialized telemetry trace.
 func runTrace(t *testing.T, seed int64, plan *fault.Plan) []byte {
 	t.Helper()
 	trace := telemetry.NewTrace()
@@ -58,7 +57,7 @@ func runTrace(t *testing.T, seed int64, plan *fault.Plan) []byte {
 // telemetry.
 func TestFaultedRunsAreDeterministic(t *testing.T) {
 	if raceEnabled {
-		t.Skip("serial byte-determinism sims are too slow under the race detector")
+		t.Skip("byte-determinism sims are too slow under the race detector")
 	}
 	plan := fault.DefaultPlan(7, 2*time.Hour)
 	a := runTrace(t, 7, plan)
@@ -75,7 +74,7 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 // a no-op: the run must stay byte-identical to one built without a plan.
 func TestEmptyPlanMatchesNoPlan(t *testing.T) {
 	if raceEnabled {
-		t.Skip("serial byte-determinism sims are too slow under the race detector")
+		t.Skip("byte-determinism sims are too slow under the race detector")
 	}
 	none := runTrace(t, 11, nil)
 	empty := runTrace(t, 11, &fault.Plan{Name: "empty"})
@@ -91,7 +90,7 @@ func TestEmptyPlanMatchesNoPlan(t *testing.T) {
 // firing: the default plan must change the run relative to fault-free.
 func TestFaultPlanActuallyPerturbs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("serial byte-determinism sims are too slow under the race detector")
+		t.Skip("byte-determinism sims are too slow under the race detector")
 	}
 	clean := runTrace(t, 7, nil)
 	faulted := runTrace(t, 7, fault.DefaultPlan(7, 2*time.Hour))

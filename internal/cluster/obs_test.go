@@ -11,14 +11,14 @@ import (
 	"sdfm/internal/obs"
 )
 
-// TestRunParallelInstrumentedMatchesSequential is the instrumented
+// TestWorkerCountInstrumentedFourMatchesOne is the instrumented
 // determinism guarantee: with per-machine metrics and tracing attached
-// (plus faults and breakers, to exercise every instrumented path), the
-// parallel schedule must produce not just byte-identical simulation state
-// but byte-identical *exports* — each machine writes only to its own
+// (plus faults and breakers, to exercise every instrumented path), four
+// workers must produce not just one worker's simulation state but its
+// *exports*, byte for byte — each machine writes only to its own
 // observer, and both exporters render in stable creation order, so
 // worker scheduling cannot leak into the output.
-func TestRunParallelInstrumentedMatchesSequential(t *testing.T) {
+func TestWorkerCountInstrumentedFourMatchesOne(t *testing.T) {
 	duration := 2 * time.Hour
 	build := func() (*Cluster, *obs.Multi) {
 		hub := obs.NewMulti(obs.Label{Key: "run", Value: "instr"})
@@ -35,49 +35,43 @@ func TestRunParallelInstrumentedMatchesSequential(t *testing.T) {
 		}
 		return c, hub
 	}
-	seq, seqHub := build()
-	if err := seq.Run(duration); err != nil {
+	one, oneHub := build()
+	if err := one.RunParallel(duration, 1); err != nil {
 		t.Fatal(err)
 	}
-	par, parHub := build()
-	if err := par.RunParallel(duration, 4); err != nil {
+	four, fourHub := build()
+	if err := four.RunParallel(duration, 4); err != nil {
 		t.Fatal(err)
 	}
-	for i := range seq.Machines() {
-		a, b := seq.Machines()[i], par.Machines()[i]
-		fa, fb := machineFingerprint(a), machineFingerprint(b)
-		if fa != fb {
-			t.Fatalf("machine %d state diverges between instrumented Run and RunParallel:\nseq:\n%s\npar:\n%s", i, fa, fb)
-		}
-	}
-	if seq.Fingerprint() != par.Fingerprint() {
-		t.Fatalf("cluster fingerprints diverge: %016x vs %016x", seq.Fingerprint(), par.Fingerprint())
-	}
+	sameMachines(t, one, four)
 
-	render := func(hub *obs.Multi) (string, string) {
-		var prom, chrome strings.Builder
-		if err := hub.WritePrometheus(&prom); err != nil {
-			t.Fatal(err)
-		}
-		if err := hub.WriteChromeTrace(&chrome); err != nil {
-			t.Fatal(err)
-		}
-		return prom.String(), chrome.String()
+	oneProm, oneChrome := renderObs(t, oneHub)
+	fourProm, fourChrome := renderObs(t, fourHub)
+	if oneProm != fourProm {
+		t.Fatalf("Prometheus exports diverge between one worker and four:\none:\n%s\nfour:\n%s", oneProm, fourProm)
 	}
-	seqProm, seqChrome := render(seqHub)
-	parProm, parChrome := render(parHub)
-	if seqProm != parProm {
-		t.Fatalf("Prometheus exports diverge between Run and RunParallel:\nseq:\n%s\npar:\n%s", seqProm, parProm)
+	if oneChrome != fourChrome {
+		t.Fatal("Chrome trace exports diverge between one worker and four")
 	}
-	if seqChrome != parChrome {
-		t.Fatal("Chrome trace exports diverge between Run and RunParallel")
-	}
-	if !strings.Contains(seqProm, `machine="m0002"`) {
+	if !strings.Contains(oneProm, `machine="m0002"`) {
 		t.Fatal("export is missing per-machine series")
 	}
-	if !strings.Contains(seqChrome, `"ph":"X"`) {
+	if !strings.Contains(oneChrome, `"ph":"X"`) {
 		t.Fatal("trace export has no spans")
 	}
+}
+
+// renderObs renders a hub's metrics and spans as the exporters would.
+func renderObs(t *testing.T, hub *obs.Multi) (prom, chrome string) {
+	t.Helper()
+	var p, c strings.Builder
+	if err := hub.WritePrometheus(&p); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.WriteChromeTrace(&c); err != nil {
+		t.Fatal(err)
+	}
+	return p.String(), c.String()
 }
 
 // TestMachineObsCountersTrackSimulation pins the instrument values to the

@@ -2,7 +2,7 @@
 
 package cluster
 
-// raceEnabled lets the serial byte-determinism sims skip under the race
-// detector's ~15x slowdown; they assert reproducibility, not concurrency,
-// and RunParallel coverage stays race-checked elsewhere in this package.
+// raceEnabled lets the long byte-determinism sims skip, or shorten, under
+// the race detector's ~15x slowdown; they assert reproducibility, and the
+// TestWorkerCount tests keep machines, stages and the flush race-checked.
 const raceEnabled = true

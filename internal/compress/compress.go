@@ -73,7 +73,7 @@ type matcher struct {
 }
 
 // matchers lends each Compress call a table. Calls run concurrently
-// (cluster.RunParallel steps machines on several goroutines), hence a pool
+// (cluster.Run steps machines on several goroutines), hence a pool
 // rather than one package-level table.
 var matchers = sync.Pool{New: func() any { return &matcher{base: 1} }}
 

@@ -221,7 +221,7 @@ func TestMatcherWrap(t *testing.T) {
 }
 
 // TestCompressConcurrent has goroutines borrow and return matchers at once
-// (what cluster.RunParallel does); run under -race in CI.
+// (what cluster.Run does); run under -race in CI.
 func TestCompressConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -55,7 +55,7 @@ func Fig8CPUOverhead(scale Scale, seed int64) (Fig8Result, error) {
 	if err := c.Populate(machines*jobs, nil, seed); err != nil {
 		return Fig8Result{}, err
 	}
-	if err := c.RunParallel(duration, 0); err != nil {
+	if err := c.Run(duration); err != nil {
 		return Fig8Result{}, err
 	}
 	var jobComp, jobDecomp, machComp, machDecomp []float64
@@ -135,7 +135,7 @@ func Fig9CompressionCharacteristics(scale Scale, seed int64) (Fig9Result, error)
 	if err := c.Populate(machines*jobs, nil, seed); err != nil {
 		return Fig9Result{}, err
 	}
-	if err := c.RunParallel(duration, 0); err != nil {
+	if err := c.Run(duration); err != nil {
 		return Fig9Result{}, err
 	}
 	var ratios, latencies []float64
@@ -242,7 +242,7 @@ func Fig10BigtableAB(scale Scale, seed int64) (Fig10Result, error) {
 	// Step in lock-step, sampling coverage hourly.
 	sample := time.Hour
 	for t := sample; t <= duration; t += sample {
-		if err := c.RunParallel(t, 0); err != nil {
+		if err := c.Run(t); err != nil {
 			return Fig10Result{}, err
 		}
 		var cold, compressed float64

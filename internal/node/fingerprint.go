@@ -10,7 +10,7 @@ import (
 // statistics, and every job's cumulative accounting, memcg accounting,
 // census, and promotion histograms. Two runs of the same seeded
 // configuration must produce identical bytes; the cluster golden test,
-// the RunParallel determinism tests, and the chaos harness's
+// the worker-count determinism tests, and the chaos harness's
 // nondeterminism detector all hash this exact format, so its bytes are
 // load-bearing — extend it only behind the golden fingerprint.
 func (m *Machine) WriteFingerprint(w io.Writer) {

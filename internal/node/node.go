@@ -483,8 +483,19 @@ func (m *Machine) Step() error {
 			continue
 		}
 		var faultErr error
+		// Tick emits a page's accesses back to back. After the first, the
+		// page is resident with its accessed bit set, and nothing between
+		// two callbacks of one Tick clears the bit or compresses the page
+		// (scan and reclaim run after the tick), so a repeated read changes
+		// nothing and returns at once. A write still goes through Touch:
+		// it dirties the page, re-seeds its content and clears the
+		// incompressible mark.
+		last := ^mem.PageID(0) // no page yet: a job this ID fits has 16 TiB
 		j.Workload.Tick(m.now, func(id mem.PageID, write bool) {
 			if faultErr != nil {
+				return
+			}
+			if id == last && !write {
 				return
 			}
 			if j.Memcg.Flags(id).Has(mem.FlagCompressed) {
@@ -504,6 +515,7 @@ func (m *Machine) Step() error {
 				}
 			}
 			j.Memcg.Touch(id, write)
+			last = id
 		})
 		if faultErr != nil {
 			return faultErr

@@ -13,7 +13,7 @@
 //   - Single-writer instruments. An Observer (and everything registered on
 //     it) belongs to exactly one domain — one machine, one tuner, one fleet
 //     generator — and is only mutated by that domain's goroutine. This is
-//     what keeps instrumented RunParallel byte-identical to serial: no
+//     what keeps an instrumented cluster run independent of worker count: no
 //     cross-machine instrument is ever shared.
 //   - Observation only. Instruments never feed back into simulation
 //     decisions; a nil Observer (and nil instruments) disable everything.

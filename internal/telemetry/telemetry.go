@@ -16,6 +16,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sdfm/internal/histogram"
@@ -266,21 +267,22 @@ type EntrySink interface {
 // them to interval tails and appends each closed interval to its sink.
 // Record, Forget, and Resets are safe for concurrent use — one collector
 // can serve every job goroutine on a machine — but the sink sees appends
-// serialized under the collector's mutex, not concurrently.
+// serialized under the collector's mutex, not concurrently, and in the
+// order the recorders happened to run. Producers that run concurrently
+// and still want one append order each take a Stage and Hold it.
 type Collector struct {
 	mu         sync.Mutex
 	sink       EntrySink
 	thresholds []int
-	trace      *Trace              // non-nil only for in-memory collectors
 	prevPromo  map[JobKey][]uint64 // previous cumulative promotion tails
-	resets     int
+	resets     *atomic.Int64       // shared by a collector and its stages
+	held       bool                // between Hold and its flush
+	staged     []Entry             // closed intervals waiting for the flush
 }
 
 // NewCollector creates a collector writing into trace.
 func NewCollector(trace *Trace) *Collector {
-	c := NewStreamCollector(trace, trace.Thresholds)
-	c.trace = trace
-	return c
+	return NewStreamCollector(trace, trace.Thresholds)
 }
 
 // NewStreamCollector creates a collector exporting to an arbitrary sink
@@ -291,7 +293,73 @@ func NewStreamCollector(sink EntrySink, thresholds []int) *Collector {
 		sink:       sink,
 		thresholds: append([]int(nil), thresholds...),
 		prevPromo:  make(map[JobKey][]uint64),
+		resets:     new(atomic.Int64),
 	}
+}
+
+// Stage returns a collector for one producer (one machine) of c's: same
+// thresholds, its own baselines and Forget — a JobKey names its machine,
+// so splitting the baselines by producer changes no delta — closed
+// intervals appended to c's sink under c's mutex, re-baselines counted in
+// c's Resets. A stage passes entries on as they close; while held (Hold)
+// it keeps them, so a caller running several producers at once can flush
+// the stages one after another and give the sink an order that does not
+// depend on how the producers were scheduled.
+func (c *Collector) Stage() *Collector {
+	return &Collector{
+		sink:       stageSink{c},
+		thresholds: c.thresholds,
+		prevPromo:  make(map[JobKey][]uint64),
+		resets:     c.resets,
+	}
+}
+
+// stageSink is a stage's sink: its parent, entered under the parent's
+// mutex (and into the parent's own buffer while the parent is held).
+type stageSink struct{ parent *Collector }
+
+func (s stageSink) Append(e Entry) error {
+	s.parent.mu.Lock()
+	defer s.parent.mu.Unlock()
+	return s.parent.emit(e)
+}
+
+// emit sends a closed interval on: to the buffer while held, else to the
+// sink. The caller holds c.mu.
+func (c *Collector) emit(e Entry) error {
+	if c.held {
+		c.staged = append(c.staged, e)
+		return nil
+	}
+	return c.sink.Append(e)
+}
+
+// Hold makes c keep the intervals it closes instead of appending them,
+// until the returned flush appends them to the sink in the order they
+// closed and returns c to passing entries on. A sink error ends the flush
+// and is returned; the entries behind it are dropped, as they would not
+// have been recorded had the sink failed as they closed. Calling flush
+// again appends nothing.
+func (c *Collector) Hold() (flush func() error) {
+	c.mu.Lock()
+	c.held = true
+	c.mu.Unlock()
+	return c.flush
+}
+
+func (c *Collector) flush() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.held = false
+	staged := c.staged
+	c.staged = staged[:0]
+	defer clear(staged) // the buffer is reused; do not pin the tails
+	for i := range staged {
+		if err := c.sink.Append(staged[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Record exports one job interval. promoCumulative is the job's cumulative
@@ -320,7 +388,7 @@ func (c *Collector) Record(key JobKey, now time.Duration, intervalMinutes float6
 			}
 		}
 		if regressed {
-			c.resets++
+			c.resets.Add(1)
 			copy(prev, promoTails)
 		} else {
 			for i := range promoTails {
@@ -342,7 +410,7 @@ func (c *Collector) Record(key JobKey, now time.Duration, intervalMinutes float6
 		ColdTails:       TailsAt(census, c.thresholds),
 		PromoTails:      promoTails,
 	}
-	return c.sink.Append(e)
+	return c.emit(e)
 }
 
 // Forget drops interval state for a job that has exited.
@@ -353,13 +421,6 @@ func (c *Collector) Forget(key JobKey) {
 }
 
 // Resets reports how many times a backwards-moving cumulative counter
-// forced a baseline reset (daemon restarts observed by the collector).
-func (c *Collector) Resets() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resets
-}
-
-// Trace returns the underlying trace for in-memory collectors, nil for
-// stream collectors (their entries are already at the sink).
-func (c *Collector) Trace() *Trace { return c.trace }
+// forced a baseline reset (daemon restarts observed by the collector or
+// any of its stages).
+func (c *Collector) Resets() int { return int(c.resets.Load()) }
