@@ -135,11 +135,12 @@ func (r *Reclaimer) ReclaimCold(m *mem.Memcg, thresholdBucket int) Result {
 	res := Result{Scanned: m.NumPages()}
 	// The age-bucket index proves the common cases — nothing cold enough,
 	// or everything cold already compressed — in at most 256 reads; only
-	// when candidates exist does a walk over the flag-eligible pages gather
-	// them, in ascending page order (store order decides zsmalloc placement
-	// and where a full pool cuts the pass), before any store mutates the
-	// flags column. Scanned stays the whole memcg, which is what the
-	// kernel walks.
+	// when candidates exist does a walk gather them — over the
+	// flag-eligible pages of the blocks whose bound admits a page that old,
+	// one comparison for every other block — in ascending page order (store
+	// order decides zsmalloc placement and where a full pool cuts the
+	// pass), before any store mutates the flags column. Scanned stays the
+	// whole memcg, which is what the kernel walks.
 	r.ids = m.AppendColdReclaimable(r.ids[:0], thresholdBucket)
 	for _, id := range r.ids {
 		res.count(r.tier.Store(m, id))

@@ -2,6 +2,8 @@ package mem
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -267,6 +269,7 @@ type memcgPair struct {
 	refPromos  [NumAges]uint64
 	ids, refID []PageID
 	handle     zsmalloc.Handle
+	maxPages   int // Grow stops here
 }
 
 func newMemcgPair(pages int, seed uint64, mlocked float64) *memcgPair {
@@ -274,16 +277,21 @@ func newMemcgPair(pages int, seed uint64, mlocked float64) *memcgPair {
 		Name: "pair", Pages: pages, Mix: pagedata.DefaultMix,
 		SeedBase: seed, MlockedFraction: mlocked,
 	})
-	return &memcgPair{m: m, ref: newRefMemcg(m)}
+	return &memcgPair{m: m, ref: newRefMemcg(m), maxPages: max(600, pages+3*oldestBlock)}
 }
 
 const numPairOps = 11
 
-// apply performs operation op (taken modulo numPairOps) on both sides. a
-// picks the page, b is the operation's argument.
-func (p *memcgPair) apply(op, a, b uint8) {
+// apply performs operation op on the page a picks: a modulo the page
+// count, so only pages 0–255.
+func (p *memcgPair) apply(op, a, b uint8) { p.applyAt(op, int(a), b) }
+
+// applyAt performs operation op (taken modulo numPairOps) on both sides.
+// page (modulo the page count) picks the page, b is the operation's
+// argument.
+func (p *memcgPair) applyAt(op uint8, page int, b uint8) {
 	m, ref := p.m, p.ref
-	id := PageID(int(a) % m.NumPages())
+	id := PageID(page % m.NumPages())
 	isCompressed := m.Flags(id).Has(FlagCompressed)
 	// Everything but FlagCompressed, which only Mark* may change; the two
 	// undefined high bits ride along to show the lane tests ignore them.
@@ -297,7 +305,7 @@ func (p *memcgPair) apply(op, a, b uint8) {
 		m.Touch(id, b&1 != 0)
 		ref.Touch(id, b&1 != 0)
 	case 1:
-		if m.NumPages() < 600 {
+		if m.NumPages() < p.maxPages {
 			n := 1 + int(b)%9
 			m.Grow(n)
 			ref.Grow(n)
@@ -338,8 +346,37 @@ func (p *memcgPair) apply(op, a, b uint8) {
 	}
 }
 
-// check compares both sides and recounts the real memcg's indexes.
+// check compares both sides and recounts the real memcg's indexes. Its
+// candidate walks leave every block bound exact; verify alone leaves them
+// as the operations did.
 func (p *memcgPair) check() error {
+	m, ref := p.m, p.ref
+	if err := p.verify(); err != nil {
+		return err
+	}
+	for th := -1; th <= NumAges; th++ {
+		if got, want := m.ReclaimTail(th), ref.ReclaimTail(th); got != want {
+			return fmt.Errorf("ReclaimTail(%d) = %d, reference %d", th, got, want)
+		}
+		p.ids = m.AppendColdReclaimable(p.ids[:0], th)
+		p.refID = ref.AppendColdReclaimable(p.refID[:0], th)
+		if !slices.Equal(p.ids, p.refID) {
+			return fmt.Errorf("AppendColdReclaimable(%d) = %v, reference %v", th, p.ids, p.refID)
+		}
+	}
+	for age := 0; age < NumAges; age++ {
+		p.ids = m.AppendReclaimableAt(p.ids[:0], uint8(age))
+		p.refID = ref.AppendReclaimableAt(p.refID[:0], uint8(age))
+		if !slices.Equal(p.ids, p.refID) {
+			return fmt.Errorf("AppendReclaimableAt(%d) = %v, reference %v", age, p.ids, p.refID)
+		}
+	}
+	return nil
+}
+
+// verify recounts the real memcg's indexes and compares every page and
+// the census with the reference, without walking for candidates.
+func (p *memcgPair) verify() error {
 	m, ref := p.m, p.ref
 	if err := m.VerifyIndexes(); err != nil {
 		return err
@@ -362,23 +399,6 @@ func (p *memcgPair) check() error {
 	}
 	if p.promos != p.refPromos {
 		return fmt.Errorf("promotion tallies differ from the reference")
-	}
-	for th := -1; th <= NumAges; th++ {
-		if got, want := m.ReclaimTail(th), ref.ReclaimTail(th); got != want {
-			return fmt.Errorf("ReclaimTail(%d) = %d, reference %d", th, got, want)
-		}
-		p.ids = m.AppendColdReclaimable(p.ids[:0], th)
-		p.refID = ref.AppendColdReclaimable(p.refID[:0], th)
-		if !slices.Equal(p.ids, p.refID) {
-			return fmt.Errorf("AppendColdReclaimable(%d) = %v, reference %v", th, p.ids, p.refID)
-		}
-	}
-	for age := 0; age < NumAges; age++ {
-		p.ids = m.AppendReclaimableAt(p.ids[:0], uint8(age))
-		p.refID = ref.AppendReclaimableAt(p.refID[:0], uint8(age))
-		if !slices.Equal(p.ids, p.refID) {
-			return fmt.Errorf("AppendReclaimableAt(%d) = %v, reference %v", age, p.ids, p.refID)
-		}
 	}
 	return nil
 }
@@ -406,16 +426,67 @@ func TestMemcgMatchesReference(t *testing.T) {
 	}
 }
 
+// widePopulations span several blocks of the oldest column and end inside
+// one.
+var widePopulations = []int{oldestBlock + 1, 2*oldestBlock + 2, 3*oldestBlock - 1, 4*oldestBlock + 1, 1000}
+
+// TestManyBlockMemcgMatchesReference is the same comparison over memcgs
+// of many blocks, with operations landing on every page of them and Grow
+// crossing block boundaries. The candidate walks tighten every bound, so
+// only every fourth step runs them: in between, the bounds are whatever
+// the operations left, and VerifyIndexes alone holds them to the pages.
+func TestManyBlockMemcgMatchesReference(t *testing.T) {
+	for seed, pages := range widePopulations {
+		rng := rand.New(rand.NewSource(int64(100 + seed)))
+		p := newMemcgPair(pages, uint64(seed), []float64{0, 0.1}[seed%2])
+		for step := 0; step < 1200; step++ {
+			op, b := uint8(rng.Intn(numPairOps)), uint8(rng.Intn(256))
+			if op == 8 && rng.Intn(4) != 0 {
+				op = 9
+			}
+			page := rng.Intn(p.m.NumPages())
+			p.applyAt(op, page, b)
+			check := p.verify
+			if step%4 == 3 {
+				check = p.check
+			}
+			if err := check(); err != nil {
+				t.Fatalf("%d pages, step %d (op %d, page %d, b %d): %v", pages, step, op%numPairOps, page, b, err)
+			}
+		}
+		if p.m.NumPages() < pages+oldestBlock {
+			t.Errorf("%d pages grew to %d only; no Grow filled a block and started the next", pages, p.m.NumPages())
+		}
+	}
+}
+
 // FuzzMemcgOps reads the input as (op, page, argument) triples applied to
-// a memcg whose size the first byte picks.
+// a memcg whose size the first byte picks. A first byte of 128 and up
+// picks a many-block memcg instead, and the records become (op, page low
+// byte, page high byte, argument).
 func FuzzMemcgOps(f *testing.F) {
 	f.Add([]byte{8})
-	f.Add([]byte{13, 4, 0, 255, 9, 0, 0, 8, 0, 200, 8, 0, 100, 0, 0, 0}) // SetAge(255) at epoch 0, idle past saturation, touch
-	f.Add([]byte{20, 5, 3, 7, 2, 3, 1, 9, 0, 0, 9, 0, 0, 6, 3, 0})       // accessed bit set on a compressed page
-	f.Add([]byte{9, 5, 8, 1, 8, 0, 255, 8, 0, 255, 6, 8, 0, 9, 0, 0})    // compressed page promoted at saturation
-	f.Add([]byte{31, 0, 1, 1, 1, 0, 5, 4, 30, 77, 7, 0, 8, 9, 0, 0})     // grow, age, reset
+	f.Add([]byte{13, 4, 0, 255, 9, 0, 0, 8, 0, 200, 8, 0, 100, 0, 0, 0})    // SetAge(255) at epoch 0, idle past saturation, touch
+	f.Add([]byte{20, 5, 3, 7, 2, 3, 1, 9, 0, 0, 9, 0, 0, 6, 3, 0})          // accessed bit set on a compressed page
+	f.Add([]byte{9, 5, 8, 1, 8, 0, 255, 8, 0, 255, 6, 8, 0, 9, 0, 0})       // compressed page promoted at saturation
+	f.Add([]byte{31, 0, 1, 1, 1, 0, 5, 4, 30, 77, 7, 0, 8, 9, 0, 0})        // grow, age, reset
+	f.Add([]byte{128, 2, 64, 0, 16, 8, 0, 0, 40, 3, 64, 0, 16, 1, 0, 0, 8}) // 65 pages: the last block's only page incompressible, idle, then eligible again; grow
+	f.Add([]byte{131, 5, 0, 1, 0, 8, 0, 0, 9, 6, 0, 1, 0, 4, 200, 0, 77})   // 257 pages: page 256 compressed, idle, promoted; page 200 aged
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
+			return
+		}
+		if data[0] >= 128 {
+			data = data[:min(len(data), 1+4*100)]
+			// The first four: under 300 pages, so a check stays cheap.
+			p := newMemcgPair(widePopulations[int(data[0])%4], uint64(data[0]), 0.1)
+			for i := 1; i+4 <= len(data); i += 4 {
+				page := int(data[i+1]) | int(data[i+2])<<8
+				p.applyAt(data[i], page, data[i+3])
+				if err := p.check(); err != nil {
+					t.Fatalf("op %d (%d, page %d, arg %d): %v", i/4, data[i]%numPairOps, page, data[i+3], err)
+				}
+			}
 			return
 		}
 		data = data[:min(len(data), 1+3*200)]
@@ -427,6 +498,213 @@ func FuzzMemcgOps(f *testing.F) {
 			}
 		}
 	})
+}
+
+// referenceBornIn is appendBornIn as it was before the per-block bound:
+// one walk over the whole flags column, reading born for every page whose
+// flags qualify. It is that code verbatim; only the name changed.
+func (m *Memcg) referenceBornIn(dst []PageID, mask PageFlags, lo, hi uint32) []PageID {
+	span := hi - lo
+	for i, hit := nextLanes(m.flags, 0, mask, 0); hit != 0; i, hit = nextLanes(m.flags, i+8, mask, 0) {
+		for ; hit != 0; hit &= hit - 1 {
+			id := PageID(i + bits.TrailingZeros64(hit)>>3)
+			if m.born[id]-lo <= span {
+				dst = append(dst, id)
+			}
+		}
+	}
+	return dst
+}
+
+// TestBornInMatchesFlatWalk holds the blocked walk to the flat one on a
+// memcg the size of a job — most of it compressed or idle, a few hot
+// pages, as in a cold store — for both masks the callers use and for born
+// ranges that start, end and lie anywhere, between operations that leave
+// bounds stale in both directions.
+func TestBornInMatchesFlatWalk(t *testing.T) {
+	const pages = 20*oldestBlock + 13
+	rng := rand.New(rand.NewSource(5))
+	m := newTestMemcg(pages)
+	var promos [NumAges]uint64
+	var got, want []PageID
+	handle := zsmalloc.Handle(0)
+	for round := 0; round < 400; round++ {
+		for k := 0; k < 30; k++ {
+			// Pages of the first two blocks are hot; the rest are
+			// touched rarely.
+			id := PageID(rng.Intn(2 * oldestBlock))
+			if k%10 == 0 {
+				id = PageID(rng.Intn(m.NumPages()))
+			}
+			if m.Flags(id).Has(FlagCompressed) {
+				m.MarkPromoted(id)
+			}
+			m.Touch(id, k%3 == 0)
+		}
+		switch id := PageID(rng.Intn(m.NumPages())); round % 5 {
+		case 0:
+			m.SetFlags(id, FlagIncompressible)
+		case 1:
+			m.SetAge(id, uint8(rng.Intn(NumAges)))
+		case 2:
+			m.Grow(1 + rng.Intn(5))
+		}
+		m.ScanAges(&promos)
+		if round > 20 { // reclaim, as kreclaimd does, what has been idle for 12 scans
+			got = m.AppendColdReclaimable(got[:0], 12)
+			for _, id := range got {
+				handle++
+				m.MarkCompressed(id, handle, 900)
+			}
+		}
+		for k := 0; k < 6; k++ {
+			lo := m.scanEpoch - uint32(rng.Intn(40))
+			hi := lo + uint32(rng.Intn(int(m.scanEpoch-lo)+1))
+			if k == 0 {
+				lo = 0
+			}
+			mask := []PageFlags{reclaimMask, reclaimMask | FlagAccessed}[k%2]
+			got = m.appendBornIn(got[:0], mask, lo, hi)
+			want = m.referenceBornIn(want[:0], mask, lo, hi)
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d: born in [%d, %d] under mask %08b = %v, flat walk %v", round, lo, hi, mask, got, want)
+			}
+			if err := m.VerifyIndexes(); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+	}
+	if m.Compressed() < pages/2 {
+		t.Errorf("only %d of %d pages compressed; the shape is not a cold store's", m.Compressed(), m.NumPages())
+	}
+}
+
+// TestEdgesThatLowerTheBound takes each event after which a block bound
+// must come down. Every case first empties block 1 — the last, and not
+// full — of old eligible pages and lets a walk tighten its bound past
+// them, then lets one page of the block become a candidate again.
+func TestEdgesThatLowerTheBound(t *testing.T) {
+	const (
+		pages = 2*oldestBlock - 8
+		first = oldestBlock     // block 1's first page
+		page  = oldestBlock + 6 // the page the edge lands on
+		idle  = 50              // scans before the edge
+
+		opTouch, opGrow, opSetFlags, opClearFlags, opSetAge, opCompress, opPromote, opReset, opScans = 0, 1, 2, 3, 4, 5, 6, 7, 8
+	)
+	everyPage := func(p *memcgPair, op, b uint8) {
+		for id := first; id < pages; id++ {
+			p.applyAt(op, id, b)
+		}
+	}
+	none := uint32(math.MaxUint32) // what a walk leaves on a block without eligible pages
+	for name, tc := range map[string]struct {
+		empty     func(p *memcgPair) // takes block 1's old eligible pages away
+		tightened func(m *Memcg) uint32
+		edge      func(p *memcgPair)
+		list      func(m *Memcg) []PageID // must hold page after the edge
+		page      PageID                  // if not the const
+	}{
+		"incompressible mark cleared": {
+			empty:     func(p *memcgPair) { everyPage(p, opSetFlags, uint8(FlagIncompressible)) },
+			tightened: func(*Memcg) uint32 { return none },
+			edge:      func(p *memcgPair) { p.applyAt(opClearFlags, page, uint8(FlagIncompressible)) },
+			list:      func(m *Memcg) []PageID { return m.AppendColdReclaimable(nil, idle) },
+		},
+		"incompressible page written": {
+			empty:     func(p *memcgPair) { everyPage(p, opSetFlags, uint8(FlagIncompressible)) },
+			tightened: func(*Memcg) uint32 { return none },
+			edge:      func(p *memcgPair) { p.applyAt(opTouch, page, 1) },
+			list:      func(m *Memcg) []PageID { return m.AppendReclaimableAt(nil, idle) },
+		},
+		"SetAge to an older age": {
+			empty:     func(p *memcgPair) { everyPage(p, opTouch, 0); p.applyAt(opScans, 0, 1) },
+			tightened: func(m *Memcg) uint32 { return m.scanEpoch },
+			edge:      func(p *memcgPair) { p.applyAt(opSetAge, page, 200) },
+			list:      func(m *Memcg) []PageID { return m.AppendColdReclaimable(nil, 200) },
+		},
+		"promotion into an all-compressed block": {
+			empty:     func(p *memcgPair) { everyPage(p, opCompress, 9) },
+			tightened: func(*Memcg) uint32 { return none },
+			edge:      func(p *memcgPair) { p.applyAt(opPromote, page, 0) },
+			list:      func(m *Memcg) []PageID { return m.AppendReclaimableAt(nil, 0) },
+		},
+		"Grow into an all-compressed block": {
+			empty:     func(p *memcgPair) { everyPage(p, opCompress, 9) },
+			tightened: func(*Memcg) uint32 { return none },
+			edge:      func(p *memcgPair) { p.applyAt(opGrow, 0, 0) },
+			list:      func(m *Memcg) []PageID { return m.AppendReclaimableAt(nil, 0) },
+			page:      pages,
+		},
+		"ResetAges": {
+			empty:     func(p *memcgPair) { everyPage(p, opSetFlags, uint8(FlagIncompressible)) },
+			tightened: func(*Memcg) uint32 { return none },
+			edge:      func(p *memcgPair) { p.applyAt(opReset, 0, 0) },
+			list:      func(m *Memcg) []PageID { return m.AppendReclaimableAt(nil, 0) },
+		},
+	} {
+		p := newMemcgPair(pages, 3, 0)
+		p.applyAt(opScans, 0, idle)
+		tc.empty(p)
+		if err := p.check(); err != nil {
+			t.Fatalf("%s, before the edge: %v", name, err)
+		}
+		if got, want := p.m.oldest[1], tc.tightened(p.m); got != want {
+			t.Fatalf("%s: a walk left block 1's bound at %d, want %d (scan epoch %d)", name, got, want, p.m.scanEpoch)
+		}
+		tc.edge(p)
+		if err := p.verify(); err != nil {
+			t.Errorf("%s, after the edge: %v", name, err)
+		}
+		want := max(tc.page, page)
+		if ids := tc.list(p.m); !slices.Contains(ids, want) {
+			t.Errorf("%s: page %d is not among the candidates %v", name, want, ids)
+		}
+		if err := p.check(); err != nil {
+			t.Errorf("%s, after the edge: %v", name, err)
+		}
+	}
+}
+
+// TestHotBlockIsWalkedOnce: a block whose eligible pages are all touched
+// every period never had its bound raised by the scans that re-stamp
+// them, so the first reclaim pass walks it — and leaves the exact minimum
+// behind, so the following passes do not.
+func TestHotBlockIsWalkedOnce(t *testing.T) {
+	m := newTestMemcg(3*oldestBlock + 8)
+	var promos [NumAges]uint64
+	hotPeriod := func() {
+		for id := PageID(oldestBlock); id < 2*oldestBlock; id++ {
+			m.Touch(id, false)
+		}
+		m.ScanAges(&promos)
+	}
+	for i := 0; i < 300; i++ {
+		hotPeriod()
+	}
+	if m.oldest[1] != MaxAge {
+		t.Fatalf("block 1's bound moved to %d without a walk; scans need not raise it", m.oldest[1])
+	}
+	ids := m.AppendColdReclaimable(nil, 10)
+	if len(ids) != 2*oldestBlock+8 || slices.ContainsFunc(ids, func(id PageID) bool { return id/oldestBlock == 1 }) {
+		t.Fatalf("cold candidates %v, want every page outside block 1", ids)
+	}
+	walkedAt := m.scanEpoch
+	if m.oldest[1] != walkedAt {
+		t.Fatalf("the walk left block 1's bound at %d, want the exact minimum %d", m.oldest[1], walkedAt)
+	}
+	for i := 0; i < 5; i++ {
+		hotPeriod()
+		if ids = m.AppendColdReclaimable(ids[:0], 10); len(ids) != 2*oldestBlock+8 {
+			t.Fatalf("%d cold candidates, want %d", len(ids), 2*oldestBlock+8)
+		}
+		if m.oldest[1] != walkedAt {
+			t.Fatalf("block 1 was walked again: bound %d, was %d", m.oldest[1], walkedAt)
+		}
+	}
+	if err := m.VerifyIndexes(); err != nil {
+		t.Error(err)
+	}
 }
 
 func scanN(m *Memcg, n int) (promos [NumAges]uint64) {
@@ -558,6 +836,8 @@ func TestVerifyIndexesCatchesCorruption(t *testing.T) {
 	}
 	for name, damage := range map[string]func(m *Memcg){
 		"born in the future":       func(m *Memcg) { m.born[4] = m.scanEpoch + 1 },
+		"bound above a page":       func(m *Memcg) { m.oldest[0] = m.born[4] + 1 },
+		"bound column short":       func(m *Memcg) { m.oldest = m.oldest[:0] },
 		"born moved":               func(m *Memcg) { m.born[4]-- },
 		"census bucket lost":       func(m *Memcg) { m.ageCounts[5]-- },
 		"reclaim bucket misplaced": func(m *Memcg) { m.reclaimAges[5]--; m.reclaimAges[6]++ },

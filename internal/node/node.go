@@ -90,7 +90,12 @@ type Job struct {
 	StoredPages   uint64        // pages moved to far memory (cumulative)
 	StoredBytes   uint64        // compressed payload bytes (cumulative)
 
-	prevPromo *histogram.Histogram // snapshot for interval deltas
+	// The control loop's interval delta, both overwritten in place every
+	// step: the tracker's cumulative promotion counts as of the previous
+	// step (all zero: no baseline yet) and the histogram of what was added
+	// since, which is what the controller observes.
+	prevPromo  [histogram.NumBuckets]uint64
+	promoDelta *histogram.Histogram
 
 	// Per-interval samples while running (for CDFs).
 	rateSamples    []float64
@@ -339,6 +344,7 @@ func (m *Machine) AddJob(w *workload.Workload) (*Job, error) {
 		Controller: ctrl,
 		Started:    m.now,
 		Priority:   w.Archetype().Priority,
+		promoDelta: histogram.New(m.scanPeriod),
 	}
 	m.jobs = append(m.jobs, j)
 	return j, nil
@@ -551,44 +557,7 @@ func (m *Machine) Step() error {
 		if j.State != JobRunning {
 			continue
 		}
-		census := j.Tracker.Census()
-		wss := core.WorkingSetPages(census, m.cfg.SLO)
-		j.lastWSS = wss
-		j.lastColdMin = census.TailSum(1)
-
-		promoDelta := j.Tracker.Promotions().Sub(j.prevPromo)
-		j.prevPromo = j.Tracker.Promotions().Clone()
-		j.Controller.ObserveInterval(promoDelta, wss, intervalMinutes)
-
-		// Record the realized normalized promotion rate for this interval.
-		if m.cfg.CollectSamples && wss > 0 {
-			rate := float64(j.intervalProm) / intervalMinutes / float64(wss)
-			j.rateSamples = append(j.rateSamples, rate)
-		}
-		// The circuit breaker judges the job on its realized rate before
-		// the interval counter resets.
-		if m.cfg.Breaker.Enabled {
-			m.updateBreaker(j, intervalMinutes)
-		}
-		j.intervalProm = 0
-
-		// zswap is off for jobs at their memcg limit: compressing to stave
-		// off the limit wastes cycles the scheduler will reclaim anyway by
-		// killing the job (§5.1). An open breaker likewise disables zswap
-		// for the job until its cooldown expires.
-		if m.cfg.Mode == ModeProactive && j.Controller.Enabled(m.now) && !j.Memcg.AtLimit() && !j.breakerOpen {
-			th := j.Controller.Threshold()
-			if p := j.breakerPenalty(&m.cfg.Breaker); p > 0 {
-				th += p
-				if th > histogram.MaxBucket {
-					th = histogram.MaxBucket
-				}
-			}
-			res := m.reclaimer.ReclaimCold(j.Memcg, th)
-			j.CompressCPU += res.CPUTime
-			j.StoredPages += uint64(res.Stored)
-			j.StoredBytes += res.StoredBytes
-		}
+		m.control(j, intervalMinutes)
 	}
 
 	// 4. Periodic compaction (agent-triggered, §5.1).
@@ -637,6 +606,66 @@ func (m *Machine) Step() error {
 	return nil
 }
 
+// control is one job's turn in the node agent's control loop: observe the
+// interval's promotions, pick the threshold, reclaim what is colder. It
+// allocates nothing unless a page is stored or samples are collected.
+func (m *Machine) control(j *Job, intervalMinutes float64) {
+	census := j.Tracker.Census()
+	wss := core.WorkingSetPages(census, m.cfg.SLO)
+	j.lastWSS = wss
+	j.lastColdMin = census.TailSum(1)
+
+	j.Controller.ObserveInterval(j.intervalPromotions(), wss, intervalMinutes)
+
+	// Record the realized normalized promotion rate for this interval.
+	if m.cfg.CollectSamples && wss > 0 {
+		rate := float64(j.intervalProm) / intervalMinutes / float64(wss)
+		j.rateSamples = append(j.rateSamples, rate)
+	}
+	// The circuit breaker judges the job on its realized rate before
+	// the interval counter resets.
+	if m.cfg.Breaker.Enabled {
+		m.updateBreaker(j, intervalMinutes)
+	}
+	j.intervalProm = 0
+
+	// zswap is off for jobs at their memcg limit: compressing to stave
+	// off the limit wastes cycles the scheduler will reclaim anyway by
+	// killing the job (§5.1). An open breaker likewise disables zswap
+	// for the job until its cooldown expires.
+	if m.cfg.Mode == ModeProactive && j.Controller.Enabled(m.now) && !j.Memcg.AtLimit() && !j.breakerOpen {
+		th := j.Controller.Threshold()
+		if p := j.breakerPenalty(&m.cfg.Breaker); p > 0 {
+			th += p
+			if th > histogram.MaxBucket {
+				th = histogram.MaxBucket
+			}
+		}
+		res := m.reclaimer.ReclaimCold(j.Memcg, th)
+		j.CompressCPU += res.CPUTime
+		j.StoredPages += uint64(res.Stored)
+		j.StoredBytes += res.StoredBytes
+	}
+}
+
+// intervalPromotions returns the promotions the tracker recorded since the
+// previous call (since the tracker was created, on the first), in the
+// job's reused delta histogram.
+func (j *Job) intervalPromotions() *histogram.Histogram {
+	cumulative := j.Tracker.Promotions().Counts()
+	delta := cumulative
+	for b, prev := range j.prevPromo {
+		if prev > delta[b] {
+			panic(fmt.Sprintf("node: %s promotion bucket %d went backwards (%d after %d)",
+				j.Memcg.Name(), b, delta[b], prev))
+		}
+		delta[b] -= prev
+	}
+	j.prevPromo = cumulative
+	j.promoDelta.SetCounts(delta)
+	return j.promoDelta
+}
+
 // capacityBytes is the DRAM available to jobs right now: the machine's
 // nominal capacity minus whatever a pressure-spike fault is withholding.
 func (m *Machine) capacityBytes() uint64 {
@@ -676,7 +705,7 @@ func (m *Machine) crash() error {
 			return err
 		}
 		j.Controller = ctrl
-		j.prevPromo = nil
+		j.prevPromo = [histogram.NumBuckets]uint64{}
 		j.intervalProm = 0
 		j.lastWSS = 0
 		j.lastColdMin = 0

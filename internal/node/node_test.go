@@ -508,3 +508,55 @@ func TestGrowthKeepsWorkloadMemcgInSync(t *testing.T) {
 		t.Errorf("pages = %d; expected ~+100%% over 2 h at 50%%/h", j.Memcg.NumPages())
 	}
 }
+
+// TestControlLoopAllocatesNothing pins the agent's control loop at zero
+// allocations per job in steady state: the interval's promotion delta is
+// computed into per-job storage, not into fresh histograms. No scan runs
+// between the calls, so no page ages, and once the controller's pool has
+// turned over and the threshold has settled there is nothing left to
+// store — stores (which do allocate, in the pool's arena) would show up
+// as a moved StoredPages.
+func TestControlLoopAllocatesNothing(t *testing.T) {
+	m := newMachine(t, Config{
+		Mode:   ModeProactive,
+		Params: core.Params{K: 95, S: 10 * time.Minute},
+		Seed:   1,
+	})
+	addWorkload(t, m, workload.LogProcessor, 1)
+	addWorkload(t, m, workload.KVCache, 2)
+	if err := m.Run(2 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	minutes := m.scanPeriod.Minutes()
+	loop := func() {
+		for _, j := range m.jobs {
+			m.control(j, minutes)
+		}
+	}
+	for i := 0; i < core.DefaultHistoryLen+1; i++ {
+		loop()
+	}
+	stored := m.jobs[0].StoredPages + m.jobs[1].StoredPages
+	if stored == 0 {
+		t.Fatal("nothing was ever stored; the loop under test never reached reclaim")
+	}
+	if allocs := testing.AllocsPerRun(100, loop); allocs != 0 {
+		t.Errorf("the control loop allocates %v times per step over two jobs", allocs)
+	}
+	if now := m.jobs[0].StoredPages + m.jobs[1].StoredPages; now != stored {
+		t.Errorf("%d pages stored during the measurement; it was not a steady state", now-stored)
+	}
+	// A crash drops the baseline with the tracker: the first interval
+	// after it sees the new tracker's promotions whole.
+	if err := m.crash(); err != nil {
+		t.Fatal(err)
+	}
+	j := m.jobs[0]
+	j.Tracker.RecordPromotionFault(7)
+	if got := j.intervalPromotions(); got.Total() != 1 || got.Count(7) != 1 {
+		t.Errorf("first interval after a crash: %d promotions, %d at age 7; want the one recorded", got.Total(), got.Count(7))
+	}
+	if got := j.intervalPromotions(); got.Total() != 0 {
+		t.Errorf("second interval after a crash repeats %d promotions", got.Total())
+	}
+}

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -374,4 +375,261 @@ func TestTickEmitsInPageOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceSweep is Tick as it was before the per-block bound: one sweep
+// of the whole next column, a comparison per page. It is that code
+// verbatim; only the name changed. Tick must reproduce it bit for bit —
+// same accesses in the same order, same draws, same next column — because
+// skipping a block in which nothing is due skips no access and no draw.
+func (w *Workload) referenceSweep(now time.Duration, access func(id mem.PageID, write bool)) {
+	diurnal, writeFraction := w.DiurnalFactor(now), w.arch.WriteFraction
+	rng, periods, next := w.rng, w.periods, w.next
+	for i, at := range next {
+		if at > now {
+			continue
+		}
+		mean := periods[i] / diurnal
+		for at <= now {
+			access(mem.PageID(i), rng.Float64() < writeFraction)
+			gap := rng.ExpFloat64() * mean
+			// Not "gap < 0.5": a NaN gap must also advance the page.
+			if !(gap >= 0.5) {
+				gap = 0.5
+			}
+			at += time.Duration(gap * float64(time.Second))
+		}
+		next[i] = at
+	}
+	if w.arch.ScanEvery > 0 && now >= w.nextScan {
+		for i := 0; i < w.pages; i++ {
+			access(mem.PageID(i), false)
+		}
+		for now >= w.nextScan {
+			w.nextScan += w.arch.ScanEvery
+		}
+	}
+}
+
+// tickPair drives Tick and the flat sweep from the same seed through the
+// same calls. The reference side grows through the real AddPages: the
+// bounds it keeps there are never read.
+type tickPair struct {
+	w, ref    *Workload
+	got, want []access
+}
+
+func newTickPair(arch *Archetype, seed int64, start time.Duration) (*tickPair, error) {
+	cfg := Config{Archetype: arch, Name: "inst", Seed: seed, Start: start}
+	w, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ref, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &tickPair{w: w, ref: ref}, w.verifyDue()
+}
+
+// verifyDue recounts the bounds: one per block, none after the soonest
+// next access of its block.
+func (w *Workload) verifyDue() error {
+	if want := (w.pages + dueBlock - 1) / dueBlock; len(w.due) != want || len(w.next) != w.pages {
+		return fmt.Errorf("%d bounds over %d next times for %d pages, want %d", len(w.due), len(w.next), w.pages, want)
+	}
+	for b, bound := range w.due {
+		if soonest := slices.Min(w.next[b*dueBlock : min((b+1)*dueBlock, w.pages)]); bound > soonest {
+			return fmt.Errorf("block %d: bound %v is after its soonest access at %v", b, bound, soonest)
+		}
+	}
+	return nil
+}
+
+// tick ticks both sides at now and returns the number of accesses.
+func (p *tickPair) tick(now time.Duration) (int, error) {
+	p.got, p.want = p.got[:0], p.want[:0]
+	p.w.Tick(now, func(id mem.PageID, wr bool) { p.got = append(p.got, access{id, wr}) })
+	p.ref.referenceSweep(now, func(id mem.PageID, wr bool) { p.want = append(p.want, access{id, wr}) })
+	if !slices.Equal(p.got, p.want) {
+		i := 0
+		for i < len(p.got) && i < len(p.want) && p.got[i] == p.want[i] {
+			i++
+		}
+		return 0, fmt.Errorf("%d accesses, flat sweep %d; first difference at %d", len(p.got), len(p.want), i)
+	}
+	// Every block that was due has been swept past now and tightened.
+	for b, bound := range p.w.due {
+		if bound <= now {
+			return 0, fmt.Errorf("block %d still due at %v after Tick(%v)", b, bound, now)
+		}
+	}
+	return len(p.got), p.same()
+}
+
+// grow adds n pages to both sides.
+func (p *tickPair) grow(n int, now time.Duration) error {
+	p.w.AddPages(n, now)
+	p.ref.AddPages(n, now)
+	return p.same()
+}
+
+// same compares what the two sides carry into the next call.
+func (p *tickPair) same() error {
+	if err := p.w.verifyDue(); err != nil {
+		return err
+	}
+	if !slices.Equal(p.w.next, p.ref.next) {
+		return fmt.Errorf("next columns differ")
+	}
+	if p.w.nextScan != p.ref.nextScan || p.w.pages != p.ref.pages {
+		return fmt.Errorf("pages/nextScan = %d/%v, flat sweep %d/%v", p.w.pages, p.w.nextScan, p.ref.pages, p.ref.nextScan)
+	}
+	return nil
+}
+
+// sameRNG draws once from both generators: equal only if both consumed
+// the same number of draws.
+func (p *tickPair) sameRNG() error {
+	if a, b := p.w.rng.Int63(), p.ref.rng.Int63(); a != b {
+		return fmt.Errorf("next draw %d, flat sweep %d", a, b)
+	}
+	return nil
+}
+
+// irregularNows is a tick schedule with every irregularity a caller can
+// produce: the steady scan period, a repeated now, a one-second step, a
+// long gap (past ScanEvery, and reaching blocks of cold pages), and a
+// return to the steady period.
+func irregularNows(start, long time.Duration) []time.Duration {
+	now := start
+	var nows []time.Duration
+	for _, d := range []time.Duration{
+		lawTick, lawTick, lawTick, 0, lawTick, time.Second, 0, 0, lawTick,
+		long, lawTick, lawTick, 30 * time.Minute, 0, lawTick, lawTick,
+	} {
+		now += d
+		nows = append(nows, now)
+	}
+	return nows
+}
+
+// TestTickMatchesFlatSweep holds Tick to the flat sweep on every shape the
+// repository runs and on the block-edge page counts, over an irregular
+// schedule with growth that crosses block boundaries.
+func TestTickMatchesFlatSweep(t *testing.T) {
+	growing := *LogProcessor
+	growing.Name, growing.PagesMin, growing.PagesMax, growing.GrowthPerHour = "growing", 3*dueBlock-1, 3*dueBlock-1, 0.5
+	shapes := []*Archetype{coldStore, &growing}
+	for _, a := range Archetypes {
+		// The band shapes at a population that keeps hours of hot pages
+		// cheap, and ends inside a block.
+		sized := *a
+		sized.PagesMin, sized.PagesMax = 200*dueBlock+1, 200*dueBlock+1
+		shapes = append(shapes, &sized)
+	}
+	for _, pages := range []int{1, dueBlock - 1, dueBlock, dueBlock + 1} {
+		edge := *BatchAnalytics // hot, lukewarm and cold bands, and a ScanEvery
+		edge.Name, edge.PagesMin, edge.PagesMax = fmt.Sprintf("%d-pages", pages), pages, pages
+		shapes = append(shapes, &edge)
+	}
+	for _, arch := range shapes {
+		t.Run(arch.Name, func(t *testing.T) {
+			t.Parallel()
+			start := 7 * time.Minute
+			p, err := newTickPair(arch, 11, start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for step, now := range irregularNows(start, max(3*time.Hour, arch.ScanEvery+time.Hour)) {
+				// Growth as node.Machine.Step drives it, plus — on the
+				// shapes that do not grow by themselves — direct calls
+				// that land on, fill and cross a block boundary.
+				grown := p.w.GrowthDue(now)
+				if grown != p.ref.GrowthDue(now) {
+					t.Fatalf("step %d: GrowthDue differs", step)
+				}
+				if grown == 0 && arch.PagesMax < 100 {
+					grown = []int{1, dueBlock - 1, 1, 2*dueBlock + 3}[step%4]
+				}
+				if grown > 0 {
+					if err := p.grow(grown, now); err != nil {
+						t.Fatalf("step %d, %d pages added at %v: %v", step, grown, now, err)
+					}
+				}
+				n, err := p.tick(now)
+				if err != nil {
+					t.Fatalf("step %d, Tick(%v): %v", step, now, err)
+				}
+				total += n
+			}
+			// A tick that lands exactly on a bound: that block is due.
+			onBound := slices.Min(p.w.due)
+			if n, err := p.tick(onBound); err != nil || n == 0 {
+				t.Fatalf("Tick(%v), the soonest bound: %d accesses, %v", onBound, n, err)
+			}
+			if err := p.sameRNG(); err != nil {
+				t.Fatal(err)
+			}
+			if total < p.w.Pages() {
+				t.Errorf("only %d accesses over %d pages; the comparison saw almost nothing", total, p.w.Pages())
+			}
+		})
+	}
+}
+
+// FuzzTickSequence reads the input as a page count, a band shape and then
+// (operation, argument) pairs — advance now and tick, or add pages — and
+// holds Tick to the flat sweep after every one of them.
+func FuzzTickSequence(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 4})                                       // one hot page
+	f.Add([]byte{15, 1, 0, 4, 0, 0, 0, 4, 3, 0, 0, 4, 3, 17, 0, 4}) // block+1 pages, repeated now, growth by 1 and 18
+	f.Add([]byte{200, 2, 1, 200, 0, 4, 2, 255, 0, 4})               // all cold until a long gap reaches them
+	f.Add([]byte{47, 7, 0, 4, 2, 130, 0, 4, 3, 40, 2, 9, 0, 4})     // ScanEvery coming due, growth across blocks
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		data = data[:min(len(data), 2+2*48)]
+		pages, shape := 1+int(data[0]), data[1]
+		// Periods of 30 s and up keep the longest gap (42 min) under a
+		// hundred accesses per page.
+		hot := Band{Weight: 1, MinPeriod: 30 * time.Second, MaxPeriod: 3 * time.Minute}
+		cold := Band{Weight: 1, MinPeriod: 2 * time.Hour, MaxPeriod: 400 * time.Hour}
+		arch := &Archetype{
+			Name: "fuzz", PagesMin: pages, PagesMax: pages,
+			Bands:         [][]Band{{hot}, {hot, cold}, {cold}, {{0.05, hot.MinPeriod, hot.MaxPeriod}, cold}}[shape%4],
+			WriteFraction: 0.3,
+		}
+		if shape&4 != 0 {
+			arch.ScanEvery = 20 * time.Minute
+			arch.DiurnalAmplitude = 0.5
+		}
+		start := time.Duration(shape>>4) * time.Minute
+		p, err := newTickPair(arch, int64(shape), start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := start
+		for i := 2; i+2 <= len(data); i += 2 {
+			op, arg := data[i], data[i+1]
+			switch {
+			case op%4 == 3 && p.w.Pages() < 600:
+				err = p.grow(1+int(arg)%40, now)
+			case op%4 == 2:
+				now += time.Duration(arg) * 10 * time.Second
+				_, err = p.tick(now)
+			default:
+				now += time.Duration(arg) * time.Second // 0: the same now again
+				_, err = p.tick(now)
+			}
+			if err != nil {
+				t.Fatalf("op %d (%d, %d) at %v: %v", i/2-1, op%4, arg, now, err)
+			}
+		}
+		if err := p.sameRNG(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
