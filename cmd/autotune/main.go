@@ -10,7 +10,12 @@ import (
 	"log"
 	"time"
 
-	"sdfm"
+	"sdfm/internal/core"
+	"sdfm/internal/fleet"
+	"sdfm/internal/model"
+	"sdfm/internal/obs"
+	"sdfm/internal/tracestore"
+	"sdfm/internal/tuner"
 )
 
 func main() {
@@ -25,19 +30,19 @@ func main() {
 	)
 	flag.Parse()
 
-	var multi *sdfm.Obs
-	var observer *sdfm.Observer
+	var multi *obs.Multi
+	var observer *obs.Observer
 	if *metricsOut != "" || *traceOut != "" {
-		multi = sdfm.NewObs(sdfm.ObsLabel{Key: "run", Value: "autotune"})
+		multi = obs.NewMulti(obs.Label{Key: "run", Value: "autotune"})
 		observer = multi.Observer("autotune")
 	}
 
 	var (
-		ct      *sdfm.CompiledTrace
+		ct      *model.CompiledTrace
 		entries int
 	)
 	if *in != "" {
-		h, err := sdfm.OpenTrace(*in)
+		h, err := tracestore.Open(*in)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,20 +62,20 @@ func main() {
 		h.Close()
 	} else {
 		fmt.Println("no -trace given; synthesizing a 24h fleet trace")
-		trace, err := sdfm.GenerateFleetTrace(sdfm.FleetConfig{
+		trace, err := fleet.Generate(fleet.Config{
 			Clusters: 4, MachinesPerCluster: 10, JobsPerMachine: 6,
 			Duration: 24 * time.Hour, Seed: *seed,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		ct = sdfm.CompileTrace(trace)
+		ct = model.Compile(trace)
 		fmt.Printf("trace: %d entries, %d jobs\n\n", trace.Len(), len(trace.Jobs()))
 	}
 
-	obj := sdfm.CompiledObjective(ct, sdfm.DefaultSLO)
+	obj := tuner.CompiledObjective(ct, core.DefaultSLO)
 
-	heur, err := sdfm.HeuristicTune(obj, sdfm.DefaultHeuristicCandidates, sdfm.DefaultSLO)
+	heur, err := tuner.HeuristicTune(obj, tuner.DefaultHeuristicCandidates, core.DefaultSLO)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,8 +84,8 @@ func main() {
 		heur.Best.Result.Coverage*100, heur.Best.Result.P98Rate*100)
 
 	start := time.Now()
-	res, err := sdfm.Autotune(obj, sdfm.TunerConfig{
-		SLO: sdfm.DefaultSLO, Seed: *seed, Iterations: *iterations, Obs: observer,
+	res, err := tuner.Autotune(obj, tuner.Config{
+		SLO: core.DefaultSLO, Seed: *seed, Iterations: *iterations, Obs: observer,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -105,7 +110,7 @@ func main() {
 			o.Result.Coverage*100, o.Result.P98Rate*100, o.Feasible)
 	}
 
-	dep, err := sdfm.QualifyAndDeploy(res.Best.Params, heur.Best.Params, obj, sdfm.DefaultSLO)
+	dep, err := tuner.QualifyAndDeploy(res.Best.Params, heur.Best.Params, obj, core.DefaultSLO)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"log"
 	"time"
 
-	"sdfm"
 	"sdfm/internal/core"
 	"sdfm/internal/node"
 	"sdfm/internal/telemetry"
@@ -29,7 +28,7 @@ func main() {
 	)
 	flag.Parse()
 
-	slo := sdfm.DefaultSLO
+	slo := core.DefaultSLO
 	slo.TargetRatePerMin = *target / 100
 
 	m, err := node.NewMachine(node.Config{

@@ -11,8 +11,10 @@ import (
 	"net/http"
 	"time"
 
-	"sdfm"
+	"sdfm/internal/cluster"
+	"sdfm/internal/core"
 	"sdfm/internal/node"
+	"sdfm/internal/obs"
 	"sdfm/internal/stats"
 	"sdfm/internal/zswap"
 )
@@ -34,28 +36,28 @@ func main() {
 	)
 	flag.Parse()
 
-	var m sdfm.Mode
+	var m node.Mode
 	switch *mode {
 	case "proactive":
-		m = sdfm.ModeProactive
+		m = node.ModeProactive
 	case "reactive":
-		m = sdfm.ModeReactive
+		m = node.ModeReactive
 	case "disabled":
-		m = sdfm.ModeDisabled
+		m = node.ModeDisabled
 	default:
 		log.Fatalf("unknown mode %q", *mode)
 	}
 
-	var multi *sdfm.Obs
+	var multi *obs.Multi
 	if *metricsOut != "" || *traceOut != "" {
-		multi = sdfm.NewObs(sdfm.ObsLabel{Key: "run", Value: "fleetsim"})
+		multi = obs.NewMulti(obs.Label{Key: "run", Value: "fleetsim"})
 	}
-	c, err := sdfm.NewCluster(sdfm.ClusterConfig{
+	c, err := cluster.New(cluster.Config{
 		Name:           "fleetsim",
 		Machines:       *machines,
 		DRAMPerMachine: 4 << 30,
 		Mode:           m,
-		Params:         sdfm.Params{K: *k, S: *warmup},
+		Params:         core.Params{K: *k, S: *warmup},
 		CollectSamples: true,
 		Seed:           *seed,
 		Obs:            multi,
@@ -108,7 +110,7 @@ func main() {
 	if len(rates) > 0 {
 		fmt.Printf("promotion rate: p50 %.4f%%/min, p98 %.4f%%/min (SLO %.4f%%/min)\n",
 			stats.Percentile(rates, 50)*100, stats.Percentile(rates, 98)*100,
-			sdfm.DefaultSLO.TargetRatePerMin*100)
+			core.DefaultSLO.TargetRatePerMin*100)
 	}
 
 	if err := multi.WriteFiles(*metricsOut, *traceOut); err != nil {

@@ -10,11 +10,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"sort"
 	"time"
 
-	"sdfm"
+	"sdfm/internal/fleet"
+	"sdfm/internal/obs"
+	"sdfm/internal/telemetry"
+	"sdfm/internal/tracestore"
 )
 
 func main() {
@@ -32,14 +37,14 @@ func main() {
 	)
 	flag.Parse()
 
-	var multi *sdfm.Obs
-	var observer *sdfm.Observer
+	var multi *obs.Multi
+	var observer *obs.Observer
 	if *metricsOut != "" {
-		multi = sdfm.NewObs(sdfm.ObsLabel{Key: "run", Value: "tracegen"})
+		multi = obs.NewMulti(obs.Label{Key: "run", Value: "tracegen"})
 		observer = multi.Observer("tracegen")
 	}
 
-	cfg := sdfm.FleetConfig{
+	cfg := fleet.Config{
 		Clusters:           *clusters,
 		MachinesPerCluster: *machines,
 		JobsPerMachine:     *jobs,
@@ -49,11 +54,11 @@ func main() {
 	}
 
 	if *stats {
-		trace, err := sdfm.GenerateFleetTrace(cfg)
+		trace, err := fleet.Generate(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		printStats(trace)
+		printStats(os.Stdout, trace)
 		return
 	}
 
@@ -61,18 +66,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
 
 	// Stream generation straight into the chunked store: the trace never
 	// exists in memory as a whole.
-	w, err := sdfm.NewTraceWriter(f, sdfm.DefaultTraceMeta())
+	w, err := tracestore.NewWriter(f, tracestore.MetaOf(telemetry.NewTrace()))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sdfm.GenerateFleetTraceTo(cfg, w); err != nil {
+	if err := fleet.GenerateTo(cfg, w); err != nil {
 		log.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s: %d entries, %d jobs, %d clusters x %d machines, %.0f h\n",
@@ -83,10 +90,10 @@ func main() {
 }
 
 // printStats summarizes a trace the way the fleet characterization (§2.2)
-// would: entry counts, per-archetype job counts, and the fleet cold curve
-// anchor points.
-func printStats(trace *sdfm.Trace) {
-	fmt.Printf("entries: %d  jobs: %d  thresholds: %d  scan period: %ds\n",
+// would: entry counts, the fleet cold curve anchor point, and per-cluster
+// job counts in cluster order.
+func printStats(w io.Writer, trace *telemetry.Trace) {
+	fmt.Fprintf(w, "entries: %d  jobs: %d  thresholds: %d  scan period: %ds\n",
 		trace.Len(), len(trace.Jobs()), len(trace.Thresholds), trace.ScanPeriodSeconds)
 	var coldAtMin, total float64
 	for _, e := range trace.Entries {
@@ -94,13 +101,18 @@ func printStats(trace *sdfm.Trace) {
 		total += float64(e.TotalPages)
 	}
 	if total > 0 {
-		fmt.Printf("fleet cold fraction @120s: %.1f%%\n", 100*coldAtMin/total)
+		fmt.Fprintf(w, "fleet cold fraction @120s: %.1f%%\n", 100*coldAtMin/total)
 	}
-	byMachine := map[string]int{}
+	byCluster := map[string]int{}
 	for _, k := range trace.Jobs() {
-		byMachine[k.Cluster]++
+		byCluster[k.Cluster]++
 	}
-	for c, n := range byMachine {
-		fmt.Printf("  %s: %d jobs\n", c, n)
+	clusters := make([]string, 0, len(byCluster))
+	for c := range byCluster {
+		clusters = append(clusters, c)
+	}
+	sort.Strings(clusters)
+	for _, c := range clusters {
+		fmt.Fprintf(w, "  %s: %d jobs\n", c, byCluster[c])
 	}
 }

@@ -19,14 +19,17 @@ import (
 	"log"
 	"time"
 
-	"sdfm"
+	"sdfm/internal/core"
+	"sdfm/internal/fleet"
+	"sdfm/internal/model"
+	"sdfm/internal/tuner"
 )
 
 func main() {
 	log.SetFlags(0)
 
 	fmt.Println("generating a 2-day fleet trace (3 clusters x 10 machines x 6 job slots)...")
-	trace, err := sdfm.GenerateFleetTrace(sdfm.FleetConfig{
+	trace, err := fleet.Generate(fleet.Config{
 		Clusters: 3, MachinesPerCluster: 10, JobsPerMachine: 6,
 		Duration: 48 * time.Hour, Seed: 11,
 	})
@@ -37,11 +40,11 @@ func main() {
 	// Train on day 1, qualify on day 2 — the staged deployment of §5.3.
 	// The trace is compiled once; each day is a slice of the compiled form.
 	const day = int64(24 * time.Hour / time.Second)
-	ct := sdfm.CompileTrace(trace)
-	train := sdfm.CompiledObjective(ct.Slice(0, day, nil), sdfm.DefaultSLO)
-	holdout := sdfm.CompiledObjective(ct.Slice(day, 2*day, nil), sdfm.DefaultSLO)
+	ct := model.Compile(trace)
+	train := tuner.CompiledObjective(ct.Slice(0, day, nil), core.DefaultSLO)
+	holdout := tuner.CompiledObjective(ct.Slice(day, 2*day, nil), core.DefaultSLO)
 
-	heur, err := sdfm.HeuristicTune(train, sdfm.DefaultHeuristicCandidates, sdfm.DefaultSLO)
+	heur, err := tuner.HeuristicTune(train, tuner.DefaultHeuristicCandidates, core.DefaultSLO)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,8 +58,8 @@ func main() {
 
 	fmt.Println("\nGP-Bandit exploration (fast model as oracle):")
 	start := time.Now()
-	res, err := sdfm.Autotune(train, sdfm.TunerConfig{
-		SLO: sdfm.DefaultSLO, Seed: 11, Iterations: 15,
+	res, err := tuner.Autotune(train, tuner.Config{
+		SLO: core.DefaultSLO, Seed: 11, Iterations: 15,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -77,7 +80,7 @@ func main() {
 			(res.Best.Result.Coverage/heur.Best.Result.Coverage-1)*100)
 	}
 
-	dep, err := sdfm.QualifyAndDeploy(res.Best.Params, heur.Best.Params, holdout, sdfm.DefaultSLO)
+	dep, err := tuner.QualifyAndDeploy(res.Best.Params, heur.Best.Params, holdout, core.DefaultSLO)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,10 @@ import (
 	"math/rand"
 	"time"
 
-	"sdfm"
+	"sdfm/internal/cluster"
+	"sdfm/internal/core"
+	"sdfm/internal/node"
+	"sdfm/internal/workload"
 )
 
 const (
@@ -27,17 +30,17 @@ const (
 func main() {
 	log.SetFlags(0)
 
-	c, err := sdfm.NewCluster(sdfm.ClusterConfig{
+	c, err := cluster.New(cluster.Config{
 		Name:           "bigtable-ab",
 		Machines:       2 * machines,
 		DRAMPerMachine: 4 << 30,
-		ModeFn: func(i int) sdfm.Mode {
+		ModeFn: func(i int) node.Mode {
 			if i%2 == 0 {
-				return sdfm.ModeProactive // experiment
+				return node.ModeProactive // experiment
 			}
-			return sdfm.ModeDisabled // control
+			return node.ModeDisabled // control
 		},
-		Params: sdfm.Params{K: 95, S: 10 * time.Minute},
+		Params: core.Params{K: 95, S: 10 * time.Minute},
 		Seed:   7,
 	})
 	if err != nil {
@@ -45,8 +48,8 @@ func main() {
 	}
 	for i, m := range c.Machines() {
 		for j := 0; j < 2; j++ {
-			w, err := sdfm.NewWorkload(sdfm.WorkloadConfig{
-				Archetype: sdfm.BigtableServer,
+			w, err := workload.New(workload.Config{
+				Archetype: workload.BigtableServer,
 				Name:      fmt.Sprintf("bigtable-%02d-%d", i, j),
 				Seed:      int64(1000 + i*10 + j),
 			})
@@ -59,8 +62,8 @@ func main() {
 		}
 	}
 
-	exp := c.Group(sdfm.ModeProactive)
-	ctl := c.Group(sdfm.ModeDisabled)
+	exp := c.Group(node.ModeProactive)
+	ctl := c.Group(node.ModeDisabled)
 	fmt.Printf("A/B groups: %d experiment, %d control machines, %d Bigtable jobs\n\n",
 		len(exp), len(ctl), c.JobCount())
 
@@ -85,7 +88,7 @@ func main() {
 	// indirect interference from zswap cycles (kernel cycles themselves
 	// are excluded from user IPC, as in the paper's methodology).
 	rng := rand.New(rand.NewSource(99))
-	ipc := func(m *sdfm.Machine) float64 {
+	ipc := func(m *node.Machine) float64 {
 		var overhead, cpu time.Duration
 		for _, j := range m.Jobs() {
 			overhead += j.CompressCPU + j.DecompressCPU + j.StallTime

@@ -24,14 +24,18 @@ import (
 	"log"
 	"time"
 
-	"sdfm"
+	"sdfm/internal/controlplane"
+	"sdfm/internal/fault"
+	"sdfm/internal/fleet"
+	"sdfm/internal/telemetry"
+	"sdfm/internal/tuner"
 )
 
 func main() {
 	log.SetFlags(0)
 
 	fmt.Println("generating a 12-hour fleet trace (2 clusters x 3 machines x 4 job slots)...")
-	trace, err := sdfm.GenerateFleetTrace(sdfm.FleetConfig{
+	trace, err := fleet.Generate(fleet.Config{
 		Clusters: 2, MachinesPerCluster: 3, JobsPerMachine: 4,
 		Duration: 12 * time.Hour, Seed: 7,
 	})
@@ -40,10 +44,10 @@ func main() {
 	}
 	fmt.Printf("  %d entries\n\n", trace.Len())
 
-	cfg := sdfm.ControlPlaneConfig{
+	cfg := controlplane.Config{
 		RoundEvery: 4 * time.Hour,
-		Tuner:      sdfm.TunerConfig{Seed: 7, InitSamples: 4, Iterations: 6, Candidates: 128},
-		Stages: []sdfm.RolloutStage{
+		Tuner:      tuner.Config{Seed: 7, InitSamples: 4, Iterations: 6, Candidates: 128},
+		Stages: []tuner.RolloutStage{
 			{Name: "canary", Fraction: 0.2},
 			{Name: "half", Fraction: 0.5},
 			{Name: "fleet", Fraction: 1.0},
@@ -56,12 +60,12 @@ func main() {
 	// The same fleet under a lossy collection pipeline: machine m0001 goes
 	// dark from hour 1 to hour 3, and every machine's exports are
 	// bit-flipped (stale checksums) between hours 5 and 5.5.
-	plan := &sdfm.FaultPlan{
+	plan := &fault.Plan{
 		Name: "lossy-pipeline",
 		Seed: 42,
-		Events: []sdfm.FaultEvent{
-			{Kind: sdfm.TelemetryDrop, Machine: "m0001", At: time.Hour, Duration: 2 * time.Hour},
-			{Kind: sdfm.TelemetryCorrupt, At: 5 * time.Hour, Duration: 30 * time.Minute},
+		Events: []fault.Event{
+			{Kind: fault.TelemetryDrop, Machine: "m0001", At: time.Hour, Duration: 2 * time.Hour},
+			{Kind: fault.TelemetryCorrupt, At: 5 * time.Hour, Duration: 30 * time.Minute},
 		},
 	}
 	fmt.Println("\n=== faulted run: telemetry drops and corruption ===")
@@ -78,13 +82,13 @@ func main() {
 	fmt.Println("rollout decision is paired with how complete its window was.")
 }
 
-func runFleet(trace *sdfm.Trace, cfg sdfm.ControlPlaneConfig, plan *sdfm.FaultPlan) sdfm.ControlPlaneSimReport {
-	cp, err := sdfm.NewControlPlane(cfg)
+func runFleet(trace *telemetry.Trace, cfg controlplane.Config, plan *fault.Plan) controlplane.SimReport {
+	cp, err := controlplane.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer cp.Close()
-	rep, err := sdfm.RunControlPlaneSim(cp, trace, sdfm.ControlPlaneSimConfig{Faults: plan})
+	rep, err := controlplane.RunSim(cp, trace, controlplane.SimConfig{Faults: plan})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,9 @@ import (
 	"log"
 	"time"
 
-	"sdfm"
+	"sdfm/internal/core"
+	"sdfm/internal/node"
+	"sdfm/internal/workload"
 	"sdfm/internal/zswap"
 )
 
@@ -23,30 +25,30 @@ func main() {
 
 	type tierCase struct {
 		name string
-		tier sdfm.FarMemory
+		tier zswap.FarMemory
 	}
 	// The NVM device is provisioned at a fixed 20% of DRAM, the paper's
 	// example of the stranding dilemma (§2.2).
-	nvmProfile := sdfm.ProfileNVM
+	nvmProfile := zswap.ProfileNVM
 	nvmProfile.CapacityBytes = 100 << 20
 	cases := []tierCase{
-		{"zswap", sdfm.NewPool()},
-		{"nvm-dimm(fixed)", sdfm.NewDevicePool(nvmProfile)},
-		{"remote-memory", sdfm.NewDevicePool(sdfm.ProfileRemoteMemory)},
-		{"z-ssd", sdfm.NewDevicePool(sdfm.ProfileZSSD)},
+		{"zswap", zswap.NewPool()},
+		{"nvm-dimm(fixed)", zswap.NewDevicePool(nvmProfile)},
+		{"remote-memory", zswap.NewDevicePool(zswap.ProfileRemoteMemory)},
+		{"z-ssd", zswap.NewDevicePool(zswap.ProfileZSSD)},
 		// The paper's §8 end state: sub-µs tier-1 in front of zswap tier-2.
-		{"nvm+zswap", sdfm.NewTieredPool(nvmProfile, sdfm.NewPool(), 30)},
+		{"nvm+zswap", zswap.NewTieredPool(nvmProfile, zswap.NewPool(), 30)},
 	}
 
 	fmt.Printf("%-16s %12s %12s %14s %12s %10s\n",
 		"tier", "stored", "promoted", "p50 latency", "own DRAM", "stranded")
 	for _, tc := range cases {
-		m, err := sdfm.NewMachine(sdfm.MachineConfig{
+		m, err := node.NewMachine(node.Config{
 			Name:           "m-" + tc.name,
 			Cluster:        "tiers",
 			DRAMBytes:      2 << 30,
-			Mode:           sdfm.ModeProactive,
-			Params:         sdfm.Params{K: 95, S: 10 * time.Minute},
+			Mode:           node.ModeProactive,
+			Params:         core.Params{K: 95, S: 10 * time.Minute},
 			Tier:           tc.tier,
 			CollectSamples: true,
 			Seed:           5,
@@ -54,8 +56,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for i, arch := range []*sdfm.Archetype{sdfm.LogProcessor, sdfm.BatchAnalytics} {
-			w, err := sdfm.NewWorkload(sdfm.WorkloadConfig{
+		for i, arch := range []*workload.Archetype{workload.LogProcessor, workload.BatchAnalytics} {
+			w, err := workload.New(workload.Config{
 				Archetype: arch, Name: fmt.Sprintf("%s-%d", arch.Name, i), Seed: int64(10 + i),
 			})
 			if err != nil {

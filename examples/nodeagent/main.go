@@ -18,18 +18,20 @@ import (
 	"os"
 	"time"
 
-	"sdfm"
+	"sdfm/internal/core"
+	"sdfm/internal/node"
+	"sdfm/internal/workload"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	m, err := sdfm.NewMachine(sdfm.MachineConfig{
+	m, err := node.NewMachine(node.Config{
 		Name:      "agent-0",
 		Cluster:   "ops-demo",
 		DRAMBytes: 2 << 30,
-		Mode:      sdfm.ModeProactive,
-		Params:    sdfm.Params{K: 95, S: 10 * time.Minute},
+		Mode:      node.ModeProactive,
+		Params:    core.Params{K: 95, S: 10 * time.Minute},
 		Seed:      3,
 	})
 	if err != nil {
@@ -37,8 +39,8 @@ func main() {
 	}
 
 	// A stable serving job.
-	stable, err := sdfm.NewWorkload(sdfm.WorkloadConfig{
-		Archetype: sdfm.KVCache, Name: "kv-stable", Seed: 10,
+	stable, err := workload.New(workload.Config{
+		Archetype: workload.KVCache, Name: "kv-stable", Seed: 10,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -48,11 +50,11 @@ func main() {
 	}
 
 	// A runaway log processor: grows 50%/hour into a 1.2x memcg limit.
-	runaway := *sdfm.LogProcessor
+	runaway := *workload.LogProcessor
 	runaway.PagesMin, runaway.PagesMax = 3000, 3001
 	runaway.GrowthPerHour = 0.5
 	runaway.MemLimitFactor = 1.2
-	growWL, err := sdfm.NewWorkload(sdfm.WorkloadConfig{
+	growWL, err := workload.New(workload.Config{
 		Archetype: &runaway, Name: "logs-runaway", Seed: 11,
 	})
 	if err != nil {
@@ -66,8 +68,8 @@ func main() {
 	// Short-lived batch instances churn every 90 minutes.
 	fmt.Println("running 6 hours with churn...")
 	for gen := 0; gen < 4; gen++ {
-		w, err := sdfm.NewWorkload(sdfm.WorkloadConfig{
-			Archetype: sdfm.BatchAnalytics,
+		w, err := workload.New(workload.Config{
+			Archetype: workload.BatchAnalytics,
 			Name:      fmt.Sprintf("batch-gen%d", gen),
 			Seed:      int64(20 + gen),
 			Start:     m.Now(),

@@ -13,7 +13,10 @@ import (
 	"log"
 	"time"
 
-	"sdfm"
+	"sdfm/internal/core"
+	"sdfm/internal/kstaled"
+	"sdfm/internal/node"
+	"sdfm/internal/workload"
 	"sdfm/internal/zswap"
 )
 
@@ -22,14 +25,14 @@ func main() {
 
 	// A zswap pool with full payload validation: Store really compresses
 	// each page's bytes; Load decompresses and verifies them.
-	pool := sdfm.NewPool(zswap.WithValidation())
+	pool := zswap.NewPool(zswap.WithValidation())
 
-	machine, err := sdfm.NewMachine(sdfm.MachineConfig{
+	machine, err := node.NewMachine(node.Config{
 		Name:      "quickstart-0",
 		Cluster:   "demo",
 		DRAMBytes: 2 << 30,
-		Mode:      sdfm.ModeProactive,
-		Params:    sdfm.Params{K: 95, S: 10 * time.Minute},
+		Mode:      node.ModeProactive,
+		Params:    core.Params{K: 95, S: 10 * time.Minute},
 		Tier:      pool,
 		Seed:      42,
 	})
@@ -38,8 +41,8 @@ func main() {
 	}
 
 	// Two jobs with very different temperature profiles.
-	for i, arch := range []*sdfm.Archetype{sdfm.LogProcessor, sdfm.KVCache} {
-		w, err := sdfm.NewWorkload(sdfm.WorkloadConfig{
+	for i, arch := range []*workload.Archetype{workload.LogProcessor, workload.KVCache} {
+		w, err := workload.New(workload.Config{
 			Archetype: arch,
 			Name:      fmt.Sprintf("%s-%d", arch.Name, i),
 			Seed:      int64(100 + i),
@@ -79,6 +82,6 @@ func main() {
 		fmt.Printf("  CPU overhead          %.4f%% compress, %.4f%% decompress\n",
 			j.CPUOverheadCompress()*100, j.CPUOverheadDecompress()*100)
 		fmt.Printf("  cold-age threshold    %v\n",
-			j.Controller.ThresholdDuration(sdfm.ScanPeriod))
+			j.Controller.ThresholdDuration(kstaled.DefaultScanPeriod))
 	}
 }

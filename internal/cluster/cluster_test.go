@@ -129,6 +129,23 @@ func TestPopulateAndRun(t *testing.T) {
 	}
 }
 
+func TestJobCountAfterPopulateAndRun(t *testing.T) {
+	c := newCluster(t, Config{
+		Name: "c", Machines: 2, DRAMPerMachine: gib,
+		Mode: node.ModeProactive, Params: core.Params{K: 95, S: 10 * time.Minute},
+		Seed: 8,
+	})
+	if err := c.Populate(4, nil, 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if c.JobCount() != 4 {
+		t.Errorf("jobs = %d", c.JobCount())
+	}
+}
+
 func TestABGroups(t *testing.T) {
 	c := newCluster(t, Config{
 		Machines:       4,

@@ -195,20 +195,15 @@ func Fig5CoverageTimeline(scale Scale, seed int64) (RolloutResult, error) {
 	// evaluation a pure replay.
 	ct := model.Compile(trace)
 	offEndSec, manualEndSec := int64(offEnd/time.Second), int64(manualEnd/time.Second)
-	preSlice := ct.Slice(0, offEndSec, nil)
-	heur, err := tuner.HeuristicTune(func(p core.Params) (model.FleetResult, error) {
-		return preSlice.Run(model.Config{Params: p, SLO: core.DefaultSLO})
-	}, tuner.DefaultHeuristicCandidates, core.DefaultSLO)
+	pre := tuner.CompiledObjective(ct.Slice(0, offEndSec, nil), core.DefaultSLO)
+	heur, err := tuner.HeuristicTune(pre, tuner.DefaultHeuristicCandidates, core.DefaultSLO)
 	if err != nil {
 		return RolloutResult{}, err
 	}
 	manual := heur.Best.Params
 
 	// Stage C-D: the autotuner trains on the manual stage's data.
-	tuneSlice := ct.Slice(offEndSec, manualEndSec, nil)
-	obj := func(p core.Params) (model.FleetResult, error) {
-		return tuneSlice.Run(model.Config{Params: p, SLO: core.DefaultSLO})
-	}
+	obj := tuner.CompiledObjective(ct.Slice(offEndSec, manualEndSec, nil), core.DefaultSLO)
 	tuned, err := tuner.Autotune(obj, tuner.Config{SLO: core.DefaultSLO, Seed: seed, Iterations: 12})
 	if err != nil {
 		return RolloutResult{}, err
@@ -368,9 +363,7 @@ func Fig7PromotionRateCDF(scale Scale, seed int64) (Fig7Result, error) {
 	// One compile serves the heuristic baseline, the whole GP-Bandit
 	// session, and the two final rate sweeps.
 	ct := model.Compile(trace)
-	obj := func(p core.Params) (model.FleetResult, error) {
-		return ct.Run(model.Config{Params: p, SLO: core.DefaultSLO})
-	}
+	obj := tuner.CompiledObjective(ct, core.DefaultSLO)
 	heur, err := tuner.HeuristicTune(obj, tuner.DefaultHeuristicCandidates, core.DefaultSLO)
 	if err != nil {
 		return Fig7Result{}, err
@@ -448,9 +441,7 @@ func H2AutotunerVsHeuristic(scale Scale, seed int64) (H2Result, error) {
 		return H2Result{}, err
 	}
 	ct := model.Compile(trace)
-	obj := func(p core.Params) (model.FleetResult, error) {
-		return ct.Run(model.Config{Params: p, SLO: core.DefaultSLO})
-	}
+	obj := tuner.CompiledObjective(ct, core.DefaultSLO)
 	heur, err := tuner.HeuristicTune(obj, tuner.DefaultHeuristicCandidates, core.DefaultSLO)
 	if err != nil {
 		return H2Result{}, err

@@ -44,9 +44,7 @@ func TraceFileAutotune(path string, seed int64) (TraceFileResult, error) {
 		Skipped: h.Skipped(),
 	}
 
-	obj := func(p core.Params) (model.FleetResult, error) {
-		return ct.Run(model.Config{Params: p, SLO: core.DefaultSLO})
-	}
+	obj := tuner.CompiledObjective(ct, core.DefaultSLO)
 	heur, err := tuner.HeuristicTune(obj, tuner.DefaultHeuristicCandidates, core.DefaultSLO)
 	if err != nil {
 		return TraceFileResult{}, err

@@ -124,6 +124,15 @@ func QualifyAndDeploy(candidate, incumbent core.Params, holdout Objective, slo c
 	return StagedRollout(candidate, incumbent, obj, []RolloutStage{{Name: "holdout", Fraction: 1}}, slo)
 }
 
+// CompiledObjective builds an Objective that replays a compiled trace
+// under slo. Compile once, then every evaluation is a pure replay, so a
+// whole tuning session costs one compile.
+func CompiledObjective(ct *model.CompiledTrace, slo core.SLO) Objective {
+	return func(p core.Params) (model.FleetResult, error) {
+		return ct.Run(model.Config{Params: p, SLO: slo})
+	}
+}
+
 // TraceStageObjective is CompiledStageObjective for a trace still held as
 // entries; it compiles the trace first. A caller that already holds the
 // compiled form should pass that instead.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sdfm/internal/core"
+	"sdfm/internal/fleet"
 	"sdfm/internal/model"
 	"sdfm/internal/telemetry"
 )
@@ -130,10 +131,7 @@ func quietTrace(t *testing.T, jobs, intervals int, startSec int64) *telemetry.Tr
 // is within any SLO — and is no evidence at all.
 func TestQualifyAndDeployNeedsObservations(t *testing.T) {
 	slo := core.DefaultSLO
-	ct := model.Compile(quietTrace(t, 4, 48, 300)) // 4 hours
-	holdout := func(p core.Params) (model.FleetResult, error) {
-		return ct.Run(model.Config{Params: p, SLO: slo})
-	}
+	holdout := CompiledObjective(model.Compile(quietTrace(t, 4, 48, 300)), slo) // 4 hours
 	incumbent := core.Params{K: 98, S: time.Hour}
 	rep, err := QualifyAndDeploy(core.Params{K: 90, S: 12 * time.Hour}, incumbent, holdout, slo)
 	if err != nil {
@@ -144,6 +142,39 @@ func TestQualifyAndDeployNeedsObservations(t *testing.T) {
 	}
 	if rep, err = QualifyAndDeploy(core.Params{K: 90, S: time.Hour}, incumbent, holdout, slo); err != nil || !rep.Accepted {
 		t.Fatalf("observed, healthy candidate rejected: %+v, %v", rep, err)
+	}
+}
+
+// TestCompiledObjectiveEndToEnd runs the §5.3 pipeline over a synthetic
+// fleet trace: compile once, replay the incumbent, autotune, and qualify
+// the winner on the same objective.
+func TestCompiledObjectiveEndToEnd(t *testing.T) {
+	trace, err := fleet.Generate(fleet.Config{
+		Clusters: 1, MachinesPerCluster: 6, JobsPerMachine: 4,
+		Duration: 8 * time.Hour, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := CompiledObjective(model.Compile(trace), core.DefaultSLO)
+
+	baseline, err := obj(core.DefaultParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if baseline.Coverage <= 0 {
+		t.Fatal("baseline replay produced no coverage")
+	}
+	res, err := Autotune(obj, Config{SLO: core.DefaultSLO, Seed: 4, Iterations: 5, InitSamples: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := QualifyAndDeploy(res.Best.Params, core.DefaultParams, obj, core.DefaultSLO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Chosen != res.Best.Params && dec.Chosen != core.DefaultParams {
+		t.Fatalf("deployment chose unknown params %+v", dec.Chosen)
 	}
 }
 
