@@ -1,9 +1,9 @@
 // Benchmarks that nothing else in the repository measures: the trace
-// store's ingest and scan paths, the reclaim walk, one job-week of model
-// replay, and the §7–8 tier and cold-detection comparisons (E1, E2). The
-// paper's figures are printed by cmd/sdfm-experiments and asserted by the
-// shape tests in internal/experiments; per-layer costs are rows of the
-// bench/ ledger.
+// store's ingest and scan paths, the reclaim walk and one job-week of
+// model replay. The paper's figures are printed by cmd/sdfm-experiments
+// and asserted by the shape tests in internal/experiments; the §8 tiered
+// far-memory comparison (E1) is a test in internal/node; per-layer costs
+// are rows of the bench/ ledger.
 //
 //	go test -run '^$' -bench . -benchmem
 package sdfm_test
@@ -16,16 +16,11 @@ import (
 	"sdfm/internal/core"
 	"sdfm/internal/fleet"
 	"sdfm/internal/kreclaimd"
-	"sdfm/internal/kstaled"
 	"sdfm/internal/mem"
 	"sdfm/internal/model"
-	"sdfm/internal/node"
 	"sdfm/internal/pagedata"
-	"sdfm/internal/simtime"
 	"sdfm/internal/telemetry"
-	"sdfm/internal/thermostat"
 	"sdfm/internal/tracestore"
-	"sdfm/internal/workload"
 	"sdfm/internal/zswap"
 )
 
@@ -117,61 +112,6 @@ func BenchmarkModelReplayWeekPerJob(b *testing.B) {
 	}
 }
 
-func BenchmarkTieredFarMemory(b *testing.B) {
-	// §8 extension ablation: single-tier zswap vs NVM tier-1 + zswap
-	// tier-2 under the same control plane. Reports mean promotion latency
-	// for each; the tiered configuration should win by absorbing
-	// early-repromoted pages on the fast tier.
-	run := func(tier zswap.FarMemory, seed int64) (float64, error) {
-		m, err := node.NewMachine(node.Config{
-			Name: "bench", Cluster: "tiered", DRAMBytes: 4 << 30,
-			Mode: node.ModeProactive, Params: core.Params{K: 90, S: 10 * time.Minute},
-			Tier: tier, CollectSamples: true, Seed: seed,
-		})
-		if err != nil {
-			return 0, err
-		}
-		w, err := workload.New(workload.Config{
-			Archetype: workload.BatchAnalytics, Name: "batch", Seed: seed,
-		})
-		if err != nil {
-			return 0, err
-		}
-		if _, err := m.AddJob(w); err != nil {
-			return 0, err
-		}
-		if err := m.Run(5 * time.Hour); err != nil {
-			return 0, err
-		}
-		var sum float64
-		var n int
-		for _, j := range m.Jobs() {
-			for _, l := range j.LatencySamples() {
-				sum += l
-				n++
-			}
-		}
-		if n == 0 {
-			return 0, nil
-		}
-		return sum / float64(n), nil
-	}
-	nvm := zswap.ProfileNVM
-	nvm.CapacityBytes = 64 << 20
-	for i := 0; i < b.N; i++ {
-		single, err := run(zswap.NewPool(), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tiered, err := run(zswap.NewTieredPool(nvm, zswap.NewPool(), 30), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(single, "singleTierP50_us")
-		b.ReportMetric(tiered, "tieredMean_us")
-	}
-}
-
 // BenchmarkReclaimCold isolates the reclaim walk on a 256k-page memcg.
 // "idle" is the common case — every page hot, nothing at or above the
 // threshold; the walk-based implementation still visits all pages, the
@@ -213,43 +153,4 @@ func BenchmarkReclaimCold(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkThermostatVsKstaled(b *testing.B) {
-	// §7 baseline comparison: sampling-based cold detection (Thermostat)
-	// induces application-visible faults that grow with sample size, while
-	// accessed-bit scanning (kstaled) pays a fixed background cost and
-	// sees every page. Reports both costs over 30 scan intervals.
-	for i := 0; i < b.N; i++ {
-		w, err := workload.New(workload.Config{
-			Archetype: workload.LogProcessor, Name: "th", Seed: benchSeed,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := mem.NewMemcg(w.MemcgConfig(7))
-		det, err := thermostat.New(m, thermostat.Config{
-			SampleFraction: 0.05, Rng: simtime.Rand(benchSeed, "bench-th"),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tracker := kstaled.NewTracker(m, kstaled.Config{})
-		for step := 1; step <= 30; step++ {
-			now := time.Duration(step) * kstaled.DefaultScanPeriod
-			det.BeginInterval()
-			w.Tick(now, func(id mem.PageID, write bool) {
-				det.OnAccess(id)
-				m.Touch(id, write)
-			})
-			det.EndInterval()
-			tracker.Scan()
-		}
-		_, faultCPU := det.InducedFaults()
-		b.ReportMetric(float64(faultCPU.Microseconds()), "thermostatFaultCPU_us")
-		b.ReportMetric(float64(tracker.CPUTime().Microseconds()), "kstaledScanCPU_us")
-		truth := float64(tracker.Census().TailSum(1)) / float64(m.NumPages())
-		b.ReportMetric(det.ColdFractionEstimate()*100, "thermostatColdEst_%")
-		b.ReportMetric(truth*100, "kstaledColdTruth_%")
-	}
 }

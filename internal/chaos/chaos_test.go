@@ -111,6 +111,7 @@ func (t *leakyTier) Store(m *mem.Memcg, id mem.PageID) zswap.StoreResult {
 	return t.inner.Store(m, id)
 }
 func (t *leakyTier) Drop(m *mem.Memcg, id mem.PageID) error { return t.inner.Drop(m, id) }
+func (t *leakyTier) Compact() uint64                        { return t.inner.Compact() }
 
 func (t *leakyTier) buggy() bool {
 	if t.now == nil {

@@ -143,9 +143,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Name returns the cluster name.
-func (c *Cluster) Name() string { return c.cfg.Name }
-
 // Machines returns all machines.
 func (c *Cluster) Machines() []*node.Machine { return c.machines }
 

@@ -428,7 +428,8 @@ func TestRestoreRefusesHostileWindowEntry(t *testing.T) {
 			e.ColdTails, e.PromoTails = e.ColdTails[:3], e.PromoTails[:3]
 			e.Checksum = e.ComputeChecksum()
 		},
-		"corrupt": func(e *telemetry.Entry) { e.WSSPages++ }, // checksum now stale
+		"corrupt":   func(e *telemetry.Entry) { e.WSSPages++ }, // checksum now stale
+		"unstamped": func(e *telemetry.Entry) { e.Checksum = 0 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			e := tr.Entries[0]

@@ -146,17 +146,22 @@ func TestTickValidatesEntries(t *testing.T) {
 	negative.TimestampSec = -7200
 	negative.Checksum = negative.ComputeChecksum()
 
-	if _, err := c.Report(ReportRequest{AgentID: "a", Entries: []telemetry.Entry{negative, valid, corrupt, invalid}}); err != nil {
+	// Every producer stamps its entries, so an unstamped one is damage,
+	// not a legacy format to trust.
+	unstamped := tr.Entries[4]
+	unstamped.Checksum = 0
+
+	if _, err := c.Report(ReportRequest{AgentID: "a", Entries: []telemetry.Entry{negative, valid, corrupt, invalid, unstamped}}); err != nil {
 		t.Fatalf("Report: %v", err)
 	}
 	rep := c.Tick()
-	if rep.Drained != 1 || rep.RejectedCorrupt != 1 || rep.RejectedInvalid != 2 {
-		t.Errorf("Tick = drained %d corrupt %d invalid %d, want 1/1/2",
+	if rep.Drained != 1 || rep.RejectedCorrupt != 2 || rep.RejectedInvalid != 2 {
+		t.Errorf("Tick = drained %d corrupt %d invalid %d, want 1/2/2",
 			rep.Drained, rep.RejectedCorrupt, rep.RejectedInvalid)
 	}
 	st := c.Status()
-	if st.Ingest.Ingested != 1 || st.Ingest.RejectedCorrupt != 1 || st.Ingest.RejectedInvalid != 2 {
-		t.Errorf("ingest stats = %+v, want 1 ingested, 1 corrupt, 2 invalid", st.Ingest)
+	if st.Ingest.Ingested != 1 || st.Ingest.RejectedCorrupt != 2 || st.Ingest.RejectedInvalid != 2 {
+		t.Errorf("ingest stats = %+v, want 1 ingested, 2 corrupt, 2 invalid", st.Ingest)
 	}
 	if st.WindowEntries != 1 || st.WindowStartSec != valid.TimestampSec || st.WindowEndSec != valid.TimestampSec {
 		t.Errorf("window = [%d, %d] with %d entries, want [%d, %d] with 1",

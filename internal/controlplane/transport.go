@@ -89,16 +89,11 @@ func (l *Loopback) Poll(_ context.Context, req PollRequest) (PollResponse, error
 }
 
 // Agent is the node-side client of the control plane: it registers over
-// any Transport, forwards telemetry entries, and tracks the parameters
+// any Transport, forwards telemetry entries, and polls for the parameters
 // the controller has assigned to it.
 type Agent struct {
 	ID string
 	T  Transport
-
-	params   core.Params
-	epoch    int64
-	accepted int
-	dropped  int
 }
 
 // NewAgent builds an agent speaking over t.
@@ -106,45 +101,22 @@ func NewAgent(id string, t Transport) *Agent {
 	return &Agent{ID: id, T: t}
 }
 
-// Register announces the agent and adopts the returned assignment.
+// Register announces the agent to the controller.
 func (a *Agent) Register(ctx context.Context) error {
-	resp, err := a.T.Register(ctx, RegisterRequest{AgentID: a.ID})
-	if err != nil {
-		return err
-	}
-	a.params = resp.Params
-	a.epoch = resp.Epoch
-	return nil
+	_, err := a.T.Register(ctx, RegisterRequest{AgentID: a.ID})
+	return err
 }
 
-// Report forwards entries, accumulating accept/drop accounting.
+// Report forwards entries.
 func (a *Agent) Report(ctx context.Context, entries []telemetry.Entry) (ReportResponse, error) {
-	resp, err := a.T.Report(ctx, ReportRequest{AgentID: a.ID, Entries: entries})
-	if err != nil {
-		return resp, err
-	}
-	a.accepted += resp.Accepted
-	a.dropped += resp.Dropped
-	return resp, nil
+	return a.T.Report(ctx, ReportRequest{AgentID: a.ID, Entries: entries})
 }
 
-// Poll refreshes and returns the agent's current assignment.
+// Poll returns the agent's current assignment and its epoch.
 func (a *Agent) Poll(ctx context.Context) (core.Params, int64, error) {
 	resp, err := a.T.Poll(ctx, PollRequest{AgentID: a.ID})
 	if err != nil {
 		return core.Params{}, 0, err
 	}
-	a.params = resp.Params
-	a.epoch = resp.Epoch
-	return a.params, a.epoch, nil
+	return resp.Params, resp.Epoch, nil
 }
-
-// Params returns the last assignment the agent observed.
-func (a *Agent) Params() core.Params { return a.params }
-
-// Epoch returns the last assignment epoch the agent observed.
-func (a *Agent) Epoch() int64 { return a.epoch }
-
-// Accounting returns the agent's lifetime accepted/backpressure-dropped
-// entry counts.
-func (a *Agent) Accounting() (accepted, dropped int) { return a.accepted, a.dropped }

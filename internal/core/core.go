@@ -110,16 +110,6 @@ func BestThreshold(promoInterval *histogram.Histogram, wssPages uint64, interval
 	return histogram.MaxBucket
 }
 
-// PromotionRate returns the promotions/min a threshold bucket would have
-// produced over the interval, normalized to the working set (the SLI of
-// §4.2, in fraction-of-WSS/min).
-func PromotionRate(promoInterval *histogram.Histogram, bucket int, wssPages uint64, intervalMinutes float64) float64 {
-	if wssPages == 0 || intervalMinutes <= 0 {
-		return 0
-	}
-	return float64(promoInterval.TailSum(bucket)) / intervalMinutes / float64(wssPages)
-}
-
 // WorkingSetPages derives the working set from a cold-age census: the
 // pages accessed within the minimum cold-age threshold (§4.2).
 func WorkingSetPages(coldCensus *histogram.Histogram, slo SLO) uint64 {
@@ -188,9 +178,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		lastBest: histogram.MaxBucket,
 	}, nil
 }
-
-// SLO returns the controller's SLO.
-func (c *Controller) SLO() SLO { return c.slo }
 
 // Params returns the current tunables.
 func (c *Controller) Params() Params { return c.params }

@@ -132,23 +132,6 @@ func TestBestThresholdMonotoneInSLOQuick(t *testing.T) {
 	}
 }
 
-func TestPromotionRate(t *testing.T) {
-	h := promoHist(map[int]uint64{4: 50})
-	if got := PromotionRate(h, 4, 1000, 1); got != 0.05 {
-		t.Errorf("PromotionRate = %v, want 0.05", got)
-	}
-	if got := PromotionRate(h, 5, 1000, 1); got != 0 {
-		t.Errorf("PromotionRate above all ages = %v, want 0", got)
-	}
-	if got := PromotionRate(h, 4, 0, 1); got != 0 {
-		t.Errorf("PromotionRate with zero WSS = %v, want 0", got)
-	}
-	// Over 5 minutes the rate divides by 5.
-	if got := PromotionRate(h, 4, 1000, 5); got != 0.01 {
-		t.Errorf("PromotionRate over 5 min = %v, want 0.01", got)
-	}
-}
-
 func TestWorkingSetPages(t *testing.T) {
 	census := histogram.New(histogram.DefaultScanPeriod)
 	census.Add(0, 700) // accessed within 120s

@@ -258,10 +258,9 @@ func DefaultPlan(seed int64, duration time.Duration) *Plan {
 // valid and injects nothing, so fault-free construction costs one nil
 // check per query site.
 type Injector struct {
-	machine string
-	events  []Event
-	fired   []bool
-	rng     *rand.Rand
+	events []Event
+	fired  []bool
+	rng    *rand.Rand
 }
 
 // NewInjector derives machine's injector from the plan. It returns nil
@@ -282,19 +281,10 @@ func NewInjector(p *Plan, machine string) *Injector {
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
 	return &Injector{
-		machine: machine,
-		events:  evs,
-		fired:   make([]bool, len(evs)),
-		rng:     simtime.Rand(p.Seed, "fault/"+machine),
+		events: evs,
+		fired:  make([]bool, len(evs)),
+		rng:    simtime.Rand(p.Seed, "fault/"+machine),
 	}
-}
-
-// Machine returns the injector's target machine.
-func (in *Injector) Machine() string {
-	if in == nil {
-		return ""
-	}
-	return in.machine
 }
 
 // fire consumes the first unfired instant event of the kind due by now.

@@ -39,10 +39,6 @@ func (t *Tier) Inner() zswap.FarMemory { return t.inner }
 // TierStats returns injection counters.
 func (t *Tier) TierStats() TierStats { return t.stats }
 
-// SetInner swaps the wrapped tier (used when a machine restart replaces
-// its crashed pool).
-func (t *Tier) SetInner(inner zswap.FarMemory) { t.inner = inner }
-
 // Store injects transient failures and slowdowns around the inner store.
 func (t *Tier) Store(m *mem.Memcg, id mem.PageID) zswap.StoreResult {
 	now := t.now()
@@ -75,17 +71,11 @@ func (t *Tier) Load(m *mem.Memcg, id mem.PageID) (zswap.LoadResult, error) {
 	return res, nil
 }
 
-// Drop delegates to the inner tier's Drop when it has one, falling back
-// to a promote-and-discard load.
-func (t *Tier) Drop(m *mem.Memcg, id mem.PageID) error {
-	if d, ok := t.inner.(interface {
-		Drop(*mem.Memcg, mem.PageID) error
-	}); ok {
-		return d.Drop(m, id)
-	}
-	_, err := t.inner.Load(m, id)
-	return err
-}
+// Drop delegates to the inner tier.
+func (t *Tier) Drop(m *mem.Memcg, id mem.PageID) error { return t.inner.Drop(m, id) }
+
+// Compact delegates to the inner tier.
+func (t *Tier) Compact() uint64 { return t.inner.Compact() }
 
 // FootprintBytes delegates to the inner tier.
 func (t *Tier) FootprintBytes() uint64 { return t.inner.FootprintBytes() }

@@ -2,10 +2,10 @@
 // (GP-UCB) acquisition the paper's autotuner uses for black-box
 // optimization of control-plane parameters (§5.3).
 //
-// The implementation is self-contained: kernels, exact GP posterior via
-// Cholesky factorization (internal/linalg), log marginal likelihood for
-// hyperparameter selection, and an upper-confidence-bound acquisition
-// rule with a no-regret flavour following Srinivas et al.
+// The implementation is self-contained: an ARD RBF kernel, exact GP
+// posterior via Cholesky factorization (internal/linalg), log marginal
+// likelihood for hyperparameter selection, and an upper-confidence-bound
+// acquisition rule with a no-regret flavour following Srinivas et al.
 package gp
 
 import (
@@ -18,11 +18,6 @@ import (
 	"sdfm/internal/linalg"
 )
 
-// Kernel is a positive-definite covariance function over R^d.
-type Kernel interface {
-	Eval(x, y []float64) float64
-}
-
 // RBF is the squared-exponential kernel with per-dimension (ARD) length
 // scales: k(x,y) = σ² · exp(-½ Σ ((x_i-y_i)/l_i)²).
 type RBF struct {
@@ -30,7 +25,7 @@ type RBF struct {
 	LengthScales []float64
 }
 
-// Eval implements Kernel.
+// Eval returns the covariance k(x, y).
 func (k RBF) Eval(x, y []float64) float64 {
 	if len(x) != len(y) || len(x) != len(k.LengthScales) {
 		panic(fmt.Sprintf("gp: RBF dimension mismatch %d/%d/%d", len(x), len(y), len(k.LengthScales)))
@@ -43,35 +38,13 @@ func (k RBF) Eval(x, y []float64) float64 {
 	return k.Variance * math.Exp(-0.5*s)
 }
 
-// Matern52 is the Matérn 5/2 kernel with a single length scale, a common
-// default for Bayesian optimization of rougher objectives.
-type Matern52 struct {
-	Variance    float64
-	LengthScale float64
-}
-
-// Eval implements Kernel.
-func (k Matern52) Eval(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("gp: Matern52 dimension mismatch")
-	}
-	s := 0.0
-	for i := range x {
-		d := x[i] - y[i]
-		s += d * d
-	}
-	r := math.Sqrt(s) / k.LengthScale
-	a := math.Sqrt(5) * r
-	return k.Variance * (1 + a + 5*r*r/3) * math.Exp(-a)
-}
-
 // ErrNoData is returned when predicting from an unfitted GP.
 var ErrNoData = errors.New("gp: no observations")
 
 // GP is an exact Gaussian-process regressor. Construct with New, add
 // observations, then Fit before Predict.
 type GP struct {
-	kernel Kernel
+	kernel RBF
 	noise  float64 // observation noise variance
 
 	xs [][]float64
@@ -84,7 +57,7 @@ type GP struct {
 }
 
 // New creates a GP with the given kernel and observation noise variance.
-func New(kernel Kernel, noiseVar float64) *GP {
+func New(kernel RBF, noiseVar float64) *GP {
 	if noiseVar <= 0 {
 		panic(fmt.Sprintf("gp: non-positive noise variance %v", noiseVar))
 	}
@@ -97,9 +70,6 @@ func (g *GP) Add(x []float64, y float64) {
 	g.ys = append(g.ys, y)
 	g.fresh = false
 }
-
-// N returns the number of observations.
-func (g *GP) N() int { return len(g.xs) }
 
 // Fit factorizes the kernel matrix. It must be called after Add and before
 // Predict; calling it repeatedly is cheapest-effort idempotent.
@@ -222,12 +192,11 @@ func UCBBeta(t, candidates int) float64 {
 
 // FitHyperparams grid-searches RBF hyperparameters (shared across
 // dimensions scaled per-dimension) by log marginal likelihood, returning
-// the best kernel found. dims is the input dimensionality; observations
-// must already be added to g via Add and inputs should be normalized to
-// [0, 1].
-func FitHyperparams(xs [][]float64, ys []float64, noiseVar float64) (Kernel, error) {
+// the best kernel found for the observations (xs[i], ys[i]). Inputs should
+// be normalized to [0, 1].
+func FitHyperparams(xs [][]float64, ys []float64, noiseVar float64) (RBF, error) {
 	if len(xs) == 0 {
-		return nil, ErrNoData
+		return RBF{}, ErrNoData
 	}
 	dims := len(xs[0])
 	variances := []float64{0.25, 1, 4}
@@ -274,7 +243,7 @@ func FitHyperparams(xs [][]float64, ys []float64, noiseVar float64) (Kernel, err
 	}
 	wg.Wait()
 	var (
-		bestK   Kernel
+		bestK   RBF
 		bestLML = math.Inf(-1)
 	)
 	for c := range cells {
@@ -290,8 +259,8 @@ func FitHyperparams(xs [][]float64, ys []float64, noiseVar float64) (Kernel, err
 			bestK = RBF{Variance: cells[c].v, LengthScales: ls}
 		}
 	}
-	if bestK == nil {
-		return nil, fmt.Errorf("gp: no hyperparameter configuration fit the data")
+	if bestK.LengthScales == nil {
+		return RBF{}, fmt.Errorf("gp: no hyperparameter configuration fit the data")
 	}
 	return bestK, nil
 }

@@ -26,20 +26,6 @@ func TestRBFKernelProperties(t *testing.T) {
 	}
 }
 
-func TestMatern52Properties(t *testing.T) {
-	k := Matern52{Variance: 1.5, LengthScale: 0.3}
-	x := []float64{0.5}
-	if got := k.Eval(x, x); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("k(x,x) = %v", got)
-	}
-	if k.Eval(x, []float64{0.6}) <= k.Eval(x, []float64{0.9}) {
-		t.Error("Matern52 does not decay")
-	}
-	if k.Eval([]float64{0.1}, []float64{0.7}) != k.Eval([]float64{0.7}, []float64{0.1}) {
-		t.Error("Matern52 not symmetric")
-	}
-}
-
 func TestGPInterpolatesWithSmallNoise(t *testing.T) {
 	g := New(RBF{Variance: 1, LengthScales: []float64{0.3}}, 1e-8)
 	f := func(x float64) float64 { return math.Sin(2 * math.Pi * x) }
@@ -237,18 +223,6 @@ func TestKernelDimMismatchPanics(t *testing.T) {
 		}
 	}()
 	k.Eval([]float64{1, 2}, []float64{1, 2})
-}
-
-func TestGPN(t *testing.T) {
-	g := New(RBF{Variance: 1, LengthScales: []float64{1}}, 0.01)
-	if g.N() != 0 {
-		t.Error("fresh GP has observations")
-	}
-	g.Add([]float64{0}, 1)
-	g.Add([]float64{1}, 2)
-	if g.N() != 2 {
-		t.Errorf("N = %d", g.N())
-	}
 }
 
 func TestUCBUnfittedErrors(t *testing.T) {

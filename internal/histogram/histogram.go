@@ -46,9 +46,6 @@ func New(scanPeriod time.Duration) *Histogram {
 	return &Histogram{scanPeriod: scanPeriod}
 }
 
-// ScanPeriod returns the age quantum of this histogram.
-func (h *Histogram) ScanPeriod() time.Duration { return h.scanPeriod }
-
 // BucketFor maps an age duration to its bucket index, saturating at
 // MaxBucket. Negative ages map to bucket 0.
 func (h *Histogram) BucketFor(age time.Duration) int {
@@ -62,14 +59,6 @@ func (h *Histogram) BucketFor(age time.Duration) int {
 	return b
 }
 
-// ThresholdFor returns the age at the lower edge of bucket b.
-func (h *Histogram) ThresholdFor(b int) time.Duration {
-	if b < 0 || b >= NumBuckets {
-		panic(fmt.Sprintf("histogram: bucket %d out of range", b))
-	}
-	return time.Duration(b) * h.scanPeriod
-}
-
 // Add increments bucket b by n.
 func (h *Histogram) Add(b int, n uint64) {
 	if b < 0 || b >= NumBuckets {
@@ -77,11 +66,6 @@ func (h *Histogram) Add(b int, n uint64) {
 	}
 	h.counts[b] += n
 	h.total += n
-}
-
-// AddAge increments the bucket covering age by n.
-func (h *Histogram) AddAge(age time.Duration, n uint64) {
-	h.Add(h.BucketFor(age), n)
 }
 
 // Count returns the count in bucket b.
@@ -130,57 +114,6 @@ func (h *Histogram) ColdAtThreshold(t time.Duration) uint64 {
 	return h.TailSum(h.BucketFor(t))
 }
 
-// Merge adds every bucket of other into h. The scan periods must match.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	if other.scanPeriod != h.scanPeriod {
-		panic(fmt.Sprintf("histogram: merging scan period %v into %v", other.scanPeriod, h.scanPeriod))
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.total += other.total
-}
-
-// Sub returns a new histogram holding h - other per bucket. It panics if
-// any bucket of other exceeds h's (deltas of monotonically accumulating
-// counters can never be negative) or if scan periods differ. The node
-// agent uses Sub to extract the last control interval's promotions from
-// the kernel's cumulative histogram.
-func (h *Histogram) Sub(other *Histogram) *Histogram {
-	out := New(h.scanPeriod)
-	if other == nil {
-		out.SetCounts(h.counts)
-		return out
-	}
-	if other.scanPeriod != h.scanPeriod {
-		panic(fmt.Sprintf("histogram: subtracting scan period %v from %v", other.scanPeriod, h.scanPeriod))
-	}
-	var counts [NumBuckets]uint64
-	for i := range h.counts {
-		if other.counts[i] > h.counts[i] {
-			panic(fmt.Sprintf("histogram: bucket %d would go negative (%d - %d)", i, h.counts[i], other.counts[i]))
-		}
-		counts[i] = h.counts[i] - other.counts[i]
-	}
-	out.SetCounts(counts)
-	return out
-}
-
-// Reset zeroes all buckets.
-func (h *Histogram) Reset() {
-	h.counts = [NumBuckets]uint64{}
-	h.total = 0
-}
-
-// Clone returns a deep copy of h.
-func (h *Histogram) Clone() *Histogram {
-	c := *h
-	return &c
-}
-
 // Counts returns a copy of the raw bucket counts.
 func (h *Histogram) Counts() [NumBuckets]uint64 { return h.counts }
 
@@ -192,26 +125,4 @@ func (h *Histogram) SetCounts(counts [NumBuckets]uint64) {
 	for _, c := range counts {
 		h.total += c
 	}
-}
-
-// Snapshot is the wire representation of a histogram, exported by the node
-// agent into the telemetry store every aggregation interval.
-type Snapshot struct {
-	ScanPeriodSeconds int64
-	Counts            [NumBuckets]uint64
-}
-
-// Snapshot captures the histogram for serialization.
-func (h *Histogram) Snapshot() Snapshot {
-	return Snapshot{
-		ScanPeriodSeconds: int64(h.scanPeriod / time.Second),
-		Counts:            h.counts,
-	}
-}
-
-// FromSnapshot reconstructs a histogram from its wire form.
-func FromSnapshot(s Snapshot) *Histogram {
-	h := New(time.Duration(s.ScanPeriodSeconds) * time.Second)
-	h.SetCounts(s.Counts)
-	return h
 }

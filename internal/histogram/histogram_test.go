@@ -37,25 +37,6 @@ func TestBucketFor(t *testing.T) {
 	}
 }
 
-func TestThresholdForRoundTrip(t *testing.T) {
-	h := New(DefaultScanPeriod)
-	for b := 0; b < NumBuckets; b++ {
-		if got := h.BucketFor(h.ThresholdFor(b)); got != b {
-			t.Fatalf("BucketFor(ThresholdFor(%d)) = %d", b, got)
-		}
-	}
-}
-
-func TestThresholdForOutOfRangePanics(t *testing.T) {
-	h := New(DefaultScanPeriod)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ThresholdFor(256) did not panic")
-		}
-	}()
-	h.ThresholdFor(256)
-}
-
 func TestAddAndTotal(t *testing.T) {
 	h := New(DefaultScanPeriod)
 	h.Add(0, 5)
@@ -104,7 +85,7 @@ func TestTailSum(t *testing.T) {
 func TestColdAtThreshold(t *testing.T) {
 	h := New(DefaultScanPeriod)
 	// Page idle for 10 minutes -> bucket 5.
-	h.AddAge(10*time.Minute, 1)
+	h.Add(h.BucketFor(10*time.Minute), 1)
 	if got := h.ColdAtThreshold(120 * time.Second); got != 1 {
 		t.Errorf("ColdAtThreshold(120s) = %d, want 1", got)
 	}
@@ -126,73 +107,6 @@ func TestTailSumsMatchesTailSum(t *testing.T) {
 	for b := 0; b < NumBuckets; b++ {
 		if sums[b] != h.TailSum(b) {
 			t.Fatalf("TailSums[%d] = %d, TailSum = %d", b, sums[b], h.TailSum(b))
-		}
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := New(DefaultScanPeriod)
-	b := New(DefaultScanPeriod)
-	a.Add(3, 2)
-	b.Add(3, 5)
-	b.Add(7, 1)
-	a.Merge(b)
-	if a.Count(3) != 7 || a.Count(7) != 1 || a.Total() != 8 {
-		t.Errorf("after merge: count3=%d count7=%d total=%d", a.Count(3), a.Count(7), a.Total())
-	}
-}
-
-func TestMergeNilIsNoop(t *testing.T) {
-	a := New(DefaultScanPeriod)
-	a.Add(1, 1)
-	a.Merge(nil)
-	if a.Total() != 1 {
-		t.Errorf("Total = %d after nil merge", a.Total())
-	}
-}
-
-func TestMergeMismatchedPeriodPanics(t *testing.T) {
-	a := New(DefaultScanPeriod)
-	b := New(time.Minute)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched merge did not panic")
-		}
-	}()
-	a.Merge(b)
-}
-
-func TestResetAndClone(t *testing.T) {
-	h := New(DefaultScanPeriod)
-	h.Add(4, 9)
-	c := h.Clone()
-	h.Reset()
-	if h.Total() != 0 {
-		t.Errorf("Total after reset = %d", h.Total())
-	}
-	if c.Total() != 9 || c.Count(4) != 9 {
-		t.Errorf("clone was affected by reset: %d", c.Total())
-	}
-	c.Add(4, 1)
-	if h.Count(4) != 0 {
-		t.Error("histogram and clone share storage")
-	}
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	h := New(DefaultScanPeriod)
-	h.Add(2, 7)
-	h.Add(200, 3)
-	got := FromSnapshot(h.Snapshot())
-	if got.ScanPeriod() != h.ScanPeriod() {
-		t.Errorf("scan period %v != %v", got.ScanPeriod(), h.ScanPeriod())
-	}
-	if got.Total() != h.Total() {
-		t.Errorf("total %d != %d", got.Total(), h.Total())
-	}
-	for b := 0; b < NumBuckets; b++ {
-		if got.Count(b) != h.Count(b) {
-			t.Fatalf("bucket %d: %d != %d", b, got.Count(b), h.Count(b))
 		}
 	}
 }
@@ -230,50 +144,6 @@ func TestTailSumMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestSub(t *testing.T) {
-	a := New(DefaultScanPeriod)
-	a.Add(2, 10)
-	a.Add(5, 4)
-	b := New(DefaultScanPeriod)
-	b.Add(2, 7)
-	d := a.Sub(b)
-	if d.Count(2) != 3 || d.Count(5) != 4 || d.Total() != 7 {
-		t.Errorf("delta: c2=%d c5=%d total=%d", d.Count(2), d.Count(5), d.Total())
-	}
-	// Subtracting nil returns a copy.
-	c := a.Sub(nil)
-	if c.Total() != a.Total() {
-		t.Errorf("Sub(nil) total = %d", c.Total())
-	}
-	c.Add(0, 1)
-	if a.Count(0) != 0 {
-		t.Error("Sub(nil) shares storage")
-	}
-}
-
-func TestSubNegativePanics(t *testing.T) {
-	a := New(DefaultScanPeriod)
-	b := New(DefaultScanPeriod)
-	b.Add(1, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative delta did not panic")
-		}
-	}()
-	a.Sub(b)
-}
-
-func TestSubMismatchedPeriodPanics(t *testing.T) {
-	a := New(DefaultScanPeriod)
-	b := New(time.Minute)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched Sub did not panic")
-		}
-	}()
-	a.Sub(b)
 }
 
 func TestCountsAccessor(t *testing.T) {

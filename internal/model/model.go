@@ -100,11 +100,6 @@ type FleetResult struct {
 	Completeness float64
 }
 
-// MeetsSLO reports whether the fleet result satisfies the SLO constraint.
-func (r FleetResult) MeetsSLO(slo core.SLO) bool {
-	return r.P98Rate <= slo.TargetRatePerMin
-}
-
 // Run replays the trace under cfg. It is the compatibility wrapper over
 // the compiled-replay pipeline: the trace is compiled internally and
 // replayed once. Callers evaluating many configurations over the same

@@ -8,9 +8,6 @@ var (
 	// ErrOutOfMemory means a machine is over capacity with no evictable
 	// job left to free memory.
 	ErrOutOfMemory = errors.New("node: out of memory with no evictable jobs")
-	// ErrJobNotFound means no job with the given name exists on the
-	// machine.
-	ErrJobNotFound = errors.New("node: job not found")
 	// ErrJobNotRunning means the operation requires a running job but the
 	// target has already finished or been evicted.
 	ErrJobNotRunning = errors.New("node: job not running")

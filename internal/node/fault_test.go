@@ -336,8 +336,10 @@ func (f fixedFootprintTier) Store(*mem.Memcg, mem.PageID) zswap.StoreResult {
 func (f fixedFootprintTier) Load(*mem.Memcg, mem.PageID) (zswap.LoadResult, error) {
 	return zswap.LoadResult{}, nil
 }
-func (f fixedFootprintTier) FootprintBytes() uint64 { return f.bytes }
-func (f fixedFootprintTier) Stats() zswap.Stats     { return zswap.Stats{} }
+func (f fixedFootprintTier) Drop(*mem.Memcg, mem.PageID) error { return nil }
+func (f fixedFootprintTier) Compact() uint64                   { return 0 }
+func (f fixedFootprintTier) FootprintBytes() uint64            { return f.bytes }
+func (f fixedFootprintTier) Stats() zswap.Stats                { return zswap.Stats{} }
 
 func TestHandlePressureOOMWrapsSentinel(t *testing.T) {
 	// No running job to evict and an unreleasable tier footprint above the
@@ -358,14 +360,41 @@ func TestHandlePressureOOMWrapsSentinel(t *testing.T) {
 	}
 }
 
+// TestTierCompactsOnScheduleAndOnCrash: the agent compacts whatever tier
+// the machine runs, not only a bare zswap pool, every CompactEveryScans
+// scans, and once more when a crash has emptied it (§5.1).
+func TestTierCompactsOnScheduleAndOnCrash(t *testing.T) {
+	tier := &compactCounter{TieredPool: zswap.NewTieredPool(zswap.ProfileNVM, nil, 5)}
+	plan := &fault.Plan{Name: "crash", Events: []fault.Event{
+		{Kind: fault.MachineCrash, Machine: "m0", At: 10 * time.Minute},
+	}}
+	m := newMachine(t, Config{
+		Mode:              ModeProactive,
+		Seed:              51,
+		Tier:              tier,
+		CompactEveryScans: 3,
+		Injector:          fault.NewInjector(plan, "m0"),
+	})
+	addWorkload(t, m, workload.LogProcessor, 9)
+	const scans = 12
+	for i := 0; i < scans; i++ {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.FaultStats().Crashes != 1 {
+		t.Fatalf("crashes = %d, want 1", m.FaultStats().Crashes)
+	}
+	if want := scans/3 + 1; tier.compacts != want {
+		t.Errorf("tier compacted %d times, want %d (every 3rd of %d scans plus the crash)", tier.compacts, want, scans)
+	}
+}
+
 func TestJobLookupSentinels(t *testing.T) {
 	m := newMachine(t, Config{Mode: ModeProactive, Seed: 50})
 	j := addWorkload(t, m, workload.WebFrontend, 7)
 
-	if _, err := m.JobByName("nope"); !errors.Is(err, ErrJobNotFound) {
-		t.Errorf("missing job: err = %v, want ErrJobNotFound", err)
-	}
-	if err := m.RemoveJobByName(j.Memcg.Name()); err != nil {
+	if err := m.RemoveJob(j); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.RemoveJob(j); !errors.Is(err, ErrJobNotRunning) {

@@ -161,7 +161,8 @@ type Config struct {
 	Tier zswap.FarMemory
 	// Collector, when set, receives 5-minute telemetry exports.
 	Collector *telemetry.Collector
-	// CompactEveryScans triggers zsmalloc compaction (default 10).
+	// CompactEveryScans triggers the tier's Compact every that many scans
+	// (default 10).
 	CompactEveryScans int
 	// CollectSamples retains per-interval rate and latency samples.
 	CollectSamples bool
@@ -194,7 +195,6 @@ type Config struct {
 type Machine struct {
 	cfg       Config
 	pool      zswap.FarMemory
-	zswapPool *zswap.Pool // non-nil when the tier is zswap (for compaction)
 	faultTier *fault.Tier // non-nil when an injector wraps the tier
 	inj       *fault.Injector
 	reclaimer *kreclaimd.Reclaimer
@@ -275,9 +275,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	if cfg.Audit.DeepEverySteps > 0 {
 		m.auditDeepEvery = uint64(cfg.Audit.DeepEverySteps)
-	}
-	if zp, ok := tier.(*zswap.Pool); ok {
-		m.zswapPool = zp
 	}
 	// Time-aware tiers (chaos test instrumentation, latency-sensitive
 	// device models) learn the machine clock.
@@ -561,9 +558,9 @@ func (m *Machine) Step() error {
 	}
 
 	// 4. Periodic compaction (agent-triggered, §5.1).
-	ranCompact := m.zswapPool != nil && m.scans%uint64(m.cfg.CompactEveryScans) == 0
+	ranCompact := m.scans%uint64(m.cfg.CompactEveryScans) == 0
 	if ranCompact {
-		m.zswapPool.Compact()
+		m.pool.Compact()
 	}
 
 	// 5. Memory pressure.
@@ -721,11 +718,9 @@ func (m *Machine) crash() error {
 			m.cfg.Collector.Forget(m.jobKey(j))
 		}
 	}
-	if m.zswapPool != nil {
-		// The dropped pool's arena is empty now; compaction releases its
-		// physical zspages, completing the restart.
-		m.zswapPool.Compact()
-	}
+	// The dropped pool's arena is empty now; compaction releases its
+	// physical zspages, completing the restart.
+	m.pool.Compact()
 	m.daemonWedged = false
 	return nil
 }
@@ -877,35 +872,6 @@ func (m *Machine) lowestPriorityRunning() *Job {
 	return js[0]
 }
 
-// JobByName finds a job by its memcg name, preferring a running instance.
-// It wraps ErrJobNotFound when no such job exists.
-func (m *Machine) JobByName(name string) (*Job, error) {
-	var found *Job
-	for _, j := range m.jobs {
-		if j.Memcg.Name() != name {
-			continue
-		}
-		if j.State == JobRunning {
-			return j, nil
-		}
-		found = j
-	}
-	if found != nil {
-		return found, nil
-	}
-	return nil, fmt.Errorf("machine %s has no job %q: %w", m.cfg.Name, name, ErrJobNotFound)
-}
-
-// RemoveJobByName retires the named running job. It wraps ErrJobNotFound
-// or ErrJobNotRunning on failure.
-func (m *Machine) RemoveJobByName(name string) error {
-	j, err := m.JobByName(name)
-	if err != nil {
-		return err
-	}
-	return m.RemoveJob(j)
-}
-
 // RemoveJob retires a job that finished normally: its far-memory pages
 // are discarded (no decompression cost) and its memory is released. The
 // slot becomes free for the scheduler to reuse.
@@ -941,15 +907,8 @@ func (m *Machine) evict(j *Job) error {
 // memcg.
 func (m *Machine) releaseFarMemory(j *Job) error {
 	m.dropIDs = j.Memcg.AppendCompressed(m.dropIDs[:0])
-	dropper, canDrop := m.pool.(interface {
-		Drop(*mem.Memcg, mem.PageID) error
-	})
 	for _, id := range m.dropIDs {
-		if canDrop {
-			if err := dropper.Drop(j.Memcg, id); err != nil {
-				return err
-			}
-		} else if _, err := m.pool.Load(j.Memcg, id); err != nil {
+		if err := m.pool.Drop(j.Memcg, id); err != nil {
 			return err
 		}
 	}

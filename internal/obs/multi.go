@@ -71,21 +71,12 @@ func (o *Observer) Tracer() *Tracer {
 type Multi struct {
 	base      []Label
 	observers []*Observer
-	maxSpans  int
 }
 
 // NewMulti returns a Multi whose observers all inherit the given base
 // labels (e.g. run="baseline").
 func NewMulti(base ...Label) *Multi {
 	return &Multi{base: base}
-}
-
-// SetMaxSpans overrides the per-observer span cap for observers created
-// afterwards (<= 0 restores DefaultMaxSpans).
-func (m *Multi) SetMaxSpans(n int) {
-	if m != nil {
-		m.maxSpans = n
-	}
 }
 
 // Observer creates a new observer named process, with the Multi's base
@@ -101,7 +92,7 @@ func (m *Multi) Observer(process string, labels ...Label) *Observer {
 	o := &Observer{
 		Process: process,
 		Reg:     NewRegistry(all...),
-		Trace:   NewTracer(m.maxSpans),
+		Trace:   NewTracer(DefaultMaxSpans),
 	}
 	m.observers = append(m.observers, o)
 	return o

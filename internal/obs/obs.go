@@ -200,14 +200,6 @@ func (g *Gauge) SetInt(v int) { g.Set(float64(v)) }
 // SetUint64 replaces the current value with a uint64 (e.g. byte counts).
 func (g *Gauge) SetUint64(v uint64) { g.Set(float64(v)) }
 
-// Add adjusts the current value by v.
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	g.s.value += v
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -15,7 +15,6 @@ func TestNilSafety(t *testing.T) {
 	c.Inc()
 	c.Add(3)
 	g.Set(5)
-	g.Add(1)
 	h.Observe(2)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments must be inert")
@@ -219,7 +218,7 @@ func TestGaugeAndCounterSemantics(t *testing.T) {
 	}
 	g := r.Gauge("g", "h")
 	g.Set(10)
-	g.Add(-3)
+	g.SetInt(7)
 	if g.Value() != 7 {
 		t.Fatalf("gauge = %v", g.Value())
 	}

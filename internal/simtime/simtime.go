@@ -1,65 +1,12 @@
-// Package simtime provides a discrete simulated clock and deterministic
-// pseudo-random number streams for the far-memory simulator.
+// Package simtime provides deterministic, labelled pseudo-random number
+// streams for the far-memory simulator.
 //
-// All components of the simulator share a single Clock so that daemons
-// (kstaled, kreclaimd, the node agent) and workloads observe a consistent
-// notion of time without any dependence on the wall clock. Time advances
-// only through Clock.Advance, which makes every experiment reproducible.
+// Each subsystem draws from its own stream, derived from the run's seed and
+// a label, so adding draws in one subsystem never perturbs another's
+// sequence and every experiment is reproducible from its seed.
 package simtime
 
-import (
-	"fmt"
-	"math/rand"
-	"sync"
-	"time"
-)
-
-// Clock is a discrete simulated clock. The zero value is a clock at time
-// zero, ready to use.
-type Clock struct {
-	mu  sync.RWMutex
-	now time.Duration
-}
-
-// NewClock returns a clock positioned at the given offset from simulation
-// start.
-func NewClock(start time.Duration) *Clock {
-	return &Clock{now: start}
-}
-
-// Now returns the current simulated time as an offset from simulation start.
-func (c *Clock) Now() time.Duration {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.now
-}
-
-// NowSeconds returns the current simulated time in whole seconds.
-func (c *Clock) NowSeconds() int64 {
-	return int64(c.Now() / time.Second)
-}
-
-// Advance moves the clock forward by d. It panics if d is negative, because
-// simulated time never runs backwards.
-func (c *Clock) Advance(d time.Duration) {
-	if d < 0 {
-		panic(fmt.Sprintf("simtime: cannot advance clock by negative duration %v", d))
-	}
-	c.mu.Lock()
-	c.now += d
-	c.mu.Unlock()
-}
-
-// Set positions the clock at an absolute offset. It panics if t is earlier
-// than the current time.
-func (c *Clock) Set(t time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t < c.now {
-		panic(fmt.Sprintf("simtime: cannot move clock backwards from %v to %v", c.now, t))
-	}
-	c.now = t
-}
+import "math/rand"
 
 // Rand returns a deterministic *rand.Rand derived from seed and a stream
 // label. Different labels yield independent streams, so subsystems can draw
@@ -72,34 +19,3 @@ func Rand(seed int64, label string) *rand.Rand {
 	}
 	return rand.New(rand.NewSource(seed ^ h))
 }
-
-// Ticker fires a callback every period of simulated time. It is driven
-// explicitly by the clock owner calling Poll; there are no goroutines, so
-// simulation remains deterministic.
-type Ticker struct {
-	period time.Duration
-	next   time.Duration
-	fn     func(now time.Duration)
-}
-
-// NewTicker creates a ticker that first fires at start+period.
-func NewTicker(start, period time.Duration, fn func(now time.Duration)) *Ticker {
-	if period <= 0 {
-		panic("simtime: ticker period must be positive")
-	}
-	return &Ticker{period: period, next: start + period, fn: fn}
-}
-
-// Poll fires the ticker zero or more times to catch up with now.
-func (t *Ticker) Poll(now time.Duration) {
-	for t.next <= now {
-		t.fn(t.next)
-		t.next += t.period
-	}
-}
-
-// Next reports when the ticker will fire next.
-func (t *Ticker) Next() time.Duration { return t.next }
-
-// Period reports the ticker period.
-func (t *Ticker) Period() time.Duration { return t.period }

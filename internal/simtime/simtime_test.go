@@ -1,62 +1,6 @@
 package simtime
 
-import (
-	"testing"
-	"time"
-)
-
-func TestClockZeroValue(t *testing.T) {
-	var c Clock
-	if got := c.Now(); got != 0 {
-		t.Errorf("zero clock Now() = %v, want 0", got)
-	}
-}
-
-func TestClockAdvance(t *testing.T) {
-	c := NewClock(0)
-	c.Advance(90 * time.Second)
-	if got := c.Now(); got != 90*time.Second {
-		t.Errorf("Now() = %v, want 90s", got)
-	}
-	c.Advance(30 * time.Second)
-	if got := c.NowSeconds(); got != 120 {
-		t.Errorf("NowSeconds() = %d, want 120", got)
-	}
-}
-
-func TestClockStartOffset(t *testing.T) {
-	c := NewClock(time.Hour)
-	if got := c.Now(); got != time.Hour {
-		t.Errorf("Now() = %v, want 1h", got)
-	}
-}
-
-func TestClockAdvanceNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Advance(-1) did not panic")
-		}
-	}()
-	NewClock(0).Advance(-time.Second)
-}
-
-func TestClockSet(t *testing.T) {
-	c := NewClock(0)
-	c.Set(5 * time.Minute)
-	if got := c.Now(); got != 5*time.Minute {
-		t.Errorf("Now() = %v, want 5m", got)
-	}
-}
-
-func TestClockSetBackwardsPanics(t *testing.T) {
-	c := NewClock(time.Minute)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Set backwards did not panic")
-		}
-	}()
-	c.Set(0)
-}
+import "testing"
 
 func TestRandDeterministic(t *testing.T) {
 	a := Rand(42, "workload")
@@ -87,63 +31,5 @@ func TestRandSeedMatters(t *testing.T) {
 	b := Rand(2, "x")
 	if a.Int63() == b.Int63() && a.Int63() == b.Int63() {
 		t.Error("different seeds produced identical streams")
-	}
-}
-
-func TestTickerFiresOnSchedule(t *testing.T) {
-	var fired []time.Duration
-	tick := NewTicker(0, 2*time.Minute, func(now time.Duration) {
-		fired = append(fired, now)
-	})
-	tick.Poll(time.Minute) // before first fire
-	if len(fired) != 0 {
-		t.Fatalf("ticker fired early: %v", fired)
-	}
-	tick.Poll(7 * time.Minute)
-	want := []time.Duration{2 * time.Minute, 4 * time.Minute, 6 * time.Minute}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Errorf("fire %d at %v, want %v", i, fired[i], want[i])
-		}
-	}
-	if got := tick.Next(); got != 8*time.Minute {
-		t.Errorf("Next() = %v, want 8m", got)
-	}
-}
-
-func TestTickerCatchesUpExactBoundary(t *testing.T) {
-	n := 0
-	tick := NewTicker(0, time.Minute, func(time.Duration) { n++ })
-	tick.Poll(time.Minute)
-	if n != 1 {
-		t.Errorf("poll at exact boundary fired %d times, want 1", n)
-	}
-}
-
-func TestTickerZeroPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewTicker with zero period did not panic")
-		}
-	}()
-	NewTicker(0, 0, func(time.Duration) {})
-}
-
-func TestTickerStartOffset(t *testing.T) {
-	n := 0
-	tick := NewTicker(10*time.Minute, 5*time.Minute, func(time.Duration) { n++ })
-	tick.Poll(14 * time.Minute)
-	if n != 0 {
-		t.Fatalf("fired before start+period")
-	}
-	tick.Poll(15 * time.Minute)
-	if n != 1 {
-		t.Fatalf("fired %d times at start+period, want 1", n)
-	}
-	if tick.Period() != 5*time.Minute {
-		t.Errorf("Period() = %v", tick.Period())
 	}
 }

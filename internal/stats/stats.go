@@ -179,27 +179,6 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{sorted: sorted}
 }
 
-// N returns the number of samples underlying the CDF.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// At returns P(X <= x), the fraction of samples at or below x.
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	// First index with value > x.
-	i := sort.SearchFloat64s(c.sorted, x)
-	for i < len(c.sorted) && c.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-th quantile (0..1) of the samples.
-func (c *CDF) Quantile(q float64) float64 {
-	return PercentileSorted(c.sorted, q*100)
-}
-
 // Points returns up to n evenly spaced (value, cumulative fraction) points
 // suitable for plotting the CDF curve.
 func (c *CDF) Points(n int) []Point {
@@ -222,33 +201,6 @@ func (c *CDF) Points(n int) []Point {
 
 // Point is a single (x, y) sample of a curve.
 type Point struct{ X, Y float64 }
-
-// Histogram bins xs into n equal-width bins over [lo, hi] and returns the
-// per-bin counts. Finite values outside the range are clamped into the
-// edge bins; non-finite values are skipped — converting NaN through
-// int(...) is implementation-defined in Go and used to land NaN samples
-// silently in bin 0.
-func Histogram(xs []float64, lo, hi float64, n int) []int {
-	if n <= 0 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, n)
-	w := (hi - lo) / float64(n)
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			continue
-		}
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		counts[i]++
-	}
-	return counts
-}
 
 func max(a, b int) int {
 	if a > b {

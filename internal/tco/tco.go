@@ -1,8 +1,6 @@
 // Package tco models the total-cost-of-ownership arithmetic of far memory
 // (§6.1): how cold-memory coverage, the cold-memory ceiling, and the
-// compression ratio translate into DRAM cost savings, and how
-// software-defined far memory compares with fixed-capacity hardware tiers
-// whose stranded capacity erodes their savings (§2.1).
+// compression ratio translate into DRAM cost savings.
 package tco
 
 import "fmt"
@@ -49,35 +47,6 @@ func PerPageCostReduction(compressionRatio float64) float64 {
 		return 0
 	}
 	return 1 - 1/compressionRatio
-}
-
-// HardwareTier compares a fixed-provisioned far-memory device.
-type HardwareTier struct {
-	// CostPerGBRelDRAM is the device's cost per GB relative to DRAM.
-	CostPerGBRelDRAM float64
-	// ProvisionedFraction is the device capacity as a fraction of DRAM.
-	ProvisionedFraction float64
-}
-
-// HardwareSavingsFraction returns the DRAM-cost saving of a fixed device
-// tier given the utilization of its capacity (0..1). Unused (stranded)
-// capacity still costs money, which is the paper's §2.1 argument: when
-// per-machine cold memory varies 1–52%, a fixed tier is either stranded
-// or insufficient.
-//
-// Savings = utilized fraction displaced from DRAM − device cost:
-//
-//	p·u·1 − p·c
-//
-// where p is the provisioned fraction, u utilization, c relative cost.
-func HardwareSavingsFraction(t HardwareTier, utilization float64) float64 {
-	if utilization < 0 {
-		utilization = 0
-	}
-	if utilization > 1 {
-		utilization = 1
-	}
-	return t.ProvisionedFraction * (utilization - t.CostPerGBRelDRAM)
 }
 
 // Report is a one-line summary of the savings arithmetic.

@@ -53,41 +53,6 @@ func TestModelSavingsDollars(t *testing.T) {
 	}
 }
 
-func TestHardwareSavings(t *testing.T) {
-	nvm := HardwareTier{CostPerGBRelDRAM: 0.5, ProvisionedFraction: 0.2}
-	full := HardwareSavingsFraction(nvm, 1.0)
-	half := HardwareSavingsFraction(nvm, 0.5)
-	if full <= half {
-		t.Error("higher utilization must save more")
-	}
-	// At 50% utilization this tier exactly breaks even.
-	if math.Abs(half) > 1e-12 {
-		t.Errorf("break-even case = %v, want 0", half)
-	}
-	// Stranded capacity loses money.
-	if HardwareSavingsFraction(nvm, 0.2) >= 0 {
-		t.Error("mostly-stranded tier should lose money")
-	}
-	// Utilization clamps.
-	if HardwareSavingsFraction(nvm, 1.5) != full {
-		t.Error("utilization not clamped high")
-	}
-	if HardwareSavingsFraction(nvm, -1) != HardwareSavingsFraction(nvm, 0) {
-		t.Error("utilization not clamped low")
-	}
-}
-
-func TestSoftwareVsStrandedHardware(t *testing.T) {
-	// The §2.1 argument quantified: zswap at the paper's operating point
-	// beats an NVM tier provisioned for 20% of memory when cold-memory
-	// variability leaves that tier half-stranded.
-	software := SavingsFraction(0.32, 0.20, 3)
-	hardware := HardwareSavingsFraction(HardwareTier{CostPerGBRelDRAM: 0.5, ProvisionedFraction: 0.2}, 0.5)
-	if software <= hardware {
-		t.Errorf("software %.4f should beat half-stranded hardware %.4f", software, hardware)
-	}
-}
-
 func TestReport(t *testing.T) {
 	r := Report(0.32, 0.20, 3)
 	if !strings.Contains(r, "coverage=20.0%") || !strings.Contains(r, "ratio=3.0x") {

@@ -38,7 +38,7 @@ func TestAppendStampsChecksum(t *testing.T) {
 	}
 }
 
-func TestScrubKeepsLegacyEntries(t *testing.T) {
+func TestScrubDropsUnverifiedEntries(t *testing.T) {
 	tr := NewTrace()
 	for i := int64(1); i <= 4; i++ {
 		if err := tr.Append(intactEntry(tr, i*300)); err != nil {
@@ -46,12 +46,12 @@ func TestScrubKeepsLegacyEntries(t *testing.T) {
 		}
 	}
 	tr.Entries[1].TotalPages++    // stale checksum: must go
-	tr.Entries[2].Checksum = 0    // legacy unchecksummed: must stay
+	tr.Entries[2].Checksum = 0    // unstamped: must go
 	tr.Entries[3].ColdTails = nil // structurally invalid: must go
-	if dropped := tr.Scrub(); dropped != 2 {
-		t.Fatalf("scrub dropped %d, want 2", dropped)
+	if dropped := tr.Scrub(); dropped != 3 {
+		t.Fatalf("scrub dropped %d, want 3", dropped)
 	}
-	if tr.Len() != 2 {
-		t.Fatalf("scrub left %d entries, want 2", tr.Len())
+	if tr.Len() != 1 || tr.Entries[0].TimestampSec != 300 {
+		t.Fatalf("scrub left %d entries, want only the intact one", tr.Len())
 	}
 }

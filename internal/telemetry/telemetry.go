@@ -79,10 +79,11 @@ type Entry struct {
 	// actually compress (the rest are incompressible media/ciphertext and
 	// never enter zswap). Zero is treated as 1 for backward compatibility.
 	CompressibleFrac float64
-	// Checksum is an FNV-1a digest over every other field, set when the
-	// entry enters a trace and verified on load so at-rest corruption is
-	// detected instead of silently replayed. Zero means "unchecksummed"
-	// (a trace written before checksums existed).
+	// Checksum is an FNV-1a digest over every other field, stamped when the
+	// entry enters a trace (Trace.Append, tracestore.Writer.Append) and
+	// verified on load so at-rest corruption is detected instead of
+	// silently replayed. Zero is never a valid stamp: an entry that reaches
+	// a verifier unstamped counts as corrupt.
 	Checksum uint64
 }
 
@@ -141,12 +142,9 @@ func (e *Entry) ComputeChecksum() uint64 {
 	return h
 }
 
-// VerifyChecksum reports corruption: a nonzero stored checksum that does
-// not match the entry's content.
+// VerifyChecksum reports corruption: a stored checksum, zero included,
+// that does not match the entry's content.
 func (e *Entry) VerifyChecksum() error {
-	if e.Checksum == 0 {
-		return nil // legacy unchecksummed entry
-	}
 	if got := e.ComputeChecksum(); got != e.Checksum {
 		return fmt.Errorf("telemetry: entry %s at t=%ds corrupt: checksum %#x, content digests to %#x",
 			e.Key, e.TimestampSec, e.Checksum, got)

@@ -527,12 +527,15 @@ func TestFlipBytesDeterministic(t *testing.T) {
 // TestTamperedEntrySkippedNotReplayed pins the per-entry integrity check
 // behind the chunk CRC: an entry altered *before* its chunk was sealed —
 // so the chunk CRC is consistent and only the entry's own checksum is
-// stale — is detected, skipped and counted, never replayed.
+// stale — is detected, skipped and counted, never replayed. So is an entry
+// sealed with no checksum at all, which no writer produces.
 func TestTamperedEntrySkippedNotReplayed(t *testing.T) {
 	tr := testTrace(t, 1)
 	entries := append([]telemetry.Entry(nil), tr.Entries[:8]...)
 	tampered := entries[3]
 	entries[3].WSSPages += 99 // checksum now stale
+	unstamped := entries[5]
+	entries[5].Checksum = 0
 
 	meta := MetaOf(tr)
 	file := encodeHeader(meta)
@@ -555,8 +558,10 @@ func TestTamperedEntrySkippedNotReplayed(t *testing.T) {
 	}
 	got := 0
 	err = r.Scan(func(e telemetry.Entry) error {
-		if e.Key == tampered.Key && e.TimestampSec == tampered.TimestampSec {
-			t.Errorf("tampered entry %s@%d was replayed", e.Key, e.TimestampSec)
+		for _, bad := range []telemetry.Entry{tampered, unstamped} {
+			if e.Key == bad.Key && e.TimestampSec == bad.TimestampSec {
+				t.Errorf("damaged entry %s@%d was replayed", e.Key, e.TimestampSec)
+			}
 		}
 		got++
 		return nil
@@ -564,11 +569,11 @@ func TestTamperedEntrySkippedNotReplayed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != len(entries)-1 {
-		t.Errorf("scan yielded %d entries, want %d", got, len(entries)-1)
+	if got != len(entries)-2 {
+		t.Errorf("scan yielded %d entries, want %d", got, len(entries)-2)
 	}
-	if sk := r.Skipped(); sk.Chunks != 0 || sk.Entries != 1 || len(sk.Ranges) != 1 {
-		t.Errorf("skipped = %+v, want exactly the one tampered entry inside a healthy chunk", sk)
+	if sk := r.Skipped(); sk.Chunks != 0 || sk.Entries != 2 || len(sk.Ranges) != 1 {
+		t.Errorf("skipped = %+v, want exactly the two damaged entries inside a healthy chunk", sk)
 	}
 }
 

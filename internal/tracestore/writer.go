@@ -190,9 +190,6 @@ func (w *Writer) Entries() int { return w.entries + len(w.batch) }
 // Jobs returns how many distinct jobs have been sealed into chunks.
 func (w *Writer) Jobs() int { return len(w.jobs) }
 
-// Chunks returns how many chunks have been sealed.
-func (w *Writer) Chunks() int { return len(w.chunks) }
-
 func (w *Writer) write(b []byte) error {
 	n, err := w.w.Write(b)
 	w.offset += int64(n)

@@ -295,7 +295,7 @@ func Autotune(obj Objective, cfg Config) (Result, error) {
 
 // gpKernel selects hyperparameters by marginal likelihood once enough
 // observations exist, falling back to a sensible default.
-func gpKernel(history []Observation, cfg Config) gp.Kernel {
+func gpKernel(history []Observation, cfg Config) gp.RBF {
 	fallback := gp.RBF{Variance: 1, LengthScales: []float64{0.25, 0.25}}
 	if len(history) < 6 {
 		return fallback

@@ -247,16 +247,6 @@ var Archetypes = []*Archetype{
 	WebFrontend, BigtableServer, BatchAnalytics, MLTraining, KVCache, LogProcessor,
 }
 
-// ArchetypeByName looks up a standard archetype.
-func ArchetypeByName(name string) (*Archetype, bool) {
-	for _, a := range Archetypes {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return nil, false
-}
-
 // dueBlock is the number of pages one entry of Workload.due covers.
 // Measured in place (bench sim_coldstore, four alternating runs each): 8,
 // 16, 32 and 64 pages give medians of 4,727, 4,799, 4,623 and 4,373

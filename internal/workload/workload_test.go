@@ -29,16 +29,6 @@ func TestAllArchetypesValid(t *testing.T) {
 	}
 }
 
-func TestArchetypeByName(t *testing.T) {
-	a, ok := ArchetypeByName("bigtable")
-	if !ok || a != BigtableServer {
-		t.Error("lookup failed")
-	}
-	if _, ok := ArchetypeByName("nope"); ok {
-		t.Error("bogus name found")
-	}
-}
-
 func TestArchetypeValidation(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	// Each case breaks one field of an otherwise valid archetype; the

@@ -117,8 +117,6 @@ func (d *DevicePool) Load(m *mem.Memcg, id mem.PageID) (LoadResult, error) {
 // Drop discards a stored page without promotion, mirroring Pool.Drop:
 // occupancy is released, the drop is counted via DroppedPages rather than
 // as a LoadedPages promotion, and no device read latency is charged.
-// Before this existed, job-exit releases fell back to Load, which inflated
-// LoadedPages and charged phantom read latency.
 func (d *DevicePool) Drop(m *mem.Memcg, id mem.PageID) error {
 	if !m.Flags(id).Has(mem.FlagCompressed) {
 		return fmt.Errorf("zswap: device drop of non-stored page %d", id)
@@ -138,6 +136,10 @@ func (d *DevicePool) Drop(m *mem.Memcg, id mem.PageID) error {
 // DroppedPages returns how many pages have been discarded via Drop since
 // creation (cumulative, like Stats).
 func (d *DevicePool) DroppedPages() uint64 { return d.droppedPages }
+
+// Compact is a no-op: a device tier holds whole pages on its own media,
+// so it has no near memory to compact.
+func (d *DevicePool) Compact() uint64 { return 0 }
 
 // FootprintBytes: device tiers consume no near memory.
 func (d *DevicePool) FootprintBytes() uint64 { return 0 }

@@ -75,8 +75,7 @@ func (t *TieredPool) Load(m *mem.Memcg, id mem.PageID) (LoadResult, error) {
 }
 
 // Drop discards a stored page without promotion cost. Both tiers count
-// the drop via their DroppedPages accessors — previously a tier-1 drop was
-// routed through Load, inflating LoadedPages (promotions) with frees.
+// the drop via their DroppedPages accessors, not as LoadedPages.
 func (t *TieredPool) Drop(m *mem.Memcg, id mem.PageID) error {
 	if !m.Flags(id).Has(mem.FlagCompressed) {
 		return fmt.Errorf("zswap: tiered drop of non-stored page %d", id)

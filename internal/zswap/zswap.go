@@ -108,6 +108,13 @@ type Stats struct {
 type FarMemory interface {
 	Store(m *mem.Memcg, id mem.PageID) StoreResult
 	Load(m *mem.Memcg, id mem.PageID) (LoadResult, error)
+	// Drop discards a stored page without promoting it, when its job exits
+	// or its machine restarts: no promotion is counted and no latency is
+	// charged.
+	Drop(m *mem.Memcg, id mem.PageID) error
+	// Compact releases the tier's fragmented near memory and returns the
+	// bytes reclaimed; the node agent calls it periodically (§5.1).
+	Compact() uint64
 	// FootprintBytes is the near-memory (DRAM) the tier itself consumes;
 	// nonzero only for compression-based tiers.
 	FootprintBytes() uint64
@@ -142,16 +149,6 @@ const zeroHandle = zsmalloc.Handle(^uint64(0))
 
 // Option configures a Pool.
 type Option func(*Pool)
-
-// WithCost overrides the (de)compression cost model.
-func WithCost(c compress.CostModel) Option {
-	return func(p *Pool) { p.cost = c }
-}
-
-// WithCutoff overrides the compressed-payload acceptance cutoff.
-func WithCutoff(n int) Option {
-	return func(p *Pool) { p.cutoff = n }
-}
 
 // WithCapacity bounds the pool's physical DRAM footprint in bytes.
 func WithCapacity(n uint64) Option {

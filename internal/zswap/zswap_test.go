@@ -3,9 +3,7 @@ package zswap
 import (
 	"testing"
 	"testing/quick"
-	"time"
 
-	"sdfm/internal/compress"
 	"sdfm/internal/mem"
 	"sdfm/internal/pagedata"
 )
@@ -497,23 +495,6 @@ func TestPoolInvariantsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPoolOptions(t *testing.T) {
-	// WithCost and WithCutoff change behavior as configured.
-	slow := compress.CostModel{
-		CompressBase: time.Millisecond, CompressPerKiB: 0,
-		DecompressBase: time.Millisecond, DecompressPerKiBIn: 0,
-	}
-	p := NewPool(WithCost(slow), WithCutoff(100)) // absurdly low cutoff
-	m := newMemcg(5, pagedata.NewMix(0, 1, 0, 0, 0))
-	res := p.Store(m, 0)
-	if res.Outcome != StoreRejectedIncompressible {
-		t.Fatalf("outcome %v; text never compresses under 100 bytes", res.Outcome)
-	}
-	if res.CPUTime < time.Millisecond {
-		t.Errorf("custom cost model not applied: %v", res.CPUTime)
 	}
 }
 
