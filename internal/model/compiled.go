@@ -60,9 +60,6 @@ type compiledJob struct {
 	// charges when operating at threshold j: uint64(float64(ColdTails[j]) *
 	// compressibleFrac), pre-truncated exactly as the reference replay does.
 	coldComp []float64
-	// rateCol[i*nThresh+j] is the normalized promotion rate at threshold j:
-	// (PromoTails[j] / IntervalMinutes) / WSSPages, zero when WSS is zero.
-	rateCol []float64
 
 	// gaps is the total inferred missing intervals (timestamp jumps larger
 	// than 1.5x the previous reporting interval) — params-independent.
@@ -71,15 +68,50 @@ type compiledJob struct {
 
 // Compile builds the replay-optimized representation of trace. The result
 // references only its own storage; the trace may be mutated afterwards.
-// It is the in-memory convenience over StreamCompiler, which compiles the
-// same form from an entry stream without ever holding the full trace.
+// It compiles the same form as StreamCompiler, which never holds the full
+// trace, but with the whole trace at hand it counts each job's rows first
+// and then allocates every column once, at its final size, instead of
+// growing it entry by entry.
 func Compile(trace *telemetry.Trace) *CompiledTrace {
 	sc := NewStreamCompiler(trace.Thresholds)
-	for _, e := range trace.Entries {
-		// Entries in a validated trace always match the threshold set.
-		if err := sc.Add(e); err != nil {
+	type slot struct{ job, row int }
+	slots := make([]slot, len(trace.Entries))
+	for i := range trace.Entries {
+		job, row, err := sc.admit(&trace.Entries[i])
+		if err != nil {
+			// Entries in a validated trace always match the threshold set.
 			panic(err)
 		}
+		slots[i] = slot{job, row}
+	}
+
+	// One allocation per column family, cut into per-job sub-slices whose
+	// capacity ends at the job's last row.
+	nT, rows := sc.nThresh, len(trace.Entries)
+	tsSec := make([]int64, rows)
+	intervalMin := make([]float64, rows)
+	wssF := make([]float64, rows)
+	coldMin := make([]float64, rows)
+	totalF := make([]float64, rows)
+	promoTails := make([]uint64, rows*nT)
+	coldComp := make([]float64, rows*nT)
+	a := 0
+	for i := range sc.jobs {
+		j := &sc.jobs[i]
+		b := a + j.n
+		j.tsSec = tsSec[a:b:b]
+		j.intervalMin = intervalMin[a:b:b]
+		j.wssF = wssF[a:b:b]
+		j.coldMin = coldMin[a:b:b]
+		j.totalF = totalF[a:b:b]
+		j.promoTails = promoTails[a*nT : b*nT : b*nT]
+		j.coldComp = coldComp[a*nT : b*nT : b*nT]
+		a = b
+	}
+
+	for i := range trace.Entries {
+		s := slots[i]
+		sc.jobs[s.job].fill(s.row, &trace.Entries[i], nT)
 	}
 	return sc.Finish()
 }
@@ -176,7 +208,6 @@ func (ct *CompiledTrace) Slice(loSec, hiSec int64, keep func(telemetry.JobKey) b
 			totalF:      j.totalF[a:b],
 			promoTails:  j.promoTails[a*nT : b*nT],
 			coldComp:    j.coldComp[a*nT : b*nT],
-			rateCol:     j.rateCol[a*nT : b*nT],
 			gaps:        inferGaps(j.tsSec[a:b], j.intervalMin[a:b]),
 		})
 	}
@@ -374,7 +405,12 @@ func (r *replayer) replay(j *compiledJob, best []uint8, cold []float64) JobResul
 			if idx > lastIdx {
 				idx = lastIdx
 			}
-			rate := j.rateCol[i*nT+idx]
+			// Normalized promotion rate at the operating threshold, derived
+			// here with the reference replay's two divisions in its order.
+			rate := 0.0
+			if j.wssF[i] > 0 {
+				rate = float64(j.promoTails[i*nT+idx]) / j.intervalMin[i] / j.wssF[i]
+			}
 			jr.Enabled++
 			sumCold += j.coldComp[i*nT+idx]
 			if cold != nil {

@@ -2,7 +2,9 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"sdfm/internal/telemetry"
 )
@@ -20,14 +22,16 @@ import (
 // equivalent to Compile on a trace holding the same entries.
 type StreamCompiler struct {
 	nThresh int
-	jobs    map[telemetry.JobKey]*streamJob
+	index   map[telemetry.JobKey]int // position of each job in jobs
+	jobs    []streamJob              // in order of first arrival
 }
 
 // streamJob is one job's columns under construction, plus the ordering
 // state needed to finish them.
 type streamJob struct {
 	compiledJob
-	sorted bool // timestamps appended in non-decreasing order so far
+	sorted bool  // timestamps arrived in non-decreasing order so far
+	lastTS int64 // timestamp of the latest arrival
 }
 
 // NewStreamCompiler starts an out-of-core compile for the given
@@ -35,69 +39,112 @@ type streamJob struct {
 func NewStreamCompiler(thresholds []int) *StreamCompiler {
 	return &StreamCompiler{
 		nThresh: len(thresholds),
-		jobs:    make(map[telemetry.JobKey]*streamJob),
+		index:   make(map[telemetry.JobKey]int),
 	}
 }
 
 // Add folds one entry into its job's columns.
 func (sc *StreamCompiler) Add(e telemetry.Entry) error {
+	ji, row, err := sc.admit(&e)
+	if err != nil {
+		return err
+	}
+	j := &sc.jobs[ji]
+	j.grow(sc.nThresh)
+	j.fill(row, &e, sc.nThresh)
+	return nil
+}
+
+// admit checks e's tail counts, finds its job (creating it on first
+// sight) and counts the arrival: it returns the job's position in
+// sc.jobs and the row e occupies in it, in arrival order. It writes no
+// column, so Compile can count every job's rows before allocating them.
+func (sc *StreamCompiler) admit(e *telemetry.Entry) (job, row int, err error) {
 	nT := sc.nThresh
 	if len(e.ColdTails) != nT || len(e.PromoTails) != nT {
-		return fmt.Errorf("model: entry %s has %d/%d tails, compiler expects %d",
+		return 0, 0, fmt.Errorf("model: entry %s has %d/%d tails, compiler expects %d",
 			e.Key, len(e.ColdTails), len(e.PromoTails), nT)
 	}
-	j, ok := sc.jobs[e.Key]
+	ji, ok := sc.index[e.Key]
 	if !ok {
-		j = &streamJob{compiledJob: compiledJob{key: e.Key}, sorted: true}
-		sc.jobs[e.Key] = j
+		ji = len(sc.jobs)
+		sc.index[e.Key] = ji
+		sc.jobs = append(sc.jobs, streamJob{compiledJob: compiledJob{key: e.Key}, sorted: true})
 	}
-	if j.n > 0 && e.TimestampSec < j.tsSec[j.n-1] {
+	j := &sc.jobs[ji]
+	if j.n > 0 && e.TimestampSec < j.lastTS {
 		j.sorted = false
 	}
-	j.tsSec = append(j.tsSec, e.TimestampSec)
-	j.intervalMin = append(j.intervalMin, e.IntervalMinutes)
-	j.wssF = append(j.wssF, float64(e.WSSPages))
-	j.coldMin = append(j.coldMin, float64(e.ColdTails[0]))
-	j.totalF = append(j.totalF, float64(e.TotalPages))
+	j.lastTS = e.TimestampSec
+	j.n++
+	return ji, j.n - 1, nil
+}
+
+// grow appends one zeroed row to every column.
+func (j *compiledJob) grow(nT int) {
+	j.tsSec = append(j.tsSec, 0)
+	j.intervalMin = append(j.intervalMin, 0)
+	j.wssF = append(j.wssF, 0)
+	j.coldMin = append(j.coldMin, 0)
+	j.totalF = append(j.totalF, 0)
+	j.promoTails = append(j.promoTails, make([]uint64, nT)...)
+	j.coldComp = append(j.coldComp, make([]float64, nT)...)
+}
+
+// fill writes e into row r of the columns, which already hold that row.
+// It is the one place an entry becomes compiled values, shared by Compile
+// and Add so the two paths cannot drift apart.
+func (j *compiledJob) fill(r int, e *telemetry.Entry, nT int) {
+	j.tsSec[r] = e.TimestampSec
+	j.intervalMin[r] = e.IntervalMinutes
+	j.wssF[r] = float64(e.WSSPages)
+	j.coldMin[r] = float64(e.ColdTails[0])
+	j.totalF[r] = float64(e.TotalPages)
 	frac := e.CompressibleFrac
 	if frac == 0 {
 		frac = 1
 	}
-	for t := 0; t < nT; t++ {
-		j.promoTails = append(j.promoTails, e.PromoTails[t])
+	copy(j.promoTails[r*nT:(r+1)*nT], e.PromoTails)
+	coldComp := j.coldComp[r*nT : (r+1)*nT]
+	for t, c := range e.ColdTails {
 		// Truncate through uint64 exactly like the reference replay so
-		// streamed compiles stay bit-identical to it.
-		j.coldComp = append(j.coldComp, float64(uint64(float64(e.ColdTails[t])*frac)))
-		rate := 0.0
-		if e.WSSPages > 0 {
-			rate = float64(e.PromoTails[t]) / e.IntervalMinutes / float64(e.WSSPages)
-		}
-		j.rateCol = append(j.rateCol, rate)
+		// compiles stay bit-identical to it.
+		coldComp[t] = float64(uint64(float64(c) * frac))
 	}
-	j.n++
-	return nil
 }
 
 // Finish orders each job's columns by timestamp, derives the
 // params-independent gap counts, and returns the immutable compiled
-// trace. The StreamCompiler must not be used afterwards.
+// trace, jobs in telemetry.JobKey.Compare order. The StreamCompiler must
+// not be used afterwards.
 func (sc *StreamCompiler) Finish() *CompiledTrace {
-	keys := make([]telemetry.JobKey, 0, len(sc.jobs))
-	for k := range sc.jobs {
-		keys = append(keys, k)
+	// JobKey.Compare's order, printing each key once rather than twice per
+	// comparison; only keys that print alike reach Compare itself.
+	type named struct {
+		name string
+		j    *streamJob
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	order := make([]named, len(sc.jobs))
+	for i := range sc.jobs {
+		order[i] = named{sc.jobs[i].key.String(), &sc.jobs[i]}
+	}
+	slices.SortFunc(order, func(a, b named) int {
+		if c := strings.Compare(a.name, b.name); c != 0 {
+			return c
+		}
+		return a.j.key.Compare(b.j.key)
+	})
 
-	ct := &CompiledTrace{nThresh: sc.nThresh, jobs: make([]compiledJob, 0, len(keys))}
-	for _, k := range keys {
-		j := sc.jobs[k]
+	ct := &CompiledTrace{nThresh: sc.nThresh, jobs: make([]compiledJob, len(order))}
+	for i, o := range order {
+		j := o.j
 		if !j.sorted {
 			j.sortByTimestamp(sc.nThresh)
 		}
 		j.gaps = inferGaps(j.tsSec, j.intervalMin)
-		ct.jobs = append(ct.jobs, j.compiledJob)
+		ct.jobs[i] = j.compiledJob
 	}
-	sc.jobs = nil
+	sc.index, sc.jobs = nil, nil
 	return ct
 }
 
@@ -117,7 +164,6 @@ func (j *streamJob) sortByTimestamp(nT int) {
 	totalF := make([]float64, j.n)
 	promoTails := make([]uint64, j.n*nT)
 	coldComp := make([]float64, j.n*nT)
-	rateCol := make([]float64, j.n*nT)
 	for dst, src := range perm {
 		tsSec[dst] = j.tsSec[src]
 		intervalMin[dst] = j.intervalMin[src]
@@ -126,10 +172,9 @@ func (j *streamJob) sortByTimestamp(nT int) {
 		totalF[dst] = j.totalF[src]
 		copy(promoTails[dst*nT:(dst+1)*nT], j.promoTails[src*nT:(src+1)*nT])
 		copy(coldComp[dst*nT:(dst+1)*nT], j.coldComp[src*nT:(src+1)*nT])
-		copy(rateCol[dst*nT:(dst+1)*nT], j.rateCol[src*nT:(src+1)*nT])
 	}
 	j.tsSec, j.intervalMin, j.wssF, j.coldMin, j.totalF = tsSec, intervalMin, wssF, coldMin, totalF
-	j.promoTails, j.coldComp, j.rateCol = promoTails, coldComp, rateCol
+	j.promoTails, j.coldComp = promoTails, coldComp
 	j.sorted = true
 }
 

@@ -14,16 +14,64 @@ import (
 // not a rank, and letting it participate in sorting would silently shift
 // every percentile. It returns NaN when no non-NaN samples remain. The
 // input is not modified.
+//
+// It reads two ranks, so it selects them instead of sorting: the value
+// equals what percentileSorted reads off a full sort (up to the sign of a
+// zero result, which an unstable sort does not fix either).
 func Percentile(xs []float64, p float64) float64 {
 	if p < 0 || p > 100 {
 		panic(fmt.Sprintf("stats: percentile %v out of range [0,100]", p))
 	}
-	sorted := dropNaN(xs)
-	if len(sorted) == 0 {
+	vs := dropNaN(xs)
+	if len(vs) == 0 {
 		return math.NaN()
 	}
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	lo, hi, frac := rankOf(len(vs), p)
+	selectRank(vs, lo)
+	if lo == hi {
+		return vs[lo]
+	}
+	// Everything after rank lo is at least vs[lo], so the value a sort
+	// puts at hi = lo+1 is the least of them.
+	return vs[lo]*(1-frac) + Min(vs[hi:])*frac
+}
+
+// rankOf locates the p-th percentile of n sorted samples: frac of the way
+// from rank lo to rank hi, which are equal when it falls on a sample.
+func rankOf(n int, p float64) (lo, hi int, frac float64) {
+	rank := p / 100 * float64(n-1)
+	lo, hi = int(math.Floor(rank)), int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+// selectRank reorders the NaN-free xs in place so that xs[k] holds the
+// value a sort would put there, no element before it is greater and no
+// element after it is smaller (Hoare's selection with Wirth's partition).
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		pivot := xs[k]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
 }
 
 // PercentileSorted is like Percentile but assumes xs is already sorted
@@ -52,16 +100,10 @@ func dropNaN(xs []float64) []float64 {
 }
 
 func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo, hi, frac := rankOf(len(sorted), p)
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
@@ -172,9 +214,10 @@ type CDF struct {
 	sorted []float64
 }
 
-// NewCDF builds an empirical CDF over xs. The input is copied.
+// NewCDF builds an empirical CDF over xs. The input is copied; NaN
+// samples are ignored (see Percentile).
 func NewCDF(xs []float64) *CDF {
-	sorted := append([]float64(nil), xs...)
+	sorted := dropNaN(xs)
 	sort.Float64s(sorted)
 	return &CDF{sorted: sorted}
 }
@@ -201,10 +244,3 @@ func (c *CDF) Points(n int) []Point {
 
 // Point is a single (x, y) sample of a curve.
 type Point struct{ X, Y float64 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

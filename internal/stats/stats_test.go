@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -167,6 +168,13 @@ func TestCDFPoints(t *testing.T) {
 		if pts[i].Y < pts[i-1].Y || pts[i].X < pts[i-1].X {
 			t.Errorf("points not monotone: %v", pts)
 		}
+	}
+	// NaN samples are dropped, as Percentile drops them: no NaN X, and
+	// the fractions count only the real samples.
+	nan := math.NaN()
+	withNaN := NewCDF([]float64{nan, 1, 2, nan, 3, 4, 5}).Points(3)
+	if !slices.Equal(withNaN, pts) {
+		t.Errorf("Points(3) with NaN samples = %v, want %v", withNaN, pts)
 	}
 }
 

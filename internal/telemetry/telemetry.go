@@ -14,7 +14,8 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,6 +56,21 @@ type JobKey struct {
 // String renders the key as cluster/machine/job.
 func (k JobKey) String() string {
 	return k.Cluster + "/" + k.Machine + "/" + k.Job
+}
+
+// Compare orders keys by their printed form, then by Cluster, then by
+// Machine, returning -1, 0 or +1. Validate accepts '/' inside a field, so
+// two distinct keys may print the same string; the tie-breakers keep
+// them in one order, and Compare is 0 only for equal keys. Every sorted
+// job list uses it.
+func (k JobKey) Compare(o JobKey) int {
+	if c := strings.Compare(k.String(), o.String()); c != 0 {
+		return c
+	}
+	if c := strings.Compare(k.Cluster, o.Cluster); c != 0 {
+		return c
+	}
+	return strings.Compare(k.Machine, o.Machine)
 }
 
 // Entry is one job's far-memory trace record for one aggregation interval.
@@ -227,7 +243,7 @@ func (t *Trace) Scrub() int {
 // Len returns the number of entries.
 func (t *Trace) Len() int { return len(t.Entries) }
 
-// Jobs returns the distinct job keys in deterministic order.
+// Jobs returns the distinct job keys in JobKey.Compare order.
 func (t *Trace) Jobs() []JobKey {
 	seen := make(map[JobKey]bool)
 	var keys []JobKey
@@ -237,7 +253,7 @@ func (t *Trace) Jobs() []JobKey {
 			keys = append(keys, e.Key)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	slices.SortFunc(keys, JobKey.Compare)
 	return keys
 }
 

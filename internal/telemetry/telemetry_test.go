@@ -159,6 +159,34 @@ func TestJobKeyString(t *testing.T) {
 	}
 }
 
+// TestJobKeyCompare: keys order by their printed form, and two distinct
+// keys that print alike ('/' inside a field) still get one fixed order,
+// whichever of them a trace saw first.
+func TestJobKeyCompare(t *testing.T) {
+	a := JobKey{"a", "b/c", "d"}
+	b := JobKey{"a/b", "c", "d"}
+	if a.String() != b.String() {
+		t.Fatalf("%#v and %#v should print alike", a, b)
+	}
+	if a.Compare(b) != -1 || b.Compare(a) != 1 || a.Compare(a) != 0 {
+		t.Errorf("Compare: a/b %d, b/a %d, a/a %d; want -1, 1, 0", a.Compare(b), b.Compare(a), a.Compare(a))
+	}
+	if c := (JobKey{"a", "b", "z"}); c.Compare(JobKey{"b", "a", "a"}) != -1 {
+		t.Error("a/b/z should order before b/a/a")
+	}
+	for _, keys := range [][]JobKey{{a, b}, {b, a}} {
+		tr := NewTrace()
+		for _, k := range keys {
+			if err := tr.Append(validEntry(k, 300)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := tr.Jobs(); got[0] != a || got[1] != b {
+			t.Errorf("Jobs() over %v = %#v, want a then b", keys, got)
+		}
+	}
+}
+
 // TestCollectorCounterResetRebaseline is the regression test for the
 // half-updated-baseline bug: a cumulative promotion histogram that jumps
 // backwards at a *later* threshold index while earlier indices still move

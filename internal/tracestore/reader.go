@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+	"slices"
 
 	"sdfm/internal/compress"
 	"sdfm/internal/model"
@@ -183,14 +183,14 @@ func (r *Reader) NumEntries() int {
 	return n
 }
 
-// Jobs returns the distinct job keys in deterministic (sorted) order.
+// Jobs returns the distinct job keys in telemetry.JobKey.Compare order.
 // After footer loss it returns nil; scan the file to recover jobs.
 func (r *Reader) Jobs() []telemetry.JobKey {
 	if r.noFooter {
 		return nil
 	}
 	out := append([]telemetry.JobKey(nil), r.idx.Jobs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, telemetry.JobKey.Compare)
 	return out
 }
 
