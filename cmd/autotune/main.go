@@ -1,17 +1,22 @@
 // Command autotune runs the ML-based autotuning pipeline (§5.3) over a
-// fleet telemetry trace: heuristic baseline, GP-Bandit search against the
-// fast far memory model, and the qualification gate that decides whether
-// to deploy the winner.
+// fleet telemetry trace file: heuristic baseline, GP-Bandit search against
+// the fast far memory model, then a staged rollout of the winner through
+// the deployment rings, each ring health-checked against its own slice of
+// the trace, with the heuristic winner as the incumbent a rollback
+// restores.
+//
+//	go run ./cmd/tracegen -o fleet.trace
+//	go run ./cmd/autotune -trace fleet.trace
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"sdfm/internal/core"
-	"sdfm/internal/fleet"
 	"sdfm/internal/model"
 	"sdfm/internal/obs"
 	"sdfm/internal/tracestore"
@@ -22,13 +27,18 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("autotune: ")
 	var (
-		in         = flag.String("trace", "", "trace store file from tracegen (empty: synthesize one)")
+		in         = flag.String("trace", "", "trace store file from tracegen (required)")
 		iterations = flag.Int("iterations", 15, "GP-bandit iterations")
 		seed       = flag.Int64("seed", 1, "random seed")
 		metricsOut = flag.String("metricsout", "", "write Prometheus metrics for the tuning run to this file")
 		traceOut   = flag.String("traceout", "", "write a Chrome trace_event JSON of the search timeline to this file")
 	)
 	flag.Parse()
+	if *in == "" {
+		fmt.Fprintln(os.Stderr, "autotune: -trace is required (tracegen writes one; sdfm-experiments -only h2 tunes a synthesized fleet)")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var multi *obs.Multi
 	var observer *obs.Observer
@@ -37,41 +47,23 @@ func main() {
 		observer = multi.Observer("autotune")
 	}
 
-	var (
-		ct      *model.CompiledTrace
-		entries int
-	)
-	if *in != "" {
-		h, err := tracestore.Open(*in)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// The file compiles out-of-core: chunks stream straight into the
-		// replay columns, so the trace never needs to fit in memory.
-		ct, err = h.Compile()
-		if err != nil {
-			log.Fatal(err)
-		}
-		entries = h.NumEntries()
-		fmt.Printf("trace: %s, %d entries, %d jobs\n", *in, entries, len(h.Jobs()))
-		if sk := h.Skipped(); sk.Chunks > 0 || sk.Entries > 0 {
-			fmt.Printf("damage skipped: %d chunks, %d entries (replay sees the holes as gap intervals)\n",
-				sk.Chunks, sk.Entries)
-		}
-		fmt.Println()
-		h.Close()
-	} else {
-		fmt.Println("no -trace given; synthesizing a 24h fleet trace")
-		trace, err := fleet.Generate(fleet.Config{
-			Clusters: 4, MachinesPerCluster: 10, JobsPerMachine: 6,
-			Duration: 24 * time.Hour, Seed: *seed,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		ct = model.Compile(trace)
-		fmt.Printf("trace: %d entries, %d jobs\n\n", trace.Len(), len(trace.Jobs()))
+	h, err := tracestore.Open(*in)
+	if err != nil {
+		log.Fatal(err)
 	}
+	// The file compiles out-of-core: chunks stream straight into the
+	// replay columns, so the trace never needs to fit in memory.
+	ct, err := h.Compile()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("trace: %s, %d entries, %d jobs\n", *in, h.NumEntries(), len(h.Jobs()))
+	if sk := h.Skipped(); sk.Chunks > 0 || sk.Entries > 0 {
+		fmt.Printf("damage skipped: %d chunks, %d entries (replay sees the holes as gap intervals)\n",
+			sk.Chunks, sk.Entries)
+	}
+	fmt.Println()
+	h.Close()
 
 	obj := tuner.CompiledObjective(ct, core.DefaultSLO)
 
@@ -110,12 +102,29 @@ func main() {
 			o.Result.Coverage*100, o.Result.P98Rate*100, o.Feasible)
 	}
 
-	dep, err := tuner.QualifyAndDeploy(res.Best.Params, heur.Best.Params, obj, core.DefaultSLO)
+	// Push the winner through the deployment rings; ring i judges the
+	// jobs hashed into its fraction over the i-th slice of the timeline.
+	stages := tuner.DefaultRolloutStages
+	stageObj := tuner.CompiledStageObjective(ct, model.Config{SLO: core.DefaultSLO}, len(stages))
+	rollout, err := tuner.StagedRollout(res.Best.Params, heur.Best.Params, stageObj, stages, core.DefaultSLO)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ndeployment: accepted=%v chosen=K=%.1f,S=%s (%s)\n",
-		dep.Accepted, dep.Chosen.K, dep.Chosen.S, dep.Stages[0].Reason)
+	fmt.Println("\nstaged rollout of the winner:")
+	for _, sr := range rollout.Stages {
+		status := "ok"
+		if !sr.Healthy {
+			status = "ROLLED BACK"
+		}
+		fmt.Printf("  stage %-8s (%4.0f%% of jobs): %-11s %s\n",
+			sr.Stage.Name, sr.Stage.Fraction*100, status, sr.Reason)
+	}
+	if rollout.Accepted {
+		fmt.Printf("rollout accepted: fleet now runs K=%.1f S=%s\n", rollout.Chosen.K, rollout.Chosen.S)
+	} else {
+		fmt.Printf("rollout rolled back at %q: fleet keeps K=%.1f S=%s\n",
+			rollout.RolledBackAt, rollout.Chosen.K, rollout.Chosen.S)
+	}
 
 	if err := multi.WriteFiles(*metricsOut, *traceOut); err != nil {
 		log.Fatal(err)

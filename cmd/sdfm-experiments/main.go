@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"sdfm/internal/experiments"
 )
@@ -17,7 +16,6 @@ func main() {
 	scaleFlag := flag.String("scale", "small", "experiment scale: small, medium, large")
 	seed := flag.Int64("seed", 1, "random seed")
 	only := flag.String("only", "", "run a single experiment (fig1..fig10, h1, h2, a1, a3)")
-	tracePath := flag.String("trace", "", "run the autotuning experiments against this trace store file (from tracegen) instead of synthesizing a fleet")
 	flag.Parse()
 
 	var scale experiments.Scale
@@ -42,18 +40,6 @@ func main() {
 			log.Fatalf("%s: %v", name, err)
 		}
 		fmt.Println(r.Render())
-	}
-
-	if *tracePath != "" {
-		// A trace file replaces fleet synthesis: run the autotuning session
-		// (heuristic baseline, GP-bandit, staged rollout) against it. Store
-		// files compile out-of-core, so this works at any trace size.
-		r, err := experiments.TraceFileAutotune(*tracePath, *seed)
-		if err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		fmt.Println(r.Render())
-		return
 	}
 
 	run("fig1", func() (renderer, error) {
@@ -96,5 +82,4 @@ func main() {
 		r := experiments.A3KstaledOverhead()
 		return r, nil
 	})
-	_ = os.Stdout
 }

@@ -14,15 +14,14 @@ import (
 
 // loadgenConfig drives a saturation run against a live daemon (-loadgen):
 // Agents goroutines register and then fire Reports back-to-back, each
-// carrying Batch synthetic telemetry entries, over the negotiated (or
-// forced) report encoding.
+// carrying Batch synthetic telemetry entries, over the negotiated report
+// encoding.
 type loadgenConfig struct {
-	Target   string
-	Agents   int
-	Reports  int // per agent
-	Batch    int // entries per report
-	Encoding controlplane.Encoding
-	Seed     int64
+	Target  string
+	Agents  int
+	Reports int // per agent
+	Batch   int // entries per report
+	Seed    int64
 }
 
 // loadgenReport is a run's aggregate accounting.
@@ -71,7 +70,6 @@ func runLoadgen(cfg loadgenConfig) (loadgenReport, error) {
 	agents := make([]*controlplane.Agent, cfg.Agents)
 	for i := range agents {
 		cl := controlplane.NewClient(cfg.Target)
-		cl.Encoding = cfg.Encoding
 		agents[i] = controlplane.NewAgent(fmt.Sprintf("loadgen/agent-%04d", i), cl)
 		if err := agents[i].Register(ctx); err != nil {
 			return loadgenReport{}, fmt.Errorf("sdfmd: registering loadgen agent %d: %w", i, err)

@@ -56,7 +56,6 @@ func main() {
 		loadgenAgents  = flag.Int("loadgen-agents", 32, "loadgen: concurrent reporting agents")
 		loadgenReports = flag.Int("loadgen-reports", 100, "loadgen: reports per agent")
 		loadgenBatch   = flag.Int("loadgen-batch", 64, "loadgen: entries per report")
-		loadgenJSON    = flag.Bool("loadgen-json", false, "loadgen: force JSON report bodies (default: negotiate binary)")
 	)
 	flag.Parse()
 
@@ -65,17 +64,12 @@ func main() {
 		if base == "" {
 			base = "http://" + *addr
 		}
-		enc := controlplane.EncodingAuto
-		if *loadgenJSON {
-			enc = controlplane.EncodingJSON
-		}
 		rep, err := runLoadgen(loadgenConfig{
-			Target:   base,
-			Agents:   *loadgenAgents,
-			Reports:  *loadgenReports,
-			Batch:    *loadgenBatch,
-			Encoding: enc,
-			Seed:     *seed,
+			Target:  base,
+			Agents:  *loadgenAgents,
+			Reports: *loadgenReports,
+			Batch:   *loadgenBatch,
+			Seed:    *seed,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -32,23 +32,12 @@ import (
 // Config opts a machine (or every machine of a cluster) into invariant
 // auditing. The zero value is disabled and costs one branch per step.
 type Config struct {
-	// Enabled turns the auditor on.
+	// Enabled turns the auditor on: the cheap catalogue runs every step.
 	Enabled bool
-	// EverySteps runs the cheap catalogue once per this many machine
-	// steps (default 1: every step).
-	EverySteps int
 	// DeepEverySteps additionally runs the full-recount deep checks every
 	// this many steps; 0 disables them (they remain available on demand
 	// via the Audit methods).
 	DeepEverySteps int
-}
-
-// Interval returns the effective cheap-check cadence in steps.
-func (c Config) Interval() uint64 {
-	if c.EverySteps <= 0 {
-		return 1
-	}
-	return uint64(c.EverySteps)
 }
 
 // Invariant names, stable across releases so chaos findings and shrink

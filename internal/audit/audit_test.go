@@ -112,15 +112,6 @@ func TestErrorWrapsSentinel(t *testing.T) {
 	}
 }
 
-func TestConfigInterval(t *testing.T) {
-	if got := (Config{}).Interval(); got != 1 {
-		t.Errorf("zero config interval = %d, want 1", got)
-	}
-	if got := (Config{EverySteps: 8}).Interval(); got != 8 {
-		t.Errorf("interval = %d, want 8", got)
-	}
-}
-
 func hasInvariant(vs []Violation, inv string) bool {
 	for _, v := range vs {
 		if v.Invariant == inv {

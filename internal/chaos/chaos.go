@@ -25,6 +25,7 @@ import (
 	"sdfm/internal/zswap"
 )
 
+// allKinds is every fault kind; generated plans draw from all of them.
 var allKinds = []fault.Kind{
 	fault.MachineCrash,
 	fault.TelemetryDrop,
@@ -47,8 +48,6 @@ type PlanConfig struct {
 	// MaxEvents caps events per plan; each plan gets 1..MaxEvents
 	// (default 8).
 	MaxEvents int
-	// Kinds restricts generation to the listed kinds (default: all eight).
-	Kinds []fault.Kind
 }
 
 // GeneratePlan derives a random — but always valid — fault plan from the
@@ -65,10 +64,6 @@ func GeneratePlan(seed int64, cfg PlanConfig) *fault.Plan {
 	if cfg.MaxEvents <= 0 {
 		cfg.MaxEvents = 8
 	}
-	kinds := cfg.Kinds
-	if len(kinds) == 0 {
-		kinds = allKinds
-	}
 	rng := simtime.Rand(seed, "chaos/plan")
 	n := 1 + rng.Intn(cfg.MaxEvents)
 	p := &fault.Plan{
@@ -77,7 +72,7 @@ func GeneratePlan(seed int64, cfg PlanConfig) *fault.Plan {
 		Events: make([]fault.Event, 0, n),
 	}
 	for i := 0; i < n; i++ {
-		k := kinds[rng.Intn(len(kinds))]
+		k := allKinds[rng.Intn(len(allKinds))]
 		e := fault.Event{Kind: k, At: time.Duration(rng.Int63n(int64(cfg.Duration)))}
 		if rng.Intn(2) == 0 {
 			e.Machine = fmt.Sprintf("m%04d", rng.Intn(cfg.Machines))

@@ -21,7 +21,6 @@ type Point struct{ X, Y float64 }
 // Config controls rendering.
 type Config struct {
 	Title  string
-	Width  int // plot columns (default 60)
 	Height int // plot rows (default 12)
 	// XLabel / YLabel annotate the axes.
 	XLabel, YLabel string
@@ -33,14 +32,14 @@ type Config struct {
 	LogX bool
 }
 
+// width is the plot's column count.
+const width = 60
+
 var markers = []byte{'*', 'o', '+', 'x', '#', '@'}
 
 // Render draws the series into a multi-line string.
 func Render(cfg Config, series ...Series) string {
-	w, h := cfg.Width, cfg.Height
-	if w <= 0 {
-		w = 60
-	}
+	w, h := width, cfg.Height
 	if h <= 0 {
 		h = 12
 	}

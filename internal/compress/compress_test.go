@@ -249,17 +249,3 @@ func BenchmarkCompressByClass(b *testing.B) {
 		})
 	}
 }
-
-func TestAcceleratorCostCheaper(t *testing.T) {
-	// The §8 accelerator profile must be roughly an order of magnitude
-	// cheaper than software lzo on both paths.
-	soft, hw := DefaultLZOCost, AcceleratorCost
-	if hw.CompressLatency(4096)*5 > soft.CompressLatency(4096) {
-		t.Errorf("accelerator compression %v not clearly cheaper than %v",
-			hw.CompressLatency(4096), soft.CompressLatency(4096))
-	}
-	if hw.DecompressLatency(1365, 4096)*5 > soft.DecompressLatency(1365, 4096) {
-		t.Errorf("accelerator decompression %v not clearly cheaper than %v",
-			hw.DecompressLatency(1365, 4096), soft.DecompressLatency(1365, 4096))
-	}
-}

@@ -61,16 +61,3 @@ func (m CostModel) DecompressLatency(compressedSize, outputSize int) time.Durati
 		scaleByBytes(m.DecompressPerKiBIn, compressedSize) +
 		scaleByBytes(m.DecompressPerKiBOut, outputSize)
 }
-
-// AcceleratorCost models the paper's §8 outlook of a tightly-coupled
-// hardware compression accelerator: an order of magnitude less CPU per
-// page, which would let the system afford heavier algorithms (higher
-// ratios) and more aggressive thresholds.
-var AcceleratorCost = CostModel{
-	CompressBase:        300 * time.Nanosecond,
-	CompressPerKiB:      200 * time.Nanosecond,
-	DecompressBase:      200 * time.Nanosecond,
-	DecompressPerKiBIn:  250 * time.Nanosecond,
-	DecompressPerKiBOut: 0,
-	IncompressiblePad:   100 * time.Nanosecond,
-}

@@ -14,7 +14,6 @@ import (
 
 	"sdfm/internal/controlplane/ckpt"
 	"sdfm/internal/core"
-	"sdfm/internal/model"
 	"sdfm/internal/telemetry"
 	"sdfm/internal/tuner"
 )
@@ -34,7 +33,6 @@ func ckptTestConfig(dir string) Config {
 			{Name: "canary", Fraction: 0.25},
 			{Name: "fleet", Fraction: 1.0},
 		},
-		Model:           model.Config{SLO: core.DefaultSLO},
 		RoundEvery:      3 * time.Hour,
 		CheckpointDir:   dir,
 		CheckpointEvery: time.Hour,

@@ -85,9 +85,6 @@ type Config struct {
 	// Stages are the deployment rings a candidate is pushed through
 	// (default tuner.DefaultRolloutStages).
 	Stages []tuner.RolloutStage
-	// Model configures the per-round fast-model replays (HistoryLen,
-	// Workers; Params and SLO are set per evaluation).
-	Model model.Config
 	// RoundEvery is the telemetry-time span of one tuning window: a round
 	// runs once the ingested window spans at least this much trace time
 	// (default 6 h). Rounds are driven by telemetry timestamps, never the
@@ -139,9 +136,6 @@ func (c *Config) fillDefaults() {
 	}
 	if len(c.Stages) == 0 {
 		c.Stages = tuner.DefaultRolloutStages
-	}
-	if c.Model.SLO == (core.SLO{}) {
-		c.Model.SLO = c.SLO
 	}
 	if c.RoundEvery == 0 {
 		c.RoundEvery = 6 * time.Hour
@@ -753,13 +747,7 @@ func (c *Controller) executeRound(w roundWindow, incumbent core.Params) RoundRep
 	}
 	ct := model.Compile(w.trace)
 	rr.Jobs = ct.Jobs()
-	mcfg := c.cfg.Model
-	obj := func(p core.Params) (model.FleetResult, error) {
-		mc := mcfg
-		mc.Params = p
-		return ct.Run(mc)
-	}
-	res, err := tuner.Autotune(obj, c.cfg.Tuner)
+	res, err := tuner.Autotune(tuner.CompiledObjective(ct, c.cfg.SLO), c.cfg.Tuner)
 	rr.TunerEvals = len(res.History)
 	if err != nil {
 		rr.Reason = "autotune failed; incumbent retained"
@@ -775,7 +763,7 @@ func (c *Controller) executeRound(w roundWindow, incumbent core.Params) RoundRep
 	// Staged push: each ring's health check replays that ring's slice of
 	// the window, and the ring's agents are switched to the candidate
 	// *before* the check — mid-stage state agents observe through Poll.
-	stageObj := tuner.CompiledStageObjective(ct, mcfg, len(c.cfg.Stages))
+	stageObj := tuner.CompiledStageObjective(ct, model.Config{SLO: c.cfg.SLO}, len(c.cfg.Stages))
 	push := func(p core.Params, st tuner.RolloutStage, idx int) (model.FleetResult, error) {
 		c.assignFraction(p, st.Fraction)
 		return stageObj(p, st, idx)

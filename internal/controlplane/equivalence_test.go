@@ -124,7 +124,6 @@ func TestLoopbackMatchesOfflineStagedRollout(t *testing.T) {
 		Incumbent:  incumbent,
 		Tuner:      tcfg,
 		Stages:     stages,
-		Model:      mcfg,
 		RoundEvery: roundEvery,
 	})
 	rep, err := RunSim(c, tr, SimConfig{})

@@ -42,16 +42,9 @@ type Config struct {
 	// Weights maps archetype name to sampling weight; nil uses
 	// DefaultWeights.
 	Weights map[string]float64
-	// ClusterTilt perturbs archetype weights per cluster, producing the
-	// inter-cluster differences of Figure 2 (default 0.5).
-	ClusterTilt float64
 	// ChurnFraction of job slots run short-lived instances (default 0.3),
 	// giving the autotuner's S parameter something to protect against.
 	ChurnFraction float64
-	// NoiseColdSigma / NoisePromoSigma are lognormal noise scales
-	// (defaults 0.05 and 0.20).
-	NoiseColdSigma  float64
-	NoisePromoSigma float64
 	// Faults, when set and non-empty, damages the generated trace the way
 	// a lossy collection pipeline would: entries inside TelemetryDrop
 	// windows never make it into the trace, and entries inside
@@ -94,19 +87,20 @@ func (c *Config) fillDefaults() {
 	if c.Weights == nil {
 		c.Weights = DefaultWeights
 	}
-	if c.ClusterTilt == 0 {
-		c.ClusterTilt = 0.5
-	}
 	if c.ChurnFraction == 0 {
 		c.ChurnFraction = 0.3
 	}
-	if c.NoiseColdSigma == 0 {
-		c.NoiseColdSigma = 0.05
-	}
-	if c.NoisePromoSigma == 0 {
-		c.NoisePromoSigma = 0.20
-	}
 }
+
+const (
+	// clusterTilt is the lognormal scale that perturbs archetype weights
+	// per cluster, producing the inter-cluster differences of Figure 2.
+	clusterTilt = 0.5
+	// noiseColdSigma and noisePromoSigma are the lognormal noise scales on
+	// each entry's cold and promotion tails.
+	noiseColdSigma  = 0.05
+	noisePromoSigma = 0.20
+)
 
 // pageGroup is a bucket of pages sharing a representative reaccess period.
 type pageGroup struct {
@@ -193,7 +187,7 @@ func GenerateTo(cfg Config, sink telemetry.EntrySink) error {
 			if t <= inst.start {
 				continue
 			}
-			e, keep := filter.Apply(inst.entry(t, cfg, thresholdsSec, intervalMin))
+			e, keep := filter.Apply(inst.entry(t, thresholdsSec, intervalMin))
 			if !keep {
 				dropped.Inc()
 				continue
@@ -264,7 +258,7 @@ func tiltedWeights(cfg Config, clusterIdx int) map[string]float64 {
 	// consume rng draws in a nondeterministic order.
 	for _, a := range workload.Archetypes {
 		if w, ok := cfg.Weights[a.Name]; ok {
-			out[a.Name] = w * math.Exp(cfg.ClusterTilt*rng.NormFloat64())
+			out[a.Name] = w * math.Exp(clusterTilt*rng.NormFloat64())
 		}
 	}
 	return out
@@ -337,7 +331,7 @@ func newInstance(key telemetry.JobKey, arch *workload.Archetype, rng *rand.Rand)
 }
 
 // entry synthesizes one telemetry entry at time t.
-func (inst *jobInstance) entry(t time.Duration, cfg Config, thresholdsSec []float64, intervalMin float64) telemetry.Entry {
+func (inst *jobInstance) entry(t time.Duration, thresholdsSec []float64, intervalMin float64) telemetry.Entry {
 	f := 1.0
 	if inst.arch.DiurnalAmplitude > 0 {
 		f = 1 + inst.arch.DiurnalAmplitude*math.Sin(2*math.Pi*float64(t)/float64(24*time.Hour)+inst.phase)
@@ -346,8 +340,8 @@ func (inst *jobInstance) entry(t time.Duration, cfg Config, thresholdsSec []floa
 	// pages older than itself).
 	ageCapSec := (t - inst.start).Seconds()
 
-	coldNoise := math.Exp(cfg.NoiseColdSigma * inst.rng.NormFloat64())
-	promoNoise := math.Exp(cfg.NoisePromoSigma * inst.rng.NormFloat64())
+	coldNoise := math.Exp(noiseColdSigma * inst.rng.NormFloat64())
+	promoNoise := math.Exp(noisePromoSigma * inst.rng.NormFloat64())
 
 	n := len(thresholdsSec)
 	cold := make([]uint64, n)

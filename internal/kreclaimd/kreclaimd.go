@@ -125,9 +125,6 @@ func New(tier zswap.FarMemory) *Reclaimer {
 // SetMetrics attaches obs instruments (nil detaches). Observation-only.
 func (r *Reclaimer) SetMetrics(mx *Metrics) { r.mx = mx }
 
-// Tier returns the backing far-memory tier.
-func (r *Reclaimer) Tier() zswap.FarMemory { return r.tier }
-
 // ReclaimCold compresses every reclaimable page of m whose age is at least
 // thresholdBucket scan periods. Pages whose accessed bit is currently set
 // are skipped (they were touched since the last scan and will be re-aged).

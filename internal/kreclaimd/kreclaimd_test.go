@@ -182,13 +182,6 @@ func TestReclaimUnderPressureIgnoresSLO(t *testing.T) {
 	}
 }
 
-func TestTierAccessor(t *testing.T) {
-	pool := zswap.NewPool()
-	if New(pool).Tier() != pool {
-		t.Error("Tier() mismatch")
-	}
-}
-
 // TestReclaimAccountsEveryOutcome drives both reclaim kinds over a tier
 // that produces all five store outcomes — a compressor-error window over a
 // capacity-bounded pool fed zero, text and random pages — and requires

@@ -61,9 +61,8 @@ const DefaultCostPerPage = 150 * time.Nanosecond
 
 // Tracker maintains age state and histograms for one memcg.
 type Tracker struct {
-	m           *mem.Memcg
-	scanPeriod  time.Duration
-	costPerPage time.Duration
+	m          *mem.Memcg
+	scanPeriod time.Duration
 
 	promotions *histogram.Histogram // cumulative age-at-access counts
 	census     *histogram.Histogram // age distribution as of the last scan
@@ -74,8 +73,7 @@ type Tracker struct {
 
 // Config configures a Tracker.
 type Config struct {
-	ScanPeriod  time.Duration // zero means DefaultScanPeriod
-	CostPerPage time.Duration // zero means DefaultCostPerPage
+	ScanPeriod time.Duration // zero means DefaultScanPeriod
 	// Metrics, when set, receives scan observations. Shared across a
 	// machine's trackers; nil disables instrumentation.
 	Metrics *Metrics
@@ -87,16 +85,12 @@ func NewTracker(m *mem.Memcg, cfg Config) *Tracker {
 	if cfg.ScanPeriod == 0 {
 		cfg.ScanPeriod = DefaultScanPeriod
 	}
-	if cfg.CostPerPage == 0 {
-		cfg.CostPerPage = DefaultCostPerPage
-	}
 	t := &Tracker{
-		m:           m,
-		scanPeriod:  cfg.ScanPeriod,
-		costPerPage: cfg.CostPerPage,
-		promotions:  histogram.New(cfg.ScanPeriod),
-		census:      histogram.New(cfg.ScanPeriod),
-		mx:          cfg.Metrics,
+		m:          m,
+		scanPeriod: cfg.ScanPeriod,
+		promotions: histogram.New(cfg.ScanPeriod),
+		census:     histogram.New(cfg.ScanPeriod),
+		mx:         cfg.Metrics,
 	}
 	t.census.Add(0, uint64(m.NumPages()))
 	return t
@@ -127,7 +121,7 @@ func (t *Tracker) Scan() {
 	}
 	t.census.SetCounts(t.m.AgeCounts())
 	t.scans++
-	cost := time.Duration(t.m.NumPages()) * t.costPerPage
+	cost := time.Duration(t.m.NumPages()) * DefaultCostPerPage
 	t.cpu += cost
 	t.mx.onScan(t.m.NumPages(), cost, promoSum)
 }

@@ -160,10 +160,10 @@ func TestRecordPromotionFault(t *testing.T) {
 
 func TestCPUAccounting(t *testing.T) {
 	m := newJob(1000)
-	tr := NewTracker(m, Config{CostPerPage: 100 * time.Nanosecond})
+	tr := NewTracker(m, Config{})
 	tr.Scan()
-	if got := tr.CPUTime(); got != 100*time.Microsecond {
-		t.Errorf("CPUTime = %v, want 100µs", got)
+	if got := tr.CPUTime(); got != 150*time.Microsecond {
+		t.Errorf("CPUTime = %v, want 150µs", got)
 	}
 }
 

@@ -111,10 +111,6 @@ const reclaimMask = FlagCompressed | FlagMlocked | FlagUnevictable | FlagIncompr
 // Has reports whether all flags in x are set.
 func (f PageFlags) Has(x PageFlags) bool { return f&x == x }
 
-// Reclaimable reports whether kreclaimd may move a page with these flags
-// to far memory.
-func (f PageFlags) Reclaimable() bool { return f&reclaimMask == 0 }
-
 // PageMeta is the cold per-page metadata: everything the scan and reclaim
 // walks do not need, kept out of their cache footprint.
 type PageMeta struct {

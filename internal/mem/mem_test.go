@@ -100,21 +100,6 @@ func TestTouchWriteDirtiesAndReseedsPage(t *testing.T) {
 	}
 }
 
-func TestReclaimable(t *testing.T) {
-	if !PageFlags(0).Reclaimable() {
-		t.Error("fresh page should be reclaimable")
-	}
-	for _, f := range []PageFlags{FlagCompressed, FlagMlocked, FlagUnevictable, FlagIncompressible} {
-		if f.Reclaimable() {
-			t.Errorf("page with flag %b should not be reclaimable", f)
-		}
-	}
-	// Accessed/dirty do not block reclaim eligibility (age gates that).
-	if !(FlagAccessed | FlagDirty).Reclaimable() {
-		t.Error("accessed+dirty page should remain reclaimable")
-	}
-}
-
 func TestCompressPromoteCycle(t *testing.T) {
 	m := newTestMemcg(10)
 	m.MarkCompressed(3, zsmalloc.Handle(7), 1200)
@@ -269,6 +254,15 @@ func TestAppendColdReclaimable(t *testing.T) {
 	m.Touch(8, false)           // accessed: skipped by cold reclaim
 	m.MarkCompressed(9, 1, 100) // already in far memory: skipped
 	m.SetFlags(7, FlagMlocked)  // pinned: skipped
+	m.SetFlags(3, FlagUnevictable)
+	for _, c := range []struct {
+		id   PageID
+		want bool
+	}{{0, true}, {3, false}, {7, false}, {8, true}, {9, false}} {
+		if got := m.Reclaimable(c.id); got != c.want {
+			t.Errorf("Reclaimable(%d) with flags %b = %v, want %v", c.id, m.Flags(c.id), got, c.want)
+		}
+	}
 	got := m.AppendColdReclaimable(nil, 50)
 	want := []PageID{5, 6}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {

@@ -146,9 +146,9 @@ func (m *Machine) auditBreaker(j *Job) []audit.Violation {
 		vs = append(vs, audit.V(name, job, audit.InvBreakerLegal,
 			"consecutive violations %d outside [0, %d)", j.breakerConsec, cfg.TripViolations))
 	}
-	if j.backoffSteps < 0 || j.backoffSteps > cfg.MaxBackoffSteps {
+	if j.backoffSteps < 0 || j.backoffSteps > maxBackoffSteps {
 		vs = append(vs, audit.V(name, job, audit.InvBreakerLegal,
-			"backoff steps %d outside [0, %d]", j.backoffSteps, cfg.MaxBackoffSteps))
+			"backoff steps %d outside [0, %d]", j.backoffSteps, maxBackoffSteps))
 	}
 	if j.breakerOpen && j.breakerReopenAt <= 0 {
 		vs = append(vs, audit.V(name, job, audit.InvBreakerLegal,

@@ -8,6 +8,7 @@ import (
 	"sdfm/internal/audit"
 	"sdfm/internal/core"
 	"sdfm/internal/fault"
+	"sdfm/internal/obs"
 	"sdfm/internal/workload"
 	"sdfm/internal/zswap"
 )
@@ -22,7 +23,7 @@ func TestBreakerRetripCountedEveryTime(t *testing.T) {
 	m := newMachine(t, Config{
 		Mode: ModeProactive,
 		Breaker: BreakerConfig{
-			Enabled: true, TripViolations: 1, MaxBackoffSteps: 1, Cooldown: 10 * time.Minute,
+			Enabled: true, TripViolations: 1, Cooldown: 10 * time.Minute,
 		},
 		Seed: 45,
 	})
@@ -37,7 +38,9 @@ func TestBreakerRetripCountedEveryTime(t *testing.T) {
 	}
 	trip := func(want int) {
 		t.Helper()
-		violate() // escalate to the single backoff step
+		for s := 0; s < maxBackoffSteps; s++ {
+			violate() // escalate one backoff step
+		}
 		violate() // backoff exhausted: open
 		if j.BreakerState() != BreakerOpen || j.BreakerTrips() != want {
 			t.Fatalf("state %v, job trips %d, want open with %d trips", j.BreakerState(), j.BreakerTrips(), want)
@@ -107,6 +110,30 @@ func TestAuditedRunClean(t *testing.T) {
 	}
 }
 
+// TestAuditRunsEveryStep: an enabled auditor runs the cheap catalogue on
+// every step and the deep recounts every DeepEverySteps steps.
+func TestAuditRunsEveryStep(t *testing.T) {
+	o := obs.NewMulti().Observer("m0")
+	m := newMachine(t, Config{
+		Mode:  ModeProactive,
+		Seed:  49,
+		Audit: audit.Config{Enabled: true, DeepEverySteps: 4},
+		Obs:   o,
+	})
+	addWorkload(t, m, workload.WebFrontend, 6)
+	const steps = 12
+	for i := 0; i < steps; i++ {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs := o.Counter("sdfm_node_audit_runs_total", "Invariant-audit passes.").Value()
+	deep := o.Counter("sdfm_node_audit_deep_runs_total", "Deep (full-recount) audit passes.").Value()
+	if runs != steps || deep != steps/4 {
+		t.Errorf("%d steps ran %v audits, %v deep; want %d and %d", steps, runs, deep, steps, steps/4)
+	}
+}
+
 // TestAuditStepFailsOnIllegalState: corrupting the breaker state machine
 // behind the auditor's back fails the next audited step with an error
 // wrapping audit.ErrViolation and naming the invariant.
@@ -124,7 +151,7 @@ func TestAuditStepFailsOnIllegalState(t *testing.T) {
 	// Push the backoff far outside its legal envelope; the step's own
 	// breaker update can decay it by at most one, so the audit at the end
 	// of the step still sees an illegal state.
-	j.backoffSteps = m.cfg.Breaker.MaxBackoffSteps + 5
+	j.backoffSteps = maxBackoffSteps + 5
 	err := m.Step()
 	if err == nil {
 		t.Fatal("audited step accepted an illegal breaker state")

@@ -20,13 +20,6 @@ type BreakerConfig struct {
 	// TripViolations is how many consecutive SLO-violating control
 	// intervals escalate the breaker one step (default 3).
 	TripViolations int
-	// BackoffBuckets is the cold-age penalty, in scan-period buckets,
-	// added to the controller's threshold per backoff step (default 16,
-	// ≈32 min at the 120 s scan period).
-	BackoffBuckets int
-	// MaxBackoffSteps is how many backoff steps are tried before the
-	// breaker opens and disables zswap for the job (default 2).
-	MaxBackoffSteps int
 	// Cooldown is how long an open breaker keeps the job's zswap disabled
 	// before re-enabling with the backoff retained (default 30 min).
 	Cooldown time.Duration
@@ -36,16 +29,20 @@ func (c *BreakerConfig) fillDefaults() {
 	if c.TripViolations == 0 {
 		c.TripViolations = 3
 	}
-	if c.BackoffBuckets == 0 {
-		c.BackoffBuckets = 16
-	}
-	if c.MaxBackoffSteps == 0 {
-		c.MaxBackoffSteps = 2
-	}
 	if c.Cooldown == 0 {
 		c.Cooldown = 30 * time.Minute
 	}
 }
+
+const (
+	// backoffBuckets is the cold-age penalty, in scan-period buckets, added
+	// to the controller's threshold per backoff step (≈32 min at the 120 s
+	// scan period).
+	backoffBuckets = 16
+	// maxBackoffSteps is how many backoff steps are tried before the
+	// breaker opens and disables zswap for the job.
+	maxBackoffSteps = 2
+)
 
 // BreakerState is a job's breaker position.
 type BreakerState int
@@ -117,7 +114,7 @@ func (m *Machine) updateBreaker(j *Job, intervalMinutes float64) {
 		return
 	}
 	j.breakerConsec = 0
-	if j.backoffSteps < cfg.MaxBackoffSteps {
+	if j.backoffSteps < maxBackoffSteps {
 		j.backoffSteps++
 		m.backoffEvents++
 		return
@@ -130,8 +127,8 @@ func (m *Machine) updateBreaker(j *Job, intervalMinutes float64) {
 	m.breakerTrips++
 }
 
-// breakerThresholdFloor returns the extra cold-age buckets the breaker
-// imposes on the job's operating threshold.
-func (j *Job) breakerPenalty(cfg *BreakerConfig) int {
-	return j.backoffSteps * cfg.BackoffBuckets
+// breakerPenalty returns the extra cold-age buckets the breaker imposes on
+// the job's operating threshold.
+func (j *Job) breakerPenalty() int {
+	return j.backoffSteps * backoffBuckets
 }

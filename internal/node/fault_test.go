@@ -33,7 +33,7 @@ func TestBreakerEscalatesToOpenAndRecovers(t *testing.T) {
 		t.Fatalf("initial state %v", j.BreakerState())
 	}
 	// TripViolations consecutive violations escalate one backoff step.
-	for s := 1; s <= cfg.MaxBackoffSteps; s++ {
+	for s := 1; s <= maxBackoffSteps; s++ {
 		for i := 0; i < cfg.TripViolations; i++ {
 			violate()
 		}
@@ -41,8 +41,8 @@ func TestBreakerEscalatesToOpenAndRecovers(t *testing.T) {
 			t.Fatalf("after %d rounds: state %v steps %d, want backoff %d", s, j.BreakerState(), j.backoffSteps, s)
 		}
 	}
-	if got := j.breakerPenalty(cfg); got != cfg.MaxBackoffSteps*cfg.BackoffBuckets {
-		t.Errorf("penalty %d buckets, want %d", got, cfg.MaxBackoffSteps*cfg.BackoffBuckets)
+	if got := j.breakerPenalty(); got != maxBackoffSteps*backoffBuckets {
+		t.Errorf("penalty %d buckets, want %d", got, maxBackoffSteps*backoffBuckets)
 	}
 	// Backoff exhausted: next full round opens the breaker.
 	for i := 0; i < cfg.TripViolations; i++ {
@@ -63,7 +63,7 @@ func TestBreakerEscalatesToOpenAndRecovers(t *testing.T) {
 		t.Fatalf("after cooldown: state %v steps %d, want backoff retained", j.BreakerState(), j.backoffSteps)
 	}
 	// Healthy intervals decay the backoff one step at a time.
-	for i := 0; i < cfg.MaxBackoffSteps+1; i++ {
+	for i := 0; i < maxBackoffSteps+1; i++ {
 		healthy()
 	}
 	if j.BreakerState() != BreakerClosed {
@@ -361,7 +361,7 @@ func TestHandlePressureOOMWrapsSentinel(t *testing.T) {
 }
 
 // TestTierCompactsOnScheduleAndOnCrash: the agent compacts whatever tier
-// the machine runs, not only a bare zswap pool, every CompactEveryScans
+// the machine runs, not only a bare zswap pool, every compactEveryScans
 // scans, and once more when a crash has emptied it (§5.1).
 func TestTierCompactsOnScheduleAndOnCrash(t *testing.T) {
 	tier := &compactCounter{TieredPool: zswap.NewTieredPool(zswap.ProfileNVM, nil, 5)}
@@ -369,14 +369,13 @@ func TestTierCompactsOnScheduleAndOnCrash(t *testing.T) {
 		{Kind: fault.MachineCrash, Machine: "m0", At: 10 * time.Minute},
 	}}
 	m := newMachine(t, Config{
-		Mode:              ModeProactive,
-		Seed:              51,
-		Tier:              tier,
-		CompactEveryScans: 3,
-		Injector:          fault.NewInjector(plan, "m0"),
+		Mode:     ModeProactive,
+		Seed:     51,
+		Tier:     tier,
+		Injector: fault.NewInjector(plan, "m0"),
 	})
 	addWorkload(t, m, workload.LogProcessor, 9)
-	const scans = 12
+	const scans = 2 * compactEveryScans
 	for i := 0; i < scans; i++ {
 		if err := m.Step(); err != nil {
 			t.Fatal(err)
@@ -385,8 +384,8 @@ func TestTierCompactsOnScheduleAndOnCrash(t *testing.T) {
 	if m.FaultStats().Crashes != 1 {
 		t.Fatalf("crashes = %d, want 1", m.FaultStats().Crashes)
 	}
-	if want := scans/3 + 1; tier.compacts != want {
-		t.Errorf("tier compacted %d times, want %d (every 3rd of %d scans plus the crash)", tier.compacts, want, scans)
+	if want := scans/compactEveryScans + 1; tier.compacts != want {
+		t.Errorf("tier compacted %d times, want %d (every %dth of %d scans plus the crash)", tier.compacts, want, compactEveryScans, scans)
 	}
 }
 

@@ -161,9 +161,6 @@ type Config struct {
 	Tier zswap.FarMemory
 	// Collector, when set, receives 5-minute telemetry exports.
 	Collector *telemetry.Collector
-	// CompactEveryScans triggers the tier's Compact every that many scans
-	// (default 10).
-	CompactEveryScans int
 	// CollectSamples retains per-interval rate and latency samples.
 	CollectSamples bool
 	// Seed namespaces per-job memcg content seeds.
@@ -190,6 +187,10 @@ type Config struct {
 	// at a cost of one branch per step.
 	Obs *obs.Observer
 }
+
+// compactEveryScans is the agent-triggered compaction cadence (§5.1): the
+// tier's Compact runs every that many scans.
+const compactEveryScans = 10
 
 // Machine is one simulated production machine.
 type Machine struct {
@@ -224,7 +225,6 @@ type Machine struct {
 	dropIDs []mem.PageID
 
 	// Invariant-audit state (see audit.go).
-	auditEvery     uint64
 	auditDeepEvery uint64
 	auditprev      auditPrev
 	// auditScratch is the reusable compressed-set buffer for tierCensus.
@@ -255,9 +255,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.ScanPeriod == 0 {
 		cfg.ScanPeriod = kstaled.DefaultScanPeriod
 	}
-	if cfg.CompactEveryScans == 0 {
-		cfg.CompactEveryScans = 10
-	}
 	if cfg.Breaker.Enabled {
 		cfg.Breaker.fillDefaults()
 	}
@@ -271,7 +268,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		scanPeriod:  cfg.ScanPeriod,
 		exportEvery: telemetry.DefaultAggregation,
 		inj:         cfg.Injector,
-		auditEvery:  cfg.Audit.Interval(),
 	}
 	if cfg.Audit.DeepEverySteps > 0 {
 		m.auditDeepEvery = uint64(cfg.Audit.DeepEverySteps)
@@ -558,7 +554,7 @@ func (m *Machine) Step() error {
 	}
 
 	// 4. Periodic compaction (agent-triggered, §5.1).
-	ranCompact := m.scans%uint64(m.cfg.CompactEveryScans) == 0
+	ranCompact := m.scans%compactEveryScans == 0
 	if ranCompact {
 		m.pool.Compact()
 	}
@@ -585,7 +581,7 @@ func (m *Machine) Step() error {
 	// 7. Invariant audit (opt-in). Read-only against simulation state, so
 	// behaviour with auditing on is byte-identical to auditing off.
 	ranAudit, deepAudit := false, false
-	if m.cfg.Audit.Enabled && m.scans%m.auditEvery == 0 {
+	if m.cfg.Audit.Enabled {
 		ranAudit = true
 		deepAudit = m.auditDeepEvery > 0 && m.scans%m.auditDeepEvery == 0
 		if vs := m.Audit(deepAudit); len(vs) > 0 {
@@ -632,7 +628,7 @@ func (m *Machine) control(j *Job, intervalMinutes float64) {
 	// for the job until its cooldown expires.
 	if m.cfg.Mode == ModeProactive && j.Controller.Enabled(m.now) && !j.Memcg.AtLimit() && !j.breakerOpen {
 		th := j.Controller.Threshold()
-		if p := j.breakerPenalty(&m.cfg.Breaker); p > 0 {
+		if p := j.breakerPenalty(); p > 0 {
 			th += p
 			if th > histogram.MaxBucket {
 				th = histogram.MaxBucket

@@ -13,7 +13,7 @@ import (
 // Sentinel errors callers can branch on with errors.Is.
 var (
 	// ErrSLOViolated means a candidate breached the promotion-rate SLO
-	// during qualification or a rollout stage and was rolled back.
+	// during a rollout stage and was rolled back.
 	ErrSLOViolated = errors.New("tuner: promotion-rate SLO violated")
 	// ErrNoObservations means a tuning run produced no evaluations to pick
 	// a winner from.
@@ -113,15 +113,6 @@ func StagedRollout(candidate, incumbent core.Params, obj StageObjective, stages 
 	}
 	rep.Accepted = true
 	return rep, nil
-}
-
-// QualifyAndDeploy gates a candidate configuration behind a qualification
-// run (a holdout objective, e.g. the model on a later trace slice) before
-// fleet-wide deployment: a staged rollout whose only ring is the holdout,
-// with the same health check and the same rollback to the incumbent.
-func QualifyAndDeploy(candidate, incumbent core.Params, holdout Objective, slo core.SLO) (RolloutReport, error) {
-	obj := func(p core.Params, _ RolloutStage, _ int) (model.FleetResult, error) { return holdout(p) }
-	return StagedRollout(candidate, incumbent, obj, []RolloutStage{{Name: "holdout", Fraction: 1}}, slo)
 }
 
 // CompiledObjective builds an Objective that replays a compiled trace

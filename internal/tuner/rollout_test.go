@@ -81,26 +81,17 @@ func TestStagedRolloutRejectsEmptyStage(t *testing.T) {
 	}
 }
 
-func TestQualifyAndDeployErrWrapsSentinel(t *testing.T) {
-	slo := core.DefaultSLO
-	hot := func(core.Params) (model.FleetResult, error) {
-		return stageResult(slo.TargetRatePerMin*2, 100), nil
-	}
-	dec, err := QualifyAndDeploy(core.Params{K: 60, S: 0}, core.Params{K: 98, S: time.Hour}, hot, slo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Accepted {
-		t.Fatal("violating candidate accepted")
-	}
-	if !errors.Is(dec.Err, ErrSLOViolated) {
-		t.Errorf("decision error %v does not wrap ErrSLOViolated", dec.Err)
-	}
-}
-
 // quietTrace is jobs × intervals five-minute reports starting at startSec,
 // with cold memory and no promotions: any enabled interval is healthy.
 func quietTrace(t *testing.T, jobs, intervals int, startSec int64) *telemetry.Trace {
+	t.Helper()
+	return burstTrace(t, jobs, intervals, 0, startSec)
+}
+
+// burstTrace is quietTrace whose first hot intervals of every job promote
+// a tenth of the working set per minute at every threshold: a candidate
+// enabled during the burst breaches the SLO whatever threshold it runs.
+func burstTrace(t *testing.T, jobs, intervals, hot int, startSec int64) *telemetry.Trace {
 	t.Helper()
 	tr := telemetry.NewTrace()
 	n := len(tr.Thresholds)
@@ -117,6 +108,9 @@ func quietTrace(t *testing.T, jobs, intervals int, startSec int64) *telemetry.Tr
 			}
 			for k := 0; k < n; k++ {
 				e.ColdTails[k] = uint64(500 - k)
+				if i < hot {
+					e.PromoTails[k] = 50
+				}
 			}
 			if err := tr.Append(e); err != nil {
 				t.Fatal(err)
@@ -126,28 +120,87 @@ func quietTrace(t *testing.T, jobs, intervals int, startSec int64) *telemetry.Tr
 	return tr
 }
 
-// TestQualifyAndDeployNeedsObservations: a candidate whose warmup outlasts
-// the holdout was never enabled on it. Its p98 of nothing is zero, which
-// is within any SLO — and is no evidence at all.
-func TestQualifyAndDeployNeedsObservations(t *testing.T) {
+// oneRing is a single deployment ring holding every job: the gate in
+// front of a fleet-wide push.
+var oneRing = []RolloutStage{{Name: "fleet", Fraction: 1}}
+
+// oneRingObjective judges oneRing over the whole of tr.
+func oneRingObjective(tr *telemetry.Trace) StageObjective {
+	return CompiledStageObjective(model.Compile(tr), model.Config{SLO: core.DefaultSLO}, len(oneRing))
+}
+
+// TestStagedRolloutOneRing: a candidate that first runs after the burst
+// is deployed; one running through it is rolled back with the failing
+// ring and a reason; a failing objective is an error, not a rollback.
+func TestStagedRolloutOneRing(t *testing.T) {
 	slo := core.DefaultSLO
-	holdout := CompiledObjective(model.Compile(quietTrace(t, 4, 48, 300)), slo) // 4 hours
+	obj := oneRingObjective(burstTrace(t, 4, 48, 12, 300)) // 4 hours, the first bursty
+	incumbent := core.Params{K: 98, S: 20 * time.Minute}
+	good := core.Params{K: 90, S: 2 * time.Hour}
+	bad := core.Params{K: 90, S: 0}
+
+	dec, err := StagedRollout(good, incumbent, obj, oneRing, slo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dec.Accepted || dec.Chosen != good {
+		t.Errorf("good candidate rejected: %+v", dec)
+	}
+
+	dec, err = StagedRollout(bad, incumbent, obj, oneRing, slo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Accepted || dec.Chosen != incumbent {
+		t.Errorf("bad candidate deployed: %+v", dec)
+	}
+	if len(dec.Stages) != 1 || dec.Stages[0].Reason == "" || dec.RolledBackAt != "fleet" {
+		t.Errorf("rollback not explained: %+v", dec)
+	}
+
+	invalid := core.Params{K: 150}
+	_, err = StagedRollout(invalid, incumbent, obj, oneRing, slo)
+	if cause, want := errors.Unwrap(err), invalid.Validate(); cause == nil || cause.Error() != want.Error() {
+		t.Errorf("err = %v, want one wrapping %q", err, want)
+	}
+}
+
+func TestStagedRolloutOneRingErrWrapsSentinel(t *testing.T) {
+	obj := oneRingObjective(burstTrace(t, 4, 48, 48, 300))
+	dec, err := StagedRollout(core.Params{K: 60, S: 0}, core.Params{K: 98, S: time.Hour}, obj, oneRing, core.DefaultSLO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Accepted {
+		t.Fatal("violating candidate accepted")
+	}
+	if !errors.Is(dec.Err, ErrSLOViolated) {
+		t.Errorf("decision error %v does not wrap ErrSLOViolated", dec.Err)
+	}
+}
+
+// TestStagedRolloutOneRingNeedsObservations: a candidate whose warmup
+// outlasts the ring's trace was never enabled on it. Its p98 of nothing is
+// zero, which is within any SLO — and is no evidence at all.
+func TestStagedRolloutOneRingNeedsObservations(t *testing.T) {
+	slo := core.DefaultSLO
+	obj := oneRingObjective(quietTrace(t, 4, 48, 300)) // 4 hours
 	incumbent := core.Params{K: 98, S: time.Hour}
-	rep, err := QualifyAndDeploy(core.Params{K: 90, S: 12 * time.Hour}, incumbent, holdout, slo)
+	rep, err := StagedRollout(core.Params{K: 90, S: 12 * time.Hour}, incumbent, obj, oneRing, slo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Accepted || rep.Chosen != incumbent || !errors.Is(rep.Err, ErrNoObservations) {
-		t.Fatalf("never-enabled candidate qualified: %+v", rep)
+		t.Fatalf("never-enabled candidate deployed: %+v", rep)
 	}
-	if rep, err = QualifyAndDeploy(core.Params{K: 90, S: time.Hour}, incumbent, holdout, slo); err != nil || !rep.Accepted {
+	if rep, err = StagedRollout(core.Params{K: 90, S: time.Hour}, incumbent, obj, oneRing, slo); err != nil || !rep.Accepted {
 		t.Fatalf("observed, healthy candidate rejected: %+v, %v", rep, err)
 	}
 }
 
 // TestCompiledObjectiveEndToEnd runs the §5.3 pipeline over a synthetic
-// fleet trace: compile once, replay the incumbent, autotune, and qualify
-// the winner on the same objective.
+// fleet trace: compile once, replay the incumbent, autotune, and gate the
+// winner on one ring over the same trace.
 func TestCompiledObjectiveEndToEnd(t *testing.T) {
 	trace, err := fleet.Generate(fleet.Config{
 		Clusters: 1, MachinesPerCluster: 6, JobsPerMachine: 4,
@@ -156,7 +209,8 @@ func TestCompiledObjectiveEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := CompiledObjective(model.Compile(trace), core.DefaultSLO)
+	ct := model.Compile(trace)
+	obj := CompiledObjective(ct, core.DefaultSLO)
 
 	baseline, err := obj(core.DefaultParams)
 	if err != nil {
@@ -169,7 +223,8 @@ func TestCompiledObjectiveEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := QualifyAndDeploy(res.Best.Params, core.DefaultParams, obj, core.DefaultSLO)
+	ring := CompiledStageObjective(ct, model.Config{SLO: core.DefaultSLO}, len(oneRing))
+	dec, err := StagedRollout(res.Best.Params, core.DefaultParams, ring, oneRing, core.DefaultSLO)
 	if err != nil {
 		t.Fatal(err)
 	}

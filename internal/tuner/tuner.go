@@ -2,7 +2,7 @@
 // GP-Bandit loop that searches the control-plane parameter space (K, S)
 // against the fast far-memory model, maximizing fleet cold memory subject
 // to the 98th-percentile promotion-rate SLO, plus the heuristic baseline
-// it replaced and the staged qualification/deployment step that guards
+// it replaced and the staged deployment with rollback that guards
 // production.
 package tuner
 
@@ -92,9 +92,6 @@ type Config struct {
 	Candidates int
 	// Seed drives the deterministic candidate sampler.
 	Seed int64
-	// NoiseVar is the GP observation noise (default 1e-4: the model is
-	// deterministic, so observation noise is tiny).
-	NoiseVar float64
 	// Obs, when set, counts evaluations and lays the search out on a
 	// logical timeline (one span per evaluation, 1 ms apart) so a Chrome
 	// trace shows the seed design and each GP iteration. Observation-only;
@@ -114,9 +111,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Candidates == 0 {
 		c.Candidates = 512
-	}
-	if c.NoiseVar == 0 {
-		c.NoiseVar = 1e-4
 	}
 }
 
@@ -145,11 +139,12 @@ func (c Config) Validate() error {
 	if c.Candidates < 0 {
 		return fmt.Errorf("tuner: Candidates %d is negative; use 0 for the default (512)", c.Candidates)
 	}
-	if c.NoiseVar < 0 {
-		return fmt.Errorf("tuner: NoiseVar %v is negative; observation noise must be positive (default 1e-4)", c.NoiseVar)
-	}
 	return nil
 }
+
+// noiseVar is the GP observation noise: the model is deterministic, so
+// observation noise is tiny.
+const noiseVar = 1e-4
 
 // Result is the autotuning outcome.
 type Result struct {
@@ -235,7 +230,7 @@ func Autotune(obj Objective, cfg Config) (Result, error) {
 	}
 
 	for t := 1; t <= cfg.Iterations; t++ {
-		g := gp.New(gpKernel(res.History, cfg), cfg.NoiseVar)
+		g := gp.New(gpKernel(res.History, cfg.Space), noiseVar)
 		for _, o := range res.History {
 			g.Add(cfg.Space.Normalize(o.Params), o.Score)
 		}
@@ -295,7 +290,7 @@ func Autotune(obj Objective, cfg Config) (Result, error) {
 
 // gpKernel selects hyperparameters by marginal likelihood once enough
 // observations exist, falling back to a sensible default.
-func gpKernel(history []Observation, cfg Config) gp.RBF {
+func gpKernel(history []Observation, space Space) gp.RBF {
 	fallback := gp.RBF{Variance: 1, LengthScales: []float64{0.25, 0.25}}
 	if len(history) < 6 {
 		return fallback
@@ -303,10 +298,10 @@ func gpKernel(history []Observation, cfg Config) gp.RBF {
 	xs := make([][]float64, len(history))
 	ys := make([]float64, len(history))
 	for i, o := range history {
-		xs[i] = cfg.Space.Normalize(o.Params)
+		xs[i] = space.Normalize(o.Params)
 		ys[i] = o.Score
 	}
-	k, err := gp.FitHyperparams(xs, ys, cfg.NoiseVar)
+	k, err := gp.FitHyperparams(xs, ys, noiseVar)
 	if err != nil {
 		return fallback
 	}

@@ -211,39 +211,6 @@ func TestPickBestPrefersFeasible(t *testing.T) {
 	}
 }
 
-func TestQualifyAndDeploy(t *testing.T) {
-	slo := core.DefaultSLO
-	incumbent := core.Params{K: 98, S: 20 * time.Minute}
-	good := core.Params{K: 90, S: 5 * time.Minute}
-	bad := core.Params{K: 60, S: 0}
-
-	dec, err := QualifyAndDeploy(good, incumbent, syntheticObjective, slo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Accepted || dec.Chosen != good {
-		t.Errorf("good candidate rejected: %+v", dec)
-	}
-
-	dec, err = QualifyAndDeploy(bad, incumbent, syntheticObjective, slo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Accepted || dec.Chosen != incumbent {
-		t.Errorf("bad candidate deployed: %+v", dec)
-	}
-	if len(dec.Stages) != 1 || dec.Stages[0].Reason == "" || dec.RolledBackAt != "holdout" {
-		t.Errorf("rollback not explained: %+v", dec)
-	}
-
-	boom := errors.New("qual fail")
-	_, err = QualifyAndDeploy(good, incumbent,
-		func(core.Params) (model.FleetResult, error) { return model.FleetResult{}, boom }, slo)
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -256,7 +223,6 @@ func TestConfigValidate(t *testing.T) {
 		{"InitSamples truncates seed design", Config{InitSamples: 2}, true},
 		{"negative Iterations", Config{Iterations: -5}, true},
 		{"negative Candidates", Config{Candidates: -1}, true},
-		{"negative NoiseVar", Config{NoiseVar: -1e-4}, true},
 		{"invalid space", Config{Space: Space{KMin: 90, KMax: 50, SMin: 0, SMax: 1}}, true},
 	}
 	for _, c := range cases {
