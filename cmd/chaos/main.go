@@ -7,7 +7,7 @@
 // Every run executes with the invariant auditor enabled, so a finding is
 // an invariant violation, a panic, a non-audit error, or (with
 // -determinism) a fingerprint divergence between two runs of the same
-// plan. Plans are JSON interchangeable with cmd/faultsim -plan, so a
+// plan. Plans are JSON interchangeable with cmd/fleetsim -plan, so a
 // shrunk reproducer feeds straight into the degraded-mode report there.
 package main
 

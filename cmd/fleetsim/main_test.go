@@ -1,0 +1,115 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"sdfm/internal/telemetry"
+	"sdfm/internal/tracestore"
+)
+
+func runOK(t *testing.T, args ...string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run(args, &buf); err != nil {
+		t.Fatalf("fleetsim %s: %v", strings.Join(args, " "), err)
+	}
+	return buf.String()
+}
+
+// wallTime matches the wall-clock suffix of the "simulated"/"ran" lines.
+var wallTime = regexp.MustCompile(`(?m) in [0-9.]+[µm]?s$`)
+
+// TestReportDeterministic: one seed, one report, wall time aside.
+func TestReportDeterministic(t *testing.T) {
+	args := []string{"-machines", "2", "-jobs", "4", "-hours", "1"}
+	first := wallTime.ReplaceAllString(runOK(t, args...), "")
+	second := wallTime.ReplaceAllString(runOK(t, args...), "")
+	if first != second {
+		t.Fatalf("second run printed\n%s\nfirst printed\n%s", second, first)
+	}
+	for _, want := range []string{"simulated 1h0m0s across 2 machines/4 jobs\n", "coverage per machine:", "promotion rate: p50"} {
+		if !strings.Contains(first, want) {
+			t.Errorf("report lacks %q:\n%s", want, first)
+		}
+	}
+}
+
+// TestPlanReport: -writeplan's plan fed back through -plan prints every
+// section, one line per rollout stage reached, and two readable traces.
+func TestPlanReport(t *testing.T) {
+	dir := t.TempDir()
+	plan := filepath.Join(dir, "plan.json")
+	if got := runOK(t, "-writeplan", plan, "-hours", "1"); got != "wrote default fault plan to "+plan+"\n" {
+		t.Fatalf("-writeplan printed %q", got)
+	}
+	prefix := filepath.Join(dir, "run")
+	out := runOK(t, "-plan", plan, "-machines", "2", "-jobs", "4", "-hours", "1", "-savetrace", prefix)
+	for _, want := range []string{
+		`plan "default":`, "ran baseline ", "ran default ",
+		"== live simulation ==", "== telemetry pipeline ==", "== staged rollout",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
+		}
+	}
+
+	var stages []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "stage ") {
+			stages = append(stages, line)
+		}
+	}
+	accepted := strings.Contains(out, "rollout accepted:")
+	rolledBack := strings.Contains(out, "rollout rolled back at")
+	switch {
+	case accepted == rolledBack:
+		t.Errorf("want exactly one rollout verdict:\n%s", out)
+	case len(stages) == 0 || len(stages) > 3:
+		t.Errorf("%d stage lines, want 1 to 3:\n%s", len(stages), out)
+	case accepted && len(stages) != 3:
+		t.Errorf("accepted after %d stages, want all 3:\n%s", len(stages), out)
+	case rolledBack && !strings.Contains(stages[len(stages)-1], "ROLLED BACK"):
+		t.Errorf("rolled back, but the last stage reached is healthy:\n%s", out)
+	}
+
+	for _, suffix := range []string{"baseline", "faulted"} {
+		path := prefix + "-" + suffix + ".trace"
+		h, err := tracestore.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, err := h.ReadTrace()
+		h.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("wrote %s (%d entries, store format)\n", path, trace.Len())
+		if trace.Len() == 0 || !strings.Contains(out, want) {
+			t.Errorf("%s reads back %d entries; report lacks %q", path, trace.Len(), want)
+		}
+	}
+}
+
+// TestDemographics: one block per job, each with a row per idle-age bucket.
+func TestDemographics(t *testing.T) {
+	out := runOK(t, "-demographics", "-machines", "1", "-jobs", "6", "-hours", "1", "-mode", "disabled")
+	_, table, ok := strings.Cut(out, "\njob ")
+	if !ok {
+		t.Fatalf("no demographics:\n%s", out)
+	}
+	blocks := strings.Split("job "+table, "\n\n")
+	if len(blocks) != 6 {
+		t.Fatalf("%d blocks, want one per job (6):\n%s", len(blocks), out)
+	}
+	for _, b := range blocks {
+		lines := strings.Split(strings.TrimSuffix(b, "\n"), "\n")
+		if want := 2 + 1 + len(telemetry.DefaultThresholds); len(lines) != want {
+			t.Errorf("block has %d lines, want %d:\n%s", len(lines), want, b)
+		}
+	}
+}

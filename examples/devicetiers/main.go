@@ -16,6 +16,7 @@ import (
 
 	"sdfm/internal/core"
 	"sdfm/internal/node"
+	"sdfm/internal/stats"
 	"sdfm/internal/workload"
 	"sdfm/internal/zswap"
 )
@@ -76,7 +77,7 @@ func main() {
 		for _, j := range m.Jobs() {
 			latencies = append(latencies, j.LatencySamples()...)
 		}
-		p50 := percentile(latencies, 0.5)
+		p50 := stats.Percentile(latencies, 50)
 		stranded := "n/a"
 		if d, ok := tc.tier.(*zswap.DevicePool); ok {
 			stranded = fmt.Sprintf("%.0f MiB", float64(d.StrandedBytes())/(1<<20))
@@ -87,18 +88,4 @@ func main() {
 	}
 	fmt.Println("\nzswap trades CPU cycles for capacity with zero extra hardware and no")
 	fmt.Println("stranding; fixed devices either strand capacity or run out (§2.1, §3.1).")
-}
-
-func percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	for i := 1; i < len(sorted); i++ {
-		for k := i; k > 0 && sorted[k] < sorted[k-1]; k-- {
-			sorted[k], sorted[k-1] = sorted[k-1], sorted[k]
-		}
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
 }

@@ -8,7 +8,7 @@
 // simulator's crash-consistency claims. Everything is driven by seeds,
 // so a finding is a (plan seed, fleet seed) pair anyone can replay;
 // cmd/chaos surfaces search, shrink, and replay, emitting plan JSON
-// interchangeable with cmd/faultsim.
+// interchangeable with cmd/fleetsim -plan.
 package chaos
 
 import (

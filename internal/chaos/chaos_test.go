@@ -205,7 +205,7 @@ func TestByteConservationBreakCaughtAndShrunk(t *testing.T) {
 		t.Fatalf("minimized plan lost the triggering slowdown window: %+v", res.Plan.Events)
 	}
 
-	// The minimized plan must replay through the faultsim-compatible JSON
+	// The minimized plan must replay through the fleetsim -plan JSON
 	// round trip with the same verdict.
 	var buf bytes.Buffer
 	if err := res.Plan.Save(&buf); err != nil {

@@ -52,9 +52,9 @@ type Config struct {
 	// Step or Run call appends all of machine 0's intervals, then machine
 	// 1's, and so on, however many workers ran them; the entries wait in
 	// the stages until the call returns, so a caller streaming a long run
-	// to a tracestore.Writer bounds that staging by calling Run in slices
-	// (examples/bigtable does). A machine stepped directly, outside the
-	// cluster's calls, exports straight through.
+	// to a tracestore.Writer bounds that staging by calling Run in slices.
+	// A machine stepped directly, outside the cluster's calls, exports
+	// straight through.
 	Collector *telemetry.Collector
 	// Faults, when set and non-empty, injects the plan's faults: each
 	// machine gets its own deterministic injector keyed by machine name.

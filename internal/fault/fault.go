@@ -29,7 +29,7 @@ import (
 )
 
 // Sentinel validation errors. Event.Validate and Plan.Validate wrap these
-// so callers (cmd/faultsim, cmd/chaos) can classify a rejection with
+// so callers (cmd/fleetsim, cmd/chaos) can classify a rejection with
 // errors.Is instead of string-matching.
 var (
 	// ErrUnknownKind rejects a kind outside the catalogue.

@@ -53,7 +53,7 @@ func TestPlanValidateRejects(t *testing.T) {
 }
 
 // TestValidateSentinels: every rejection class wraps its sentinel so
-// callers (cmd/chaos, cmd/faultsim, tests) can classify with errors.Is
+// callers (cmd/chaos, cmd/fleetsim, tests) can classify with errors.Is
 // instead of string matching.
 func TestValidateSentinels(t *testing.T) {
 	w := time.Minute

@@ -96,12 +96,6 @@ func NewTracker(m *mem.Memcg, cfg Config) *Tracker {
 	return t
 }
 
-// Memcg returns the tracked memcg.
-func (t *Tracker) Memcg() *mem.Memcg { return t.m }
-
-// ScanPeriod returns the scan period (the age quantum).
-func (t *Tracker) ScanPeriod() time.Duration { return t.scanPeriod }
-
 // Scan performs one kstaled pass over the memcg: mem.ScanAges ages every
 // page by advancing the memcg's scan epoch and harvests the accessed bits
 // of the pages that have one set, keeping the age histograms current; the

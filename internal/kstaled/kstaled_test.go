@@ -19,14 +19,14 @@ func newJob(pages int) *mem.Memcg {
 func TestNewTrackerInitialCensus(t *testing.T) {
 	m := newJob(100)
 	tr := NewTracker(m, Config{})
-	if tr.ScanPeriod() != DefaultScanPeriod {
-		t.Errorf("ScanPeriod = %v", tr.ScanPeriod())
+	if tr.scanPeriod != DefaultScanPeriod {
+		t.Errorf("scan period = %v", tr.scanPeriod)
 	}
 	if got := tr.Census().Count(0); got != 100 {
 		t.Errorf("initial census bucket 0 = %d, want 100", got)
 	}
-	if tr.Memcg() != m {
-		t.Error("Memcg() mismatch")
+	if tr.m != m {
+		t.Error("tracked memcg mismatch")
 	}
 }
 

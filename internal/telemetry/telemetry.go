@@ -13,6 +13,7 @@ package telemetry
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"strings"
@@ -255,6 +256,62 @@ func (t *Trace) Jobs() []JobKey {
 	}
 	slices.SortFunc(keys, JobKey.Compare)
 	return keys
+}
+
+// WriteDemographics prints each job's time-since-last-access table in
+// JobKey.Compare order, shaped like memtierd's `policy -dump accessed`: a
+// header with the pages and WSS of the job's latest entry, then one row per
+// idle-age bucket in seconds, [0, T_0) and each [T_i, T_i+1) (the last one
+// open, printed as < 0). A row gives the bucket's pages (a ColdTails
+// difference), their share of the job, and the rate a threshold of T_i
+// would have promoted over the whole trace: ΣPromoTails[i] ÷
+// ΣIntervalMinutes over the job's entries, as % of WSS per minute.
+func (t *Trace) WriteDemographics(w io.Writer) error {
+	type job struct {
+		latest  *Entry
+		promos  []uint64
+		minutes float64
+	}
+	jobs := make(map[JobKey]*job)
+	for i := range t.Entries {
+		e := &t.Entries[i]
+		j := jobs[e.Key]
+		if j == nil {
+			j = &job{latest: e, promos: make([]uint64, len(t.Thresholds))}
+			jobs[e.Key] = j
+		}
+		if e.TimestampSec >= j.latest.TimestampSec {
+			j.latest = e
+		}
+		for k, p := range e.PromoTails {
+			j.promos[k] += p
+		}
+		j.minutes += e.IntervalMinutes
+	}
+
+	var b strings.Builder
+	for n, key := range t.Jobs() {
+		j, e := jobs[key], jobs[key].latest
+		if n > 0 {
+			b.WriteByte('\n')
+		}
+		fmt.Fprintf(&b, "job %s: %d pages, wss %d pages\n%13s %12s %8s %7s %18s\n", key, e.TotalPages, e.WSSPages,
+			"lastaccs>=[s]", "lastaccs<[s]", "pages", "job[%]", "promote[%WSS/min]")
+		for i := 0; i <= len(t.Thresholds); i++ {
+			var from, to int64
+			pages, rate := e.TotalPages, "-"
+			if i > 0 {
+				from, pages = int64(t.Thresholds[i-1])*t.ScanPeriodSeconds, e.ColdTails[i-1]
+				rate = fmt.Sprintf("%.4f", float64(j.promos[i-1])/j.minutes/float64(e.WSSPages)*100)
+			}
+			if i < len(t.Thresholds) {
+				to, pages = int64(t.Thresholds[i])*t.ScanPeriodSeconds, pages-e.ColdTails[i]
+			}
+			fmt.Fprintf(&b, "%13d %12d %8d %7.2f %18s\n", from, to, pages, float64(pages)/float64(e.TotalPages)*100, rate)
+		}
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // ThresholdIndexFor returns the index of the smallest predefined threshold
