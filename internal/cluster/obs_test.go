@@ -75,8 +75,9 @@ func renderObs(t *testing.T, hub *obs.Multi) (prom, chrome string) {
 }
 
 // TestMachineObsCountersTrackSimulation pins the instrument values to the
-// machine's own counters after a run: steps, promotions, and gauges must
-// agree with the simulation state they mirror.
+// machine's own counters after a run: the pushed step count, and the
+// promotion and occupancy series that read the simulation state at
+// export.
 func TestMachineObsCountersTrackSimulation(t *testing.T) {
 	hub := obs.NewMulti()
 	c := newCluster(t, Config{

@@ -161,10 +161,6 @@ func (c *Controller) adoptSnapshot(s *ckpt.Snapshot) error {
 		c.rounds = append(c.rounds, roundFromCkpt(&s.Rounds[i]))
 	}
 
-	c.m.agents.SetInt(len(c.ids))
-	c.m.epoch.Set(float64(s.Epoch))
-	c.m.deployedK.Set(c.incumbent.K)
-	c.m.deployedS.Set(c.incumbent.S.Seconds())
 	c.m.ckptGen.Set(float64(s.Generation))
 	return nil
 }

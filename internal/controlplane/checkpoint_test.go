@@ -8,12 +8,16 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sdfm/internal/controlplane/ckpt"
 	"sdfm/internal/core"
+	"sdfm/internal/fault"
+	"sdfm/internal/obs"
 	"sdfm/internal/telemetry"
 	"sdfm/internal/tuner"
 )
@@ -371,6 +375,56 @@ func TestRestoreReconciliation(t *testing.T) {
 	}
 	if want := ckpt.FileName(rep.Generation + 1); filepath.Base(path) != want {
 		t.Errorf("post-restore checkpoint %q, want %q", filepath.Base(path), want)
+	}
+}
+
+// TestRestoredMetricsMatchStatus: a restored controller's ingest series
+// describe the restored lifetime totals, the same ones /statusz reports,
+// not only what the new process ingested itself.
+func TestRestoredMetricsMatchStatus(t *testing.T) {
+	dur := 7 * time.Hour
+	tr := testTrace(t, 1, 2, 3, dur, 5)
+	cfg := ckptTestConfig(t.TempDir())
+	c1 := newTestController(t, cfg)
+	if _, err := RunSim(c1, tr, SimConfig{Faults: fault.DefaultPlan(5, dur)}); err != nil {
+		t.Fatalf("RunSim: %v", err)
+	}
+	if _, err := c1.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+
+	hub := obs.NewMulti()
+	cfg.Obs = hub.Observer("controlplane")
+	c2, _, err := Restore(cfg)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	t.Cleanup(c2.Close)
+	var sb strings.Builder
+	if err := c2.RenderMetrics(hub, &sb); err != nil {
+		t.Fatalf("RenderMetrics: %v", err)
+	}
+	got := make(map[string]string)
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if series, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			got[series] = value
+		}
+	}
+	in := c2.Status().Ingest
+	if in.Ingested == 0 || in.RejectedCorrupt == 0 {
+		t.Fatalf("restored ingest %+v has nothing ingested or rejected; the comparison is vacuous", in)
+	}
+	for series, want := range map[string]uint64{
+		"sdfm_cp_reports_total":                                in.Reports,
+		"sdfm_cp_entries_received_total":                       in.Received,
+		"sdfm_cp_entries_ingested_total":                       in.Ingested,
+		`sdfm_cp_entries_dropped_total{reason="backpressure"}`: in.DroppedBackpressure,
+		`sdfm_cp_entries_rejected_total{reason="corrupt"}`:     in.RejectedCorrupt,
+		`sdfm_cp_entries_rejected_total{reason="invalid"}`:     in.RejectedInvalid,
+	} {
+		if got[series] != strconv.FormatUint(want, 10) {
+			t.Errorf("%s = %q after restore, status says %d", series, got[series], want)
+		}
 	}
 }
 

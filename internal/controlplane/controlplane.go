@@ -19,7 +19,7 @@
 // Lifetime ingest counters live per stripe and are summed on read. The
 // control mutex guards everything decision-shaped — the sorted agent ID
 // list, the tuning window, the incumbent, round state, and every obs
-// instrument write. Lock order is always control mutex → stripe mutex,
+// instrument write and metrics render. Lock order is always control mutex → stripe mutex,
 // and no stripe mutex is ever held while acquiring the control mutex, so
 // the two layers cannot deadlock. Tuning rounds take the window under the
 // control mutex and then run Compile→Autotune→StagedRollout with no locks
@@ -114,10 +114,13 @@ type Config struct {
 	// CheckpointKeep bounds the checkpoint generations retained on disk;
 	// older files are pruned after each write (default 4).
 	CheckpointKeep int
-	// Obs, when set, exports sdfm_cp_* metrics. All controller metric
-	// writes happen under the control mutex; Controller.RenderMetrics
-	// snapshots the exposition into a buffer under that mutex and writes
-	// it out after releasing it, so a slow scraper never stalls anything.
+	// Obs, when set, exports sdfm_cp_* metrics; render them through
+	// Controller.RenderMetrics. Ingest totals, agents, epoch and the
+	// deployed configuration are read from controller state at export;
+	// rounds, pushes and checkpoint events are counted as they happen. All
+	// of it runs under the control mutex; RenderMetrics renders into a
+	// buffer under that mutex and writes it out after releasing it, so a
+	// slow scraper never stalls anything.
 	Obs *obs.Observer
 	// OnRound, when set, is called after each completed tuning round,
 	// outside the controller mutex.
@@ -213,30 +216,19 @@ type stripe struct {
 	agents map[string]*agentState
 
 	// Lifetime ingest accounting for this stripe's agents; summed across
-	// stripes on read (Status, metric sync).
+	// stripes on read (Status, RenderMetrics).
 	nReports, nReceived, nDropped uint64
 	// queued is the entries currently sitting in this stripe's queues.
 	queued int
 }
 
-// cpMetrics holds the controller's instrument handles (nil-safe when
-// observability is off).
+// cpMetrics holds the controller's push instrument handles, for the
+// events no controller state keeps (nil-safe when observability is off).
 type cpMetrics struct {
-	agents      *obs.Gauge
-	reports     *obs.Counter
-	received    *obs.Counter
-	ingested    *obs.Counter
-	dropped     *obs.Counter // backpressure
-	rejCorrupt  *obs.Counter
-	rejInvalid  *obs.Counter
-	queueDepth  *obs.Gauge
 	rounds      *obs.Counter
 	rollbacks   *obs.Counter
 	stagePushes *obs.Counter
 	tunerEvals  *obs.Counter
-	epoch       *obs.Gauge
-	deployedK   *obs.Gauge
-	deployedS   *obs.Gauge
 	gaps        *obs.Gauge
 	complete    *obs.Gauge
 	coverage    *obs.Gauge
@@ -307,9 +299,10 @@ type Controller struct {
 	// Tick-side lifetime counters (stripe-side ones live on the stripes).
 	nIngested, nCorrupt, nInvalid uint64
 
-	// synced mirrors the striped counters' last values pushed into the
-	// obs instruments, so syncs add exact deltas.
-	synced IngestStats
+	// scrape is the ingest snapshot RenderMetrics takes, which every
+	// ingest series reads, so one scrape is one consistent view.
+	scrape       IngestStats
+	scrapeQueued int
 
 	drainScratch []telemetry.Entry // Tick's per-agent drain buffer
 
@@ -338,36 +331,50 @@ func New(cfg Config) (*Controller, error) {
 	for i := range c.stripes {
 		c.stripes[i].agents = make(map[string]*agentState)
 	}
-	if o := cfg.Obs; o != nil {
-		c.m = cpMetrics{
-			agents:      o.Gauge("sdfm_cp_agents", "Registered node agents."),
-			reports:     o.Counter("sdfm_cp_reports_total", "Telemetry reports received."),
-			received:    o.Counter("sdfm_cp_entries_received_total", "Telemetry entries received in reports."),
-			ingested:    o.Counter("sdfm_cp_entries_ingested_total", "Entries accepted into the tuning window."),
-			dropped:     o.Counter("sdfm_cp_entries_dropped_total", "Entries dropped by per-agent queue backpressure.", obs.Label{Key: "reason", Value: "backpressure"}),
-			rejCorrupt:  o.Counter("sdfm_cp_entries_rejected_total", "Entries rejected at ingest validation.", obs.Label{Key: "reason", Value: "corrupt"}),
-			rejInvalid:  o.Counter("sdfm_cp_entries_rejected_total", "Entries rejected at ingest validation.", obs.Label{Key: "reason", Value: "invalid"}),
-			queueDepth:  o.Gauge("sdfm_cp_queue_depth", "Entries queued across all agents."),
-			rounds:      o.Counter("sdfm_cp_rounds_total", "Completed tuning rounds."),
-			rollbacks:   o.Counter("sdfm_cp_rollbacks_total", "Tuning rounds that rolled back to the incumbent."),
-			stagePushes: o.Counter("sdfm_cp_stage_pushes_total", "Per-stage parameter pushes to agent rings."),
-			tunerEvals:  o.Counter("sdfm_cp_tuner_evals_total", "GP-bandit objective evaluations across rounds."),
-			epoch:       o.Gauge("sdfm_cp_epoch", "Current parameter assignment epoch."),
-			deployedK:   o.Gauge("sdfm_cp_deployed_k", "Fleet-incumbent K percentile."),
-			deployedS:   o.Gauge("sdfm_cp_deployed_s_seconds", "Fleet-incumbent S warmup, seconds."),
-			gaps:        o.Gauge("sdfm_cp_round_gap_intervals", "Inferred missing intervals in the last round's window."),
-			complete:    o.Gauge("sdfm_cp_round_completeness", "Observed/(observed+missing) intervals in the last round's window."),
-			coverage:    o.Gauge("sdfm_cp_round_coverage", "Best-candidate coverage in the last round."),
-			p98:         o.Gauge("sdfm_cp_round_p98_rate", "Best-candidate p98 promotion rate in the last round."),
-			ckptWrites:  o.Counter("sdfm_cp_ckpt_writes_total", "Checkpoint snapshots written."),
-			ckptErrors:  o.Counter("sdfm_cp_ckpt_errors_total", "Checkpoint write or prune failures."),
-			ckptSkipped: o.Counter("sdfm_cp_ckpt_restore_skipped_total", "Checkpoint files skipped during restore (torn or corrupt)."),
-			ckptGen:     o.Gauge("sdfm_cp_ckpt_generation", "Newest checkpoint generation written or restored."),
-		}
-		c.m.deployedK.Set(c.incumbent.K)
-		c.m.deployedS.Set(c.incumbent.S.Seconds())
-	}
+	c.registerMetrics(cfg.Obs)
 	return c, nil
+}
+
+// registerMetrics registers the sdfm_cp_* series on o (a no-op when o is
+// nil). Registration order is export order.
+func (c *Controller) registerMetrics(o *obs.Observer) {
+	if o == nil {
+		return
+	}
+	ingest := func(name, help string, v *uint64, labels ...obs.Label) {
+		o.CounterFunc(name, help, func() float64 { return float64(*v) }, labels...)
+	}
+	reason := func(r string) obs.Label { return obs.Label{Key: "reason", Value: r} }
+	o.GaugeFunc("sdfm_cp_agents", "Registered node agents.", func() float64 { return float64(len(c.ids)) })
+	ingest("sdfm_cp_reports_total", "Telemetry reports received.", &c.scrape.Reports)
+	ingest("sdfm_cp_entries_received_total", "Telemetry entries received in reports.", &c.scrape.Received)
+	ingest("sdfm_cp_entries_ingested_total", "Entries accepted into the tuning window.", &c.scrape.Ingested)
+	ingest("sdfm_cp_entries_dropped_total", "Entries dropped by per-agent queue backpressure.",
+		&c.scrape.DroppedBackpressure, reason("backpressure"))
+	ingest("sdfm_cp_entries_rejected_total", "Entries rejected at ingest validation.",
+		&c.scrape.RejectedCorrupt, reason("corrupt"))
+	ingest("sdfm_cp_entries_rejected_total", "Entries rejected at ingest validation.",
+		&c.scrape.RejectedInvalid, reason("invalid"))
+	o.GaugeFunc("sdfm_cp_queue_depth", "Entries queued across all agents.",
+		func() float64 { return float64(c.scrapeQueued) })
+	c.m.rounds = o.Counter("sdfm_cp_rounds_total", "Completed tuning rounds.")
+	c.m.rollbacks = o.Counter("sdfm_cp_rollbacks_total", "Tuning rounds that rolled back to the incumbent.")
+	c.m.stagePushes = o.Counter("sdfm_cp_stage_pushes_total", "Per-stage parameter pushes to agent rings.")
+	c.m.tunerEvals = o.Counter("sdfm_cp_tuner_evals_total", "GP-bandit objective evaluations across rounds.")
+	o.GaugeFunc("sdfm_cp_epoch", "Current parameter assignment epoch.",
+		func() float64 { return float64(c.epoch.Load()) })
+	o.GaugeFunc("sdfm_cp_deployed_k", "Fleet-incumbent K percentile.",
+		func() float64 { return c.incumbent.K })
+	o.GaugeFunc("sdfm_cp_deployed_s_seconds", "Fleet-incumbent S warmup, seconds.",
+		func() float64 { return c.incumbent.S.Seconds() })
+	c.m.gaps = o.Gauge("sdfm_cp_round_gap_intervals", "Inferred missing intervals in the last round's window.")
+	c.m.complete = o.Gauge("sdfm_cp_round_completeness", "Observed/(observed+missing) intervals in the last round's window.")
+	c.m.coverage = o.Gauge("sdfm_cp_round_coverage", "Best-candidate coverage in the last round.")
+	c.m.p98 = o.Gauge("sdfm_cp_round_p98_rate", "Best-candidate p98 promotion rate in the last round.")
+	c.m.ckptWrites = o.Counter("sdfm_cp_ckpt_writes_total", "Checkpoint snapshots written.")
+	c.m.ckptErrors = o.Counter("sdfm_cp_ckpt_errors_total", "Checkpoint write or prune failures.")
+	c.m.ckptSkipped = o.Counter("sdfm_cp_ckpt_restore_skipped_total", "Checkpoint files skipped during restore (torn or corrupt).")
+	c.m.ckptGen = o.Gauge("sdfm_cp_ckpt_generation", "Newest checkpoint generation written or restored.")
 }
 
 // stripeFor hashes an agent ID onto its lock stripe: FNV-1a 32 with
@@ -413,7 +420,6 @@ func (c *Controller) Register(req RegisterRequest) (RegisterResponse, error) {
 		c.ids = append(c.ids, "")
 		copy(c.ids[i+1:], c.ids[i:])
 		c.ids[i] = req.AgentID
-		c.m.agents.SetInt(len(c.ids))
 	}
 	return RegisterResponse{Params: a.params, Epoch: a.epoch}, nil
 }
@@ -539,13 +545,11 @@ func (c *Controller) Tick() TickReport {
 			if err := e.Validate(len(telemetry.DefaultThresholds)); err != nil {
 				rep.RejectedInvalid++
 				c.nInvalid++
-				c.m.rejInvalid.Inc()
 				continue
 			}
 			if err := e.VerifyChecksum(); err != nil {
 				rep.RejectedCorrupt++
 				c.nCorrupt++
-				c.m.rejCorrupt.Inc()
 				continue
 			}
 			c.ingestLocked(*e)
@@ -553,12 +557,11 @@ func (c *Controller) Tick() TickReport {
 		}
 	}
 	c.drainScratch = scratch[:0]
-	c.syncIngestLocked()
 	trigger := !c.roundInFlight && len(c.window) > 0 &&
 		c.windowMax-c.window[0].TimestampSec >= c.roundSec
 	c.mu.Unlock()
 	if trigger {
-		if rr, err := c.runRound(); err == nil {
+		if rr, err := c.RunRound(); err == nil {
 			rep.RoundRan = true
 			rep.Round = &rr
 		}
@@ -589,23 +592,6 @@ func (c *Controller) ingestTotalsLocked() (IngestStats, int) {
 	return t, queued
 }
 
-// syncIngestLocked mirrors the striped counters into the obs
-// instruments. All instrument writes stay under the control mutex
-// (instruments are single-writer, not atomic), and counters advance by
-// exact deltas since the last sync. Called from Tick, Status, and
-// RenderMetrics, so every scrape and snapshot observes fresh totals.
-func (c *Controller) syncIngestLocked() (IngestStats, int) {
-	t, queued := c.ingestTotalsLocked()
-	if c.cfg.Obs != nil {
-		c.m.reports.Add(float64(t.Reports - c.synced.Reports))
-		c.m.received.Add(float64(t.Received - c.synced.Received))
-		c.m.dropped.Add(float64(t.DroppedBackpressure - c.synced.DroppedBackpressure))
-		c.m.queueDepth.SetInt(queued)
-		c.synced = t
-	}
-	return t, queued
-}
-
 // ingestLocked appends one validated entry to the tuning window.
 func (c *Controller) ingestLocked(e telemetry.Entry) {
 	if len(c.window) == 0 || e.TimestampSec > c.windowMax {
@@ -628,7 +614,6 @@ func (c *Controller) ingestLocked(e telemetry.Entry) {
 		c.ckptBase = e.TimestampSec
 	}
 	c.nIngested++
-	c.m.ingested.Inc()
 }
 
 // RoundReport is the outcome of one tuning round: the window it judged,
@@ -684,19 +669,14 @@ func (c *Controller) beginRoundLocked() roundWindow {
 	return w
 }
 
-// RunRound forces a tuning round on the current window regardless of its
-// span. Rounds normally trigger from Tick when the window spans
-// RoundEvery; this is the admin override (cmd/sdfmd's POST /v1/round) and
-// the drain-time flush hook.
+// RunRound runs a tuning round on the current window regardless of its
+// span. Tick calls it when the window spans RoundEvery; called directly it
+// is the admin override (cmd/sdfmd's POST /v1/round) and the drain-time
+// flush hook. It takes the window under the control mutex, releases every
+// lock, and runs the round pipeline with ingest fully live: Reports land
+// on their stripes and Ticks keep folding the *next* window while this
+// round's Compile→Autotune→StagedRollout churns.
 func (c *Controller) RunRound() (RoundReport, error) {
-	return c.runRound()
-}
-
-// runRound takes the window under the control mutex,
-// releases every lock, and runs the round pipeline with ingest fully
-// live: Reports land on their stripes and Ticks keep folding the *next*
-// window while this round's Compile→Autotune→StagedRollout churns.
-func (c *Controller) runRound() (RoundReport, error) {
 	c.mu.Lock()
 	if c.roundInFlight {
 		c.mu.Unlock()
@@ -722,8 +702,6 @@ func (c *Controller) runRound() (RoundReport, error) {
 		c.m.rollbacks.Inc()
 	}
 	c.m.tunerEvals.AddInt(rr.TunerEvals)
-	c.m.deployedK.Set(rr.Chosen.K)
-	c.m.deployedS.Set(rr.Chosen.S.Seconds())
 	c.m.gaps.SetInt(rr.GapIntervals)
 	c.m.complete.Set(rr.Completeness)
 	c.m.coverage.Set(rr.Coverage)
@@ -824,7 +802,6 @@ func (c *Controller) assignFraction(p core.Params, frac float64) {
 			s.agents[id].epoch = e
 			s.mu.Unlock()
 		}
-		c.m.epoch.Set(float64(e))
 	}
 	c.m.stagePushes.Inc()
 }
@@ -935,7 +912,7 @@ type Status struct {
 func (c *Controller) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ingest, _ := c.syncIngestLocked()
+	ingest, _ := c.ingestTotalsLocked()
 	st := Status{
 		Epoch:          c.epoch.Load(),
 		Incumbent:      c.incumbent,
@@ -972,14 +949,15 @@ func (c *Controller) Status() Status {
 }
 
 // RenderMetrics writes hub's Prometheus exposition to w. The striped
-// ingest counters are synced and the exposition is rendered into a
+// ingest counters are summed once and the exposition is rendered into a
 // buffer under the control mutex (obs instruments are single-writer, not
-// atomic); the buffer is written to w with no locks held, so a slow
-// scraper blocks neither ingest — which never needed the control mutex —
-// nor ticks and rounds.
+// atomic, and the read-at-export series read controller state); the
+// buffer is written to w with no locks held, so a slow scraper blocks
+// neither ingest — which never needed the control mutex — nor ticks and
+// rounds.
 func (c *Controller) RenderMetrics(hub *obs.Multi, w io.Writer) error {
 	c.mu.Lock()
-	c.syncIngestLocked()
+	c.scrape, c.scrapeQueued = c.ingestTotalsLocked()
 	var buf bytes.Buffer
 	err := hub.WritePrometheus(&buf)
 	c.mu.Unlock()

@@ -14,34 +14,19 @@ import (
 // reads and worst-case decompression.
 var promoLatencyBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 1000}
 
-// machineObs holds the machine's typed instrument handles and trace lanes.
-// It is built once in NewMachine (nil when observability is off) and only
-// touched by the machine's own step loop, which keeps instrumented
-// parallel cluster runs byte-identical to serial ones. All updates are
-// observation-only: nothing here feeds back into simulation decisions.
+// machineObs holds the machine's push instruments and trace lanes: the
+// events no simulation state keeps. It is built once in NewMachine (nil
+// when observability is off) and only touched by the machine's own step
+// loop, which keeps instrumented parallel cluster runs byte-identical to
+// serial ones. All updates are observation-only: nothing here feeds back
+// into simulation decisions.
 type machineObs struct {
 	trace *obs.Tracer
 
-	steps            *obs.Counter
-	promotions       *obs.Counter
-	evictions        *obs.Counter
-	limitKills       *obs.Counter
-	pressureRuns     *obs.Counter
-	crashes          *obs.Counter
-	watchdogRestarts *obs.Counter
-	churnKills       *obs.Counter
-	breakerTrips     *obs.Counter
-	droppedExports   *obs.Counter
-	auditRuns        *obs.Counter
-	auditDeepRuns    *obs.Counter
-	auditViolations  *obs.Counter
-
-	residentBytes   *obs.Gauge
-	usedBytes       *obs.Gauge
-	compressedPages *obs.Gauge
-	poolFootprint   *obs.Gauge
-	jobsRunning     *obs.Gauge
-	tier1Used       *obs.Gauge // device/tiered machines only; nil otherwise
+	steps           *obs.Counter
+	auditRuns       *obs.Counter
+	auditDeepRuns   *obs.Counter
+	auditViolations *obs.Counter
 
 	promoLatencyUS *obs.Histogram
 
@@ -52,84 +37,127 @@ type machineObs struct {
 	lanePressure int
 	laneExport   int
 	laneAudit    int
-
-	// prev snapshots the machine counters whose deltas feed the counters
-	// above at the end of each step.
-	prev struct {
-		evictions, limitKills, pressureRuns   int
-		crashes, watchdogRestarts, churnKills int
-		breakerTrips, droppedExports          int
-	}
 }
 
-// newMachineObs registers the machine's instruments on o. Returns nil
-// (instrumentation off, one branch per step) when o is nil.
-func newMachineObs(o *obs.Observer) *machineObs {
+// newMachineObs registers the machine's instruments on o: push counters
+// for events, and read-at-export series for the totals and occupancy the
+// machine already keeps. Returns nil (instrumentation off, one branch per
+// step) when o is nil.
+func newMachineObs(m *Machine, o *obs.Observer) *machineObs {
 	if o == nil {
 		return nil
 	}
-	mo := &machineObs{
-		trace: o.Tracer(),
-
-		steps:            o.Counter("sdfm_node_steps_total", "Completed machine steps."),
-		promotions:       o.Counter("sdfm_node_promotions_total", "Promotion faults served."),
-		evictions:        o.Counter("sdfm_node_evictions_total", "Jobs evicted for memory pressure."),
-		limitKills:       o.Counter("sdfm_node_limit_kills_total", "Jobs killed at their memcg limit."),
-		pressureRuns:     o.Counter("sdfm_node_pressure_runs_total", "Direct-reclaim episodes."),
-		crashes:          o.Counter("sdfm_node_crashes_total", "Machine crash-restarts."),
-		watchdogRestarts: o.Counter("sdfm_node_watchdog_restarts_total", "Daemon restarts by the watchdog."),
-		churnKills:       o.Counter("sdfm_node_churn_kills_total", "Jobs finished early by churn bursts."),
-		breakerTrips:     o.Counter("sdfm_node_breaker_trips_total", "Circuit-breaker opens across jobs."),
-		droppedExports:   o.Counter("sdfm_node_dropped_exports_total", "Telemetry exports lost to fault windows."),
-		auditRuns:        o.Counter("sdfm_node_audit_runs_total", "Invariant-audit passes."),
-		auditDeepRuns:    o.Counter("sdfm_node_audit_deep_runs_total", "Deep (full-recount) audit passes."),
-		auditViolations:  o.Counter("sdfm_node_audit_violations_total", "Invariant violations found."),
-
-		residentBytes:   o.Gauge("sdfm_node_resident_bytes", "Near memory held by running jobs."),
-		usedBytes:       o.Gauge("sdfm_node_used_bytes", "Total near memory in use (resident + tier footprint)."),
-		compressedPages: o.Gauge("sdfm_node_compressed_pages", "Pages currently in far memory."),
-		poolFootprint:   o.Gauge("sdfm_node_pool_footprint_bytes", "DRAM consumed by the far-memory tier itself."),
-		jobsRunning:     o.Gauge("sdfm_node_jobs_running", "Jobs currently running."),
-
-		promoLatencyUS: o.Histogram("sdfm_node_promotion_latency_us",
-			"End-to-end promotion-fault latency in microseconds.", promoLatencyBuckets),
-
-		laneWorkload: o.Lane("workload"),
-		laneScan:     o.Lane("scan"),
-		laneReclaim:  o.Lane("reclaim"),
-		laneCompact:  o.Lane("compact"),
-		lanePressure: o.Lane("pressure"),
-		laneExport:   o.Lane("export"),
-		laneAudit:    o.Lane("audit"),
+	count := func(name, help string, v *int) {
+		o.CounterFunc(name, help, func() float64 { return float64(*v) })
 	}
+	gauge := func(name, help string, v func() uint64) {
+		o.GaugeFunc(name, help, func() float64 { return float64(v()) })
+	}
+	mo := &machineObs{trace: o.Tracer()}
+	mo.steps = o.Counter("sdfm_node_steps_total", "Completed machine steps.")
+	o.CounterFunc("sdfm_node_promotions_total", "Promotion faults served.", func() float64 {
+		var n uint64
+		for _, j := range m.jobs {
+			n += j.Promotions
+		}
+		return float64(n)
+	})
+	count("sdfm_node_evictions_total", "Jobs evicted for memory pressure.", &m.evictions)
+	count("sdfm_node_limit_kills_total", "Jobs killed at their memcg limit.", &m.limitKills)
+	count("sdfm_node_pressure_runs_total", "Direct-reclaim episodes.", &m.pressureRuns)
+	count("sdfm_node_crashes_total", "Machine crash-restarts.", &m.crashes)
+	count("sdfm_node_watchdog_restarts_total", "Daemon restarts by the watchdog.", &m.watchdogRestarts)
+	count("sdfm_node_churn_kills_total", "Jobs finished early by churn bursts.", &m.churnKills)
+	count("sdfm_node_breaker_trips_total", "Circuit-breaker opens across jobs.", &m.breakerTrips)
+	count("sdfm_node_dropped_exports_total", "Telemetry exports lost to fault windows.", &m.droppedExports)
+	mo.auditRuns = o.Counter("sdfm_node_audit_runs_total", "Invariant-audit passes.")
+	mo.auditDeepRuns = o.Counter("sdfm_node_audit_deep_runs_total", "Deep (full-recount) audit passes.")
+	mo.auditViolations = o.Counter("sdfm_node_audit_violations_total", "Invariant violations found.")
+
+	gauge("sdfm_node_resident_bytes", "Near memory held by running jobs.", m.ResidentBytes)
+	gauge("sdfm_node_used_bytes", "Total near memory in use (resident + tier footprint).", m.UsedBytes)
+	gauge("sdfm_node_compressed_pages", "Pages currently in far memory.", m.CompressedPages)
+	gauge("sdfm_node_pool_footprint_bytes", "DRAM consumed by the far-memory tier itself.", m.pool.FootprintBytes)
+	gauge("sdfm_node_jobs_running", "Jobs currently running.", func() uint64 {
+		var n uint64
+		for _, j := range m.jobs {
+			if j.State == JobRunning {
+				n++
+			}
+		}
+		return n
+	})
+
+	mo.promoLatencyUS = o.Histogram("sdfm_node_promotion_latency_us",
+		"End-to-end promotion-fault latency in microseconds.", promoLatencyBuckets)
+
+	mo.laneWorkload = o.Lane("workload")
+	mo.laneScan = o.Lane("scan")
+	mo.laneReclaim = o.Lane("reclaim")
+	mo.laneCompact = o.Lane("compact")
+	mo.lanePressure = o.Lane("pressure")
+	mo.laneExport = o.Lane("export")
+	mo.laneAudit = o.Lane("audit")
 	return mo
 }
 
-// attachTierMetrics hooks the far-memory tier's own instruments, labelled
-// by tier, plus the tier-1 occupancy gauge for device configurations.
-func (mo *machineObs) attachTierMetrics(o *obs.Observer, tier zswap.FarMemory) {
+// farTier is what the far-memory exports read off one tier.
+type farTier interface {
+	Stats() zswap.Stats
+	DroppedPages() uint64
+}
+
+// registerFarTier exports one tier's cumulative counters, labelled by
+// tier, read from its Stats and DroppedPages at export.
+func registerFarTier(o *obs.Observer, tier string, t farTier) {
+	l := obs.Label{Key: "tier", Value: tier}
+	count := func(name, help string, v func(zswap.Stats) uint64) {
+		o.CounterFunc(name, help, func() float64 { return float64(v(t.Stats())) }, l)
+	}
+	count("sdfm_far_stored_pages_total", "Pages accepted into the far-memory tier.",
+		func(s zswap.Stats) uint64 { return s.StoredPages })
+	count("sdfm_far_zero_pages_total", "Pages stored via the same-filled optimization.",
+		func(s zswap.Stats) uint64 { return s.ZeroPages })
+	count("sdfm_far_rejected_pages_total", "Pages refused: compressed payload above the cutoff.",
+		func(s zswap.Stats) uint64 { return s.RejectedPages })
+	count("sdfm_far_full_rejects_total", "Pages refused: tier at capacity.",
+		func(s zswap.Stats) uint64 { return s.FullRejects })
+	count("sdfm_far_loaded_pages_total", "Pages promoted back on faults.",
+		func(s zswap.Stats) uint64 { return s.LoadedPages })
+	o.CounterFunc("sdfm_far_dropped_pages_total", "Pages discarded without promotion (job exit).",
+		func() float64 { return float64(t.DroppedPages()) }, l)
+	count("sdfm_far_payload_bytes_total", "Compressed bytes written to the tier.",
+		func(s zswap.Stats) uint64 { return s.PayloadBytes })
+}
+
+// registerTiers exports the far-memory tier below any wrappers: each
+// component tier's counters, plus device-tier occupancy.
+func registerTiers(o *obs.Observer, tier zswap.FarMemory) {
+	used := func(label string, d *zswap.DevicePool) {
+		o.GaugeFunc("sdfm_far_used_bytes", "Device-tier occupancy.",
+			func() float64 { return float64(d.UsedBytes()) }, obs.Label{Key: "tier", Value: label})
+	}
 	switch tp := tier.(type) {
 	case *zswap.Pool:
-		tp.SetMetrics(zswap.NewMetrics(o, "zswap"))
+		registerFarTier(o, "zswap", tp)
 	case *zswap.DevicePool:
-		tp.SetMetrics(zswap.NewMetrics(o, "device"))
-		mo.tier1Used = o.Gauge("sdfm_far_used_bytes", "Device-tier occupancy.",
-			obs.Label{Key: "tier", Value: "device"})
+		registerFarTier(o, "device", tp)
+		used("device", tp)
 	case *zswap.TieredPool:
-		tp.SetMetrics(zswap.NewMetrics(o, "tier1"), zswap.NewMetrics(o, "tier2"))
-		mo.tier1Used = o.Gauge("sdfm_far_used_bytes", "Device-tier occupancy.",
-			obs.Label{Key: "tier", Value: "tier1"})
+		registerFarTier(o, "tier1", tp.Tier1())
+		registerFarTier(o, "tier2", tp.Tier2())
+		used("tier1", tp.Tier1())
 	}
 }
 
 // cpuTotals sums the per-job modelled CPU counters whose deltas bound each
 // step phase's span duration. O(jobs); only called when instrumented.
 type cpuTotals struct {
-	workload   time.Duration // application CPU + decompression on faults
-	scan       time.Duration // kstaled scanner CPU
-	compress   time.Duration // compression (proactive reclaim + pressure)
-	stall      time.Duration // synchronous pressure stalls
-	promotions uint64
+	workload     time.Duration // application CPU + decompression on faults
+	scan         time.Duration // kstaled scanner CPU
+	compress     time.Duration // compression (proactive reclaim + pressure)
+	stall        time.Duration // synchronous pressure stalls
+	pressureRuns int           // direct-reclaim episodes, which open a pressure span
 }
 
 func (m *Machine) cpuTotals() cpuTotals {
@@ -138,15 +166,14 @@ func (m *Machine) cpuTotals() cpuTotals {
 		t.workload += j.CPUUsed + j.DecompressCPU
 		t.scan += j.Tracker.CPUTime()
 		t.compress += j.CompressCPU
-		t.promotions += j.Promotions
 	}
-	t.stall = m.pressureStall
+	t.stall, t.pressureRuns = m.pressureStall, m.pressureRuns
 	return t
 }
 
-// endStep emits the step's phase spans (laid out sequentially over the
+// obsEndStep emits the step's phase spans (laid out sequentially over the
 // scan period in simulated time, each sized by its modelled CPU cost) and
-// refreshes counters and gauges. ranCompact/ranExport/ranAudit gate the
+// counts the step and its audit. ranCompact/ranExport/ranAudit gate the
 // zero-cost bookkeeping phases' spans.
 func (m *Machine) obsEndStep(pre cpuTotals, ranCompact, ranExport, ranAudit, deepAudit bool, violations int) {
 	mo := m.obs
@@ -183,7 +210,7 @@ func (m *Machine) obsEndStep(pre cpuTotals, ranCompact, ranExport, ranAudit, dee
 	if ranCompact {
 		emit(mo.laneCompact, "compact", 0)
 	}
-	if stall > 0 || m.pressureRuns != mo.prev.pressureRuns {
+	if stall > 0 || post.pressureRuns != pre.pressureRuns {
 		emit(mo.lanePressure, "pressure", stall)
 	}
 	if ranExport {
@@ -198,17 +225,6 @@ func (m *Machine) obsEndStep(pre cpuTotals, ranCompact, ranExport, ranAudit, dee
 	}
 
 	mo.steps.Inc()
-	if d := post.promotions - pre.promotions; d > 0 {
-		mo.promotions.Add(float64(d))
-	}
-	mo.evictions.AddInt(m.evictions - mo.prev.evictions)
-	mo.limitKills.AddInt(m.limitKills - mo.prev.limitKills)
-	mo.pressureRuns.AddInt(m.pressureRuns - mo.prev.pressureRuns)
-	mo.crashes.AddInt(m.crashes - mo.prev.crashes)
-	mo.watchdogRestarts.AddInt(m.watchdogRestarts - mo.prev.watchdogRestarts)
-	mo.churnKills.AddInt(m.churnKills - mo.prev.churnKills)
-	mo.breakerTrips.AddInt(m.breakerTrips - mo.prev.breakerTrips)
-	mo.droppedExports.AddInt(m.droppedExports - mo.prev.droppedExports)
 	if ranAudit {
 		mo.auditRuns.Inc()
 		if deepAudit {
@@ -216,49 +232,21 @@ func (m *Machine) obsEndStep(pre cpuTotals, ranCompact, ranExport, ranAudit, dee
 		}
 		mo.auditViolations.AddInt(violations)
 	}
-	mo.prev.evictions = m.evictions
-	mo.prev.limitKills = m.limitKills
-	mo.prev.pressureRuns = m.pressureRuns
-	mo.prev.crashes = m.crashes
-	mo.prev.watchdogRestarts = m.watchdogRestarts
-	mo.prev.churnKills = m.churnKills
-	mo.prev.breakerTrips = m.breakerTrips
-	mo.prev.droppedExports = m.droppedExports
-
-	running := 0
-	for _, j := range m.jobs {
-		if j.State == JobRunning {
-			running++
-		}
-	}
-	mo.jobsRunning.SetInt(running)
-	mo.residentBytes.SetUint64(m.ResidentBytes())
-	mo.usedBytes.SetUint64(m.UsedBytes())
-	mo.compressedPages.SetUint64(m.CompressedPages())
-	mo.poolFootprint.SetUint64(m.pool.FootprintBytes())
-	if mo.tier1Used != nil {
-		switch tp := m.auditTier().(type) {
-		case *zswap.DevicePool:
-			mo.tier1Used.SetUint64(tp.UsedBytes())
-		case *zswap.TieredPool:
-			mo.tier1Used.SetUint64(tp.Tier1().UsedBytes())
-		}
-	}
 }
 
-// kstaledMetrics lazily builds the machine-wide scanner metrics so crash
-// restarts and AddJob share one instance.
+// kstaledConfig carries the machine-wide scanner metrics, so trackers
+// built by AddJob and by crash restarts share one instance.
 func (m *Machine) kstaledConfig() kstaled.Config {
 	return kstaled.Config{ScanPeriod: m.scanPeriod, Metrics: m.kstaledMx}
 }
 
 // attachObs finishes observability wiring after the tier stack is built.
 func (m *Machine) attachObs(o *obs.Observer) {
-	m.obs = newMachineObs(o)
+	m.obs = newMachineObs(m, o)
 	if m.obs == nil {
 		return
 	}
-	m.obs.attachTierMetrics(o, m.auditTier())
+	registerTiers(o, m.auditTier())
 	m.kstaledMx = kstaled.NewMetrics(o)
 	m.reclaimer.SetMetrics(kreclaimd.NewMetrics(o))
 }

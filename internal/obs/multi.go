@@ -38,6 +38,24 @@ func (o *Observer) Gauge(name, help string, labels ...Label) *Gauge {
 	return o.Reg.Gauge(name, help, labels...)
 }
 
+// CounterFunc registers a read-at-export counter on the observer's
+// registry (nil-safe).
+func (o *Observer) CounterFunc(name, help string, fn func() float64, labels ...Label) {
+	if o == nil {
+		return
+	}
+	o.Reg.CounterFunc(name, help, fn, labels...)
+}
+
+// GaugeFunc registers a read-at-export gauge on the observer's registry
+// (nil-safe).
+func (o *Observer) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
+	if o == nil {
+		return
+	}
+	o.Reg.GaugeFunc(name, help, fn, labels...)
+}
+
 // Histogram registers a histogram on the observer's registry (nil-safe).
 func (o *Observer) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
 	if o == nil {

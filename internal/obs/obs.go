@@ -2,6 +2,8 @@
 // allocation-light metrics registry (counters, gauges, fixed-bucket
 // histograms) plus phase/span tracing of simulation steps, with exporters
 // for the Prometheus text format and the Chrome trace_event JSON format.
+// A counter or gauge either holds what its owner pushes or, registered
+// by CounterFunc/GaugeFunc, reads its owner's state when rendered.
 //
 // Determinism rules (see DESIGN.md "Metrics and tracing"):
 //
@@ -63,14 +65,24 @@ type family struct {
 	series  []*series // creation order
 }
 
-// series is one labelled time series. Counters and gauges use value;
-// histograms use counts/sum/count.
+// series is one labelled time series. Counters and gauges use value, or
+// read fn instead when registered by CounterFunc/GaugeFunc; histograms use
+// counts/sum/count.
 type series struct {
 	labelStr string // pre-rendered {k="v",...} suffix, "" when unlabelled
 	value    float64
+	fn       func() float64
 	counts   []uint64 // len(buckets)+1; last is the +Inf bucket
 	sum      float64
 	count    uint64
+}
+
+// current is a counter's or gauge's value now.
+func (s *series) current() float64 {
+	if s.fn != nil {
+		return s.fn()
+	}
+	return s.value
 }
 
 // Registry holds metric families in stable registration order. A Registry
@@ -140,6 +152,27 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return &Gauge{s: r.seriesFor(f, labels)}
 }
 
+// CounterFunc registers a counter series whose value is read by calling fn
+// at export, for totals the owning domain already keeps in its own state.
+// fn must be monotonic and is called by the renderer, so it must be safe
+// wherever the registry is rendered. Re-registering the name with Counter
+// returns this series; Add on it has no effect.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
+	if r == nil {
+		return
+	}
+	r.seriesFor(r.family(name, help, kindCounter, nil), labels).fn = fn
+}
+
+// GaugeFunc registers a gauge series whose value is read by calling fn at
+// export, on the same terms as CounterFunc.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
+	if r == nil {
+		return
+	}
+	r.seriesFor(r.family(name, help, kindGauge, nil), labels).fn = fn
+}
+
 // Histogram registers (or finds) a fixed-bucket histogram series. Buckets
 // are upper bounds and must be strictly ascending; an implicit +Inf bucket
 // is always appended. The bucket layout is fixed by the first registration
@@ -180,7 +213,7 @@ func (c *Counter) Value() float64 {
 	if c == nil {
 		return 0
 	}
-	return c.s.value
+	return c.s.current()
 }
 
 // Gauge is a metric holding a current value that may go up or down.
@@ -205,7 +238,7 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	return g.s.value
+	return g.s.current()
 }
 
 // Histogram is a fixed-bucket cumulative histogram.

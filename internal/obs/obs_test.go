@@ -51,6 +51,42 @@ func TestRegistryFindOrCreate(t *testing.T) {
 	}
 }
 
+// TestFuncSeriesReadAtExport: a CounterFunc/GaugeFunc series renders what
+// its function returns when rendered, re-registering the name reads it
+// back, and a nil observer ignores the registration.
+func TestFuncSeriesReadAtExport(t *testing.T) {
+	var nilObs *Observer
+	nilObs.CounterFunc("x_total", "h", func() float64 { return 1 })
+	nilObs.GaugeFunc("x", "h", func() float64 { return 1 })
+
+	m := NewMulti(Label{"run", "r"})
+	o := m.Observer("p")
+	stored, held := 3, 7.5
+	o.CounterFunc("sdfm_stored_total", "Stored.", func() float64 { return float64(stored) }, Label{"tier", "a"})
+	o.GaugeFunc("sdfm_held", "Held.", func() float64 { return held })
+	stored, held = 5, 2.5
+
+	c := o.Counter("sdfm_stored_total", "Stored.", Label{"tier", "a"})
+	c.Add(100) // no effect on a read-at-export series
+	if c.Value() != 5 || o.Gauge("sdfm_held", "Held.").Value() != 2.5 {
+		t.Fatalf("read-back: counter %v gauge %v, want 5 and 2.5", c.Value(), o.Gauge("sdfm_held", "Held.").Value())
+	}
+	var sb strings.Builder
+	if err := m.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP sdfm_stored_total Stored.
+# TYPE sdfm_stored_total counter
+sdfm_stored_total{run="r",tier="a"} 5
+# HELP sdfm_held Held.
+# TYPE sdfm_held gauge
+sdfm_held{run="r"} 2.5
+`
+	if sb.String() != want {
+		t.Fatalf("export:\n%s\nwant:\n%s", sb.String(), want)
+	}
+}
+
 func TestRegistryPanicsOnAbuse(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		t.Helper()

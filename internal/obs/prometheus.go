@@ -56,7 +56,7 @@ func writeSeries(bw *bufio.Writer, f *family, s *series) {
 		bw.WriteString(f.name)
 		bw.WriteString(s.labelStr)
 		bw.WriteByte(' ')
-		bw.WriteString(formatFloat(s.value))
+		bw.WriteString(formatFloat(s.current()))
 		bw.WriteByte('\n')
 		return
 	}

@@ -25,7 +25,6 @@ type DevicePool struct {
 	used         uint64
 	droppedPages uint64
 	stats        Stats
-	mx           *Metrics
 }
 
 // DeviceProfile describes a far-memory device.
@@ -74,7 +73,6 @@ func (d *DevicePool) Store(m *mem.Memcg, id mem.PageID) StoreResult {
 	}
 	if d.profile.CapacityBytes > 0 && d.used+mem.PageSize > d.profile.CapacityBytes {
 		d.stats.FullRejects++
-		d.mx.incFullReject()
 		return StoreResult{Outcome: StoreRejectedFull,
 			Err: fmt.Errorf("storing page %d of %s: %w", id, m.Name(), ErrPoolFull)}
 	}
@@ -83,7 +81,6 @@ func (d *DevicePool) Store(m *mem.Memcg, id mem.PageID) StoreResult {
 	d.stats.StoredPages++
 	d.stats.StoredBytes += mem.PageSize
 	d.stats.PayloadBytes += mem.PageSize
-	d.mx.incStored(mem.PageSize, false)
 	return StoreResult{
 		Outcome:        StoreOK,
 		CompressedSize: mem.PageSize,
@@ -106,7 +103,6 @@ func (d *DevicePool) Load(m *mem.Memcg, id mem.PageID) (LoadResult, error) {
 	m.MarkPromoted(id)
 	d.used -= mem.PageSize
 	d.stats.LoadedPages++
-	d.mx.incLoaded()
 	return LoadResult{
 		CompressedSize: mem.PageSize,
 		CPUTime:        0,
@@ -129,7 +125,6 @@ func (d *DevicePool) Drop(m *mem.Memcg, id mem.PageID) error {
 	m.ClearFlags(id, mem.FlagAccessed)
 	d.used -= mem.PageSize
 	d.droppedPages++
-	d.mx.incDropped()
 	return nil
 }
 

@@ -132,7 +132,6 @@ type Pool struct {
 	stats         Stats
 	zeroResident  uint64 // zero-filled pages currently held
 	droppedPages  uint64 // pages discarded via Drop (not in Stats: see Drop)
-	mx            *Metrics
 
 	// Reusable scratch: page synthesis, compression destination, and the
 	// validation-path decompression destination. Owned by the pool; only
@@ -200,7 +199,6 @@ func (p *Pool) Store(m *mem.Memcg, id mem.PageID) StoreResult {
 		p.stats.ZeroPages++
 		p.stats.StoredPages++
 		p.stats.StoredBytes += mem.PageSize
-		p.mx.incStored(0, true)
 		return StoreResult{Outcome: StoreZeroFilled, Ratio: float64(mem.PageSize)}
 	}
 	p.compBuf = compress.Compress(p.compBuf[:0], p.pageBuf)
@@ -212,7 +210,6 @@ func (p *Pool) Store(m *mem.Memcg, id mem.PageID) StoreResult {
 		cpu = p.cost.RejectLatency(mem.PageSize)
 		p.stats.RejectedPages++
 		p.stats.CompressCPU += cpu
-		p.mx.incRejected()
 		return StoreResult{Outcome: StoreRejectedIncompressible, CompressedSize: size, CPUTime: cpu}
 	}
 	if p.capacityBytes > 0 {
@@ -220,7 +217,6 @@ func (p *Pool) Store(m *mem.Memcg, id mem.PageID) StoreResult {
 		if p.arena.Stats().PhysicalBytes+needed > p.capacityBytes {
 			p.stats.FullRejects++
 			p.stats.CompressCPU += cpu
-			p.mx.incFullReject()
 			return StoreResult{Outcome: StoreRejectedFull, CompressedSize: size, CPUTime: cpu,
 				Err: fmt.Errorf("storing page %d of %s: %w", id, m.Name(), ErrPoolFull)}
 		}
@@ -238,7 +234,6 @@ func (p *Pool) Store(m *mem.Memcg, id mem.PageID) StoreResult {
 	p.stats.StoredBytes += mem.PageSize
 	p.stats.PayloadBytes += uint64(size)
 	p.stats.CompressCPU += cpu
-	p.mx.incStored(size, false)
 	return StoreResult{
 		Outcome:        StoreOK,
 		CompressedSize: size,
@@ -265,7 +260,6 @@ func (p *Pool) Load(m *mem.Memcg, id mem.PageID) (LoadResult, error) {
 		m.MarkPromoted(id)
 		p.zeroResident--
 		p.stats.LoadedPages++
-		p.mx.incLoaded()
 		// A memset-speed restore: charge only the fixed fault overhead.
 		cpu := p.cost.DecompressBase
 		p.stats.DecompressCPU += cpu
@@ -297,7 +291,6 @@ func (p *Pool) Load(m *mem.Memcg, id mem.PageID) (LoadResult, error) {
 	cpu := p.cost.DecompressLatency(size, mem.PageSize)
 	p.stats.LoadedPages++
 	p.stats.DecompressCPU += cpu
-	p.mx.incLoaded()
 	return LoadResult{CompressedSize: size, CPUTime: cpu, Latency: cpu}, nil
 }
 
@@ -314,7 +307,6 @@ func (p *Pool) Drop(m *mem.Memcg, id mem.PageID) error {
 	if handle == zeroHandle {
 		p.zeroResident--
 		p.droppedPages++
-		p.mx.incDropped()
 		m.MarkPromoted(id)
 		m.ClearFlags(id, mem.FlagAccessed)
 		return nil
@@ -323,7 +315,6 @@ func (p *Pool) Drop(m *mem.Memcg, id mem.PageID) error {
 		return err
 	}
 	p.droppedPages++
-	p.mx.incDropped()
 	m.MarkPromoted(id)
 	m.ClearFlags(id, mem.FlagAccessed)
 	return nil
