@@ -151,7 +151,9 @@ type ControllerConfig struct {
 	JobStart time.Duration
 }
 
-// DefaultHistoryLen remembers one day of one-minute intervals.
+// DefaultHistoryLen bounds the pool at 1440 control intervals: two days
+// of the node agent's 120 s scan interval. (The fast model's pool,
+// model.DefaultHistoryLen, is one day of 5-minute intervals.)
 const DefaultHistoryLen = 1440
 
 // NewController creates a controller for one job.
@@ -181,6 +183,21 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 
 // Params returns the current tunables.
 func (c *Controller) Params() Params { return c.params }
+
+// Reset restarts the controller for a job that began at jobStart: the
+// pool, the last best threshold and the observation state are cleared, so
+// it behaves as a NewController with the same SLO, parameters and history
+// length. The pool's storage is kept; nothing is allocated.
+func (c *Controller) Reset(jobStart time.Duration) {
+	if c.haveObs {
+		c.poolCounts = [histogram.NumBuckets]uint32{}
+	}
+	c.poolPos = 0
+	c.poolFull = false
+	c.lastBest = histogram.MaxBucket
+	c.started = jobStart
+	c.haveObs = false
+}
 
 // SetParams swaps tunables in place (a parameter deployment); history is
 // preserved, matching a production config push that does not restart jobs.

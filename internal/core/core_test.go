@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -246,6 +247,56 @@ func TestControllerRingBuffer(t *testing.T) {
 	}
 	if c.PoolLen() != 10 {
 		t.Errorf("PoolLen = %d, want 10", c.PoolLen())
+	}
+}
+
+// TestControllerResetMatchesFresh drives a controller through a random
+// sequence long enough to wrap its pool, resets it for a later job, and
+// requires it to behave, step by step, exactly as a NewController for
+// that job fed the same second sequence — and to hold the same state
+// (the pool's storage aside) right after the reset.
+func TestControllerResetMatchesFresh(t *testing.T) {
+	const history = 7
+	jobStart := 3 * time.Hour
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := Params{K: float64(rng.Intn(101)), S: 10 * time.Minute}
+		cfg := ControllerConfig{SLO: DefaultSLO, Params: p, HistoryLen: history}
+		reused, err := NewController(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// High values in the first job, low ones in the second, so any
+		// leftover count or last best would raise the second job's pick.
+		for i := 0; i < 3*history+rng.Intn(history); i++ {
+			reused.Observe(128 + rng.Intn(histogram.NumBuckets-128))
+		}
+		reused.Reset(jobStart)
+		cfg.JobStart = jobStart
+		fresh, err := NewController(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := *reused, *fresh
+		a.pool, b.pool = nil, nil
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("seed %d: state after Reset\n%+v\nwant\n%+v", seed, a, b)
+		}
+		for i := 0; i < 3*history; i++ {
+			now := jobStart + time.Duration(i)*histogram.DefaultScanPeriod
+			if r, f := reused.Enabled(now), fresh.Enabled(now); r != f {
+				t.Fatalf("seed %d step %d: Enabled = %v, fresh %v", seed, i, r, f)
+			}
+			if r, f := reused.Threshold(), fresh.Threshold(); r != f {
+				t.Fatalf("seed %d step %d: Threshold = %d, fresh %d", seed, i, r, f)
+			}
+			if r, f := reused.PoolLen(), fresh.PoolLen(); r != f {
+				t.Fatalf("seed %d step %d: PoolLen = %d, fresh %d", seed, i, r, f)
+			}
+			b := rng.Intn(64)
+			reused.Observe(b)
+			fresh.Observe(b)
+		}
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"math/rand"
 	"time"
 
-	"sdfm/internal/fault"
 	"sdfm/internal/obs"
 	"sdfm/internal/pagedata"
 	"sdfm/internal/simtime"
@@ -45,15 +44,8 @@ type Config struct {
 	// ChurnFraction of job slots run short-lived instances (default 0.3),
 	// giving the autotuner's S parameter something to protect against.
 	ChurnFraction float64
-	// Faults, when set and non-empty, damages the generated trace the way
-	// a lossy collection pipeline would: entries inside TelemetryDrop
-	// windows never make it into the trace, and entries inside
-	// TelemetryCorrupt windows are perturbed with stale checksums (callers
-	// scrub or reject them at load). Nil leaves the trace byte-identical
-	// to one generated without a plan.
-	Faults *fault.Plan
-	// Obs, when set, counts generated, dropped, and corrupted entries as
-	// the trace streams out. Observation-only; nil disables it.
+	// Obs, when set, counts emitted entries and job instances as the
+	// trace streams out. Observation-only; nil disables it.
 	Obs *obs.Observer
 }
 
@@ -137,8 +129,6 @@ func Generate(cfg Config) (*telemetry.Trace, error) {
 // as the sink, a warehouse-scale trace goes straight to disk chunk by
 // chunk and is never materialized as a []Entry. Entries carry the default
 // trace metadata (telemetry.NewTrace's scan period and threshold set).
-// cfg.Faults telemetry windows are applied inline, entry by entry, so the
-// streamed output is byte-identical to Generate's.
 func GenerateTo(cfg Config, sink telemetry.EntrySink) error {
 	cfg.fillDefaults()
 	if cfg.Interval <= 0 || cfg.Duration < cfg.Interval {
@@ -154,12 +144,10 @@ func GenerateTo(cfg Config, sink telemetry.EntrySink) error {
 		thresholdsSec[i] = (time.Duration(b) * scanPeriod).Seconds()
 	}
 
-	filter := fault.NewTraceFilter(cfg.Faults)
 	intervalMin := cfg.Interval.Minutes()
-	var emitted, dropped *obs.Counter
+	var emitted *obs.Counter
 	if cfg.Obs != nil {
 		emitted = cfg.Obs.Counter("sdfm_fleet_entries_total", "Telemetry entries emitted into the trace.")
-		dropped = cfg.Obs.Counter("sdfm_fleet_entries_dropped_total", "Entries lost to telemetry-drop fault windows.")
 		n := 0
 		for _, chain := range instances {
 			n += len(chain)
@@ -187,12 +175,7 @@ func GenerateTo(cfg Config, sink telemetry.EntrySink) error {
 			if t <= inst.start {
 				continue
 			}
-			e, keep := filter.Apply(inst.entry(t, thresholdsSec, intervalMin))
-			if !keep {
-				dropped.Inc()
-				continue
-			}
-			if err := sink.Append(e); err != nil {
+			if err := sink.Append(inst.entry(t, thresholdsSec, intervalMin)); err != nil {
 				return err
 			}
 			emitted.Inc()

@@ -61,8 +61,7 @@ const DefaultCostPerPage = 150 * time.Nanosecond
 
 // Tracker maintains age state and histograms for one memcg.
 type Tracker struct {
-	m          *mem.Memcg
-	scanPeriod time.Duration
+	m *mem.Memcg
 
 	promotions *histogram.Histogram // cumulative age-at-access counts
 	census     *histogram.Histogram // age distribution as of the last scan
@@ -73,7 +72,6 @@ type Tracker struct {
 
 // Config configures a Tracker.
 type Config struct {
-	ScanPeriod time.Duration // zero means DefaultScanPeriod
 	// Metrics, when set, receives scan observations. Shared across a
 	// machine's trackers; nil disables instrumentation.
 	Metrics *Metrics
@@ -82,14 +80,10 @@ type Config struct {
 // NewTracker creates a tracker for m. The initial census reflects the
 // memcg's starting state (all pages age 0).
 func NewTracker(m *mem.Memcg, cfg Config) *Tracker {
-	if cfg.ScanPeriod == 0 {
-		cfg.ScanPeriod = DefaultScanPeriod
-	}
 	t := &Tracker{
 		m:          m,
-		scanPeriod: cfg.ScanPeriod,
-		promotions: histogram.New(cfg.ScanPeriod),
-		census:     histogram.New(cfg.ScanPeriod),
+		promotions: histogram.New(DefaultScanPeriod),
+		census:     histogram.New(DefaultScanPeriod),
 		mx:         cfg.Metrics,
 	}
 	t.census.Add(0, uint64(m.NumPages()))

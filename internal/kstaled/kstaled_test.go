@@ -19,8 +19,8 @@ func newJob(pages int) *mem.Memcg {
 func TestNewTrackerInitialCensus(t *testing.T) {
 	m := newJob(100)
 	tr := NewTracker(m, Config{})
-	if tr.scanPeriod != DefaultScanPeriod {
-		t.Errorf("scan period = %v", tr.scanPeriod)
+	if got := tr.Census().BucketFor(DefaultScanPeriod); got != 1 {
+		t.Errorf("census bucket of one scan period = %d, want 1", got)
 	}
 	if got := tr.Census().Count(0); got != 100 {
 		t.Errorf("initial census bucket 0 = %d, want 100", got)

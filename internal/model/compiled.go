@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sdfm/internal/core"
-	"sdfm/internal/histogram"
 	"sdfm/internal/stats"
 	"sdfm/internal/telemetry"
 )
@@ -250,18 +249,27 @@ func (ct *CompiledTrace) replayAll(phases []Phase, cfg Config, cold [][]float64)
 	}
 
 	// Fixed worker pool over job shards: each worker owns one replayer
-	// (ring buffer, counting table, rate buffer) reused across the jobs it
-	// claims from the shared index. Output position is the job index, so
-	// the result is identical no matter how jobs land on workers.
+	// (controller, rate buffer) reused across the jobs it claims from the
+	// shared index. Output position is the job index, so the result is
+	// identical no matter how jobs land on workers.
+	reps := make([]*replayer, workers)
+	for w := range reps {
+		ctl, err := core.NewController(core.ControllerConfig{
+			SLO: cfg.SLO, Params: phases[0].Params, HistoryLen: cfg.HistoryLen,
+		})
+		if err != nil {
+			return nil, err
+		}
+		reps[w] = &replayer{ct: ct, cfg: cfg, phases: phases, target: cfg.SLO.TargetRatePerMin, ctl: ctl}
+	}
 	best := ct.bestFor(cfg.SLO)
 	results := make([]JobResult, len(ct.jobs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for _, rep := range reps {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep := newReplayer(ct, phases, cfg)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(ct.jobs) {
@@ -280,13 +288,11 @@ func (ct *CompiledTrace) replayAll(phases []Phase, cfg Config, cold [][]float64)
 	return results, nil
 }
 
-// replayer is one worker's reusable replay state: the §4.3 controller
-// re-implemented over precompiled best-threshold indices, with the
-// K-th-percentile-of-pool lookup done by counting sort over the (at most
-// nThresh distinct) index values instead of re-sorting the history ring
-// every interval. It is the only replay of that controller outside tests;
-// the core.Controller-based references it must match live in
-// reference_test.go.
+// replayer is one worker's reusable replay state. It drives the node
+// agent's own §4.3 controller (core.Controller) over precompiled
+// best-threshold indices: the pool holds predefined threshold indices
+// here instead of histogram buckets, and the percentile pick and the max
+// with the last best are the same in either index space.
 type replayer struct {
 	ct  *CompiledTrace
 	cfg Config
@@ -295,80 +301,8 @@ type replayer struct {
 	phases []Phase
 	target float64 // SLO promotion-rate limit
 
-	ring   []uint8 // best-threshold history, ring buffer of HistoryLen
-	counts [256]int32
-	pos    int
-	full   bool
-	have   bool
-	last   int
-
-	rates []float64 // per-interval rate buffer, reused across jobs
-}
-
-func newReplayer(ct *CompiledTrace, phases []Phase, cfg Config) *replayer {
-	return &replayer{
-		ct:     ct,
-		cfg:    cfg,
-		phases: phases,
-		target: cfg.SLO.TargetRatePerMin,
-		ring:   make([]uint8, cfg.HistoryLen),
-	}
-}
-
-func (r *replayer) reset() {
-	if r.have {
-		for v := range r.counts {
-			r.counts[v] = 0
-		}
-	}
-	r.pos = 0
-	r.full = false
-	r.have = false
-	r.last = histogram.MaxBucket
-	r.rates = r.rates[:0]
-}
-
-// threshold mirrors core.Controller.Threshold in predefined-index space:
-// max(K-th percentile of the pool, last interval's best), MaxBucket before
-// any observation. The nearest-rank percentile is found by scanning the
-// value counts — sorted[rank] is the (rank+1)-th smallest value.
-func (r *replayer) threshold(k float64) int {
-	if !r.have {
-		return histogram.MaxBucket
-	}
-	n := r.pos
-	if r.full {
-		n = len(r.ring)
-	}
-	rank := int32(k / 100 * float64(n-1))
-	cum := int32(0)
-	kth := 0
-	for v := 0; v < r.ct.nThresh; v++ {
-		cum += r.counts[v]
-		if cum > rank {
-			kth = v
-			break
-		}
-	}
-	if r.last > kth {
-		return r.last
-	}
-	return kth
-}
-
-func (r *replayer) observe(v uint8) {
-	if r.full {
-		r.counts[r.ring[r.pos]]--
-	}
-	r.ring[r.pos] = v
-	r.counts[v]++
-	r.pos++
-	if r.pos == len(r.ring) {
-		r.pos = 0
-		r.full = true
-	}
-	r.last = int(v)
-	r.have = true
+	ctl   *core.Controller // reset per job
+	rates []float64        // per-interval rate buffer, reused across jobs
 }
 
 // replay runs the controller over one job's series. Each interval takes
@@ -378,30 +312,36 @@ func (r *replayer) observe(v uint8) {
 // non-nil, has length j.n, is zeroed, and receives the pages charged per
 // interval.
 func (r *replayer) replay(j *compiledJob, best []uint8, cold []float64) JobResult {
-	r.reset()
 	jr := JobResult{Key: j.key, Intervals: j.n, GapIntervals: j.gaps}
 	if j.n == 0 {
 		return jr
 	}
 	nT := r.ct.nThresh
 	lastIdx := nT - 1
-	jobStart := time.Duration(j.tsSec[0]) * time.Second
+	r.ctl.Reset(time.Duration(j.tsSec[0]) * time.Second)
+	r.rates = r.rates[:0]
 
 	var sumCold, sumColdMin, sumTotal, sumRate float64
-	ph := 0
+	ph, cur := 0, -1
 	for i := 0; i < j.n; i++ {
 		now := time.Duration(j.tsSec[i]) * time.Second
 		ph = phaseAt(r.phases, ph, now)
 		p := &r.phases[ph]
+		if ph != cur {
+			if err := r.ctl.SetParams(p.Params); err != nil {
+				panic(err) // phases are validated before any replay
+			}
+			cur = ph
+		}
 		// The cold ceiling (coverage denominator) exists whether or not
 		// zswap is enabled for the job; otherwise a long warmup S would
 		// "improve" coverage simply by excluding young jobs from it.
 		sumColdMin += j.coldMin[i]
 		sumTotal += j.totalF[i]
-		if p.Enabled && now >= jobStart+p.Params.S {
+		if p.Enabled && r.ctl.Enabled(now) {
 			// Operating threshold chosen from history before this interval;
 			// with no history yet, the most conservative one.
-			idx := r.threshold(p.Params.K)
+			idx := r.ctl.Threshold()
 			if idx > lastIdx {
 				idx = lastIdx
 			}
@@ -424,7 +364,7 @@ func (r *replayer) replay(j *compiledJob, best []uint8, cold []float64) JobResul
 		}
 		// Best threshold for the interval just observed, fed back whether
 		// or not zswap is enabled: the kernel histograms exist regardless.
-		r.observe(best[i])
+		r.ctl.Observe(int(best[i]))
 	}
 
 	// Far-memory bytes average over the whole lifetime (zero while

@@ -12,12 +12,13 @@ import (
 )
 
 // The references the compiled replay engine is held to: the original
-// per-evaluation replays, which drive a real core.Controller over
-// telemetry entries. They re-group and re-sort the trace, re-derive
-// best-threshold indices and re-sort the controller's history every
-// interval, so they are slow and obviously faithful to §4.3 — and live
-// here, not in the shipped package. The equivalence tests require
-// CompiledTrace.Run and CompiledTrace.Timeline to match them bit for bit.
+// per-evaluation replays, which drive a fresh core.Controller per job over
+// telemetry entries. They re-group and re-sort the trace and re-derive
+// best-threshold indices every evaluation, so they are slow and obviously
+// faithful to §4.3 — and live here, not in the shipped package. The
+// equivalence tests require CompiledTrace.Run and CompiledTrace.Timeline,
+// which reuse one controller per worker across jobs, to match them bit
+// for bit.
 
 // jobSeries groups entries by job, each series sorted by timestamp with
 // same-timestamp entries kept in arrival order, as StreamCompiler does.

@@ -155,8 +155,6 @@ type Config struct {
 	Mode      Mode
 	Params    core.Params
 	SLO       core.SLO
-	// ScanPeriod for kstaled and the agent control interval (default 120 s).
-	ScanPeriod time.Duration
 	// Tier overrides the far-memory tier (default: a zswap pool).
 	Tier zswap.FarMemory
 	// Collector, when set, receives 5-minute telemetry exports.
@@ -207,7 +205,6 @@ type Machine struct {
 	limitKills    int
 	lastExport    time.Duration
 	exportEvery   time.Duration
-	scanPeriod    time.Duration
 	pressureRuns  int
 	pressureStall time.Duration
 
@@ -252,9 +249,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.ScanPeriod == 0 {
-		cfg.ScanPeriod = kstaled.DefaultScanPeriod
-	}
 	if cfg.Breaker.Enabled {
 		cfg.Breaker.fillDefaults()
 	}
@@ -265,7 +259,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m := &Machine{
 		cfg:         cfg,
 		pool:        tier,
-		scanPeriod:  cfg.ScanPeriod,
 		exportEvery: telemetry.DefaultAggregation,
 		inj:         cfg.Injector,
 	}
@@ -337,7 +330,7 @@ func (m *Machine) AddJob(w *workload.Workload) (*Job, error) {
 		Controller: ctrl,
 		Started:    m.now,
 		Priority:   w.Archetype().Priority,
-		promoDelta: histogram.New(m.scanPeriod),
+		promoDelta: histogram.New(kstaled.DefaultScanPeriod),
 	}
 	m.jobs = append(m.jobs, j)
 	return j, nil
@@ -435,9 +428,9 @@ func (m *Machine) ColdFraction() float64 {
 // crashes and churn before the interval's work, daemon stalls at the
 // scan, pressure spikes at the capacity check, drops at export.
 func (m *Machine) Step() error {
-	m.now += m.scanPeriod
+	m.now += kstaled.DefaultScanPeriod
 	m.scans++
-	intervalMinutes := m.scanPeriod.Minutes()
+	intervalMinutes := kstaled.DefaultScanPeriod.Minutes()
 
 	// Instrumentation snapshots the cumulative CPU counters so obsEndStep
 	// can size this step's phase spans from their deltas. promoHist stays
@@ -519,7 +512,7 @@ func (m *Machine) Step() error {
 		if faultErr != nil {
 			return faultErr
 		}
-		j.CPUUsed += j.Workload.CPUUsage(m.now, m.scanPeriod)
+		j.CPUUsed += j.Workload.CPUUsage(m.now, kstaled.DefaultScanPeriod)
 	}
 
 	// 2. kstaled scans — unless the daemon is wedged by a stall fault, in
@@ -689,15 +682,7 @@ func (m *Machine) crash() error {
 		}
 		j.Memcg.ResetAges()
 		j.Tracker = kstaled.NewTracker(j.Memcg, m.kstaledConfig())
-		ctrl, err := core.NewController(core.ControllerConfig{
-			SLO:      m.cfg.SLO,
-			Params:   m.cfg.Params,
-			JobStart: m.now,
-		})
-		if err != nil {
-			return err
-		}
-		j.Controller = ctrl
+		j.Controller.Reset(m.now)
 		j.prevPromo = [histogram.NumBuckets]uint64{}
 		j.intervalProm = 0
 		j.lastWSS = 0
@@ -934,7 +919,7 @@ func (m *Machine) export() error {
 
 // Run advances the machine until the given simulated time.
 func (m *Machine) Run(until time.Duration) error {
-	for m.now+m.scanPeriod <= until {
+	for m.now+kstaled.DefaultScanPeriod <= until {
 		if err := m.Step(); err != nil {
 			return err
 		}

@@ -594,7 +594,7 @@ func TestControlLoopAllocatesNothing(t *testing.T) {
 	if err := m.Run(2 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	minutes := m.scanPeriod.Minutes()
+	minutes := kstaled.DefaultScanPeriod.Minutes()
 	loop := func() {
 		for _, j := range m.jobs {
 			m.control(j, minutes)

@@ -199,7 +199,7 @@ func (m *Machine) obsEndStep(pre cpuTotals, ranCompact, ranExport, ranAudit, dee
 		reclaim = 0
 	}
 
-	t := m.now - m.scanPeriod
+	t := m.now - kstaled.DefaultScanPeriod
 	emit := func(lane int, name string, d time.Duration) {
 		mo.trace.Emit(lane, name, t, d)
 		t += d
@@ -237,7 +237,7 @@ func (m *Machine) obsEndStep(pre cpuTotals, ranCompact, ranExport, ranAudit, dee
 // kstaledConfig carries the machine-wide scanner metrics, so trackers
 // built by AddJob and by crash restarts share one instance.
 func (m *Machine) kstaledConfig() kstaled.Config {
-	return kstaled.Config{ScanPeriod: m.scanPeriod, Metrics: m.kstaledMx}
+	return kstaled.Config{Metrics: m.kstaledMx}
 }
 
 // attachObs finishes observability wiring after the tier stack is built.

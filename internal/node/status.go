@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"sdfm/internal/kstaled"
 )
 
 // Snapshot is a machine's monitoring view: what the node agent exports to
@@ -90,7 +92,7 @@ func (m *Machine) Snapshot() Snapshot {
 			CompressedPages:   j.Memcg.Compressed(),
 			WSSPages:          j.lastWSS,
 			ThresholdBucket:   j.Controller.Threshold(),
-			Threshold:         j.Controller.ThresholdDuration(m.scanPeriod),
+			Threshold:         j.Controller.ThresholdDuration(kstaled.DefaultScanPeriod),
 			Promotions:        j.Promotions,
 			CompressionRatio:  j.CompressionRatio(),
 			CompressOverhead:  j.CPUOverheadCompress(),
