@@ -26,19 +26,17 @@ import (
 type fullFleet struct {
 	c     *Cluster
 	trace *telemetry.Trace
-	col   *telemetry.Collector
 	hub   *obs.Multi
 }
 
 func newFullFleet(t *testing.T, duration time.Duration) *fullFleet {
 	t.Helper()
 	f := &fullFleet{trace: telemetry.NewTrace(), hub: obs.NewMulti(obs.Label{Key: "run", Value: "workers"})}
-	f.col = telemetry.NewCollector(f.trace)
 	f.c = newCluster(t, Config{
 		Machines: 3, DRAMPerMachine: 512 << 20,
 		Mode: node.ModeProactive, Params: core.Params{K: 95, S: 10 * time.Minute},
 		Seed:      60,
-		Collector: f.col,
+		Collector: telemetry.NewCollector(f.trace),
 		Faults:    fault.DefaultPlan(60, duration),
 		Breaker:   node.BreakerConfig{Enabled: true},
 		Audit:     audit.Config{Enabled: true, DeepEverySteps: 16},
@@ -51,9 +49,7 @@ func newFullFleet(t *testing.T, duration time.Duration) *fullFleet {
 }
 
 // sameAs fails the test unless f and ref left the same bytes everywhere a
-// caller can look: the trace, each machine, the metric and span exports,
-// the collector's re-baseline count (zero here — a crashed machine's jobs
-// are forgotten, not re-baselined; telemetry's stage tests sum it at 3).
+// caller can look: the trace, each machine, the metric and span exports.
 func (f *fullFleet) sameAs(t *testing.T, ref *fullFleet, what string) {
 	t.Helper()
 	if a, b := traceBytes(t, ref.trace), traceBytes(t, f.trace); !bytes.Equal(a, b) {
@@ -68,9 +64,6 @@ func (f *fullFleet) sameAs(t *testing.T, ref *fullFleet, what string) {
 	}
 	if chrome != refChrome {
 		t.Fatalf("%s: Chrome trace export differs from one worker's", what)
-	}
-	if f.col.Resets() != ref.col.Resets() {
-		t.Fatalf("%s: %d re-baselines, one worker saw %d", what, f.col.Resets(), ref.col.Resets())
 	}
 }
 

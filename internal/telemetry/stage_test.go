@@ -12,25 +12,17 @@ import (
 )
 
 // script drives a collector as one machine's agent would over four
-// intervals: two jobs growing, one of them restarting (a re-baseline) and
-// the other exiting and coming back under the same name (a Forget).
+// intervals: two jobs, each recording that interval's promotions.
 func script(c *Collector, machine string) error {
 	census := histogram.New(histogram.DefaultScanPeriod)
 	census.Add(0, 60)
 	census.Add(7, 40)
 	a, b := JobKey{"c", machine, "a"}, JobKey{"c", machine, "b"}
-	pa := histogram.New(histogram.DefaultScanPeriod)
-	pb := histogram.New(histogram.DefaultScanPeriod)
 	for i := 1; i <= 4; i++ {
 		now := time.Duration(i) * 5 * time.Minute
-		switch i {
-		case 3: // a's daemon restarts: its counters fall back
-			pa = histogram.New(histogram.DefaultScanPeriod)
-		case 4: // b exits and a new b starts from zero
-			c.Forget(b)
-			pb = histogram.New(histogram.DefaultScanPeriod)
-		}
+		pa := histogram.New(histogram.DefaultScanPeriod)
 		pa.Add(7, 5)
+		pb := histogram.New(histogram.DefaultScanPeriod)
 		pb.Add(2, uint64(i))
 		for _, r := range []struct {
 			key   JobKey
@@ -46,9 +38,7 @@ func script(c *Collector, machine string) error {
 
 // TestStageMatchesPlainCollector: a collector's stages, one per machine,
 // held and flushed in machine order, leave in the sink exactly what one
-// plain collector fed the same calls machine by machine leaves — deltas,
-// the re-baseline, the Forget — and the parent counts every stage's
-// re-baselines exactly once.
+// plain collector fed the same calls machine by machine leaves.
 func TestStageMatchesPlainCollector(t *testing.T) {
 	machines := []string{"m0000", "m0001", "m0002"}
 	plainTrace := NewTrace()
@@ -88,18 +78,15 @@ func TestStageMatchesPlainCollector(t *testing.T) {
 	if !reflect.DeepEqual(stagedTrace.Entries, plainTrace.Entries) {
 		t.Fatalf("staged trace differs from the plain collector's:\nstaged: %+v\nplain:  %+v", stagedTrace.Entries, plainTrace.Entries)
 	}
-	if got, want := parent.Resets(), plain.Resets(); got != want || want != len(machines) {
-		t.Fatalf("Resets = %d through stages, %d plain, want %d (one restart per machine)", got, want, len(machines))
-	}
 
-	// A second flush appends nothing and counts nothing twice.
+	// A second flush appends nothing.
 	for _, flush := range flushes {
 		if err := flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if stagedTrace.Len() != plainTrace.Len() || parent.Resets() != len(machines) {
-		t.Fatalf("second flush changed the result: %d entries, %d resets", stagedTrace.Len(), parent.Resets())
+	if stagedTrace.Len() != plainTrace.Len() {
+		t.Fatalf("second flush changed the result: %d entries, want %d", stagedTrace.Len(), plainTrace.Len())
 	}
 }
 
@@ -113,9 +100,9 @@ func TestStagePassesThroughUnlessHeld(t *testing.T) {
 	census := histogram.New(histogram.DefaultScanPeriod)
 	census.Add(0, 10)
 	promo := histogram.New(histogram.DefaultScanPeriod)
+	promo.Add(3, 1)
 	record := func(i int) {
 		t.Helper()
-		promo.Add(3, 1)
 		if err := s.Record(key, time.Duration(i)*5*time.Minute, 5, promo, census, 10); err != nil {
 			t.Fatal(err)
 		}

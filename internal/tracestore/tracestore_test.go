@@ -388,12 +388,12 @@ func TestCollectorToWriter(t *testing.T) {
 	c := telemetry.NewStreamCollector(w, telemetry.NewTrace().Thresholds)
 	key := telemetry.JobKey{Cluster: "c", Machine: "m", Job: "j"}
 
-	promo := histogram.New(histogram.DefaultScanPeriod)
 	census := histogram.New(histogram.DefaultScanPeriod)
 	census.Add(0, 70)
 	census.Add(5, 30)
 	for i := 1; i <= 5; i++ {
-		promo.Add(5, 10) // cumulative counter grows each interval
+		promo := histogram.New(histogram.DefaultScanPeriod)
+		promo.Add(5, uint64(10*i)) // interval i promoted 10·i pages
 		if err := c.Record(key, time.Duration(i)*5*time.Minute, 5, promo, census, 100); err != nil {
 			t.Fatal(err)
 		}
@@ -408,12 +408,11 @@ func TestCollectorToWriter(t *testing.T) {
 	if r.NumEntries() != 5 {
 		t.Fatalf("sink received %d entries, want 5", r.NumEntries())
 	}
-	// The collector's delta logic must survive the round trip: every
-	// interval after the first promoted exactly the 10-page delta.
-	i := 0
+	// Each interval's promotions survive the round trip.
+	i := 1
 	err = r.Scan(func(e telemetry.Entry) error {
-		if i > 0 && e.PromoTails[0] != 10 {
-			t.Fatalf("interval %d promo delta %d, want 10", i, e.PromoTails[0])
+		if want := uint64(10 * i); e.PromoTails[0] != want {
+			t.Fatalf("interval %d promotions %d, want %d", i, e.PromoTails[0], want)
 		}
 		i++
 		return nil
