@@ -282,7 +282,7 @@ func reportPlan(w io.Writer, cfg cluster.Config, jobs int, duration time.Duratio
 type fleetRun struct {
 	machines           []*node.Machine
 	hub                *obs.Multi       // the run's obs exports, nil without
-	trace              *telemetry.Trace // every machine's 5-minute exports
+	trace              *telemetry.Trace // every machine's telemetry exports
 	elapsed            time.Duration
 	coverage, coldFrac stats.Summary // across machines
 	evictions          int

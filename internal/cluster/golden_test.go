@@ -28,7 +28,7 @@ import (
 // The checked-in golden value descends from the pre-SoA walk-based
 // simulator; every change to the simulator must reproduce it bit for bit
 // (same RNG draw order, same counters, same arena operation order). It
-// has been re-pinned twice, and the two links are of different kinds.
+// has been re-pinned three times, and the links are of two kinds.
 //
 // PR 17, exact: the trace used to be hashed through its gob encoding,
 // which no longer exists. One run of the last commit that had both took
@@ -51,6 +51,14 @@ import (
 // cold/compressed censuses. The audited and instrumented variants below
 // were not edited beyond their failure messages and reproduce the new
 // value, so observation-only still holds across the re-pin.
+//
+// Third, exact: e30dddc00af6287a → 3b3afe5d5c43fd49, in the commit that
+// made each entry state the interval it covers (time since the previous
+// export) instead of a fixed 5 minutes. Exports fire every third 120 s
+// scan, so all 1,130 entries of this run now say 6. Nothing else moved:
+// one run of the new tree, its trace's IntervalMinutes set back to 5 and
+// every checksum restamped (Entry.ComputeChecksum), hashes with the
+// machines' fingerprints to e30dddc00af6287a (see CHANGES.md).
 //
 // auditCfg lets the audited variant prove the invariant auditor is
 // observation-only: the hash must not move when it is enabled. hub does

@@ -36,7 +36,8 @@ type Config struct {
 	CollectSamples bool
 }
 
-// DefaultHistoryLen is one day of 5-minute intervals.
+// DefaultHistoryLen is one day of 5-minute intervals (28.8 h of the node
+// agent's 6-minute page-accurate exports).
 const DefaultHistoryLen = 288
 
 // JobResult is the replay outcome for one job.
