@@ -25,17 +25,26 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracegen: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, generates the trace into a file (or, with -stats,
+// summarizes it to stdout) and writes the run's metrics if asked.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tracegen", flag.ExitOnError)
 	var (
-		out        = flag.String("o", "fleet.trace", "output file")
-		clusters   = flag.Int("clusters", 4, "number of clusters")
-		machines   = flag.Int("machines", 20, "machines per cluster")
-		jobs       = flag.Int("jobs", 6, "job slots per machine")
-		hours      = flag.Float64("hours", 48, "trace duration in hours")
-		seed       = flag.Int64("seed", 1, "random seed")
-		stats      = flag.Bool("stats", false, "print trace statistics instead of writing a file")
-		metricsOut = flag.String("metricsout", "", "write Prometheus metrics for the generation run to this file")
+		out        = fs.String("o", "fleet.trace", "output file")
+		clusters   = fs.Int("clusters", 4, "number of clusters")
+		machines   = fs.Int("machines", 20, "machines per cluster")
+		jobs       = fs.Int("jobs", 6, "job slots per machine")
+		hours      = fs.Float64("hours", 48, "trace duration in hours")
+		seed       = fs.Int64("seed", 1, "random seed")
+		stats      = fs.Bool("stats", false, "print trace statistics instead of writing a file")
+		metricsOut = fs.String("metricsout", "", "write Prometheus metrics for the generation run to this file")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	var multi *obs.Multi
 	var observer *obs.Observer
@@ -56,37 +65,39 @@ func main() {
 	if *stats {
 		trace, err := fleet.Generate(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		printStats(os.Stdout, trace)
-		return
+		printStats(stdout, trace)
+	} else {
+		w, err := writeTrace(*out, cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s: %d entries, %d jobs, %d clusters x %d machines, %.0f h\n",
+			*out, w.Entries(), w.Jobs(), *clusters, *machines, *hours)
 	}
+	return multi.WriteFiles(*metricsOut, "")
+}
 
-	f, err := os.Create(*out)
+// writeTrace streams generation straight into a chunked store at path:
+// the trace never exists in memory as a whole.
+func writeTrace(path string, cfg fleet.Config) (*tracestore.Writer, error) {
+	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-
-	// Stream generation straight into the chunked store: the trace never
-	// exists in memory as a whole.
+	defer f.Close() // on the error paths; success closes it below
 	w, err := tracestore.NewWriter(f, tracestore.MetaOf(telemetry.NewTrace()))
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	if err := fleet.GenerateTo(cfg, w); err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	if err := w.Close(); err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %s: %d entries, %d jobs, %d clusters x %d machines, %.0f h\n",
-		*out, w.Entries(), w.Jobs(), *clusters, *machines, *hours)
-	if err := multi.WriteFiles(*metricsOut, ""); err != nil {
-		log.Fatal(err)
-	}
+	return w, f.Close()
 }
 
 // printStats summarizes a trace the way the fleet characterization (§2.2)

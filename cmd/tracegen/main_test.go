@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -39,5 +41,28 @@ func TestPrintStatsDeterministic(t *testing.T) {
 	}
 	if len(clusters) != 4 || !sort.StringsAreSorted(clusters) {
 		t.Errorf("per-cluster lines for %q, want 4 clusters in order:\n%s", clusters, first)
+	}
+}
+
+// TestMetricsWrittenInBothModes: -metricsout writes the generation run's
+// metrics whether the trace goes to a file or is only summarized (-stats).
+func TestMetricsWrittenInBothModes(t *testing.T) {
+	dir := t.TempDir()
+	small := []string{"-clusters", "1", "-machines", "2", "-jobs", "2", "-hours", "1"}
+	for _, mode := range [][]string{{"-stats"}, {"-o", filepath.Join(dir, "t.trace")}} {
+		prom := filepath.Join(dir, "tg.prom")
+		os.Remove(prom)
+		args := append(append([]string{"-metricsout", prom}, mode...), small...)
+		var stdout bytes.Buffer
+		if err := run(args, &stdout); err != nil {
+			t.Fatalf("tracegen %v: %v", args, err)
+		}
+		got, err := os.ReadFile(prom)
+		if err != nil {
+			t.Fatalf("tracegen %v wrote no metrics: %v", args, err)
+		}
+		if !strings.Contains(string(got), "sdfm_fleet_entries_total") {
+			t.Errorf("tracegen %v metrics lack sdfm_fleet_entries_total:\n%s", args, got)
+		}
 	}
 }
