@@ -43,7 +43,6 @@ func main() {
 		tick       = flag.Duration("tick", 250*time.Millisecond, "wall-clock ingest drain interval")
 		queueCap   = flag.Int("queue-cap", 8192, "per-agent ingest queue bound, entries")
 		batch      = flag.Int("batch", 1024, "entries drained per agent per tick")
-		stripes    = flag.Int("stripes", 16, "ingest lock-stripe count (agents hash to stripes)")
 		seed       = flag.Int64("seed", 1, "GP-bandit seed (reused every round)")
 		iterations = flag.Int("iterations", 15, "GP-bandit iterations per round")
 		stagesFlag = flag.String("stages", "", `deployment rings as "name=frac,..." (empty: canary/early/half/fleet)`)
@@ -91,7 +90,6 @@ func main() {
 		RoundEvery:      *roundEvery,
 		QueueCap:        *queueCap,
 		BatchSize:       *batch,
-		Stripes:         *stripes,
 		Stages:          stages,
 		Tuner:           tuner.Config{Seed: *seed, Iterations: *iterations},
 		CheckpointDir:   *ckptDir,
@@ -263,10 +261,10 @@ func parseStages(spec string) ([]tuner.RolloutStage, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sdfmd: -stages entry %q: %v", part, err)
 		}
-		if frac <= 0 || frac > 1 {
-			return nil, fmt.Errorf("sdfmd: -stages entry %q: fraction outside (0, 1]", part)
-		}
 		stages = append(stages, tuner.RolloutStage{Name: name, Fraction: frac})
+	}
+	if err := tuner.ValidateStages(stages); err != nil {
+		return nil, fmt.Errorf("sdfmd: -stages: %w", err)
 	}
 	return stages, nil
 }

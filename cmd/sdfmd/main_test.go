@@ -39,7 +39,7 @@ func TestParseStages(t *testing.T) {
 	if got, err := parseStages(""); err != nil || got != nil {
 		t.Errorf("empty spec = %+v, %v; want nil, nil (controller defaults)", got, err)
 	}
-	for _, bad := range []string{"canary", "canary=", "canary=0", "canary=1.5", "canary=x"} {
+	for _, bad := range []string{"canary", "canary=", "canary=0", "canary=1.5", "canary=x", "canary=0.5,fleet=0.1"} {
 		if _, err := parseStages(bad); err == nil {
 			t.Errorf("parseStages(%q) accepted", bad)
 		}

@@ -46,7 +46,7 @@ func main() {
 
 	cfg := controlplane.Config{
 		RoundEvery: 4 * time.Hour,
-		Tuner:      tuner.Config{Seed: 7, InitSamples: 4, Iterations: 6, Candidates: 128},
+		Tuner:      tuner.Config{Seed: 7, InitSamples: 4, Iterations: 6},
 		Stages: []tuner.RolloutStage{
 			{Name: "canary", Fraction: 0.2},
 			{Name: "half", Fraction: 0.5},

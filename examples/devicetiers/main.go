@@ -1,10 +1,11 @@
 // Device tiers: the same control plane over different far memory (§3, §7).
 //
 // The paper argues its cold-page identification design generalizes beyond
-// zswap. This example runs identical workloads on four machines whose far
-// memory differs: zswap (compressed DRAM), NVM DIMMs, remote memory, and
-// a Z-SSD — and compares promotion latency, DRAM consumed by the tier
-// itself, and the capacity-stranding exposure of fixed-size devices.
+// zswap. This example runs identical workloads on five machines whose far
+// memory differs: zswap (compressed DRAM), NVM DIMMs, remote memory, a
+// Z-SSD, and NVM in front of zswap as two tiers — and compares promotion
+// latency, DRAM consumed by the tier itself, and the capacity-stranding
+// exposure of fixed-size devices.
 //
 //	go run ./examples/devicetiers
 package main

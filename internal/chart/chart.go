@@ -20,8 +20,7 @@ type Point struct{ X, Y float64 }
 
 // Config controls rendering.
 type Config struct {
-	Title  string
-	Height int // plot rows (default 12)
+	Title string
 	// XLabel / YLabel annotate the axes.
 	XLabel, YLabel string
 	// YMin/YMax fix the y range; when both zero the range is computed
@@ -32,17 +31,14 @@ type Config struct {
 	LogX bool
 }
 
-// width is the plot's column count.
-const width = 60
+// The plot is width columns by height rows.
+const width, height = 60, 12
 
 var markers = []byte{'*', 'o', '+', 'x', '#', '@'}
 
 // Render draws the series into a multi-line string.
 func Render(cfg Config, series ...Series) string {
-	w, h := width, cfg.Height
-	if h <= 0 {
-		h = 12
-	}
+	w, h := width, height
 	// Collect ranges.
 	xmin, xmax := math.Inf(1), math.Inf(-1)
 	ymin, ymax := math.Inf(1), math.Inf(-1)

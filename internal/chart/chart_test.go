@@ -71,7 +71,7 @@ func TestRenderConstantSeries(t *testing.T) {
 
 func TestRenderFixedYRange(t *testing.T) {
 	s := Series{Points: linePoints(3, func(i int) (float64, float64) { return float64(i), 0.5 })}
-	out := Render(Config{YMin: 0, YMax: 1, Height: 5}, s)
+	out := Render(Config{YMin: 0, YMax: 1}, s)
 	if !strings.Contains(out, "1.0") || !strings.Contains(out, "0") {
 		t.Errorf("y-axis labels missing:\n%s", out)
 	}

@@ -221,7 +221,7 @@ func (closedSink) Append(telemetry.Entry) error { return errSinkClosed }
 func TestRunReturnsSinkError(t *testing.T) {
 	c := newCluster(t, Config{
 		Machines: 2, Mode: node.ModeProactive, Seed: 5,
-		Collector: telemetry.NewStreamCollector(closedSink{}, telemetry.DefaultThresholds),
+		Collector: telemetry.NewCollector(closedSink{}),
 	})
 	if err := c.Populate(2, nil, 6); err != nil {
 		t.Fatal(err)

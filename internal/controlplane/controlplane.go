@@ -31,8 +31,8 @@
 // deterministic in-process Loopback transport (simulated time, seeded,
 // fault-injectable — see RunSim) and merely eventually-consistent under
 // the real net/http transport served by cmd/sdfmd. Tick drains the
-// striped queues in sorted-agent order, so round inputs are bit-identical
-// regardless of the stripe count.
+// striped queues in sorted-agent order, so round inputs do not depend on
+// which stripe an agent hashes to.
 package controlplane
 
 import (
@@ -75,12 +75,12 @@ type Config struct {
 	// Incumbent is the configuration agents start on (default
 	// core.DefaultParams).
 	Incumbent core.Params
-	// Tuner configures the per-round GP-bandit search. Its SLO and Space
-	// are defaulted from this config when zero. The Seed makes rounds
-	// deterministic; every round reuses the same seed so a round's
-	// decision depends only on its window's telemetry. Its Obs field is
-	// ignored (tuner instruments would be written outside the controller
-	// mutex and race scrapes); round outcomes are exported as sdfm_cp_*.
+	// Tuner configures the per-round GP-bandit search. Its SLO defaults
+	// to this config's when zero. The Seed makes rounds deterministic;
+	// every round reuses the same seed so a round's decision depends only
+	// on its window's telemetry. Its Obs field is ignored (tuner
+	// instruments would be written outside the controller mutex and race
+	// scrapes); round outcomes are exported as sdfm_cp_*.
 	Tuner tuner.Config
 	// Stages are the deployment rings a candidate is pushed through
 	// (default tuner.DefaultRolloutStages).
@@ -96,11 +96,6 @@ type Config struct {
 	// BatchSize bounds how many entries one Tick drains per agent, so a
 	// single tick's work is bounded regardless of backlog (default 1024).
 	BatchSize int
-	// Stripes is the ingest lock-stripe count (default 16). Agents hash
-	// to stripes; Report calls from agents on different stripes proceed
-	// fully in parallel. The stripe count never affects round decisions —
-	// Tick drains in sorted-agent order regardless.
-	Stripes int
 	// CheckpointDir, when set, enables durable state: the controller
 	// writes atomic snapshot files (internal/controlplane/ckpt) there and
 	// Restore boots from the newest valid one. Empty disables
@@ -155,9 +150,6 @@ func (c *Config) fillDefaults() {
 	if c.BatchSize == 0 {
 		c.BatchSize = 1024
 	}
-	if c.Stripes == 0 {
-		c.Stripes = 16
-	}
 }
 
 // Validate reports configuration errors.
@@ -182,16 +174,10 @@ func (c Config) Validate() error {
 	if c.CheckpointKeep < 0 {
 		return fmt.Errorf("controlplane: negative CheckpointKeep %d", c.CheckpointKeep)
 	}
-	if c.QueueCap < 0 || c.BatchSize < 0 || c.Stripes < 0 {
-		return fmt.Errorf("controlplane: negative queue/batch/stripe size (%d/%d/%d)",
-			c.QueueCap, c.BatchSize, c.Stripes)
+	if c.QueueCap < 0 || c.BatchSize < 0 {
+		return fmt.Errorf("controlplane: negative queue/batch size (%d/%d)", c.QueueCap, c.BatchSize)
 	}
-	for _, st := range d.Stages {
-		if st.Fraction <= 0 || st.Fraction > 1 {
-			return fmt.Errorf("controlplane: stage %q has invalid fraction %v", st.Name, st.Fraction)
-		}
-	}
-	return nil
+	return tuner.ValidateStages(d.Stages)
 }
 
 // agentState is one registered agent's server-side state, guarded by its
@@ -205,6 +191,11 @@ type agentState struct {
 	params  core.Params
 	epoch   int64
 }
+
+// numStripes is the ingest lock-stripe count. Agents hash to stripes;
+// Report calls from agents on different stripes proceed fully in
+// parallel.
+const numStripes = 16
 
 // stripe is one lock stripe of the agent registry: the agents that hash
 // to it, their queues, and this stripe's slice of the lifetime ingest
@@ -248,7 +239,7 @@ type Controller struct {
 	cfg      Config
 	roundSec int64
 
-	stripes []stripe
+	stripes [numStripes]stripe
 
 	// epoch mirrors the parameter-assignment epoch for lock-free reads on
 	// the Report path; it is only advanced under the control mutex.
@@ -322,7 +313,6 @@ func New(cfg Config) (*Controller, error) {
 	c := &Controller{
 		cfg:          cfg,
 		roundSec:     int64(cfg.RoundEvery / time.Second),
-		stripes:      make([]stripe, cfg.Stripes),
 		incumbent:    cfg.Incumbent,
 		telemetryMax: -1,
 		ckptBase:     -1,
@@ -386,7 +376,7 @@ func (c *Controller) stripeFor(agentID string) *stripe {
 	for i := 0; i < len(agentID); i++ {
 		h = (h ^ uint32(agentID[i])) * prime32
 	}
-	return &c.stripes[h%uint32(len(c.stripes))]
+	return &c.stripes[h%numStripes]
 }
 
 // Incumbent returns the currently deployed fleet-wide configuration.

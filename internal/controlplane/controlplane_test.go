@@ -15,7 +15,7 @@ import (
 )
 
 // fastTuner keeps per-round GP searches cheap in tests.
-var fastTuner = tuner.Config{InitSamples: 3, Iterations: 2, Candidates: 32, Seed: 7}
+var fastTuner = tuner.Config{InitSamples: 3, Iterations: 2, Seed: 7}
 
 func testTrace(t *testing.T, clusters, machines, jobs int, dur time.Duration, seed int64) *telemetry.Trace {
 	t.Helper()
@@ -47,6 +47,22 @@ func newTestController(t *testing.T, cfg Config) *Controller {
 	}
 	t.Cleanup(c.Close)
 	return c
+}
+
+// TestNewRejectsBadRings: each ring must hold a fraction in (0, 1] and be
+// no smaller than the ring before it, or the controller would leave more
+// agents on the candidate than the ring whose health it judges.
+func TestNewRejectsBadRings(t *testing.T) {
+	for _, stages := range [][]tuner.RolloutStage{
+		{{Name: "canary", Fraction: 0.5}, {Name: "fleet", Fraction: 0.1}},
+		{{Name: "canary", Fraction: 0}, {Name: "fleet", Fraction: 1}},
+		{{Name: "fleet", Fraction: 1.5}},
+	} {
+		if c, err := New(Config{Tuner: fastTuner, Stages: stages}); err == nil {
+			c.Close()
+			t.Errorf("New accepted rings %+v", stages)
+		}
+	}
 }
 
 func TestRegisterAssignsIncumbent(t *testing.T) {

@@ -70,21 +70,15 @@ type Tracker struct {
 	mx         *Metrics
 }
 
-// Config configures a Tracker.
-type Config struct {
-	// Metrics, when set, receives scan observations. Shared across a
-	// machine's trackers; nil disables instrumentation.
-	Metrics *Metrics
-}
-
 // NewTracker creates a tracker for m. The initial census reflects the
-// memcg's starting state (all pages age 0).
-func NewTracker(m *mem.Memcg, cfg Config) *Tracker {
+// memcg's starting state (all pages age 0). mx, shared across a machine's
+// trackers, receives scan observations; nil disables instrumentation.
+func NewTracker(m *mem.Memcg, mx *Metrics) *Tracker {
 	t := &Tracker{
 		m:          m,
 		promotions: histogram.New(DefaultScanPeriod),
 		census:     histogram.New(DefaultScanPeriod),
-		mx:         cfg.Metrics,
+		mx:         mx,
 	}
 	t.census.Add(0, uint64(m.NumPages()))
 	return t

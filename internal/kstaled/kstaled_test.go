@@ -18,7 +18,7 @@ func newJob(pages int) *mem.Memcg {
 
 func TestNewTrackerInitialCensus(t *testing.T) {
 	m := newJob(100)
-	tr := NewTracker(m, Config{})
+	tr := NewTracker(m, nil)
 	if got := tr.Census().BucketFor(DefaultScanPeriod); got != 1 {
 		t.Errorf("census bucket of one scan period = %d, want 1", got)
 	}
@@ -32,7 +32,7 @@ func TestNewTrackerInitialCensus(t *testing.T) {
 
 func TestScanAgesIdlePages(t *testing.T) {
 	m := newJob(10)
-	tr := NewTracker(m, Config{})
+	tr := NewTracker(m, nil)
 	tr.Scan()
 	// Nothing touched: every page is now age 1.
 	if got := tr.Census().Count(1); got != 10 {
@@ -50,7 +50,7 @@ func TestScanAgesIdlePages(t *testing.T) {
 
 func TestScanResetsAccessedPages(t *testing.T) {
 	m := newJob(10)
-	tr := NewTracker(m, Config{})
+	tr := NewTracker(m, nil)
 	tr.Scan()
 	tr.Scan() // all pages age 2
 	m.Touch(4, false)
@@ -74,7 +74,7 @@ func TestScanPaperExample(t *testing.T) {
 	// §4.3 example with scan-quantized ages: page A idle 5 periods, page B
 	// idle 10 periods, both accessed during the most recent period.
 	m := newJob(2)
-	tr := NewTracker(m, Config{})
+	tr := NewTracker(m, nil)
 	for i := 0; i < 5; i++ {
 		tr.Scan()
 	}
@@ -102,7 +102,7 @@ func TestScanPaperExample(t *testing.T) {
 
 func TestScanAgeSaturates(t *testing.T) {
 	m := newJob(2)
-	tr := NewTracker(m, Config{})
+	tr := NewTracker(m, nil)
 	for i := 0; i < 300; i++ {
 		tr.Scan()
 	}
@@ -117,7 +117,7 @@ func TestScanAgeSaturates(t *testing.T) {
 func TestScanCompressedPagesKeepAging(t *testing.T) {
 	m := newJob(10)
 	pool := zswap.NewPool()
-	tr := NewTracker(m, Config{})
+	tr := NewTracker(m, nil)
 	tr.Scan()
 	tr.Scan()
 	// Compress page 0 (age 2).
@@ -150,7 +150,7 @@ func TestScanCompressedPagesKeepAging(t *testing.T) {
 
 func TestRecordPromotionFault(t *testing.T) {
 	m := newJob(4)
-	tr := NewTracker(m, Config{})
+	tr := NewTracker(m, nil)
 	m.SetAge(0, 42)
 	tr.RecordPromotionFault(m.Age(0))
 	if got := tr.Promotions().Count(42); got != 1 {
@@ -160,7 +160,7 @@ func TestRecordPromotionFault(t *testing.T) {
 
 func TestCPUAccounting(t *testing.T) {
 	m := newJob(1000)
-	tr := NewTracker(m, Config{})
+	tr := NewTracker(m, nil)
 	tr.Scan()
 	if got := tr.CPUTime(); got != 150*time.Microsecond {
 		t.Errorf("CPUTime = %v, want 150µs", got)
@@ -187,7 +187,7 @@ func TestWorkingSetFromCensus(t *testing.T) {
 	// After a scan, bucket 0 of the census is exactly the set of pages
 	// accessed during the last period: the paper's WSS definition.
 	m := newJob(50)
-	tr := NewTracker(m, Config{})
+	tr := NewTracker(m, nil)
 	tr.Scan()
 	for i := 0; i < 20; i++ {
 		m.Touch(mem.PageID(i), false)

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -234,12 +233,6 @@ func (ct *CompiledTrace) replayAll(phases []Phase, cfg Config, cold [][]float64)
 	if err := cfg.SLO.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.HistoryLen < 0 {
-		return nil, fmt.Errorf("model: negative history length %d", cfg.HistoryLen)
-	}
-	if cfg.HistoryLen == 0 {
-		cfg.HistoryLen = DefaultHistoryLen
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -255,7 +248,7 @@ func (ct *CompiledTrace) replayAll(phases []Phase, cfg Config, cold [][]float64)
 	reps := make([]*replayer, workers)
 	for w := range reps {
 		ctl, err := core.NewController(core.ControllerConfig{
-			SLO: cfg.SLO, Params: phases[0].Params, HistoryLen: cfg.HistoryLen,
+			SLO: cfg.SLO, Params: phases[0].Params, HistoryLen: DefaultHistoryLen,
 		})
 		if err != nil {
 			return nil, err

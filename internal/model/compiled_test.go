@@ -24,6 +24,30 @@ func equivTrace(t *testing.T) *telemetry.Trace {
 	return tr
 }
 
+// longTrace holds two jobs of 26 h of 5-minute entries each, so every job
+// series outruns the DefaultHistoryLen-interval best-threshold pool and
+// the replay wraps it.
+func longTrace(t *testing.T) *telemetry.Trace {
+	t.Helper()
+	tr, err := fleet.Generate(fleet.Config{
+		Clusters: 1, MachinesPerCluster: 1, JobsPerMachine: 2,
+		Duration: 26 * time.Hour, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := jobSeries(tr)
+	for _, es := range series {
+		if len(es) <= DefaultHistoryLen {
+			t.Fatalf("long trace holds a %d-interval job series; want every series longer than %d", len(es), DefaultHistoryLen)
+		}
+	}
+	if len(series) != 2 {
+		t.Fatalf("long trace holds %d jobs, want 2", len(series))
+	}
+	return tr
+}
+
 // addDuplicateTimestampJob appends a job that reports three different
 // entries per timestamp, out of order: enough of them that an unstable
 // sort would reorder the duplicates, which the replay — order-sensitive
@@ -62,16 +86,23 @@ func addDuplicateTimestampJob(t *testing.T, tr *telemetry.Trace) {
 func TestCompiledReplayEquivalence(t *testing.T) {
 	tr := equivTrace(t)
 	addDuplicateTimestampJob(t, tr)
-	ct := Compile(tr)
-	configs := []Config{
-		{Params: core.DefaultParams, SLO: core.DefaultSLO},
-		{Params: core.Params{K: 50, S: 0}, SLO: core.DefaultSLO},
-		{Params: core.Params{K: 99.9, S: 2 * time.Hour}, SLO: core.DefaultSLO, CollectSamples: true},
-		{Params: core.Params{K: 100, S: 30 * time.Minute}, SLO: core.DefaultSLO, HistoryLen: 7},
+	long := longTrace(t)
+	cases := []struct {
+		tr  *telemetry.Trace
+		cfg Config
+	}{
+		{tr, Config{Params: core.DefaultParams, SLO: core.DefaultSLO}},
+		{tr, Config{Params: core.Params{K: 50, S: 0}, SLO: core.DefaultSLO}},
+		{tr, Config{Params: core.Params{K: 99.9, S: 2 * time.Hour}, SLO: core.DefaultSLO, CollectSamples: true}},
 		// A different SLO exercises the lazy best-threshold re-derivation.
-		{Params: core.DefaultParams, SLO: core.SLO{TargetRatePerMin: 0.01, MinThreshold: core.DefaultSLO.MinThreshold}},
+		{tr, Config{Params: core.DefaultParams, SLO: core.SLO{TargetRatePerMin: 0.01, MinThreshold: core.DefaultSLO.MinThreshold}}},
+		// Job series longer than the pool wrap it.
+		{long, Config{Params: core.DefaultParams, SLO: core.DefaultSLO}},
 	}
-	for i, cfg := range configs {
+	// One compile per trace, reused row to row like a tuning session.
+	compiled := map[*telemetry.Trace]*CompiledTrace{tr: Compile(tr), long: Compile(long)}
+	for i, c := range cases {
+		tr, cfg, ct := c.tr, c.cfg, compiled[c.tr]
 		want, err := RunBaseline(tr, cfg)
 		if err != nil {
 			t.Fatalf("config %d: baseline: %v", i, err)
@@ -288,8 +319,5 @@ func TestCompiledRunRejectsInvalidConfig(t *testing.T) {
 	}
 	if _, err := ct.Run(Config{Params: core.DefaultParams, SLO: core.SLO{}}); err == nil {
 		t.Error("invalid SLO accepted")
-	}
-	if _, err := ct.Run(Config{Params: core.DefaultParams, SLO: core.DefaultSLO, HistoryLen: -1}); err == nil {
-		t.Error("negative history length accepted")
 	}
 }

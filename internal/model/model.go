@@ -26,9 +26,6 @@ import (
 type Config struct {
 	Params core.Params
 	SLO    core.SLO
-	// HistoryLen bounds the controller's best-threshold pool, in trace
-	// intervals. Zero uses a day of 5-minute intervals.
-	HistoryLen int
 	// Workers is the parallelism; zero means GOMAXPROCS.
 	Workers int
 	// CollectSamples retains every per-interval normalized promotion rate
@@ -36,7 +33,8 @@ type Config struct {
 	CollectSamples bool
 }
 
-// DefaultHistoryLen is one day of 5-minute intervals (28.8 h of the node
+// DefaultHistoryLen bounds the replayed controller's best-threshold pool,
+// in trace intervals: one day of 5-minute intervals (28.8 h of the node
 // agent's 6-minute page-accurate exports).
 const DefaultHistoryLen = 288
 

@@ -74,9 +74,6 @@ func RunBaseline(trace *telemetry.Trace, cfg Config) (FleetResult, error) {
 	if err := cfg.SLO.Validate(); err != nil {
 		return FleetResult{}, err
 	}
-	if cfg.HistoryLen == 0 {
-		cfg.HistoryLen = DefaultHistoryLen
-	}
 	series := jobSeries(trace)
 	keys := trace.Jobs()
 	results := make([]JobResult, len(keys))
@@ -98,7 +95,7 @@ func replayJob(trace *telemetry.Trace, key telemetry.JobKey, entries []telemetry
 	ctrl, err := core.NewController(core.ControllerConfig{
 		SLO:        cfg.SLO,
 		Params:     cfg.Params,
-		HistoryLen: cfg.HistoryLen,
+		HistoryLen: DefaultHistoryLen,
 		JobStart:   time.Duration(entries[0].TimestampSec) * time.Second,
 	})
 	if err != nil {
@@ -193,9 +190,6 @@ func bestIndex(e telemetry.Entry, slo core.SLO) int {
 // job, SetParams at each phase change (by phase position, so two phases
 // may share a name), per-job contributions summed in job order.
 func referenceTimeline(trace *telemetry.Trace, phases []Phase, cfg Config) ([]TimelinePoint, error) {
-	if cfg.HistoryLen == 0 {
-		cfg.HistoryLen = DefaultHistoryLen
-	}
 	series := jobSeries(trace)
 	agg := make(map[time.Duration]*TimelinePoint)
 	for _, key := range trace.Jobs() {
@@ -233,7 +227,7 @@ func replayTimelineJob(trace *telemetry.Trace, entries []telemetry.Entry, phases
 	ctrl, err := core.NewController(core.ControllerConfig{
 		SLO:        cfg.SLO,
 		Params:     phases[0].Params,
-		HistoryLen: cfg.HistoryLen,
+		HistoryLen: DefaultHistoryLen,
 		JobStart:   time.Duration(entries[0].TimestampSec) * time.Second,
 	})
 	if err != nil {

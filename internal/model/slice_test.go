@@ -37,57 +37,62 @@ func damagedTrace(t *testing.T, rng *rand.Rand) *telemetry.Trace {
 // whose job keep accepts — job set, order, gap counts and all.
 func TestSliceEqualsCompileOfFilteredEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	tr := damagedTrace(t, rng)
-	full := Compile(tr)
-	minTS, maxTS := full.TimeBounds()
-	span := maxTS - minTS + 1
 	configs := []Config{
 		{Params: core.DefaultParams, SLO: core.DefaultSLO},
 		{Params: core.Params{K: 99.9, S: 2 * time.Hour}, SLO: core.DefaultSLO, CollectSamples: true},
-		{Params: core.Params{K: 60, S: 10 * time.Minute}, SLO: core.DefaultSLO, HistoryLen: 7},
+		{Params: core.Params{K: 60, S: 10 * time.Minute}, SLO: core.DefaultSLO},
 	}
-	for trial := 0; trial < 200; trial++ {
-		// Bounds range past both ends of the trace and cross over.
-		lo := minTS - span/10 + rng.Int63n(span*12/10)
-		hi := minTS - span/10 + rng.Int63n(span*12/10)
-		frac := rng.Float64()
-		switch trial % 10 {
-		case 0:
-			frac = 0 // a keep that rejects every job
-		case 1:
-			frac = 1
-		case 2:
-			lo, hi = minTS, maxTS+1 // everything
-		}
-		keep := func(k telemetry.JobKey) bool { return keyPoint(k) < frac }
+	for ti, tr := range []*telemetry.Trace{
+		damagedTrace(t, rng),
+		// Job series longer than the pool wrap it.
+		longTrace(t),
+	} {
+		full := Compile(tr)
+		minTS, maxTS := full.TimeBounds()
+		span := maxTS - minTS + 1
+		for trial := 0; trial < 200; trial++ {
+			// Bounds range past both ends of the trace and cross over.
+			lo := minTS - span/10 + rng.Int63n(span*12/10)
+			hi := minTS - span/10 + rng.Int63n(span*12/10)
+			frac := rng.Float64()
+			switch trial % 10 {
+			case 0:
+				frac = 0 // a keep that rejects every job
+			case 1:
+				frac = 1
+			case 2:
+				lo, hi = minTS, maxTS+1 // everything
+			}
+			keep := func(k telemetry.JobKey) bool { return keyPoint(k) < frac }
 
-		filtered := telemetry.NewTrace()
-		for _, e := range tr.Entries {
-			if e.TimestampSec >= lo && e.TimestampSec < hi && keep(e.Key) {
-				filtered.Entries = append(filtered.Entries, e)
+			filtered := telemetry.NewTrace()
+			for _, e := range tr.Entries {
+				if e.TimestampSec >= lo && e.TimestampSec < hi && keep(e.Key) {
+					filtered.Entries = append(filtered.Entries, e)
+				}
 			}
-		}
-		sl := full.Slice(lo, hi, keep)
-		ref := Compile(filtered)
-		if sl.Jobs() != ref.Jobs() || sl.Intervals() != ref.Intervals() {
-			t.Fatalf("trial %d [%d, %d) frac %.3f: slice has %d jobs / %d intervals, filtered compile %d / %d",
-				trial, lo, hi, frac, sl.Jobs(), sl.Intervals(), ref.Jobs(), ref.Intervals())
-		}
-		if hi <= lo && sl.Intervals() != 0 {
-			t.Fatalf("trial %d: [%d, %d) is empty but the slice holds %d intervals", trial, lo, hi, sl.Intervals())
-		}
-		for ci, cfg := range configs {
-			want, err := ref.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
+			sl := full.Slice(lo, hi, keep)
+			ref := Compile(filtered)
+			if sl.Jobs() != ref.Jobs() || sl.Intervals() != ref.Intervals() {
+				t.Fatalf("trace %d trial %d [%d, %d) frac %.3f: slice has %d jobs / %d intervals, filtered compile %d / %d",
+					ti, trial, lo, hi, frac, sl.Jobs(), sl.Intervals(), ref.Jobs(), ref.Intervals())
 			}
-			got, err := sl.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
+			if hi <= lo && sl.Intervals() != 0 {
+				t.Fatalf("trace %d trial %d: [%d, %d) is empty but the slice holds %d intervals", ti, trial, lo, hi, sl.Intervals())
 			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("trial %d [%d, %d) frac %.3f config %d: slice replay diverges from compile of the filtered entries\nwant %v\ngot  %v",
-					trial, lo, hi, frac, ci, want, got)
+			for ci, cfg := range configs {
+				want, err := ref.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sl.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("trace %d trial %d [%d, %d) frac %.3f config %d: slice replay diverges from compile of the filtered entries\nwant %v\ngot  %v",
+						ti, trial, lo, hi, frac, ci, want, got)
+				}
 			}
 		}
 	}

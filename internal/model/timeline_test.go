@@ -136,7 +136,9 @@ func TestRunTimelineValidation(t *testing.T) {
 
 // timelineSchedules are phase schedules that exercise every lookup case:
 // an off stage, a first phase starting after the trace does, two phases
-// sharing a Start, and two sharing a Name.
+// sharing a Start, and two sharing a Name. The last runs the default
+// parameters from hour 6 on, which a pool that wraps (or fails to) shows
+// under.
 func timelineSchedules() [][]Phase {
 	return [][]Phase{
 		{
@@ -153,20 +155,25 @@ func timelineSchedules() [][]Phase {
 			{Name: "run", Start: 0, Params: core.Params{K: 99.9, S: 2 * time.Hour}, Enabled: true},
 			{Name: "run", Start: 4 * time.Hour, Params: core.Params{K: 50, S: 0}, Enabled: true},
 		},
+		{
+			{Name: "manual", Start: 0, Params: core.Params{K: 99, S: time.Hour}, Enabled: true},
+			{Name: "default", Start: 6 * time.Hour, Params: core.DefaultParams, Enabled: true},
+		},
 	}
 }
 
 // TestTimelineMatchesReference holds the compiled timeline to the
 // core.Controller-based reference, point for point and bit for bit, on a
-// shuffled, lossy trace.
+// shuffled, lossy trace and on one whose job series wrap the pool.
 func TestTimelineMatchesReference(t *testing.T) {
-	tr := damagedTrace(t, rand.New(rand.NewSource(3)))
-	ct := Compile(tr)
-	for si, phases := range timelineSchedules() {
-		for _, cfg := range []Config{
-			{SLO: core.DefaultSLO},
-			{SLO: core.DefaultSLO, HistoryLen: 7},
-		} {
+	cfg := Config{SLO: core.DefaultSLO}
+	for ti, tr := range []*telemetry.Trace{
+		damagedTrace(t, rand.New(rand.NewSource(3))),
+		// Job series longer than the pool wrap it.
+		longTrace(t),
+	} {
+		ct := Compile(tr)
+		for si, phases := range timelineSchedules() {
 			want, err := referenceTimeline(tr, phases, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -176,11 +183,11 @@ func TestTimelineMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("schedule %d: %d points, reference has %d", si, len(got), len(want))
+				t.Fatalf("trace %d schedule %d: %d points, reference has %d", ti, si, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("schedule %d history %d point %d:\nreference %+v\ncompiled  %+v", si, cfg.HistoryLen, i, want[i], got[i])
+					t.Fatalf("trace %d schedule %d point %d:\nreference %+v\ncompiled  %+v", ti, si, i, want[i], got[i])
 				}
 			}
 		}

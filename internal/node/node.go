@@ -230,7 +230,9 @@ type Machine struct {
 	auditScratch []mem.PageID
 
 	// Observability (see obs.go); nil when Config.Obs is nil.
-	obs       *machineObs
+	obs *machineObs
+	// kstaledMx is the machine-wide scanner metrics, shared by the
+	// trackers AddJob and crash restarts build.
 	kstaledMx *kstaled.Metrics
 }
 
@@ -327,7 +329,7 @@ func (m *Machine) AddJob(w *workload.Workload) (*Job, error) {
 	j := &Job{
 		Workload:   w,
 		Memcg:      memcg,
-		Tracker:    kstaled.NewTracker(memcg, m.kstaledConfig()),
+		Tracker:    kstaled.NewTracker(memcg, m.kstaledMx),
 		Controller: ctrl,
 		Started:    m.now,
 		Priority:   w.Archetype().Priority,
@@ -684,7 +686,7 @@ func (m *Machine) crash() error {
 			return err
 		}
 		j.Memcg.ResetAges()
-		j.Tracker = kstaled.NewTracker(j.Memcg, m.kstaledConfig())
+		j.Tracker = kstaled.NewTracker(j.Memcg, m.kstaledMx)
 		j.Controller.Reset(m.now)
 		j.prevPromo = [histogram.NumBuckets]uint64{}
 		j.exportPromo = [histogram.NumBuckets]uint64{}

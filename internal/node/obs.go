@@ -234,12 +234,6 @@ func (m *Machine) obsEndStep(pre cpuTotals, ranCompact, ranExport, ranAudit, dee
 	}
 }
 
-// kstaledConfig carries the machine-wide scanner metrics, so trackers
-// built by AddJob and by crash restarts share one instance.
-func (m *Machine) kstaledConfig() kstaled.Config {
-	return kstaled.Config{Metrics: m.kstaledMx}
-}
-
 // attachObs finishes observability wiring after the tier stack is built.
 func (m *Machine) attachObs(o *obs.Observer) {
 	m.obs = newMachineObs(m, o)

@@ -152,7 +152,7 @@ func (s *refusingSink) Append(e Entry) error {
 // a later flush to resend.
 func TestStageFlushReportsSinkError(t *testing.T) {
 	sink := &refusingSink{room: 2}
-	s := NewStreamCollector(sink, DefaultThresholds).Stage()
+	s := NewCollector(sink).Stage()
 	flush := s.Hold()
 	if err := script(s, "m0000"); err != nil { // eight entries, none refused yet
 		t.Fatal(err)

@@ -344,39 +344,27 @@ type EntrySink interface {
 // run. Producers that run concurrently and still want one append order
 // each take a Stage and Hold it.
 type Collector struct {
-	mu         sync.Mutex
-	sink       EntrySink
-	thresholds []int
-	held       bool    // between Hold and its flush
-	staged     []Entry // closed intervals waiting for the flush
+	mu     sync.Mutex
+	sink   EntrySink
+	held   bool    // between Hold and its flush
+	staged []Entry // closed intervals waiting for the flush
 }
 
-// NewCollector creates a collector writing into trace.
-func NewCollector(trace *Trace) *Collector {
-	return NewStreamCollector(trace, trace.Thresholds)
+// NewCollector creates a collector exporting to sink: a *Trace in memory,
+// or a streaming sink such as tracestore.Writer, with no full-trace
+// buffering. Every entry carries tails at DefaultThresholds.
+func NewCollector(sink EntrySink) *Collector {
+	return &Collector{sink: sink}
 }
 
-// NewStreamCollector creates a collector exporting to an arbitrary sink
-// — streaming ingest with no full-trace buffering. thresholds is the
-// predefined cold-age threshold set the sink's trace was created with.
-func NewStreamCollector(sink EntrySink, thresholds []int) *Collector {
-	return &Collector{
-		sink:       sink,
-		thresholds: append([]int(nil), thresholds...),
-	}
-}
-
-// Stage returns a collector for one producer (one machine) of c's: same
-// thresholds, closed intervals appended to c's sink under c's mutex. A
-// stage passes entries on as they close; while held (Hold)
-// it keeps them, so a caller running several producers at once can flush
-// the stages one after another and give the sink an order that does not
-// depend on how the producers were scheduled.
+// Stage returns a collector for one producer (one machine) of c's: its
+// closed intervals are appended to c's sink under c's mutex. A stage
+// passes entries on as they close; while held (Hold) it keeps them, so a
+// caller running several producers at once can flush the stages one after
+// another and give the sink an order that does not depend on how the
+// producers were scheduled.
 func (c *Collector) Stage() *Collector {
-	return &Collector{
-		sink:       stageSink{c},
-		thresholds: c.thresholds,
-	}
+	return &Collector{sink: stageSink{c}}
 }
 
 // stageSink is a stage's sink: its parent, entered under the parent's
@@ -438,8 +426,8 @@ func (c *Collector) Record(key JobKey, now time.Duration, intervalMinutes float6
 		IntervalMinutes: intervalMinutes,
 		WSSPages:        wssPages,
 		TotalPages:      census.Total(),
-		ColdTails:       TailsAt(census, c.thresholds),
-		PromoTails:      TailsAt(promo, c.thresholds),
+		ColdTails:       TailsAt(census, DefaultThresholds),
+		PromoTails:      TailsAt(promo, DefaultThresholds),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -385,7 +385,7 @@ func TestCollectorToWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := telemetry.NewStreamCollector(w, telemetry.NewTrace().Thresholds)
+	c := telemetry.NewCollector(w)
 	key := telemetry.JobKey{Cluster: "c", Machine: "m", Job: "j"}
 
 	census := histogram.New(histogram.DefaultScanPeriod)

@@ -18,7 +18,7 @@ import (
 // the trace ever existing in memory at once.
 //
 // Writer implements telemetry.EntrySink, so it plugs directly into
-// telemetry.NewStreamCollector as the node agent's export destination.
+// telemetry.NewCollector as the node agent's export destination.
 type Writer struct {
 	w    io.Writer
 	meta Meta

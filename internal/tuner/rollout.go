@@ -38,6 +38,23 @@ var DefaultRolloutStages = []RolloutStage{
 	{Name: "fleet", Fraction: 1.00},
 }
 
+// ValidateStages checks deployment rings: each fraction in (0, 1], and
+// no ring smaller than the one before it, since a ring holds every job the
+// rings before it reached.
+func ValidateStages(stages []RolloutStage) error {
+	prev := 0.0
+	for _, st := range stages {
+		if st.Fraction <= 0 || st.Fraction > 1 {
+			return fmt.Errorf("tuner: stage %q has fraction %v outside (0, 1]", st.Name, st.Fraction)
+		}
+		if st.Fraction < prev {
+			return fmt.Errorf("tuner: stage %q shrinks the rollout to %v from %v", st.Name, st.Fraction, prev)
+		}
+		prev = st.Fraction
+	}
+	return nil
+}
+
 // StageObjective evaluates candidate params on one rollout stage — live
 // monitoring of the ring that currently carries the candidate.
 type StageObjective func(p core.Params, stage RolloutStage, idx int) (model.FleetResult, error)
@@ -80,11 +97,11 @@ func StagedRollout(candidate, incumbent core.Params, obj StageObjective, stages 
 	if len(stages) == 0 {
 		stages = DefaultRolloutStages
 	}
+	if err := ValidateStages(stages); err != nil {
+		return RolloutReport{}, err
+	}
 	rep := RolloutReport{Chosen: candidate}
 	for i, st := range stages {
-		if st.Fraction <= 0 || st.Fraction > 1 {
-			return RolloutReport{}, fmt.Errorf("tuner: stage %q has invalid fraction %v", st.Name, st.Fraction)
-		}
 		fr, err := obj(candidate, st, i)
 		if err != nil {
 			return RolloutReport{}, fmt.Errorf("tuner: stage %q objective: %w", st.Name, err)

@@ -81,6 +81,31 @@ func TestStagedRolloutRejectsEmptyStage(t *testing.T) {
 	}
 }
 
+// TestStagedRolloutRejectsBadRings: a ring outside (0, 1] or smaller
+// than the ring before it is refused before any stage is pushed.
+func TestStagedRolloutRejectsBadRings(t *testing.T) {
+	pushed := 0
+	obj := func(p core.Params, st RolloutStage, idx int) (model.FleetResult, error) {
+		pushed++
+		return stageResult(0.001, 100), nil
+	}
+	for _, stages := range [][]RolloutStage{
+		{{"canary", 0.5}, {"fleet", 0.1}},
+		{{"canary", 0.1}, {"early", 0}, {"fleet", 1}},
+		{{"fleet", 1.01}},
+	} {
+		if _, err := StagedRollout(core.Params{K: 90, S: 0}, core.DefaultParams, obj, stages, core.DefaultSLO); err == nil {
+			t.Errorf("rings %+v accepted", stages)
+		}
+	}
+	if pushed != 0 {
+		t.Errorf("%d stages pushed before the rings were refused", pushed)
+	}
+	if err := ValidateStages([]RolloutStage{{"a", 0.1}, {"b", 0.1}, {"c", 1}}); err != nil {
+		t.Errorf("equal consecutive rings refused: %v", err)
+	}
+}
+
 // quietTrace is jobs × intervals five-minute reports starting at startSec,
 // with cold memory and no promotions: any enabled interval is healthy.
 func quietTrace(t *testing.T, jobs, intervals int, startSec int64) *telemetry.Trace {

@@ -20,29 +20,18 @@ import (
 	"sdfm/internal/obs"
 )
 
-// Space is the parameter search space.
-type Space struct {
+// space is the parameter search space.
+type space struct {
 	KMin, KMax float64
 	SMin, SMax time.Duration
 }
 
-// DefaultSpace covers the plausible operating range: percentiles from the
+// searchSpace covers the plausible operating range: percentiles from the
 // median to just under 100, warmups from zero to two hours.
-var DefaultSpace = Space{KMin: 50, KMax: 99.9, SMin: 0, SMax: 2 * time.Hour}
-
-// Validate checks the space.
-func (s Space) Validate() error {
-	if s.KMin < 0 || s.KMax > 100 || s.KMin >= s.KMax {
-		return fmt.Errorf("tuner: invalid K range [%v, %v]", s.KMin, s.KMax)
-	}
-	if s.SMin < 0 || s.SMin >= s.SMax {
-		return fmt.Errorf("tuner: invalid S range [%v, %v]", s.SMin, s.SMax)
-	}
-	return nil
-}
+var searchSpace = space{KMin: 50, KMax: 99.9, SMin: 0, SMax: 2 * time.Hour}
 
 // Normalize maps params into the unit square.
-func (s Space) Normalize(p core.Params) []float64 {
+func (s space) Normalize(p core.Params) []float64 {
 	return []float64{
 		(p.K - s.KMin) / (s.KMax - s.KMin),
 		float64(p.S-s.SMin) / float64(s.SMax-s.SMin),
@@ -51,7 +40,7 @@ func (s Space) Normalize(p core.Params) []float64 {
 
 // Denormalize maps a unit-square point back to params, clamping to the
 // space.
-func (s Space) Denormalize(x []float64) core.Params {
+func (s space) Denormalize(x []float64) core.Params {
 	k := s.KMin + clamp01(x[0])*(s.KMax-s.KMin)
 	sec := float64(s.SMin) + clamp01(x[1])*float64(s.SMax-s.SMin)
 	return core.Params{K: k, S: time.Duration(sec)}
@@ -81,15 +70,11 @@ type Observation struct {
 
 // Config configures the GP-Bandit loop.
 type Config struct {
-	Space Space
-	SLO   core.SLO
+	SLO core.SLO
 	// InitSamples seeds the GP before banditry begins (default 5).
 	InitSamples int
 	// Iterations is the number of GP-guided evaluations (default 15).
 	Iterations int
-	// Candidates is the number of random points scored by UCB per
-	// iteration (default 512).
-	Candidates int
 	// Seed drives the deterministic candidate sampler.
 	Seed int64
 	// Obs, when set, counts evaluations and lays the search out on a
@@ -99,18 +84,16 @@ type Config struct {
 	Obs *obs.Observer
 }
 
+// ucbCandidates is the number of random points scored by UCB per
+// iteration.
+const ucbCandidates = 512
+
 func (c *Config) fillDefaults() {
-	if c.Space == (Space{}) {
-		c.Space = DefaultSpace
-	}
 	if c.InitSamples == 0 {
 		c.InitSamples = 5
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 15
-	}
-	if c.Candidates == 0 {
-		c.Candidates = 512
 	}
 }
 
@@ -124,9 +107,6 @@ func (c *Config) fillDefaults() {
 func (c Config) Validate() error {
 	d := c
 	d.fillDefaults()
-	if err := d.Space.Validate(); err != nil {
-		return err
-	}
 	if c.InitSamples < 0 {
 		return fmt.Errorf("tuner: InitSamples %d is negative; use 0 for the default (5) or at least 3", c.InitSamples)
 	}
@@ -135,9 +115,6 @@ func (c Config) Validate() error {
 	}
 	if c.Iterations < 0 {
 		return fmt.Errorf("tuner: Iterations %d is negative; use 0 for the default (15)", c.Iterations)
-	}
-	if c.Candidates < 0 {
-		return fmt.Errorf("tuner: Candidates %d is negative; use 0 for the default (512)", c.Candidates)
 	}
 	return nil
 }
@@ -216,12 +193,12 @@ func Autotune(obj Objective, cfg Config) (Result, error) {
 	// Seed design: corners biased toward the feasible (conservative)
 	// region, the centre, then stratified random points.
 	seeds := []core.Params{
-		{K: cfg.Space.KMax, S: cfg.Space.SMax},
-		{K: cfg.Space.KMax, S: cfg.Space.SMin},
-		{K: (cfg.Space.KMin + cfg.Space.KMax) / 2, S: (cfg.Space.SMin + cfg.Space.SMax) / 2},
+		{K: searchSpace.KMax, S: searchSpace.SMax},
+		{K: searchSpace.KMax, S: searchSpace.SMin},
+		{K: (searchSpace.KMin + searchSpace.KMax) / 2, S: (searchSpace.SMin + searchSpace.SMax) / 2},
 	}
 	for len(seeds) < cfg.InitSamples {
-		seeds = append(seeds, cfg.Space.Denormalize([]float64{rng.Float64(), rng.Float64()}))
+		seeds = append(seeds, searchSpace.Denormalize([]float64{rng.Float64(), rng.Float64()}))
 	}
 	for _, p := range seeds[:cfg.InitSamples] {
 		if err := evaluate("seed", p); err != nil {
@@ -230,20 +207,20 @@ func Autotune(obj Objective, cfg Config) (Result, error) {
 	}
 
 	for t := 1; t <= cfg.Iterations; t++ {
-		g := gp.New(gpKernel(res.History, cfg.Space), noiseVar)
+		g := gp.New(gpKernel(res.History), noiseVar)
 		for _, o := range res.History {
-			g.Add(cfg.Space.Normalize(o.Params), o.Score)
+			g.Add(searchSpace.Normalize(o.Params), o.Score)
 		}
 		if err := g.Fit(); err != nil {
 			return Result{}, err
 		}
-		beta := gp.UCBBeta(t, cfg.Candidates)
+		beta := gp.UCBBeta(t, ucbCandidates)
 		// Draw every candidate up front so the rng stream is consumed in
 		// the same order as a serial scan, then score them on a bounded
 		// worker pool (the fitted GP is read-only under Predict). The
 		// argmax reduction runs in candidate order with strict >, so the
 		// chosen point — ties included — matches the serial loop exactly.
-		cands := make([][]float64, cfg.Candidates)
+		cands := make([][]float64, ucbCandidates)
 		for c := range cands {
 			cands[c] = []float64{rng.Float64(), rng.Float64()}
 		}
@@ -275,7 +252,7 @@ func Autotune(obj Objective, cfg Config) (Result, error) {
 				bestX = cands[c]
 			}
 		}
-		if err := evaluate("gp-iter", cfg.Space.Denormalize(bestX)); err != nil {
+		if err := evaluate("gp-iter", searchSpace.Denormalize(bestX)); err != nil {
 			return Result{}, err
 		}
 	}
@@ -290,7 +267,7 @@ func Autotune(obj Objective, cfg Config) (Result, error) {
 
 // gpKernel selects hyperparameters by marginal likelihood once enough
 // observations exist, falling back to a sensible default.
-func gpKernel(history []Observation, space Space) gp.RBF {
+func gpKernel(history []Observation) gp.RBF {
 	fallback := gp.RBF{Variance: 1, LengthScales: []float64{0.25, 0.25}}
 	if len(history) < 6 {
 		return fallback
@@ -298,7 +275,7 @@ func gpKernel(history []Observation, space Space) gp.RBF {
 	xs := make([][]float64, len(history))
 	ys := make([]float64, len(history))
 	for i, o := range history {
-		xs[i] = space.Normalize(o.Params)
+		xs[i] = searchSpace.Normalize(o.Params)
 		ys[i] = o.Score
 	}
 	k, err := gp.FitHyperparams(xs, ys, noiseVar)

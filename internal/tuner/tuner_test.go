@@ -29,25 +29,8 @@ func syntheticObjective(p core.Params) (model.FleetResult, error) {
 	}, nil
 }
 
-func TestSpaceValidate(t *testing.T) {
-	if err := DefaultSpace.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Space{
-		{KMin: 90, KMax: 80, SMin: 0, SMax: time.Hour},
-		{KMin: -1, KMax: 80, SMin: 0, SMax: time.Hour},
-		{KMin: 50, KMax: 101, SMin: 0, SMax: time.Hour},
-		{KMin: 50, KMax: 90, SMin: time.Hour, SMax: time.Hour},
-	}
-	for i, s := range bad {
-		if s.Validate() == nil {
-			t.Errorf("bad space %d accepted", i)
-		}
-	}
-}
-
 func TestSpaceNormalizeRoundTrip(t *testing.T) {
-	s := DefaultSpace
+	s := searchSpace
 	for _, p := range []core.Params{
 		{K: 50, S: 0},
 		{K: 99.9, S: 2 * time.Hour},
@@ -170,11 +153,6 @@ func TestAutotuneValidatesConfig(t *testing.T) {
 	if _, err := Autotune(syntheticObjective, Config{SLO: core.SLO{}}); err == nil {
 		t.Error("invalid SLO accepted")
 	}
-	if _, err := Autotune(syntheticObjective, Config{
-		SLO: core.DefaultSLO, Space: Space{KMin: 90, KMax: 50, SMin: 0, SMax: 1},
-	}); err == nil {
-		t.Error("invalid space accepted")
-	}
 }
 
 func TestHeuristicTune(t *testing.T) {
@@ -222,8 +200,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative InitSamples", Config{InitSamples: -1}, true},
 		{"InitSamples truncates seed design", Config{InitSamples: 2}, true},
 		{"negative Iterations", Config{Iterations: -5}, true},
-		{"negative Candidates", Config{Candidates: -1}, true},
-		{"invalid space", Config{Space: Space{KMin: 90, KMax: 50, SMin: 0, SMax: 1}}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -244,7 +220,6 @@ func TestAutotuneRejectsDegenerateConfig(t *testing.T) {
 		{SLO: core.DefaultSLO, InitSamples: -2},
 		{SLO: core.DefaultSLO, InitSamples: 1},
 		{SLO: core.DefaultSLO, Iterations: -3},
-		{SLO: core.DefaultSLO, Candidates: -10},
 	} {
 		if _, err := Autotune(syntheticObjective, cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
