@@ -79,6 +79,12 @@ func main() {
 		return
 	}
 
+	// Catch SIGTERM before the daemon announces anything: a supervisor may
+	// signal the moment it reads "listening on", and the default action
+	// would kill the process with no drain and no final checkpoint.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	stages, err := parseStages(*stagesFlag)
 	if err != nil {
 		log.Fatal(err)
@@ -145,8 +151,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		log.Printf("received %s; shutting down", s)

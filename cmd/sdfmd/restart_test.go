@@ -124,8 +124,10 @@ func buildDaemon(t *testing.T) string {
 	return bin
 }
 
-// streamTrace registers one agent per machine and reports entries for
-// timestamps in [fromSec, toSec), in timestamp order.
+// streamTrace registers one agent per machine, all before the first
+// report, so every checkpoint generation the reports trigger holds every
+// agent; it then reports entries for timestamps in [fromSec, toSec), in
+// timestamp order.
 func streamTrace(t *testing.T, addr string, tr *telemetry.Trace, fromSec, toSec int64) int {
 	t.Helper()
 	ctx := context.Background()
@@ -143,13 +145,16 @@ func streamTrace(t *testing.T, addr string, tr *telemetry.Trace, fromSec, toSec 
 		byAgent[id] = append(byAgent[id], e)
 	}
 	sort.Strings(ids)
-	sent := 0
-	for _, id := range ids {
-		a := controlplane.NewAgent(id, cl)
-		if err := a.Register(ctx); err != nil {
+	agents := make([]*controlplane.Agent, len(ids))
+	for i, id := range ids {
+		agents[i] = controlplane.NewAgent(id, cl)
+		if err := agents[i].Register(ctx); err != nil {
 			t.Fatalf("registering %s: %v", id, err)
 		}
-		resp, err := a.Report(ctx, byAgent[id])
+	}
+	sent := 0
+	for i, id := range ids {
+		resp, err := agents[i].Report(ctx, byAgent[id])
 		if err != nil {
 			t.Fatalf("reporting for %s: %v", id, err)
 		}
@@ -289,6 +294,46 @@ func TestRestartAfterSIGKILL(t *testing.T) {
 		t.Fatalf("re-registering against restored daemon: %v", err)
 	}
 	d2.terminate()
+}
+
+// TestSIGTERMAtReadiness signals the daemon the moment it logs
+// "listening on", as a supervisor that waits for readiness would. The
+// daemon must already catch SIGTERM there: a clean drain, a final
+// checkpoint and exit 0, never death by the signal's default action. The
+// window it closes is microseconds wide, so the test boots many times.
+func TestSIGTERMAtReadiness(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and boots the daemon binary")
+	}
+	bin := buildDaemon(t)
+	for i := 0; i < 40; i++ {
+		cmd := exec.Command(bin, "-addr=127.0.0.1:0", "-tick=10ms", "-ckptdir="+filepath.Join(t.TempDir(), "ckpt"))
+		stderr, err := cmd.StderrPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatalf("starting sdfmd: %v", err)
+		}
+		var lines []string
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			lines = append(lines, sc.Text())
+			if strings.Contains(sc.Text(), "listening on ") {
+				// A failed send means the daemon is already gone;
+				// Wait reports how.
+				_ = cmd.Process.Signal(syscall.SIGTERM)
+			}
+		}
+		err = cmd.Wait()
+		all := strings.Join(lines, "\n")
+		if err != nil {
+			t.Fatalf("boot %d: daemon signalled at readiness exited uncleanly: %v\n%s", i, err, all)
+		}
+		if !strings.Contains(all, "final checkpoint: ") {
+			t.Fatalf("boot %d: no final checkpoint after SIGTERM at readiness:\n%s", i, all)
+		}
+	}
 }
 
 // TestGracefulShutdownWritesFinalCheckpoint is the clean half: SIGTERM

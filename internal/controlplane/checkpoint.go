@@ -141,11 +141,12 @@ func (c *Controller) adoptSnapshot(s *ckpt.Snapshot) error {
 	// so they get it here (a round panics on one the compiler cannot
 	// take); the window's bounds are read off them, never off the file.
 	// Queued entries need nothing: they reach Tick after the restore.
+	sums := telemetry.AppendChecksums(nil, s.Window)
 	for i := range s.Window {
 		e := &s.Window[i]
 		err := e.Validate(len(telemetry.DefaultThresholds))
-		if err == nil {
-			err = e.VerifyChecksum()
+		if err == nil && sums[i] != e.Checksum {
+			err = e.ChecksumError(sums[i])
 		}
 		if err != nil {
 			return fmt.Errorf("%w: window entry %d: %v", ckpt.ErrCorrupt, i, err)

@@ -296,6 +296,7 @@ type Controller struct {
 	scrapeQueued int
 
 	drainScratch []telemetry.Entry // Tick's per-agent drain buffer
+	sumScratch   []uint64          // the drained batch's content checksums
 
 	m cpMetrics
 }
@@ -516,7 +517,7 @@ type TickReport struct {
 func (c *Controller) Tick() TickReport {
 	c.mu.Lock()
 	var rep TickReport
-	scratch := c.drainScratch
+	scratch, sums := c.drainScratch, c.sumScratch
 	for _, id := range c.ids {
 		s := c.stripeFor(id)
 		s.mu.Lock()
@@ -530,6 +531,7 @@ func (c *Controller) Tick() TickReport {
 		s.queued -= n
 		rep.Remaining += len(a.queue)
 		s.mu.Unlock()
+		sums = telemetry.AppendChecksums(sums[:0], scratch)
 		for i := range scratch {
 			e := &scratch[i]
 			if err := e.Validate(len(telemetry.DefaultThresholds)); err != nil {
@@ -537,7 +539,7 @@ func (c *Controller) Tick() TickReport {
 				c.nInvalid++
 				continue
 			}
-			if err := e.VerifyChecksum(); err != nil {
+			if sums[i] != e.Checksum {
 				rep.RejectedCorrupt++
 				c.nCorrupt++
 				continue
@@ -546,7 +548,7 @@ func (c *Controller) Tick() TickReport {
 			rep.Drained++
 		}
 	}
-	c.drainScratch = scratch[:0]
+	c.drainScratch, c.sumScratch = scratch[:0], sums[:0]
 	trigger := !c.roundInFlight && len(c.window) > 0 &&
 		c.windowMax-c.window[0].TimestampSec >= c.roundSec
 	c.mu.Unlock()

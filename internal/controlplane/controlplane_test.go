@@ -3,6 +3,7 @@ package controlplane
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -182,6 +183,60 @@ func TestTickValidatesEntries(t *testing.T) {
 	if st.WindowEntries != 1 || st.WindowStartSec != valid.TimestampSec || st.WindowEndSec != valid.TimestampSec {
 		t.Errorf("window = [%d, %d] with %d entries, want [%d, %d] with 1",
 			st.WindowStartSec, st.WindowEndSec, st.WindowEntries, valid.TimestampSec, valid.TimestampSec)
+	}
+}
+
+// TestTickVerifiesEveryLane: Tick checksums its drained batch four
+// entries at a time (telemetry.AppendChecksums). A 9-entry report holds two
+// lock-step groups and a one-entry remainder; each lane position carries
+// one damaged entry, the two groups in complementary lanes, so a sum
+// credited to the wrong lane marks an intact entry corrupt. The remainder
+// is ragged. Tick must count and ingest exactly what one-at-a-time
+// verification does.
+func TestTickVerifiesEveryLane(t *testing.T) {
+	c := newTestController(t, Config{})
+	if _, err := c.Register(RegisterRequest{AgentID: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	tr := testTrace(t, 1, 1, 2, time.Hour, 1)
+	batch := make([]telemetry.Entry, 9)
+	for i := range batch {
+		batch[i] = tr.Entries[i]
+		batch[i].ColdTails = slices.Clone(batch[i].ColdTails)
+	}
+	batch[0].Checksum ^= 1                      // group 1, lane 0: damaged stamp
+	batch[2].WSSPages++                         // group 1, lane 2: stale stamp
+	batch[5].ColdTails[0]++                     // group 2, lane 1: stale stamp
+	batch[7].Checksum = 0                       // group 2, lane 3: unstamped
+	batch[8].ColdTails = batch[8].ColdTails[:4] // remainder: ragged
+	batch[8].Checksum = batch[8].ComputeChecksum()
+
+	var want []telemetry.Entry
+	var corrupt, invalid int
+	for i := range batch {
+		switch {
+		case batch[i].Validate(len(telemetry.DefaultThresholds)) != nil:
+			invalid++
+		case batch[i].VerifyChecksum() != nil:
+			corrupt++
+		default:
+			want = append(want, batch[i])
+		}
+	}
+	if corrupt != 4 || invalid != 1 {
+		t.Fatalf("fixture has %d corrupt and %d invalid entries, want 4 and 1", corrupt, invalid)
+	}
+
+	if _, err := c.Report(ReportRequest{AgentID: "a", Entries: batch}); err != nil {
+		t.Fatalf("Report: %v", err)
+	}
+	rep := c.Tick()
+	if rep.Drained != len(want) || rep.RejectedCorrupt != corrupt || rep.RejectedInvalid != invalid {
+		t.Errorf("Tick = drained %d corrupt %d invalid %d, want %d/%d/%d",
+			rep.Drained, rep.RejectedCorrupt, rep.RejectedInvalid, len(want), corrupt, invalid)
+	}
+	if !reflect.DeepEqual(c.window, want) {
+		t.Errorf("window holds %d entries, not the %d that verify one at a time", len(c.window), len(want))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -228,5 +229,49 @@ func TestCursorGuards(t *testing.T) {
 		if got := c.Fits(tc.n, tc.max, tc.min, "things"); got != tc.want || (got == 0) != (c.Err() != nil) {
 			t.Errorf("%s: Fits = %d (err %v), want %d", tc.name, got, c.Err(), tc.want)
 		}
+	}
+}
+
+// TestAppendUvarintsMatchesUvarint: the tail-run reader is n Uvarint
+// calls, at every varint edge binary.Uvarint draws: the same values, the
+// same error and the same cursor position.
+func TestAppendUvarintsMatchesUvarint(t *testing.T) {
+	ff := func(n int) []byte { return bytes.Repeat([]byte{0xFF}, n) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+		n    int
+	}{
+		{"one-byte values, some left unread", []byte{1, 0x7F, 0, 5}, 3},
+		{"10-byte maximum value", cat([]byte{0xAC, 0x02}, ff(9), []byte{0x01, 7}), 3},
+		{"10th byte of 2 overflows", cat([]byte{3}, ff(9), []byte{0x02, 7}), 3},
+		{"11 continuation bytes", cat([]byte{3}, bytes.Repeat([]byte{0x80}, 11), []byte{0x01}), 2},
+		{"11-byte varint", cat([]byte{3}, bytes.Repeat([]byte{0x80}, 10), []byte{0x01}), 2},
+		{"10 continuation bytes then the end", cat([]byte{3}, ff(10)), 2},
+		{"truncated mid-varint", []byte{3, 0xAC}, 2},
+		{"more values claimed than present", []byte{3, 4}, 5},
+		{"zero values", []byte{3}, 0},
+		{"empty buffer", nil, 1},
+	} {
+		want := NewCursor(tc.buf)
+		var wantVals []uint64
+		for range tc.n {
+			wantVals = append(wantVals, want.Uvarint())
+		}
+		got := NewCursor(tc.buf)
+		gotVals := got.AppendUvarints([]uint64{99}, tc.n)
+		if !slices.Equal(gotVals, append([]uint64{99}, wantVals...)) {
+			t.Errorf("%s: values %v, want 99 then %v", tc.name, gotVals, wantVals)
+		}
+		if got.Err() != want.Err() || got.pos != want.pos {
+			t.Errorf("%s: err %v at %d, want %v at %d", tc.name, got.Err(), got.pos, want.Err(), want.pos)
+		}
+	}
+	// A failed cursor stays failed: every value is zero, nothing is consumed.
+	c := NewCursor([]byte{0x80})
+	c.Uvarint()
+	if vals := c.AppendUvarints(nil, 2); !slices.Equal(vals, []uint64{0, 0}) || c.Err() != errTruncated || c.Remaining() != 0 {
+		t.Errorf("after a failure: values %v, err %v, %d bytes left", vals, c.Err(), c.Remaining())
 	}
 }

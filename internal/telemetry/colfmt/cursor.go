@@ -63,6 +63,38 @@ func (c *Cursor) Uvarint() uint64 {
 	return v
 }
 
+// AppendUvarints appends n unsigned varints to dst in one loop over the
+// buffer. It is exactly n Uvarint calls: the same values, zeros from the
+// first failure on, the same error and the same final position.
+func (c *Cursor) AppendUvarints(dst []uint64, n int) []uint64 {
+	buf, pos := c.buf, c.pos
+	for k := 0; k < n; k++ {
+		v, ok := uint64(0), false
+		// binary.Uvarint's bounds: at most MaxVarintLen64 bytes, the last
+		// of which may carry only the 64th bit.
+		for s := uint(0); s < 64 && pos < len(buf); s += 7 {
+			b := buf[pos]
+			pos++
+			if b < 0x80 {
+				ok = s < 63 || b <= 1
+				v |= uint64(b) << s
+				break
+			}
+			v |= uint64(b&0x7f) << s
+		}
+		if !ok {
+			c.fail(errTruncated)
+			for ; k < n; k++ {
+				dst = append(dst, 0)
+			}
+			return dst
+		}
+		dst = append(dst, v)
+	}
+	c.pos = pos
+	return dst
+}
+
 // Varint reads one zig-zag signed varint.
 func (c *Cursor) Varint() int64 {
 	v, n := binary.Varint(c.buf[c.pos:])

@@ -321,10 +321,7 @@ func readPrefixedTails(c *Cursor, entries []telemetry.Entry) {
 	arena := make([]uint64, 0, arenaCap)
 	offs := make([]int, 1, 2*count+1)
 	for i := 0; i < 2*count; i++ {
-		n := c.Fits(c.Uvarint(), MaxTails, 1, "tail sums")
-		for j := 0; j < n; j++ {
-			arena = append(arena, c.Uvarint())
-		}
+		arena = c.AppendUvarints(arena, c.Fits(c.Uvarint(), MaxTails, 1, "tail sums"))
 		offs = append(offs, len(arena))
 	}
 	if c.Err() != nil {

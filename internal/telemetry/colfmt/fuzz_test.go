@@ -2,6 +2,9 @@ package colfmt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 
 	"sdfm/internal/telemetry"
@@ -49,6 +52,18 @@ func FuzzDecodeChunk(f *testing.F) {
 	}
 	f.Add(prefixed, 2, 3)
 	f.Add(prefixed[:len(prefixed)/2], 2, 3)
+	// A tail value whose 10th varint byte is 2: one bit past 64, which
+	// the tail-run reader must refuse as Uvarint does.
+	wide := slices.Clone(entries)
+	wide[0].ColdTails = []uint64{math.MaxUint64, 7, 3}
+	overflow, err := AppendEntries(nil, wide, Prefixed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	maxVarint := binary.AppendUvarint(nil, math.MaxUint64)
+	at := bytes.Index(overflow, maxVarint) + len(maxVarint) - 1
+	overflow[at] = 2
+	f.Add(overflow, 2, 3)
 
 	f.Fuzz(func(t *testing.T, raw []byte, entryCount, nThresh int) {
 		// The width reaches the decoder only from a validated file header

@@ -161,14 +161,86 @@ func (e *Entry) ComputeChecksum() uint64 {
 	return h
 }
 
+// AppendChecksums appends entries[i].ComputeChecksum() for every entry to
+// dst and returns the extended slice. It is the batch form every verifier
+// uses: one FNV-1a chain is a serial multiply per byte, so four entries
+// are hashed in lock step with their states in h0..h3, and the four
+// chains overlap in the multiplier. A group of four whose tail lengths
+// differ (damaged entries) is hashed one entry at a time.
+func AppendChecksums(dst []uint64, entries []Entry) []uint64 {
+	dst = slices.Grow(dst, len(entries))
+	i := 0
+	for ; i+4 <= len(entries); i += 4 {
+		a, b, c, d := &entries[i], &entries[i+1], &entries[i+2], &entries[i+3]
+		nc, np := len(a.ColdTails), len(a.PromoTails)
+		if len(b.ColdTails) != nc || len(c.ColdTails) != nc || len(d.ColdTails) != nc ||
+			len(b.PromoTails) != np || len(c.PromoTails) != np || len(d.PromoTails) != np {
+			dst = append(dst, a.ComputeChecksum(), b.ComputeChecksum(), c.ComputeChecksum(), d.ComputeChecksum())
+			continue
+		}
+		h0, h1, h2, h3 := keyHash(&a.Key), keyHash(&b.Key), keyHash(&c.Key), keyHash(&d.Key)
+		h0, h1, h2, h3 = fnvWord4(h0, h1, h2, h3,
+			uint64(a.TimestampSec), uint64(b.TimestampSec), uint64(c.TimestampSec), uint64(d.TimestampSec))
+		h0, h1, h2, h3 = fnvWord4(h0, h1, h2, h3,
+			math.Float64bits(a.IntervalMinutes), math.Float64bits(b.IntervalMinutes),
+			math.Float64bits(c.IntervalMinutes), math.Float64bits(d.IntervalMinutes))
+		h0, h1, h2, h3 = fnvWord4(h0, h1, h2, h3, a.WSSPages, b.WSSPages, c.WSSPages, d.WSSPages)
+		h0, h1, h2, h3 = fnvWord4(h0, h1, h2, h3, a.TotalPages, b.TotalPages, c.TotalPages, d.TotalPages)
+		n := uint64(nc)
+		h0, h1, h2, h3 = fnvWord4(h0, h1, h2, h3, n, n, n, n)
+		ta, tb, tc, td := a.ColdTails, b.ColdTails[:nc], c.ColdTails[:nc], d.ColdTails[:nc]
+		for j := range ta {
+			h0, h1, h2, h3 = fnvWord4(h0, h1, h2, h3, ta[j], tb[j], tc[j], td[j])
+		}
+		n = uint64(np)
+		h0, h1, h2, h3 = fnvWord4(h0, h1, h2, h3, n, n, n, n)
+		ta, tb, tc, td = a.PromoTails, b.PromoTails[:np], c.PromoTails[:np], d.PromoTails[:np]
+		for j := range ta {
+			h0, h1, h2, h3 = fnvWord4(h0, h1, h2, h3, ta[j], tb[j], tc[j], td[j])
+		}
+		h0, h1, h2, h3 = fnvWord4(h0, h1, h2, h3,
+			math.Float64bits(a.CompressibleFrac), math.Float64bits(b.CompressibleFrac),
+			math.Float64bits(c.CompressibleFrac), math.Float64bits(d.CompressibleFrac))
+		dst = append(dst, h0, h1, h2, h3)
+	}
+	for ; i < len(entries); i++ {
+		dst = append(dst, entries[i].ComputeChecksum())
+	}
+	return dst
+}
+
+// keyHash is ComputeChecksum's prefix over the job key.
+func keyHash(k *JobKey) uint64 {
+	return fnvString(fnvString(fnvString(fnvOffset64, k.Cluster), k.Machine), k.Job)
+}
+
+// fnvWord4 is fnvWord on four independent states.
+func fnvWord4(h0, h1, h2, h3, v0, v1, v2, v3 uint64) (uint64, uint64, uint64, uint64) {
+	for k := 0; k < 8; k++ {
+		h0 = (h0 ^ (v0 & 0xff)) * fnvPrime64
+		h1 = (h1 ^ (v1 & 0xff)) * fnvPrime64
+		h2 = (h2 ^ (v2 & 0xff)) * fnvPrime64
+		h3 = (h3 ^ (v3 & 0xff)) * fnvPrime64
+		v0, v1, v2, v3 = v0>>8, v1>>8, v2>>8, v3>>8
+	}
+	return h0, h1, h2, h3
+}
+
 // VerifyChecksum reports corruption: a stored checksum, zero included,
-// that does not match the entry's content.
+// that does not match the entry's content. It checks one entry; a
+// verifier holding a batch compares against AppendChecksums.
 func (e *Entry) VerifyChecksum() error {
 	if got := e.ComputeChecksum(); got != e.Checksum {
-		return fmt.Errorf("telemetry: entry %s at t=%ds corrupt: checksum %#x, content digests to %#x",
-			e.Key, e.TimestampSec, e.Checksum, got)
+		return e.ChecksumError(got)
 	}
 	return nil
+}
+
+// ChecksumError is VerifyChecksum's error for an entry whose content
+// digests to got, for a verifier that computed got with AppendChecksums.
+func (e *Entry) ChecksumError(got uint64) error {
+	return fmt.Errorf("telemetry: entry %s at t=%ds corrupt: checksum %#x, content digests to %#x",
+		e.Key, e.TimestampSec, e.Checksum, got)
 }
 
 // Validate checks an entry against the trace's threshold set size.
@@ -229,11 +301,12 @@ func (t *Trace) Append(e Entry) error {
 // on a partially corrupted trace scrubs it and replays the gaps-accounted
 // remainder (see model.JobResult.GapIntervals).
 func (t *Trace) Scrub() int {
+	sums := AppendChecksums(nil, t.Entries)
 	kept := t.Entries[:0]
 	dropped := 0
 	for i := range t.Entries {
 		e := &t.Entries[i]
-		if e.Validate(len(t.Thresholds)) != nil || e.VerifyChecksum() != nil {
+		if e.Validate(len(t.Thresholds)) != nil || sums[i] != e.Checksum {
 			dropped++
 			continue
 		}

@@ -241,15 +241,17 @@ func (r *Reader) Chunks() []ChunkStat {
 func (r *Reader) Scan(fn func(telemetry.Entry) error) error {
 	nT := len(r.meta.Thresholds)
 	var buf []byte
+	var sums []uint64
 	for i, ci := range r.idx.Chunks {
 		entries, err := r.readChunk(ci, &buf)
 		if err != nil {
 			r.skip(i, ci, err.Error())
 			continue
 		}
+		sums = telemetry.AppendChecksums(sums[:0], entries)
 		bad := 0
-		for _, e := range entries {
-			if e.Validate(nT) != nil || e.VerifyChecksum() != nil {
+		for j, e := range entries {
+			if e.Validate(nT) != nil || sums[j] != e.Checksum {
 				bad++
 				continue
 			}
