@@ -72,7 +72,7 @@ func main() {
 	fmt.Printf("incompressible rejects:  %d pages marked and skipped\n", st.RejectedPages)
 	fmt.Printf("DRAM saved:              %.1f MiB (pool footprint %.1f MiB)\n",
 		float64(pool.SavedBytes())/(1<<20), float64(pool.FootprintBytes())/(1<<20))
-	fmt.Printf("payload validation:      %d errors (every promoted page byte-compared)\n",
+	fmt.Printf("payload validation:      %d errors (every promoted page byte-compared, every reused size rechecked)\n",
 		st.ValidationErrs)
 
 	for _, j := range machine.Jobs() {

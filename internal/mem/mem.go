@@ -11,7 +11,8 @@
 // Layout: page state is stored structure-of-arrays — a flags column (one
 // byte per page) and a born column (one uint32 per page) that the scan and
 // reclaim walks read, next to a cold-metadata column (content seed, class,
-// compressed-payload handle) that only the store/load paths read.
+// compressed-payload handle, the content's compressed size once known)
+// that only the store/load paths read.
 //
 // Lazy aging. A page does not store its age; it stores the scan epoch at
 // which its age was 0 (born), and the memcg counts scans (scanEpoch), so
@@ -123,6 +124,19 @@ type PageMeta struct {
 	Handle zsmalloc.Handle
 	// CompressedSize is the payload size while compressed, else 0.
 	CompressedSize int32
+	// MemoSize is the compressed size of the page's current content, 0
+	// when unknown. zswap.Pool.Store is its only writer: it records the
+	// size after a real compression and, while the size is known, skips
+	// regenerating and recompressing the page on later stores. mem clears
+	// it wherever content changes — NewMemcg and Grow start every page
+	// unknown, and a write (Touch with write set) clears it next to the
+	// Seed bump — which applies to every page the rule §5.1 gives
+	// incompressible pages: not retried until dirtied. MarkCompressed
+	// never writes it: a device tier records CompressedSize == PageSize
+	// for a whole page, and that size in the memo would make a later
+	// zswap store reject the page as incompressible. The field sits in
+	// what was tail padding, so PageMeta stays 32 bytes.
+	MemoSize int32
 }
 
 // Memcg is a job's memory cgroup: its page population (which can grow as
@@ -292,8 +306,11 @@ func (m *Memcg) Age(id PageID) uint8 {
 }
 
 // Meta returns the cold metadata of page id. The pointer stays valid until
-// the memcg grows; callers must not change Handle or CompressedSize (those
-// belong to MarkCompressed/MarkPromoted).
+// the memcg grows. Callers must not change any field: Handle and
+// CompressedSize belong to MarkCompressed/MarkPromoted, Seed and Class to
+// mem (NewMemcg, Grow, Touch), and MemoSize to mem, which clears it, and
+// zswap.Pool.Store, which records it. A Seed or Class changed behind
+// Touch leaves MemoSize describing the old content.
 func (m *Memcg) Meta(id PageID) *PageMeta { return &m.meta[id] }
 
 // Reclaimable reports whether kreclaimd may move page id to far memory.
@@ -362,16 +379,18 @@ func (m *Memcg) SetAge(id PageID, age uint8) {
 
 // Touch records an application access to page id, setting the accessed bit
 // exactly as the MMU would. A write additionally dirties the page, changes
-// its content seed, and clears any incompressible mark (matching the
-// kernel behaviour of re-evaluating compressibility once a PTE goes
-// dirty). Callers that need to resolve promotion faults check
-// Flags(id).Has(FlagCompressed) before touching.
+// its content seed, and clears any incompressible mark and the memoised
+// compressed size (matching the kernel behaviour of re-evaluating
+// compressibility once a PTE goes dirty). Callers that need to resolve
+// promotion faults check Flags(id).Has(FlagCompressed) before touching.
 func (m *Memcg) Touch(id PageID, write bool) {
 	before := PageFlags(m.flags[id])
 	after := before | FlagAccessed
 	if write {
 		after = (after | FlagDirty) &^ FlagIncompressible
-		m.meta[id].Seed = splitmix(m.meta[id].Seed)
+		mt := &m.meta[id]
+		mt.Seed = splitmix(mt.Seed)
+		mt.MemoSize = 0
 	}
 	m.flags[id] = uint8(after)
 	m.fixReclaim(id, before, after)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"sdfm/internal/pagedata"
 	"sdfm/internal/zsmalloc"
@@ -97,6 +98,43 @@ func TestTouchWriteDirtiesAndReseedsPage(t *testing.T) {
 	}
 	if err := m.VerifyIndexes(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMemoSizeLifetime pins who clears PageMeta.MemoSize: a write does,
+// next to the seed bump; reads, the far-memory round trip and a restart
+// do not, because none of them changes the page's content.
+func TestMemoSizeLifetime(t *testing.T) {
+	m := newTestMemcg(4)
+	for id := PageID(0); id < 4; id++ {
+		if got := m.Meta(id).MemoSize; got != 0 {
+			t.Fatalf("new page %d starts with memo %d", id, got)
+		}
+	}
+	m.Meta(1).MemoSize = 1234
+	m.Touch(1, false)
+	m.MarkCompressed(1, zsmalloc.Handle(7), 1234)
+	m.MarkPromoted(1)
+	m.MarkCompressed(1, zsmalloc.Handle(8), PageSize)
+	m.MarkPromoted(1)
+	m.ResetAges()
+	if got := m.Meta(1).MemoSize; got != 1234 {
+		t.Fatalf("memo %d after read, round trips and restart, want 1234", got)
+	}
+	m.Touch(1, true)
+	if got := m.Meta(1).MemoSize; got != 0 {
+		t.Errorf("write left memo %d", got)
+	}
+	if id := m.Grow(3); m.Meta(id).MemoSize != 0 || m.Meta(id+2).MemoSize != 0 {
+		t.Error("grown page starts with a memo")
+	}
+}
+
+// TestPageMetaSize keeps the memoised size in PageMeta's former tail
+// padding: the cold column costs 32 bytes a page (mem.heap_bytes_per_page).
+func TestPageMetaSize(t *testing.T) {
+	if got := unsafe.Sizeof(PageMeta{}); got != 32 {
+		t.Errorf("PageMeta is %d bytes, want 32", got)
 	}
 }
 

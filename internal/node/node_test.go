@@ -10,6 +10,7 @@ import (
 	"sdfm/internal/core"
 	"sdfm/internal/kstaled"
 	"sdfm/internal/mem"
+	"sdfm/internal/pagedata"
 	"sdfm/internal/telemetry"
 	"sdfm/internal/workload"
 	"sdfm/internal/zswap"
@@ -431,6 +432,56 @@ func TestDeterministicRuns(t *testing.T) {
 	c2, p2 := run()
 	if c1 != c2 || p1 != p2 {
 		t.Errorf("nondeterministic: (%d,%d) vs (%d,%d)", c1, p1, c2, p2)
+	}
+}
+
+// TestRecordedSizesMatchValidatingPool runs a mostly-cold job that writes
+// on two same-seed machines, one on the default pool (which reuses the
+// compressed size recorded for an unwritten page) and one on a validating
+// pool (which compresses every store and checks each recorded size): the
+// machines must not tell apart.
+func TestRecordedSizesMatchValidatingPool(t *testing.T) {
+	arch := &workload.Archetype{
+		Name: "cold-writer", PagesMin: 4000, PagesMax: 4000,
+		Bands: []workload.Band{
+			{Weight: 0.02, MinPeriod: 10 * time.Second, MaxPeriod: 2 * time.Minute},
+			{Weight: 0.98, MinPeriod: 3 * time.Hour, MaxPeriod: 6 * time.Hour},
+		},
+		Mix:           pagedata.NewMix(0.05, 0.35, 0.25, 0.15, 0.20),
+		WriteFraction: 0.15,
+		CPUCores:      0.05,
+		Priority:      100,
+	}
+	run := func(tier zswap.FarMemory) (*Machine, *Job, string) {
+		m := newMachine(t, Config{Mode: ModeProactive, Params: core.Params{K: 90, S: 10 * time.Minute}, Tier: tier, Seed: 3})
+		j := addWorkload(t, m, arch, 3)
+		for i := 0; i < 500; i++ {
+			if err := m.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var fp strings.Builder
+		m.WriteFingerprint(&fp)
+		return m, j, fp.String()
+	}
+	plain, job, want := run(nil)
+	validating, _, got := run(zswap.NewPool(zswap.WithValidation()))
+	if got != want {
+		t.Errorf("validating pool's machine diverged:\n%s\ndefault pool's:\n%s", got, want)
+	}
+	if errs := validating.Tier().Stats().ValidationErrs; errs != 0 {
+		t.Errorf("%d validation errors", errs)
+	}
+	known := 0
+	for id := mem.PageID(0); int(id) < job.Memcg.NumPages(); id++ {
+		if !job.Memcg.Flags(id).Has(mem.FlagCompressed) && job.Memcg.Meta(id).MemoSize != 0 {
+			known++
+		}
+	}
+	st := plain.Tier().Stats()
+	t.Logf("stored %d, loaded %d, %d resident pages with a recorded size", st.StoredPages, st.LoadedPages, known)
+	if st.LoadedPages == 0 || known == 0 {
+		t.Error("fixture: no promoted page with a recorded size, so no store could reuse one")
 	}
 }
 

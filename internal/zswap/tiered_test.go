@@ -215,3 +215,27 @@ func TestDeviceProfileAccessor(t *testing.T) {
 		t.Errorf("Profile = %+v", d.Profile())
 	}
 }
+
+// TestTieredSpillAfterTier1Promotion offers a page to tier-2 after it has
+// been held whole on tier-1: the device's CompressedSize == PageSize must
+// not stand in for the page's compressed size, or tier-2 would reject a
+// compressible page as incompressible.
+func TestTieredSpillAfterTier1Promotion(t *testing.T) {
+	tp, m := tieredFixture(50)
+	m.SetAge(0, 5)
+	if res := tp.Store(m, 0); res.Outcome != StoreOK || res.CompressedSize != mem.PageSize {
+		t.Fatalf("tier-1 store: %+v", res)
+	}
+	if _, err := tp.Load(m, 0); err != nil {
+		t.Fatal(err)
+	}
+	m.SetAge(0, 100)
+	want := freshSize(m, 0)
+	res := tp.Store(m, 0)
+	if res.Outcome != StoreOK || res.CompressedSize != want {
+		t.Fatalf("tier-2 store after tier-1 promotion: %+v, page compresses to %d", res, want)
+	}
+	if tp.Tier2().ArenaStats().Objects != 1 || m.Flags(0).Has(mem.FlagIncompressible) {
+		t.Error("page did not land on tier-2")
+	}
+}

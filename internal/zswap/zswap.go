@@ -185,24 +185,42 @@ var _ FarMemory = (*Pool)(nil)
 // Store compresses page id of memcg m into the pool. The page must be
 // resident and reclaimable; violations panic because only kreclaimd calls
 // Store and it filters eligibility first.
+//
+// A page is compressed once per content: the size of a real compression
+// is recorded in the page's MemoSize, and while mem keeps it (until the
+// page is written) a later store takes the size from there instead of
+// regenerating and recompressing the page. The outcome, the simulated CPU
+// charge and the arena placement are those of a real compression. A
+// validating pool compresses on every store, since it keeps the payload,
+// and counts a ValidationErrs when a recorded size disagrees.
 func (p *Pool) Store(m *mem.Memcg, id mem.PageID) StoreResult {
 	if !m.Reclaimable(id) {
 		panic(fmt.Sprintf("zswap: storing non-reclaimable page %d of %s (flags %b)", id, m.Name(), m.Flags(id)))
 	}
 	meta := m.Meta(id)
-	pagedata.Generate(p.pageBuf, meta.Class, meta.Seed)
-	if isZeroFilled(p.pageBuf) {
-		// Same-filled page: record it with no payload at negligible cost
-		// (the kernel memsets on fault instead of decompressing).
-		m.MarkCompressed(id, zeroHandle, 0)
-		p.zeroResident++
-		p.stats.ZeroPages++
-		p.stats.StoredPages++
-		p.stats.StoredBytes += mem.PageSize
-		return StoreResult{Outcome: StoreZeroFilled, Ratio: float64(mem.PageSize)}
+	size := int(meta.MemoSize)
+	if size == 0 || p.validate {
+		pagedata.Generate(p.pageBuf, meta.Class, meta.Seed)
+		if isZeroFilled(p.pageBuf) {
+			if size != 0 {
+				p.stats.ValidationErrs++
+			}
+			// Same-filled page: record it with no payload at negligible
+			// cost (the kernel memsets on fault instead of decompressing).
+			m.MarkCompressed(id, zeroHandle, 0)
+			p.zeroResident++
+			p.stats.ZeroPages++
+			p.stats.StoredPages++
+			p.stats.StoredBytes += mem.PageSize
+			return StoreResult{Outcome: StoreZeroFilled, Ratio: float64(mem.PageSize)}
+		}
+		p.compBuf = compress.Compress(p.compBuf[:0], p.pageBuf)
+		if size != 0 && size != len(p.compBuf) {
+			p.stats.ValidationErrs++
+		}
+		size = len(p.compBuf)
+		meta.MemoSize = int32(size)
 	}
-	p.compBuf = compress.Compress(p.compBuf[:0], p.pageBuf)
-	size := len(p.compBuf)
 	cpu := p.cost.CompressLatency(mem.PageSize)
 
 	if size > p.cutoff {

@@ -1,9 +1,11 @@
 package zswap
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"sdfm/internal/compress"
 	"sdfm/internal/mem"
 	"sdfm/internal/pagedata"
 )
@@ -533,4 +535,185 @@ func TestIsZeroFilled(t *testing.T) {
 			b[i] = 0
 		}
 	}
+}
+
+// freshSize is what a store of page id would compress to now: the
+// compressed size of its current content, or 0 for a zero-filled page.
+func freshSize(m *mem.Memcg, id mem.PageID) int {
+	page := make([]byte, mem.PageSize)
+	meta := m.Meta(id)
+	pagedata.Generate(page, meta.Class, meta.Seed)
+	if isZeroFilled(page) {
+		return 0
+	}
+	return len(compress.Compress(nil, page))
+}
+
+func TestStoreReusesSizeUntilWritten(t *testing.T) {
+	p := NewPool()
+	m := newMemcg(4, pagedata.NewMix(0, 1, 1, 1, 0))
+	first := p.Store(m, 0)
+	if first.Outcome != StoreOK || first.CompressedSize != freshSize(m, 0) {
+		t.Fatalf("first store %+v, fresh size %d", first, freshSize(m, 0))
+	}
+	if got := m.Meta(0).MemoSize; int(got) != first.CompressedSize {
+		t.Fatalf("memo %d after store of %d bytes", got, first.CompressedSize)
+	}
+	if _, err := p.Load(m, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Meta(0).MemoSize; int(got) != first.CompressedSize {
+		t.Fatalf("memo %d after promotion, want %d", got, first.CompressedSize)
+	}
+	again := p.Store(m, 0)
+	if again.Outcome != first.Outcome || again.CompressedSize != first.CompressedSize ||
+		again.Ratio != first.Ratio || again.CPUTime != first.CPUTime {
+		t.Fatalf("re-store of unwritten page %+v, first store %+v", again, first)
+	}
+	if _, err := p.Load(m, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	m.Touch(0, true)
+	if got := m.Meta(0).MemoSize; got != 0 {
+		t.Fatalf("memo %d survived a write", got)
+	}
+	want := freshSize(m, 0)
+	if want == first.CompressedSize {
+		t.Fatal("fixture: the write did not change the compressed size")
+	}
+	res := p.Store(m, 0)
+	if res.CompressedSize != want || int(m.Meta(0).MemoSize) != want {
+		t.Errorf("store after write: %d bytes, memo %d; new content compresses to %d",
+			res.CompressedSize, m.Meta(0).MemoSize, want)
+	}
+	if m.CompressedBytes() != uint64(want) {
+		t.Errorf("memcg holds %d compressed bytes, want %d", m.CompressedBytes(), want)
+	}
+}
+
+// TestValidationChecksRecordedSize changes a page's content behind mem's
+// back, so its recorded size is stale: a plain pool trusts the record (the
+// store skips compression), a validating pool compresses anyway and counts
+// the disagreement, also when the new content is zero-filled.
+func TestValidationChecksRecordedSize(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		change func(*mem.PageMeta)
+		want   StoreOutcome // of the validating pool
+	}{
+		{"new seed", func(mt *mem.PageMeta) { mt.Seed++ }, StoreOK},
+		{"zero-filled", func(mt *mem.PageMeta) { mt.Class = pagedata.ClassZero }, StoreZeroFilled},
+	} {
+		for _, validate := range []bool{false, true} {
+			var opts []Option
+			if validate {
+				opts = append(opts, WithValidation())
+			}
+			p := NewPool(opts...)
+			m := newMemcg(4, pagedata.NewMix(0, 1, 1, 1, 0))
+			recorded := p.Store(m, 0).CompressedSize
+			if _, err := p.Load(m, 0); err != nil {
+				t.Fatal(err)
+			}
+			tc.change(m.Meta(0))
+			want := freshSize(m, 0)
+			if want == recorded {
+				t.Fatalf("%s: fixture: the new content compresses to the recorded size", tc.name)
+			}
+			res := p.Store(m, 0)
+			errs := p.Stats().ValidationErrs
+			switch {
+			case !validate && (res.Outcome != StoreOK || res.CompressedSize != recorded || errs != 0):
+				t.Errorf("%s: plain pool stored %v of %d bytes with %d validation errors, want the recorded %d and none",
+					tc.name, res.Outcome, res.CompressedSize, errs, recorded)
+			case validate && (res.Outcome != tc.want || res.CompressedSize != want || errs != 1):
+				t.Errorf("%s: validating pool stored %v of %d bytes with %d validation errors, want %v of %d and 1",
+					tc.name, res.Outcome, res.CompressedSize, errs, tc.want, want)
+			}
+		}
+	}
+}
+
+// FuzzStoreSizeMemo drives the same operation sequence over two identical
+// memcgs, one behind a validating pool (which compresses on every store)
+// and one behind a plain pool (which reuses recorded sizes), and holds
+// every store to a fresh compression of the page's current content.
+func FuzzStoreSizeMemo(f *testing.F) {
+	f.Add([]byte{0, 5, 1, 0, 3, 0, 10, 4}, uint64(7), uint8(0))
+	f.Add([]byte{0, 1, 0, 3, 0, 2, 0, 5, 6, 5, 1, 5}, uint64(1), uint8(3))
+	f.Add([]byte{15, 16, 15, 4, 18, 15, 17, 15}, uint64(99), uint8(1))
+	const pages = 32
+	f.Fuzz(func(t *testing.T, ops []byte, seed uint64, capPages uint8) {
+		if len(ops) > 512 {
+			ops = ops[:512]
+		}
+		cfg := mem.Config{Name: "f", Pages: pages, Mix: pagedata.DefaultMix, SeedBase: seed}
+		capacity := WithCapacity(uint64(capPages) * mem.PageSize)
+		pv, mv := NewPool(WithValidation(), capacity), mem.NewMemcg(cfg)
+		pp, mp := NewPool(capacity), mem.NewMemcg(cfg)
+		for step, b := range ops {
+			id := mem.PageID(int(b/5) % pages)
+			compressed := mv.Flags(id).Has(mem.FlagCompressed)
+			switch b % 5 {
+			case 0: // store
+				if !mv.Reclaimable(id) {
+					continue
+				}
+				want := freshSize(mv, id)
+				rv, rp := pv.Store(mv, id), pp.Store(mp, id)
+				if rv.Outcome != rp.Outcome || rv.CompressedSize != rp.CompressedSize || rv.Ratio != rp.Ratio ||
+					rv.CPUTime != rp.CPUTime || (rv.Err == nil) != (rp.Err == nil) {
+					t.Fatalf("step %d: store of page %d: validating %+v, plain %+v", step, id, rv, rp)
+				}
+				switch {
+				case want == 0 && rv.Outcome != StoreZeroFilled:
+					t.Fatalf("step %d: zero-filled page %d stored as %+v", step, id, rv)
+				case want > DefaultCutoff && rv.Outcome != StoreRejectedIncompressible:
+					t.Fatalf("step %d: page %d compresses to %d, stored as %+v", step, id, want, rv)
+				case want != 0 && want <= DefaultCutoff && rv.Outcome != StoreOK && rv.Outcome != StoreRejectedFull:
+					t.Fatalf("step %d: page %d compresses to %d, stored as %+v", step, id, want, rv)
+				case rv.CompressedSize != want:
+					t.Fatalf("step %d: page %d compresses to %d, store reports %d", step, id, want, rv.CompressedSize)
+				}
+			case 1: // load
+				if !compressed {
+					continue
+				}
+				_, ev := pv.Load(mv, id)
+				_, ep := pp.Load(mp, id)
+				if ev != nil || ep != nil {
+					t.Fatalf("step %d: load of page %d: %v / %v", step, id, ev, ep)
+				}
+			case 2: // drop
+				if !compressed {
+					continue
+				}
+				if err := errors.Join(pv.Drop(mv, id), pp.Drop(mp, id)); err != nil {
+					t.Fatalf("step %d: drop of page %d: %v", step, id, err)
+				}
+			case 3: // write; a compressed page faults in first, as on a machine
+				if compressed {
+					if _, err := pv.Load(mv, id); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := pp.Load(mp, id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				mv.Touch(id, true)
+				mp.Touch(id, true)
+			case 4:
+				if cv, cp := pv.Compact(), pp.Compact(); cv != cp {
+					t.Fatalf("step %d: compaction reclaimed %d vs %d bytes", step, cv, cp)
+				}
+			}
+			if sv, sp := pv.Stats(), pp.Stats(); sv != sp || sv.ValidationErrs != 0 {
+				t.Fatalf("step %d: stats diverged: validating %+v, plain %+v", step, sv, sp)
+			}
+			if mv.CompressedBytes() != mp.CompressedBytes() || mv.Flags(id) != mp.Flags(id) {
+				t.Fatalf("step %d: page %d diverged", step, id)
+			}
+		}
+	})
 }
