@@ -45,10 +45,9 @@ func (r loadgenReport) EntriesPerSec() float64 {
 // report concurrently with no pacing. The returned throughput measures
 // the controller's ingest path (stripes + wire format + HTTP), not the
 // generator — entry synthesis happens before the clock starts.
-func runLoadgen(cfg loadgenConfig) (loadgenReport, error) {
+func runLoadgen(ctx context.Context, cfg loadgenConfig) (loadgenReport, error) {
 	if cfg.Agents <= 0 || cfg.Reports <= 0 || cfg.Batch <= 0 {
-		return loadgenReport{}, fmt.Errorf("sdfmd: loadgen needs positive agents/reports/batch (%d/%d/%d)",
-			cfg.Agents, cfg.Reports, cfg.Batch)
+		return loadgenReport{}, fmt.Errorf("sdfmd: loadgen needs positive agents/reports/batch (%d/%d/%d)", cfg.Agents, cfg.Reports, cfg.Batch)
 	}
 	tr, err := fleet.Generate(fleet.Config{
 		Clusters:           1,
@@ -66,7 +65,6 @@ func runLoadgen(cfg loadgenConfig) (loadgenReport, error) {
 		batch[i] = tr.Entries[i%len(tr.Entries)]
 	}
 
-	ctx := context.Background()
 	agents := make([]*controlplane.Agent, cfg.Agents)
 	for i := range agents {
 		cl := controlplane.NewClient(cfg.Target)
@@ -77,7 +75,8 @@ func runLoadgen(cfg loadgenConfig) (loadgenReport, error) {
 	}
 
 	var sent, accepted, dropped atomic.Int64
-	errCh := make(chan error, 1)
+	var reportErr error
+	var errOnce sync.Once
 	var wg sync.WaitGroup
 	start := time.Now()
 	for _, a := range agents {
@@ -87,10 +86,7 @@ func runLoadgen(cfg loadgenConfig) (loadgenReport, error) {
 			for r := 0; r < cfg.Reports; r++ {
 				resp, err := a.Report(ctx, batch)
 				if err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
+					errOnce.Do(func() { reportErr = err })
 					return
 				}
 				sent.Add(int64(len(batch)))
@@ -106,10 +102,8 @@ func runLoadgen(cfg loadgenConfig) (loadgenReport, error) {
 		Dropped:  int(dropped.Load()),
 		Elapsed:  time.Since(start),
 	}
-	select {
-	case err := <-errCh:
-		return rep, fmt.Errorf("sdfmd: loadgen report failed: %w", err)
-	default:
+	if reportErr != nil {
+		return rep, fmt.Errorf("sdfmd: loadgen report failed: %w", reportErr)
 	}
 	return rep, nil
 }

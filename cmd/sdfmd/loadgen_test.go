@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -42,7 +43,7 @@ func TestRunLoadgen(t *testing.T) {
 		}
 	}()
 
-	rep, err := runLoadgen(loadgenConfig{
+	rep, err := runLoadgen(context.Background(), loadgenConfig{
 		Target:  srv.URL,
 		Agents:  8,
 		Reports: 5,
@@ -70,7 +71,7 @@ func TestRunLoadgen(t *testing.T) {
 		t.Errorf("controller ingested %d, loadgen had %d acked", st.Ingest.Ingested, rep.Accepted)
 	}
 
-	if _, err := runLoadgen(loadgenConfig{Target: srv.URL}); err == nil {
+	if _, err := runLoadgen(context.Background(), loadgenConfig{Target: srv.URL}); err == nil {
 		t.Error("runLoadgen with zero agents/reports/batch succeeded")
 	}
 }

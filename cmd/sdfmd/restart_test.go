@@ -1,128 +1,24 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"fmt"
+	"io"
+	"log"
 	"net"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"sdfm/internal/controlplane"
 	"sdfm/internal/controlplane/ckpt"
-	"sdfm/internal/fleet"
 	"sdfm/internal/telemetry"
 )
-
-// daemonProc wraps a running sdfmd binary: its process, announced listen
-// address, and collected stderr log.
-type daemonProc struct {
-	t        *testing.T
-	cmd      *exec.Cmd
-	addr     string
-	scanDone chan struct{}
-	logMu    sync.Mutex
-	logLines []string
-}
-
-// startDaemon builds nothing — bin must already exist — and boots it
-// with the given extra flags, waiting for the "listening on" line.
-func startDaemon(t *testing.T, bin string, extra ...string) *daemonProc {
-	t.Helper()
-	args := append([]string{"-addr=127.0.0.1:0"}, extra...)
-	d := &daemonProc{t: t, cmd: exec.Command(bin, args...), scanDone: make(chan struct{})}
-	stderr, err := d.cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.cmd.Start(); err != nil {
-		t.Fatalf("starting sdfmd: %v", err)
-	}
-	t.Cleanup(func() { d.cmd.Process.Kill() })
-	addrCh := make(chan string, 1)
-	go func() {
-		defer close(d.scanDone)
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			d.logMu.Lock()
-			d.logLines = append(d.logLines, line)
-			d.logMu.Unlock()
-			if _, rest, ok := strings.Cut(line, "listening on "); ok {
-				addr, _, _ := strings.Cut(rest, " ")
-				select {
-				case addrCh <- addr:
-				default:
-				}
-			}
-		}
-	}()
-	select {
-	case d.addr = <-addrCh:
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon never announced its listen address")
-	}
-	return d
-}
-
-// log returns the daemon's stderr collected so far.
-func (d *daemonProc) log() string {
-	d.logMu.Lock()
-	defer d.logMu.Unlock()
-	return strings.Join(d.logLines, "\n")
-}
-
-// terminate SIGTERMs the daemon and waits for a clean exit, returning
-// the complete log.
-func (d *daemonProc) terminate() string {
-	d.t.Helper()
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		d.t.Fatal(err)
-	}
-	select {
-	case <-d.scanDone:
-	case <-time.After(15 * time.Second):
-		d.t.Fatal("daemon did not close stderr within 15s of SIGTERM")
-	}
-	done := make(chan error, 1)
-	go func() { done <- d.cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			d.t.Errorf("daemon exited uncleanly: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		d.t.Fatal("daemon did not exit within 15s of SIGTERM")
-	}
-	return d.log()
-}
-
-// kill SIGKILLs the daemon — the crash under test — and reaps it.
-func (d *daemonProc) kill() {
-	d.t.Helper()
-	if err := d.cmd.Process.Kill(); err != nil {
-		d.t.Fatal(err)
-	}
-	<-d.scanDone
-	d.cmd.Wait()
-}
-
-func buildDaemon(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "sdfmd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building sdfmd: %v\n%s", err, out)
-	}
-	return bin
-}
 
 // streamTrace registers one agent per machine, all before the first
 // report, so every checkpoint generation the reports trigger holds every
@@ -212,26 +108,15 @@ func checkpointFiles(t *testing.T, dir string) []string {
 // visible in its log — instead of booting empty.
 func TestRestartAfterSIGKILL(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and boots the daemon binary")
+		t.Skip("boots the daemon")
 	}
-	bin := buildDaemon(t)
 	ckptDir := filepath.Join(t.TempDir(), "ckpt")
-	tr, err := fleet.Generate(fleet.Config{
-		Clusters:           1,
-		MachinesPerCluster: 2,
-		JobsPerMachine:     3,
-		Duration:           6 * time.Hour,
-		Interval:           5 * time.Minute,
-		Seed:               17,
-	})
-	if err != nil {
-		t.Fatalf("fleet.Generate: %v", err)
-	}
+	tr := genTrace(t, 2, 3, 6*time.Hour, 17)
 	args := []string{
 		"-round-every=24h", "-tick=10ms",
 		"-ckptdir=" + ckptDir, "-ckpt-every=1h",
 	}
-	d1 := startDaemon(t, bin, args...)
+	d1 := execDaemon(t, args...)
 
 	// Two telemetry pushes, each advancing the telemetry clock ≥1h past
 	// the last checkpoint, so at least two generations hit the disk.
@@ -262,7 +147,9 @@ func TestRestartAfterSIGKILL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2 := startDaemon(t, bin, args...)
+	// The survivor boots in-process: the crash, not the restart, needs a
+	// process boundary.
+	d2 := startDaemon(t, args...)
 	bootLog := d2.log()
 	if !strings.Contains(bootLog, "skipped "+files[len(files)-1]) {
 		t.Errorf("restart log does not account for the torn newest file:\n%s", bootLog)
@@ -293,7 +180,9 @@ func TestRestartAfterSIGKILL(t *testing.T) {
 	if err := a.Register(context.Background()); err != nil {
 		t.Fatalf("re-registering against restored daemon: %v", err)
 	}
-	d2.terminate()
+	if _, err := d2.shutdown(); err != nil {
+		t.Errorf("daemon exited uncleanly: %v", err)
+	}
 }
 
 // TestSIGTERMAtReadiness signals the daemon the moment it logs
@@ -303,30 +192,12 @@ func TestRestartAfterSIGKILL(t *testing.T) {
 // window it closes is microseconds wide, so the test boots many times.
 func TestSIGTERMAtReadiness(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and boots the daemon binary")
+		t.Skip("boots the daemon")
 	}
-	bin := buildDaemon(t)
 	for i := 0; i < 40; i++ {
-		cmd := exec.Command(bin, "-addr=127.0.0.1:0", "-tick=10ms", "-ckptdir="+filepath.Join(t.TempDir(), "ckpt"))
-		stderr, err := cmd.StderrPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("starting sdfmd: %v", err)
-		}
-		var lines []string
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			lines = append(lines, sc.Text())
-			if strings.Contains(sc.Text(), "listening on ") {
-				// A failed send means the daemon is already gone;
-				// Wait reports how.
-				_ = cmd.Process.Signal(syscall.SIGTERM)
-			}
-		}
-		err = cmd.Wait()
-		all := strings.Join(lines, "\n")
+		// execDaemon returns as soon as "listening on" is written, and
+		// shutdown sends SIGTERM at once.
+		all, err := execDaemon(t, "-tick=10ms", "-ckptdir="+filepath.Join(t.TempDir(), "ckpt")).shutdown()
 		if err != nil {
 			t.Fatalf("boot %d: daemon signalled at readiness exited uncleanly: %v\n%s", i, err, all)
 		}
@@ -336,31 +207,23 @@ func TestSIGTERMAtReadiness(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownWritesFinalCheckpoint is the clean half: SIGTERM
+// TestGracefulShutdownWritesFinalCheckpoint is the clean half: a stop
 // drains the queues and writes a final checkpoint whose restore loses
 // zero acked entries — everything the daemon ever ingested is in the
 // snapshot, and nothing is left queued.
 func TestGracefulShutdownWritesFinalCheckpoint(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and boots the daemon binary")
+		t.Skip("boots the daemon")
 	}
-	bin := buildDaemon(t)
 	ckptDir := filepath.Join(t.TempDir(), "ckpt")
-	tr, err := fleet.Generate(fleet.Config{
-		Clusters:           1,
-		MachinesPerCluster: 2,
-		JobsPerMachine:     3,
-		Duration:           2 * time.Hour,
-		Interval:           5 * time.Minute,
-		Seed:               23,
-	})
-	if err != nil {
-		t.Fatalf("fleet.Generate: %v", err)
-	}
-	d := startDaemon(t, bin, "-round-every=24h", "-tick=10ms", "-ckptdir="+ckptDir)
+	tr := genTrace(t, 2, 3, 2*time.Hour, 23)
+	d := startDaemon(t, "-round-every=24h", "-tick=10ms", "-ckptdir="+ckptDir)
 	sent := streamTrace(t, d.addr, tr, 0, 1<<62)
 	st := waitIngested(t, d.addr, uint64(sent))
-	log := d.terminate()
+	log, err := d.shutdown()
+	if err != nil {
+		t.Errorf("daemon exited uncleanly: %v", err)
+	}
 	if !strings.Contains(log, "final checkpoint: ") {
 		t.Fatalf("shutdown log has no final checkpoint line:\n%s", log)
 	}
@@ -410,7 +273,8 @@ func TestListenRetry(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		occupant.Close()
 	}()
-	ln, err := listenRetry(addr, 5, 20*time.Millisecond)
+	logger := log.New(io.Discard, "", 0)
+	ln, err := listenRetry(logger, addr, 5, 20*time.Millisecond)
 	if err != nil {
 		t.Fatalf("listenRetry on a transiently busy port: %v", err)
 	}
@@ -423,7 +287,7 @@ func TestListenRetry(t *testing.T) {
 	}
 	defer occupant2.Close()
 	start := time.Now()
-	if _, err := listenRetry(occupant2.Addr().String(), 3, 5*time.Millisecond); err == nil {
+	if _, err := listenRetry(logger, occupant2.Addr().String(), 3, 5*time.Millisecond); err == nil {
 		t.Fatal("listenRetry bound an occupied port")
 	} else if !strings.Contains(err.Error(), "giving up after 3 attempts") {
 		t.Fatalf("exhaustion error %q does not name the attempt bound", err)
@@ -434,7 +298,7 @@ func TestListenRetry(t *testing.T) {
 
 	// Structurally bad address: immediate failure, no retries.
 	start = time.Now()
-	if _, err := listenRetry("127.0.0.1:http-nope", 5, time.Second); err == nil {
+	if _, err := listenRetry(logger, "127.0.0.1:http-nope", 5, time.Second); err == nil {
 		t.Fatal("listenRetry accepted a bad address")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {

@@ -1,92 +1,39 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
-	"os/exec"
+	"log"
+	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
 	"sdfm/internal/controlplane"
+	"sdfm/internal/controlplane/ckpt"
 	"sdfm/internal/controlplane/wire"
-	"sdfm/internal/fleet"
+	"sdfm/internal/obs"
 )
 
 // TestGracefulShutdownWithInFlightBinaryReports pins the drain
 // guarantee end to end over the binary wire format: agents hammer
 // /v1/report with application/x-sdfm-telemetry frames while the daemon
-// receives SIGTERM, and every entry the daemon *acked* must appear in
+// is stopped, and every entry the daemon *acked* must appear in
 // the final ingested count — an acked-then-dropped entry would be a
 // silent telemetry hole in the next tuning window.
 func TestGracefulShutdownWithInFlightBinaryReports(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and boots the daemon binary")
+		t.Skip("boots the daemon")
 	}
 	ctx := context.Background()
-	bin := filepath.Join(t.TempDir(), "sdfmd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building sdfmd: %v\n%s", err, out)
-	}
-	cmd := exec.Command(bin,
-		"-addr=127.0.0.1:0",
-		"-round-every=24h",
-		"-tick=10ms",
-		"-queue-cap=200000",
-	)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("starting sdfmd: %v", err)
-	}
-	defer cmd.Process.Kill()
-
-	addrCh := make(chan string, 1)
-	scanDone := make(chan struct{})
-	var logMu sync.Mutex
-	var logLines []string
-	go func() {
-		defer close(scanDone)
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			logMu.Lock()
-			logLines = append(logLines, line)
-			logMu.Unlock()
-			if _, rest, ok := strings.Cut(line, "listening on "); ok {
-				addr, _, _ := strings.Cut(rest, " ")
-				select {
-				case addrCh <- addr:
-				default:
-				}
-			}
-		}
-	}()
-	var addr string
-	select {
-	case addr = <-addrCh:
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon never announced its listen address")
-	}
-
-	tr, err := fleet.Generate(fleet.Config{
-		Clusters:           1,
-		MachinesPerCluster: 1,
-		JobsPerMachine:     3,
-		Duration:           time.Hour,
-		Interval:           5 * time.Minute,
-		Seed:               17,
-	})
-	if err != nil {
-		t.Fatalf("fleet.Generate: %v", err)
-	}
+	d := startDaemon(t, "-round-every=24h", "-tick=10ms", "-queue-cap=200000")
+	tr := genTrace(t, 1, 3, time.Hour, 17)
 
 	// Four agents report binary frames back-to-back until the daemon
 	// stops answering; acked counts only entries the daemon accepted.
@@ -95,7 +42,7 @@ func TestGracefulShutdownWithInFlightBinaryReports(t *testing.T) {
 	var reporters sync.WaitGroup
 	stopReporting := make(chan struct{})
 	for i := 0; i < nAgents; i++ {
-		cl := controlplane.NewClient("http://" + addr)
+		cl := controlplane.NewClient("http://" + d.addr)
 		id := fmt.Sprintf("drain/agent-%d", i)
 		reg, err := cl.Register(ctx, controlplane.RegisterRequest{AgentID: id})
 		if err != nil {
@@ -125,8 +72,8 @@ func TestGracefulShutdownWithInFlightBinaryReports(t *testing.T) {
 		}(cl, id)
 	}
 
-	// Let a real backlog build, then SIGTERM mid-hammer so reports are
-	// in flight while the listener closes and the drain runs.
+	// Let a real backlog build, then stop the daemon mid-hammer so
+	// reports are in flight while the listener closes and the drain runs.
 	deadline := time.Now().Add(20 * time.Second)
 	for acked.Load() < int64(10*len(tr.Entries)) {
 		if time.Now().After(deadline) {
@@ -134,33 +81,16 @@ func TestGracefulShutdownWithInFlightBinaryReports(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
+	d.stop()
 	time.Sleep(50 * time.Millisecond)
 	close(stopReporting)
 	reporters.Wait()
 	ackedTotal := acked.Load()
-
-	select {
-	case <-scanDone:
-	case <-time.After(15 * time.Second):
-		t.Fatal("daemon did not close stderr within 15s of SIGTERM")
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("daemon exited uncleanly: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("daemon did not exit within 15s of SIGTERM")
+	logs, err := d.wait()
+	if err != nil {
+		t.Errorf("daemon exited uncleanly: %v", err)
 	}
 
-	logMu.Lock()
-	logs := strings.Join(logLines, "\n")
-	logMu.Unlock()
 	var ingested, dropped int64
 	found := false
 	for _, line := range strings.Split(logs, "\n") {
@@ -180,7 +110,7 @@ func TestGracefulShutdownWithInFlightBinaryReports(t *testing.T) {
 	}
 	// The drain guarantee: every acked entry was ingested into the fleet
 	// snapshot before exit. (ingested can exceed ackedTotal: a report in
-	// flight at SIGTERM may be acked by the server after the client side
+	// flight at the stop may be acked by the server after the client side
 	// stopped counting.)
 	if ingested < ackedTotal {
 		t.Errorf("daemon ingested %d entries but acked %d — acked telemetry was dropped during shutdown",
@@ -188,5 +118,107 @@ func TestGracefulShutdownWithInFlightBinaryReports(t *testing.T) {
 	}
 	if !strings.Contains(logs, "drained") {
 		t.Errorf("daemon log missing drain line:\n%s", logs)
+	}
+}
+
+// TestFailedFinalCheckpointFailsRun pins that a final checkpoint the
+// daemon cannot write is a failed exit: the drain and the final
+// accounting still happen, and run's error names the checkpoint.
+func TestFailedFinalCheckpointFailsRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots the daemon")
+	}
+	ckptDir := filepath.Join(t.TempDir(), "ckpt")
+	tr := genTrace(t, 1, 2, time.Hour, 29)
+	d := startDaemon(t, "-round-every=24h", "-tick=10ms", "-ckptdir="+ckptDir)
+	waitIngested(t, d.addr, uint64(streamTrace(t, d.addr, tr, 0, 1<<62)))
+	if err := os.RemoveAll(ckptDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckptDir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	logs, err := d.shutdown()
+	if err == nil || !strings.Contains(err.Error(), "final checkpoint") || exitCode(err) != 1 {
+		t.Errorf("run returned %v (exit %d), want a final checkpoint error and exit 1", err, exitCode(err))
+	}
+	for _, want := range []string{"final checkpoint failed: ", "final: "} {
+		if !strings.Contains(logs, want) {
+			t.Errorf("daemon log missing %q:\n%s", want, logs)
+		}
+	}
+}
+
+// brokenListener is a listener that dies under a serving daemon: once
+// broken, Accept fails with a permanent error.
+type brokenListener struct {
+	net.Listener
+	broken atomic.Bool
+}
+
+var errListenerBroken = errors.New("listener broken")
+
+func (l *brokenListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if l.broken.Load() {
+		if c != nil {
+			c.Close()
+		}
+		return nil, errListenerBroken
+	}
+	return c, err
+}
+
+// TestServeErrorDrains pins that a failing listener takes the signal's
+// shutdown path: serve returns the listener's error, and the drain
+// writes a final checkpoint that holds every acked entry.
+func TestServeErrorDrains(t *testing.T) {
+	ckptDir := filepath.Join(t.TempDir(), "ckpt")
+	tr := genTrace(t, 2, 2, time.Hour, 31)
+	hub := obs.NewMulti()
+	ctrl, _, err := controlplane.Restore(controlplane.Config{
+		RoundEvery: 24 * time.Hour, CheckpointDir: ckptDir, Obs: hub.Observer("controlplane"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctrl.Close)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &brokenListener{Listener: inner}
+	var logs bytes.Buffer
+	logger := log.New(&logs, "", 0)
+	served := make(chan error, 1)
+	go func() {
+		served <- serve(context.Background(), logger, ctrl, controlplane.NewServer(ctrl, hub).Handler(), ln, time.Hour)
+	}()
+	acked := streamTrace(t, inner.Addr().String(), tr, 0, 1<<62)
+	ln.broken.Store(true)
+	inner.Close() // wakes the blocked Accept
+	select {
+	case err = <-served:
+	case <-time.After(15 * time.Second):
+		t.Fatal("serve did not return within 15s of the listener failing")
+	}
+	if !errors.Is(err, errListenerBroken) {
+		t.Fatalf("serve returned %v, want the listener's error", err)
+	}
+	if err := drain(logger, ctrl); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	s, rep, err := ckpt.Restore(ckptDir)
+	if err != nil || !rep.Restored {
+		t.Fatalf("ckpt.Restore: %v (restored=%v)", err, rep.Restored)
+	}
+	if got := s.QueuedEntries(); got != 0 {
+		t.Errorf("final checkpoint still holds %d queued entries, want 0", got)
+	}
+	if s.Counters.Ingested != uint64(acked) {
+		t.Errorf("final checkpoint ingested=%d, want every acked entry (%d)", s.Counters.Ingested, acked)
+	}
+	if !strings.Contains(logs.String(), "serve: listener broken; shutting down") {
+		t.Errorf("log does not name the serve error:\n%s", logs.String())
 	}
 }
