@@ -2,6 +2,8 @@ package controlplane
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -183,6 +185,49 @@ func TestTickValidatesEntries(t *testing.T) {
 	if st.WindowEntries != 1 || st.WindowStartSec != valid.TimestampSec || st.WindowEndSec != valid.TimestampSec {
 		t.Errorf("window = [%d, %d] with %d entries, want [%d, %d] with 1",
 			st.WindowStartSec, st.WindowEndSec, st.WindowEntries, valid.TimestampSec, valid.TimestampSec)
+	}
+}
+
+// TestTickRejectsNonFiniteEntries: an entry whose interval or
+// compressible fraction is NaN or infinite carries a good checksum, so
+// only validation stands between it and the window, where it would read
+// every promotion rate as 0 or NaN and let any candidate pass rollout.
+// Each counts under reason="invalid".
+func TestTickRejectsNonFiniteEntries(t *testing.T) {
+	hub := obs.NewMulti()
+	c := newTestController(t, Config{Obs: hub.Observer("controlplane")})
+	if _, err := c.Register(RegisterRequest{AgentID: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	tr := testTrace(t, 1, 1, 2, time.Hour, 1)
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []func(*telemetry.Entry){
+		func(e *telemetry.Entry) { e.IntervalMinutes = nan },
+		func(e *telemetry.Entry) { e.IntervalMinutes = inf },
+		func(e *telemetry.Entry) { e.CompressibleFrac = nan },
+		func(e *telemetry.Entry) { e.CompressibleFrac = inf },
+	}
+	entries := []telemetry.Entry{tr.Entries[0]}
+	for i, mutate := range bad {
+		e := tr.Entries[1+i]
+		mutate(&e)
+		e.Checksum = e.ComputeChecksum()
+		entries = append(entries, e)
+	}
+	if _, err := c.Report(ReportRequest{AgentID: "a", Entries: entries}); err != nil {
+		t.Fatalf("Report: %v", err)
+	}
+	if rep := c.Tick(); rep.Drained != 1 || rep.RejectedCorrupt != 0 || rep.RejectedInvalid != len(bad) {
+		t.Errorf("Tick = drained %d corrupt %d invalid %d, want 1/0/%d",
+			rep.Drained, rep.RejectedCorrupt, rep.RejectedInvalid, len(bad))
+	}
+	var sb strings.Builder
+	if err := c.RenderMetrics(hub, &sb); err != nil {
+		t.Fatalf("RenderMetrics: %v", err)
+	}
+	want := fmt.Sprintf(`sdfm_cp_entries_rejected_total{reason="invalid"} %d`, len(bad))
+	if !strings.Contains(sb.String(), want+"\n") {
+		t.Errorf("metrics exposition lacks %q", want)
 	}
 }
 

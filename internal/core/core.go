@@ -8,9 +8,10 @@
 //  1. Every control interval, compute the *best* cold-age threshold for
 //     the interval just past: the smallest T whose promotion rate would
 //     have stayed within the SLO.
-//  2. Keep a pool of these per-interval best thresholds and use their
-//     K-th percentile as the threshold for the next interval — under
-//     steady state the SLO is violated roughly (100-K)% of the time.
+//  2. Keep a pool of the per-interval best thresholds observed over the
+//     last 24 hours (PoolSpan) and use their K-th percentile as the
+//     threshold for the next interval — under steady state the SLO is
+//     violated roughly (100-K)% of the time.
 //  3. If the last interval's best threshold is higher than that
 //     percentile (a sudden activity spike), use it instead.
 //  4. zswap stays disabled for the first S seconds of a job's execution,
@@ -121,40 +122,45 @@ func WorkingSetPages(coldCensus *histogram.Histogram, slo SLO) uint64 {
 	return total - cold
 }
 
+// PoolSpan is how long the best-threshold pool remembers: an observation
+// leaves the pool once it is PoolSpan older than the newest one, whatever
+// the cadence — the node agent's 120 s scans and the fast model's trace
+// intervals share one day of history.
+const PoolSpan = 24 * time.Hour
+
 // Controller runs the §4.3 threshold-control algorithm for one job. The
 // zero value is not usable; construct with NewController.
 type Controller struct {
-	slo     SLO
-	params  Params
-	history int
+	params Params
 
-	pool     []uint8 // per-interval best thresholds, ring buffer
-	poolPos  int
-	poolFull bool
+	// pool is a ring of the observations in (last − PoolSpan, last],
+	// oldest at head; its length is a power of two, doubled when full.
+	pool    []observation
+	head, n int
 	// poolCounts[b] is the number of pool entries equal to b, so Threshold
 	// reads a percentile by walking 256 counts instead of sorting the pool.
 	poolCounts [histogram.NumBuckets]uint32
 	lastBest   int
 	started    time.Duration // job start time
-	haveObs    bool
+}
+
+// observation is one pool entry: an interval's best threshold and the
+// time it was observed.
+type observation struct {
+	at     time.Duration
+	bucket uint8
 }
 
 // ControllerConfig configures a Controller.
 type ControllerConfig struct {
+	// SLO is the objective the job's best thresholds are computed under;
+	// NewController refuses an invalid one.
 	SLO    SLO
 	Params Params
-	// HistoryLen bounds the best-threshold pool (number of past control
-	// intervals remembered). Zero means DefaultHistoryLen.
-	HistoryLen int
 	// JobStart is the simulated time the job began executing; the
 	// controller disables zswap until JobStart+Params.S.
 	JobStart time.Duration
 }
-
-// DefaultHistoryLen bounds the pool at 1440 control intervals: two days
-// of the node agent's 120 s scan interval. (The fast model's pool,
-// model.DefaultHistoryLen, is one day of 5-minute intervals.)
-const DefaultHistoryLen = 1440
 
 // NewController creates a controller for one job.
 func NewController(cfg ControllerConfig) (*Controller, error) {
@@ -164,18 +170,8 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	h := cfg.HistoryLen
-	if h == 0 {
-		h = DefaultHistoryLen
-	}
-	if h < 0 {
-		return nil, fmt.Errorf("core: negative history length %d", h)
-	}
 	return &Controller{
-		slo:      cfg.SLO,
 		params:   cfg.Params,
-		history:  h,
-		pool:     make([]uint8, h),
 		started:  cfg.JobStart,
 		lastBest: histogram.MaxBucket,
 	}, nil
@@ -186,17 +182,15 @@ func (c *Controller) Params() Params { return c.params }
 
 // Reset restarts the controller for a job that began at jobStart: the
 // pool, the last best threshold and the observation state are cleared, so
-// it behaves as a NewController with the same SLO, parameters and history
-// length. The pool's storage is kept; nothing is allocated.
+// it behaves as a NewController with the same SLO and parameters. The
+// pool's storage is kept; nothing is allocated.
 func (c *Controller) Reset(jobStart time.Duration) {
-	if c.haveObs {
+	if c.n > 0 {
 		c.poolCounts = [histogram.NumBuckets]uint32{}
 	}
-	c.poolPos = 0
-	c.poolFull = false
+	c.head, c.n = 0, 0
 	c.lastBest = histogram.MaxBucket
 	c.started = jobStart
-	c.haveObs = false
 }
 
 // SetParams swaps tunables in place (a parameter deployment); history is
@@ -209,33 +203,29 @@ func (c *Controller) SetParams(p Params) error {
 	return nil
 }
 
-// Observe records the best threshold computed for the interval that just
-// ended.
-func (c *Controller) Observe(bestBucket int) {
+// Observe records the best threshold computed for the interval that ended
+// at now, after evicting every observation at or before now − PoolSpan.
+// Times must not decrease between Resets; observations at equal times
+// each count.
+func (c *Controller) Observe(now time.Duration, bestBucket int) {
 	if bestBucket < 0 || bestBucket > histogram.MaxBucket {
 		panic(fmt.Sprintf("core: best bucket %d out of range", bestBucket))
 	}
-	if c.poolFull {
-		c.poolCounts[c.pool[c.poolPos]]--
+	mask := len(c.pool) - 1
+	for c.n > 0 && c.pool[c.head].at <= now-PoolSpan {
+		c.poolCounts[c.pool[c.head].bucket]--
+		c.head = (c.head + 1) & mask
+		c.n--
 	}
-	c.pool[c.poolPos] = uint8(bestBucket)
+	if c.n == len(c.pool) {
+		grown := make([]observation, max(2*len(c.pool), 64))
+		copy(grown[copy(grown, c.pool[c.head:]):], c.pool[:c.head])
+		c.pool, c.head, mask = grown, 0, len(grown)-1
+	}
+	c.pool[(c.head+c.n)&mask] = observation{at: now, bucket: uint8(bestBucket)}
+	c.n++
 	c.poolCounts[bestBucket]++
-	c.poolPos++
-	if c.poolPos == len(c.pool) {
-		c.poolPos = 0
-		c.poolFull = true
-	}
 	c.lastBest = bestBucket
-	c.haveObs = true
-}
-
-// ObserveInterval is the full per-interval control step: derive the best
-// threshold from the interval's promotion histogram and working set, and
-// record it.
-func (c *Controller) ObserveInterval(promoInterval *histogram.Histogram, wssPages uint64, intervalMinutes float64) int {
-	best := BestThreshold(promoInterval, wssPages, intervalMinutes, c.slo)
-	c.Observe(best)
-	return best
 }
 
 // Enabled reports whether zswap is active for this job at time now
@@ -248,12 +238,12 @@ func (c *Controller) Enabled(now time.Duration) bool {
 // max(K-th percentile of the pool, last interval's best). Before any
 // observation it returns histogram.MaxBucket (compress nothing).
 func (c *Controller) Threshold() int {
-	if !c.haveObs {
+	if c.n == 0 {
 		return histogram.MaxBucket
 	}
 	// Nearest-rank percentile: the pool value at index rank in sorted
 	// order, found by counting.
-	rank := int(c.params.K / 100 * float64(c.PoolLen()-1))
+	rank := int(c.params.K / 100 * float64(c.n-1))
 	kth, seen := 0, int(c.poolCounts[0])
 	for seen <= rank {
 		kth++
@@ -269,9 +259,4 @@ func (c *Controller) ThresholdDuration(scanPeriod time.Duration) time.Duration {
 }
 
 // PoolLen reports how many observations the pool currently holds.
-func (c *Controller) PoolLen() int {
-	if c.poolFull {
-		return len(c.pool)
-	}
-	return c.poolPos
-}
+func (c *Controller) PoolLen() int { return c.n }

@@ -143,13 +143,25 @@ func TestWorkingSetPages(t *testing.T) {
 	}
 }
 
-func newCtrl(t *testing.T, p Params) *Controller {
+// clocked feeds a controller observations one scan period apart, the
+// node agent's cadence.
+type clocked struct {
+	*Controller
+	now time.Duration
+}
+
+func (c *clocked) observe(b int) {
+	c.now += histogram.DefaultScanPeriod
+	c.Observe(c.now, b)
+}
+
+func newCtrl(t *testing.T, p Params) *clocked {
 	t.Helper()
 	c, err := NewController(ControllerConfig{SLO: DefaultSLO, Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return &clocked{Controller: c}
 }
 
 func TestControllerNoObservations(t *testing.T) {
@@ -167,9 +179,9 @@ func TestControllerPercentileSelection(t *testing.T) {
 	// Best thresholds 1..100; then a final quiet interval (best = 1) so
 	// the spike rule does not override the percentile.
 	for b := 1; b <= 100; b++ {
-		c.Observe(b)
+		c.observe(b)
 	}
-	c.Observe(1)
+	c.observe(1)
 	got := c.Threshold()
 	// 90th percentile of {1..100, 1} is ~91.
 	if got < 85 || got > 95 {
@@ -182,11 +194,11 @@ func TestControllerConservativeK(t *testing.T) {
 	lo := newCtrl(t, Params{K: 50, S: 0})
 	hi := newCtrl(t, Params{K: 99, S: 0})
 	for b := 1; b <= 100; b++ {
-		lo.Observe(b)
-		hi.Observe(b)
+		lo.observe(b)
+		hi.observe(b)
 	}
-	lo.Observe(1)
-	hi.Observe(1)
+	lo.observe(1)
+	hi.observe(1)
 	if lo.Threshold() >= hi.Threshold() {
 		t.Errorf("K=50 threshold %d should be below K=99 threshold %d", lo.Threshold(), hi.Threshold())
 	}
@@ -197,14 +209,14 @@ func TestControllerSpikeResponse(t *testing.T) {
 	// percentile immediately (§4.3 bullet 2).
 	c := newCtrl(t, Params{K: 50, S: 0})
 	for i := 0; i < 100; i++ {
-		c.Observe(2)
+		c.observe(2)
 	}
-	c.Observe(200)
+	c.observe(200)
 	if got := c.Threshold(); got != 200 {
 		t.Errorf("Threshold after spike = %d, want 200", got)
 	}
 	// Once calm returns, the percentile resumes.
-	c.Observe(2)
+	c.observe(2)
 	if got := c.Threshold(); got > 10 {
 		t.Errorf("Threshold after spike passed = %d, want ~2", got)
 	}
@@ -227,49 +239,69 @@ func TestControllerWarmup(t *testing.T) {
 	}
 }
 
+// TestControllerRingBuffer: an observation stays in the pool for exactly
+// PoolSpan. One exactly PoolSpan older than the newest is gone, one a
+// nanosecond younger is not, and a day of low values at the agent's
+// cadence flushes a day of high ones.
 func TestControllerRingBuffer(t *testing.T) {
-	c, err := NewController(ControllerConfig{
-		SLO: DefaultSLO, Params: Params{K: 100, S: 0}, HistoryLen: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill with high values, then overwrite with low ones: old history
-	// must age out.
+	c := newCtrl(t, Params{K: 100, S: 0})
+	perDay := int(PoolSpan / histogram.DefaultScanPeriod)
 	for i := 0; i < 10; i++ {
-		c.Observe(250)
+		c.observe(250)
+	}
+	for i := 0; i < perDay-1; i++ {
+		c.observe(3)
+	}
+	if got, n := c.Threshold(), c.PoolLen(); got != 250 || n != perDay {
+		t.Fatalf("a day after the first high value: Threshold = %d, PoolLen = %d; want 250, %d", got, n, perDay)
 	}
 	for i := 0; i < 10; i++ {
-		c.Observe(3)
+		c.observe(3)
 	}
-	if got := c.Threshold(); got != 3 {
-		t.Errorf("Threshold = %d, want 3 after ring wrap", got)
+	if got, n := c.Threshold(), c.PoolLen(); got != 3 || n != perDay {
+		t.Errorf("a day of low values: Threshold = %d, PoolLen = %d; want 3, %d", got, n, perDay)
 	}
-	if c.PoolLen() != 10 {
-		t.Errorf("PoolLen = %d, want 10", c.PoolLen())
+
+	c = newCtrl(t, Params{K: 100, S: 0})
+	c.Observe(time.Hour, 250)
+	c.Observe(time.Hour+PoolSpan-1, 3)
+	if got := c.Threshold(); got != 250 {
+		t.Errorf("a nanosecond short of a span later: Threshold = %d, want 250", got)
+	}
+	c.Observe(time.Hour+PoolSpan, 3)
+	if got, n := c.Threshold(), c.PoolLen(); got != 3 || n != 2 {
+		t.Errorf("a span later: Threshold = %d, PoolLen = %d; want 3, 2", got, n)
+	}
+	c.Observe(time.Hour+PoolSpan, 7) // equal times each count
+	if got, n := c.Threshold(), c.PoolLen(); got != 7 || n != 3 {
+		t.Errorf("a second observation at the same time: Threshold = %d, PoolLen = %d; want 7, 3", got, n)
+	}
+	c.Observe(4*PoolSpan, 5) // a gap longer than the span empties the pool
+	if got, n := c.Threshold(), c.PoolLen(); got != 5 || n != 1 {
+		t.Errorf("after a long gap: Threshold = %d, PoolLen = %d; want 5, 1", got, n)
 	}
 }
 
 // TestControllerResetMatchesFresh drives a controller through a random
-// sequence long enough to wrap its pool, resets it for a later job, and
-// requires it to behave, step by step, exactly as a NewController for
-// that job fed the same second sequence — and to hold the same state
-// (the pool's storage aside) right after the reset.
+// sequence long enough to evict and regrow its pool, resets it for a later
+// job, and requires it to behave, step by step, exactly as a
+// NewController for that job fed the same second sequence — and to hold
+// the same state (the pool's storage aside) right after the reset.
 func TestControllerResetMatchesFresh(t *testing.T) {
-	const history = 7
-	jobStart := 3 * time.Hour
+	jobStart := 100 * time.Hour
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := Params{K: float64(rng.Intn(101)), S: 10 * time.Minute}
-		cfg := ControllerConfig{SLO: DefaultSLO, Params: p, HistoryLen: history}
+		cfg := ControllerConfig{SLO: DefaultSLO, Params: p}
 		reused, err := NewController(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// High values in the first job, low ones in the second, so any
 		// leftover count or last best would raise the second job's pick.
-		for i := 0; i < 3*history+rng.Intn(history); i++ {
-			reused.Observe(128 + rng.Intn(histogram.NumBuckets-128))
+		cadence := time.Duration(1+rng.Intn(600)) * time.Second
+		for now := time.Duration(0); now < 2*PoolSpan; now += cadence {
+			reused.Observe(now, 128+rng.Intn(histogram.NumBuckets-128))
 		}
 		reused.Reset(jobStart)
 		cfg.JobStart = jobStart
@@ -282,8 +314,8 @@ func TestControllerResetMatchesFresh(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: state after Reset\n%+v\nwant\n%+v", seed, a, b)
 		}
-		for i := 0; i < 3*history; i++ {
-			now := jobStart + time.Duration(i)*histogram.DefaultScanPeriod
+		now := jobStart
+		for i := 0; i < 1000; i++ {
 			if r, f := reused.Enabled(now), fresh.Enabled(now); r != f {
 				t.Fatalf("seed %d step %d: Enabled = %v, fresh %v", seed, i, r, f)
 			}
@@ -294,29 +326,64 @@ func TestControllerResetMatchesFresh(t *testing.T) {
 				t.Fatalf("seed %d step %d: PoolLen = %d, fresh %d", seed, i, r, f)
 			}
 			b := rng.Intn(64)
-			reused.Observe(b)
-			fresh.Observe(b)
+			reused.Observe(now, b)
+			fresh.Observe(now, b)
+			now += time.Duration(rng.Intn(10)) * time.Minute
 		}
 	}
 }
 
-// TestControllerThresholdMatchesSortedPool holds the counting percentile
-// to its definition — sort the pool's live entries, take index
-// int(K/100·(n−1)), then max with the last best — over random
-// observations, ring wrap and parameter pushes.
+// TestControllerReuseAllocatesNothing: once the ring has grown to a
+// day's observations it keeps its storage across Reset, so a model
+// worker replaying job after job, and an agent evicting as it appends,
+// allocate nothing.
+func TestControllerReuseAllocatesNothing(t *testing.T) {
+	c := newCtrl(t, DefaultParams)
+	job := func() {
+		c.Reset(0)
+		for now := time.Duration(0); now < 2*PoolSpan; now += histogram.DefaultScanPeriod {
+			c.Observe(now, int(now/time.Hour)%histogram.NumBuckets)
+		}
+	}
+	job()
+	if allocs := testing.AllocsPerRun(5, job); allocs != 0 {
+		t.Errorf("a reset and two days of observations allocate %v times", allocs)
+	}
+}
+
+// TestControllerThresholdMatchesSortedPool holds the time-bounded,
+// counting pool to its definition — keep the observations in
+// (now − PoolSpan, now], sort them, take index int(K/100·(n−1)), then
+// max with the last best — over random cadences (1 s to 10 min), gaps of
+// up to three days, duplicate timestamps, observations landing exactly a
+// span after an earlier one, and parameter pushes.
 func TestControllerThresholdMatchesSortedPool(t *testing.T) {
+	type obs struct {
+		at time.Duration
+		b  int
+	}
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		history := 1 + rng.Intn(40)
 		c, err := NewController(ControllerConfig{
-			SLO: DefaultSLO, Params: Params{K: 100 * rng.Float64()}, HistoryLen: history,
+			SLO: DefaultSLO, Params: Params{K: 100 * rng.Float64()},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var seen []int // every observation, oldest first
+		cadence := time.Duration(1+rng.Intn(600)) * time.Second
+		var seen []obs // every observation, oldest first
+		var now time.Duration
 		spread := 1 + rng.Intn(histogram.NumBuckets)
-		for step := 0; step < 5*history+10; step++ {
+		for step := 0; step < 600; step++ {
+			switch r := rng.Intn(20); {
+			case r == 0: // a gap of up to three days
+				now += time.Duration(rng.Int63n(int64(3 * PoolSpan)))
+			case r == 1: // a duplicate timestamp
+			case r == 2 && len(seen) > 0: // exactly a span after an earlier one
+				now = max(now, seen[rng.Intn(len(seen))].at+PoolSpan)
+			default:
+				now += cadence
+			}
 			if rng.Intn(8) == 0 {
 				k := []float64{0, 50, 98, 100, 100 * rng.Float64()}[rng.Intn(5)]
 				if err := c.SetParams(Params{K: k}); err != nil {
@@ -327,15 +394,20 @@ func TestControllerThresholdMatchesSortedPool(t *testing.T) {
 			if rng.Intn(10) == 0 {
 				b = histogram.MaxBucket
 			}
-			c.Observe(b)
-			seen = append(seen, b)
+			c.Observe(now, b)
+			seen = append(seen, obs{now, b})
 
-			live := append([]int(nil), seen[max(0, len(seen)-history):]...)
+			var live []int
+			for _, o := range seen {
+				if o.at > now-PoolSpan {
+					live = append(live, o.b)
+				}
+			}
 			sort.Ints(live)
 			want := max(live[int(c.Params().K/100*float64(len(live)-1))], b)
 			if got := c.Threshold(); got != want {
-				t.Fatalf("seed %d step %d (history %d, K %v): Threshold = %d, sorted pool says %d",
-					seed, step, history, c.Params().K, got, want)
+				t.Fatalf("seed %d step %d (cadence %v, K %v): Threshold = %d, sorted pool says %d",
+					seed, step, cadence, c.Params().K, got, want)
 			}
 			if c.PoolLen() != len(live) {
 				t.Fatalf("seed %d step %d: PoolLen = %d, want %d", seed, step, c.PoolLen(), len(live))
@@ -344,15 +416,38 @@ func TestControllerThresholdMatchesSortedPool(t *testing.T) {
 	}
 }
 
-func TestControllerObserveInterval(t *testing.T) {
-	c := newCtrl(t, Params{K: 98, S: 0})
-	h := promoHist(map[int]uint64{2: 1, 5: 1})
-	best := c.ObserveInterval(h, 500, 1)
-	if best != 3 {
-		t.Errorf("ObserveInterval best = %d, want 3", best)
+// TestControllerCadenceIndependent: the pool spans a duration, so the
+// agent's 120 s cadence and a trace's 5-minute cadence, fed the same
+// best threshold per time, pick the same thresholds at the times both
+// observe. The best value is constant over 10-minute blocks, so both
+// pools hold the same blocks, five or two entries each; at K = 50 and
+// K = 100 the nearest-rank pick lands in the same block at every pool
+// size. A pool bounded by a count would span different times at the
+// two cadences.
+func TestControllerCadenceIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	blocks := make([]int, 3*24*6) // three days of 10-minute blocks
+	for i := range blocks {
+		blocks[i] = 1 + rng.Intn(histogram.MaxBucket)
 	}
-	if c.Threshold() != 3 {
-		t.Errorf("Threshold = %d", c.Threshold())
+	bestAt := func(now time.Duration) int { return blocks[(now-1)/(10*time.Minute)] }
+	for _, k := range []float64{50, 100} {
+		fast := newCtrl(t, Params{K: k})
+		slow := newCtrl(t, Params{K: k})
+		end := time.Duration(len(blocks)) * 10 * time.Minute
+		for now := 2 * time.Minute; now <= end; now += 2 * time.Minute {
+			fast.Observe(now, bestAt(now))
+			if now%(5*time.Minute) != 0 {
+				continue
+			}
+			slow.Observe(now, bestAt(now))
+			if now%(10*time.Minute) != 0 {
+				continue
+			}
+			if f, s := fast.Threshold(), slow.Threshold(); f != s {
+				t.Fatalf("K %v at %v: 120 s cadence picks %d, 5-minute cadence %d", k, now, f, s)
+			}
+		}
 	}
 }
 
@@ -376,12 +471,12 @@ func TestControllerObserveOutOfRangePanics(t *testing.T) {
 			t.Fatal("Observe(256) did not panic")
 		}
 	}()
-	c.Observe(256)
+	c.Observe(0, 256)
 }
 
 func TestControllerThresholdDuration(t *testing.T) {
 	c := newCtrl(t, Params{K: 100, S: 0})
-	c.Observe(5)
+	c.observe(5)
 	if got := c.ThresholdDuration(histogram.DefaultScanPeriod); got != 5*120*time.Second {
 		t.Errorf("ThresholdDuration = %v", got)
 	}
@@ -408,7 +503,7 @@ func TestControllerSLOViolationFrequency(t *testing.T) {
 				violations++
 			}
 		}
-		c.Observe(best)
+		c.observe(best)
 	}
 	rate := float64(violations) / float64(len(seq)-101)
 	if rate > 0.15 {

@@ -247,9 +247,7 @@ func (ct *CompiledTrace) replayAll(phases []Phase, cfg Config, cold [][]float64)
 	// identical no matter how jobs land on workers.
 	reps := make([]*replayer, workers)
 	for w := range reps {
-		ctl, err := core.NewController(core.ControllerConfig{
-			SLO: cfg.SLO, Params: phases[0].Params, HistoryLen: DefaultHistoryLen,
-		})
+		ctl, err := core.NewController(core.ControllerConfig{SLO: cfg.SLO, Params: phases[0].Params})
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +355,7 @@ func (r *replayer) replay(j *compiledJob, best []uint8, cold []float64) JobResul
 		}
 		// Best threshold for the interval just observed, fed back whether
 		// or not zswap is enabled: the kernel histograms exist regardless.
-		r.ctl.Observe(int(best[i]))
+		r.ctl.Observe(now, int(best[i]))
 	}
 
 	// Far-memory bytes average over the whole lifetime (zero while

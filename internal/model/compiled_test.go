@@ -25,8 +25,8 @@ func equivTrace(t *testing.T) *telemetry.Trace {
 }
 
 // longTrace holds two jobs of 26 h of 5-minute entries each, so every job
-// series outruns the DefaultHistoryLen-interval best-threshold pool and
-// the replay wraps it.
+// series outruns the controller's core.PoolSpan and the replay evicts from
+// its pool.
 func longTrace(t *testing.T) *telemetry.Trace {
 	t.Helper()
 	tr, err := fleet.Generate(fleet.Config{
@@ -38,8 +38,9 @@ func longTrace(t *testing.T) *telemetry.Trace {
 	}
 	series := jobSeries(tr)
 	for _, es := range series {
-		if len(es) <= DefaultHistoryLen {
-			t.Fatalf("long trace holds a %d-interval job series; want every series longer than %d", len(es), DefaultHistoryLen)
+		span := time.Duration(es[len(es)-1].TimestampSec-es[0].TimestampSec) * time.Second
+		if span <= core.PoolSpan {
+			t.Fatalf("long trace holds a job series spanning %v; want every series longer than %v", span, core.PoolSpan)
 		}
 	}
 	if len(series) != 2 {
@@ -96,7 +97,7 @@ func TestCompiledReplayEquivalence(t *testing.T) {
 		{tr, Config{Params: core.Params{K: 99.9, S: 2 * time.Hour}, SLO: core.DefaultSLO, CollectSamples: true}},
 		// A different SLO exercises the lazy best-threshold re-derivation.
 		{tr, Config{Params: core.DefaultParams, SLO: core.SLO{TargetRatePerMin: 0.01, MinThreshold: core.DefaultSLO.MinThreshold}}},
-		// Job series longer than the pool wrap it.
+		// Job series longer than the pool's span evict from it.
 		{long, Config{Params: core.DefaultParams, SLO: core.DefaultSLO}},
 	}
 	// One compile per trace, reused row to row like a tuning session.

@@ -33,11 +33,6 @@ type Config struct {
 	CollectSamples bool
 }
 
-// DefaultHistoryLen bounds the replayed controller's best-threshold pool,
-// in trace intervals: one day of 5-minute intervals (28.8 h of the node
-// agent's 6-minute page-accurate exports).
-const DefaultHistoryLen = 288
-
 // JobResult is the replay outcome for one job.
 type JobResult struct {
 	Key       telemetry.JobKey

@@ -93,10 +93,9 @@ func replayJob(trace *telemetry.Trace, key telemetry.JobKey, entries []telemetry
 		return JobResult{Key: key}, nil
 	}
 	ctrl, err := core.NewController(core.ControllerConfig{
-		SLO:        cfg.SLO,
-		Params:     cfg.Params,
-		HistoryLen: DefaultHistoryLen,
-		JobStart:   time.Duration(entries[0].TimestampSec) * time.Second,
+		SLO:      cfg.SLO,
+		Params:   cfg.Params,
+		JobStart: time.Duration(entries[0].TimestampSec) * time.Second,
 	})
 	if err != nil {
 		return JobResult{}, err
@@ -143,7 +142,7 @@ func replayJob(trace *telemetry.Trace, key telemetry.JobKey, entries []telemetry
 			}
 			rates = append(rates, rate)
 		}
-		ctrl.Observe(bestIndex(e, cfg.SLO))
+		ctrl.Observe(now, bestIndex(e, cfg.SLO))
 	}
 
 	n := float64(jr.Intervals)
@@ -225,10 +224,9 @@ func referencePhaseAt(phases []Phase, t time.Duration) int {
 // replayTimelineJob adds one job's per-interval cold pages into agg.
 func replayTimelineJob(trace *telemetry.Trace, entries []telemetry.Entry, phases []Phase, cfg Config, agg map[time.Duration]*TimelinePoint) error {
 	ctrl, err := core.NewController(core.ControllerConfig{
-		SLO:        cfg.SLO,
-		Params:     phases[0].Params,
-		HistoryLen: DefaultHistoryLen,
-		JobStart:   time.Duration(entries[0].TimestampSec) * time.Second,
+		SLO:      cfg.SLO,
+		Params:   phases[0].Params,
+		JobStart: time.Duration(entries[0].TimestampSec) * time.Second,
 	})
 	if err != nil {
 		return err
@@ -256,7 +254,7 @@ func replayTimelineJob(trace *telemetry.Trace, entries []telemetry.Entry, phases
 			p.ColdBytes += compressibleColdPages(e, idx)
 		}
 		p.ColdBytesAtMin += float64(e.ColdTails[0])
-		ctrl.Observe(bestIndex(e, cfg.SLO))
+		ctrl.Observe(now, bestIndex(e, cfg.SLO))
 	}
 	return nil
 }

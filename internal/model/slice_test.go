@@ -44,7 +44,7 @@ func TestSliceEqualsCompileOfFilteredEntries(t *testing.T) {
 	}
 	for ti, tr := range []*telemetry.Trace{
 		damagedTrace(t, rng),
-		// Job series longer than the pool wrap it.
+		// Job series longer than the pool's span evict from it.
 		longTrace(t),
 	} {
 		full := Compile(tr)

@@ -169,7 +169,7 @@ func TestTimelineMatchesReference(t *testing.T) {
 	cfg := Config{SLO: core.DefaultSLO}
 	for ti, tr := range []*telemetry.Trace{
 		damagedTrace(t, rand.New(rand.NewSource(3))),
-		// Job series longer than the pool wrap it.
+		// Job series longer than the pool's span evict from it.
 		longTrace(t),
 	} {
 		ct := Compile(tr)

@@ -604,7 +604,8 @@ func (m *Machine) control(j *Job, intervalMinutes float64) {
 	j.lastWSS = wss
 	j.lastColdMin = census.TailSum(1)
 
-	j.Controller.ObserveInterval(j.promotionsSince(&j.prevPromo), wss, intervalMinutes)
+	best := core.BestThreshold(j.promotionsSince(&j.prevPromo), wss, intervalMinutes, m.cfg.SLO)
+	j.Controller.Observe(m.now, best)
 
 	// Record the realized normalized promotion rate for this interval.
 	if m.cfg.CollectSamples && wss > 0 {

@@ -640,11 +640,12 @@ func TestGrowthKeepsWorkloadMemcgInSync(t *testing.T) {
 
 // TestControlLoopAllocatesNothing pins the agent's control loop at zero
 // allocations per job in steady state: the interval's promotion delta is
-// computed into per-job storage, not into fresh histograms. No scan runs
-// between the calls, so no page ages, and once the controller's pool has
-// turned over and the threshold has settled there is nothing left to
-// store — stores (which do allocate, in the pool's arena) would show up
-// as a moved StoredPages.
+// computed into per-job storage, not into fresh histograms, and once the
+// controller's pool spans a day it evicts one observation per one it
+// keeps. Each call advances the clock a scan period but runs no scan, so
+// no page ages, and once the threshold has settled there is nothing left
+// to store — stores (which do allocate, in the pool's arena) would show
+// up as a moved StoredPages.
 func TestControlLoopAllocatesNothing(t *testing.T) {
 	m := newMachine(t, Config{
 		Mode:   ModeProactive,
@@ -658,11 +659,12 @@ func TestControlLoopAllocatesNothing(t *testing.T) {
 	}
 	minutes := kstaled.DefaultScanPeriod.Minutes()
 	loop := func() {
+		m.now += kstaled.DefaultScanPeriod
 		for _, j := range m.jobs {
 			m.control(j, minutes)
 		}
 	}
-	for i := 0; i < core.DefaultHistoryLen+1; i++ {
+	for end := m.now + core.PoolSpan + time.Hour; m.now < end; {
 		loop()
 	}
 	stored := m.jobs[0].StoredPages + m.jobs[1].StoredPages

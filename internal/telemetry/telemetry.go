@@ -249,7 +249,10 @@ func (e *Entry) Validate(numThresholds int) error {
 		return fmt.Errorf("telemetry: entry %s has %d/%d tails, want %d",
 			e.Key, len(e.ColdTails), len(e.PromoTails), numThresholds)
 	}
-	if e.IntervalMinutes <= 0 {
+	// Written so that NaN fails each range check: a NaN or infinite
+	// interval would read every promotion rate as 0 or NaN, which no SLO
+	// gate flags.
+	if !(e.IntervalMinutes > 0) || math.IsInf(e.IntervalMinutes, 1) {
 		return fmt.Errorf("telemetry: entry %s has interval %v", e.Key, e.IntervalMinutes)
 	}
 	if e.TimestampSec < 0 {
@@ -261,7 +264,7 @@ func (e *Entry) Validate(numThresholds int) error {
 			return fmt.Errorf("telemetry: entry %s tails not monotone at %d", e.Key, i)
 		}
 	}
-	if e.CompressibleFrac < 0 || e.CompressibleFrac > 1 {
+	if !(e.CompressibleFrac >= 0 && e.CompressibleFrac <= 1) {
 		return fmt.Errorf("telemetry: entry %s compressible fraction %v outside [0, 1]", e.Key, e.CompressibleFrac)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -80,6 +81,40 @@ func TestTraceAppendValidates(t *testing.T) {
 	bad3.IntervalMinutes = 0
 	if err := tr.Append(bad3); err == nil {
 		t.Error("zero interval accepted")
+	}
+}
+
+// TestEntryValidateRejectsNonFinite: NaN compares false with everything,
+// so each range check must be written to fail on it, and an infinite
+// interval is no interval either.
+func TestEntryValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name           string
+		interval, frac float64
+		wantErr        bool
+	}{
+		{"valid", 5, 0.5, false},
+		{"frac zero", 5, 0, false},
+		{"frac one", 5, 1, false},
+		{"long interval", 1e6, 1, false},
+		{"zero interval", 0, 1, true},
+		{"negative interval", -5, 1, true},
+		{"NaN interval", nan, 1, true},
+		{"+Inf interval", inf, 1, true},
+		{"-Inf interval", -inf, 1, true},
+		{"negative frac", 5, -0.1, true},
+		{"frac above one", 5, 1.1, true},
+		{"NaN frac", 5, nan, true},
+		{"+Inf frac", 5, inf, true},
+		{"-Inf frac", 5, -inf, true},
+	} {
+		e := validEntry(JobKey{"c", "m", "j"}, 300)
+		e.IntervalMinutes, e.CompressibleFrac = tc.interval, tc.frac
+		if err := e.Validate(len(DefaultThresholds)); (err != nil) != tc.wantErr {
+			t.Errorf("%s (interval %v, frac %v): Validate = %v, want error %v",
+				tc.name, tc.interval, tc.frac, err, tc.wantErr)
+		}
 	}
 }
 
