@@ -113,6 +113,8 @@ func (t *leakyTier) Store(m *mem.Memcg, id mem.PageID) zswap.StoreResult {
 func (t *leakyTier) Drop(m *mem.Memcg, id mem.PageID) error { return t.inner.Drop(m, id) }
 func (t *leakyTier) Compact() uint64                        { return t.inner.Compact() }
 
+func (t *leakyTier) Prime(m *mem.Memcg, ids []mem.PageID) { t.inner.Prime(m, ids) }
+
 func (t *leakyTier) buggy() bool {
 	if t.now == nil {
 		return false

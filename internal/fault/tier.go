@@ -39,6 +39,11 @@ func (t *Tier) Inner() zswap.FarMemory { return t.inner }
 // TierStats returns injection counters.
 func (t *Tier) TierStats() TierStats { return t.stats }
 
+// Prime delegates to the inner tier. A page primed here and then failed
+// by an injected error keeps its recorded size, which describes its
+// content all the same.
+func (t *Tier) Prime(m *mem.Memcg, ids []mem.PageID) { t.inner.Prime(m, ids) }
+
 // Store injects transient failures and slowdowns around the inner store.
 func (t *Tier) Store(m *mem.Memcg, id mem.PageID) zswap.StoreResult {
 	now := t.now()

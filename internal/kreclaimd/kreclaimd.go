@@ -136,9 +136,12 @@ func (r *Reclaimer) ReclaimCold(m *mem.Memcg, thresholdBucket int) Result {
 	// flag-eligible pages of the blocks whose bound admits a page that old,
 	// one comparison for every other block — in ascending page order (store
 	// order decides zsmalloc placement and where a full pool cuts the
-	// pass), before any store mutates the flags column. Scanned stays the
-	// whole memcg, which is what the kernel walks.
+	// pass), before any store mutates the flags column. The tier primes
+	// the whole list (compressing it in parallel) before the stores run
+	// in that order. Scanned stays the whole memcg, which is what the
+	// kernel walks.
 	r.ids = m.AppendColdReclaimable(r.ids[:0], thresholdBucket)
+	r.tier.Prime(m, r.ids)
 	for _, id := range r.ids {
 		res.count(r.tier.Store(m, id))
 	}

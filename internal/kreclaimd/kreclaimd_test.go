@@ -1,6 +1,7 @@
 package kreclaimd
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -221,6 +222,108 @@ func TestReclaimAccountsEveryOutcome(t *testing.T) {
 			l := obs.Label{Key: "kind", Value: k.name}
 			if got := o.Counter("sdfm_kreclaimd_errored_pages_total", "", l).Value(); got != float64(res.Errored) {
 				t.Errorf("sdfm_kreclaimd_errored_pages_total{kind=%q} = %v, want %d", k.name, got, res.Errored)
+			}
+		})
+	}
+}
+
+// recorder keeps every StoreResult and every Prime list its tier sees.
+type recorder struct {
+	zswap.FarMemory
+	primed  [][]mem.PageID
+	results []zswap.StoreResult
+}
+
+func (r *recorder) Prime(m *mem.Memcg, ids []mem.PageID) {
+	r.primed = append(r.primed, append([]mem.PageID(nil), ids...))
+	r.FarMemory.Prime(m, ids)
+}
+
+func (r *recorder) Store(m *mem.Memcg, id mem.PageID) zswap.StoreResult {
+	sr := r.FarMemory.Store(m, id)
+	r.results = append(r.results, sr)
+	return sr
+}
+
+// TestReclaimColdPrimingChangesNothing runs one cold-start pass over two
+// identical memcgs behind two identical tiers: through ReclaimCold, which
+// primes the tier with the whole pass before storing it, and through the
+// stores alone in the same order. Every store, the Result, the tier's
+// Stats and arena, and each page's flags, handle and compressed size must
+// agree, for each kind of tier.
+func TestReclaimColdPrimingChangesNothing(t *testing.T) {
+	const pages, threshold = 500, 5
+	plan := &fault.Plan{Name: "errors", Seed: 3, Events: []fault.Event{
+		{Kind: fault.CompressorError, At: 0, Duration: time.Hour, Magnitude: 0.3},
+	}}
+	tiered := func() zswap.FarMemory {
+		profile := zswap.ProfileNVM
+		profile.CapacityBytes = 60 * mem.PageSize
+		return zswap.NewTieredPool(profile, zswap.NewPool(), 100)
+	}
+	cases := []struct {
+		name string
+		tier func() zswap.FarMemory
+		pool func(zswap.FarMemory) *zswap.Pool // the compressed tier, if any
+	}{
+		{"plain", func() zswap.FarMemory { return zswap.NewPool() }, nil},
+		{"capacity", func() zswap.FarMemory { return zswap.NewPool(zswap.WithCapacity(256 << 10)) }, nil},
+		{"validating", func() zswap.FarMemory { return zswap.NewPool(zswap.WithValidation()) }, nil},
+		{"tiered", tiered, func(f zswap.FarMemory) *zswap.Pool { return f.(*zswap.TieredPool).Tier2() }},
+		{"fault", func() zswap.FarMemory {
+			return fault.WrapTier(zswap.NewPool(), fault.NewInjector(plan, "m0"), func() time.Duration { return time.Minute })
+		}, func(f zswap.FarMemory) *zswap.Pool { return f.(*fault.Tier).Inner().(*zswap.Pool) }},
+		{"device", func() zswap.FarMemory { return zswap.NewDevicePool(zswap.ProfileNVM) },
+			func(zswap.FarMemory) *zswap.Pool { return nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.pool == nil {
+				tc.pool = func(f zswap.FarMemory) *zswap.Pool { return f.(*zswap.Pool) }
+			}
+			var mems [2]*mem.Memcg
+			var tiers [2]*recorder
+			var res [2]Result
+			for i := range mems {
+				mems[i] = newJob(pages, pagedata.DefaultMix)
+				for id := mem.PageID(0); id < pages; id++ {
+					mems[i].SetAge(id, uint8(50+id%100))
+				}
+				tiers[i] = &recorder{FarMemory: tc.tier()}
+			}
+			res[0] = New(tiers[0]).ReclaimCold(mems[0], threshold)
+			res[1].Scanned = pages
+			for _, id := range mems[1].AppendColdReclaimable(nil, threshold) {
+				res[1].count(tiers[1].Store(mems[1], id))
+			}
+
+			if len(tiers[0].primed) != 1 || len(tiers[0].primed[0]) != pages || len(tiers[1].primed) != 0 {
+				t.Fatalf("ReclaimCold primed %d lists, want one of its %d pages", len(tiers[0].primed), pages)
+			}
+			if res[0] != res[1] {
+				t.Fatalf("primed pass %+v, stores alone %+v", res[0], res[1])
+			}
+			if tc.name == "capacity" && (res[0].PoolFull == 0 || res[0].Stored == 0) {
+				t.Fatalf("fixture: the pool must fill mid-pass, got %+v", res[0])
+			}
+			for i, sr := range tiers[0].results {
+				want := tiers[1].results[i]
+				if fmt.Sprintf("%+v", sr) != fmt.Sprintf("%+v", want) {
+					t.Fatalf("store %d: primed %+v, alone %+v", i, sr, want)
+				}
+			}
+			st := tiers[0].Stats()
+			if st != tiers[1].Stats() || st.ValidationErrs != 0 {
+				t.Fatalf("stats: primed %+v, alone %+v", st, tiers[1].Stats())
+			}
+			if p := tc.pool(tiers[0].FarMemory); p != nil && p.ArenaStats() != tc.pool(tiers[1].FarMemory).ArenaStats() {
+				t.Fatalf("arena: primed %+v, alone %+v", p.ArenaStats(), tc.pool(tiers[1].FarMemory).ArenaStats())
+			}
+			for id := mem.PageID(0); id < pages; id++ {
+				a, b := mems[0].Meta(id), mems[1].Meta(id)
+				if mems[0].Flags(id) != mems[1].Flags(id) || a.Handle != b.Handle || a.CompressedSize != b.CompressedSize {
+					t.Fatalf("page %d: primed flags %b %+v, alone flags %b %+v", id, mems[0].Flags(id), *a, mems[1].Flags(id), *b)
+				}
 			}
 		})
 	}

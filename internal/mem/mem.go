@@ -125,23 +125,26 @@ type PageMeta struct {
 	// CompressedSize is the payload size while compressed, else 0.
 	CompressedSize int32
 	// MemoSize is the compressed size of the page's current content, 0
-	// when unknown. zswap.Pool.Store is its only writer: it records the
-	// size after a real compression and, while the size is known, skips
-	// regenerating and recompressing the page on later stores. mem clears
-	// it wherever content changes — NewMemcg and Grow start every page
-	// unknown, and a write (Touch with write set) clears it next to the
-	// Seed bump — which applies to every page the rule §5.1 gives
-	// incompressible pages: not retried until dirtied. MarkCompressed
-	// never writes it: a device tier records CompressedSize == PageSize
-	// for a whole page, and that size in the memo would make a later
-	// zswap store reject the page as incompressible. The field sits in
-	// what was tail padding, so PageMeta stays 32 bytes.
+	// when unknown. zswap records it — Pool.Store after a real
+	// compression, Pool.Prime ahead of a reclaim pass's stores — and,
+	// while the size is known, a store skips regenerating and
+	// recompressing the page. mem clears it wherever content changes —
+	// NewMemcg and Grow start every page unknown, and a write (Touch with
+	// write set) clears it next to the Seed bump — which applies to every
+	// page the rule §5.1 gives incompressible pages: not retried until
+	// dirtied. MarkCompressed never writes it: a device tier records
+	// CompressedSize == PageSize for a whole page, and that size in the
+	// memo would make a later zswap store reject the page as
+	// incompressible. The field sits in what was tail padding, so
+	// PageMeta stays 32 bytes.
 	MemoSize int32
 }
 
 // Memcg is a job's memory cgroup: its page population (which can grow as
 // the job allocates) plus resident/compressed accounting. It is not safe
-// for concurrent use.
+// for concurrent use, with one exception: zswap.Pool.Prime's workers
+// read the Meta of distinct pages and write their MemoSize while the
+// owner waits for them.
 type Memcg struct {
 	name  string
 	flags []uint8 // PageFlags values; []uint8 so the walks can load 8 at a time
@@ -309,8 +312,8 @@ func (m *Memcg) Age(id PageID) uint8 {
 // the memcg grows. Callers must not change any field: Handle and
 // CompressedSize belong to MarkCompressed/MarkPromoted, Seed and Class to
 // mem (NewMemcg, Grow, Touch), and MemoSize to mem, which clears it, and
-// zswap.Pool.Store, which records it. A Seed or Class changed behind
-// Touch leaves MemoSize describing the old content.
+// zswap.Pool's Store and Prime, which record it. A Seed or Class changed
+// behind Touch leaves MemoSize describing the old content.
 func (m *Memcg) Meta(id PageID) *PageMeta { return &m.meta[id] }
 
 // Reclaimable reports whether kreclaimd may move page id to far memory.

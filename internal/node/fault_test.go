@@ -387,6 +387,7 @@ func TestHandlePressureTable(t *testing.T) {
 // released — the worst case for a machine under a pressure spike.
 type fixedFootprintTier struct{ bytes uint64 }
 
+func (f fixedFootprintTier) Prime(*mem.Memcg, []mem.PageID) {}
 func (f fixedFootprintTier) Store(*mem.Memcg, mem.PageID) zswap.StoreResult {
 	return zswap.StoreResult{Outcome: zswap.StoreRejectedFull}
 }

@@ -65,6 +65,9 @@ var _ FarMemory = (*DevicePool)(nil)
 // Profile returns the device profile.
 func (d *DevicePool) Profile() DeviceProfile { return d.profile }
 
+// Prime does nothing: a device stores whole pages and compresses none.
+func (d *DevicePool) Prime(*mem.Memcg, []mem.PageID) {}
+
 // Store moves a page to the device. Pages never fail compression on a
 // device tier, but the tier can fill up.
 func (d *DevicePool) Store(m *mem.Memcg, id mem.PageID) StoreResult {

@@ -22,6 +22,8 @@ type TieredPool struct {
 	// SplitAge is the demotion-time age (in scan periods) below which a
 	// page prefers tier-1.
 	splitAge uint8
+	// primeIDs is Prime's reusable buffer of the pages bound for tier-2.
+	primeIDs []mem.PageID
 }
 
 // NewTieredPool combines a hardware tier-1 with a zswap tier-2. The
@@ -45,6 +47,19 @@ func (t *TieredPool) Tier1() *DevicePool { return t.tier1 }
 
 // Tier2 exposes the compressed tier.
 func (t *TieredPool) Tier2() *Pool { return t.tier2 }
+
+// Prime primes tier-2 with the listed pages the placement policy sends
+// there (age at least SplitAge). Pages that spill from a full tier-1 are
+// not primed; their stores compress them.
+func (t *TieredPool) Prime(m *mem.Memcg, ids []mem.PageID) {
+	t.primeIDs = t.primeIDs[:0]
+	for _, id := range ids {
+		if m.Age(id) >= t.splitAge {
+			t.primeIDs = append(t.primeIDs, id)
+		}
+	}
+	t.tier2.Prime(m, t.primeIDs)
+}
 
 // Store places a cold page on a tier by the placement policy.
 //

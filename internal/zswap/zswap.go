@@ -18,6 +18,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"sdfm/internal/compress"
@@ -106,6 +109,12 @@ type Stats struct {
 // FarMemory is the tier interface the control plane drives. Store moves a
 // cold page out of near memory; Load brings it back on a promotion fault.
 type FarMemory interface {
+	// Prime is told the pages a reclaim pass is about to Store, in store
+	// order, and may do ahead of the stores, in parallel, work that
+	// depends only on page content. It changes no outcome, cost or
+	// statistic of the stores that follow; a tier with no such work does
+	// nothing.
+	Prime(m *mem.Memcg, ids []mem.PageID)
 	Store(m *mem.Memcg, id mem.PageID) StoreResult
 	Load(m *mem.Memcg, id mem.PageID) (LoadResult, error)
 	// Drop discards a stored page without promoting it, when its job exits
@@ -135,8 +144,9 @@ type Pool struct {
 
 	// Reusable scratch: page synthesis, compression destination, and the
 	// validation-path decompression destination. Owned by the pool; only
-	// valid within one Store/Load call. Steady-state stores and loads
-	// therefore allocate nothing.
+	// valid within one Store/Load/Prime call (Prime's caller worker uses
+	// the first two). Steady-state stores and loads therefore allocate
+	// nothing.
 	pageBuf   []byte
 	compBuf   []byte
 	decompBuf []byte
@@ -182,6 +192,68 @@ func NewPool(opts ...Option) *Pool {
 
 var _ FarMemory = (*Pool)(nil)
 
+// primeChunk is how many listed pages a Prime worker claims at a time.
+// On BenchmarkReclaimCold/fill (2 vCPUs) chunks of 16 to 256 pages cost
+// the same within noise; 64 claims the shared counter once per 64 page
+// compressions, and a pass of two chunks (128 pages) already splits.
+const primeChunk = 64
+
+// Prime records in MemoSize the compressed size of every listed page
+// whose size is unknown, so that the Stores that follow take it from
+// there. The pages are compressed on up to GOMAXPROCS goroutines, the
+// caller being one; a pass shorter than two chunks runs on the caller
+// alone. Each worker writes only its own pages' MemoSize and the caller
+// returns after all have finished, so the memcg is again the caller's
+// alone. Zero-filled pages stay unrecorded, which keeps their stores on
+// the same-filled path. A recorded size is a function of the page's
+// content alone, so outcomes, simulated CPU, arena placement and where a
+// full pool cuts the pass all still come from the Stores, in their order.
+func (p *Pool) Prime(m *mem.Memcg, ids []mem.PageID) {
+	p.prime(m, ids, primeChunk, runtime.GOMAXPROCS(0))
+}
+
+// prime is Prime with the chunk size and worker count as parameters.
+func (p *Pool) prime(m *mem.Memcg, ids []mem.PageID, chunk, workers int) {
+	chunks := (len(ids) + chunk - 1) / chunk
+	if workers = min(workers, chunks); workers <= 1 {
+		primePages(m, ids, p.pageBuf, p.compBuf)
+		return
+	}
+	var next atomic.Int64
+	work := func(page, comp []byte) {
+		for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
+			primePages(m, ids[c*chunk:min((c+1)*chunk, len(ids))], page, comp)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(make([]byte, mem.PageSize), make([]byte, 0, compress.CompressBound(mem.PageSize)))
+		}()
+	}
+	work(p.pageBuf, p.compBuf)
+	wg.Wait()
+}
+
+// primePages records the sizes of pages ids, synthesizing each into page
+// and compressing it into comp.
+func primePages(m *mem.Memcg, ids []mem.PageID, page, comp []byte) {
+	for _, id := range ids {
+		meta := m.Meta(id)
+		if meta.MemoSize != 0 {
+			continue
+		}
+		pagedata.Generate(page, meta.Class, meta.Seed)
+		if isZeroFilled(page) {
+			continue
+		}
+		comp = compress.Compress(comp[:0], page)
+		meta.MemoSize = int32(len(comp))
+	}
+}
+
 // Store compresses page id of memcg m into the pool. The page must be
 // resident and reclaimable; violations panic because only kreclaimd calls
 // Store and it filters eligibility first.
@@ -189,8 +261,9 @@ var _ FarMemory = (*Pool)(nil)
 // A page is compressed once per content: the size of a real compression
 // is recorded in the page's MemoSize, and while mem keeps it (until the
 // page is written) a later store takes the size from there instead of
-// regenerating and recompressing the page. The outcome, the simulated CPU
-// charge and the arena placement are those of a real compression. A
+// regenerating and recompressing the page; Prime records the sizes of a
+// whole pass ahead of its stores. The outcome, the simulated CPU charge
+// and the arena placement are those of a real compression. A
 // validating pool compresses on every store, since it keeps the payload,
 // and counts a ValidationErrs when a recorded size disagrees.
 func (p *Pool) Store(m *mem.Memcg, id mem.PageID) StoreResult {

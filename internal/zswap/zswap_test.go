@@ -637,12 +637,14 @@ func TestValidationChecksRecordedSize(t *testing.T) {
 
 // FuzzStoreSizeMemo drives the same operation sequence over two identical
 // memcgs, one behind a validating pool (which compresses on every store)
-// and one behind a plain pool (which reuses recorded sizes), and holds
-// every store to a fresh compression of the page's current content.
+// and one behind a plain pool (which reuses recorded sizes, and is also
+// primed), and holds every store to a fresh compression of the page's
+// current content.
 func FuzzStoreSizeMemo(f *testing.F) {
-	f.Add([]byte{0, 5, 1, 0, 3, 0, 10, 4}, uint64(7), uint8(0))
-	f.Add([]byte{0, 1, 0, 3, 0, 2, 0, 5, 6, 5, 1, 5}, uint64(1), uint8(3))
-	f.Add([]byte{15, 16, 15, 4, 18, 15, 17, 15}, uint64(99), uint8(1))
+	f.Add([]byte{0, 6, 1, 0, 3, 0, 12, 4}, uint64(7), uint8(0))
+	f.Add([]byte{0, 1, 0, 3, 0, 2, 0, 6, 7, 6, 1, 6}, uint64(1), uint8(3))
+	f.Add([]byte{18, 19, 18, 4, 21, 18, 20, 18}, uint64(99), uint8(1))
+	f.Add([]byte{5, 0, 6, 12, 18, 9, 11, 6, 7, 6}, uint64(3), uint8(2))
 	const pages = 32
 	f.Fuzz(func(t *testing.T, ops []byte, seed uint64, capPages uint8) {
 		if len(ops) > 512 {
@@ -653,9 +655,9 @@ func FuzzStoreSizeMemo(f *testing.F) {
 		pv, mv := NewPool(WithValidation(), capacity), mem.NewMemcg(cfg)
 		pp, mp := NewPool(capacity), mem.NewMemcg(cfg)
 		for step, b := range ops {
-			id := mem.PageID(int(b/5) % pages)
+			id := mem.PageID(int(b/6) % pages)
 			compressed := mv.Flags(id).Has(mem.FlagCompressed)
-			switch b % 5 {
+			switch b % 6 {
 			case 0: // store
 				if !mv.Reclaimable(id) {
 					continue
@@ -707,6 +709,19 @@ func FuzzStoreSizeMemo(f *testing.F) {
 				if cv, cp := pv.Compact(), pp.Compact(); cv != cp {
 					t.Fatalf("step %d: compaction reclaimed %d vs %d bytes", step, cv, cp)
 				}
+			case 5: // prime the plain side's reclaimable pages from id on
+				var ids []mem.PageID
+				for i := id; i < pages; i++ {
+					if mp.Reclaimable(i) {
+						ids = append(ids, i)
+					}
+				}
+				pp.prime(mp, ids, 1+int(id)%4, 1+int(id)%3)
+				for _, i := range ids {
+					if got, want := int(mp.Meta(i).MemoSize), freshSize(mp, i); got != want {
+						t.Fatalf("step %d: page %d primed to %d, compresses to %d", step, i, got, want)
+					}
+				}
 			}
 			if sv, sp := pv.Stats(), pp.Stats(); sv != sp || sv.ValidationErrs != 0 {
 				t.Fatalf("step %d: stats diverged: validating %+v, plain %+v", step, sv, sp)
@@ -716,4 +731,54 @@ func FuzzStoreSizeMemo(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPrimeRecordsFreshSizes primes most pages of a mixed memcg over small
+// chunks on one to three workers. Every listed page must then carry its
+// fresh compressed size, zero-filled pages must stay unrecorded, a size
+// already recorded must be kept, unlisted pages must stay unknown, and
+// the pool itself must be untouched.
+func TestPrimeRecordsFreshSizes(t *testing.T) {
+	const pages, kept = 203, mem.PageID(2)
+	for _, chunk := range []int{1, 7, 16} {
+		for workers := 1; workers <= 3; workers++ {
+			p := NewPool()
+			m := newMemcg(pages, pagedata.DefaultMix)
+			var ids []mem.PageID
+			for id := mem.PageID(0); id < pages; id++ {
+				if id%9 != 4 {
+					ids = append(ids, id)
+				}
+			}
+			if len(ids)%chunk == 0 && chunk > 1 {
+				t.Fatalf("fixture: %d listed pages fill whole %d-page chunks", len(ids), chunk)
+			}
+			m.Meta(kept).MemoSize = 1
+			p.prime(m, ids, chunk, workers)
+
+			var zero, rejected int
+			for id := mem.PageID(0); id < pages; id++ {
+				got, want := int(m.Meta(id).MemoSize), freshSize(m, id)
+				switch {
+				case id == kept:
+					want = 1
+				case id%9 == 4:
+					want = 0
+				case want == 0:
+					zero++
+				case want > DefaultCutoff:
+					rejected++
+				}
+				if got != want {
+					t.Fatalf("chunk %d, %d workers: page %d records %d, want %d", chunk, workers, id, got, want)
+				}
+			}
+			if zero == 0 || rejected == 0 {
+				t.Fatalf("fixture: %d zero-filled and %d incompressible listed pages, want some of each", zero, rejected)
+			}
+			if p.Stats() != (Stats{}) || p.ArenaStats().Objects != 0 || m.Compressed() != 0 {
+				t.Fatalf("chunk %d, %d workers: priming changed the pool or memcg: %+v", chunk, workers, p.Stats())
+			}
+		}
+	}
 }
