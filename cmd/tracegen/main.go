@@ -45,6 +45,14 @@ func run(args []string, stdout io.Writer) error {
 		metricsOut = fs.String("metricsout", "", "write Prometheus metrics for the generation run to this file")
 	)
 	fs.Parse(args)
+	// Zero would read as "use the default" in fleet.Config, so a zero or
+	// negative size or duration is refused here, before any file exists.
+	if *clusters <= 0 || *machines <= 0 || *jobs <= 0 {
+		return fmt.Errorf("-clusters, -machines and -jobs must be positive, not %d, %d and %d", *clusters, *machines, *jobs)
+	}
+	if !(*hours > 0) {
+		return fmt.Errorf("-hours must be positive, not %v", *hours)
+	}
 
 	var multi *obs.Multi
 	var observer *obs.Observer

@@ -66,3 +66,25 @@ func TestMetricsWrittenInBothModes(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsHostileFlags: a fleet size or duration that is not positive
+// is refused with an error (exit status 1) and no output file, instead of
+// writing an empty trace or silently generating the 24 h default.
+func TestRejectsHostileFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, bad := range [][]string{
+		{"-clusters", "-1"}, {"-clusters", "0"}, {"-machines", "0"}, {"-jobs", "-2"},
+		{"-hours", "0"}, {"-hours", "-3"}, {"-hours", "NaN"},
+	} {
+		out := filepath.Join(dir, "t.trace")
+		args := append([]string{"-o", out, "-clusters", "1", "-machines", "1", "-jobs", "1", "-hours", "1"}, bad...)
+		var stdout bytes.Buffer
+		if err := run(args, &stdout); err == nil {
+			t.Errorf("tracegen %v: no error; printed %q", bad, stdout.String())
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("tracegen %v wrote %s", bad, out)
+			os.Remove(out)
+		}
+	}
+}

@@ -19,6 +19,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"sdfm/internal/obs"
@@ -58,6 +61,23 @@ var DefaultWeights = map[string]float64{
 	"ml-training":     0.20,
 	"kv-cache":        0.125,
 	"log-processor":   0.125,
+}
+
+// validate rejects what no fleet can be: a negative size or interval, or
+// a churn fraction that is not a share. Zero values are left to
+// fillDefaults.
+func (c *Config) validate() error {
+	if c.Clusters < 0 || c.MachinesPerCluster < 0 || c.JobsPerMachine < 0 {
+		return fmt.Errorf("fleet: negative fleet size: %d clusters x %d machines x %d jobs",
+			c.Clusters, c.MachinesPerCluster, c.JobsPerMachine)
+	}
+	if c.Interval < 0 {
+		return fmt.Errorf("fleet: negative interval %v", c.Interval)
+	}
+	if !(c.ChurnFraction >= 0 && c.ChurnFraction <= 1) {
+		return fmt.Errorf("fleet: churn fraction %v outside [0, 1]", c.ChurnFraction)
+	}
+	return nil
 }
 
 func (c *Config) fillDefaults() {
@@ -129,9 +149,28 @@ func Generate(cfg Config) (*telemetry.Trace, error) {
 // as the sink, a warehouse-scale trace goes straight to disk chunk by
 // chunk and is never materialized as a []Entry. Entries carry the default
 // trace metadata (telemetry.NewTrace's scan period and threshold set).
+//
+// Entries are computed on GOMAXPROCS goroutines, a block of intervals at
+// a time, and appended in (time, slot) order by the caller once every
+// worker of the block has returned, so the sink sees the same entries in
+// the same order on any number of cores.
 func GenerateTo(cfg Config, sink telemetry.EntrySink) error {
+	return generateTo(cfg, sink, blockEntries, runtime.GOMAXPROCS(0))
+}
+
+// blockEntries is the entry budget of one generation block: it sizes the
+// buffer the workers fill and the caller drains into the sink, large
+// enough that starting the workers is a small share of a block's work.
+const blockEntries = 4096
+
+// generateTo is GenerateTo with the block budget and worker count as
+// parameters.
+func generateTo(cfg Config, sink telemetry.EntrySink, budget, workers int) error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
 	cfg.fillDefaults()
-	if cfg.Interval <= 0 || cfg.Duration < cfg.Interval {
+	if cfg.Duration < cfg.Interval {
 		return fmt.Errorf("fleet: duration %v shorter than interval %v", cfg.Duration, cfg.Interval)
 	}
 	meta := telemetry.NewTrace()
@@ -144,7 +183,6 @@ func GenerateTo(cfg Config, sink telemetry.EntrySink) error {
 		thresholdsSec[i] = (time.Duration(b) * scanPeriod).Seconds()
 	}
 
-	intervalMin := cfg.Interval.Minutes()
 	var emitted *obs.Counter
 	if cfg.Obs != nil {
 		emitted = cfg.Obs.Counter("sdfm_fleet_entries_total", "Telemetry entries emitted into the trace.")
@@ -154,28 +192,26 @@ func GenerateTo(cfg Config, sink telemetry.EntrySink) error {
 		}
 		cfg.Obs.Gauge("sdfm_fleet_job_instances", "Job instances in the generated fleet.").SetInt(n)
 	}
-	// Active-window sweep. Instances within a slot are a contiguous,
-	// non-overlapping chain sorted by start time, so a monotonic cursor
-	// per slot finds the (at most one) live instance in amortized O(1)
-	// instead of testing every dead instance at every interval. Slots are
-	// visited in build order and contribute at most one entry each, so
-	// emission order is identical to the full filtered walk.
-	cursors := make([]int, len(instances))
-	for t := cfg.Interval; t <= cfg.Duration; t += cfg.Interval {
-		for s, chain := range instances {
-			i := cursors[s]
-			for i < len(chain) && t > chain[i].end {
-				i++
-			}
-			cursors[s] = i
-			if i == len(chain) {
-				continue
-			}
-			inst := chain[i]
-			if t <= inst.start {
-				continue
-			}
-			if err := sink.Append(inst.entry(t, thresholdsSec, intervalMin)); err != nil {
+	slots := len(instances)
+	block := max(1, budget/slots)
+	sw := &sweep{
+		instances:     instances,
+		cursors:       make([]int, slots),
+		entries:       make([]telemetry.Entry, block*slots),
+		tailLen:       2 * len(thresholdsSec),
+		interval:      cfg.Interval,
+		thresholdsSec: thresholdsSec,
+		intervalMin:   cfg.Interval.Minutes(),
+	}
+	steps := int(cfg.Duration / cfg.Interval)
+	for k := 0; k < steps; k += block {
+		n := min(block, steps-k)
+		// One allocation holds the block's tails: the sink keeps
+		// entries, so each block needs fresh ones.
+		sw.tails = make([]uint64, n*slots*sw.tailLen)
+		sw.fill(k, n, workers)
+		for _, e := range sw.entries[:n*slots] {
+			if err := sink.Append(e); err != nil {
 				return err
 			}
 			emitted.Inc()
@@ -184,11 +220,74 @@ func GenerateTo(cfg Config, sink telemetry.EntrySink) error {
 	return nil
 }
 
+// sweep is the state of GenerateTo's active-window sweep. A slot's chain
+// tiles (0, Duration] without gaps, so exactly one of its instances is
+// live at every interval, and a monotonic cursor per slot finds it in
+// amortized O(1). A slot's entries draw only from its own stream, so
+// slots are independent and each is filled in time order by one worker;
+// the block buffer is indexed (interval, slot), which is the emission
+// order.
+type sweep struct {
+	instances     [][]*jobInstance
+	cursors       []int
+	entries       []telemetry.Entry
+	tails         []uint64 // the block's entries' tails, tailLen each
+	tailLen       int
+	interval      time.Duration
+	thresholdsSec []float64
+	intervalMin   float64
+}
+
+// fill computes the n intervals from step k into the block buffer, on up
+// to workers goroutines (the caller is one), and returns once all are
+// done.
+func (sw *sweep) fill(k, n, workers int) {
+	slots := len(sw.instances)
+	if workers = min(workers, slots); workers <= 1 {
+		for s := range slots {
+			sw.fillSlot(s, k, n)
+		}
+		return
+	}
+	var next atomic.Int64
+	work := func() {
+		for s := int(next.Add(1)) - 1; s < slots; s = int(next.Add(1)) - 1 {
+			sw.fillSlot(s, k, n)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// fillSlot computes slot s's entries for the n intervals from step k.
+func (sw *sweep) fillSlot(s, k, n int) {
+	chain := sw.instances[s]
+	slots := len(sw.instances)
+	i := sw.cursors[s]
+	for j := range n {
+		t := time.Duration(k+j+1) * sw.interval
+		for t > chain[i].end {
+			i++
+		}
+		at := j*slots + s
+		sw.entries[at] = chain[i].entry(t, sw.thresholdsSec, sw.intervalMin, sw.tails[at*sw.tailLen:(at+1)*sw.tailLen])
+	}
+	sw.cursors[s] = i
+}
+
 // buildInstances returns one chain of instances per job slot. Within a
-// slot the chain is time-ordered and non-overlapping (each instance
-// starts where its predecessor ended), which GenerateTo's sweep relies
-// on; flattening the chains in slot order reproduces the historical
-// flat instance list.
+// slot the chain is time-ordered and tiles the trace (the first instance
+// starts at 0, each later one where its predecessor ended, the last ends
+// at Duration), which GenerateTo's sweep relies on; flattening the chains
+// in slot order reproduces the historical flat instance list.
 func buildInstances(cfg Config, rng *rand.Rand) [][]*jobInstance {
 	var instances [][]*jobInstance
 	for c := 0; c < cfg.Clusters; c++ {
@@ -313,8 +412,10 @@ func newInstance(key telemetry.JobKey, arch *workload.Archetype, rng *rand.Rand)
 	}
 }
 
-// entry synthesizes one telemetry entry at time t.
-func (inst *jobInstance) entry(t time.Duration, thresholdsSec []float64, intervalMin float64) telemetry.Entry {
+// entry synthesizes one telemetry entry at time t. Its cold and promotion
+// tails are the two halves of tails, which holds 2×len(thresholdsSec)
+// values and is the entry's own.
+func (inst *jobInstance) entry(t time.Duration, thresholdsSec []float64, intervalMin float64, tails []uint64) telemetry.Entry {
 	f := 1.0
 	if inst.arch.DiurnalAmplitude > 0 {
 		f = 1 + inst.arch.DiurnalAmplitude*math.Sin(2*math.Pi*float64(t)/float64(24*time.Hour)+inst.phase)
@@ -327,8 +428,7 @@ func (inst *jobInstance) entry(t time.Duration, thresholdsSec []float64, interva
 	promoNoise := math.Exp(noisePromoSigma * inst.rng.NormFloat64())
 
 	n := len(thresholdsSec)
-	cold := make([]uint64, n)
-	promo := make([]uint64, n)
+	cold, promo := tails[:n:n], tails[n:2*n:2*n]
 	var wssF float64
 	for _, g := range inst.groups {
 		rate := f / g.period // accesses per second per page

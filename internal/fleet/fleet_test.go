@@ -1,11 +1,17 @@
 package fleet
 
 import (
+	"errors"
+	"math"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"sdfm/internal/core"
 	"sdfm/internal/model"
+	"sdfm/internal/obs"
+	"sdfm/internal/simtime"
 	"sdfm/internal/stats"
 	"sdfm/internal/telemetry"
 )
@@ -50,14 +56,8 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != b.Len() {
-		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
-	}
-	for i := range a.Entries {
-		ea, eb := a.Entries[i], b.Entries[i]
-		if ea.Key != eb.Key || ea.WSSPages != eb.WSSPages || ea.ColdTails[0] != eb.ColdTails[0] {
-			t.Fatalf("entry %d differs", i)
-		}
+	if i, ok := sameEntries(a.Entries, b.Entries); !ok {
+		t.Fatalf("entry %d differs (lengths %d, %d)", i, a.Len(), b.Len())
 	}
 	c, err := Generate(smallConfig(8))
 	if err != nil {
@@ -69,10 +69,162 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateValidatesConfig(t *testing.T) {
-	cfg := smallConfig(1)
-	cfg.Duration = time.Minute // shorter than the 5-minute interval
-	if _, err := Generate(cfg); err == nil {
-		t.Error("bad duration accepted")
+	for name, edit := range map[string]func(*Config){
+		"duration below interval": func(c *Config) { c.Duration = time.Minute },
+		"negative duration":       func(c *Config) { c.Duration = -time.Hour },
+		"negative clusters":       func(c *Config) { c.Clusters = -1 },
+		"negative machines":       func(c *Config) { c.MachinesPerCluster = -2 },
+		"negative jobs":           func(c *Config) { c.JobsPerMachine = -3 },
+		"negative interval":       func(c *Config) { c.Interval = -5 * time.Minute },
+		"negative churn":          func(c *Config) { c.ChurnFraction = -0.1 },
+		"churn above one":         func(c *Config) { c.ChurnFraction = 1.5 },
+		"NaN churn":               func(c *Config) { c.ChurnFraction = math.NaN() },
+	} {
+		cfg := smallConfig(1)
+		edit(&cfg)
+		var sink countingSink
+		if err := GenerateTo(cfg, &sink); err == nil || sink.n != 0 {
+			t.Errorf("%s: GenerateTo = %v after %d entries, want an error before any", name, err, sink.n)
+		}
+	}
+}
+
+// countingSink counts the entries appended to it and fails the failAt-th
+// Append, if set.
+type countingSink struct {
+	n, failAt int
+}
+
+var errSinkFull = errors.New("sink full")
+
+func (s *countingSink) Append(telemetry.Entry) error {
+	s.n++
+	if s.n == s.failAt {
+		return errSinkFull
+	}
+	return nil
+}
+
+// sameEntries compares two entry lists whole, checksums included, and
+// returns the first index at which they differ.
+func sameEntries(a, b []telemetry.Entry) (int, bool) {
+	for i := range min(len(a), len(b)) {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			return i, false
+		}
+	}
+	return min(len(a), len(b)), len(a) == len(b)
+}
+
+// straddles reports whether some instance of cfg's fleet is live on both
+// sides of a boundary between blocks of the given number of intervals.
+func straddles(cfg Config, block int) bool {
+	cfg.fillDefaults()
+	step := time.Duration(block) * cfg.Interval
+	for _, chain := range buildInstances(cfg, simtime.Rand(cfg.Seed, "fleet")) {
+		for _, inst := range chain {
+			if (inst.start/step+1)*step < inst.end {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestGenerateToMatchesSerialSweep holds the slot-parallel sweep to the
+// serial oracle entry for entry, across block lengths whose boundaries
+// fall inside instances, and across worker counts, including more
+// workers than slots.
+func TestGenerateToMatchesSerialSweep(t *testing.T) {
+	small := func(seed int64) Config {
+		return Config{Clusters: 2, MachinesPerCluster: 3, JobsPerMachine: 4, Duration: 6 * time.Hour, Seed: seed}
+	}
+	churny := small(21)
+	churny.ChurnFraction = 0.6
+	ragged := small(24)
+	ragged.Duration = 5*time.Hour + 7*time.Minute // not a whole number of intervals
+	odd := small(25)
+	odd.Interval = 7 * time.Minute
+	cases := map[string]Config{
+		"churny":          churny,
+		"single slot":     {Clusters: 1, MachinesPerCluster: 1, JobsPerMachine: 1, Duration: 12 * time.Hour, Seed: 22, ChurnFraction: 1},
+		"fewer slots":     {Clusters: 1, MachinesPerCluster: 1, JobsPerMachine: 3, Duration: 10 * time.Hour, Seed: 23, ChurnFraction: 1},
+		"ragged duration": ragged,
+		"odd interval":    odd,
+		"one interval":    {Clusters: 1, MachinesPerCluster: 2, JobsPerMachine: 2, Duration: 5 * time.Minute, Seed: 26},
+	}
+	for name, cfg := range cases {
+		want := telemetry.NewTrace()
+		if err := referenceGenerateTo(cfg, want); err != nil {
+			t.Fatalf("%s: oracle: %v", name, err)
+		}
+		slots := cfg.Clusters * cfg.MachinesPerCluster * cfg.JobsPerMachine
+		for _, block := range []int{1, 2, 5, 13, blockEntries / slots} {
+			if block > 1 && block < want.Len()/slots && !straddles(cfg, block) {
+				t.Errorf("%s: no instance crosses a %d-interval block boundary", name, block)
+			}
+			for _, workers := range []int{1, 4} {
+				got := telemetry.NewTrace()
+				if err := generateTo(cfg, got, block*slots, workers); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if i, ok := sameEntries(want.Entries, got.Entries); !ok {
+					t.Fatalf("%s, %d-interval blocks, %d workers: entry %d differs (%d vs %d entries)",
+						name, block, workers, i, got.Len(), want.Len())
+				}
+			}
+		}
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := telemetry.NewTrace()
+			err := GenerateTo(cfg, got)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if i, ok := sameEntries(want.Entries, got.Entries); !ok {
+				t.Fatalf("%s, GOMAXPROCS=%d: entry %d differs", name, procs, i)
+			}
+		}
+	}
+}
+
+// TestGenerateToCountsEntries: sdfm_fleet_entries_total counts exactly
+// the entries the sink received.
+func TestGenerateToCountsEntries(t *testing.T) {
+	cfg := smallConfig(27)
+	want := telemetry.NewTrace()
+	if err := referenceGenerateTo(cfg, want); err != nil {
+		t.Fatal(err)
+	}
+	o := obs.NewMulti().Observer("fleet")
+	cfg.Obs = o
+	if err := generateTo(cfg, telemetry.NewTrace(), 3*48, 4); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Counter("sdfm_fleet_entries_total", "").Value(); got != float64(want.Len()) {
+		t.Errorf("sdfm_fleet_entries_total = %v, want %d", got, want.Len())
+	}
+}
+
+// TestGenerateToStopsAtSinkError: a sink error ends generation at that
+// Append, and every worker has returned by then.
+func TestGenerateToStopsAtSinkError(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, k := range []int{1, 48, 49, 500} {
+		sink := &countingSink{failAt: k}
+		if err := generateTo(smallConfig(28), sink, 3*48, 4); !errors.Is(err, errSinkFull) {
+			t.Fatalf("fail at %d: GenerateTo = %v, want the sink's error", k, err)
+		}
+		if sink.n != k {
+			t.Errorf("fail at %d: sink got %d calls", k, sink.n)
+		}
+	}
+	// A worker's Done precedes its exit, so give the last ones a moment.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after GenerateTo returned, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }
 
