@@ -95,16 +95,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	dir, err := os.MkdirTemp("", "benchab-")
-	if err != nil {
-		return err
-	}
-
 	rep := report{AA: *aa, Base: treeOf(*baseDir), New: treeOf(*newDir)}
 	if *out != "" {
 		if err := resume(*out, &rep); err != nil {
 			return err
 		}
+	}
+	dir, err := os.MkdirTemp("", "benchab-")
+	if err != nil {
+		return err
 	}
 	for _, w := range strings.Split(*workloads, ",") {
 		for _, seed := range seedList {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -50,8 +51,8 @@ func run(args []string, stdout io.Writer) error {
 	if *clusters <= 0 || *machines <= 0 || *jobs <= 0 {
 		return fmt.Errorf("-clusters, -machines and -jobs must be positive, not %d, %d and %d", *clusters, *machines, *jobs)
 	}
-	if !(*hours > 0) {
-		return fmt.Errorf("-hours must be positive, not %v", *hours)
+	if !(*hours > 0 && *hours*float64(time.Hour) < math.MaxInt64) {
+		return fmt.Errorf("-hours must be positive and fit a time.Duration, not %v", *hours)
 	}
 
 	var multi *obs.Multi

@@ -67,14 +67,15 @@ func TestMetricsWrittenInBothModes(t *testing.T) {
 	}
 }
 
-// TestRejectsHostileFlags: a fleet size or duration that is not positive
-// is refused with an error (exit status 1) and no output file, instead of
-// writing an empty trace or silently generating the 24 h default.
+// TestRejectsHostileFlags: a fleet size or duration that is not positive,
+// or a duration past time.Duration's range, is refused with an error
+// (exit status 1) and no output file, instead of writing an empty trace
+// or silently generating the 24 h default.
 func TestRejectsHostileFlags(t *testing.T) {
 	dir := t.TempDir()
 	for _, bad := range [][]string{
 		{"-clusters", "-1"}, {"-clusters", "0"}, {"-machines", "0"}, {"-jobs", "-2"},
-		{"-hours", "0"}, {"-hours", "-3"}, {"-hours", "NaN"},
+		{"-hours", "0"}, {"-hours", "-3"}, {"-hours", "NaN"}, {"-hours", "3e6"},
 	} {
 		out := filepath.Join(dir, "t.trace")
 		args := append([]string{"-o", out, "-clusters", "1", "-machines", "1", "-jobs", "1", "-hours", "1"}, bad...)
