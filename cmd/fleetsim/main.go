@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"time"
@@ -60,6 +61,13 @@ func run(args []string, stdout io.Writer) error {
 		demographics = fs.Bool("demographics", false, "also print each job's time-since-last-access table (under -plan, the baseline run's)")
 	)
 	fs.Parse(args)
+	// "Not inside" rather than "outside", so that NaN is refused too.
+	if !(*hours > 0 && *hours*float64(time.Hour) < math.MaxInt64) {
+		return fmt.Errorf("-hours must be positive and fit a time.Duration, not %v", *hours)
+	}
+	if *machines <= 0 || *jobs <= 0 {
+		return fmt.Errorf("-machines and -jobs must be positive, not %d and %d", *machines, *jobs)
+	}
 	duration := time.Duration(*hours * float64(time.Hour))
 
 	if *writePlan != "" {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -35,6 +36,32 @@ func TestReportDeterministic(t *testing.T) {
 	for _, want := range []string{"simulated 1h0m0s across 2 machines/4 jobs\n", "coverage per machine:", "promotion rate: p50"} {
 		if !strings.Contains(first, want) {
 			t.Errorf("report lacks %q:\n%s", want, first)
+		}
+	}
+}
+
+// TestRejectsHostileFlags: a duration that is not positive or past
+// time.Duration's range, and a fleet size that is not positive, are
+// refused with an error (exit status 1) before anything is simulated,
+// printed or written — -writeplan's file included — instead of reporting
+// a negative or wrapped duration over an empty fleet.
+func TestRejectsHostileFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, bad := range [][]string{
+		{"-hours", "0"}, {"-hours", "-1"}, {"-hours", "NaN"}, {"-hours", "1e300"}, {"-hours", "3e6"},
+		{"-jobs", "0"}, {"-jobs", "-3"}, {"-machines", "0"}, {"-machines", "-2"},
+	} {
+		plan := filepath.Join(dir, "plan.json")
+		for _, extra := range [][]string{nil, {"-writeplan", plan}} {
+			args := append(append([]string{"-machines", "1", "-jobs", "1", "-hours", "1"}, bad...), extra...)
+			var stdout bytes.Buffer
+			if err := run(args, &stdout); err == nil || stdout.Len() != 0 {
+				t.Errorf("fleetsim %s: error %v, printed %q", strings.Join(args, " "), err, stdout.String())
+			}
+			if _, err := os.Stat(plan); err == nil {
+				t.Errorf("fleetsim %s wrote %s", strings.Join(args, " "), plan)
+				os.Remove(plan)
+			}
 		}
 	}
 }

@@ -21,7 +21,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -267,7 +266,7 @@ type Workload struct {
 	// Tick skips a block whose bound is after now and leaves the exact
 	// minimum behind in every block it sweeps.
 	due       []time.Duration
-	rng       *rand.Rand
+	rng       *simtime.Stream
 	bandTotal float64 // Σ band weights
 	nextScan  time.Duration
 	grown     float64 // fractional pages accumulated toward growth
@@ -293,7 +292,7 @@ func New(cfg Config) (*Workload, error) {
 	if err := cfg.Archetype.Validate(); err != nil {
 		return nil, err
 	}
-	rng := simtime.Rand(cfg.Seed, "workload/"+cfg.Name)
+	rng := simtime.NewStream(cfg.Seed, "workload/"+cfg.Name)
 	a := cfg.Archetype
 	pages := a.PagesMin
 	if a.PagesMax > a.PagesMin {
@@ -361,10 +360,12 @@ func (w *Workload) DiurnalFactor(t time.Duration) float64 {
 // left with its exact minimum as the new bound. Skipping skips no access
 // and no draw. The order is the contract that makes runs reproducible:
 // pages in ascending ID, a page's accesses in time order, per access one
-// Float64 (the write draw) then one ExpFloat64 (the gap draw) — so for a
-// seed the output is a pure function of the sequence of now values. The
-// draws are i.i.d., so this order has the same law as global time order
-// (reference_test.go holds the sweep to the time-ordered generator).
+// Float64 (the write draw) then one ExpFloat64 (the gap draw) from the
+// job's simtime.Stream, which yields math/rand's values and inlines both
+// draws here — so for a seed the output is a pure function of the
+// sequence of now values. The draws are i.i.d., so this order has the
+// same law as global time order (reference_test.go holds the sweep to the
+// time-ordered generator).
 func (w *Workload) Tick(now time.Duration, access func(id mem.PageID, write bool)) {
 	diurnal, writeFraction := w.DiurnalFactor(now), w.arch.WriteFraction
 	rng, periods, next := w.rng, w.periods, w.next
