@@ -210,11 +210,22 @@ func compare(specs []metricSpec, base, cur []benchRun, baseFirst []bool) (compar
 	return c, nil
 }
 
+// minPairs is the fewest pairs a gain may rest on, and minGain the
+// smallest gap between medians, as a share of the base's, that counts as
+// one: a base whose runs repeat a value to the byte has quartiles that
+// coincide, and no gap is wider than nothing.
+const (
+	minPairs = 10
+	minGain  = 0.01
+)
+
 // judge reads one metric over paired runs (base[i] ran beside cur[i]):
 //
-//   - improved: the new side wins at least nine pairs in ten, ties
-//     counting for neither, and its median is better than the base's by
-//     more than the distance between the base's quartiles;
+//   - improved: over at least minPairs pairs, the new side wins at least
+//     nine in ten, ties counting for neither, and its median is better
+//     than the base's by more than the distance between the base's
+//     quartiles and by more than minGain of the base's median;
+//   - unresolved, when fewer pairs would otherwise read improved;
 //   - regressed: the new median is worse than the base's by more than the
 //     bound, as a share of the base's median;
 //   - unresolved: otherwise, when either side's quartile spread is wider
@@ -245,10 +256,13 @@ func judge(s metricSpec, base, cur []float64) metricResult {
 	if s.Better == "higher" {
 		worse = -worse
 	}
+	gain := 10*r.Wins >= 9*len(base) && s.better(r.New.Median, r.Base.Median) &&
+		math.Abs(r.New.Median-r.Base.Median) > max(r.Base.Q3-r.Base.Q1, minGain*r.Base.Median)
 	switch {
-	case 10*r.Wins >= 9*len(base) && s.better(r.New.Median, r.Base.Median) &&
-		math.Abs(r.New.Median-r.Base.Median) > r.Base.Q3-r.Base.Q1:
+	case gain && len(base) >= minPairs:
 		r.Verdict = improved
+	case gain:
+		r.Verdict = unresolved
 	case worse > s.Bound:
 		r.Verdict = regressed
 	case (r.Base.spread() > s.Bound || r.New.spread() > s.Bound) && !s.allBetter(cur, base):

@@ -50,6 +50,8 @@ func alternating(n int) []bool {
 var (
 	setupSpec = metricSpec{Name: "setup_s", Unit: "s", Better: "lower", Bound: 0.25}
 	workSpec  = metricSpec{Name: "work_per_s", Unit: "1/s", Better: "higher", Bound: 0.25}
+	cpuSpec   = metricSpec{Name: "cpu_us_per_work", Unit: "us", Better: "lower", Bound: 0.25}
+	heapSpec  = metricSpec{Name: "live_heap_mb", Unit: "MiB", Better: "lower", Bound: 0.2}
 )
 
 // verdictOf compares base and cur values of one metric on the canned run.
@@ -65,6 +67,7 @@ func verdictOf(t *testing.T, s metricSpec, base, cur []float64) metricResult {
 
 func TestJudgeVerdicts(t *testing.T) {
 	parent := []float64{4.20, 4.34, 4.51, 4.28, 4.40, 4.31, 4.45, 4.25, 4.38, 4.33}
+	ones := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
 	scale := func(v []float64, f float64) []float64 {
 		out := make([]float64, len(v))
 		for i := range v {
@@ -91,7 +94,26 @@ func TestJudgeVerdicts(t *testing.T) {
 		{"slower within the bound", setupSpec, parent, scale(parent, 1.2), unchanged, 0, 0},
 		{"slower beyond the bound", setupSpec, parent, scale(parent, 1.3), regressed, 0, 0},
 		{"throughput down", workSpec, []float64{100, 101, 99, 100}, []float64{70, 71, 69, 70}, regressed, 0, 0},
-		{"throughput up", workSpec, []float64{100, 101, 99, 100}, []float64{140, 141, 139, 140}, improved, 4, 0},
+		{"throughput up", workSpec, scale(parent, 100), scale(parent, 140), improved, 10, 0},
+		// Fewer than ten pairs carry no claim, however clear.
+		{"throughput up over four pairs", workSpec, []float64{100, 101, 99, 100}, []float64{140, 141, 139, 140}, unresolved, 4, 0},
+		// BENCH_42's cp_rounds seed 42 cpu_us_per_work: x0.966 over 5/5
+		// pairs, sign p 0.0625, on code that change does not run.
+		{"five pairs of cp_rounds cpu_us_per_work", cpuSpec,
+			[]float64{29.87990089699074, 31.902994791666664, 31.0587890625, 29.941908998842592, 30.78600260416667},
+			[]float64{28.845999710648147, 26.95755931712963, 30.011490885416666, 29.1813404224537, 30.509874131944443}, unresolved, 5, 0},
+		// BENCH_42's live_heap_mb on sim_fleet seed 42 (x0.9993, 10/10)
+		// and sim_coldstore seed 42 (x0.9999, 5/5): the base repeats its
+		// heap to a few KiB, so its quartiles all but coincide.
+		{"sim_fleet heap 0.07 % lower", heapSpec,
+			[]float64{9.508781433105469, 9.508506774902344, 9.509071350097656, 9.508934020996094, 9.509002685546875, 9.508506774902344, 9.508506774902344, 9.508506774902344, 9.50860595703125, 9.508689880371094},
+			[]float64{9.502098083496094, 9.502189636230469, 9.502098083496094, 9.502616882324219, 9.502098083496094, 9.502189636230469, 9.502098083496094, 9.502098083496094, 9.503807067871094, 9.502189636230469}, unchanged, 10, 0},
+		{"sim_coldstore heap 0.01 % lower", heapSpec,
+			[]float64{12.912254333496094, 12.912345886230469, 12.912086486816406, 12.912315368652344, 12.91229248046875},
+			[]float64{12.911361694335938, 12.911018371582031, 12.911026000976562, 12.911033630371094, 12.911331176757812}, unchanged, 5, 0},
+		// Quartiles that coincide exactly leave only the floor: 0.07 %
+		// in ten of ten pairs is no gain.
+		{"zero spread", heapSpec, scale(ones, 9.5086), scale(ones, 9.5021), unchanged, 10, 0},
 		// Quartiles 30 % apart against a 25 % bound: a 10 % slowdown
 		// cannot be told from noise.
 		{"spread wider than the bound", setupSpec, []float64{3, 4, 5, 3, 4, 5, 3, 4, 5, 4}, []float64{3.3, 4.4, 5.5, 3.3, 4.4, 5.5, 3.3, 4.4, 5.5, 4.4}, unresolved, 0, 0},

@@ -45,7 +45,8 @@ func TestPrintStatsDeterministic(t *testing.T) {
 }
 
 // TestMetricsWrittenInBothModes: -metricsout writes the generation run's
-// metrics whether the trace goes to a file or is only summarized (-stats).
+// metrics, the exact-fallback count among them, whether the trace goes
+// to a file or is only summarized (-stats).
 func TestMetricsWrittenInBothModes(t *testing.T) {
 	dir := t.TempDir()
 	small := []string{"-clusters", "1", "-machines", "2", "-jobs", "2", "-hours", "1"}
@@ -61,8 +62,10 @@ func TestMetricsWrittenInBothModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tracegen %v wrote no metrics: %v", args, err)
 		}
-		if !strings.Contains(string(got), "sdfm_fleet_entries_total") {
-			t.Errorf("tracegen %v metrics lack sdfm_fleet_entries_total:\n%s", args, got)
+		for _, name := range []string{"sdfm_fleet_entries_total", "sdfm_fleet_exact_fallbacks_total"} {
+			if !strings.Contains(string(got), name) {
+				t.Errorf("tracegen %v metrics lack %s:\n%s", args, name, got)
+			}
 		}
 	}
 }

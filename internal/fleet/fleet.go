@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -155,7 +156,7 @@ func Generate(cfg Config) (*telemetry.Trace, error) {
 // worker of the block has returned, so the sink sees the same entries in
 // the same order on any number of cores.
 func GenerateTo(cfg Config, sink telemetry.EntrySink) error {
-	return generateTo(cfg, sink, blockEntries, runtime.GOMAXPROCS(0))
+	return generateTo(cfg, sink, blockEntries, runtime.GOMAXPROCS(0), tailMargin)
 }
 
 // blockEntries is the entry budget of one generation block: it sizes the
@@ -163,9 +164,9 @@ func GenerateTo(cfg Config, sink telemetry.EntrySink) error {
 // enough that starting the workers is a small share of a block's work.
 const blockEntries = 4096
 
-// generateTo is GenerateTo with the block budget and worker count as
-// parameters.
-func generateTo(cfg Config, sink telemetry.EntrySink, budget, workers int) error {
+// generateTo is GenerateTo with the block budget, worker count and tail
+// margin (see tailMargin) as parameters.
+func generateTo(cfg Config, sink telemetry.EntrySink, budget, workers int, margin float64) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
@@ -183,9 +184,11 @@ func generateTo(cfg Config, sink telemetry.EntrySink, budget, workers int) error
 		thresholdsSec[i] = (time.Duration(b) * scanPeriod).Seconds()
 	}
 
-	var emitted *obs.Counter
+	var emitted, fallbacks *obs.Counter
 	if cfg.Obs != nil {
 		emitted = cfg.Obs.Counter("sdfm_fleet_entries_total", "Telemetry entries emitted into the trace.")
+		fallbacks = cfg.Obs.Counter("sdfm_fleet_exact_fallbacks_total",
+			"Entries whose fast tail sums lay within the margin of an integer and were recomputed with one exp per term.")
 		n := 0
 		for _, chain := range instances {
 			n += len(chain)
@@ -200,8 +203,10 @@ func generateTo(cfg Config, sink telemetry.EntrySink, budget, workers int) error
 		entries:       make([]telemetry.Entry, block*slots),
 		tailLen:       2 * len(thresholdsSec),
 		interval:      cfg.Interval,
+		chain:         newTailChain(meta.Thresholds),
 		thresholdsSec: thresholdsSec,
 		intervalMin:   cfg.Interval.Minutes(),
+		margin:        margin,
 	}
 	steps := int(cfg.Duration / cfg.Interval)
 	for k := 0; k < steps; k += block {
@@ -210,6 +215,7 @@ func generateTo(cfg Config, sink telemetry.EntrySink, budget, workers int) error
 		// entries, so each block needs fresh ones.
 		sw.tails = make([]uint64, n*slots*sw.tailLen)
 		sw.fill(k, n, workers)
+		fallbacks.Add(float64(sw.fallbacks.Swap(0)))
 		for _, e := range sw.entries[:n*slots] {
 			if err := sink.Append(e); err != nil {
 				return err
@@ -234,8 +240,11 @@ type sweep struct {
 	tails         []uint64 // the block's entries' tails, tailLen each
 	tailLen       int
 	interval      time.Duration
+	chain         tailChain
 	thresholdsSec []float64
 	intervalMin   float64
+	margin        float64
+	fallbacks     atomic.Int64 // entries that took exactEntry since the last block
 }
 
 // fill computes the n intervals from step k into the block buffer, on up
@@ -272,15 +281,22 @@ func (sw *sweep) fillSlot(s, k, n int) {
 	chain := sw.instances[s]
 	slots := len(sw.instances)
 	i := sw.cursors[s]
+	fallbacks := 0
 	for j := range n {
 		t := time.Duration(k+j+1) * sw.interval
 		for t > chain[i].end {
 			i++
 		}
 		at := j*slots + s
-		sw.entries[at] = chain[i].entry(t, sw.thresholdsSec, sw.intervalMin, sw.tails[at*sw.tailLen:(at+1)*sw.tailLen])
+		inst := chain[i]
+		e, exact := inst.entry(t, inst.draw(t), &sw.chain, sw.thresholdsSec, sw.intervalMin, sw.margin, sw.tails[at*sw.tailLen:(at+1)*sw.tailLen])
+		sw.entries[at] = e
+		if exact {
+			fallbacks++
+		}
 	}
 	sw.cursors[s] = i
+	sw.fallbacks.Add(int64(fallbacks))
 }
 
 // buildInstances returns one chain of instances per job slot. Within a
@@ -412,10 +428,19 @@ func newInstance(key telemetry.JobKey, arch *workload.Archetype, rng *rand.Rand)
 	}
 }
 
-// entry synthesizes one telemetry entry at time t. Its cold and promotion
-// tails are the two halves of tails, which holds 2×len(thresholdsSec)
-// values and is the entry's own.
-func (inst *jobInstance) entry(t time.Duration, thresholdsSec []float64, intervalMin float64, tails []uint64) telemetry.Entry {
+// draw is what an entry takes from its instance's clock and stream
+// before any tail is summed: the diurnal rate factor, the age cap and the
+// two noise factors. Both tail paths below use one draw, so falling back
+// to the exact path draws nothing twice.
+type draw struct {
+	f          float64
+	ageCapSec  float64
+	coldNoise  float64
+	promoNoise float64
+}
+
+// draw takes entry t's diurnal factor, age cap and noise draws.
+func (inst *jobInstance) draw(t time.Duration) draw {
 	f := 1.0
 	if inst.arch.DiurnalAmplitude > 0 {
 		f = 1 + inst.arch.DiurnalAmplitude*math.Sin(2*math.Pi*float64(t)/float64(24*time.Hour)+inst.phase)
@@ -426,33 +451,233 @@ func (inst *jobInstance) entry(t time.Duration, thresholdsSec []float64, interva
 
 	coldNoise := math.Exp(noiseColdSigma * inst.rng.NormFloat64())
 	promoNoise := math.Exp(noisePromoSigma * inst.rng.NormFloat64())
+	return draw{f: f, ageCapSec: ageCapSec, coldNoise: coldNoise, promoNoise: promoNoise}
+}
 
-	n := len(thresholdsSec)
-	cold, promo := tails[:n:n], tails[n:2*n:2*n]
-	var wssF float64
+// exactSums is the definition of every value GenerateTo emits: the WSS
+// sum, and per threshold the cold and promotion tail sums before noise,
+// with one math.Exp per (threshold, group) term. A threshold past the
+// instance's age sums to zero. cs and ps take one sum per threshold.
+func (inst *jobInstance) exactSums(d draw, thresholdsSec []float64, intervalSec float64, cs, ps []float64) (wssF float64) {
 	for _, g := range inst.groups {
-		rate := f / g.period // accesses per second per page
+		rate := d.f / g.period // accesses per second per page
 		wssF += g.pages * (1 - math.Exp(-120*rate))
 	}
-	intervalSec := intervalMin * 60
 	for i, T := range thresholdsSec {
 		var c, p float64
-		if T <= ageCapSec {
+		if T <= d.ageCapSec {
 			for _, g := range inst.groups {
-				rate := f / g.period
+				rate := d.f / g.period
 				idle := math.Exp(-T * rate)
 				c += g.pages * idle
 				p += g.pages * rate * idle * intervalSec
 			}
 		}
-		c *= coldNoise
-		if c > float64(inst.pages) {
-			c = float64(inst.pages)
-		}
-		p *= promoNoise
-		cold[i] = uint64(c)
-		promo[i] = uint64(p)
+		cs[i], ps[i] = c, p
 	}
+	return wssF
+}
+
+// exactEntry synthesizes the entry of draw d at time t from exactSums.
+// Its cold and promotion tails are the two halves of tails, which holds
+// 2×len(thresholdsSec) values and is the entry's own.
+func (inst *jobInstance) exactEntry(t time.Duration, d draw, thresholdsSec []float64, intervalMin float64, tails []uint64) telemetry.Entry {
+	n := len(thresholdsSec)
+	var c, p [maxThresholds]float64
+	wssF := inst.exactSums(d, thresholdsSec, intervalMin*60, c[:n], p[:n])
+	cold, promo := tails[:n:n], tails[n:2*n:2*n]
+	for i := range n {
+		cv := c[i] * d.coldNoise
+		if cv > float64(inst.pages) {
+			cv = float64(inst.pages)
+		}
+		cold[i] = uint64(cv)
+		promo[i] = uint64(p[i] * d.promoNoise)
+	}
+	return inst.newEntry(t, intervalMin, wssF, cold, promo)
+}
+
+// The fast tails, and how far they can stray from exactSums.
+//
+// Threshold b scan periods is T = 120·b s, so a group's idle share
+// e^(-T·rate) is e1^b with e1 = e^(-120·rate), the term exactSums' WSS
+// sum already computes. fastSums spends that one math.Exp per group and
+// reaches each e1^b by tailChain's products, which rest on b copies of e1
+// and b−1 multiplications. With u = 2^-53 and math.Exp within 1 ulp
+// (relative error E ≤ 2u), one term's fast and exact values differ,
+// relatively, by at most
+//
+//	(b+1)·E      math.Exp's error: b copies of it in e1^b, one in Exp(-T·rate)
+//	+ (b−1)·u    the chain's roundings
+//	+ 2·x·u      the rounded arguments 120·rate and T·rate, with x = T·rate
+//	+ 6·u        pages·rate·interval·idle multiplied in another order
+//
+// A group stops its thresholds at the first whose two terms are both
+// below negligibleTerm; every later term is smaller still, since idle
+// falls as T grows. A kept term is at least negligibleTerm, so
+// x ≤ ln(s/negligibleTerm) for its scale s (pages per group, or that
+// times rate·interval): x ≤ 70 for any s below 10^12. With b ≤ 255 a
+// term then strays by at most (512 + 254 + 140 + 6)·u = 912u. All terms
+// are positive and both paths add them in the same group order, so a
+// sum strays by that share of itself plus twice the 47u of summing 48
+// terms, and the noise factor adds a rounding to each side: 1008u,
+// about 1.1e-13 of the value. The dropped terms add at most
+// 2·48·negligibleTerm·noise, below 1e-15 for any noise factor below 10.
+//
+// tailMargin is 1e-9 relative and 1e-9 absolute, over 1,000 times both
+// (TestFastTailHeadroom measures the largest gap seen against
+// tailMargin/1000). A fast value v gives floor(v) only when floor takes
+// one value on all of [v·(1−m)−m, v·(1+m)+m], an interval that holds the
+// exact value; any other tail sends the whole entry to exactEntry. On
+// the cp_rounds fleet (138,240 entries) about one entry in 10^4 does.
+const (
+	tailMargin     = 1e-9
+	negligibleTerm = 1e-18
+)
+
+// maxThresholds bounds the threshold set an entry's scratch sums hold.
+const maxThresholds = 32
+
+// chainStep is one product of tailChain: the k-th step sets
+// pw[k+2] = pw[a]·pw[b], where pw[0] = 1 and pw[1] = e1 and every pw[j]
+// is a power of e1. A step whose power is threshold i's has tail i, a
+// helper power tail −1.
+type chainStep struct {
+	a, b uint8
+	tail int8
+}
+
+// tailChain is an addition chain over the thresholds (in scan periods):
+// the steps reach every threshold's power of e1 in threshold order, and
+// stepOf[i] is the step that reaches threshold i.
+type tailChain struct {
+	steps  []chainStep
+	stepOf []int
+}
+
+// newTailChain builds the chain for thresholds, which are positive and
+// strictly increasing. Each threshold's power is the product of the
+// largest known power whose complement is known too; when none is, the
+// complement to the largest known power below it is reached first as a
+// helper. For the default thresholds that is 27 products: one per
+// threshold (the first multiplies e1 by 1) and six helpers.
+func newTailChain(thresholds []int) tailChain {
+	if len(thresholds) > maxThresholds {
+		panic(fmt.Sprintf("fleet: %d thresholds, at most %d", len(thresholds), maxThresholds))
+	}
+	exps := []int{0, 1} // exps[j] is pw[j]'s power of e1
+	var ch tailChain
+	var reach func(e, tail int)
+	reach = func(e, tail int) {
+		a, b := -1, -1
+		for j, v := range exps {
+			if v <= e && (a < 0 || v > exps[a]) {
+				if k := slices.Index(exps, e-v); k >= 0 {
+					a, b = j, k
+				}
+			}
+		}
+		if a < 0 {
+			below := 0
+			for j, v := range exps {
+				if v < e && v > exps[below] {
+					below = j
+				}
+			}
+			reach(e-exps[below], -1)
+			a, b = below, len(exps)-1
+		}
+		if len(exps) > 255 {
+			panic("fleet: threshold chain too long")
+		}
+		ch.steps = append(ch.steps, chainStep{a: uint8(a), b: uint8(b), tail: int8(tail)})
+		exps = append(exps, e)
+	}
+	for i, e := range thresholds {
+		if e < 1 || (i > 0 && e <= thresholds[i-1]) {
+			panic(fmt.Sprintf("fleet: thresholds %v are not positive and increasing", thresholds))
+		}
+		reach(e, i)
+		ch.stepOf = append(ch.stepOf, len(ch.steps)-1)
+	}
+	return ch
+}
+
+// fastSums is exactSums for the first live thresholds, from one
+// math.Exp per group: it returns the same WSS sum bit for bit and tail
+// sums within the bound above. c and p hold one zeroed value per live
+// threshold.
+func (inst *jobInstance) fastSums(d draw, ch *tailChain, live int, intervalSec float64, c, p []float64) (wssF float64) {
+	var steps []chainStep
+	if live > 0 {
+		steps = ch.steps[:ch.stepOf[live-1]+1]
+	}
+	var pw [256]float64
+	pw[0] = 1
+	for _, g := range inst.groups {
+		rate := d.f / g.period
+		e1 := math.Exp(-120 * rate)
+		wssF += g.pages * (1 - e1)
+		pg, pr := g.pages, g.pages*rate*intervalSec
+		pw[1] = e1
+		for k, s := range steps {
+			v := pw[s.a] * pw[s.b]
+			pw[uint8(k+2)] = v
+			if s.tail < 0 {
+				continue
+			}
+			tc, tp := pg*v, pr*v
+			c[s.tail] += tc
+			p[s.tail] += tp
+			if tc < negligibleTerm && tp < negligibleTerm {
+				break
+			}
+		}
+	}
+	return wssF
+}
+
+// floorWithin returns floor(v) and whether floor takes that one value
+// over v's margin [v·(1−m)−m, v·(1+m)+m]. Tail values are never
+// negative, so the interval's low end is clipped at zero.
+func floorWithin(v, m float64) (uint64, bool) {
+	lo := math.Floor(max(v-m*v-m, 0))
+	hi := math.Floor(v + m*v + m)
+	return uint64(hi), lo == hi
+}
+
+// entry synthesizes the entry of draw d at time t from the fast sums,
+// or, when a tail lies within margin of an integer, from exactEntry; the
+// second result reports the fallback. Either way the entry equals
+// exactEntry's. Its cold and promotion tails are the two halves of
+// tails, which holds 2×len(thresholdsSec) values and is the entry's own.
+func (inst *jobInstance) entry(t time.Duration, d draw, ch *tailChain, thresholdsSec []float64, intervalMin, margin float64, tails []uint64) (telemetry.Entry, bool) {
+	n := len(thresholdsSec)
+	live := 0
+	for live < n && thresholdsSec[live] <= d.ageCapSec {
+		live++
+	}
+	var c, p [maxThresholds]float64
+	wssF := inst.fastSums(d, ch, live, intervalMin*60, c[:live], p[:live])
+	cold, promo := tails[:n:n], tails[n:2*n:2*n]
+	for i := range live {
+		cv, okc := floorWithin(c[i]*d.coldNoise, margin)
+		pv, okp := floorWithin(p[i]*d.promoNoise, margin)
+		if !okc || !okp {
+			return inst.exactEntry(t, d, thresholdsSec, intervalMin, tails), true
+		}
+		// exactEntry clamps the cold value to pages before truncating;
+		// pages is an integer, so clamping the floor gives the same.
+		cold[i] = min(cv, uint64(inst.pages))
+		promo[i] = pv
+	}
+	clear(cold[live:])
+	clear(promo[live:])
+	return inst.newEntry(t, intervalMin, wssF, cold, promo), false
+}
+
+// newEntry assembles an entry from its sums and tails.
+func (inst *jobInstance) newEntry(t time.Duration, intervalMin, wssF float64, cold, promo []uint64) telemetry.Entry {
 	wss := uint64(wssF)
 	if wss == 0 {
 		wss = 1

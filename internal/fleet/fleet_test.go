@@ -165,7 +165,7 @@ func TestGenerateToMatchesSerialSweep(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4} {
 				got := telemetry.NewTrace()
-				if err := generateTo(cfg, got, block*slots, workers); err != nil {
+				if err := generateTo(cfg, got, block*slots, workers, tailMargin); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if i, ok := sameEntries(want.Entries, got.Entries); !ok {
@@ -199,7 +199,7 @@ func TestGenerateToCountsEntries(t *testing.T) {
 	}
 	o := obs.NewMulti().Observer("fleet")
 	cfg.Obs = o
-	if err := generateTo(cfg, telemetry.NewTrace(), 3*48, 4); err != nil {
+	if err := generateTo(cfg, telemetry.NewTrace(), 3*48, 4, tailMargin); err != nil {
 		t.Fatal(err)
 	}
 	if got := o.Counter("sdfm_fleet_entries_total", "").Value(); got != float64(want.Len()) {
@@ -213,7 +213,7 @@ func TestGenerateToStopsAtSinkError(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, k := range []int{1, 48, 49, 500} {
 		sink := &countingSink{failAt: k}
-		if err := generateTo(smallConfig(28), sink, 3*48, 4); !errors.Is(err, errSinkFull) {
+		if err := generateTo(smallConfig(28), sink, 3*48, 4, tailMargin); !errors.Is(err, errSinkFull) {
 			t.Fatalf("fail at %d: GenerateTo = %v, want the sink's error", k, err)
 		}
 		if sink.n != k {
