@@ -1,9 +1,8 @@
 // Benchmarks that nothing else in the repository measures: the trace
 // store's ingest and scan paths, the reclaim walk and one job-week of
 // model replay. The paper's figures are printed by cmd/sdfm-experiments
-// and asserted by the shape tests in internal/experiments; the §8 tiered
-// far-memory comparison (E1) is a test in internal/node; per-layer costs
-// are rows of the bench/ ledger.
+// and asserted by the shape tests in internal/experiments; per-layer
+// costs are rows of the bench/ ledger.
 //
 //	go test -run '^$' -bench . -benchmem
 package sdfm_test

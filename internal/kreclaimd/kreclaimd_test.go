@@ -250,37 +250,32 @@ func (r *recorder) Store(m *mem.Memcg, id mem.PageID) zswap.StoreResult {
 // primes the tier with the whole pass before storing it, and through the
 // stores alone in the same order. Every store, the Result, the tier's
 // Stats and arena, and each page's flags, handle and compressed size must
-// agree, for each kind of tier.
+// agree, for each kind of pool and under the fault wrapper.
 func TestReclaimColdPrimingChangesNothing(t *testing.T) {
 	const pages, threshold = 500, 5
 	plan := &fault.Plan{Name: "errors", Seed: 3, Events: []fault.Event{
 		{Kind: fault.CompressorError, At: 0, Duration: time.Hour, Magnitude: 0.3},
 	}}
-	tiered := func() zswap.FarMemory {
-		profile := zswap.ProfileNVM
-		profile.CapacityBytes = 60 * mem.PageSize
-		return zswap.NewTieredPool(profile, zswap.NewPool(), 100)
+	// pool is the zswap pool under the tier, unwrapped from the fault tier.
+	pool := func(f zswap.FarMemory) *zswap.Pool {
+		if ft, ok := f.(*fault.Tier); ok {
+			f = ft.Inner()
+		}
+		return f.(*zswap.Pool)
 	}
 	cases := []struct {
 		name string
 		tier func() zswap.FarMemory
-		pool func(zswap.FarMemory) *zswap.Pool // the compressed tier, if any
 	}{
-		{"plain", func() zswap.FarMemory { return zswap.NewPool() }, nil},
-		{"capacity", func() zswap.FarMemory { return zswap.NewPool(zswap.WithCapacity(256 << 10)) }, nil},
-		{"validating", func() zswap.FarMemory { return zswap.NewPool(zswap.WithValidation()) }, nil},
-		{"tiered", tiered, func(f zswap.FarMemory) *zswap.Pool { return f.(*zswap.TieredPool).Tier2() }},
+		{"plain", func() zswap.FarMemory { return zswap.NewPool() }},
+		{"capacity", func() zswap.FarMemory { return zswap.NewPool(zswap.WithCapacity(256 << 10)) }},
+		{"validating", func() zswap.FarMemory { return zswap.NewPool(zswap.WithValidation()) }},
 		{"fault", func() zswap.FarMemory {
 			return fault.WrapTier(zswap.NewPool(), fault.NewInjector(plan, "m0"), func() time.Duration { return time.Minute })
-		}, func(f zswap.FarMemory) *zswap.Pool { return f.(*fault.Tier).Inner().(*zswap.Pool) }},
-		{"device", func() zswap.FarMemory { return zswap.NewDevicePool(zswap.ProfileNVM) },
-			func(zswap.FarMemory) *zswap.Pool { return nil }},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.pool == nil {
-				tc.pool = func(f zswap.FarMemory) *zswap.Pool { return f.(*zswap.Pool) }
-			}
 			var mems [2]*mem.Memcg
 			var tiers [2]*recorder
 			var res [2]Result
@@ -316,8 +311,8 @@ func TestReclaimColdPrimingChangesNothing(t *testing.T) {
 			if st != tiers[1].Stats() || st.ValidationErrs != 0 {
 				t.Fatalf("stats: primed %+v, alone %+v", st, tiers[1].Stats())
 			}
-			if p := tc.pool(tiers[0].FarMemory); p != nil && p.ArenaStats() != tc.pool(tiers[1].FarMemory).ArenaStats() {
-				t.Fatalf("arena: primed %+v, alone %+v", p.ArenaStats(), tc.pool(tiers[1].FarMemory).ArenaStats())
+			if a, b := pool(tiers[0].FarMemory).ArenaStats(), pool(tiers[1].FarMemory).ArenaStats(); a != b {
+				t.Fatalf("arena: primed %+v, alone %+v", a, b)
 			}
 			for id := mem.PageID(0); id < pages; id++ {
 				a, b := mems[0].Meta(id), mems[1].Meta(id)

@@ -132,11 +132,8 @@ type PageMeta struct {
 	// NewMemcg and Grow start every page unknown, and a write (Touch with
 	// write set) clears it next to the Seed bump — which applies to every
 	// page the rule §5.1 gives incompressible pages: not retried until
-	// dirtied. MarkCompressed never writes it: a device tier records
-	// CompressedSize == PageSize for a whole page, and that size in the
-	// memo would make a later zswap store reject the page as
-	// incompressible. The field sits in what was tail padding, so
-	// PageMeta stays 32 bytes.
+	// dirtied. MarkCompressed never writes it. The field sits in what was
+	// tail padding, so PageMeta stays 32 bytes.
 	MemoSize int32
 }
 

@@ -35,12 +35,11 @@ type auditPrev struct {
 	jobs          []auditJobPrev
 }
 
-// auditTier returns the far-memory tier at the bottom of the machine's
-// tier stack, unwrapping any wrapper that exposes Inner() — the fault
-// tier does, and so does chaos test instrumentation. The caller switches
-// on the concrete type (plain zswap pool, device pool, or tiered pool) to
-// pick the applicable conservation checks.
-func (m *Machine) auditTier() zswap.FarMemory {
+// zswapPool returns the zswap pool at the bottom of the machine's tier
+// stack, unwrapping any wrapper that exposes Inner() — the fault tier
+// does, and so does chaos test instrumentation. It is nil when a test
+// fake stands in for the pool.
+func (m *Machine) zswapPool() *zswap.Pool {
 	t := m.pool
 	for {
 		w, ok := t.(interface{ Inner() zswap.FarMemory })
@@ -49,13 +48,7 @@ func (m *Machine) auditTier() zswap.FarMemory {
 		}
 		t = w.Inner()
 	}
-	return t
-}
-
-// auditPool returns the plain zswap pool at the bottom of the tier stack,
-// nil when the machine runs a device or tiered configuration.
-func (m *Machine) auditPool() *zswap.Pool {
-	zp, _ := m.auditTier().(*zswap.Pool)
+	zp, _ := t.(*zswap.Pool)
 	return zp
 }
 
@@ -85,47 +78,15 @@ func (m *Machine) Audit(deep bool) []audit.Violation {
 		vs = append(vs, audit.V(name, "", audit.InvBreakerLegal,
 			"jobs account %d breaker trips, machine counted %d", tripSum, m.breakerTrips))
 	}
-	switch tier := m.auditTier().(type) {
-	case *zswap.Pool:
-		vs = append(vs, audit.CheckPool(name, tier, jobPages, jobBytes)...)
+	if zp := m.zswapPool(); zp != nil {
+		vs = append(vs, audit.CheckPool(name, zp, jobPages, jobBytes)...)
 		if deep {
-			vs = append(vs, audit.CheckPoolDeep(name, tier)...)
-		}
-	case *zswap.DevicePool:
-		// No zswap tier below: every compressed page must be device-resident.
-		census, vsc := m.tierCensus(-1)
-		vs = append(vs, vsc...)
-		vs = append(vs, audit.CheckDevicePool(name, tier, census.DevicePages)...)
-		if census.ZswapPages != 0 {
-			vs = append(vs, audit.V(name, "", audit.InvTierMembership,
-				"%d compressed pages with sub-page payloads on a device-only machine", census.ZswapPages))
-		}
-	case *zswap.TieredPool:
-		census, vsc := m.tierCensus(tier.Tier2().Cutoff())
-		vs = append(vs, vsc...)
-		vs = append(vs, audit.CheckTieredPool(name, tier, census)...)
-		if deep {
-			vs = append(vs, audit.CheckPoolDeep(name, tier.Tier2())...)
+			vs = append(vs, audit.CheckPoolDeep(name, zp)...)
 		}
 	}
 	vs = append(vs, m.auditWatchdog()...)
 	vs = append(vs, m.auditMonotonic()...)
 	return vs
-}
-
-// tierCensus classifies every job's compressed pages by recoverable tier
-// membership (audit.TierCensus), reusing the machine's scratch buffer.
-func (m *Machine) tierCensus(cutoff int) (audit.TierPages, []audit.Violation) {
-	var census audit.TierPages
-	var vs []audit.Violation
-	for _, j := range m.jobs {
-		var c audit.TierPages
-		var jv []audit.Violation
-		c, m.auditScratch, jv = audit.TierCensus(m.cfg.Name, j.Memcg, cutoff, m.auditScratch)
-		census.Add(c)
-		vs = append(vs, jv...)
-	}
-	return census, vs
 }
 
 // auditBreaker checks one job's circuit-breaker state against the state

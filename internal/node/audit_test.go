@@ -10,7 +10,6 @@ import (
 	"sdfm/internal/fault"
 	"sdfm/internal/obs"
 	"sdfm/internal/workload"
-	"sdfm/internal/zswap"
 )
 
 // TestBreakerRetripCountedEveryTime pins the re-trip accounting
@@ -192,101 +191,6 @@ func TestAuditCatchesCounterRegression(t *testing.T) {
 	}
 	if vs[0].Invariant != audit.InvMonotonic {
 		t.Fatalf("flagged %q, want %q", vs[0].Invariant, audit.InvMonotonic)
-	}
-}
-
-// TestAuditedRunCleanDeviceTier: the catalogue's device checks hold over
-// a full audited run on a machine whose far memory is a capacity-bounded
-// hardware tier — occupancy reconciles with both cumulative stats and the
-// memcg census at every step, including across fill-ups and job exits.
-func TestAuditedRunCleanDeviceTier(t *testing.T) {
-	profile := zswap.ProfileNVM
-	profile.CapacityBytes = 24 << 20 // small enough to hit the bound
-	dev := zswap.NewDevicePool(profile)
-	m := newMachine(t, Config{
-		Mode:   ModeProactive,
-		Params: core.Params{K: 95, S: 5 * time.Minute},
-		Seed:   52,
-		Tier:   dev,
-		Audit:  audit.Config{Enabled: true, DeepEverySteps: 4},
-	})
-	addWorkload(t, m, workload.BigtableServer, 1)
-	addWorkload(t, m, workload.LogProcessor, 2)
-	if err := m.Run(2 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if dev.UsedBytes() == 0 {
-		t.Fatal("device tier stored nothing; the audit saw an empty tier")
-	}
-	if dev.Stats().FullRejects == 0 {
-		t.Fatal("device never filled; the capacity bound went untested")
-	}
-	if vs := m.Audit(true); len(vs) > 0 {
-		t.Fatalf("clean device-tier run left violations: %v", vs)
-	}
-}
-
-// TestAuditedRunCleanTieredPool: same, for the two-tier configuration —
-// the census must split pages between tiers by recoverable membership and
-// reconcile each tier independently.
-func TestAuditedRunCleanTieredPool(t *testing.T) {
-	profile := zswap.ProfileNVM
-	// Split at age 5: with S=5min pages demote at age 3-4, so the mildly
-	// cold land on tier-1 until its 8 MiB fill, then spill to tier-2.
-	profile.CapacityBytes = 8 << 20
-	tp := zswap.NewTieredPool(profile, nil, 5)
-	m := newMachine(t, Config{
-		Mode:   ModeProactive,
-		Params: core.Params{K: 95, S: 5 * time.Minute},
-		Seed:   53,
-		Tier:   tp,
-		Audit:  audit.Config{Enabled: true, DeepEverySteps: 4},
-	})
-	addWorkload(t, m, workload.BigtableServer, 3)
-	addWorkload(t, m, workload.LogProcessor, 4)
-	if err := m.Run(2 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if tp.Tier1().UsedBytes() == 0 || tp.Tier2().FootprintBytes() == 0 {
-		t.Fatalf("run left a tier empty (tier1 %d B, tier2 footprint %d B); census split untested",
-			tp.Tier1().UsedBytes(), tp.Tier2().FootprintBytes())
-	}
-	if vs := m.Audit(true); len(vs) > 0 {
-		t.Fatalf("clean tiered run left violations: %v", vs)
-	}
-}
-
-// TestAuditCatchesTierCorruption: corrupting a stored page's recorded
-// size on a device machine breaks membership recoverability and the
-// occupancy census at once — both invariants must fire.
-func TestAuditCatchesTierCorruption(t *testing.T) {
-	m := newMachine(t, Config{
-		Mode:   ModeProactive,
-		Params: core.Params{K: 95, S: 5 * time.Minute},
-		Seed:   54,
-		Tier:   zswap.NewDevicePool(zswap.ProfileNVM),
-		Audit:  audit.Config{Enabled: true},
-	})
-	j := addWorkload(t, m, workload.BigtableServer, 5)
-	if err := m.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	ids := j.Memcg.AppendCompressed(nil)
-	if len(ids) == 0 {
-		t.Fatal("nothing stored; test needs a warmer setup")
-	}
-	j.Memcg.Meta(ids[0]).CompressedSize = 100
-	vs := m.Audit(false)
-	for _, inv := range []string{audit.InvTierMembership, audit.InvDeviceUsed} {
-		found := false
-		for _, v := range vs {
-			if v.Invariant == inv {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("corrupted page size did not trip %s: %v", inv, vs)
-		}
 	}
 }
 

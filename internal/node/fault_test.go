@@ -418,11 +418,23 @@ func TestHandlePressureOOMWrapsSentinel(t *testing.T) {
 	}
 }
 
+// compactCounter is a zswap pool that counts the Compact calls its
+// machine makes.
+type compactCounter struct {
+	*zswap.Pool
+	compacts int
+}
+
+func (c *compactCounter) Compact() uint64 {
+	c.compacts++
+	return c.Pool.Compact()
+}
+
 // TestTierCompactsOnScheduleAndOnCrash: the agent compacts whatever tier
 // the machine runs, not only a bare zswap pool, every compactEveryScans
 // scans, and once more when a crash has emptied it (§5.1).
 func TestTierCompactsOnScheduleAndOnCrash(t *testing.T) {
-	tier := &compactCounter{TieredPool: zswap.NewTieredPool(zswap.ProfileNVM, nil, 5)}
+	tier := &compactCounter{Pool: zswap.NewPool()}
 	plan := &fault.Plan{Name: "crash", Events: []fault.Event{
 		{Kind: fault.MachineCrash, Machine: "m0", At: 10 * time.Minute},
 	}}

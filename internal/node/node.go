@@ -226,8 +226,6 @@ type Machine struct {
 	// Invariant-audit state (see audit.go).
 	auditDeepEvery uint64
 	auditprev      auditPrev
-	// auditScratch is the reusable compressed-set buffer for tierCensus.
-	auditScratch []mem.PageID
 
 	// Observability (see obs.go); nil when Config.Obs is nil.
 	obs *machineObs

@@ -278,72 +278,6 @@ func TestPromotionRateBoundedByController(t *testing.T) {
 	}
 }
 
-// compactCounter is a tiered pool that counts the Compact calls its
-// machine makes.
-type compactCounter struct {
-	*zswap.TieredPool
-	compacts int
-}
-
-func (c *compactCounter) Compact() uint64 {
-	c.compacts++
-	return c.TieredPool.Compact()
-}
-
-// TestTieredFarMemoryCutsPromotionLatency is E1 (§8): under one control
-// plane, a 64 MiB NVM tier-1 in front of zswap serves promotions faster on
-// average than zswap alone, because pages demoted while only mildly cold,
-// the ones most likely to be promoted again, land on the sub-µs tier. The
-// tiered machine also compacts its zswap tier on the agent's schedule.
-func TestTieredFarMemoryCutsPromotionLatency(t *testing.T) {
-	if raceEnabled {
-		t.Skip("multi-hour sim is too slow under the race detector; shorter node tests cover these paths")
-	}
-	const hours = 5
-	meanLatencyUS := func(tier zswap.FarMemory) float64 {
-		m := newMachine(t, Config{
-			Mode:           ModeProactive,
-			Params:         core.Params{K: 90, S: 10 * time.Minute},
-			Tier:           tier,
-			CollectSamples: true,
-			Seed:           1,
-		})
-		w, err := workload.New(workload.Config{Archetype: workload.BatchAnalytics, Name: "batch", Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := m.AddJob(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Run(hours * time.Hour); err != nil {
-			t.Fatal(err)
-		}
-		samples := j.LatencySamples()
-		if len(samples) == 0 {
-			t.Fatal("no promotions")
-		}
-		var sum float64
-		for _, l := range samples {
-			sum += l
-		}
-		return sum / float64(len(samples))
-	}
-	nvm := zswap.ProfileNVM
-	nvm.CapacityBytes = 64 << 20
-	tiered := &compactCounter{TieredPool: zswap.NewTieredPool(nvm, zswap.NewPool(), 30)}
-	single := meanLatencyUS(zswap.NewPool())
-	both := meanLatencyUS(tiered)
-	t.Logf("mean promotion latency: zswap only %.2f µs, NVM+zswap %.2f µs", single, both)
-	if both >= single {
-		t.Errorf("tiered mean latency %.2f µs is not below zswap-only %.2f µs", both, single)
-	}
-	scans := int(hours * time.Hour / kstaled.DefaultScanPeriod)
-	if want := scans / 10; tiered.compacts != want {
-		t.Errorf("tiered machine compacted %d times in %d scans, want %d (every 10th)", tiered.compacts, scans, want)
-	}
-}
-
 func TestSetParamsPropagates(t *testing.T) {
 	m := newMachine(t, Config{Mode: ModeProactive, Seed: 10})
 	j := addWorkload(t, m, workload.KVCache, 1)

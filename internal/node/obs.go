@@ -10,8 +10,8 @@ import (
 )
 
 // promoLatencyBuckets are the promotion-latency histogram bounds in
-// microseconds, spanning memset-speed zero-page restores through device
-// reads and worst-case decompression.
+// microseconds, spanning memset-speed zero-page restores through
+// worst-case decompression.
 var promoLatencyBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 1000}
 
 // machineObs holds the machine's push instruments and trace lanes: the
@@ -101,16 +101,10 @@ func newMachineObs(m *Machine, o *obs.Observer) *machineObs {
 	return mo
 }
 
-// farTier is what the far-memory exports read off one tier.
-type farTier interface {
-	Stats() zswap.Stats
-	DroppedPages() uint64
-}
-
-// registerFarTier exports one tier's cumulative counters, labelled by
-// tier, read from its Stats and DroppedPages at export.
-func registerFarTier(o *obs.Observer, tier string, t farTier) {
-	l := obs.Label{Key: "tier", Value: tier}
+// registerFarTier exports the zswap pool's cumulative counters, labelled
+// tier="zswap", read from its Stats and DroppedPages at export.
+func registerFarTier(o *obs.Observer, t *zswap.Pool) {
+	l := obs.Label{Key: "tier", Value: "zswap"}
 	count := func(name, help string, v func(zswap.Stats) uint64) {
 		o.CounterFunc(name, help, func() float64 { return float64(v(t.Stats())) }, l)
 	}
@@ -128,26 +122,6 @@ func registerFarTier(o *obs.Observer, tier string, t farTier) {
 		func() float64 { return float64(t.DroppedPages()) }, l)
 	count("sdfm_far_payload_bytes_total", "Compressed bytes written to the tier.",
 		func(s zswap.Stats) uint64 { return s.PayloadBytes })
-}
-
-// registerTiers exports the far-memory tier below any wrappers: each
-// component tier's counters, plus device-tier occupancy.
-func registerTiers(o *obs.Observer, tier zswap.FarMemory) {
-	used := func(label string, d *zswap.DevicePool) {
-		o.GaugeFunc("sdfm_far_used_bytes", "Device-tier occupancy.",
-			func() float64 { return float64(d.UsedBytes()) }, obs.Label{Key: "tier", Value: label})
-	}
-	switch tp := tier.(type) {
-	case *zswap.Pool:
-		registerFarTier(o, "zswap", tp)
-	case *zswap.DevicePool:
-		registerFarTier(o, "device", tp)
-		used("device", tp)
-	case *zswap.TieredPool:
-		registerFarTier(o, "tier1", tp.Tier1())
-		registerFarTier(o, "tier2", tp.Tier2())
-		used("tier1", tp.Tier1())
-	}
 }
 
 // cpuTotals sums the per-job modelled CPU counters whose deltas bound each
@@ -240,7 +214,9 @@ func (m *Machine) attachObs(o *obs.Observer) {
 	if m.obs == nil {
 		return
 	}
-	registerTiers(o, m.auditTier())
+	if zp := m.zswapPool(); zp != nil {
+		registerFarTier(o, zp)
+	}
 	m.kstaledMx = kstaled.NewMetrics(o)
 	m.reclaimer.SetMetrics(kreclaimd.NewMetrics(o))
 }

@@ -8,9 +8,9 @@
 // payload exceeds 2990 bytes, and proactive use driven by kreclaimd rather
 // than by direct reclaim.
 //
-// The package also defines FarMemory, the device-agnostic interface the
-// control plane is written against, so the same cold-page identification
-// machinery can drive NVM- or remote-memory-backed tiers (§5, §7).
+// The package also defines FarMemory, the interface the control plane is
+// written against. Pool is its one implementation; the fault-injection
+// wrapper and test fakes implement it too.
 package zswap
 
 import (
@@ -85,10 +85,9 @@ type LoadResult struct {
 // Stats aggregates pool activity since creation. Every field is
 // CUMULATIVE (monotonically increasing over the pool's lifetime); none
 // describes current occupancy. Current state comes from the dedicated
-// accessors instead: FootprintBytes/UsedBytes for occupancy,
-// Pool.ZeroResident for live same-filled pages, Pool/DevicePool
-// DroppedPages for pages discarded without promotion. For any tier the
-// pages currently held reconcile as
+// accessors instead: FootprintBytes for occupancy, Pool.ZeroResident for
+// live same-filled pages, Pool.DroppedPages for pages discarded without
+// promotion. The pages a pool currently holds reconcile as
 //
 //	StoredPages - LoadedPages - DroppedPages()
 //
@@ -414,13 +413,6 @@ func (p *Pool) Drop(m *mem.Memcg, id mem.PageID) error {
 // DroppedPages returns how many pages have been discarded via Drop since
 // creation (cumulative, like Stats).
 func (p *Pool) DroppedPages() uint64 { return p.droppedPages }
-
-// Cutoff returns the acceptance cutoff for compressed payloads. Every page
-// this pool holds has CompressedSize in (0, Cutoff] — or exactly 0 for
-// zero-filled pages — which is how tier membership is recovered in tiered
-// configurations (a device tier stores whole pages, CompressedSize ==
-// mem.PageSize > Cutoff).
-func (p *Pool) Cutoff() int { return p.cutoff }
 
 // Compact runs zsmalloc compaction and returns reclaimed physical bytes.
 // The node agent triggers this explicitly (§5.1).

@@ -229,86 +229,6 @@ func TestCompressionRatioDistribution(t *testing.T) {
 	}
 }
 
-func TestDevicePoolStoreLoad(t *testing.T) {
-	d := NewDevicePool(ProfileNVM)
-	m := newMemcg(10, pagedata.DefaultMix)
-	res := d.Store(m, 0)
-	if res.Outcome != StoreOK {
-		t.Fatalf("outcome %v", res.Outcome)
-	}
-	if res.CPUTime != 0 {
-		t.Error("device store charged CPU")
-	}
-	if d.UsedBytes() != mem.PageSize {
-		t.Errorf("used = %d", d.UsedBytes())
-	}
-	lr, err := d.Load(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lr.Latency != ProfileNVM.ReadLatency {
-		t.Errorf("latency = %v, want %v", lr.Latency, ProfileNVM.ReadLatency)
-	}
-	if d.UsedBytes() != 0 {
-		t.Errorf("used after load = %d", d.UsedBytes())
-	}
-	if _, err := d.Load(m, 1); err == nil {
-		t.Error("load of non-stored page succeeded")
-	}
-}
-
-// Regression: DevicePool had no Drop, so job-exit releases fell back to
-// Load, counting frees as promotions. Drop must release occupancy, leave
-// LoadedPages alone, and reconcile with the cumulative stats.
-func TestDevicePoolDropAccounting(t *testing.T) {
-	d := NewDevicePool(ProfileNVM)
-	m := newMemcg(10, pagedata.DefaultMix)
-	for i := 0; i < 4; i++ {
-		if res := d.Store(m, mem.PageID(i)); res.Outcome != StoreOK {
-			t.Fatalf("store %d: %+v", i, res)
-		}
-	}
-	if _, err := d.Load(m, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Drop(m, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Drop(m, 2); err != nil {
-		t.Fatal(err)
-	}
-	st := d.Stats()
-	if st.LoadedPages != 1 {
-		t.Errorf("LoadedPages = %d, want 1 (drops must not count as loads)", st.LoadedPages)
-	}
-	if d.DroppedPages() != 2 {
-		t.Errorf("DroppedPages = %d, want 2", d.DroppedPages())
-	}
-	// Current occupancy reconciles with the cumulative counters.
-	want := (st.StoredPages - st.LoadedPages - d.DroppedPages()) * mem.PageSize
-	if d.UsedBytes() != want {
-		t.Errorf("UsedBytes = %d, want %d", d.UsedBytes(), want)
-	}
-	if d.UsedBytes() != mem.PageSize {
-		t.Errorf("UsedBytes = %d, want one page", d.UsedBytes())
-	}
-	// Dropped pages are resident again and re-reclaimable (accessed bit
-	// cleared), exactly like Pool.Drop.
-	if !m.Reclaimable(1) {
-		t.Errorf("dropped page not reclaimable: flags %b", m.Flags(1))
-	}
-	if err := d.Drop(m, 3); err != nil {
-		t.Fatal(err)
-	}
-	// Drop of a non-stored page errors and leaves accounting alone.
-	if err := d.Drop(m, 3); err == nil {
-		t.Error("double drop succeeded")
-	}
-	if d.UsedBytes() != 0 || d.DroppedPages() != 3 {
-		t.Errorf("after final drop: used=%d dropped=%d", d.UsedBytes(), d.DroppedPages())
-	}
-}
-
 func TestPoolDroppedPagesCounter(t *testing.T) {
 	p := NewPool()
 	m := newMemcg(50, pagedata.NewMix(0, 1, 1, 1, 0))
@@ -333,39 +253,6 @@ func TestPoolDroppedPagesCounter(t *testing.T) {
 	held := p.Stats().StoredPages - p.Stats().LoadedPages - p.DroppedPages()
 	if held != uint64(m.Compressed()) {
 		t.Errorf("held-page reconciliation: %d vs memcg %d", held, m.Compressed())
-	}
-}
-
-func TestDevicePoolCapacityAndStranding(t *testing.T) {
-	profile := ProfileNVM
-	profile.CapacityBytes = 3 * mem.PageSize
-	d := NewDevicePool(profile)
-	m := newMemcg(10, pagedata.DefaultMix)
-	okCount := 0
-	for i := 0; i < 5; i++ {
-		if d.Store(m, mem.PageID(i)).Outcome == StoreOK {
-			okCount++
-		}
-	}
-	if okCount != 3 {
-		t.Errorf("stored %d pages into 3-page device", okCount)
-	}
-	if d.StrandedBytes() != 0 {
-		t.Errorf("full device strands %d bytes", d.StrandedBytes())
-	}
-	d.Load(m, 0)
-	if d.StrandedBytes() != mem.PageSize {
-		t.Errorf("stranded = %d, want one page", d.StrandedBytes())
-	}
-	if d.FootprintBytes() != 0 {
-		t.Error("device tier must not consume near memory")
-	}
-}
-
-func TestDevicePoolUnboundedHasNoStranding(t *testing.T) {
-	d := NewDevicePool(ProfileRemoteMemory)
-	if d.StrandedBytes() != 0 {
-		t.Error("unbounded device reports stranding")
 	}
 }
 
