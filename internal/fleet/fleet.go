@@ -151,10 +151,11 @@ func Generate(cfg Config) (*telemetry.Trace, error) {
 // chunk and is never materialized as a []Entry. Entries carry the default
 // trace metadata (telemetry.NewTrace's scan period and threshold set).
 //
-// Entries are computed on GOMAXPROCS goroutines, a block of intervals at
-// a time, and appended in (time, slot) order by the caller once every
-// worker of the block has returned, so the sink sees the same entries in
-// the same order on any number of cores.
+// Entries are computed, checksums stamped, on GOMAXPROCS goroutines, a
+// block of intervals at a time, and appended in (time, slot) order by the
+// caller once every worker of the block has returned, so the sink sees the
+// same entries in the same order on any number of cores. While the caller
+// appends one block, the workers fill the next into a second buffer.
 func GenerateTo(cfg Config, sink telemetry.EntrySink) error {
 	return generateTo(cfg, sink, blockEntries, runtime.GOMAXPROCS(0), tailMargin)
 }
@@ -200,7 +201,6 @@ func generateTo(cfg Config, sink telemetry.EntrySink, budget, workers int, margi
 	sw := &sweep{
 		instances:     instances,
 		cursors:       make([]int, slots),
-		entries:       make([]telemetry.Entry, block*slots),
 		tailLen:       2 * len(thresholdsSec),
 		interval:      cfg.Interval,
 		chain:         newTailChain(meta.Thresholds),
@@ -209,15 +209,30 @@ func generateTo(cfg Config, sink telemetry.EntrySink, budget, workers int, margi
 		margin:        margin,
 	}
 	steps := int(cfg.Duration / cfg.Interval)
-	for k := 0; k < steps; k += block {
+	// Two entry buffers: the caller drains one into the sink while the
+	// workers fill the other with the next block.
+	var bufs [2][]telemetry.Entry
+	bufs[0] = make([]telemetry.Entry, block*slots)
+	if steps > block {
+		bufs[1] = make([]telemetry.Entry, block*slots)
+	}
+	start := func(k int) func(abandon bool) {
 		n := min(block, steps-k)
 		// One allocation holds the block's tails: the sink keeps
 		// entries, so each block needs fresh ones.
-		sw.tails = make([]uint64, n*slots*sw.tailLen)
-		sw.fill(k, n, workers)
+		return sw.fill(bufs[k/block%2][:n*slots], make([]uint64, n*slots*sw.tailLen), k, n, workers)
+	}
+	join := start(0)
+	for k := 0; k < steps; k += block {
+		join(false)
 		fallbacks.Add(float64(sw.fallbacks.Swap(0)))
-		for _, e := range sw.entries[:n*slots] {
+		join = func(bool) {}
+		if k+block < steps {
+			join = start(k + block)
+		}
+		for _, e := range bufs[k/block%2][:min(block, steps-k)*slots] {
 			if err := sink.Append(e); err != nil {
+				join(true)
 				return err
 			}
 			emitted.Inc()
@@ -231,13 +246,12 @@ func generateTo(cfg Config, sink telemetry.EntrySink, budget, workers int, margi
 // live at every interval, and a monotonic cursor per slot finds it in
 // amortized O(1). A slot's entries draw only from its own stream, so
 // slots are independent and each is filled in time order by one worker;
-// the block buffer is indexed (interval, slot), which is the emission
-// order.
+// a block buffer is indexed (interval, slot), which is the emission
+// order. Blocks are filled one after another, so the cursors advance in
+// time order.
 type sweep struct {
 	instances     [][]*jobInstance
 	cursors       []int
-	entries       []telemetry.Entry
-	tails         []uint64 // the block's entries' tails, tailLen each
 	tailLen       int
 	interval      time.Duration
 	chain         tailChain
@@ -247,21 +261,29 @@ type sweep struct {
 	fallbacks     atomic.Int64 // entries that took exactEntry since the last block
 }
 
-// fill computes the n intervals from step k into the block buffer, on up
-// to workers goroutines (the caller is one), and returns once all are
-// done.
-func (sw *sweep) fill(k, n, workers int) {
+// fill computes the n intervals from step k into entries, with their
+// tails in tails, on up to workers goroutines. It starts all but one of
+// them and returns a join, which the caller calls once: join(false) makes
+// the caller the last worker and returns when the block is done;
+// join(true) abandons the block, starting no further slot, and returns
+// once the started workers have. With one worker or one slot nothing is
+// spawned and join(false) computes the whole block.
+func (sw *sweep) fill(entries []telemetry.Entry, tails []uint64, k, n, workers int) (join func(abandon bool)) {
 	slots := len(sw.instances)
 	if workers = min(workers, slots); workers <= 1 {
-		for s := range slots {
-			sw.fillSlot(s, k, n)
+		return func(abandon bool) {
+			if abandon {
+				return
+			}
+			for s := range slots {
+				sw.fillSlot(entries, tails, s, k, n)
+			}
 		}
-		return
 	}
 	var next atomic.Int64
 	work := func() {
 		for s := int(next.Add(1)) - 1; s < slots; s = int(next.Add(1)) - 1 {
-			sw.fillSlot(s, k, n)
+			sw.fillSlot(entries, tails, s, k, n)
 		}
 	}
 	var wg sync.WaitGroup
@@ -272,12 +294,19 @@ func (sw *sweep) fill(k, n, workers int) {
 			work()
 		}()
 	}
-	work()
-	wg.Wait()
+	return func(abandon bool) {
+		if abandon {
+			next.Store(int64(slots))
+		} else {
+			work()
+		}
+		wg.Wait()
+	}
 }
 
-// fillSlot computes slot s's entries for the n intervals from step k.
-func (sw *sweep) fillSlot(s, k, n int) {
+// fillSlot computes and stamps slot s's entries for the n intervals from
+// step k.
+func (sw *sweep) fillSlot(entries []telemetry.Entry, tails []uint64, s, k, n int) {
 	chain := sw.instances[s]
 	slots := len(sw.instances)
 	i := sw.cursors[s]
@@ -289,8 +318,9 @@ func (sw *sweep) fillSlot(s, k, n int) {
 		}
 		at := j*slots + s
 		inst := chain[i]
-		e, exact := inst.entry(t, inst.draw(t), &sw.chain, sw.thresholdsSec, sw.intervalMin, sw.margin, sw.tails[at*sw.tailLen:(at+1)*sw.tailLen])
-		sw.entries[at] = e
+		e, exact := inst.entry(t, inst.draw(t), &sw.chain, sw.thresholdsSec, sw.intervalMin, sw.margin, tails[at*sw.tailLen:(at+1)*sw.tailLen])
+		e.Checksum = e.ComputeChecksum()
+		entries[at] = e
 		if exact {
 			fallbacks++
 		}

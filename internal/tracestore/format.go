@@ -32,7 +32,6 @@ import (
 	"hash/crc32"
 	"math"
 
-	"sdfm/internal/compress"
 	"sdfm/internal/telemetry"
 	"sdfm/internal/telemetry/colfmt"
 )
@@ -217,16 +216,25 @@ func decodeChunkHeader(buf []byte) (chunkInfo, uint32, error) {
 		MaxTS:      int64(binary.LittleEndian.Uint64(buf[25:])),
 	}
 	crc := binary.LittleEndian.Uint32(buf[33:])
-	if ci.RawLen < 0 || ci.RawLen > maxChunkBytes || ci.StoredLen < 0 || ci.StoredLen > maxChunkBytes {
-		return chunkInfo{}, 0, fmt.Errorf("%w: chunk claims %d/%d payload bytes", ErrCorrupt, ci.StoredLen, ci.RawLen)
-	}
-	if !ci.Compressed && ci.RawLen != ci.StoredLen {
-		return chunkInfo{}, 0, fmt.Errorf("%w: uncompressed chunk with stored %d != raw %d", ErrCorrupt, ci.StoredLen, ci.RawLen)
-	}
-	if ci.Entries <= 0 || ci.Entries*minEntryBytes > ci.RawLen {
-		return chunkInfo{}, 0, fmt.Errorf("%w: chunk claims %d entries in %d bytes", ErrCorrupt, ci.Entries, ci.RawLen)
+	if err := ci.checkSizes(); err != nil {
+		return chunkInfo{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return ci, crc, nil
+}
+
+// checkSizes bounds the lengths and entry count a chunk header or footer
+// record claims, before anything is sized or offset by them.
+func (ci *chunkInfo) checkSizes() error {
+	if ci.RawLen < 0 || ci.RawLen > maxChunkBytes || ci.StoredLen < 0 || ci.StoredLen > maxChunkBytes {
+		return fmt.Errorf("chunk claims %d/%d payload bytes", ci.StoredLen, ci.RawLen)
+	}
+	if !ci.Compressed && ci.RawLen != ci.StoredLen {
+		return fmt.Errorf("uncompressed chunk with stored %d != raw %d", ci.StoredLen, ci.RawLen)
+	}
+	if ci.Entries <= 0 || ci.Entries > ci.RawLen/minEntryBytes {
+		return fmt.Errorf("chunk claims %d entries in %d bytes", ci.Entries, ci.RawLen)
+	}
+	return nil
 }
 
 // chunkCRC digests a chunk header (with a zeroed CRC field) and payload.
@@ -247,16 +255,6 @@ func decodeChunkPayload(raw []byte, entryCount, nThresh int) ([]telemetry.Entry,
 		return nil, fmt.Errorf("%w: chunk payload: %v", ErrCorrupt, err)
 	}
 	return entries, nil
-}
-
-// compressPayload compresses raw unless that would expand it, returning
-// the stored bytes and whether they are compressed.
-func compressPayload(raw []byte) ([]byte, bool) {
-	comp := compress.Compress(make([]byte, 0, compress.CompressBound(len(raw))), raw)
-	if len(comp) >= len(raw) {
-		return raw, false
-	}
-	return comp, true
 }
 
 // --- footer ---
@@ -299,10 +297,12 @@ func encodeFooter(f footer) []byte {
 	return append(body, tailMagic...)
 }
 
-// decodeFooter parses a footer body (the bytes before the fixed tail).
-// The body is read straight off the end of the file, so every count is
-// checked against the bytes that remain before it sizes anything.
-func decodeFooter(body []byte) (footer, error) {
+// decodeFooter parses a footer body (the bytes before the fixed tail) of
+// a file whose header is headerLen bytes. The body is read straight off
+// the end of the file, so every count is checked against the bytes that
+// remain before it sizes anything, and every chunk record is bounded as
+// a chunk header is and must start after the file header.
+func decodeFooter(body []byte, headerLen int64) (footer, error) {
 	c := colfmt.NewCursor(body)
 	var f footer
 	// A job is at least three empty strings; a chunk record at least a
@@ -322,6 +322,16 @@ func decodeFooter(body []byte) (footer, error) {
 		ci.Entries = int(c.Uvarint())
 		ci.MinTS = c.Varint()
 		ci.MaxTS = c.Varint()
+		if c.Err() == nil {
+			if err := ci.checkSizes(); err != nil {
+				c.Failf("chunk %d record: %v", i, err)
+				break
+			}
+			if ci.Offset < headerLen {
+				c.Failf("chunk %d at offset %d inside the %d-byte file header", i, ci.Offset, headerLen)
+				break
+			}
+		}
 		ci.Jobs = make([]int, c.Count(nJobs, 1, "chunk jobs"))
 		prev := 0
 		for j := range ci.Jobs {

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"sdfm/internal/compress"
 	"sdfm/internal/model"
@@ -42,9 +45,11 @@ type Skipped struct {
 
 // Reader reads a chunked columnar trace file. Open validates the header
 // and loads the footer index (rebuilding it by walking chunk headers when
-// the footer is damaged); Scan streams entries one chunk at a time,
-// validating each chunk's CRC and each entry's checksum, skipping what
-// fails. A Reader holds one chunk in memory at a time.
+// the footer is damaged); Scan streams entries in chunk order, validating
+// each chunk's CRC and each entry's checksum, skipping what fails. A scan
+// holds at most 2×GOMAXPROCS decoded chunks in memory, the one being
+// delivered included (one with a single processor), plus one read and one
+// decompression buffer per decoder.
 type Reader struct {
 	r    io.ReaderAt
 	size int64
@@ -106,7 +111,7 @@ func (r *Reader) loadFooter(headerLen int64) error {
 		if crc32.Checksum(body, castagnoli) != wantCRC {
 			return false
 		}
-		f, err := decodeFooter(body)
+		f, err := decodeFooter(body, headerLen)
 		if err != nil {
 			return false
 		}
@@ -237,35 +242,110 @@ func (r *Reader) Chunks() []ChunkStat {
 
 // Scan streams every entry in chunk order. Corrupt chunks and invalid
 // entries are skipped and recorded (see Skipped); only I/O failures and
-// a non-nil return from fn stop the scan.
+// a non-nil return from fn stop the scan. Chunks are read, CRC-checked,
+// decoded and checksummed ahead on GOMAXPROCS goroutines; fn, the entry
+// checks and the skip accounting run on the caller in chunk order, and
+// no goroutine is left running when Scan returns.
 func (r *Reader) Scan(fn func(telemetry.Entry) error) error {
-	nT := len(r.meta.Thresholds)
-	var buf []byte
-	var sums []uint64
-	for i, ci := range r.idx.Chunks {
-		entries, err := r.readChunk(ci, &buf)
-		if err != nil {
-			r.skip(i, ci, err.Error())
-			continue
-		}
-		sums = telemetry.AppendChecksums(sums[:0], entries)
-		bad := 0
-		for j, e := range entries {
-			if e.Validate(nT) != nil || sums[j] != e.Checksum {
-				bad++
-				continue
-			}
-			if err := fn(e); err != nil {
+	return r.scan(fn, runtime.GOMAXPROCS(0))
+}
+
+// decoded is a chunk as a decoder leaves it: its entries and their
+// computed checksums, or why it must be skipped.
+type decoded struct {
+	entries []telemetry.Entry
+	sums    []uint64
+	err     error
+}
+
+// scan is Scan with the decoder count as a parameter. With one decoder
+// the caller decodes each chunk itself. Otherwise the decoders claim
+// chunks in index order, each claim holding one of 2×workers tokens until
+// the caller has delivered that chunk, so chunk i is decoded only once
+// chunk i−2×workers is delivered and its slot in the ring is free.
+func (r *Reader) scan(fn func(telemetry.Entry) error, workers int) error {
+	chunks := r.idx.Chunks
+	if workers = min(workers, len(chunks)); workers <= 1 {
+		var bufs chunkBufs
+		for i, ci := range chunks {
+			if err := r.deliver(i, r.decode(ci, &bufs), fn); err != nil {
 				return err
 			}
 		}
-		if bad > 0 {
-			r.skipped.Entries += bad
-			r.skipped.Ranges = append(r.skipped.Ranges, SkippedRange{
-				Chunk: i, Offset: ci.Offset, MinTS: ci.MinTS, MaxTS: ci.MaxTS,
-				Entries: bad, Reason: fmt.Sprintf("%d entries failed validation or checksum", bad),
-			})
+		return nil
+	}
+	ahead := 2 * workers
+	ring := make([]chan decoded, ahead)
+	tokens := make(chan struct{}, ahead)
+	for i := range ring {
+		ring[i] = make(chan decoded, 1)
+		tokens <- struct{}{}
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var bufs chunkBufs
+			for range tokens {
+				i := int(next.Add(1)) - 1
+				if i >= len(chunks) {
+					return
+				}
+				ring[i%ahead] <- r.decode(chunks[i], &bufs)
+			}
+		}()
+	}
+	defer func() {
+		next.Store(int64(len(chunks))) // claim nothing more
+		close(tokens)
+		wg.Wait()
+	}()
+	for i := range chunks {
+		if err := r.deliver(i, <-ring[i%ahead], fn); err != nil {
+			return err
 		}
+		tokens <- struct{}{}
+	}
+	return nil
+}
+
+// decode reads and decodes chunk ci and computes its entries' checksums.
+func (r *Reader) decode(ci chunkInfo, bufs *chunkBufs) decoded {
+	entries, err := r.readChunk(ci, bufs)
+	if err != nil {
+		return decoded{err: err}
+	}
+	return decoded{entries: entries, sums: telemetry.AppendChecksums(nil, entries)}
+}
+
+// deliver passes chunk i's valid entries to fn, recording the chunk as
+// skipped when it failed to decode and counting the entries that fail
+// validation or their checksum.
+func (r *Reader) deliver(i int, d decoded, fn func(telemetry.Entry) error) error {
+	ci := r.idx.Chunks[i]
+	if d.err != nil {
+		r.skip(i, ci, d.err.Error())
+		return nil
+	}
+	nT := len(r.meta.Thresholds)
+	bad := 0
+	for j, e := range d.entries {
+		if e.Validate(nT) != nil || d.sums[j] != e.Checksum {
+			bad++
+			continue
+		}
+		if err := fn(e); err != nil {
+			return err
+		}
+	}
+	if bad > 0 {
+		r.skipped.Entries += bad
+		r.skipped.Ranges = append(r.skipped.Ranges, SkippedRange{
+			Chunk: i, Offset: ci.Offset, MinTS: ci.MinTS, MaxTS: ci.MaxTS,
+			Entries: bad, Reason: fmt.Sprintf("%d entries failed validation or checksum", bad),
+		})
 	}
 	return nil
 }
@@ -279,16 +359,22 @@ func (r *Reader) skip(i int, ci chunkInfo, reason string) {
 	})
 }
 
+// chunkBufs is one decoder's read and decompression buffers. Decoded
+// entries share neither, so both are reused from chunk to chunk.
+type chunkBufs struct {
+	read, raw []byte
+}
+
 // readChunk reads, CRC-checks, decompresses, and decodes one chunk.
-func (r *Reader) readChunk(ci chunkInfo, scratch *[]byte) ([]telemetry.Entry, error) {
+func (r *Reader) readChunk(ci chunkInfo, bufs *chunkBufs) ([]telemetry.Entry, error) {
 	total := chunkHeaderSize + ci.StoredLen
-	if ci.Offset < 0 || ci.Offset+int64(total) > r.size {
+	if ci.Offset < 0 || ci.Offset > r.size-int64(total) {
 		return nil, fmt.Errorf("chunk extends past end of file")
 	}
-	if cap(*scratch) < total {
-		*scratch = make([]byte, total)
+	if cap(bufs.read) < total {
+		bufs.read = make([]byte, total)
 	}
-	buf := (*scratch)[:total]
+	buf := bufs.read[:total]
 	if _, err := r.r.ReadAt(buf, ci.Offset); err != nil {
 		return nil, fmt.Errorf("read: %v", err)
 	}
@@ -302,20 +388,18 @@ func (r *Reader) readChunk(ci chunkInfo, scratch *[]byte) ([]telemetry.Entry, er
 		return nil, fmt.Errorf("chunk header stored length %d disagrees with index %d", hdr.StoredLen, ci.StoredLen)
 	}
 	payload := buf[chunkHeaderSize:]
-	zeroed := make([]byte, chunkHeaderSize)
-	copy(zeroed, buf[:chunkHeaderSize])
-	for i := chunkHeaderSize - 4; i < chunkHeaderSize; i++ {
-		zeroed[i] = 0
-	}
-	if got := chunkCRC(zeroed, payload); got != wantCRC {
+	var zeroed [chunkHeaderSize]byte
+	copy(zeroed[:chunkHeaderSize-4], buf)
+	if got := chunkCRC(zeroed[:], payload); got != wantCRC {
 		return nil, fmt.Errorf("chunk CRC %#x, content digests to %#x", wantCRC, got)
 	}
 	raw := payload
 	if hdr.Compressed {
-		raw, err = compress.Decompress(make([]byte, 0, hdr.RawLen), payload, hdr.RawLen)
+		raw, err = compress.Decompress(slices.Grow(bufs.raw[:0], hdr.RawLen), payload, hdr.RawLen)
 		if err != nil {
 			return nil, fmt.Errorf("decompress: %v", err)
 		}
+		bufs.raw = raw
 		if len(raw) != hdr.RawLen {
 			return nil, fmt.Errorf("decompressed to %d bytes, header claims %d", len(raw), hdr.RawLen)
 		}

@@ -536,20 +536,8 @@ func TestTamperedEntrySkippedNotReplayed(t *testing.T) {
 	unstamped := entries[5]
 	entries[5].Checksum = 0
 
-	meta := MetaOf(tr)
-	file := encodeHeader(meta)
-	raw, err := colfmt.AppendEntries(nil, entries, colfmt.Fixed(len(meta.Thresholds)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ci := chunkInfo{
-		Offset: int64(len(file)), Entries: len(entries), RawLen: len(raw), StoredLen: len(raw),
-		MinTS: entries[0].TimestampSec, MaxTS: entries[len(entries)-1].TimestampSec,
-	}
-	hdr := encodeChunkHeader(ci)
-	binary.LittleEndian.PutUint32(hdr[chunkHeaderSize-4:], chunkCRC(hdr, raw))
-	file = append(append(file, hdr...), raw...)
-	file = append(file, encodeFooter(footer{Chunks: []chunkInfo{ci}})...)
+	file, index := handSealed(t, MetaOf(tr), entries)
+	file = append(file, encodeFooter(footer{Chunks: index})...)
 
 	r, err := NewReader(bytes.NewReader(file), int64(len(file)))
 	if err != nil {
@@ -574,6 +562,31 @@ func TestTamperedEntrySkippedNotReplayed(t *testing.T) {
 	if sk := r.Skipped(); sk.Chunks != 0 || sk.Entries != 2 || len(sk.Ranges) != 1 {
 		t.Errorf("skipped = %+v, want exactly the two damaged entries inside a healthy chunk", sk)
 	}
+}
+
+// handSealed renders a store file's header and one uncompressed chunk
+// per batch with a matching CRC, writing each entry exactly as given: a
+// stale or unset checksum stays so, which no Writer produces. It returns
+// the bytes and the chunks' index records for the caller's footer.
+func handSealed(t testing.TB, meta Meta, batches ...[]telemetry.Entry) ([]byte, []chunkInfo) {
+	t.Helper()
+	file := encodeHeader(meta)
+	var index []chunkInfo
+	for _, entries := range batches {
+		raw, err := colfmt.AppendEntries(nil, entries, colfmt.Fixed(len(meta.Thresholds)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ci := chunkInfo{
+			Offset: int64(len(file)), Entries: len(entries), RawLen: len(raw), StoredLen: len(raw),
+			MinTS: entries[0].TimestampSec, MaxTS: entries[len(entries)-1].TimestampSec,
+		}
+		hdr := encodeChunkHeader(ci)
+		binary.LittleEndian.PutUint32(hdr[chunkHeaderSize-4:], chunkCRC(hdr, raw))
+		file = append(append(file, hdr...), raw...)
+		index = append(index, ci)
+	}
+	return file, index
 }
 
 // TestHostileChunkAllocationBound hands the chunk decoder a payload whose
