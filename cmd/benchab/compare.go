@@ -200,20 +200,36 @@ func compare(specs []metricSpec, base, cur []benchRun, baseFirst []bool) (compar
 		c.Pairs = append(c.Pairs, p)
 	}
 	for _, s := range specs {
-		b := make([]float64, len(c.Pairs))
-		n := make([]float64, len(c.Pairs))
-		for i, p := range c.Pairs {
-			b[i], n[i] = p.Base[s.Name], p.New[s.Name]
-		}
-		c.Metrics = append(c.Metrics, judge(s, b, n))
+		c.Metrics = append(c.Metrics, judgePairs(s, c.Pairs))
 	}
 	return c, nil
 }
 
-// minPairs is the fewest pairs a gain may rest on, and minGain the
-// smallest gap between medians, as a share of the base's, that counts as
-// one: a base whose runs repeat a value to the byte has quartiles that
-// coincide, and no gap is wider than nothing.
+// judgePairs judges metric s over pairs.
+func judgePairs(s metricSpec, pairs []pair) metricResult {
+	b := make([]float64, len(pairs))
+	n := make([]float64, len(pairs))
+	for i, p := range pairs {
+		b[i], n[i] = p.Base[s.Name], p.New[s.Name]
+	}
+	return judge(s, b, n)
+}
+
+// rejudge judges c's pairs again under the current rule, each metric
+// with the spec c recorded, and returns the verdicts c held before, in
+// metric order.
+func (c *comparison) rejudge() (was []string) {
+	for i, m := range c.Metrics {
+		was = append(was, m.Verdict)
+		c.Metrics[i] = judgePairs(m.metricSpec, c.Pairs)
+	}
+	return was
+}
+
+// minPairs is the fewest pairs a gain or a steady loss may rest on, and
+// minGain the smallest gap between medians, as a share of the base's,
+// that counts as one: a base whose runs repeat a value to the byte has
+// quartiles that coincide, and no gap is wider than nothing.
 const (
 	minPairs = 10
 	minGain  = 0.01
@@ -228,6 +244,11 @@ const (
 //   - unresolved, when fewer pairs would otherwise read improved;
 //   - regressed: the new median is worse than the base's by more than the
 //     bound, as a share of the base's median;
+//   - regressed: the mirror of improved — over at least minPairs pairs
+//     the new side loses at least nine in ten, and its median is worse
+//     by more than the base's quartile spread and minGain;
+//   - unresolved, when fewer pairs would otherwise read regressed by
+//     that rule;
 //   - unresolved: otherwise, when either side's quartile spread is wider
 //     than the bound, unless every new run reads better than every base
 //     run;
@@ -256,8 +277,9 @@ func judge(s metricSpec, base, cur []float64) metricResult {
 	if s.Better == "higher" {
 		worse = -worse
 	}
-	gain := 10*r.Wins >= 9*len(base) && s.better(r.New.Median, r.Base.Median) &&
-		math.Abs(r.New.Median-r.Base.Median) > max(r.Base.Q3-r.Base.Q1, minGain*r.Base.Median)
+	wide := math.Abs(r.New.Median-r.Base.Median) > max(r.Base.Q3-r.Base.Q1, minGain*r.Base.Median)
+	gain := 10*r.Wins >= 9*len(base) && s.better(r.New.Median, r.Base.Median) && wide
+	loss := 10*r.Losses >= 9*len(base) && s.better(r.Base.Median, r.New.Median) && wide
 	switch {
 	case gain && len(base) >= minPairs:
 		r.Verdict = improved
@@ -265,6 +287,10 @@ func judge(s metricSpec, base, cur []float64) metricResult {
 		r.Verdict = unresolved
 	case worse > s.Bound:
 		r.Verdict = regressed
+	case loss && len(base) >= minPairs:
+		r.Verdict = regressed
+	case loss:
+		r.Verdict = unresolved
 	case (r.Base.spread() > s.Bound || r.New.spread() > s.Bound) && !s.allBetter(cur, base):
 		r.Verdict = unresolved
 	default:

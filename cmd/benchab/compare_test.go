@@ -91,7 +91,12 @@ func TestJudgeVerdicts(t *testing.T) {
 		// A gap inside the parent's own quartile spread is no claim.
 		{"gap inside the parent's spread", setupSpec, parent, scale(parent, 0.99), unchanged, 10, 0},
 		{"identical", setupSpec, parent, parent, unchanged, 0, 10},
-		{"slower within the bound", setupSpec, parent, scale(parent, 1.2), unchanged, 0, 0},
+		// A steady loss is judged as a gain is: ten of ten pairs 20 %
+		// slower, inside the 25 % bound, is a regression.
+		{"slower within the bound", setupSpec, parent, scale(parent, 1.2), regressed, 0, 0},
+		{"slower within the bound, eight of ten", setupSpec, parent, append(scale(parent[:8], 1.2), 4.0, 4.1), unchanged, 2, 0},
+		{"slower within the bound over four pairs", setupSpec, parent[:4], scale(parent[:4], 1.2), unresolved, 0, 0},
+		{"gap inside the parent's spread, slower", setupSpec, parent, scale(parent, 1.01), unchanged, 0, 0},
 		{"slower beyond the bound", setupSpec, parent, scale(parent, 1.3), regressed, 0, 0},
 		{"throughput down", workSpec, []float64{100, 101, 99, 100}, []float64{70, 71, 69, 70}, regressed, 0, 0},
 		{"throughput up", workSpec, scale(parent, 100), scale(parent, 140), improved, 10, 0},
@@ -212,6 +217,56 @@ func TestCompareCannedFile(t *testing.T) {
 	}
 }
 
+// TestRejudgeCommittedFile judges BENCH_45.json's pairs again: its
+// cp_rounds seed 1337 cpu_us_per_work row (1 win, 9 losses, medians
+// 15.84 → 16.65 µs against a quartile spread of 0.69) read unchanged
+// under the bound alone and reads regressed under the mirrored rule.
+func TestRejudgeCommittedFile(t *testing.T) {
+	path := filepath.Join("..", "..", "BENCH_45.json")
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errs bytes.Buffer
+	if err := run([]string{"-rejudge", path}, &out, &errs); err != nil {
+		t.Fatal(err)
+	}
+	moved := path + " cp_rounds seed 1337 cpu_us_per_work: regressed, was unchanged"
+	if !strings.Contains(out.String(), moved) || strings.Count(out.String(), ", was ") != 1 {
+		t.Errorf("rejudge printed:\n%s\nwant exactly one moved verdict: %s", out.String(), moved)
+	}
+	var rep report
+	if err := json.Unmarshal(before, &rep); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for i := range rep.Comparisons {
+		c := &rep.Comparisons[i]
+		if c.Workload != "cp_rounds" || c.Seed != 1337 {
+			continue
+		}
+		c.rejudge()
+		for _, m := range c.Metrics {
+			if m.Name != "cpu_us_per_work" {
+				continue
+			}
+			found = true
+			if m.Verdict != regressed || m.Wins != 1 || m.Losses != 9 ||
+				math.Abs(m.Base.Median-15.84) > 0.01 || math.Abs(m.New.Median-16.65) > 0.01 ||
+				math.Abs(m.Base.Q3-m.Base.Q1-0.69) > 0.01 {
+				t.Errorf("cpu_us_per_work rejudged: %+v", m)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("%s holds no cp_rounds seed 1337 cpu_us_per_work row", path)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(before, after) {
+		t.Errorf("rejudge rewrote %s (%v)", path, err)
+	}
+}
+
 func TestFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-new", ".", "-workloads", "cp_rounds"},
@@ -220,6 +275,9 @@ func TestFlagErrors(t *testing.T) {
 		{"-base", ".", "-new", "."},
 		{"-base", ".", "-new", ".", "-workloads", "cp_rounds", "-pairs", "0"},
 		{"-base", ".", "-new", ".", "-workloads", "cp_rounds", "-seeds", "x"},
+		{"-rejudge", "BENCH.json", "-base", "."},
+		{"-rejudge", "BENCH.json", "extra"},
+		{"-rejudge", filepath.Join("testdata", "missing.json")},
 	} {
 		var out, errs bytes.Buffer
 		if err := run(args, &out, &errs); err == nil {

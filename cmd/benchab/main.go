@@ -13,6 +13,12 @@
 // comparison with an error. The driver writes only the -out file, each
 // tree's own .bench_build, and each run's result and log in a temporary
 // directory that is removed on success and named in any error.
+//
+// -rejudge FILE reads a file -out wrote, judges its pairs again under the
+// current rule, prints them and every verdict that moved, and runs and
+// writes nothing:
+//
+//	go run ./cmd/benchab -rejudge BENCH_45.json
 package main
 
 import (
@@ -64,9 +70,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seeds     = flags.String("seeds", "42", "comma-separated seeds")
 		pairs     = flags.Int("pairs", 10, "pairs per workload and seed")
 		out       = flags.String("out", "", "write the comparisons as JSON to this file, after those it holds for the same trees")
+		again     = flags.String("rejudge", "", "judge the pairs of this -out file again and run nothing")
 	)
 	if err := flags.Parse(args); err != nil {
 		return err
+	}
+	if *again != "" {
+		if flags.NFlag() > 1 || flags.NArg() > 0 {
+			return errors.New("-rejudge runs nothing and takes no other flag or argument")
+		}
+		return rejudgeFile(*again, stdout)
 	}
 	switch {
 	case flags.NArg() > 0:
@@ -129,6 +142,34 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return os.RemoveAll(dir)
+}
+
+// rejudgeFile prints every comparison of the report at path judged again
+// under the current rule, and a line for each verdict that moved. The
+// file is not rewritten.
+func rejudgeFile(path string, stdout io.Writer) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var rep report
+	if err := json.Unmarshal(b, &rep); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if len(rep.Comparisons) == 0 {
+		return fmt.Errorf("%s holds no comparison", path)
+	}
+	for i := range rep.Comparisons {
+		c := &rep.Comparisons[i]
+		was := c.rejudge()
+		printComparison(stdout, c)
+		for j, m := range c.Metrics {
+			if m.Verdict != was[j] {
+				fmt.Fprintf(stdout, "%s %s seed %d %s: %s, was %s\n", path, c.Workload, c.Seed, m.Name, m.Verdict, was[j])
+			}
+		}
+	}
+	return nil
 }
 
 // resume loads the comparisons an existing report at path holds, so one

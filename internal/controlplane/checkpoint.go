@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -155,7 +156,10 @@ func (c *Controller) adoptSnapshot(s *ckpt.Snapshot) error {
 			c.windowMax = e.TimestampSec
 		}
 	}
-	c.window = s.Window
+	if n := len(s.Window); n > 0 {
+		c.window = [][]telemetry.Entry{s.Window[:n:n]}
+		c.windowLen = n
+	}
 
 	// Round history, so round numbering and /statusz continue seamlessly.
 	for i := range s.Rounds {
@@ -187,10 +191,10 @@ func (c *Controller) Checkpoint() (string, error) {
 		return "", ErrRoundInFlight
 	}
 	c.ckptGen++
-	s := c.snapshotLocked()
+	s, window := c.snapshotLocked()
 	c.ckptBase = s.TelemetrySec
 	c.mu.Unlock()
-	return c.persistSnapshot(s)
+	return c.persistSnapshot(s, window)
 }
 
 // maybeCheckpoint cuts a snapshot when the telemetry clock has advanced
@@ -225,22 +229,25 @@ func (c *Controller) maybeCheckpoint() bool {
 		return false
 	}
 	c.ckptGen++
-	s := c.snapshotLocked()
+	s, window := c.snapshotLocked()
 	c.ckptBase = s.TelemetrySec
 	c.ckptWG.Add(1)
 	c.mu.Unlock()
 	go func() {
 		defer c.ckptWG.Done()
-		c.persistSnapshot(s) // failure is accounted in ckptErrors
+		c.persistSnapshot(s, window) // failure is accounted in ckptErrors
 	}()
 	return true
 }
 
 // persistSnapshot encodes and writes an already-extracted snapshot with
-// no controller locks held. The single-writer discipline enforced by
-// ckptSchedMu/ckptWG means prune never races a write, and generation
-// numbers assigned under the control mutex keep file names monotonic.
-func (c *Controller) persistSnapshot(s *ckpt.Snapshot) (string, error) {
+// no controller locks held, first joining the window's segment views into
+// the snapshot's one Window slice, so the file holds the bytes of a flat
+// window. The single-writer discipline enforced by ckptSchedMu/ckptWG
+// means prune never races a write, and generation numbers assigned under
+// the control mutex keep file names monotonic.
+func (c *Controller) persistSnapshot(s *ckpt.Snapshot, window [][]telemetry.Entry) (string, error) {
+	s.Window = flattenWindow(window)
 	path, err := ckpt.WriteFile(c.cfg.CheckpointDir, s)
 	var pruneErr error
 	if err == nil {
@@ -265,22 +272,26 @@ func (c *Controller) persistSnapshot(s *ckpt.Snapshot) (string, error) {
 	return path, nil
 }
 
-// snapshotLocked extracts a checkpoint snapshot. Caller holds the
-// control mutex; stripe mutexes are taken briefly per agent, matching
-// every other whole-registry read (Status, assignFraction). Everything
-// the snapshot references is a copy or immutable, so encoding can run
-// lock-free.
-func (c *Controller) snapshotLocked() *ckpt.Snapshot {
+// snapshotLocked extracts a checkpoint snapshot and a view of the
+// window's segments, which persistSnapshot joins into its Window. Caller
+// holds the control mutex; stripe mutexes are taken briefly per agent,
+// matching every other whole-registry read (Status, assignFraction).
+// Everything the snapshot references is a copy or immutable, so encoding
+// can run lock-free.
+func (c *Controller) snapshotLocked() (*ckpt.Snapshot, [][]telemetry.Entry) {
 	s := &ckpt.Snapshot{
 		Generation:   c.ckptGen,
 		TelemetrySec: c.telemetryMax,
 		Incumbent:    c.incumbent,
 		Epoch:        c.epoch.Load(),
-		// Zero-copy: the window is append-only until a round takes it
-		// (leaving this backing array untouched), so the background encoder
-		// can read this view while ingest keeps appending past it. The
-		// capped three-index slice makes the view immutable.
-		Window: c.window[:len(c.window):len(c.window)],
+	}
+	// Zero-copy: segments are append-only until a round takes them
+	// (leaving their backing arrays untouched), so the background writer
+	// can read these views while ingest keeps appending past them. Each
+	// view is capped, so it never sees those appends.
+	window := make([][]telemetry.Entry, len(c.window))
+	for i, seg := range c.window {
+		window[i] = seg[:len(seg):len(seg)]
 	}
 	for _, id := range c.ids {
 		st := c.stripeFor(id)
@@ -312,7 +323,16 @@ func (c *Controller) snapshotLocked() *ckpt.Snapshot {
 		RejectedCorrupt:     t.RejectedCorrupt,
 		RejectedInvalid:     t.RejectedInvalid,
 	}
-	return s
+	return s, window
+}
+
+// flattenWindow joins a window's segments into one slice; a window of one
+// segment is that segment, uncopied.
+func flattenWindow(segs [][]telemetry.Entry) []telemetry.Entry {
+	if len(segs) == 1 {
+		return segs[0]
+	}
+	return slices.Concat(segs...)
 }
 
 func roundToCkpt(r *RoundReport) ckpt.Round {

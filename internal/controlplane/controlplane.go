@@ -42,7 +42,6 @@ import (
 
 	"io"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -256,11 +255,14 @@ type Controller struct {
 	incumbent core.Params
 
 	// window is the open tuning window: every entry ingested since the
-	// last round cut, in ingest order, so it starts at window[0]. It is
-	// append-only until a round takes it and leaves nil behind, which
-	// keeps a capped view of it valid for the background checkpoint
-	// writer. windowMax is its newest timestamp.
-	window    []telemetry.Entry
+	// last round cut, in ingest order, held in append-only segments (see
+	// windowSegMin). An entry is written once, into the last segment, and
+	// never moves; a round takes the segments and leaves nil behind, which
+	// keeps capped views of them valid for the background checkpoint
+	// writer. windowLen counts its entries, windowMax is its newest
+	// timestamp.
+	window    [][]telemetry.Entry
+	windowLen int
 	windowMax int64
 
 	roundInFlight bool
@@ -419,7 +421,9 @@ func (c *Controller) Register(req RegisterRequest) (RegisterResponse, error) {
 // Entries beyond the queue's free capacity are dropped and accounted —
 // the response's Dropped and QueueFree fields are the explicit
 // backpressure signal (an agent seeing drops should slow down or shed
-// load; the controller never blocks an ingest call).
+// load; the controller never blocks an ingest call). Accepted entries
+// are copied into the queue, so the caller keeps req.Entries and may
+// reuse its array as soon as Report returns (the HTTP server does).
 //
 // This is the ingest hot path: it takes exactly one stripe mutex, never
 // the control mutex, so reports from agents on different stripes run
@@ -526,8 +530,14 @@ func (c *Controller) Tick() TickReport {
 		if n > c.cfg.BatchSize {
 			n = c.cfg.BatchSize
 		}
-		scratch = append(scratch[:0], a.queue[:n]...)
-		a.queue = append(a.queue[:0], a.queue[n:]...)
+		if n == len(a.queue) {
+			// The whole queue drains: the tick takes its buffer and the
+			// agent gets the tick's emptied one, so nothing is copied.
+			scratch, a.queue = a.queue, scratch[:0]
+		} else {
+			scratch = append(scratch[:0], a.queue[:n]...)
+			a.queue = append(a.queue[:0], a.queue[n:]...)
+		}
 		s.queued -= n
 		rep.Remaining += len(a.queue)
 		s.mu.Unlock()
@@ -549,8 +559,8 @@ func (c *Controller) Tick() TickReport {
 		}
 	}
 	c.drainScratch, c.sumScratch = scratch[:0], sums[:0]
-	trigger := !c.roundInFlight && len(c.window) > 0 &&
-		c.windowMax-c.window[0].TimestampSec >= c.roundSec
+	trigger := !c.roundInFlight && c.windowLen > 0 &&
+		c.windowMax-c.windowStartLocked() >= c.roundSec
 	c.mu.Unlock()
 	if trigger {
 		if rr, err := c.RunRound(); err == nil {
@@ -584,19 +594,31 @@ func (c *Controller) ingestTotalsLocked() (IngestStats, int) {
 	return t, queued
 }
 
+// Window segment sizes, in entries. The first segment is small, so a
+// window of a few reports holds little, and each later one doubles up to
+// windowSegMax: a window never copies an entry to grow, and no more than
+// one segment's worth of it stands empty.
+const (
+	windowSegMin = 64
+	windowSegMax = 1024
+)
+
 // ingestLocked appends one validated entry to the tuning window.
 func (c *Controller) ingestLocked(e telemetry.Entry) {
-	if len(c.window) == 0 || e.TimestampSec > c.windowMax {
+	if c.windowLen == 0 || e.TimestampSec > c.windowMax {
 		c.windowMax = e.TimestampSec
 	}
-	if len(c.window) == cap(c.window) {
-		// Double, where append would grow a large slice by a quarter: the
-		// backing arrays a 1.25× policy abandons sum to four times the
-		// window before a collection reclaims them (a quarter more peak RSS
-		// on one 82k-entry window), doubling's to one.
-		c.window = slices.Grow(c.window, len(c.window))
+	n := len(c.window)
+	if n == 0 || len(c.window[n-1]) == cap(c.window[n-1]) {
+		size := windowSegMin
+		if n > 0 {
+			size = min(2*cap(c.window[n-1]), windowSegMax)
+		}
+		c.window = append(c.window, make([]telemetry.Entry, 0, size))
+		n++
 	}
-	c.window = append(c.window, e)
+	c.window[n-1] = append(c.window[n-1], e)
+	c.windowLen++
 	if e.TimestampSec > c.telemetryMax {
 		c.telemetryMax = e.TimestampSec
 	}
@@ -638,24 +660,30 @@ type RoundReport struct {
 	Err string `json:"err,omitempty"`
 }
 
+// windowStartLocked is the timestamp of the window's first entry; the
+// window must not be empty.
+func (c *Controller) windowStartLocked() int64 { return c.window[0][0].TimestampSec }
+
 // roundWindow is the window a round judges, taken under the mutex.
 type roundWindow struct {
-	trace    *telemetry.Trace
+	segs     [][]telemetry.Entry
+	entries  int
 	startSec int64
 	endSec   int64
 }
 
-// beginRoundLocked hands the (non-empty) window to a round as a trace
-// and leaves an empty one behind. Entries ingested after this belong to
-// the next round.
+// beginRoundLocked hands the (non-empty) window's segments to a round
+// and leaves an empty window behind. Entries ingested after this belong
+// to the next round.
 func (c *Controller) beginRoundLocked() roundWindow {
 	w := roundWindow{
-		trace:    telemetry.NewTrace(),
-		startSec: c.window[0].TimestampSec,
+		segs:     c.window,
+		entries:  c.windowLen,
+		startSec: c.windowStartLocked(),
 		endSec:   c.windowMax,
 	}
-	w.trace.Entries = c.window
 	c.window = nil
+	c.windowLen = 0
 	c.windowMax = 0
 	c.roundInFlight = true
 	return w
@@ -674,7 +702,7 @@ func (c *Controller) RunRound() (RoundReport, error) {
 		c.mu.Unlock()
 		return RoundReport{}, ErrRoundInFlight
 	}
-	if len(c.window) == 0 {
+	if c.windowLen == 0 {
 		c.mu.Unlock()
 		return RoundReport{}, ErrNoTelemetry
 	}
@@ -712,10 +740,10 @@ func (c *Controller) executeRound(w roundWindow, incumbent core.Params) RoundRep
 	rr := RoundReport{
 		WindowStartSec: w.startSec,
 		WindowEndSec:   w.endSec,
-		Entries:        len(w.trace.Entries),
+		Entries:        w.entries,
 		Chosen:         incumbent,
 	}
-	ct := model.Compile(w.trace)
+	ct := model.CompileSegments(telemetry.DefaultThresholds, w.segs)
 	rr.Jobs = ct.Jobs()
 	res, err := tuner.Autotune(tuner.CompiledObjective(ct, c.cfg.SLO), c.cfg.Tuner)
 	rr.TunerEvals = len(res.History)
@@ -911,7 +939,7 @@ func (c *Controller) Status() Status {
 		Draining:       c.draining.Load(),
 		WindowStartSec: -1, // an empty window has no start
 		WindowEndSec:   c.windowMax,
-		WindowEntries:  len(c.window),
+		WindowEntries:  c.windowLen,
 		Ingest:         ingest,
 		Rounds:         len(c.rounds),
 	}
@@ -930,8 +958,8 @@ func (c *Controller) Status() Status {
 		})
 		s.mu.Unlock()
 	}
-	if len(c.window) > 0 {
-		st.WindowStartSec = c.window[0].TimestampSec
+	if c.windowLen > 0 {
+		st.WindowStartSec = c.windowStartLocked()
 	}
 	if len(c.rounds) > 0 {
 		last := c.rounds[len(c.rounds)-1]

@@ -10,12 +10,14 @@ import (
 	"mime"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sdfm/internal/controlplane/wire"
 	"sdfm/internal/obs"
+	"sdfm/internal/telemetry"
 )
 
 // maxBodyBytes bounds a single request body (a report batch of a few
@@ -123,6 +125,24 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// reportBufs is one binary report's scratch: the frame as read, which
+// the ack is then written over, and the array its entries decode into.
+// Nothing decoded aliases the frame — colfmt.DecodeEntriesInto copies
+// every key and tail it keeps — and Controller.Report copies the entries
+// into the agent's queue, so both are free again once the ack is
+// written, while the keys and tails live on in queues and the window.
+// Until a later report overwrites it, the entry array still points at
+// the last frame's keys and tails, which keeps at most one frame's worth
+// alive per pooled buffer.
+type reportBufs struct {
+	frame   bytes.Buffer
+	entries []telemetry.Entry
+}
+
+var reportBufPool = sync.Pool{
+	New: func() any { return new(reportBufs) },
+}
+
 // handleReport negotiates the report body encoding by Content-Type:
 // application/x-sdfm-telemetry bodies decode through the bounds-checked
 // binary codec, everything else falls back to JSON. Both paths produce
@@ -132,21 +152,35 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
+	rb := reportBufPool.Get().(*reportBufs)
+	defer reportBufPool.Put(rb)
+	buf := &rb.frame
+	buf.Reset()
 	var req ReportRequest
-	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	// The exact media type, what every Client sends, needs no parse.
+	ct := r.Header.Get("Content-Type")
+	if ct != wire.ContentType {
+		ct, _, _ = mime.ParseMediaType(ct)
+	}
 	if ct == wire.ContentType {
-		// Content-Length sizes the read buffer up front; frames are tens of
-		// kilobytes, and io.ReadAll's doubling regrowth would copy each one
-		// several times over.
-		var buf bytes.Buffer
-		if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		// Content-Length sizes the read exactly, so a frame of tens of
+		// kilobytes lands in one pass with no regrowth; a body without
+		// one is read up to the limit.
+		var frame []byte
+		var err error
+		if n := r.ContentLength; n >= 0 && n <= maxBodyBytes {
 			buf.Grow(int(n))
+			frame = buf.AvailableBuffer()[:n]
+			_, err = io.ReadFull(r.Body, frame)
+		} else {
+			_, err = buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+			frame = buf.Bytes()
 		}
-		if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("reading report frame: %w", err))
 			return
 		}
-		agentID, entries, err := wire.DecodeReportBatch(buf.Bytes())
+		agentID, entries, err := wire.DecodeReportBatchInto(rb.entries, frame)
 		if err != nil {
 			code := http.StatusBadRequest
 			if errors.Is(err, wire.ErrUnsupportedVersion) {
@@ -155,6 +189,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			writeError(w, code, fmt.Errorf("decoding report frame: %w", err))
 			return
 		}
+		rb.entries = entries
 		req = ReportRequest{AgentID: agentID, Entries: entries}
 	} else if !decodeBody(w, r, &req) {
 		return
@@ -164,7 +199,87 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpStatusFor(err), err)
 		return
 	}
-	writeJSON(w, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(appendReportAck(buf.Bytes()[:0], resp))
+}
+
+// maxAckBytes bounds a report ack: four integers of at most 20
+// characters each and 48 bytes of JSON around them.
+const maxAckBytes = 4*20 + 48
+
+// appendReportAck appends resp as writeJSON sends it — encoding/json's
+// rendering of a ReportResponse and a newline — without reflection.
+func appendReportAck(dst []byte, resp ReportResponse) []byte {
+	dst = append(dst, `{"accepted":`...)
+	dst = strconv.AppendInt(dst, int64(resp.Accepted), 10)
+	dst = append(dst, `,"dropped":`...)
+	dst = strconv.AppendInt(dst, int64(resp.Dropped), 10)
+	dst = append(dst, `,"queue_free":`...)
+	dst = strconv.AppendInt(dst, int64(resp.QueueFree), 10)
+	dst = append(dst, `,"epoch":`...)
+	dst = strconv.AppendInt(dst, resp.Epoch, 10)
+	return append(dst, "}\n"...)
+}
+
+// errMalformedAck is returned for a report ack that is not exactly what
+// appendReportAck writes.
+var errMalformedAck = errors.New("malformed report ack")
+
+// parseReportAck decodes what appendReportAck writes and nothing else:
+// the fields in order, integers as encoding/json renders them (no sign
+// but a minus, no leading zero, no "-0", in range), no space, and the
+// trailing newline. Anything else is an error wrapping errMalformedAck.
+func parseReportAck(b []byte) (ReportResponse, error) {
+	var resp ReportResponse
+	rest, ok := b, true
+	field := func(prefix string, bits int) int64 {
+		if !ok || len(rest) < len(prefix) || string(rest[:len(prefix)]) != prefix {
+			ok = false
+			return 0
+		}
+		var v int64
+		v, rest, ok = cutJSONInt(rest[len(prefix):], bits)
+		return v
+	}
+	resp.Accepted = int(field(`{"accepted":`, strconv.IntSize))
+	resp.Dropped = int(field(`,"dropped":`, strconv.IntSize))
+	resp.QueueFree = int(field(`,"queue_free":`, strconv.IntSize))
+	resp.Epoch = field(`,"epoch":`, 64)
+	if !ok || string(rest) != "}\n" {
+		return ReportResponse{}, fmt.Errorf("%w: %q", errMalformedAck, b)
+	}
+	return resp, nil
+}
+
+// cutJSONInt reads a leading integer as encoding/json writes one into a
+// bits-wide signed field and returns it and the bytes after it; ok is
+// false when b does not start with one.
+func cutJSONInt(b []byte, bits int) (v int64, rest []byte, ok bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	i := 0
+	if neg {
+		i = 1
+	}
+	j := i
+	for j < len(b) && '0' <= b[j] && b[j] <= '9' {
+		j++
+	}
+	// 19 digits hold every int64 and cannot overflow the uint64 sum.
+	if j == i || j-i > 19 || (b[i] == '0' && (j > i+1 || neg)) {
+		return 0, b, false
+	}
+	var u uint64
+	for _, d := range b[i:j] {
+		u = 10*u + uint64(d-'0')
+	}
+	limit := uint64(1) << (bits - 1)
+	if u > limit || (u == limit && !neg) {
+		return 0, b, false
+	}
+	if neg {
+		return -int64(u), b[j:], true
+	}
+	return int64(u), b[j:], true
 }
 
 func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
@@ -241,8 +356,9 @@ var sharedTransport = &http.Transport{
 	IdleConnTimeout:     90 * time.Second,
 }
 
-// encodeBufPool recycles report encode buffers across calls and clients,
-// so the steady-state report path performs zero buffer allocations.
+// encodeBufPool recycles report encode and ack buffers across calls and
+// clients, so the steady-state report path performs zero buffer
+// allocations.
 var encodeBufPool = sync.Pool{
 	New: func() any { return new(bytes.Buffer) },
 }
@@ -329,13 +445,33 @@ func (cl *Client) post(ctx context.Context, path, contentType string, body io.Re
 	if resp.StatusCode != http.StatusOK {
 		return errorFrom(path, resp)
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case *ReportResponse:
+		*out, err = readReportAck(resp.Body)
+	default:
+		err = json.NewDecoder(resp.Body).Decode(out)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err != nil {
 		return fmt.Errorf("controlplane: decoding %s response: %w", path, err)
 	}
 	return nil
+}
+
+// readReportAck reads a report ack into a pooled buffer and parses it.
+// A body longer than any ack is refused unread past maxAckBytes+1.
+func readReportAck(body io.Reader) (ReportResponse, error) {
+	buf := encodeBufPool.Get().(*bytes.Buffer)
+	defer encodeBufPool.Put(buf)
+	buf.Reset()
+	buf.Grow(maxAckBytes + 1)
+	b := buf.AvailableBuffer()[:maxAckBytes+1]
+	n, err := io.ReadFull(body, b)
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return ReportResponse{}, err
+	}
+	return parseReportAck(b[:n])
 }
 
 func (cl *Client) do(ctx context.Context, method, path string, body, out any) error {

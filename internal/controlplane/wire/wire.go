@@ -109,6 +109,14 @@ func AppendReportBatch(dst []byte, agentID string, entries []telemetry.Entry) ([
 // not performed here: damaged entries must reach the controller's Tick
 // validation to be rejected with accounting.
 func DecodeReportBatch(buf []byte) (agentID string, entries []telemetry.Entry, err error) {
+	return DecodeReportBatchInto(nil, buf)
+}
+
+// DecodeReportBatchInto is DecodeReportBatch decoding the entries over
+// dst's array when it is large enough (colfmt.DecodeEntriesInto): a
+// server that copies each frame's entries out before decoding the next
+// reuses one array. Nothing it returns aliases buf.
+func DecodeReportBatchInto(dst []telemetry.Entry, buf []byte) (agentID string, entries []telemetry.Entry, err error) {
 	if len(buf) < headerMin {
 		return "", nil, fmt.Errorf("%w: %d-byte frame", ErrCorrupt, len(buf))
 	}
@@ -125,7 +133,7 @@ func DecodeReportBatch(buf []byte) (agentID string, entries []telemetry.Entry, e
 	c := colfmt.NewCursor(body[6:])
 	agentID = c.Str(maxAgentIDLen)
 	count := c.Fits(uint64(c.U32()), maxBatchEntries, 0, "entries")
-	entries = colfmt.DecodeEntries(&c, count, colfmt.Prefixed)
+	entries = colfmt.DecodeEntriesInto(dst, &c, count, colfmt.Prefixed)
 	if err := c.Done(); err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

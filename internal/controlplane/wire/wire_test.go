@@ -206,3 +206,57 @@ func TestAppendReportBatchReuseIsAllocationFree(t *testing.T) {
 		t.Errorf("re-encode into a warm buffer allocates %.1f times per call, want 0", allocs)
 	}
 }
+
+// TestDecodedEntriesNotAliased overwrites a frame after decoding it: the
+// agent id and entries must be unchanged, because the server decodes out
+// of a pooled buffer the next report reuses.
+func TestDecodedEntriesNotAliased(t *testing.T) {
+	entries := testEntries(t)
+	frame, err := AppendReportBatch(nil, "cluster-00/m0000", entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, got, err := DecodeReportBatch(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		frame[i] = 0xA5
+	}
+	if id != "cluster-00/m0000" {
+		t.Errorf("agent id reads %q after the frame was overwritten", id)
+	}
+	for i := range entries {
+		if !entriesEqual(entries[i], got[i]) {
+			t.Fatalf("entry %d reads\n%+v after the frame was overwritten, want\n%+v", i, got[i], entries[i])
+		}
+	}
+}
+
+// TestDecodeAllocs pins a frame's decode: the agent id, and the entry
+// block's four allocations (keys, one string of their bytes, entries,
+// tails), whatever the frame's job count; decoded over a warm entry
+// array, the entries cost none.
+func TestDecodeAllocs(t *testing.T) {
+	entries := testEntries(t)
+	frame, err := AppendReportBatch(nil, "cluster-00/m0000", entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { DecodeReportBatch(frame) }); allocs > 5 {
+		t.Errorf("decoding a 6-job frame allocates %.1f times, want at most 5", allocs)
+	}
+	warm := make([]telemetry.Entry, len(entries))
+	if allocs := testing.AllocsPerRun(50, func() { DecodeReportBatchInto(warm, frame) }); allocs > 4 {
+		t.Errorf("decoding a 6-job frame over a warm array allocates %.1f times, want at most 4", allocs)
+	}
+	_, got, err := DecodeReportBatchInto(warm, frame)
+	if err != nil || &got[0] != &warm[0] {
+		t.Fatalf("decode into a warm array: %v, array reused %v", err, err == nil && &got[0] == &warm[0])
+	}
+	for i := range entries {
+		if !entriesEqual(entries[i], got[i]) {
+			t.Fatalf("entry %d decoded over a warm array reads\n%+v, want\n%+v", i, got[i], entries[i])
+		}
+	}
+}

@@ -71,21 +71,36 @@ type compiledJob struct {
 // and then allocates every column once, at its final size, instead of
 // growing it entry by entry.
 func Compile(trace *telemetry.Trace) *CompiledTrace {
-	sc := NewStreamCompiler(trace.Thresholds)
+	segs := [1][]telemetry.Entry{trace.Entries}
+	return CompileSegments(trace.Thresholds, segs[:])
+}
+
+// CompileSegments is Compile over the entries of segs in order, as if
+// they were one trace's Entries under thresholds: a window kept in
+// segments compiles without first being copied into one slice. Every
+// entry must match the threshold count.
+func CompileSegments(thresholds []int, segs [][]telemetry.Entry) *CompiledTrace {
+	sc := NewStreamCompiler(thresholds)
 	type slot struct{ job, row int }
-	slots := make([]slot, len(trace.Entries))
-	for i := range trace.Entries {
-		job, row, err := sc.admit(&trace.Entries[i])
-		if err != nil {
-			// Entries in a validated trace always match the threshold set.
-			panic(err)
+	rows := 0
+	for _, seg := range segs {
+		rows += len(seg)
+	}
+	slots := make([]slot, 0, rows)
+	for _, seg := range segs {
+		for i := range seg {
+			job, row, err := sc.admit(&seg[i])
+			if err != nil {
+				// Entries in a validated window always match the threshold set.
+				panic(err)
+			}
+			slots = append(slots, slot{job, row})
 		}
-		slots[i] = slot{job, row}
 	}
 
 	// One allocation per column family, cut into per-job sub-slices whose
 	// capacity ends at the job's last row.
-	nT, rows := sc.nThresh, len(trace.Entries)
+	nT := sc.nThresh
 	tsSec := make([]int64, rows)
 	intervalMin := make([]float64, rows)
 	wssF := make([]float64, rows)
@@ -107,9 +122,13 @@ func Compile(trace *telemetry.Trace) *CompiledTrace {
 		a = b
 	}
 
-	for i := range trace.Entries {
-		s := slots[i]
-		sc.jobs[s.job].fill(s.row, &trace.Entries[i], nT)
+	k := 0
+	for _, seg := range segs {
+		for i := range seg {
+			s := slots[k]
+			sc.jobs[s.job].fill(s.row, &seg[i], nT)
+			k++
+		}
 	}
 	return sc.Finish()
 }

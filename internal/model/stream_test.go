@@ -58,9 +58,22 @@ func sameCompiled(a, b *CompiledTrace) (string, bool) {
 	return "", true
 }
 
+// splitSegments cuts entries into views of 1, 2, 4, … entries, with an
+// empty segment first, the way a segmented window holds them.
+func splitSegments(entries []telemetry.Entry) [][]telemetry.Entry {
+	segs := [][]telemetry.Entry{entries[:0]}
+	for n := 1; len(entries) > 0; n *= 2 {
+		k := min(n, len(entries))
+		segs = append(segs, entries[:k:k])
+		entries = entries[k:]
+	}
+	return segs
+}
+
 // TestCompileMatchesStreamCompiler holds the two compile paths to one
 // result: Compile counts rows and fills them in place, Add grows the
 // columns a row at a time, and both share the per-entry fill and Finish.
+// CompileSegments over any cut of the entries is Compile.
 func TestCompileMatchesStreamCompiler(t *testing.T) {
 	shuffled := func(tr *telemetry.Trace, seed int64) *telemetry.Trace {
 		rand.New(rand.NewSource(seed)).Shuffle(len(tr.Entries), func(i, j int) {
@@ -89,6 +102,10 @@ func TestCompileMatchesStreamCompiler(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			if what, ok := sameCompiled(Compile(c.tr), streamCompile(t, c.tr)); !ok {
 				t.Errorf("Compile and StreamCompiler differ in %s", what)
+			}
+			segs := splitSegments(c.tr.Entries)
+			if what, ok := sameCompiled(CompileSegments(c.tr.Thresholds, segs), Compile(c.tr)); !ok {
+				t.Errorf("CompileSegments over %d segments and Compile differ in %s", len(segs), what)
 			}
 		})
 	}

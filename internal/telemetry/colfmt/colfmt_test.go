@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sdfm/internal/telemetry"
 )
@@ -134,6 +135,55 @@ func TestAppendEntriesWarmBufferIsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocs pins a block's decode to four allocations whatever its
+// job count: the directory's keys, one string holding their bytes, the
+// entries and one tail arena.
+func TestDecodeAllocs(t *testing.T) {
+	entries := testEntries(64, 5, 21)
+	for _, layout := range []TailLayout{Prefixed, Fixed(21)} {
+		buf, err := AppendEntries(nil, entries, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			c := NewCursor(buf)
+			DecodeEntries(&c, len(entries), layout)
+		}); allocs > 4 {
+			t.Errorf("layout %+v: decoding 64 entries of 5 jobs allocates %.1f times, want at most 4", layout, allocs)
+		}
+	}
+}
+
+// TestDirectoryIsOneString: decoded keys are substrings of one string
+// that holds no field twice in a row — a report's jobs share their
+// cluster and machine — and none of them points into the input.
+func TestDirectoryIsOneString(t *testing.T) {
+	entries := testEntries(8, 8, 3) // jobs 0-3 on m0, 4-7 on m1, all on c0
+	buf, err := AppendEntries(nil, entries, Prefixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := decodeAll(t, buf, len(entries), Prefixed)
+	for i := range entries {
+		if got[i].Key != entries[i].Key {
+			t.Fatalf("entry %d has key %v, want %v", i, got[i].Key, entries[i].Key)
+		}
+	}
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	if !same(got[0].Key.Cluster, got[7].Key.Cluster) || !same(got[0].Key.Machine, got[3].Key.Machine) ||
+		same(got[0].Key.Machine, got[4].Key.Machine) || same(got[0].Key.Job, got[1].Key.Job) {
+		t.Error("repeated cluster and machine fields are not shared, or distinct ones are")
+	}
+	lo, hi := uintptr(unsafe.Pointer(&buf[0])), uintptr(unsafe.Pointer(&buf[len(buf)-1]))
+	for i := range got {
+		for _, f := range []string{got[i].Key.Cluster, got[i].Key.Machine, got[i].Key.Job} {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(f))); p >= lo && p <= hi {
+				t.Fatalf("entry %d's key field %q points into the input", i, f)
+			}
+		}
+	}
+}
+
 func TestDecodeRejectsDamage(t *testing.T) {
 	entries := testEntries(6, 3, 4)
 	for _, layout := range []TailLayout{Prefixed, Fixed(4)} {
@@ -244,6 +294,13 @@ func TestAppendUvarintsMatchesUvarint(t *testing.T) {
 		n    int
 	}{
 		{"one-byte values, some left unread", []byte{1, 0x7F, 0, 5}, 3},
+		{"one-byte values around a two-byte one", []byte{1, 0xAC, 0x02, 0x7F, 9}, 3},
+		{"one-byte values then the end", []byte{1, 2}, 3},
+		{"eight one-byte values then a two-byte one", []byte{1, 2, 3, 4, 5, 6, 7, 8, 0xAC, 0x02, 9}, 10},
+		{"a two-byte value inside eight bytes", []byte{1, 2, 3, 0xAC, 0x02, 6, 7, 8, 9, 10}, 9},
+		{"seven values claimed over eight one-byte ones", []byte{1, 2, 3, 4, 5, 6, 7, 8}, 7},
+		{"sixteen one-byte values, seventeen claimed", bytes.Repeat([]byte{5}, 16), 17},
+		{"nine one-byte values then the end", bytes.Repeat([]byte{0}, 9), 12},
 		{"10-byte maximum value", cat([]byte{0xAC, 0x02}, ff(9), []byte{0x01, 7}), 3},
 		{"10th byte of 2 overflows", cat([]byte{3}, ff(9), []byte{0x02, 7}), 3},
 		{"11 continuation bytes", cat([]byte{3}, bytes.Repeat([]byte{0x80}, 11), []byte{0x01}), 2},
@@ -252,6 +309,9 @@ func TestAppendUvarintsMatchesUvarint(t *testing.T) {
 		{"truncated mid-varint", []byte{3, 0xAC}, 2},
 		{"more values claimed than present", []byte{3, 4}, 5},
 		{"zero values", []byte{3}, 0},
+		{"a negative count", []byte{3}, -1},
+		{"two-byte values back to back", []byte{0xAC, 0x02, 0x80, 0x01, 0xFF, 0x7F}, 3},
+		{"two-byte value cut short", []byte{5, 0xAC}, 2},
 		{"empty buffer", nil, 1},
 	} {
 		want := NewCursor(tc.buf)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 var errTruncated = errors.New("truncated")
@@ -67,8 +68,40 @@ func (c *Cursor) Uvarint() uint64 {
 // buffer. It is exactly n Uvarint calls: the same values, zeros from the
 // first failure on, the same error and the same final position.
 func (c *Cursor) AppendUvarints(dst []uint64, n int) []uint64 {
+	if n <= 0 {
+		return dst
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	out := dst[base:]
 	buf, pos := c.buf, c.pos
-	for k := 0; k < n; k++ {
+	for k := 0; k < len(out); {
+		// One- and two-byte values — what a report's tail sums are, the
+		// zeros of its upper thresholds above all — skip the loop, eight
+		// one-byte values at a time when the next eight bytes are.
+		if len(out)-k >= 8 && len(buf)-pos >= 8 {
+			if w := binary.LittleEndian.Uint64(buf[pos:]); w&0x8080808080808080 == 0 {
+				o := out[k : k+8 : k+8]
+				o[0], o[1], o[2], o[3] = w&0xff, w>>8&0xff, w>>16&0xff, w>>24&0xff
+				o[4], o[5], o[6], o[7] = w>>32&0xff, w>>40&0xff, w>>48&0xff, w>>56
+				pos += 8
+				k += 8
+				continue
+			}
+		}
+		if len(buf)-pos >= 2 {
+			if b0, b1 := buf[pos], buf[pos+1]; b0 < 0x80 {
+				out[k] = uint64(b0)
+				pos++
+				k++
+				continue
+			} else if b1 < 0x80 {
+				out[k] = uint64(b0&0x7f) | uint64(b1)<<7
+				pos += 2
+				k++
+				continue
+			}
+		}
 		v, ok := uint64(0), false
 		// binary.Uvarint's bounds: at most MaxVarintLen64 bytes, the last
 		// of which may carry only the 64th bit.
@@ -84,12 +117,11 @@ func (c *Cursor) AppendUvarints(dst []uint64, n int) []uint64 {
 		}
 		if !ok {
 			c.fail(errTruncated)
-			for ; k < n; k++ {
-				dst = append(dst, 0)
-			}
+			clear(out[k:])
 			return dst
 		}
-		dst = append(dst, v)
+		out[k] = v
+		k++
 	}
 	c.pos = pos
 	return dst
@@ -146,18 +178,25 @@ func (c *Cursor) Byte() byte {
 // bytes that remain bound the length whatever max is, so math.MaxInt
 // means "no format limit".
 func (c *Cursor) Str(max int) string {
+	lo, hi := c.strSpan(max)
+	return string(c.buf[lo:hi])
+}
+
+// strSpan reads what Str reads and returns where its bytes lie in the
+// buffer instead of a copy of them; an empty span after a failure.
+func (c *Cursor) strSpan(max int) (lo, hi int) {
 	n := c.Uvarint()
 	if n > uint64(max) {
 		c.Failf("string claims %d bytes, limit %d", n, max)
-		return ""
+		return 0, 0
 	}
 	if n > uint64(c.Remaining()) {
 		c.fail(errTruncated)
-		return ""
+		return 0, 0
 	}
-	s := string(c.buf[c.pos : c.pos+int(n)])
+	lo = c.pos
 	c.pos += int(n)
-	return s
+	return lo, c.pos
 }
 
 // Count reads a uvarint element count and checks it with Fits.

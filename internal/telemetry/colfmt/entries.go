@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"sdfm/internal/telemetry"
 )
@@ -209,6 +210,15 @@ func ReadJobKey(c *Cursor, maxLen int) telemetry.JobKey {
 // dropped here. The decoded tails of the whole block share one backing
 // array, capped per entry.
 func DecodeEntries(c *Cursor, count int, layout TailLayout) []telemetry.Entry {
+	return DecodeEntriesInto(nil, c, count, layout)
+}
+
+// DecodeEntriesInto is DecodeEntries writing the entries over dst's
+// array when its capacity holds count of them, so a caller that copies each
+// block's entries out before decoding the next reuses one array for
+// every block. Keys and tails are fresh on every call, never shared with
+// dst's old entries or with c's buffer. It returns nil on damage.
+func DecodeEntriesInto(dst []telemetry.Entry, c *Cursor, count int, layout TailLayout) []telemetry.Entry {
 	if count < 0 {
 		c.Failf("negative entry count %d", count)
 	}
@@ -222,11 +232,17 @@ func DecodeEntries(c *Cursor, count int, layout TailLayout) []telemetry.Entry {
 		c.Failf("directory claims %d jobs for %d entries", nJobs, count)
 		return nil
 	}
-	jobs := make([]telemetry.JobKey, nJobs)
-	for i := range jobs {
-		jobs[i] = ReadJobKey(c, math.MaxInt)
+	jobs := readDirectory(c, int(nJobs))
+	if jobs == nil {
+		return nil
 	}
-	entries := make([]telemetry.Entry, count)
+	// Every field of every entry is written below before a successful
+	// return, so a reused array needs no clearing.
+	entries := dst[:0]
+	if cap(entries) < count {
+		entries = make([]telemetry.Entry, count)
+	}
+	entries = entries[:count]
 	for i := range entries {
 		idx := c.Uvarint()
 		if idx >= nJobs {
@@ -264,6 +280,72 @@ func DecodeEntries(c *Cursor, count int, layout TailLayout) []telemetry.Entry {
 		return nil
 	}
 	return entries
+}
+
+// readDirectory reads n job keys as ReadJobKey would, but copies their
+// bytes out as one string, each key field a substring of it: one
+// allocation for the directory instead of three per job, and no key
+// aliases the cursor's buffer. A field equal to the same field of the key
+// before it — the cluster and machine of a report's jobs — is not copied
+// again but shares that key's substring. The first pass only checks and
+// skips the fields, so a damaged directory fails exactly where ReadJobKey
+// would and nil is returned; the later passes re-read checked fields.
+func readDirectory(c *Cursor, n int) []telemetry.JobKey {
+	base, total := c.pos, 0
+	f := fields{c: c}
+	for range 3 * n {
+		if _, lo, hi, repeat := f.next(); !repeat {
+			total += hi - lo
+		}
+	}
+	if c.Err() != nil {
+		return nil
+	}
+	var b strings.Builder
+	b.Grow(total)
+	d := Cursor{buf: c.buf[:c.pos], pos: base}
+	f = fields{c: &d}
+	for range 3 * n {
+		if _, lo, hi, repeat := f.next(); !repeat {
+			b.Write(d.buf[lo:hi])
+		}
+	}
+	dir, off := b.String(), 0
+	jobs := make([]telemetry.JobKey, n)
+	var key [3]string
+	d = Cursor{buf: c.buf[:c.pos], pos: base}
+	f = fields{c: &d}
+	for i := range 3 * n {
+		k, lo, hi, repeat := f.next()
+		if !repeat {
+			key[k] = dir[off : off+hi-lo]
+			off += hi - lo
+		}
+		if k == 2 {
+			jobs[i/3] = telemetry.JobKey{Cluster: key[0], Machine: key[1], Job: key[2]}
+		}
+	}
+	return jobs
+}
+
+// fields reads job key fields from c in order: cluster, machine, job,
+// then the next key's.
+type fields struct {
+	c    *Cursor
+	i    int
+	last [3][2]int // each column's bounds in the key before
+}
+
+// next reads one field and returns its column (0 cluster, 1 machine,
+// 2 job), its bytes' bounds in c's buffer and whether it repeats the same
+// column of the key before it.
+func (f *fields) next() (k, lo, hi int, repeat bool) {
+	k = f.i % 3
+	f.i++
+	lo, hi = f.c.strSpan(math.MaxInt)
+	p := f.last[k]
+	f.last[k] = [2]int{lo, hi}
+	return k, lo, hi, string(f.c.buf[p[0]:p[1]]) == string(f.c.buf[lo:hi])
 }
 
 // readFixedTails reads both tail columns into one exactly-sized arena,
@@ -305,7 +387,9 @@ func (l TailLayout) readFixedTails(c *Cursor, entries []telemetry.Entry) {
 
 // readPrefixedTails reads both tail columns into one arena grown as the
 // values arrive; subslices are cut only after both columns are read, so
-// regrowth cannot orphan them.
+// regrowth cannot orphan them. While every entry has the first entry's
+// tail count, each column's offset is its index times that count, and
+// the offset table is built only once a count differs.
 func readPrefixedTails(c *Cursor, entries []telemetry.Entry) {
 	count := len(entries)
 	// Entries in practice share one threshold set, so the first entry's
@@ -319,16 +403,37 @@ func readPrefixedTails(c *Cursor, entries []telemetry.Entry) {
 		}
 	}
 	arena := make([]uint64, 0, arenaCap)
-	offs := make([]int, 1, 2*count+1)
+	var offs []int // nil while every column has width values
+	width := 0
 	for i := 0; i < 2*count; i++ {
-		arena = c.AppendUvarints(arena, c.Fits(c.Uvarint(), MaxTails, 1, "tail sums"))
-		offs = append(offs, len(arena))
+		n := c.Fits(c.Uvarint(), MaxTails, 1, "tail sums")
+		if i == 0 {
+			width = n
+		}
+		if offs == nil && n != width {
+			offs = make([]int, i+1, 2*count+1)
+			for k := range offs {
+				offs[k] = k * width
+			}
+		}
+		arena = c.AppendUvarints(arena, n)
+		if offs != nil {
+			offs = append(offs, len(arena))
+		}
 	}
 	if c.Err() != nil {
 		return
 	}
+	off := func(k int) int {
+		if offs == nil {
+			return k * width
+		}
+		return offs[k]
+	}
 	for i := range entries {
-		entries[i].ColdTails = arena[offs[i]:offs[i+1]:offs[i+1]]
-		entries[i].PromoTails = arena[offs[count+i]:offs[count+i+1]:offs[count+i+1]]
+		lo, hi := off(i), off(i+1)
+		entries[i].ColdTails = arena[lo:hi:hi]
+		lo, hi = off(count+i), off(count+i+1)
+		entries[i].PromoTails = arena[lo:hi:hi]
 	}
 }

@@ -3,6 +3,7 @@ package colfmt
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -16,7 +17,8 @@ import (
 // files and hostile agents can hand it anything, so the contract is
 // absolute: any input either decodes or records an error — never a panic,
 // never an allocation sized by a lying count — and whatever decodes
-// re-encodes to a fixed point.
+// re-encodes to a fixed point. It also decodes exactly as
+// referenceDecodeEntries: the same entries, error and cursor position.
 func FuzzDecodeChunk(f *testing.F) {
 	// Seed with well-formed payloads at a few shapes, plus their
 	// truncations and mutations; testdata/fuzz holds checked-in seeds for
@@ -64,6 +66,29 @@ func FuzzDecodeChunk(f *testing.F) {
 	at := bytes.Index(overflow, maxVarint) + len(maxVarint) - 1
 	overflow[at] = 2
 	f.Add(overflow, 2, 3)
+	// Ragged tail counts: the second entry's columns differ from the
+	// first's, so the decoder falls back to an offset table.
+	ragged := slices.Clone(entries)
+	ragged[1].ColdTails = []uint64{5, 5}
+	ragged[1].PromoTails = []uint64{8, 1, 0, 0}
+	raggedBuf, err := AppendEntries(nil, ragged, Prefixed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raggedBuf, 2, 3)
+	// Report-shaped tails: 21 thresholds, the upper ones zero, so runs of
+	// one-byte values reach the eight-at-a-time path.
+	wide21 := testEntries(3, 2, 21)
+	for i := range wide21 {
+		for j := 2; j < 21; j++ {
+			wide21[i].ColdTails[j], wide21[i].PromoTails[j] = 0, 0
+		}
+	}
+	report, err := AppendEntries(nil, wide21, Prefixed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(report, 3, 21)
 
 	f.Fuzz(func(t *testing.T, raw []byte, entryCount, nThresh int) {
 		// The width reaches the decoder only from a validated file header
@@ -74,6 +99,12 @@ func FuzzDecodeChunk(f *testing.F) {
 		for _, layout := range []TailLayout{Fixed(nThresh), Prefixed} {
 			c := NewCursor(raw)
 			got := DecodeEntries(&c, entryCount, layout)
+			ref := NewCursor(raw)
+			want := referenceDecodeEntries(&ref, entryCount, layout)
+			if !sameEntries(got, want) || fmt.Sprint(c.Err()) != fmt.Sprint(ref.Err()) || c.pos != ref.pos {
+				t.Fatalf("layout %+v: decoded %d entries, err %v at %d; reference %d entries, err %v at %d",
+					layout, len(got), c.Err(), c.pos, len(want), ref.Err(), ref.pos)
+			}
 			if c.Err() != nil {
 				if got != nil {
 					t.Fatalf("layout %+v: entries returned alongside %v", layout, c.Err())
@@ -108,4 +139,24 @@ func FuzzDecodeChunk(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameEntries reports whether a and b hold the same entries bit for bit:
+// reflect.DeepEqual would call two NaN fractions different.
+func sameEntries(a, b []telemetry.Entry) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Key != y.Key || x.TimestampSec != y.TimestampSec || x.WSSPages != y.WSSPages ||
+			x.TotalPages != y.TotalPages || x.Checksum != y.Checksum ||
+			math.Float64bits(x.IntervalMinutes) != math.Float64bits(y.IntervalMinutes) ||
+			math.Float64bits(x.CompressibleFrac) != math.Float64bits(y.CompressibleFrac) ||
+			!slices.Equal(x.ColdTails, y.ColdTails) || !slices.Equal(x.PromoTails, y.PromoTails) ||
+			cap(x.ColdTails) != len(x.ColdTails) || cap(x.PromoTails) != len(x.PromoTails) {
+			return false
+		}
+	}
+	return true
 }
