@@ -102,7 +102,7 @@ func BenchmarkModelReplayWeekPerJob(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := model.Config{Params: core.DefaultParams, SLO: core.DefaultSLO, Workers: 1}
+	cfg := model.Config{Params: core.DefaultParams, SLO: core.DefaultSLO}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := model.Run(trace, cfg); err != nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"slices"
+	"strings"
 )
 
 // The verdict words, one per end-to-end metric of a comparison.
@@ -55,6 +56,35 @@ type host struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	GoVersion  string `json:"go_version"`
 	CPUModel   string `json:"cpu_model"`
+}
+
+// hostRecord is a report's host: the host its runs paired on and, beside
+// the CPU model, the clock and cache size /proc/cpuinfo gave the last
+// invocation that wrote the report — an anchor, not a pairing condition.
+type hostRecord struct {
+	host
+	CPUMHz    string `json:"cpu_mhz"`
+	CacheSize string `json:"cache_size"`
+}
+
+// readCPUInfo returns the first processor's "cpu MHz" and "cache size"
+// from the cpuinfo file at path, empty where it lists none or is missing.
+func readCPUInfo(path string) (mhz, cache string) {
+	b, _ := os.ReadFile(path) // a missing file lists nothing
+	return parseCPUInfo(string(b))
+}
+
+func parseCPUInfo(listing string) (mhz, cache string) {
+	for _, line := range strings.Split(listing, "\n") {
+		key, val, _ := strings.Cut(line, ":")
+		switch key = strings.TrimSpace(key); {
+		case key == "cpu MHz" && mhz == "":
+			mhz = strings.TrimSpace(val)
+		case key == "cache size" && cache == "":
+			cache = strings.TrimSpace(val)
+		}
+	}
+	return mhz, cache
 }
 
 // kv is one exact-repeat value of a run.

@@ -293,7 +293,10 @@ func TestResume(t *testing.T) {
 	if err := resume(path, &fresh); err != nil || len(fresh.Comparisons) != 0 {
 		t.Fatalf("missing file: %v, %d comparisons", err, len(fresh.Comparisons))
 	}
-	saved := report{Host: canned(t).Host, Base: a, New: b, Comparisons: []comparison{{Workload: "cp_rounds", Seed: 42}}}
+	saved := report{
+		Host: hostRecord{host: canned(t).Host, CPUMHz: "2100.000", CacheSize: "307200 KB"},
+		Base: a, New: b, Comparisons: []comparison{{Workload: "cp_rounds", Seed: 42}},
+	}
 	data, err := json.Marshal(&saved)
 	if err != nil {
 		t.Fatal(err)
@@ -308,5 +311,34 @@ func TestResume(t *testing.T) {
 	other := report{Base: a, New: tree{Commit: "ccc"}}
 	if err := resume(path, &other); err == nil {
 		t.Error("a report of other trees was resumed")
+	}
+}
+
+// TestCPUInfo reads the first processor's clock and cache size from a
+// committed /proc/cpuinfo sample and from hand-made listings; what a
+// listing lacks, a missing file included, reads empty without failing.
+func TestCPUInfo(t *testing.T) {
+	sample, err := os.ReadFile(filepath.Join("testdata", "cpuinfo"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, in, mhz, cache string
+	}{
+		{"committed sample", string(sample), "2100.000", "307200 KB"},
+		{"first listed values", "processor\t: 0\ncpu MHz\t\t: 1800.5\n\nprocessor\t: 1\ncpu MHz\t\t: 3600.0\ncache size\t: 512 KB\n", "1800.5", "512 KB"},
+		{"other order and spacing", "processor : 0\ncache size:1024 KB\r\n  cpu MHz  :  2400.000  \n", "2400.000", "1024 KB"},
+		{"no such fields", "processor\t: 0\nBogoMIPS\t: 50.00\nFeatures\t: fp asimd\n", "", ""},
+		{"empty", "", "", ""},
+	} {
+		if mhz, cache := parseCPUInfo(tc.in); mhz != tc.mhz || cache != tc.cache {
+			t.Errorf("%s: (%q, %q), want (%q, %q)", tc.name, mhz, cache, tc.mhz, tc.cache)
+		}
+	}
+	if mhz, cache := readCPUInfo(filepath.Join(t.TempDir(), "missing")); mhz != "" || cache != "" {
+		t.Errorf("missing file: (%q, %q), want empty values", mhz, cache)
+	}
+	if mhz, cache := readCPUInfo(filepath.Join("testdata", "cpuinfo")); mhz != "2100.000" || cache != "307200 KB" {
+		t.Errorf("committed sample read from disk: (%q, %q)", mhz, cache)
 	}
 }

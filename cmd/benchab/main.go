@@ -52,7 +52,7 @@ type tree struct {
 
 // report is what -out writes.
 type report struct {
-	Host        host         `json:"host"`
+	Host        hostRecord   `json:"host"`
 	Base        tree         `json:"base"`
 	New         tree         `json:"new"`
 	AA          bool         `json:"aa"`
@@ -114,6 +114,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
+	rep.Host.CPUMHz, rep.Host.CacheSize = readCPUInfo("/proc/cpuinfo")
 	dir, err := os.MkdirTemp("", "benchab-")
 	if err != nil {
 		return err
@@ -124,11 +125,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("%s seed %d: %w (runs kept in %s)", w, seed, err, dir)
 			}
-			if len(rep.Comparisons) > 0 && c.host != rep.Host {
-				return fmt.Errorf("%s seed %d ran on another host: %+v, not %+v", w, seed, c.host, rep.Host)
+			if len(rep.Comparisons) > 0 && c.host != rep.Host.host {
+				return fmt.Errorf("%s seed %d ran on another host: %+v, not %+v", w, seed, c.host, rep.Host.host)
 			}
 			printComparison(stdout, &c)
-			rep.Host = c.host
+			rep.Host.host = c.host
 			rep.Comparisons = append(rep.Comparisons, c)
 		}
 	}

@@ -13,9 +13,6 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sdfm/internal/audit"
@@ -24,6 +21,7 @@ import (
 	"sdfm/internal/mem"
 	"sdfm/internal/node"
 	"sdfm/internal/obs"
+	"sdfm/internal/par"
 	"sdfm/internal/simtime"
 	"sdfm/internal/stats"
 	"sdfm/internal/telemetry"
@@ -220,37 +218,33 @@ func (c *Cluster) Populate(n int, weights map[string]float64, seed int64) error 
 
 // Step advances every machine one scan period.
 func (c *Cluster) Step() error {
-	return c.advance(0, (*node.Machine).Step)
+	return c.advance(par.Workers(), (*node.Machine).Step)
 }
 
 // Run advances every machine until the given time.
 func (c *Cluster) Run(until time.Duration) error {
-	return c.RunParallel(until, 0)
+	return c.RunParallel(until, par.Workers())
 }
 
-// RunParallel is Run on at most the given number of workers; workers <= 0
-// means GOMAXPROCS, which is what Run uses. The result does not depend on
-// the number — only tests and benchmarks have a reason to name one.
+// RunParallel is Run on at most the given number of workers (one when it
+// is less); Run uses par.Workers(). The result does not depend on the
+// number — only tests and benchmarks have a reason to name one.
 func (c *Cluster) RunParallel(until time.Duration, workers int) error {
 	return c.advance(workers, func(m *node.Machine) error { return m.Run(until) })
 }
 
 // advance is the one stepping engine: it calls step once on every machine
-// and returns when all have finished. Machines share no mutable state, so
-// they are handed out from a counter to up to workers goroutines, the
-// caller being the first (one worker spawns nothing); telemetry is held
-// in each machine's stage meanwhile and flushed in machine order after
-// the join. Nothing observable depends on workers or on scheduling,
-// failures included: every machine runs to the end of step or to its own
-// first failure, every stage is flushed, and then the lowest-numbered
-// failing machine's error is returned — or its panic re-raised here, on
-// the caller's goroutine, where the caller's recover can see it. A sink
-// error surfaces at the flush, as the error of the machine whose entry
-// the sink refused.
+// (par.For; machines share no mutable state) and returns when all have
+// finished. Telemetry is held in each machine's stage meanwhile and
+// flushed in machine order after the join. Nothing observable depends on
+// workers or on scheduling, failures included: each machine's error and
+// panic are kept in its own slot, so every machine runs to the end of
+// step or to its own first failure, every stage is flushed, and then the
+// lowest-numbered failing machine's error is returned — or its panic
+// re-raised here, on the caller's goroutine, where the caller's recover
+// can see it. A sink error surfaces at the flush, as the error of the
+// machine whose entry the sink refused.
 func (c *Cluster) advance(workers int, step func(*node.Machine) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	n := len(c.machines)
 	flushes := make([]func() error, len(c.stages))
 	for i, s := range c.stages {
@@ -258,26 +252,11 @@ func (c *Cluster) advance(workers int, step func(*node.Machine) error) error {
 	}
 	errs := make([]error, n)
 	panics := make([]any, n)
-	var next atomic.Int64
-	one := func(i int) {
+	_ = par.For(n, workers, func(_, i int) error { // fn never fails
 		defer func() { panics[i] = recover() }()
 		errs[i] = step(c.machines[i])
-	}
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			one(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+		return nil
+	})
 
 	for i, flush := range flushes {
 		if err := flush(); errs[i] == nil {

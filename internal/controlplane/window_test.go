@@ -91,7 +91,7 @@ func TestSegmentedWindowMatchesFlat(t *testing.T) {
 	flat.Entries = want
 	segCT := model.CompileSegments(telemetry.DefaultThresholds, c.window)
 	flatCT := model.Compile(flat)
-	mcfg := model.Config{SLO: core.DefaultSLO, Params: core.DefaultParams, Workers: 1}
+	mcfg := model.Config{SLO: core.DefaultSLO, Params: core.DefaultParams}
 	segRes, err := segCT.Run(mcfg)
 	if err != nil {
 		t.Fatal(err)

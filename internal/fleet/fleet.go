@@ -19,14 +19,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"sdfm/internal/obs"
 	"sdfm/internal/pagedata"
+	"sdfm/internal/par"
 	"sdfm/internal/simtime"
 	"sdfm/internal/telemetry"
 	"sdfm/internal/workload"
@@ -151,13 +150,13 @@ func Generate(cfg Config) (*telemetry.Trace, error) {
 // chunk and is never materialized as a []Entry. Entries carry the default
 // trace metadata (telemetry.NewTrace's scan period and threshold set).
 //
-// Entries are computed, checksums stamped, on GOMAXPROCS goroutines, a
-// block of intervals at a time, and appended in (time, slot) order by the
-// caller once every worker of the block has returned, so the sink sees the
-// same entries in the same order on any number of cores. While the caller
+// Entries are computed, checksums stamped, a slot per par.Start index and
+// a block of intervals at a time, and appended in (time, slot) order by
+// the caller once the block's join has returned, so the sink sees the same
+// entries in the same order on any number of cores. While the caller
 // appends one block, the workers fill the next into a second buffer.
 func GenerateTo(cfg Config, sink telemetry.EntrySink) error {
-	return generateTo(cfg, sink, blockEntries, runtime.GOMAXPROCS(0), tailMargin)
+	return generateTo(cfg, sink, blockEntries, par.Workers(), tailMargin)
 }
 
 // blockEntries is the entry budget of one generation block: it sizes the
@@ -216,17 +215,21 @@ func generateTo(cfg Config, sink telemetry.EntrySink, budget, workers int, margi
 	if steps > block {
 		bufs[1] = make([]telemetry.Entry, block*slots)
 	}
-	start := func(k int) func(abandon bool) {
+	start := func(k int) func(abandon bool) error {
 		n := min(block, steps-k)
 		// One allocation holds the block's tails: the sink keeps
 		// entries, so each block needs fresh ones.
-		return sw.fill(bufs[k/block%2][:n*slots], make([]uint64, n*slots*sw.tailLen), k, n, workers)
+		entries, tails := bufs[k/block%2][:n*slots], make([]uint64, n*slots*sw.tailLen)
+		return par.Start(slots, workers, func(_, s int) error {
+			sw.fillSlot(entries, tails, s, k, n)
+			return nil
+		})
 	}
 	join := start(0)
 	for k := 0; k < steps; k += block {
-		join(false)
+		_ = join(false) // filling a slot never fails
 		fallbacks.Add(float64(sw.fallbacks.Swap(0)))
-		join = func(bool) {}
+		join = func(bool) error { return nil }
 		if k+block < steps {
 			join = start(k + block)
 		}
@@ -259,49 +262,6 @@ type sweep struct {
 	intervalMin   float64
 	margin        float64
 	fallbacks     atomic.Int64 // entries that took exactEntry since the last block
-}
-
-// fill computes the n intervals from step k into entries, with their
-// tails in tails, on up to workers goroutines. It starts all but one of
-// them and returns a join, which the caller calls once: join(false) makes
-// the caller the last worker and returns when the block is done;
-// join(true) abandons the block, starting no further slot, and returns
-// once the started workers have. With one worker or one slot nothing is
-// spawned and join(false) computes the whole block.
-func (sw *sweep) fill(entries []telemetry.Entry, tails []uint64, k, n, workers int) (join func(abandon bool)) {
-	slots := len(sw.instances)
-	if workers = min(workers, slots); workers <= 1 {
-		return func(abandon bool) {
-			if abandon {
-				return
-			}
-			for s := range slots {
-				sw.fillSlot(entries, tails, s, k, n)
-			}
-		}
-	}
-	var next atomic.Int64
-	work := func() {
-		for s := int(next.Add(1)) - 1; s < slots; s = int(next.Add(1)) - 1 {
-			sw.fillSlot(entries, tails, s, k, n)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	return func(abandon bool) {
-		if abandon {
-			next.Store(int64(slots))
-		} else {
-			work()
-		}
-		wg.Wait()
-	}
 }
 
 // fillSlot computes and stamps slot s's entries for the n intervals from

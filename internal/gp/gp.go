@@ -12,10 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"sdfm/internal/linalg"
+	"sdfm/internal/par"
 )
 
 // RBF is the squared-exponential kernel with per-dimension (ARD) length
@@ -201,62 +200,37 @@ func FitHyperparams(xs [][]float64, ys []float64, noiseVar float64) (RBF, error)
 	dims := len(xs[0])
 	variances := []float64{0.25, 1, 4}
 	scales := []float64{0.1, 0.2, 0.4, 0.8}
-	type cell struct{ v, s float64 }
-	var cells []cell
+	var cells []RBF
 	for _, v := range variances {
 		for _, s := range scales {
-			cells = append(cells, cell{v, s})
+			ls := make([]float64, dims)
+			for i := range ls {
+				ls[i] = s
+			}
+			cells = append(cells, RBF{Variance: v, LengthScales: ls})
 		}
 	}
 	// Each grid cell fits its own GP, so the cells are independent; they
-	// run on a bounded worker pool and the argmax reduction below walks
-	// them in grid order with strict >, reproducing the serial search's
-	// choice (ties included) exactly.
+	// run on par's workers and the argmax reduction below walks them in
+	// grid order with strict >, reproducing the serial search's choice
+	// (ties included) exactly; a cell whose fit fails scores -Inf.
 	lmls := make([]float64, len(cells))
-	oks := make([]bool, len(cells))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for c := w; c < len(cells); c += workers {
-				ls := make([]float64, dims)
-				for i := range ls {
-					ls[i] = cells[c].s
-				}
-				g := New(RBF{Variance: cells[c].v, LengthScales: ls}, noiseVar)
-				for i := range xs {
-					g.Add(xs[i], ys[i])
-				}
-				lml, err := g.LogMarginalLikelihood()
-				if err != nil {
-					continue
-				}
-				lmls[c] = lml
-				oks[c] = true
-			}
-		}(w)
-	}
-	wg.Wait()
-	var (
-		bestK   RBF
-		bestLML = math.Inf(-1)
-	)
-	for c := range cells {
-		if !oks[c] {
-			continue
+	_ = par.For(len(cells), par.Workers(), func(_, c int) error { // fn never fails
+		g := New(cells[c], noiseVar)
+		for i := range xs {
+			g.Add(xs[i], ys[i])
 		}
+		lml, err := g.LogMarginalLikelihood()
+		if err != nil {
+			lml = math.Inf(-1)
+		}
+		lmls[c] = lml
+		return nil
+	})
+	bestK, bestLML := RBF{}, math.Inf(-1)
+	for c := range cells {
 		if lmls[c] > bestLML {
-			bestLML = lmls[c]
-			ls := make([]float64, dims)
-			for i := range ls {
-				ls[i] = cells[c].s
-			}
-			bestK = RBF{Variance: cells[c].v, LengthScales: ls}
+			bestK, bestLML = cells[c], lmls[c]
 		}
 	}
 	if bestK.LengthScales == nil {

@@ -3,6 +3,8 @@ package gp
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -241,5 +243,56 @@ func TestUCBBetaClampsNonPositive(t *testing.T) {
 	got := UCBBeta(1, 1)
 	if math.IsNaN(got) || got < 0 {
 		t.Errorf("UCBBeta(1,1) = %v", got)
+	}
+}
+
+// useProcs sets GOMAXPROCS, which is FitHyperparams' worker count, to n
+// until the test ends.
+func useProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestFitHyperparamsWorkerCountIndependent: the grid search returns the
+// same kernel on one processor and on four, whatever order the cells
+// finish in. In the tied data set the points lie 100 apart, so every
+// kernel entry between two of them underflows to 0 at each grid scale
+// and a variance's log marginal likelihood is the same at all four
+// scales: the argmax must keep the first, 0.1.
+func TestFitHyperparamsWorkerCountIndependent(t *testing.T) {
+	var smoothX, tiedX [][]float64
+	var smoothY, tiedY []float64
+	for i := 0; i < 25; i++ {
+		x := float64(i) / 24
+		smoothX = append(smoothX, []float64{x, 1 - x*x})
+		smoothY = append(smoothY, math.Sin(2*math.Pi*x))
+	}
+	for i := 0; i < 64; i++ {
+		tiedX = append(tiedX, []float64{100 * float64(i)})
+		tiedY = append(tiedY, float64(i%3))
+	}
+	for _, c := range []struct {
+		name string
+		xs   [][]float64
+		ys   []float64
+	}{{"smooth", smoothX, smoothY}, {"tied", tiedX, tiedY}} {
+		useProcs(t, 1)
+		want, err := FitHyperparams(c.xs, c.ys, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.name == "tied" && want.LengthScales[0] != 0.1 {
+			t.Errorf("tied: length scale %v, want the first of the tied cells, 0.1", want.LengthScales[0])
+		}
+		useProcs(t, 4)
+		for rep := 0; rep < 100; rep++ {
+			got, err := FitHyperparams(c.xs, c.ys, 0.01)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, GOMAXPROCS=4, repeat %d: %+v, want %+v as on one processor", c.name, rep, got, want)
+			}
+		}
 	}
 }

@@ -1,13 +1,12 @@
 package model
 
 import (
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sdfm/internal/core"
+	"sdfm/internal/par"
 	"sdfm/internal/stats"
 	"sdfm/internal/telemetry"
 )
@@ -231,8 +230,8 @@ func (ct *CompiledTrace) Slice(loSec, hiSec int64, keep func(telemetry.JobKey) b
 	return out
 }
 
-// Run replays the compiled trace under cfg. Results are deterministic
-// regardless of cfg.Workers.
+// Run replays the compiled trace under cfg, one job at a time per worker
+// (par.Workers). Results do not depend on the worker count.
 func (ct *CompiledTrace) Run(cfg Config) (FleetResult, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return FleetResult{}, err
@@ -252,18 +251,11 @@ func (ct *CompiledTrace) replayAll(phases []Phase, cfg Config, cold [][]float64)
 	if err := cfg.SLO.Validate(); err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ct.jobs) {
-		workers = len(ct.jobs)
-	}
+	workers := min(par.Workers(), len(ct.jobs))
 
-	// Fixed worker pool over job shards: each worker owns one replayer
-	// (controller, rate buffer) reused across the jobs it claims from the
-	// shared index. Output position is the job index, so the result is
-	// identical no matter how jobs land on workers.
+	// Each worker owns one replayer (controller, rate buffer), reused
+	// across the jobs it claims. Output position is the job index, so the
+	// result is identical no matter how jobs land on workers.
 	reps := make([]*replayer, workers)
 	for w := range reps {
 		ctl, err := core.NewController(core.ControllerConfig{SLO: cfg.SLO, Params: phases[0].Params})
@@ -274,27 +266,15 @@ func (ct *CompiledTrace) replayAll(phases []Phase, cfg Config, cold [][]float64)
 	}
 	best := ct.bestFor(cfg.SLO)
 	results := make([]JobResult, len(ct.jobs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for _, rep := range reps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ct.jobs) {
-					return
-				}
-				var series []float64
-				if cold != nil {
-					series = make([]float64, ct.jobs[i].n)
-					cold[i] = series
-				}
-				results[i] = rep.replay(&ct.jobs[i], best[i], series)
-			}
-		}()
-	}
-	wg.Wait()
+	_ = par.For(len(ct.jobs), workers, func(w, i int) error { // fn never fails
+		var series []float64
+		if cold != nil {
+			series = make([]float64, ct.jobs[i].n)
+			cold[i] = series
+		}
+		results[i] = reps[w].replay(&ct.jobs[i], best[i], series)
+		return nil
+	})
 	return results, nil
 }
 

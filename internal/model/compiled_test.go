@@ -162,16 +162,15 @@ func TestCompiledReplayReuse(t *testing.T) {
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	tr := equivTrace(t)
 	ct := Compile(tr)
-	base := Config{Params: core.DefaultParams, SLO: core.DefaultSLO, CollectSamples: true}
-	cfg1 := base
-	cfg1.Workers = 1
-	want, err := ct.Run(cfg1)
+	cfg := Config{Params: core.DefaultParams, SLO: core.DefaultSLO, CollectSamples: true}
+	all := runtime.GOMAXPROCS(0)
+	useProcs(t, 1)
+	want, err := ct.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		cfg := base
-		cfg.Workers = workers
+	for _, workers := range []int{4, all} {
+		useProcs(t, workers)
 		got, err := ct.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -180,6 +179,13 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("Workers=%d: FleetResult differs from Workers=1", workers)
 		}
 	}
+}
+
+// useProcs sets GOMAXPROCS, which is the replay's worker count, to n
+// until the test ends.
+func useProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // variableEntry is one record of a hand-built single-job series whose

@@ -26,8 +26,6 @@ import (
 type Config struct {
 	Params core.Params
 	SLO    core.SLO
-	// Workers is the parallelism; zero means GOMAXPROCS.
-	Workers int
 	// CollectSamples retains every per-interval normalized promotion rate
 	// (needed for CDF plots; costs memory on big traces).
 	CollectSamples bool

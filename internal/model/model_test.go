@@ -166,7 +166,8 @@ func TestRunKMonotonicity(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	tr := buildTrace(6, 30, 5)
-	cfg := Config{Params: core.Params{K: 90, S: 0}, SLO: core.DefaultSLO, Workers: 4}
+	useProcs(t, 4)
+	cfg := Config{Params: core.Params{K: 90, S: 0}, SLO: core.DefaultSLO}
 	a, err := Run(tr, cfg)
 	if err != nil {
 		t.Fatal(err)

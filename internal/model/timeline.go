@@ -48,7 +48,7 @@ func phaseAt(phases []Phase, ph int, t time.Duration) int {
 // Jobs keep their controller history across phase changes, as a
 // production config push does. It is the same replay Run performs, so a
 // single always-enabled phase charges exactly the pages Run averages, and
-// the series is bit-identical for any cfg.Workers.
+// the series is bit-identical for any worker count.
 func (ct *CompiledTrace) Timeline(phases []Phase, cfg Config) ([]TimelinePoint, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("model: no phases")

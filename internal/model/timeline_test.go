@@ -200,13 +200,15 @@ func TestTimelineMatchesReference(t *testing.T) {
 func TestTimelineDeterministic(t *testing.T) {
 	ct := Compile(equivTrace(t))
 	phases := timelineSchedules()[0]
-	want, err := ct.Timeline(phases, Config{SLO: core.DefaultSLO, Workers: 1})
+	useProcs(t, 1)
+	want, err := ct.Timeline(phases, Config{SLO: core.DefaultSLO})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 16} {
+		useProcs(t, workers)
 		for rep := 0; rep < 20; rep++ {
-			got, err := ct.Timeline(phases, Config{SLO: core.DefaultSLO, Workers: workers})
+			got, err := ct.Timeline(phases, Config{SLO: core.DefaultSLO})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"sdfm/internal/compress"
 	"sdfm/internal/model"
+	"sdfm/internal/par"
 	"sdfm/internal/telemetry"
 )
 
@@ -47,8 +45,8 @@ type Skipped struct {
 // and loads the footer index (rebuilding it by walking chunk headers when
 // the footer is damaged); Scan streams entries in chunk order, validating
 // each chunk's CRC and each entry's checksum, skipping what fails. A scan
-// holds at most 2×GOMAXPROCS decoded chunks in memory, the one being
-// delivered included (one with a single processor), plus one read and one
+// holds at most 2×par.Workers() decoded chunks in memory, the one being
+// delivered included (one with a single worker), plus one read and one
 // decompression buffer per decoder.
 type Reader struct {
 	r    io.ReaderAt
@@ -243,11 +241,11 @@ func (r *Reader) Chunks() []ChunkStat {
 // Scan streams every entry in chunk order. Corrupt chunks and invalid
 // entries are skipped and recorded (see Skipped); only I/O failures and
 // a non-nil return from fn stop the scan. Chunks are read, CRC-checked,
-// decoded and checksummed ahead on GOMAXPROCS goroutines; fn, the entry
+// decoded and checksummed ahead on par.Ordered's producers; fn, the entry
 // checks and the skip accounting run on the caller in chunk order, and
 // no goroutine is left running when Scan returns.
 func (r *Reader) Scan(fn func(telemetry.Entry) error) error {
-	return r.scan(fn, runtime.GOMAXPROCS(0))
+	return r.scan(fn, par.Workers())
 }
 
 // decoded is a chunk as a decoder leaves it: its entries and their
@@ -258,57 +256,15 @@ type decoded struct {
 	err     error
 }
 
-// scan is Scan with the decoder count as a parameter. With one decoder
-// the caller decodes each chunk itself. Otherwise the decoders claim
-// chunks in index order, each claim holding one of 2×workers tokens until
-// the caller has delivered that chunk, so chunk i is decoded only once
-// chunk i−2×workers is delivered and its slot in the ring is free.
+// scan is Scan with the decoder count as a parameter: par.Ordered decodes
+// chunks ahead, each decoder with its own buffers, and delivers them in
+// chunk order.
 func (r *Reader) scan(fn func(telemetry.Entry) error, workers int) error {
 	chunks := r.idx.Chunks
-	if workers = min(workers, len(chunks)); workers <= 1 {
-		var bufs chunkBufs
-		for i, ci := range chunks {
-			if err := r.deliver(i, r.decode(ci, &bufs), fn); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	ahead := 2 * workers
-	ring := make([]chan decoded, ahead)
-	tokens := make(chan struct{}, ahead)
-	for i := range ring {
-		ring[i] = make(chan decoded, 1)
-		tokens <- struct{}{}
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var bufs chunkBufs
-			for range tokens {
-				i := int(next.Add(1)) - 1
-				if i >= len(chunks) {
-					return
-				}
-				ring[i%ahead] <- r.decode(chunks[i], &bufs)
-			}
-		}()
-	}
-	defer func() {
-		next.Store(int64(len(chunks))) // claim nothing more
-		close(tokens)
-		wg.Wait()
-	}()
-	for i := range chunks {
-		if err := r.deliver(i, <-ring[i%ahead], fn); err != nil {
-			return err
-		}
-		tokens <- struct{}{}
-	}
-	return nil
+	bufs := make([]chunkBufs, max(1, min(workers, len(chunks))))
+	return par.Ordered(len(chunks), workers,
+		func(w, i int) decoded { return r.decode(chunks[i], &bufs[w]) },
+		func(i int, d decoded) error { return r.deliver(i, d, fn) })
 }
 
 // decode reads and decodes chunk ci and computes its entries' checksums.

@@ -10,14 +10,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"sdfm/internal/core"
 	"sdfm/internal/gp"
 	"sdfm/internal/model"
 	"sdfm/internal/obs"
+	"sdfm/internal/par"
 )
 
 // space is the parameter search space.
@@ -216,37 +215,24 @@ func Autotune(obj Objective, cfg Config) (Result, error) {
 		}
 		beta := gp.UCBBeta(t, ucbCandidates)
 		// Draw every candidate up front so the rng stream is consumed in
-		// the same order as a serial scan, then score them on a bounded
-		// worker pool (the fitted GP is read-only under Predict). The
-		// argmax reduction runs in candidate order with strict >, so the
-		// chosen point — ties included — matches the serial loop exactly.
+		// the same order as a serial scan, then score them on par's
+		// workers (the fitted GP is read-only under Predict). The argmax
+		// reduction runs in candidate order with strict >, so the chosen
+		// point — ties included — matches the serial loop exactly.
 		cands := make([][]float64, ucbCandidates)
 		for c := range cands {
 			cands[c] = []float64{rng.Float64(), rng.Float64()}
 		}
 		ucbs := make([]float64, len(cands))
-		errs := make([]error, len(cands))
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(cands) {
-			workers = len(cands)
+		if err := par.For(len(cands), par.Workers(), func(_, c int) (err error) {
+			ucbs[c], err = g.UCB(cands[c], beta)
+			return err
+		}); err != nil {
+			return Result{}, err
 		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for c := w; c < len(cands); c += workers {
-					ucbs[c], errs[c] = g.UCB(cands[c], beta)
-				}
-			}(w)
-		}
-		wg.Wait()
 		var bestX []float64
 		bestU := math.Inf(-1)
 		for c := range cands {
-			if errs[c] != nil {
-				return Result{}, errs[c]
-			}
 			if ucbs[c] > bestU {
 				bestU = ucbs[c]
 				bestX = cands[c]

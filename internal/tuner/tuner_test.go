@@ -3,6 +3,8 @@ package tuner
 import (
 	"errors"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -223,6 +225,37 @@ func TestAutotuneRejectsDegenerateConfig(t *testing.T) {
 	} {
 		if _, err := Autotune(syntheticObjective, cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
+		}
+	}
+}
+
+// useProcs sets GOMAXPROCS, which is the candidate scoring's worker
+// count, to n until the test ends.
+func useProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestAutotuneWorkerCountIndependent: a session on four processors
+// evaluates the same configurations in the same order and picks the same
+// best as on one — the UCB argmax and the hyperparameter grid reduce in
+// index order, never in completion order.
+func TestAutotuneWorkerCountIndependent(t *testing.T) {
+	cfg := Config{SLO: core.DefaultSLO, Seed: 11, Iterations: 12}
+	useProcs(t, 1)
+	want, err := Autotune(syntheticObjective, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	useProcs(t, 4)
+	for rep := 0; rep < 5; rep++ {
+		got, err := Autotune(syntheticObjective, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.History, want.History) || !reflect.DeepEqual(got.Best, want.Best) {
+			t.Fatalf("GOMAXPROCS=4, repeat %d: best %+v after %d evaluations, want %+v after %d as on one processor",
+				rep, got.Best.Params, len(got.History), want.Best.Params, len(want.History))
 		}
 	}
 }

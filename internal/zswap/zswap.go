@@ -18,14 +18,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sdfm/internal/compress"
 	"sdfm/internal/mem"
 	"sdfm/internal/pagedata"
+	"sdfm/internal/par"
 	"sdfm/internal/zsmalloc"
 )
 
@@ -199,16 +197,16 @@ const primeChunk = 64
 
 // Prime records in MemoSize the compressed size of every listed page
 // whose size is unknown, so that the Stores that follow take it from
-// there. The pages are compressed on up to GOMAXPROCS goroutines, the
-// caller being one; a pass shorter than two chunks runs on the caller
-// alone. Each worker writes only its own pages' MemoSize and the caller
-// returns after all have finished, so the memcg is again the caller's
-// alone. Zero-filled pages stay unrecorded, which keeps their stores on
-// the same-filled path. A recorded size is a function of the page's
+// there. The pages are compressed a chunk per index of a par.For, each
+// worker with its own page and compression buffers; a pass shorter than
+// two chunks runs on the caller alone and allocates nothing. Each worker
+// writes only its own pages' MemoSize and the caller returns after all
+// have finished, so the memcg is again the caller's alone. Zero-filled
+// pages stay unrecorded, which keeps their stores on the same-filled path. A recorded size is a function of the page's
 // content alone, so outcomes, simulated CPU, arena placement and where a
 // full pool cuts the pass all still come from the Stores, in their order.
 func (p *Pool) Prime(m *mem.Memcg, ids []mem.PageID) {
-	p.prime(m, ids, primeChunk, runtime.GOMAXPROCS(0))
+	p.prime(m, ids, primeChunk, par.Workers())
 }
 
 // prime is Prime with the chunk size and worker count as parameters.
@@ -218,22 +216,16 @@ func (p *Pool) prime(m *mem.Memcg, ids []mem.PageID, chunk, workers int) {
 		primePages(m, ids, p.pageBuf, p.compBuf)
 		return
 	}
-	var next atomic.Int64
-	work := func(page, comp []byte) {
-		for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
-			primePages(m, ids[c*chunk:min((c+1)*chunk, len(ids))], page, comp)
-		}
-	}
-	var wg sync.WaitGroup
+	// Worker 0 is the caller and keeps the pool's own buffers.
+	pages, comps := make([][]byte, workers), make([][]byte, workers)
+	pages[0], comps[0] = p.pageBuf, p.compBuf
 	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(make([]byte, mem.PageSize), make([]byte, 0, compress.CompressBound(mem.PageSize)))
-		}()
+		pages[w], comps[w] = make([]byte, mem.PageSize), make([]byte, 0, compress.CompressBound(mem.PageSize))
 	}
-	work(p.pageBuf, p.compBuf)
-	wg.Wait()
+	_ = par.For(chunks, workers, func(w, c int) error { // fn never fails
+		primePages(m, ids[c*chunk:min((c+1)*chunk, len(ids))], pages[w], comps[w])
+		return nil
+	})
 }
 
 // primePages records the sizes of pages ids, synthesizing each into page
