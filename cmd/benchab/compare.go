@@ -151,11 +151,14 @@ type summary struct {
 // spread is the distance between the quartiles as a share of the median.
 func (s summary) spread() float64 { return (s.Q3 - s.Q1) / s.Median }
 
-// pair is one run of each side, with the order they ran in.
+// pair is one run of each side, with the order they ran in and the
+// faster of the two host-anchor timings taken before them (0 in files
+// written before the anchor existed).
 type pair struct {
 	BaseFirst bool               `json:"base_first"`
 	Base      map[string]float64 `json:"base"`
 	New       map[string]float64 `json:"new"`
+	AnchorNS  int64              `json:"anchor_ns,omitempty"`
 }
 
 // metricResult is the paired reading of one end-to-end metric.

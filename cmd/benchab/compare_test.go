@@ -312,6 +312,26 @@ func TestResume(t *testing.T) {
 	if err := resume(path, &other); err == nil {
 		t.Error("a report of other trees was resumed")
 	}
+
+	// Two calls collect one file that lies inside the new tree: the
+	// second resumes the first's comparisons instead of finding the tree
+	// dirty because of the file itself.
+	base, cur := gitRepo(t), gitRepo(t)
+	inTree := filepath.Join(cur, "BENCH.json")
+	for call := 1; call <= 2; call++ {
+		rep := report{Base: treeOf(base, inTree), New: treeOf(cur, inTree)}
+		if err := resume(inTree, &rep); err != nil || len(rep.Comparisons) != call-1 {
+			t.Fatalf("call %d into %s: %v, %d comparisons", call, inTree, err, len(rep.Comparisons))
+		}
+		rep.Comparisons = append(rep.Comparisons, comparison{Workload: "cp_rounds", Seed: 42})
+		data, err := json.Marshal(&rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(inTree, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestCPUInfo reads the first processor's clock and cache size from a

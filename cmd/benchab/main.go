@@ -12,7 +12,12 @@
 // disagree on an exact-repeat value, or any incorrect run, ends the
 // comparison with an error. The driver writes only the -out file, each
 // tree's own .bench_build, and each run's result and log in a temporary
-// directory that is removed on success and named in any error.
+// directory that is removed on success and named in any error. The -out
+// file may lie inside a tree: git's view of that one file does not make
+// the tree dirty, so one file can collect several calls. Before every
+// run the driver times a fixed CPU task in its own process, the host
+// anchor (anchor.go), and each pair records the faster of its two
+// timings as anchor_ns.
 //
 // -rejudge FILE reads a file -out wrote, judges its pairs again under the
 // current rule, prints them and every verdict that moved, and runs and
@@ -108,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rep := report{AA: *aa, Base: treeOf(*baseDir), New: treeOf(*newDir)}
+	rep := report{AA: *aa, Base: treeOf(*baseDir, *out), New: treeOf(*newDir, *out)}
 	if *out != "" {
 		if err := resume(*out, &rep); err != nil {
 			return err
@@ -119,9 +124,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	anchors := anchorSet()
 	for _, w := range strings.Split(*workloads, ",") {
 		for _, seed := range seedList {
-			c, err := comparePairs(specs, *baseDir, *newDir, w, seed, *pairs, dir, stderr)
+			c, err := comparePairs(specs, *baseDir, *newDir, w, seed, *pairs, dir, anchors, stderr)
 			if err != nil {
 				return fmt.Errorf("%s seed %d: %w (runs kept in %s)", w, seed, err, dir)
 			}
@@ -196,10 +202,12 @@ func resume(path string, rep *report) error {
 }
 
 // comparePairs runs n pairs of workload w at seed in the two trees, base
-// first in even pairs and new first in odd ones, and compares them.
-func comparePairs(specs []metricSpec, baseDir, newDir, w string, seed int64, n int, dir string, progress io.Writer) (comparison, error) {
+// first in even pairs and new first in odd ones, and compares them. The
+// host anchor is timed over anchors before every run.
+func comparePairs(specs []metricSpec, baseDir, newDir, w string, seed int64, n int, dir string, anchors [][]byte, progress io.Writer) (comparison, error) {
 	var base, cur []benchRun
 	var baseFirst []bool
+	anchorNS := make([]int64, n)
 	for i := 0; i < n; i++ {
 		sides := []string{"base", "new"}
 		if i%2 == 1 {
@@ -211,6 +219,9 @@ func comparePairs(specs []metricSpec, baseDir, newDir, w string, seed int64, n i
 				src = newDir
 			}
 			name := filepath.Join(dir, fmt.Sprintf("%s-%d-%02d-%s", w, seed, i+1, side))
+			if ns := timeAnchor(anchors); anchorNS[i] == 0 || ns < anchorNS[i] {
+				anchorNS[i] = ns
+			}
 			start := time.Now()
 			r, err := benchOnce(src, w, seed, name)
 			if err != nil {
@@ -225,7 +236,11 @@ func comparePairs(specs []metricSpec, baseDir, newDir, w string, seed int64, n i
 		}
 		baseFirst = append(baseFirst, i%2 == 0)
 	}
-	return compare(specs, base, cur, baseFirst)
+	c, err := compare(specs, base, cur, baseFirst)
+	for i := range c.Pairs {
+		c.Pairs[i].AnchorNS = anchorNS[i]
+	}
+	return c, err
 }
 
 // benchOnce runs the benchmark once in tree src, writing its result to
@@ -250,14 +265,46 @@ func benchOnce(src, w string, seed int64, name string) (benchRun, error) {
 }
 
 // treeOf asks git for the commit checked out in dir and whether the files
-// differ from it; outside a git checkout the commit is "unknown".
-func treeOf(dir string) tree {
+// differ from it, the file out aside: a report collected over several
+// calls may be written inside the tree it measures. Outside a git
+// checkout the commit is "unknown".
+func treeOf(dir, out string) tree {
 	head, err := exec.Command("git", "-C", dir, "rev-parse", "HEAD").Output()
 	if err != nil {
 		return tree{Commit: "unknown"}
 	}
-	status, err := exec.Command("git", "-C", dir, "status", "--porcelain").Output()
+	args := []string{"-C", dir, "status", "--porcelain"}
+	if rel := inTree(dir, out); rel != "" {
+		args = append(args, "--", ":/", ":(top,exclude,literal)"+rel)
+	}
+	status, err := exec.Command("git", args...).Output()
 	return tree{Commit: strings.TrimSpace(string(head)), Dirty: err != nil || len(status) > 0}
+}
+
+// inTree returns the path of the file out relative to the top of dir's
+// work tree, with forward slashes, or "" when out is empty or lies
+// outside it. out need not exist yet.
+func inTree(dir, out string) string {
+	if out == "" {
+		return ""
+	}
+	top, err := exec.Command("git", "-C", dir, "rev-parse", "--show-toplevel").Output()
+	if err != nil {
+		return ""
+	}
+	abs, err := filepath.Abs(out)
+	if err != nil {
+		return ""
+	}
+	parent, err := filepath.EvalSymlinks(filepath.Dir(abs))
+	if err != nil {
+		return ""
+	}
+	rel, err := filepath.Rel(strings.TrimSpace(string(top)), filepath.Join(parent, filepath.Base(abs)))
+	if err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+		return ""
+	}
+	return filepath.ToSlash(rel)
 }
 
 // printComparison writes one comparison as a table, one row per metric.

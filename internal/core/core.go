@@ -132,14 +132,20 @@ const PoolSpan = 24 * time.Hour
 // zero value is not usable; construct with NewController.
 type Controller struct {
 	params Params
+	kFrac  float64 // params.K / 100
 
 	// pool is a ring of the observations in (last − PoolSpan, last],
 	// oldest at head; its length is a power of two, doubled when full.
 	pool    []observation
 	head, n int
-	// poolCounts[b] is the number of pool entries equal to b, so Threshold
-	// reads a percentile by walking 256 counts instead of sorting the pool.
+	// poolCounts[b] is the number of pool entries equal to b. kth is the
+	// pool's K-th percentile bucket and atOrBelow the number of entries at
+	// or below it; every change to the pool or K moves kth by the few
+	// buckets it shifted (settle), instead of Threshold walking the counts
+	// from 0 or sorting the pool.
 	poolCounts [histogram.NumBuckets]uint32
+	kth        int
+	atOrBelow  int
 	lastBest   int
 	started    time.Duration // job start time
 }
@@ -172,6 +178,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	}
 	return &Controller{
 		params:   cfg.Params,
+		kFrac:    cfg.Params.K / 100,
 		started:  cfg.JobStart,
 		lastBest: histogram.MaxBucket,
 	}, nil
@@ -189,6 +196,7 @@ func (c *Controller) Reset(jobStart time.Duration) {
 		c.poolCounts = [histogram.NumBuckets]uint32{}
 	}
 	c.head, c.n = 0, 0
+	c.kth, c.atOrBelow = 0, 0
 	c.lastBest = histogram.MaxBucket
 	c.started = jobStart
 }
@@ -199,7 +207,8 @@ func (c *Controller) SetParams(p Params) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	c.params = p
+	c.params, c.kFrac = p, p.K/100
+	c.settle()
 	return nil
 }
 
@@ -213,7 +222,11 @@ func (c *Controller) Observe(now time.Duration, bestBucket int) {
 	}
 	mask := len(c.pool) - 1
 	for c.n > 0 && c.pool[c.head].at <= now-PoolSpan {
-		c.poolCounts[c.pool[c.head].bucket]--
+		b := int(c.pool[c.head].bucket)
+		c.poolCounts[b]--
+		if b <= c.kth {
+			c.atOrBelow--
+		}
 		c.head = (c.head + 1) & mask
 		c.n--
 	}
@@ -225,7 +238,31 @@ func (c *Controller) Observe(now time.Duration, bestBucket int) {
 	c.pool[(c.head+c.n)&mask] = observation{at: now, bucket: uint8(bestBucket)}
 	c.n++
 	c.poolCounts[bestBucket]++
+	if bestBucket <= c.kth {
+		c.atOrBelow++
+	}
 	c.lastBest = bestBucket
+	c.settle()
+}
+
+// settle moves kth to the pool's K-th percentile bucket: the nearest-rank
+// percentile, the value at index rank of the sorted pool, is the lowest
+// bucket with more than rank entries at or below it. A non-empty pool
+// holds n > rank entries at or below MaxBucket, so the upward walk ends
+// there.
+func (c *Controller) settle() {
+	if c.n == 0 {
+		return
+	}
+	rank := int(c.kFrac * float64(c.n-1))
+	for c.atOrBelow <= rank {
+		c.kth++
+		c.atOrBelow += int(c.poolCounts[c.kth])
+	}
+	for c.kth > 0 && c.atOrBelow-int(c.poolCounts[c.kth]) > rank {
+		c.atOrBelow -= int(c.poolCounts[c.kth])
+		c.kth--
+	}
 }
 
 // Enabled reports whether zswap is active for this job at time now
@@ -241,15 +278,7 @@ func (c *Controller) Threshold() int {
 	if c.n == 0 {
 		return histogram.MaxBucket
 	}
-	// Nearest-rank percentile: the pool value at index rank in sorted
-	// order, found by counting.
-	rank := int(c.params.K / 100 * float64(c.n-1))
-	kth, seen := 0, int(c.poolCounts[0])
-	for seen <= rank {
-		kth++
-		seen += int(c.poolCounts[kth])
-	}
-	return max(kth, c.lastBest)
+	return max(c.kth, c.lastBest)
 }
 
 // ThresholdDuration converts the current threshold bucket to an age

@@ -513,3 +513,80 @@ func TestControllerSLOViolationFrequency(t *testing.T) {
 		t.Error("violation rate 0; expected occasional violations at K=90")
 	}
 }
+
+// walkPercentile is the pool percentile as Threshold read it before kth
+// was kept incrementally: the nearest rank int(K/100·(n−1)), found by
+// walking the bucket counts up from 0.
+func walkPercentile(c *Controller) int {
+	rank := int(c.params.K / 100 * float64(c.n-1))
+	kth, seen := 0, int(c.poolCounts[0])
+	for seen <= rank {
+		kth++
+		seen += int(c.poolCounts[kth])
+	}
+	return kth
+}
+
+// TestThresholdMatchesWalk: after every operation of random sequences of
+// observations (with evictions of one entry, several, or the whole pool),
+// parameter pushes and Resets, the incrementally kept percentile bucket is
+// the one the walk from bucket 0 finds, and Threshold is its max with the
+// last best. The percentile is compared directly, so a large last best
+// cannot hide a wrong one.
+func TestThresholdMatchesWalk(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c, err := NewController(ControllerConfig{SLO: DefaultSLO, Params: Params{K: 100 * rng.Float64()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var now time.Duration
+		lo, spread := rng.Intn(histogram.NumBuckets), 1+rng.Intn(40)
+		check := func(step int, op string) {
+			t.Helper()
+			if c.PoolLen() == 0 {
+				if got := c.Threshold(); got != histogram.MaxBucket {
+					t.Fatalf("seed %d step %d after %s: empty pool, Threshold = %d", seed, step, op, got)
+				}
+				return
+			}
+			want := walkPercentile(c)
+			if c.kth != want {
+				t.Fatalf("seed %d step %d after %s (K %v, %d entries): percentile bucket %d, walk says %d",
+					seed, step, op, c.params.K, c.n, c.kth, want)
+			}
+			if got := c.Threshold(); got != max(want, c.lastBest) {
+				t.Fatalf("seed %d step %d after %s: Threshold = %d, want max(%d, %d)", seed, step, op, got, want, c.lastBest)
+			}
+		}
+		for step := 0; step < 3000; step++ {
+			switch r := rng.Intn(100); {
+			case r < 2:
+				c.Reset(now)
+				check(step, "Reset")
+			case r < 10:
+				k := []float64{0, 50, 98, 100, 100 * rng.Float64()}[rng.Intn(5)]
+				if err := c.SetParams(Params{K: k}); err != nil {
+					t.Fatal(err)
+				}
+				check(step, "SetParams")
+			default:
+				switch e := rng.Intn(50); {
+				case e == 0: // the whole pool leaves
+					now += PoolSpan + time.Duration(rng.Intn(3600))*time.Second
+				case e < 4: // a good part of it leaves
+					now += time.Duration(rng.Int63n(int64(PoolSpan)))
+				case e < 8: // a duplicate time
+				default:
+					now += time.Duration(1+rng.Intn(900)) * time.Second
+				}
+				b := min(lo+rng.Intn(spread), histogram.MaxBucket)
+				if rng.Intn(20) == 0 {
+					b = rng.Intn(histogram.NumBuckets)
+				}
+				c.Observe(now, b)
+				check(step, "Observe")
+			}
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 
 	"sdfm/internal/core"
 	"sdfm/internal/par"
-	"sdfm/internal/stats"
 	"sdfm/internal/telemetry"
 )
 
@@ -292,7 +291,7 @@ type replayer struct {
 	target float64 // SLO promotion-rate limit
 
 	ctl   *core.Controller // reset per job
-	rates []float64        // per-interval rate buffer, reused across jobs
+	rates []float64        // per-interval rates under CollectSamples, reused across jobs
 }
 
 // replay runs the controller over one job's series. Each interval takes
@@ -350,7 +349,9 @@ func (r *replayer) replay(j *compiledJob, best []uint8, cold []float64) JobResul
 			if rate > r.target {
 				jr.Violations++
 			}
-			r.rates = append(r.rates, rate)
+			if r.cfg.CollectSamples {
+				r.rates = append(r.rates, rate)
+			}
 		}
 		// Best threshold for the interval just observed, fed back whether
 		// or not zswap is enabled: the kernel histograms exist regardless.
@@ -365,9 +366,8 @@ func (r *replayer) replay(j *compiledJob, best []uint8, cold []float64) JobResul
 	jr.MeanTotalPages = sumTotal / n
 	if jr.Enabled > 0 {
 		jr.MeanRate = sumRate / float64(jr.Enabled)
-		jr.P98Rate = stats.Percentile(r.rates, 98)
 	}
-	if r.cfg.CollectSamples && len(r.rates) > 0 {
+	if len(r.rates) > 0 {
 		jr.RateSamples = append([]float64(nil), r.rates...)
 	}
 	return jr

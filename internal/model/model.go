@@ -31,7 +31,11 @@ type Config struct {
 	CollectSamples bool
 }
 
-// JobResult is the replay outcome for one job.
+// JobResult is the replay outcome for one job: counts and means over its
+// intervals. Its one rate figure is MeanRate, the value the fleet's
+// P98Rate (the tuner's constraint) takes a percentile of; the within-job
+// distribution of interval rates is RateSamples, kept only under
+// CollectSamples.
 type JobResult struct {
 	Key       telemetry.JobKey
 	Intervals int // total intervals replayed
@@ -49,8 +53,6 @@ type JobResult struct {
 	// MeanRate is the time-averaged normalized promotion rate
 	// (fraction of WSS per minute) while enabled.
 	MeanRate float64
-	// P98Rate is the within-job 98th percentile interval rate.
-	P98Rate float64
 	// Violations counts enabled intervals whose realized rate exceeded
 	// the SLO target.
 	Violations int

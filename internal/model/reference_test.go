@@ -7,7 +7,6 @@ import (
 
 	"sdfm/internal/core"
 	"sdfm/internal/mem"
-	"sdfm/internal/stats"
 	"sdfm/internal/telemetry"
 )
 
@@ -151,7 +150,6 @@ func replayJob(trace *telemetry.Trace, key telemetry.JobKey, entries []telemetry
 	jr.MeanTotalPages = sumTotal / n
 	if jr.Enabled > 0 {
 		jr.MeanRate = sumRate / float64(jr.Enabled)
-		jr.P98Rate = stats.Percentile(rates, 98)
 	}
 	if cfg.CollectSamples {
 		jr.RateSamples = rates

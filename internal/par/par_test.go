@@ -276,3 +276,36 @@ func BenchmarkFor(b *testing.B) {
 		benchErr = For(workers, workers, fn)
 	}
 }
+
+// BenchmarkForAfterIdle times how long For's second worker takes to start
+// after the caller has run alone for a while, as between a tuning round's
+// serial stages: each iteration spins serially for the gap, then runs For
+// over two indices on two workers, the caller holding index 0 until the
+// helper has claimed index 1. start-ns/op is the mean time from the call
+// to the helper's claim, which a fork's useful work has to outweigh.
+func BenchmarkForAfterIdle(b *testing.B) {
+	for _, gap := range []time.Duration{0, 10 * time.Microsecond, 100 * time.Microsecond, time.Millisecond} {
+		b.Run(fmt.Sprintf("gap=%v", gap), func(b *testing.B) {
+			var started atomic.Int64
+			var total time.Duration
+			for range b.N {
+				for t0 := time.Now(); time.Since(t0) < gap; {
+				}
+				started.Store(0)
+				call := time.Now()
+				benchErr = For(2, 2, func(_, i int) error {
+					if i == 1 {
+						started.Store(int64(time.Since(call)))
+						return nil
+					}
+					for started.Load() == 0 {
+						runtime.Gosched() // with one processor the helper runs only when the caller yields
+					}
+					return nil
+				})
+				total += time.Duration(started.Load())
+			}
+			b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "start-ns/op")
+		})
+	}
+}

@@ -259,3 +259,15 @@ func TestAutotuneWorkerCountIndependent(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAutotuneGP times one default session's GP work — the grid
+// searches, fits and UCB scoring of 15 iterations — over the synthetic
+// objective, whose evaluations cost next to nothing.
+func BenchmarkAutotuneGP(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Autotune(syntheticObjective, Config{SLO: core.DefaultSLO, Seed: int64(i % 3)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
