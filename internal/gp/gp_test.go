@@ -188,13 +188,9 @@ func TestFitHyperparams(t *testing.T) {
 		xs = append(xs, []float64{x})
 		ys = append(ys, math.Sin(2*math.Pi*x))
 	}
-	k, err := FitHyperparams(xs, ys, 0.01)
+	g, err := FitHyperparams(xs, ys, 0.01)
 	if err != nil {
 		t.Fatal(err)
-	}
-	g := New(k, 0.01)
-	for i := range xs {
-		g.Add(xs[i], ys[i])
 	}
 	m, _, err := g.Predict([]float64{0.25})
 	if err != nil {
@@ -277,20 +273,21 @@ func TestFitHyperparamsWorkerCountIndependent(t *testing.T) {
 		ys   []float64
 	}{{"smooth", smoothX, smoothY}, {"tied", tiedX, tiedY}} {
 		useProcs(t, 1)
-		want, err := FitHyperparams(c.xs, c.ys, 0.01)
+		g, err := FitHyperparams(c.xs, c.ys, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := g.kernel
 		if c.name == "tied" && want.LengthScales[0] != 0.1 {
 			t.Errorf("tied: length scale %v, want the first of the tied cells, 0.1", want.LengthScales[0])
 		}
 		useProcs(t, 4)
 		for rep := 0; rep < 100; rep++ {
-			got, err := FitHyperparams(c.xs, c.ys, 0.01)
+			g, err := FitHyperparams(c.xs, c.ys, 0.01)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if got := g.kernel; !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s, GOMAXPROCS=4, repeat %d: %+v, want %+v as on one processor", c.name, rep, got, want)
 			}
 		}
