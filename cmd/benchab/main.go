@@ -24,6 +24,13 @@
 // writes nothing:
 //
 //	go run ./cmd/benchab -rejudge BENCH_45.json
+//
+// -trajectory FILE... reads several such files and prints, per workload,
+// seed and end-to-end metric, each file's base median in the order given
+// beside the host anchor its pairs timed (trajectory.go); it too runs and
+// writes nothing:
+//
+//	go run ./cmd/benchab -trajectory BENCH_46.json BENCH_47.json BENCH_48.json
 package main
 
 import (
@@ -76,6 +83,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		pairs     = flags.Int("pairs", 10, "pairs per workload and seed")
 		out       = flags.String("out", "", "write the comparisons as JSON to this file, after those it holds for the same trees")
 		again     = flags.String("rejudge", "", "judge the pairs of this -out file again and run nothing")
+		traj      = flags.Bool("trajectory", false, "print the base medians of the -out files named as arguments, in order, beside their host anchors, and run nothing")
 	)
 	if err := flags.Parse(args); err != nil {
 		return err
@@ -85,6 +93,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return errors.New("-rejudge runs nothing and takes no other flag or argument")
 		}
 		return rejudgeFile(*again, stdout)
+	}
+	if *traj {
+		if flags.NFlag() > 1 || flags.NArg() == 0 {
+			return errors.New("-trajectory runs nothing, takes no other flag and needs one or more files")
+		}
+		return trajectory(flags.Args(), stdout)
 	}
 	switch {
 	case flags.NArg() > 0:
@@ -155,16 +169,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 // under the current rule, and a line for each verdict that moved. The
 // file is not rewritten.
 func rejudgeFile(path string, stdout io.Writer) error {
-	b, err := os.ReadFile(path)
+	rep, err := loadReport(path)
 	if err != nil {
 		return err
-	}
-	var rep report
-	if err := json.Unmarshal(b, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if len(rep.Comparisons) == 0 {
-		return fmt.Errorf("%s holds no comparison", path)
 	}
 	for i := range rep.Comparisons {
 		c := &rep.Comparisons[i]
@@ -177,6 +184,23 @@ func rejudgeFile(path string, stdout io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// loadReport reads a file -out wrote; one that holds no comparison is an
+// error.
+func loadReport(path string) (report, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return report{}, err
+	}
+	var rep report
+	if err := json.Unmarshal(b, &rep); err != nil {
+		return report{}, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(rep.Comparisons) == 0 {
+		return report{}, fmt.Errorf("%s holds no comparison", path)
+	}
+	return rep, nil
 }
 
 // resume loads the comparisons an existing report at path holds, so one

@@ -23,6 +23,7 @@ import (
 	"sdfm/internal/cluster"
 	"sdfm/internal/core"
 	"sdfm/internal/fault"
+	"sdfm/internal/kstaled"
 	"sdfm/internal/model"
 	"sdfm/internal/node"
 	"sdfm/internal/obs"
@@ -168,10 +169,7 @@ func report(w io.Writer, cfg cluster.Config, jobs int, duration time.Duration, p
 	}
 	fmt.Fprintf(w, "CPU overhead p98: compression %.4f%%, decompression %.4f%% of job CPU\n",
 		stats.Percentile(r.comp, 98)*100, stats.Percentile(r.decomp, 98)*100)
-	if len(r.rates) > 0 {
-		fmt.Fprintf(w, "promotion rate: p50 %.4f%%/min, p98 %.4f%%/min (SLO %.4f%%/min)\n",
-			stats.Percentile(r.rates, 50)*100, r.p98*100, core.DefaultSLO.TargetRatePerMin*100)
-	}
+	writeSLO(w, "", r)
 
 	if err := r.hub.WriteFiles(out.metrics, out.trace); err != nil {
 		return nil, err
@@ -228,21 +226,14 @@ func reportPlan(w io.Writer, cfg cluster.Config, jobs int, duration time.Duratio
 	if err := out.saveTraces(w, base.trace, faulted.trace); err != nil {
 		return nil, err
 	}
-	mc := model.Config{Params: cfg.Params, SLO: core.DefaultSLO}
-	baseModel, err := model.Run(base.trace, mc)
-	if err != nil {
-		return nil, err
-	}
 	faultCT := model.Compile(faulted.trace)
-	faultModel, err := faultCT.Run(mc)
+	faultModel, err := faultCT.Run(model.Config{Params: cfg.Params, SLO: core.DefaultSLO})
 	if err != nil {
 		return nil, err
 	}
 
 	fmt.Fprintf(w, "== live simulation ==\n%-28s %12s %12s\n", "", "baseline", "faulted")
 	fmt.Fprintf(w, "%-28s %11.1f%% %11.1f%%\n", "coverage (median machine)", base.coverage.Median*100, faulted.coverage.Median*100)
-	fmt.Fprintf(w, "%-28s %11.4f%% %11.4f%%\n", "promotion p98 (%WSS/min)", base.p98*100, faulted.p98*100)
-	fmt.Fprintf(w, "%-28s %12d %12d\n", "SLO-violating intervals", base.violations, faulted.violations)
 	fmt.Fprintf(w, "%-28s %12d %12d\n", "evictions", base.evictions, faulted.evictions)
 	fmt.Fprintf(w, "%-28s %12d %12d\n", "machine crashes", base.faults.Crashes, faulted.faults.Crashes)
 	fmt.Fprintf(w, "%-28s %12d %12d\n", "watchdog restarts", base.faults.WatchdogRestarts, faulted.faults.WatchdogRestarts)
@@ -252,11 +243,15 @@ func reportPlan(w io.Writer, cfg cluster.Config, jobs int, duration time.Duratio
 	fmt.Fprintf(w, "%-28s %12d %12d\n", "injected store errors", int(base.faults.InjectedErrors), int(faulted.faults.InjectedErrors))
 	fmt.Fprintf(w, "%-28s %12d %12d\n", "dropped telemetry exports", base.faults.DroppedExports, faulted.faults.DroppedExports)
 
+	fmt.Fprintf(w, "\n== promotion-rate SLO: machines against the model replaying each run's own trace ==\n")
+	writeSLO(w, "baseline: ", base)
+	writeSLO(w, plan.Name+": ", faulted)
+
 	fmt.Fprintf(w, "\n== telemetry pipeline ==\nat-rest damage: %d dropped, %d corrupted; scrub removed %d entries\n",
 		dmg.Dropped, dmg.Corrupted, scrubbed)
-	fmt.Fprintf(w, "model replay baseline: %s\nmodel replay faulted:  %s\n", baseModel, faultModel)
-	if baseModel.Coverage > 0 {
-		fmt.Fprintf(w, "modelled coverage retained under faults: %.1f%%\n", faultModel.Coverage/baseModel.Coverage*100)
+	fmt.Fprintf(w, "model replay baseline: %s\nmodel replay faulted:  %s\n", base.model, faultModel)
+	if base.model.Coverage > 0 {
+		fmt.Fprintf(w, "modelled coverage retained under faults: %.1f%%\n", faultModel.Coverage/base.model.Coverage*100)
 	}
 
 	// Staged rollout of an aggressive candidate, health-checked per stage
@@ -296,12 +291,13 @@ type fleetRun struct {
 	evictions          int
 	evictionsPerJob    float64
 	faults             node.FaultStats
-	saved, footprint   uint64    // zswap pools' DRAM saved and their own footprint
-	ratios             []float64 // compression ratio of each job that stored any
-	comp, decomp       []float64 // each job's CPU overhead of (de)compression
-	rates              []float64 // each job interval's promotion rate
-	p98                float64   // of rates; 0 without any
-	violations         int       // rates over the SLO
+	saved, footprint   uint64            // zswap pools' DRAM saved and their own footprint
+	ratios             []float64         // compression ratio of each job that stored any
+	comp, decomp       []float64         // each job's CPU overhead of (de)compression
+	sloRate            float64           // core.FleetRate of the jobs' mean node.Job.RateSamples
+	samples, violating int               // every job's RateSamples, and those over the SLO
+	model              model.FleetResult // the fast model replaying trace at the run's (K, S)
+	export             time.Duration     // the interval trace's first entry states
 }
 
 // runFleet builds the cluster cfg describes, schedules jobs on it, runs it
@@ -325,6 +321,7 @@ func runFleet(cfg cluster.Config, jobs int, duration time.Duration) (*fleetRun, 
 		coverage: c.CoverageSummary(), coldFrac: c.ColdFractionSummary(),
 		evictions: c.Evictions(), evictionsPerJob: c.EvictionSLO(), faults: c.FaultStats(),
 	}
+	var jobMeans []float64
 	for _, m := range c.Machines() {
 		if p, ok := m.Tier().(*zswap.Pool); ok {
 			r.saved += p.SavedBytes()
@@ -336,16 +333,32 @@ func runFleet(cfg cluster.Config, jobs int, duration time.Duration) (*fleetRun, 
 			}
 			r.comp = append(r.comp, j.CPUOverheadCompress())
 			r.decomp = append(r.decomp, j.CPUOverheadDecompress())
-			for _, rate := range j.RateSamples() {
-				r.rates = append(r.rates, rate)
-				if rate > core.DefaultSLO.TargetRatePerMin {
-					r.violations++
+			if rates := j.RateSamples(); len(rates) > 0 {
+				jobMeans = append(jobMeans, stats.Mean(rates))
+				r.samples += len(rates)
+				for _, rate := range rates {
+					if rate > core.DefaultSLO.TargetRatePerMin {
+						r.violating++
+					}
 				}
 			}
 		}
 	}
-	if len(r.rates) > 0 {
-		r.p98 = stats.Percentile(r.rates, 98)
+	r.sloRate = core.FleetRate(jobMeans)
+	if trace.Len() > 0 {
+		r.export = time.Duration(trace.Entries[0].IntervalMinutes * float64(time.Minute))
 	}
-	return r, nil
+	r.model, err = model.Run(trace, model.Config{Params: cfg.Params, SLO: core.DefaultSLO})
+	return r, err
+}
+
+// writeSLO prints run r's SLO statistic and share of intervals over the
+// SLO on the machines (scans) beside the model's replay of r's trace
+// (exports).
+func writeSLO(w io.Writer, label string, r *fleetRun) {
+	fmt.Fprintf(w, "%sSLO statistic (p98 of job mean promotion rates): machines %.4f%%/min, model %.4f%%/min (SLO %.4f%%/min)\n",
+		label, r.sloRate*100, r.model.P98Rate*100, core.DefaultSLO.TargetRatePerMin*100)
+	fmt.Fprintf(w, "%sover the SLO: machines %.1f%% of %d enabled %v samples, model %.1f%% of %d enabled %v intervals\n",
+		label, float64(r.violating)/float64(max(r.samples, 1))*100, r.samples, kstaled.DefaultScanPeriod,
+		r.model.ViolationFrac*100, r.model.EnabledIntervals, r.export)
 }

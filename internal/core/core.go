@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"sdfm/internal/histogram"
+	"sdfm/internal/stats"
 )
 
 // SLO is the far-memory performance service-level objective (§4.2): the
@@ -55,6 +56,23 @@ func (s SLO) Validate() error {
 		return fmt.Errorf("core: non-positive minimum threshold %v", s.MinThreshold)
 	}
 	return nil
+}
+
+// FleetRate is the one statistic judged against the SLO (§5.3, Fig. 7):
+// the 98th percentile across jobs of each job's mean normalized promotion
+// rate over the intervals zswap was enabled for it, one mean per job with
+// any such interval in jobMeanRates; 0 without any.
+func FleetRate(jobMeanRates []float64) float64 {
+	if len(jobMeanRates) == 0 {
+		return 0
+	}
+	return stats.Percentile(jobMeanRates, 98)
+}
+
+// Check judges a FleetRate against the target: ok when it is at most
+// TargetRatePerMin, and excess, fleetRate/TargetRatePerMin − 1.
+func (s SLO) Check(fleetRate float64) (ok bool, excess float64) {
+	return fleetRate <= s.TargetRatePerMin, fleetRate/s.TargetRatePerMin - 1
 }
 
 // Params are the control-plane tunables the autotuner searches over.

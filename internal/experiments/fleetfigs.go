@@ -372,35 +372,29 @@ func Fig7PromotionRateCDF(scale Scale, seed int64) (Fig7Result, error) {
 	if err != nil {
 		return Fig7Result{}, err
 	}
-	rates := func(p core.Params) ([]float64, error) {
+	// Each configuration's CDF is over the per-job mean rates its p98,
+	// the SLO statistic, is taken across.
+	sweep := func(p core.Params) (cdf []stats.Point, p98 float64, err error) {
 		res, err := ct.Run(model.Config{Params: p, SLO: core.DefaultSLO})
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		var out []float64
+		var rates []float64
 		for _, j := range res.Jobs {
 			if j.Enabled > 0 {
-				out = append(out, j.MeanRate)
+				rates = append(rates, j.MeanRate)
 			}
 		}
-		return out, nil
+		return stats.NewCDF(rates).Points(20), res.P98Rate, nil
 	}
-	before, err := rates(heur.Best.Params)
-	if err != nil {
+	r := Fig7Result{SLOTarget: core.DefaultSLO.TargetRatePerMin, Params: tuned.Best.Params}
+	if r.BeforeCDF, r.BeforeP98, err = sweep(heur.Best.Params); err != nil {
 		return Fig7Result{}, err
 	}
-	after, err := rates(tuned.Best.Params)
-	if err != nil {
+	if r.AfterCDF, r.AfterP98, err = sweep(tuned.Best.Params); err != nil {
 		return Fig7Result{}, err
 	}
-	return Fig7Result{
-		BeforeCDF: stats.NewCDF(before).Points(20),
-		AfterCDF:  stats.NewCDF(after).Points(20),
-		BeforeP98: stats.Percentile(before, 98),
-		AfterP98:  stats.Percentile(after, 98),
-		SLOTarget: core.DefaultSLO.TargetRatePerMin,
-		Params:    tuned.Best.Params,
-	}, nil
+	return r, nil
 }
 
 // Render prints the two CDFs' key percentiles.

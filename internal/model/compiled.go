@@ -239,7 +239,7 @@ func (ct *CompiledTrace) Run(cfg Config) (FleetResult, error) {
 	if err != nil {
 		return FleetResult{}, err
 	}
-	return reduce(results, cfg), nil
+	return reduce(results), nil
 }
 
 // replayAll replays every job under the phase schedule (validated by the
@@ -252,7 +252,7 @@ func (ct *CompiledTrace) replayAll(phases []Phase, cfg Config, cold [][]float64)
 	}
 	workers := min(par.Workers(), len(ct.jobs))
 
-	// Each worker owns one replayer (controller, rate buffer), reused
+	// Each worker owns one replayer (its controller), reused
 	// across the jobs it claims. Output position is the job index, so the
 	// result is identical no matter how jobs land on workers.
 	reps := make([]*replayer, workers)
@@ -261,7 +261,7 @@ func (ct *CompiledTrace) replayAll(phases []Phase, cfg Config, cold [][]float64)
 		if err != nil {
 			return nil, err
 		}
-		reps[w] = &replayer{ct: ct, cfg: cfg, phases: phases, target: cfg.SLO.TargetRatePerMin, ctl: ctl}
+		reps[w] = &replayer{ct: ct, phases: phases, target: cfg.SLO.TargetRatePerMin, ctl: ctl}
 	}
 	best := ct.bestFor(cfg.SLO)
 	results := make([]JobResult, len(ct.jobs))
@@ -283,15 +283,13 @@ func (ct *CompiledTrace) replayAll(phases []Phase, cfg Config, cold [][]float64)
 // here instead of histogram buckets, and the percentile pick and the max
 // with the last best are the same in either index space.
 type replayer struct {
-	ct  *CompiledTrace
-	cfg Config
+	ct *CompiledTrace
 	// phases is the parameter schedule: phases[p] governs every interval
 	// from its Start until the next phase's. A plain Run is one phase.
 	phases []Phase
 	target float64 // SLO promotion-rate limit
 
-	ctl   *core.Controller // reset per job
-	rates []float64        // per-interval rates under CollectSamples, reused across jobs
+	ctl *core.Controller // reset per job
 }
 
 // replay runs the controller over one job's series. Each interval takes
@@ -308,7 +306,6 @@ func (r *replayer) replay(j *compiledJob, best []uint8, cold []float64) JobResul
 	nT := r.ct.nThresh
 	lastIdx := nT - 1
 	r.ctl.Reset(time.Duration(j.tsSec[0]) * time.Second)
-	r.rates = r.rates[:0]
 
 	var sumCold, sumColdMin, sumTotal, sumRate float64
 	ph, cur := 0, -1
@@ -349,9 +346,6 @@ func (r *replayer) replay(j *compiledJob, best []uint8, cold []float64) JobResul
 			if rate > r.target {
 				jr.Violations++
 			}
-			if r.cfg.CollectSamples {
-				r.rates = append(r.rates, rate)
-			}
 		}
 		// Best threshold for the interval just observed, fed back whether
 		// or not zswap is enabled: the kernel histograms exist regardless.
@@ -366,9 +360,6 @@ func (r *replayer) replay(j *compiledJob, best []uint8, cold []float64) JobResul
 	jr.MeanTotalPages = sumTotal / n
 	if jr.Enabled > 0 {
 		jr.MeanRate = sumRate / float64(jr.Enabled)
-	}
-	if len(r.rates) > 0 {
-		jr.RateSamples = append([]float64(nil), r.rates...)
 	}
 	return jr
 }

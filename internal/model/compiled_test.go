@@ -83,7 +83,7 @@ func addDuplicateTimestampJob(t *testing.T, tr *telemetry.Trace) {
 // TestCompiledReplayEquivalence locks the tentpole invariant: the compiled
 // replay must return results bit-identical to the reference per-evaluation
 // path for the same trace and configuration — including per-job means,
-// percentiles, gap counts, and collected rate samples.
+// the fleet percentile and gap counts.
 func TestCompiledReplayEquivalence(t *testing.T) {
 	tr := equivTrace(t)
 	addDuplicateTimestampJob(t, tr)
@@ -94,7 +94,7 @@ func TestCompiledReplayEquivalence(t *testing.T) {
 	}{
 		{tr, Config{Params: core.DefaultParams, SLO: core.DefaultSLO}},
 		{tr, Config{Params: core.Params{K: 50, S: 0}, SLO: core.DefaultSLO}},
-		{tr, Config{Params: core.Params{K: 99.9, S: 2 * time.Hour}, SLO: core.DefaultSLO, CollectSamples: true}},
+		{tr, Config{Params: core.Params{K: 99.9, S: 2 * time.Hour}, SLO: core.DefaultSLO}},
 		// A different SLO exercises the lazy best-threshold re-derivation.
 		{tr, Config{Params: core.DefaultParams, SLO: core.SLO{TargetRatePerMin: 0.01, MinThreshold: core.DefaultSLO.MinThreshold}}},
 		// Job series longer than the pool's span evict from it.
@@ -162,7 +162,7 @@ func TestCompiledReplayReuse(t *testing.T) {
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	tr := equivTrace(t)
 	ct := Compile(tr)
-	cfg := Config{Params: core.DefaultParams, SLO: core.DefaultSLO, CollectSamples: true}
+	cfg := Config{Params: core.DefaultParams, SLO: core.DefaultSLO}
 	all := runtime.GOMAXPROCS(0)
 	useProcs(t, 1)
 	want, err := ct.Run(cfg)

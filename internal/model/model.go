@@ -18,7 +18,6 @@ import (
 
 	"sdfm/internal/core"
 	"sdfm/internal/mem"
-	"sdfm/internal/stats"
 	"sdfm/internal/telemetry"
 )
 
@@ -26,16 +25,12 @@ import (
 type Config struct {
 	Params core.Params
 	SLO    core.SLO
-	// CollectSamples retains every per-interval normalized promotion rate
-	// (needed for CDF plots; costs memory on big traces).
-	CollectSamples bool
 }
 
 // JobResult is the replay outcome for one job: counts and means over its
-// intervals. Its one rate figure is MeanRate, the value the fleet's
-// P98Rate (the tuner's constraint) takes a percentile of; the within-job
-// distribution of interval rates is RateSamples, kept only under
-// CollectSamples.
+// intervals. Its one rate figure is MeanRate, the value core.FleetRate
+// takes across jobs for the fleet's P98Rate (the tuner's constraint); no
+// per-interval rate is kept.
 type JobResult struct {
 	Key       telemetry.JobKey
 	Intervals int // total intervals replayed
@@ -62,9 +57,6 @@ type JobResult struct {
 	// the replay accounts for them here instead of silently averaging
 	// across the hole as if the job had reported.
 	GapIntervals int
-
-	// RateSamples holds per-interval rates when Config.CollectSamples.
-	RateSamples []float64
 }
 
 // FleetResult is the reduce step over all jobs.
@@ -78,8 +70,8 @@ type FleetResult struct {
 	ColdBytesAtMin float64
 	// Coverage is ColdBytes / ColdBytesAtMin: Figure 5's metric.
 	Coverage float64
-	// P98Rate is the 98th percentile across jobs of the per-job mean
-	// normalized promotion rate: the autotuner's constraint (§5.3).
+	// P98Rate is the SLO statistic, core.FleetRate of the enabled jobs'
+	// MeanRates: the autotuner's constraint (§5.3) and Fig. 7's figure.
 	P98Rate float64
 	// ViolationFrac is the fraction of enabled (job, interval) samples
 	// violating the SLO.
@@ -104,11 +96,13 @@ func Run(trace *telemetry.Trace, cfg Config) (FleetResult, error) {
 	return Compile(trace).Run(cfg)
 }
 
-func reduce(jobs []JobResult, cfg Config) FleetResult {
+func reduce(jobs []JobResult) FleetResult {
 	r := FleetResult{Jobs: jobs}
 	var meanRates []float64
-	violations := 0
+	observed, violations := 0, 0
 	for _, j := range jobs {
+		observed += j.Intervals
+		r.GapIntervals += j.GapIntervals
 		if j.Intervals == 0 {
 			continue
 		}
@@ -123,20 +117,13 @@ func reduce(jobs []JobResult, cfg Config) FleetResult {
 		violations += j.Violations
 		meanRates = append(meanRates, j.MeanRate)
 	}
-	observed := 0
-	for _, j := range jobs {
-		observed += j.Intervals
-		r.GapIntervals += j.GapIntervals
-	}
 	if observed+r.GapIntervals > 0 {
 		r.Completeness = float64(observed) / float64(observed+r.GapIntervals)
 	}
 	if r.ColdBytesAtMin > 0 {
 		r.Coverage = r.ColdBytes / r.ColdBytesAtMin
 	}
-	if len(meanRates) > 0 {
-		r.P98Rate = stats.Percentile(meanRates, 98)
-	}
+	r.P98Rate = core.FleetRate(meanRates)
 	if r.EnabledIntervals > 0 {
 		r.ViolationFrac = float64(violations) / float64(r.EnabledIntervals)
 	}

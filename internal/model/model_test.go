@@ -186,23 +186,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunCollectSamples(t *testing.T) {
-	tr := buildTrace(1, 10, 3)
-	res, err := Run(tr, Config{
-		Params: core.Params{K: 98, S: 0}, SLO: core.DefaultSLO, CollectSamples: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Jobs[0].RateSamples) != res.Jobs[0].Enabled {
-		t.Errorf("samples = %d, enabled = %d", len(res.Jobs[0].RateSamples), res.Jobs[0].Enabled)
-	}
-	res2, _ := Run(tr, Config{Params: core.Params{K: 98, S: 0}, SLO: core.DefaultSLO})
-	if res2.Jobs[0].RateSamples != nil {
-		t.Error("samples retained without CollectSamples")
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	tr := buildTrace(1, 5, 3)
 	if _, err := Run(tr, Config{Params: core.Params{K: 200}, SLO: core.DefaultSLO}); err == nil {

@@ -83,7 +83,7 @@ func RunBaseline(trace *telemetry.Trace, cfg Config) (FleetResult, error) {
 		}
 		results[i] = jr
 	}
-	return reduce(results, cfg), nil
+	return reduce(results), nil
 }
 
 // replayJob runs the controller over one job's interval series.
@@ -102,7 +102,6 @@ func replayJob(trace *telemetry.Trace, key telemetry.JobKey, entries []telemetry
 	lastIdx := len(trace.Thresholds) - 1
 
 	jr := JobResult{Key: key}
-	var rates []float64
 	var sumCold, sumColdMin, sumTotal, sumRate float64
 	var prevTS int64 = -1
 	var prevInterval float64
@@ -139,7 +138,6 @@ func replayJob(trace *telemetry.Trace, key telemetry.JobKey, entries []telemetry
 			if rate > cfg.SLO.TargetRatePerMin {
 				jr.Violations++
 			}
-			rates = append(rates, rate)
 		}
 		ctrl.Observe(now, bestIndex(e, cfg.SLO))
 	}
@@ -150,9 +148,6 @@ func replayJob(trace *telemetry.Trace, key telemetry.JobKey, entries []telemetry
 	jr.MeanTotalPages = sumTotal / n
 	if jr.Enabled > 0 {
 		jr.MeanRate = sumRate / float64(jr.Enabled)
-	}
-	if cfg.CollectSamples {
-		jr.RateSamples = rates
 	}
 	return jr, nil
 }

@@ -39,7 +39,7 @@ func TestSliceEqualsCompileOfFilteredEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	configs := []Config{
 		{Params: core.DefaultParams, SLO: core.DefaultSLO},
-		{Params: core.Params{K: 99.9, S: 2 * time.Hour}, SLO: core.DefaultSLO, CollectSamples: true},
+		{Params: core.Params{K: 99.9, S: 2 * time.Hour}, SLO: core.DefaultSLO},
 		{Params: core.Params{K: 60, S: 10 * time.Minute}, SLO: core.DefaultSLO},
 	}
 	for ti, tr := range []*telemetry.Trace{

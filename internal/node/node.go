@@ -141,8 +141,9 @@ func (j *Job) CPUOverheadDecompress() float64 {
 	return float64(j.DecompressCPU) / float64(j.CPUUsed)
 }
 
-// RateSamples returns the per-interval normalized promotion rates
-// (fraction of WSS per minute) observed while the job ran.
+// RateSamples returns the normalized promotion rate (fraction of WSS per
+// minute) of each scan interval that ended past the job's warm-up S with
+// a working set; their mean is the job's term in core.FleetRate.
 func (j *Job) RateSamples() []float64 { return j.rateSamples }
 
 // LatencySamples returns observed promotion latencies in microseconds.
@@ -605,8 +606,8 @@ func (m *Machine) control(j *Job, intervalMinutes float64) {
 	best := core.BestThreshold(j.promotionsSince(&j.prevPromo), wss, intervalMinutes, m.cfg.SLO)
 	j.Controller.Observe(m.now, best)
 
-	// Record the realized normalized promotion rate for this interval.
-	if m.cfg.CollectSamples && wss > 0 {
+	// Record the realized rate of each interval past warm-up S.
+	if m.cfg.CollectSamples && wss > 0 && j.Controller.Enabled(m.now) {
 		rate := float64(j.intervalProm) / intervalMinutes / float64(wss)
 		j.rateSamples = append(j.rateSamples, rate)
 	}

@@ -107,12 +107,12 @@ func StagedRollout(candidate, incumbent core.Params, obj StageObjective, stages 
 			return RolloutReport{}, fmt.Errorf("tuner: stage %q objective: %w", st.Name, err)
 		}
 		sr := StageReport{Stage: st, Result: fr, Healthy: true}
-		switch {
+		switch ok, _ := slo.Check(fr.P98Rate); {
 		case fr.EnabledIntervals == 0:
 			sr.Healthy = false
 			sr.Reason = "no enabled observations in stage"
 			rep.Err = fmt.Errorf("tuner: stage %q: %w", st.Name, ErrNoObservations)
-		case fr.P98Rate > slo.TargetRatePerMin:
+		case !ok:
 			sr.Healthy = false
 			sr.Reason = fmt.Sprintf("stage p98 rate %.5f/min exceeds SLO %.5f/min", fr.P98Rate, slo.TargetRatePerMin)
 			rep.Err = fmt.Errorf("tuner: stage %q: p98 %.5f > %.5f: %w",

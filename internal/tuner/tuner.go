@@ -132,14 +132,10 @@ type Result struct {
 // when the SLO constraint holds, and a negative infeasibility penalty
 // otherwise so the GP learns where the constraint boundary lies.
 func Score(r model.FleetResult, slo core.SLO) (float64, bool) {
-	if r.P98Rate <= slo.TargetRatePerMin {
-		return r.Coverage, true
+	if ok, excess := slo.Check(r.P98Rate); !ok {
+		return -min(excess, 10), false
 	}
-	excess := r.P98Rate/slo.TargetRatePerMin - 1
-	if excess > 10 {
-		excess = 10
-	}
-	return -excess, false
+	return r.Coverage, true
 }
 
 // Autotune runs the GP-Bandit pipeline: seed the design, then iterate
