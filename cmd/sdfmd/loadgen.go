@@ -14,8 +14,8 @@ import (
 
 // loadgenConfig drives a saturation run against a live daemon (-loadgen):
 // Agents goroutines register and then fire Reports back-to-back, each
-// carrying Batch synthetic telemetry entries, over the negotiated report
-// encoding.
+// carrying Batch synthetic telemetry entries as wire frames, the one
+// report encoding.
 type loadgenConfig struct {
 	Target  string
 	Agents  int

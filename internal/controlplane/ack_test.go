@@ -55,8 +55,9 @@ func TestReportAckMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestReportAckFromServer: the bytes /v1/report sends, over either body
-// encoding, are encoding/json's rendering of the response.
+// TestReportAckFromServer: the bytes /v1/report sends for a frame are
+// encoding/json's rendering of the response, and a JSON body is refused
+// with 415 and acks nothing.
 func TestReportAckFromServer(t *testing.T) {
 	c := newTestController(t, Config{QueueCap: 3})
 	if _, err := c.Register(RegisterRequest{AgentID: "a"}); err != nil {
@@ -75,17 +76,24 @@ func TestReportAckFromServer(t *testing.T) {
 	for _, tc := range []struct {
 		ct   string
 		body []byte
+		code int
 		want ReportResponse
 	}{
-		{wire.ContentType, frame, ReportResponse{Accepted: 2, QueueFree: 1}},
-		{"application/json", body, ReportResponse{Accepted: 1, Dropped: 1}},
+		{wire.ContentType, frame, http.StatusOK, ReportResponse{Accepted: 2, QueueFree: 1}},
+		{"application/json", body, http.StatusUnsupportedMediaType, ReportResponse{}},
 	} {
 		req := httptest.NewRequest(http.MethodPost, "/v1/report", bytes.NewReader(tc.body))
 		req.Header.Set("Content-Type", tc.ct)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
-			t.Fatalf("%s report: HTTP %d, Content-Type %q", tc.ct, rec.Code, rec.Header().Get("Content-Type"))
+		if rec.Code != tc.code || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("%s report: HTTP %d, Content-Type %q, want HTTP %d", tc.ct, rec.Code, rec.Header().Get("Content-Type"), tc.code)
+		}
+		if tc.code != http.StatusOK {
+			if _, err := parseReportAck(rec.Body.Bytes()); err == nil {
+				t.Errorf("%s report: refusal %q parses as an ack", tc.ct, rec.Body.Bytes())
+			}
+			continue
 		}
 		if got, want := rec.Body.Bytes(), jsonAck(t, tc.want); !bytes.Equal(got, want) {
 			t.Errorf("%s report acked %q, want %q", tc.ct, got, want)

@@ -12,7 +12,6 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sdfm/internal/controlplane/wire"
@@ -29,7 +28,7 @@ const maxBodyBytes = 32 << 20
 // of Loopback, served by cmd/sdfmd:
 //
 //	POST /v1/register  {"agent_id": ...}            → RegisterResponse
-//	POST /v1/report    {"agent_id": ..., "entries"} → ReportResponse
+//	POST /v1/report    wire.ContentType frame        → ReportResponse
 //	GET  /v1/poll?agent=ID                          → PollResponse
 //	POST /v1/round                                  → RoundReport (forced)
 //	GET  /statusz                                   → Status (JSON)
@@ -118,10 +117,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpStatusFor(err), err)
 		return
 	}
-	// Advertise the binary telemetry wire version this server's
-	// /v1/report accepts; clients built against older servers ignore the
-	// field and keep speaking JSON.
-	resp.Wire = wire.Version
 	writeJSON(w, resp)
 }
 
@@ -143,58 +138,53 @@ var reportBufPool = sync.Pool{
 	New: func() any { return new(reportBufs) },
 }
 
-// handleReport negotiates the report body encoding by Content-Type:
-// application/x-sdfm-telemetry bodies decode through the bounds-checked
-// binary codec, everything else falls back to JSON. Both paths produce
-// the same ReportRequest, so backpressure, validation, and round
-// decisions are encoding-blind.
+// handleReport accepts one body encoding, a wire.ContentType frame
+// decoded by the bounds-checked wire codec; any other Content-Type is
+// refused with 415 before the body is read.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
+	}
+	// The exact media type, what every Client sends, needs no parse.
+	if ct := r.Header.Get("Content-Type"); ct != wire.ContentType {
+		if mt, _, _ := mime.ParseMediaType(ct); mt != wire.ContentType {
+			writeError(w, http.StatusUnsupportedMediaType,
+				fmt.Errorf("report Content-Type %q: want %s", ct, wire.ContentType))
+			return
+		}
 	}
 	rb := reportBufPool.Get().(*reportBufs)
 	defer reportBufPool.Put(rb)
 	buf := &rb.frame
 	buf.Reset()
-	var req ReportRequest
-	// The exact media type, what every Client sends, needs no parse.
-	ct := r.Header.Get("Content-Type")
-	if ct != wire.ContentType {
-		ct, _, _ = mime.ParseMediaType(ct)
+	// Content-Length sizes the read exactly, so a frame of tens of
+	// kilobytes lands in one pass with no regrowth; a body without one
+	// is read up to the limit.
+	var frame []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= maxBodyBytes {
+		buf.Grow(int(n))
+		frame = buf.AvailableBuffer()[:n]
+		_, err = io.ReadFull(r.Body, frame)
+	} else {
+		_, err = buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		frame = buf.Bytes()
 	}
-	if ct == wire.ContentType {
-		// Content-Length sizes the read exactly, so a frame of tens of
-		// kilobytes lands in one pass with no regrowth; a body without
-		// one is read up to the limit.
-		var frame []byte
-		var err error
-		if n := r.ContentLength; n >= 0 && n <= maxBodyBytes {
-			buf.Grow(int(n))
-			frame = buf.AvailableBuffer()[:n]
-			_, err = io.ReadFull(r.Body, frame)
-		} else {
-			_, err = buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-			frame = buf.Bytes()
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("reading report frame: %w", err))
-			return
-		}
-		agentID, entries, err := wire.DecodeReportBatchInto(rb.entries, frame)
-		if err != nil {
-			code := http.StatusBadRequest
-			if errors.Is(err, wire.ErrUnsupportedVersion) {
-				code = http.StatusUnsupportedMediaType
-			}
-			writeError(w, code, fmt.Errorf("decoding report frame: %w", err))
-			return
-		}
-		rb.entries = entries
-		req = ReportRequest{AgentID: agentID, Entries: entries}
-	} else if !decodeBody(w, r, &req) {
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("reading report frame: %w", err))
 		return
 	}
-	resp, err := s.c.Report(req)
+	agentID, entries, err := wire.DecodeReportBatchInto(rb.entries, frame)
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.Is(err, wire.ErrUnsupportedVersion) {
+			code = http.StatusUnsupportedMediaType
+		}
+		writeError(w, code, fmt.Errorf("decoding report frame: %w", err))
+		return
+	}
+	rb.entries = entries
+	resp, err := s.c.Report(ReportRequest{AgentID: agentID, Entries: entries})
 	if err != nil {
 		writeError(w, httpStatusFor(err), err)
 		return
@@ -331,19 +321,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf.Bytes())
 }
 
-// Encoding selects how a Client serializes report bodies.
+// Encoding names a report body encoding. There is one, EncodingBinary;
+// the type and Client.Encoding stay only because the benchmark harness
+// (bench/cp.go) still assigns that constant, and nothing reads them.
 type Encoding int
 
-const (
-	// EncodingAuto (the default) starts on JSON and upgrades to the
-	// binary wire format when registration advertises server support.
-	EncodingAuto Encoding = iota
-	// EncodingJSON forces per-entry JSON bodies.
-	EncodingJSON
-	// EncodingBinary forces application/x-sdfm-telemetry frames without
-	// waiting for the registration advertisement.
-	EncodingBinary
-)
+// EncodingBinary is the wire.ContentType frame, the only report body.
+const EncodingBinary Encoding = 0
 
 // sharedTransport is the process-wide transport every NewClient client
 // rides: agents report every telemetry interval to the same daemon, so
@@ -365,21 +349,17 @@ var encodeBufPool = sync.Pool{
 
 // Client speaks the Server's protocol; it implements Transport, so agent
 // code written against Loopback works unchanged against a live sdfmd.
-// Report bodies use the binary telemetry wire format when the server
-// supports it (see Encoding); every other exchange is JSON.
+// Report bodies are wire.ContentType frames; every other exchange is
+// JSON.
 type Client struct {
 	// Base is the daemon's base URL, e.g. "http://127.0.0.1:8300".
 	Base string
 	// HTTP is the underlying client (default: shared keep-alive
 	// transport, 30 s timeout).
 	HTTP *http.Client
-	// Encoding selects the report body serialization (default
-	// EncodingAuto).
+	// Encoding is read by nothing; it stays only for bench/cp.go's
+	// assignment of EncodingBinary.
 	Encoding Encoding
-
-	// binaryOK records, under EncodingAuto, whether registration
-	// advertised binary wire support.
-	binaryOK atomic.Bool
 }
 
 // NewClient builds a client for the daemon at base.
@@ -397,32 +377,16 @@ func drainBody(body io.ReadCloser) {
 	body.Close()
 }
 
-// httpError is a non-200 response, keeping the status code inspectable
-// (the Report fallback branches on 415).
-type httpError struct {
-	path string
-	code int
-	msg  string
-}
-
-func (e *httpError) Error() string {
-	if e.msg != "" {
-		return fmt.Sprintf("controlplane: %s: %s (HTTP %d)", e.path, e.msg, e.code)
-	}
-	return fmt.Sprintf("controlplane: %s: HTTP %d", e.path, e.code)
-}
-
 // errorFrom turns a non-200 response into a descriptive error.
 func errorFrom(path string, resp *http.Response) error {
 	var e struct {
 		Error string `json:"error"`
 	}
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	he := &httpError{path: path, code: resp.StatusCode}
 	if json.Unmarshal(msg, &e) == nil && e.Error != "" {
-		he.msg = e.Error
+		return fmt.Errorf("controlplane: %s: %s (HTTP %d)", path, e.Error, resp.StatusCode)
 	}
-	return he
+	return fmt.Errorf("controlplane: %s: HTTP %d", path, resp.StatusCode)
 }
 
 func (cl *Client) post(ctx context.Context, path, contentType string, body io.Reader, out any) error {
@@ -490,42 +454,19 @@ func (cl *Client) do(ctx context.Context, method, path string, body, out any) er
 	return cl.post(ctx, path, "application/json", bytes.NewReader(buf.Bytes()), out)
 }
 
-// Register implements Transport. Under EncodingAuto it also completes
-// the wire negotiation: if the server advertises binary telemetry
-// support, subsequent Report calls switch to the binary frame format.
+// Register implements Transport.
 func (cl *Client) Register(ctx context.Context, req RegisterRequest) (RegisterResponse, error) {
 	var resp RegisterResponse
 	err := cl.do(ctx, http.MethodPost, "/v1/register", req, &resp)
-	if err == nil {
-		cl.binaryOK.Store(resp.Wire >= wire.Version)
-	}
 	return resp, err
 }
 
-// useBinary reports whether the next report body should be a binary
-// frame.
-func (cl *Client) useBinary() bool {
-	switch cl.Encoding {
-	case EncodingBinary:
-		return true
-	case EncodingJSON:
-		return false
-	default:
-		return cl.binaryOK.Load()
-	}
-}
-
-// Report implements Transport. Report bodies are binary wire frames when
-// negotiated (or forced), encoded into a pooled buffer so the
-// steady-state reporting path allocates no per-call encode buffers; a
-// server rejecting the frame encoding (HTTP 415) flips an EncodingAuto
-// client back to JSON for the retry and every later call.
+// Report implements Transport. The body is a wire frame encoded into a
+// pooled buffer, so the steady-state reporting path allocates no
+// per-call encode buffers. A refused frame is an error; nothing is
+// retried.
 func (cl *Client) Report(ctx context.Context, req ReportRequest) (ReportResponse, error) {
 	var resp ReportResponse
-	if !cl.useBinary() {
-		err := cl.do(ctx, http.MethodPost, "/v1/report", req, &resp)
-		return resp, err
-	}
 	buf := encodeBufPool.Get().(*bytes.Buffer)
 	defer encodeBufPool.Put(buf)
 	frame, err := wire.AppendReportBatch(buf.Bytes()[:0], req.AgentID, req.Entries)
@@ -535,15 +476,8 @@ func (cl *Client) Report(ctx context.Context, req ReportRequest) (ReportResponse
 	// Hand the (possibly grown) backing array back to the pooled buffer
 	// so the next call reuses it.
 	*buf = *bytes.NewBuffer(frame)
-	herr := cl.post(ctx, "/v1/report", wire.ContentType, bytes.NewReader(frame), &resp)
-	var he *httpError
-	if errors.As(herr, &he) && he.code == http.StatusUnsupportedMediaType &&
-		cl.Encoding == EncodingAuto {
-		cl.binaryOK.Store(false)
-		err := cl.do(ctx, http.MethodPost, "/v1/report", req, &resp)
-		return resp, err
-	}
-	return resp, herr
+	err = cl.post(ctx, "/v1/report", wire.ContentType, bytes.NewReader(frame), &resp)
+	return resp, err
 }
 
 // Poll implements Transport.

@@ -1,10 +1,13 @@
 package controlplane
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,8 +17,8 @@ import (
 
 // contentTypeRecorder counts /v1/report bodies by encoding.
 type contentTypeRecorder struct {
-	next         http.Handler
-	binary, json atomic.Int64
+	next          http.Handler
+	binary, other atomic.Int64
 }
 
 func (rec *contentTypeRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -23,17 +26,16 @@ func (rec *contentTypeRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request
 		if r.Header.Get("Content-Type") == wire.ContentType {
 			rec.binary.Add(1)
 		} else {
-			rec.json.Add(1)
+			rec.other.Add(1)
 		}
 	}
 	rec.next.ServeHTTP(w, r)
 }
 
-// TestHTTPBinaryNegotiation drives the full upgrade path: Register
-// advertises the wire version, the client switches its report bodies to
-// binary frames, and the decoded entries land in the controller exactly
-// as JSON ones would.
-func TestHTTPBinaryNegotiation(t *testing.T) {
+// TestHTTPReportFrame drives a report over HTTP: a freshly registered
+// client sends its first report as a wire frame, and the decoded entries
+// land in the controller intact.
+func TestHTTPReportFrame(t *testing.T) {
 	ctx := context.Background()
 	c := newTestController(t, Config{})
 	rec := &contentTypeRecorder{next: NewServer(c, nil).Handler()}
@@ -41,72 +43,82 @@ func TestHTTPBinaryNegotiation(t *testing.T) {
 	defer srv.Close()
 
 	cl := NewClient(srv.URL)
-	reg, err := cl.Register(ctx, RegisterRequest{AgentID: "a"})
-	if err != nil {
+	if _, err := cl.Register(ctx, RegisterRequest{AgentID: "a"}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if reg.Wire != wire.Version {
-		t.Fatalf("Register advertised wire version %d, want %d", reg.Wire, wire.Version)
-	}
-
 	tr := testTrace(t, 1, 1, 2, time.Hour, 8)
 	resp, err := cl.Report(ctx, ReportRequest{AgentID: "a", Entries: tr.Entries})
 	if err != nil {
 		t.Fatalf("Report: %v", err)
 	}
 	if resp.Accepted != len(tr.Entries) || resp.Dropped != 0 {
-		t.Errorf("binary report accepted %d dropped %d, want %d/0",
+		t.Errorf("report accepted %d dropped %d, want %d/0",
 			resp.Accepted, resp.Dropped, len(tr.Entries))
 	}
-	if rec.binary.Load() != 1 || rec.json.Load() != 0 {
-		t.Errorf("report encodings binary=%d json=%d, want 1/0",
-			rec.binary.Load(), rec.json.Load())
+	if rec.binary.Load() != 1 || rec.other.Load() != 0 {
+		t.Errorf("report encodings frame=%d other=%d, want 1/0",
+			rec.binary.Load(), rec.other.Load())
 	}
 	if rep := c.Tick(); rep.Drained != len(tr.Entries) || rep.RejectedCorrupt != 0 {
-		t.Errorf("tick after binary report: drained %d rejected %d, want %d/0",
+		t.Errorf("tick after report: drained %d rejected %d, want %d/0",
 			rep.Drained, rep.RejectedCorrupt, len(tr.Entries))
-	}
-
-	// A client pinned to JSON ignores the advertisement.
-	jl := NewClient(srv.URL)
-	jl.Encoding = EncodingJSON
-	if _, err := jl.Register(ctx, RegisterRequest{AgentID: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jl.Report(ctx, ReportRequest{AgentID: "a", Entries: tr.Entries[:1]}); err != nil {
-		t.Fatalf("JSON report: %v", err)
-	}
-	if rec.json.Load() != 1 {
-		t.Errorf("pinned-JSON client sent %d JSON reports, want 1", rec.json.Load())
 	}
 }
 
-// TestHTTPBinaryFallbackOn415 pins the downgrade path: a server that
-// advertises binary support but then rejects the frame (version skew,
-// proxy stripping) gets an automatic JSON retry, and the client stays on
-// JSON afterwards.
-func TestHTTPBinaryFallbackOn415(t *testing.T) {
+// TestHTTPReportRefusesOtherContentTypes: /v1/report has one body
+// encoding. A JSON body, a text body and a body with no Content-Type are
+// each refused with 415 and an error naming wire.ContentType, and none
+// of them counts as a report.
+func TestHTTPReportRefusesOtherContentTypes(t *testing.T) {
+	c := newTestController(t, Config{})
+	if _, err := c.Register(RegisterRequest{AgentID: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(c, nil).Handler()
+	entries := testTrace(t, 1, 1, 1, time.Hour, 3).Entries[:2]
+	body, err := json.Marshal(ReportRequest{AgentID: "a", Entries: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ct := range []string{"application/json", "text/plain", ""} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/report", bytes.NewReader(body))
+		if ct != "" {
+			req.Header.Set("Content-Type", ct)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusUnsupportedMediaType {
+			t.Errorf("Content-Type %q: HTTP %d, want 415", ct, rec.Code)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, wire.ContentType) {
+			t.Errorf("Content-Type %q: error body %q does not name %s", ct, rec.Body.Bytes(), wire.ContentType)
+		}
+	}
+	if in := c.Status().Ingest; in.Received != 0 || in.Reports != 0 {
+		t.Errorf("refused bodies counted: received %d, reports %d, want 0/0", in.Received, in.Reports)
+	}
+}
+
+// TestHTTPReport415IsAnError: a server that refuses the frame with 415
+// makes Report return that error after exactly one request, a frame; the
+// client has no other encoding to retry in. The registration answer
+// carries the "wire" field older servers advertised frames with, which
+// the client ignores.
+func TestHTTPReport415IsAnError(t *testing.T) {
 	ctx := context.Background()
-	var binaryTries, jsonTries atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/register", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, RegisterResponse{Wire: wire.Version})
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"params":{"K":98,"S":600000000000},"epoch":0,"wire":1}`+"\n")
 	})
 	mux.HandleFunc("/v1/report", func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Content-Type") == wire.ContentType {
-			binaryTries.Add(1)
-			writeError(w, http.StatusUnsupportedMediaType, wire.ErrUnsupportedVersion)
-			return
-		}
-		jsonTries.Add(1)
-		var req ReportRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, ReportResponse{Accepted: len(req.Entries)})
+		writeError(w, http.StatusUnsupportedMediaType, wire.ErrUnsupportedVersion)
 	})
-	srv := httptest.NewServer(mux)
+	rec := &contentTypeRecorder{next: mux}
+	srv := httptest.NewServer(rec)
 	defer srv.Close()
 
 	cl := NewClient(srv.URL)
@@ -114,19 +126,12 @@ func TestHTTPBinaryFallbackOn415(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := testTrace(t, 1, 1, 1, time.Hour, 9)
-	for i := 0; i < 2; i++ {
-		resp, err := cl.Report(ctx, ReportRequest{AgentID: "a", Entries: tr.Entries[:3]})
-		if err != nil {
-			t.Fatalf("Report %d: %v", i, err)
-		}
-		if resp.Accepted != 3 {
-			t.Errorf("Report %d accepted %d, want 3", i, resp.Accepted)
-		}
+	_, err := cl.Report(ctx, ReportRequest{AgentID: "a", Entries: tr.Entries[:3]})
+	if err == nil || !strings.Contains(err.Error(), "HTTP 415") {
+		t.Errorf("Report against a 415 server: err %v, want an HTTP 415 error", err)
 	}
-	if binaryTries.Load() != 1 {
-		t.Errorf("client tried binary %d times, want exactly 1 before downgrading", binaryTries.Load())
-	}
-	if jsonTries.Load() != 2 {
-		t.Errorf("server saw %d JSON reports, want 2 (fallback retry + next call)", jsonTries.Load())
+	if rec.binary.Load() != 1 || rec.other.Load() != 0 {
+		t.Errorf("client sent frame=%d other=%d reports, want exactly 1 frame",
+			rec.binary.Load(), rec.other.Load())
 	}
 }

@@ -14,14 +14,9 @@ type RegisterRequest struct {
 }
 
 // RegisterResponse carries the agent's initial parameter assignment.
-// Wire advertises the newest binary telemetry wire version the server's
-// /v1/report endpoint accepts (0 on servers predating the binary
-// format); a client seeing Wire ≥ wire.Version may switch its report
-// bodies from JSON to application/x-sdfm-telemetry.
 type RegisterResponse struct {
 	Params core.Params `json:"params"`
 	Epoch  int64       `json:"epoch"`
-	Wire   int         `json:"wire,omitempty"`
 }
 
 // ReportRequest streams telemetry entries to the controller.

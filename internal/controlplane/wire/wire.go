@@ -1,7 +1,8 @@
 // Package wire implements the control plane's binary telemetry wire
 // format: a versioned, CRC-checked batch codec for agent→controller
 // report frames, served over HTTP as Content-Type
-// "application/x-sdfm-telemetry" with JSON kept as the fallback.
+// "application/x-sdfm-telemetry". It is the one report encoding: the
+// server refuses any other report Content-Type with 415.
 //
 // The entries travel in the module's one entry-column block (package
 // colfmt); this package owns only the frame around it. It is a
@@ -10,8 +11,7 @@
 // footer index, and the block's Prefixed tail layout — raw varints rather
 // than monotone decrements — so that damaged entries (bit-flipped content
 // with stale checksums) survive the wire intact and are rejected with
-// accounting at the controller's Tick validation, exactly as they are
-// over JSON.
+// accounting at the controller's Tick validation.
 //
 // # Frame layout (version 1)
 //
@@ -37,13 +37,13 @@ import (
 	"sdfm/internal/telemetry/colfmt"
 )
 
-// ContentType is the HTTP media type that selects this codec; any other
-// report Content-Type falls back to the JSON protocol.
+// ContentType is the HTTP media type of a report body, the only one
+// /v1/report accepts; any other report Content-Type gets 415.
 const ContentType = "application/x-sdfm-telemetry"
 
-// Version is the frame layout version this package writes. Servers
-// advertise it in RegisterResponse.Wire so clients know binary reports
-// are understood before sending any.
+// Version is the frame layout version this package writes. A frame of
+// any other version is refused with ErrUnsupportedVersion, which the
+// server answers with 415.
 const Version = 1
 
 const frameMagic = "SDWB"
@@ -71,7 +71,7 @@ var ErrCorrupt = errors.New("wire: corrupt telemetry frame")
 var ErrUnsupportedVersion = errors.New("wire: unsupported frame version")
 
 // ErrTooLarge is returned by the encoder when a batch exceeds the
-// format's structural limits; callers fall back to JSON.
+// format's structural limits; the caller must send a smaller batch.
 var ErrTooLarge = errors.New("wire: batch exceeds format limits")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

@@ -77,7 +77,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 	// Entry checksums survive the wire untouched: controller-side
-	// validation must behave exactly as it does over JSON.
+	// validation sees exactly what the agent recorded.
 	for i := range got {
 		if err := got[i].VerifyChecksum(); err != nil {
 			t.Errorf("decoded entry %d fails checksum: %v", i, err)
@@ -103,7 +103,7 @@ func TestRoundTripEmptyBatch(t *testing.T) {
 // frame CRC protects the *transport*, not the entries: an entry whose
 // content was damaged before encoding (stale FNV checksum, non-monotone
 // tails) must round-trip bit-exactly so the controller's Tick validation
-// rejects it with accounting, exactly as over JSON.
+// rejects it with accounting, exactly as if it had been recorded there.
 func TestDamagedEntriesSurviveTheWire(t *testing.T) {
 	entries := testEntries(t)[:4]
 	damaged := make([]telemetry.Entry, len(entries))
