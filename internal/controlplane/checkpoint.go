@@ -33,27 +33,19 @@ import (
 // configured without a CheckpointDir.
 var ErrNoCheckpointDir = errors.New("controlplane: no checkpoint directory configured")
 
-// RestoreReport summarizes a Restore: what was recovered and what was
-// skipped on the way to it.
+// RestoreReport summarizes a Restore: the file scan (which checkpoint
+// booted the controller, and the newer files skipped on the way to it,
+// newest first) and the state it recovered.
 type RestoreReport struct {
-	// Restored is false when the directory held no usable checkpoint and
-	// the controller booted fresh.
-	Restored bool `json:"restored"`
-	// File and Generation identify the checkpoint that booted the
-	// controller.
-	File       string `json:"file,omitempty"`
-	Generation uint64 `json:"generation,omitempty"`
-	// Skipped lists newer files that were passed over (torn writes, bad
-	// CRCs, stray temporaries), newest first.
-	Skipped []ckpt.SkippedFile `json:"-"`
+	ckpt.RestoreReport
 	// Agents, Rounds, QueuedEntries, and Ingested describe the recovered
 	// state: registered agents, completed tuning rounds, telemetry
 	// entries still queued (acked but undrained at snapshot time), and
 	// the lifetime ingested-entry total.
-	Agents        int    `json:"agents"`
-	Rounds        int    `json:"rounds"`
-	QueuedEntries int    `json:"queued_entries"`
-	Ingested      uint64 `json:"ingested"`
+	Agents        int
+	Rounds        int
+	QueuedEntries int
+	Ingested      uint64
 }
 
 // Restore boots a controller from the newest valid checkpoint in
@@ -75,12 +67,7 @@ func Restore(cfg Config) (*Controller, RestoreReport, error) {
 	if err != nil {
 		return nil, RestoreReport{}, err
 	}
-	rep := RestoreReport{
-		Restored:   frep.Restored,
-		File:       frep.File,
-		Generation: frep.Generation,
-		Skipped:    frep.Skipped,
-	}
+	rep := RestoreReport{RestoreReport: frep}
 	c.m.ckptSkipped.AddInt(len(frep.Skipped))
 	if s == nil {
 		return c, rep, nil
@@ -105,9 +92,10 @@ func (c *Controller) adoptSnapshot(s *ckpt.Snapshot) error {
 	c.ckptGen = s.Generation
 
 	// Agent registry. Snapshot order is sorted, but the file is external
-	// input: re-sort and reject duplicates rather than trusting it.
-	for i := range s.Agents {
-		a := &s.Agents[i]
+	// input: re-sort and reject duplicates rather than trusting it. The
+	// decoder has already refused any invalid (K, S). Each entry gets a
+	// queue of its own instead of a view into the decoded block.
+	for _, a := range s.Agents {
 		if a.ID == "" {
 			return fmt.Errorf("%w: empty agent id", ckpt.ErrCorrupt)
 		}
@@ -115,15 +103,8 @@ func (c *Controller) adoptSnapshot(s *ckpt.Snapshot) error {
 		if _, dup := st.agents[a.ID]; dup {
 			return fmt.Errorf("%w: duplicate agent %q", ckpt.ErrCorrupt, a.ID)
 		}
-		st.agents[a.ID] = &agentState{
-			id:      a.ID,
-			queue:   append([]telemetry.Entry(nil), a.Queue...),
-			dropped: a.Dropped,
-			reports: a.Reports,
-			lastTS:  a.LastTS,
-			params:  a.Params,
-			epoch:   a.Epoch,
-		}
+		a.Queue = slices.Clone(a.Queue)
+		st.agents[a.ID] = &a
 		st.queued += len(a.Queue)
 		c.ids = append(c.ids, a.ID)
 	}
@@ -162,9 +143,7 @@ func (c *Controller) adoptSnapshot(s *ckpt.Snapshot) error {
 	}
 
 	// Round history, so round numbering and /statusz continue seamlessly.
-	for i := range s.Rounds {
-		c.rounds = append(c.rounds, roundFromCkpt(&s.Rounds[i]))
-	}
+	c.rounds = s.Rounds
 
 	c.m.ckptGen.Set(float64(s.Generation))
 	return nil
@@ -296,33 +275,14 @@ func (c *Controller) snapshotLocked() (*ckpt.Snapshot, [][]telemetry.Entry) {
 	for _, id := range c.ids {
 		st := c.stripeFor(id)
 		st.mu.Lock()
-		a := st.agents[id]
-		as := ckpt.AgentSnap{
-			ID:      a.id,
-			Params:  a.params,
-			Epoch:   a.epoch,
-			LastTS:  a.lastTS,
-			Reports: a.reports,
-			Dropped: a.dropped,
-		}
-		if len(a.queue) > 0 {
-			as.Queue = append([]telemetry.Entry(nil), a.queue...)
-		}
+		a := *st.agents[id]
+		a.Queue = slices.Clone(a.Queue)
 		st.mu.Unlock()
-		s.Agents = append(s.Agents, as)
+		s.Agents = append(s.Agents, a)
 	}
-	for i := range c.rounds {
-		s.Rounds = append(s.Rounds, roundToCkpt(&c.rounds[i]))
-	}
-	t, _ := c.ingestTotalsLocked()
-	s.Counters = ckpt.Counters{
-		Reports:             t.Reports,
-		Received:            t.Received,
-		Ingested:            t.Ingested,
-		DroppedBackpressure: t.DroppedBackpressure,
-		RejectedCorrupt:     t.RejectedCorrupt,
-		RejectedInvalid:     t.RejectedInvalid,
-	}
+	// A round record holds no slice, so a shallow clone is a full copy.
+	s.Rounds = slices.Clone(c.rounds)
+	s.Counters, _ = c.ingestTotalsLocked()
 	return s, window
 }
 
@@ -333,48 +293,6 @@ func flattenWindow(segs [][]telemetry.Entry) []telemetry.Entry {
 		return segs[0]
 	}
 	return slices.Concat(segs...)
-}
-
-func roundToCkpt(r *RoundReport) ckpt.Round {
-	return ckpt.Round{
-		Round:          int64(r.Round),
-		WindowStartSec: r.WindowStartSec,
-		WindowEndSec:   r.WindowEndSec,
-		Entries:        int64(r.Entries),
-		Jobs:           int64(r.Jobs),
-		TunerEvals:     int64(r.TunerEvals),
-		Candidate:      r.Candidate,
-		Chosen:         r.Chosen,
-		Accepted:       r.Accepted,
-		RolledBackAt:   r.RolledBackAt,
-		Reason:         r.Reason,
-		Coverage:       r.Coverage,
-		P98Rate:        r.P98Rate,
-		GapIntervals:   int64(r.GapIntervals),
-		Completeness:   r.Completeness,
-		Err:            r.Err,
-	}
-}
-
-func roundFromCkpt(r *ckpt.Round) RoundReport {
-	return RoundReport{
-		Round:          int(r.Round),
-		WindowStartSec: r.WindowStartSec,
-		WindowEndSec:   r.WindowEndSec,
-		Entries:        int(r.Entries),
-		Jobs:           int(r.Jobs),
-		TunerEvals:     int(r.TunerEvals),
-		Candidate:      r.Candidate,
-		Chosen:         r.Chosen,
-		Accepted:       r.Accepted,
-		RolledBackAt:   r.RolledBackAt,
-		Reason:         r.Reason,
-		Coverage:       r.Coverage,
-		P98Rate:        r.P98Rate,
-		GapIntervals:   int(r.GapIntervals),
-		Completeness:   r.Completeness,
-		Err:            r.Err,
-	}
 }
 
 // ensureCheckpointDir creates the checkpoint directory at boot so the

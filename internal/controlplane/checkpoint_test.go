@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -119,10 +120,8 @@ func roundsEqual(t *testing.T, got, want []RoundReport, label string) {
 		t.Fatalf("%s: %d rounds, want %d", label, len(got), len(want))
 	}
 	for i := range got {
-		g, w := got[i], want[i]
-		g.Stages, w.Stages = nil, nil // transient, excluded from checkpoints
-		if !reflect.DeepEqual(g, w) {
-			t.Errorf("%s: round %d diverged:\n got %+v\nwant %+v", label, i+1, g, w)
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: round %d diverged:\n got %+v\nwant %+v", label, i+1, got[i], want[i])
 		}
 	}
 }
@@ -647,5 +646,127 @@ func TestCloseIsFinal(t *testing.T) {
 	// The caller's own final snapshot still works, on the caller's goroutine.
 	if _, err := c.Checkpoint(); err != nil {
 		t.Errorf("Checkpoint after Close: %v", err)
+	}
+}
+
+// fillNonZero sets every exported field reachable from v to a non-zero
+// value, numbering the leaves so no two fields hold the same one. Numbers
+// stay small, so a filled core.Params is a valid one (K in [0, 100],
+// S >= 0). A slice gets one element, itself filled.
+func fillNonZero(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	*n++
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(*n))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(*n))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(*n) + 0.5)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("value %d", *n))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fillNonZero(t, v.Field(i), n)
+			}
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fillNonZero(t, v.Index(0), n)
+	default:
+		t.Fatalf("fillNonZero: no non-zero value for a %s", v.Type())
+	}
+}
+
+// TestCheckpointKeepsEveryRoundField: every exported field of a round
+// record, set to a non-zero value, comes back from Checkpoint → Restore.
+// A field the checkpoint codec forgets is lost at every restart; this
+// makes a new field fail here until the codec carries it.
+func TestCheckpointKeepsEveryRoundField(t *testing.T) {
+	var want RoundReport
+	n := 0
+	fillNonZero(t, reflect.ValueOf(&want).Elem(), &n)
+	rv := reflect.ValueOf(want)
+	for i := 0; i < rv.NumField(); i++ {
+		if rv.Type().Field(i).IsExported() && rv.Field(i).IsZero() {
+			t.Fatalf("field %s left zero", rv.Type().Field(i).Name)
+		}
+	}
+	cfg := ckptTestConfig(t.TempDir())
+	c1 := newTestController(t, cfg)
+	c1.mu.Lock()
+	c1.rounds = append(c1.rounds, want)
+	c1.mu.Unlock()
+	if _, err := c1.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	c2, rep, err := Restore(cfg)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	t.Cleanup(c2.Close)
+	got := c2.Rounds()
+	if !rep.Restored || len(got) != 1 {
+		t.Fatalf("restored %d rounds (%+v), want 1", len(got), rep)
+	}
+	gv := reflect.ValueOf(got[0])
+	for i := 0; i < rv.NumField(); i++ {
+		if !rv.Type().Field(i).IsExported() {
+			continue
+		}
+		if g, w := gv.Field(i).Interface(), rv.Field(i).Interface(); !reflect.DeepEqual(g, w) {
+			t.Errorf("round field %s: restored %+v, checkpointed %+v", rv.Type().Field(i).Name, g, w)
+		}
+	}
+}
+
+// TestRestoreSkipsInvalidParams: a (K, S) in a checkpoint is input like
+// any other. A CRC-valid file whose incumbent, agent or round carries a
+// value core.Params.Validate refuses is skipped with accounting, and the
+// older generation boots, instead of handing agents a NaN percentile.
+func TestRestoreSkipsInvalidParams(t *testing.T) {
+	good := core.Params{K: 98, S: 20 * time.Minute}
+	for name, damage := range map[string]func(s *ckpt.Snapshot){
+		"incumbent K 150":     func(s *ckpt.Snapshot) { s.Incumbent.K = 150 },
+		"incumbent S -1h":     func(s *ckpt.Snapshot) { s.Incumbent.S = -time.Hour },
+		"agent K NaN":         func(s *ckpt.Snapshot) { s.Agents[0].Params.K = math.NaN() },
+		"round candidate NaN": func(s *ckpt.Snapshot) { s.Rounds[0].Candidate.K = math.NaN() },
+		"round chosen S -1s":  func(s *ckpt.Snapshot) { s.Rounds[0].Chosen.S = -time.Second },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			snap := func(gen uint64) *ckpt.Snapshot {
+				s := &ckpt.Snapshot{Generation: gen, TelemetrySec: -1, Incumbent: good, Epoch: int64(gen)}
+				s.Agents = append(s.Agents, ckpt.Agent{ID: "c0/m0", Params: good, Epoch: int64(gen), LastTS: -1})
+				s.Rounds = append(s.Rounds, ckpt.Round{Round: 1, Candidate: good, Chosen: good, Accepted: true})
+				return s
+			}
+			bad := snap(2)
+			damage(bad)
+			for _, s := range []*ckpt.Snapshot{snap(1), bad} {
+				if _, err := ckpt.WriteFile(dir, s); err != nil {
+					t.Fatalf("WriteFile: %v", err)
+				}
+			}
+			c, rep, err := Restore(ckptTestConfig(dir))
+			if err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			t.Cleanup(c.Close)
+			if !rep.Restored || rep.Generation != 1 || len(rep.Skipped) != 1 ||
+				rep.Skipped[0].Name != ckpt.FileName(2) || !errors.Is(rep.Skipped[0].Err, ckpt.ErrCorrupt) {
+				t.Fatalf("RestoreReport %+v, want generation 1 with generation 2 skipped as corrupt", rep)
+			}
+			resp, err := c.Poll(PollRequest{AgentID: "c0/m0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Params != good || resp.Incumbent != good || resp.Epoch != 1 {
+				t.Errorf("Poll after restore: %+v, want generation 1's params", resp)
+			}
+		})
 	}
 }

@@ -37,7 +37,7 @@
 //	3 agents     registry columns: IDs, params, epochs, last-report
 //	             times, per-agent accounting, queue lengths, then one
 //	             entry block holding every queued entry in agent order
-//	4 rounds     completed RoundReports, oldest first
+//	4 rounds     completed tuning rounds, oldest first
 //	5 counters   lifetime ingest accounting totals
 //
 // Nothing the entries determine is stored beside them: the window's
@@ -46,10 +46,10 @@
 // such a file with ErrUnsupportedVersion and Restore skips it.
 //
 // A torn or damaged file — truncation, a bad CRC, counts that cannot
-// fit the bytes present — fails decode with an error wrapping
-// ErrCorrupt; Restore then falls back to the next-older generation with
-// accounting, so one bad write never costs more than one checkpoint
-// interval of learned state.
+// fit the bytes present, a (K, S) that core.Params.Validate refuses —
+// fails decode with an error wrapping ErrCorrupt; Restore then falls
+// back to the next-older generation with accounting, so one bad write
+// never costs more than one checkpoint interval of learned state.
 package ckpt
 
 import (
@@ -105,50 +105,63 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// AgentSnap is one registered agent's durable state: its identity, the
-// parameter assignment it is running, and the telemetry it has reported
-// but the controller has not yet drained (so acked entries survive a
-// restart instead of dying in a queue).
-type AgentSnap struct {
+// Agent is one registered agent's state: its identity, the parameter
+// assignment it is running, its report accounting, and the telemetry it
+// has reported but the controller has not yet drained (so acked entries
+// survive a restart instead of dying in a queue). The controller's
+// registry holds these live, each guarded by its lock stripe; a Snapshot
+// holds copies.
+type Agent struct {
 	ID      string
 	Params  core.Params
 	Epoch   int64
-	LastTS  int64
-	Reports uint64
-	Dropped uint64
+	LastTS  int64  // newest reported entry timestamp
+	Reports uint64 // reports received, lifetime
+	Dropped uint64 // backpressure drops, lifetime
 	Queue   []telemetry.Entry
 }
 
-// Round mirrors controlplane.RoundReport's durable fields (the
-// transient per-stage health checks are not persisted, matching the
-// JSON representation).
+// Round is the outcome of one tuning round: the window it judged, the
+// GP-bandit's candidate, and the staged-rollout decision. It is the
+// controller's round record (controlplane.RoundReport), served as JSON by
+// /v1/round and /statusz, and the checkpoint's rounds section; the counts
+// are varints on disk.
 type Round struct {
-	Round          int64
-	WindowStartSec int64
-	WindowEndSec   int64
-	Entries        int64
-	Jobs           int64
-	TunerEvals     int64
-	Candidate      core.Params
-	Chosen         core.Params
-	Accepted       bool
-	RolledBackAt   string
-	Reason         string
-	Coverage       float64
-	P98Rate        float64
-	GapIntervals   int64
-	Completeness   float64
-	Err            string
+	Round          int   `json:"round"`
+	WindowStartSec int64 `json:"window_start_sec"`
+	WindowEndSec   int64 `json:"window_end_sec"`
+	Entries        int   `json:"entries"`
+	Jobs           int   `json:"jobs"`
+	TunerEvals     int   `json:"tuner_evals"`
+
+	Candidate core.Params `json:"candidate"`
+	Chosen    core.Params `json:"chosen"`
+	Accepted  bool        `json:"accepted"`
+	// RolledBackAt names the failing deployment ring ("" on acceptance).
+	RolledBackAt string `json:"rolled_back_at,omitempty"`
+	Reason       string `json:"reason"`
+
+	// Coverage and P98Rate are the best candidate's full-window results;
+	// GapIntervals and Completeness carry the window's telemetry holes
+	// (drop faults, agent restarts) into controller state, so a rollout
+	// decision is always paired with how complete the data behind it was.
+	Coverage     float64 `json:"coverage"`
+	P98Rate      float64 `json:"p98_rate"`
+	GapIntervals int     `json:"gap_intervals"`
+	Completeness float64 `json:"completeness"`
+
+	Err string `json:"err,omitempty"`
 }
 
-// Counters are the controller's lifetime ingest accounting totals.
+// Counters are the controller's lifetime ingest accounting totals
+// (controlplane.IngestStats, the "ingest" object of /statusz).
 type Counters struct {
-	Reports             uint64
-	Received            uint64
-	Ingested            uint64
-	DroppedBackpressure uint64
-	RejectedCorrupt     uint64
-	RejectedInvalid     uint64
+	Reports             uint64 `json:"reports"`
+	Received            uint64 `json:"received"`
+	Ingested            uint64 `json:"ingested"`
+	DroppedBackpressure uint64 `json:"dropped_backpressure"`
+	RejectedCorrupt     uint64 `json:"rejected_corrupt"`
+	RejectedInvalid     uint64 `json:"rejected_invalid"`
 }
 
 // Snapshot is one checkpoint's portable content: everything needed to
@@ -167,10 +180,10 @@ type Snapshot struct {
 	// last round cut, in ingest order.
 	Window []telemetry.Entry
 	// Agents is the registry, sorted by ID.
-	Agents []AgentSnap
+	Agents []Agent
 	Rounds []Round
 	// Counters holds the lifetime totals (per-agent accounting lives on
-	// the AgentSnaps).
+	// the Agents).
 	Counters Counters
 }
 
@@ -291,12 +304,12 @@ func (s *Snapshot) appendRounds(dst []byte) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(s.Rounds)))
 	for i := range s.Rounds {
 		r := &s.Rounds[i]
-		dst = binary.AppendVarint(dst, r.Round)
+		dst = binary.AppendVarint(dst, int64(r.Round))
 		dst = binary.AppendVarint(dst, r.WindowStartSec)
 		dst = binary.AppendVarint(dst, r.WindowEndSec)
-		dst = binary.AppendVarint(dst, r.Entries)
-		dst = binary.AppendVarint(dst, r.Jobs)
-		dst = binary.AppendVarint(dst, r.TunerEvals)
+		dst = binary.AppendVarint(dst, int64(r.Entries))
+		dst = binary.AppendVarint(dst, int64(r.Jobs))
+		dst = binary.AppendVarint(dst, int64(r.TunerEvals))
 		dst = appendParams(dst, r.Candidate)
 		dst = appendParams(dst, r.Chosen)
 		if r.Accepted {
@@ -308,7 +321,7 @@ func (s *Snapshot) appendRounds(dst []byte) ([]byte, error) {
 		dst = colfmt.AppendString(dst, clampString(r.Reason))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Coverage))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.P98Rate))
-		dst = binary.AppendVarint(dst, r.GapIntervals)
+		dst = binary.AppendVarint(dst, int64(r.GapIntervals))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Completeness))
 		dst = colfmt.AppendString(dst, clampString(r.Err))
 	}
@@ -324,8 +337,15 @@ func (s *Snapshot) appendCounters(dst []byte) ([]byte, error) {
 	return binary.AppendUvarint(dst, s.Counters.RejectedInvalid), nil
 }
 
+// readParams reads one (K, S) and fails the section on a value
+// core.Params.Validate refuses: restored parameters go to agents and into
+// the §4.3 controller, so the file is not believed about them.
 func readParams(c *colfmt.Cursor) core.Params {
-	return core.Params{K: c.F64(), S: time.Duration(c.Varint())}
+	p := core.Params{K: c.F64(), S: time.Duration(c.Varint())}
+	if err := p.Validate(); err != nil {
+		c.Failf("%v", err)
+	}
+	return p
 }
 
 // Decode parses one checkpoint file. Any structural damage returns an
@@ -416,7 +436,7 @@ func (s *Snapshot) decodeAgents(c *colfmt.Cursor) {
 	if n == 0 {
 		return
 	}
-	agents := make([]AgentSnap, n)
+	agents := make([]Agent, n)
 	for i := range agents {
 		agents[i].ID = c.Str(maxStringLen)
 	}
@@ -465,12 +485,12 @@ func (s *Snapshot) decodeRounds(c *colfmt.Cursor) {
 	s.Rounds = make([]Round, n)
 	for i := range s.Rounds {
 		r := &s.Rounds[i]
-		r.Round = c.Varint()
+		r.Round = int(c.Varint())
 		r.WindowStartSec = c.Varint()
 		r.WindowEndSec = c.Varint()
-		r.Entries = c.Varint()
-		r.Jobs = c.Varint()
-		r.TunerEvals = c.Varint()
+		r.Entries = int(c.Varint())
+		r.Jobs = int(c.Varint())
+		r.TunerEvals = int(c.Varint())
 		r.Candidate = readParams(c)
 		r.Chosen = readParams(c)
 		b := c.Byte()
@@ -482,7 +502,7 @@ func (s *Snapshot) decodeRounds(c *colfmt.Cursor) {
 		r.Reason = c.Str(maxStringLen)
 		r.Coverage = c.F64()
 		r.P98Rate = c.F64()
-		r.GapIntervals = c.Varint()
+		r.GapIntervals = int(c.Varint())
 		r.Completeness = c.F64()
 		r.Err = c.Str(maxStringLen)
 	}

@@ -41,7 +41,7 @@ func testSnapshot() *Snapshot {
 			testEntry("c0", "m0", "batch", 7200),
 			testEntry("c0", "m1", "web", 6900),
 		},
-		Agents: []AgentSnap{
+		Agents: []Agent{
 			{
 				ID:      "c0/m0",
 				Params:  core.Params{K: 98.5, S: 17 * time.Minute},

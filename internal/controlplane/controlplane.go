@@ -39,7 +39,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-
 	"io"
 	"math"
 	"sort"
@@ -47,6 +46,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sdfm/internal/controlplane/ckpt"
 	"sdfm/internal/core"
 	"sdfm/internal/model"
 	"sdfm/internal/obs"
@@ -179,31 +179,20 @@ func (c Config) Validate() error {
 	return tuner.ValidateStages(d.Stages)
 }
 
-// agentState is one registered agent's server-side state, guarded by its
-// stripe's mutex.
-type agentState struct {
-	id      string
-	queue   []telemetry.Entry // bounded by Config.QueueCap
-	dropped uint64            // backpressure drops, lifetime
-	reports uint64
-	lastTS  int64 // newest reported entry timestamp
-	params  core.Params
-	epoch   int64
-}
-
 // numStripes is the ingest lock-stripe count. Agents hash to stripes;
 // Report calls from agents on different stripes proceed fully in
 // parallel.
 const numStripes = 16
 
 // stripe is one lock stripe of the agent registry: the agents that hash
-// to it, their queues, and this stripe's slice of the lifetime ingest
-// counters. Report touches exactly one stripe and nothing else, so the
-// ingest hot path scales with the stripe count instead of serializing on
-// a controller-wide mutex.
+// to it (each a ckpt.Agent, its queue bounded by Config.QueueCap), and
+// this stripe's slice of the lifetime ingest counters. Report touches
+// exactly one stripe and nothing else, so the ingest hot path scales
+// with the stripe count instead of serializing on a controller-wide
+// mutex.
 type stripe struct {
 	mu     sync.Mutex
-	agents map[string]*agentState
+	agents map[string]*ckpt.Agent
 
 	// Lifetime ingest accounting for this stripe's agents; summed across
 	// stripes on read (Status, RenderMetrics).
@@ -322,7 +311,7 @@ func New(cfg Config) (*Controller, error) {
 		ckptEverySec: checkpointEverySeconds(cfg.CheckpointEvery),
 	}
 	for i := range c.stripes {
-		c.stripes[i].agents = make(map[string]*agentState)
+		c.stripes[i].agents = make(map[string]*ckpt.Agent)
 	}
 	c.registerMetrics(cfg.Obs)
 	return c, nil
@@ -407,14 +396,14 @@ func (c *Controller) Register(req RegisterRequest) (RegisterResponse, error) {
 	defer s.mu.Unlock()
 	a, ok := s.agents[req.AgentID]
 	if !ok {
-		a = &agentState{id: req.AgentID, params: c.incumbent, epoch: c.epoch.Load(), lastTS: -1}
+		a = &ckpt.Agent{ID: req.AgentID, Params: c.incumbent, Epoch: c.epoch.Load(), LastTS: -1}
 		s.agents[req.AgentID] = a
 		i := sort.SearchStrings(c.ids, req.AgentID)
 		c.ids = append(c.ids, "")
 		copy(c.ids[i+1:], c.ids[i:])
 		c.ids[i] = req.AgentID
 	}
-	return RegisterResponse{Params: a.params, Epoch: a.epoch}, nil
+	return RegisterResponse{Params: a.Params, Epoch: a.Epoch}, nil
 }
 
 // Report enqueues an agent's telemetry entries onto its bounded queue.
@@ -441,10 +430,10 @@ func (c *Controller) Report(req ReportRequest) (ReportResponse, error) {
 		s.mu.Unlock()
 		return ReportResponse{}, fmt.Errorf("%w: %q", ErrUnknownAgent, req.AgentID)
 	}
-	a.reports++
+	a.Reports++
 	s.nReports++
 	s.nReceived += uint64(len(req.Entries))
-	free := c.cfg.QueueCap - len(a.queue)
+	free := c.cfg.QueueCap - len(a.Queue)
 	if free < 0 {
 		free = 0
 	}
@@ -452,20 +441,20 @@ func (c *Controller) Report(req ReportRequest) (ReportResponse, error) {
 	if accepted > free {
 		accepted = free
 	}
-	a.queue = append(a.queue, req.Entries[:accepted]...)
+	a.Queue = append(a.Queue, req.Entries[:accepted]...)
 	dropped := len(req.Entries) - accepted
-	a.dropped += uint64(dropped)
+	a.Dropped += uint64(dropped)
 	s.nDropped += uint64(dropped)
 	s.queued += accepted
 	for _, e := range req.Entries[:accepted] {
-		if e.TimestampSec > a.lastTS {
-			a.lastTS = e.TimestampSec
+		if e.TimestampSec > a.LastTS {
+			a.LastTS = e.TimestampSec
 		}
 	}
 	resp := ReportResponse{
 		Accepted:  accepted,
 		Dropped:   dropped,
-		QueueFree: c.cfg.QueueCap - len(a.queue),
+		QueueFree: c.cfg.QueueCap - len(a.Queue),
 		Epoch:     c.epoch.Load(),
 	}
 	s.mu.Unlock()
@@ -483,7 +472,7 @@ func (c *Controller) Poll(req PollRequest) (PollResponse, error) {
 	if !ok {
 		return PollResponse{}, fmt.Errorf("%w: %q", ErrUnknownAgent, req.AgentID)
 	}
-	return PollResponse{Params: a.params, Epoch: a.epoch, Incumbent: c.incumbent}, nil
+	return PollResponse{Params: a.Params, Epoch: a.Epoch, Incumbent: c.incumbent}, nil
 }
 
 // TickReport summarizes one Tick.
@@ -526,20 +515,20 @@ func (c *Controller) Tick() TickReport {
 		s := c.stripeFor(id)
 		s.mu.Lock()
 		a := s.agents[id]
-		n := len(a.queue)
+		n := len(a.Queue)
 		if n > c.cfg.BatchSize {
 			n = c.cfg.BatchSize
 		}
-		if n == len(a.queue) {
+		if n == len(a.Queue) {
 			// The whole queue drains: the tick takes its buffer and the
 			// agent gets the tick's emptied one, so nothing is copied.
-			scratch, a.queue = a.queue, scratch[:0]
+			scratch, a.Queue = a.Queue, scratch[:0]
 		} else {
-			scratch = append(scratch[:0], a.queue[:n]...)
-			a.queue = append(a.queue[:0], a.queue[n:]...)
+			scratch = append(scratch[:0], a.Queue[:n]...)
+			a.Queue = append(a.Queue[:0], a.Queue[n:]...)
 		}
 		s.queued -= n
-		rep.Remaining += len(a.queue)
+		rep.Remaining += len(a.Queue)
 		s.mu.Unlock()
 		sums = telemetry.AppendChecksums(sums[:0], scratch)
 		for i := range scratch {
@@ -631,34 +620,9 @@ func (c *Controller) ingestLocked(e telemetry.Entry) {
 }
 
 // RoundReport is the outcome of one tuning round: the window it judged,
-// the GP-bandit's candidate, and the staged-rollout decision.
-type RoundReport struct {
-	Round          int   `json:"round"`
-	WindowStartSec int64 `json:"window_start_sec"`
-	WindowEndSec   int64 `json:"window_end_sec"`
-	Entries        int   `json:"entries"`
-	Jobs           int   `json:"jobs"`
-	TunerEvals     int   `json:"tuner_evals"`
-
-	Candidate core.Params `json:"candidate"`
-	Chosen    core.Params `json:"chosen"`
-	Accepted  bool        `json:"accepted"`
-	// RolledBackAt names the failing deployment ring ("" on acceptance).
-	RolledBackAt string              `json:"rolled_back_at,omitempty"`
-	Reason       string              `json:"reason"`
-	Stages       []tuner.StageReport `json:"-"`
-
-	// Coverage and P98Rate are the best candidate's full-window results;
-	// GapIntervals and Completeness carry the window's telemetry holes
-	// (drop faults, agent restarts) into controller state, so a rollout
-	// decision is always paired with how complete the data behind it was.
-	Coverage     float64 `json:"coverage"`
-	P98Rate      float64 `json:"p98_rate"`
-	GapIntervals int     `json:"gap_intervals"`
-	Completeness float64 `json:"completeness"`
-
-	Err string `json:"err,omitempty"`
-}
+// the GP-bandit's candidate, and the staged-rollout decision. It is the
+// checkpoint's round record, so the history restores without a copy.
+type RoundReport = ckpt.Round
 
 // windowStartLocked is the timestamp of the window's first entry; the
 // window must not be empty.
@@ -774,7 +738,6 @@ func (c *Controller) executeRound(w roundWindow, incumbent core.Params) RoundRep
 		rr.Err = err.Error()
 		return rr
 	}
-	rr.Stages = dep.Stages
 	rr.Accepted = dep.Accepted
 	rr.Chosen = dep.Chosen
 	rr.RolledBackAt = dep.RolledBackAt
@@ -808,8 +771,8 @@ func (c *Controller) assignFraction(p core.Params, frac float64) {
 	for _, id := range c.ids[:n] {
 		s := c.stripeFor(id)
 		s.mu.Lock()
-		if a := s.agents[id]; a.params != p {
-			a.params = p
+		if a := s.agents[id]; a.Params != p {
+			a.Params = p
 			changed = true
 		}
 		s.mu.Unlock()
@@ -819,7 +782,7 @@ func (c *Controller) assignFraction(p core.Params, frac float64) {
 		for _, id := range c.ids[:n] {
 			s := c.stripeFor(id)
 			s.mu.Lock()
-			s.agents[id].epoch = e
+			s.agents[id].Epoch = e
 			s.mu.Unlock()
 		}
 	}
@@ -900,15 +863,9 @@ type AgentStatus struct {
 	Epoch         int64       `json:"epoch"`
 }
 
-// IngestStats are the controller's lifetime ingest counters.
-type IngestStats struct {
-	Reports             uint64 `json:"reports"`
-	Received            uint64 `json:"received"`
-	Ingested            uint64 `json:"ingested"`
-	DroppedBackpressure uint64 `json:"dropped_backpressure"`
-	RejectedCorrupt     uint64 `json:"rejected_corrupt"`
-	RejectedInvalid     uint64 `json:"rejected_invalid"`
-}
+// IngestStats are the controller's lifetime ingest counters, the
+// checkpoint's counters section.
+type IngestStats = ckpt.Counters
 
 // Status is the controller's introspection snapshot (cmd/sdfmd's
 // /statusz).
@@ -948,13 +905,13 @@ func (c *Controller) Status() Status {
 		s.mu.Lock()
 		a := s.agents[id]
 		st.Agents = append(st.Agents, AgentStatus{
-			ID:            a.id,
-			QueueDepth:    len(a.queue),
-			Dropped:       a.dropped,
-			Reports:       a.reports,
-			LastReportSec: a.lastTS,
-			Params:        a.params,
-			Epoch:         a.epoch,
+			ID:            a.ID,
+			QueueDepth:    len(a.Queue),
+			Dropped:       a.Dropped,
+			Reports:       a.Reports,
+			LastReportSec: a.LastTS,
+			Params:        a.Params,
+			Epoch:         a.Epoch,
 		})
 		s.mu.Unlock()
 	}

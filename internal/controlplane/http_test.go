@@ -2,12 +2,14 @@ package controlplane
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"sdfm/internal/core"
 	"sdfm/internal/obs"
 )
 
@@ -114,5 +116,62 @@ func TestHTTPErrorMapping(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestStatusJSONPinned pins the JSON /statusz and /v1/round serve: every
+// key, its order and its encoding, for a fully populated Status and for
+// an accepted round (whose empty rolled_back_at and err are omitted). The
+// literals were captured before RoundReport and IngestStats became the
+// checkpoint's own types; a change here is a change to the HTTP API.
+func TestStatusJSONPinned(t *testing.T) {
+	rolledBack := RoundReport{
+		Round: 2, WindowStartSec: 3600, WindowEndSec: 7200, Entries: 14, Jobs: 3, TunerEvals: 96,
+		Candidate:    core.Params{K: 99, S: 10 * time.Minute},
+		Chosen:       core.Params{K: 98.5, S: 17 * time.Minute},
+		RolledBackAt: "canary", Reason: `rolled back at "canary": p98 above SLO`,
+		Coverage: 0.21, P98Rate: 0.0011, GapIntervals: 4, Completeness: 0.96,
+		Err: "tuner: SLO violated",
+	}
+	st := Status{
+		Agents: []AgentStatus{{
+			ID: "c0/m0", QueueDepth: 3, Dropped: 1, Reports: 24, LastReportSec: 7500,
+			Params: core.Params{K: 98.5, S: 17 * time.Minute}, Epoch: 9,
+		}},
+		Epoch:          9,
+		Incumbent:      core.Params{K: 98.5, S: 17 * time.Minute},
+		Draining:       true,
+		WindowStartSec: 7500,
+		WindowEndSec:   7800,
+		WindowEntries:  6,
+		Ingest: IngestStats{
+			Reports: 47, Received: 188, Ingested: 185,
+			DroppedBackpressure: 1, RejectedCorrupt: 1, RejectedInvalid: 1,
+		},
+		Rounds:    2,
+		LastRound: &rolledBack,
+	}
+	accepted := RoundReport{
+		Round: 1, WindowEndSec: 3600, Entries: 12, Jobs: 2, TunerEvals: 96,
+		Candidate: core.Params{K: 98.5, S: 17 * time.Minute},
+		Chosen:    core.Params{K: 98.5, S: 17 * time.Minute},
+		Accepted:  true, Reason: "accepted after 2 stages",
+		Coverage: 0.19, P98Rate: 0.0004, Completeness: 1,
+	}
+	for _, tc := range []struct {
+		name string
+		v    any
+		want string
+	}{
+		{"status", st, `{"agents":[{"id":"c0/m0","queue_depth":3,"dropped":1,"reports":24,"last_report_sec":7500,"params":{"K":98.5,"S":1020000000000},"epoch":9}],"epoch":9,"incumbent":{"K":98.5,"S":1020000000000},"draining":true,"window_start_sec":7500,"window_end_sec":7800,"window_entries":6,"ingest":{"reports":47,"received":188,"ingested":185,"dropped_backpressure":1,"rejected_corrupt":1,"rejected_invalid":1},"rounds":2,"last_round":{"round":2,"window_start_sec":3600,"window_end_sec":7200,"entries":14,"jobs":3,"tuner_evals":96,"candidate":{"K":99,"S":600000000000},"chosen":{"K":98.5,"S":1020000000000},"accepted":false,"rolled_back_at":"canary","reason":"rolled back at \"canary\": p98 above SLO","coverage":0.21,"p98_rate":0.0011,"gap_intervals":4,"completeness":0.96,"err":"tuner: SLO violated"}}`},
+		{"round", accepted, `{"round":1,"window_start_sec":0,"window_end_sec":3600,"entries":12,"jobs":2,"tuner_evals":96,"candidate":{"K":98.5,"S":1020000000000},"chosen":{"K":98.5,"S":1020000000000},"accepted":true,"reason":"accepted after 2 stages","coverage":0.19,"p98_rate":0.0004,"gap_intervals":0,"completeness":1}`},
+	} {
+		got, err := json.Marshal(tc.v)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s JSON changed:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -89,9 +89,10 @@ type Params struct {
 // small-scale experiments before the autotuner existed.
 var DefaultParams = Params{K: 98, S: 20 * time.Minute}
 
-// Validate checks parameter ranges.
+// Validate checks parameter ranges. K is tested for being inside the
+// range, so a NaN, which compares false to everything, is refused.
 func (p Params) Validate() error {
-	if p.K < 0 || p.K > 100 {
+	if !(p.K >= 0 && p.K <= 100) {
 		return fmt.Errorf("core: K percentile %v outside [0, 100]", p.K)
 	}
 	if p.S < 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -43,6 +44,10 @@ func TestParamsValidate(t *testing.T) {
 	}
 	if (Params{K: 50, S: -time.Second}).Validate() == nil {
 		t.Error("negative S accepted")
+	}
+	// NaN fails both comparisons of a two-sided "outside" test.
+	if (Params{K: math.NaN()}).Validate() == nil {
+		t.Error("NaN K accepted")
 	}
 }
 

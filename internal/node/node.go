@@ -267,8 +267,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Audit.DeepEverySteps > 0 {
 		m.auditDeepEvery = uint64(cfg.Audit.DeepEverySteps)
 	}
-	// Time-aware tiers (chaos test instrumentation, latency-sensitive
-	// device models) learn the machine clock.
+	// A time-aware tier learns the machine clock. Only test tiers (the
+	// chaos and cluster-engine tests' instrumented tiers) implement it.
 	if tn, ok := tier.(interface{ SetNow(func() time.Duration) }); ok {
 		tn.SetNow(func() time.Duration { return m.now })
 	}
