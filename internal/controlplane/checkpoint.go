@@ -7,7 +7,9 @@ package controlplane
 // so a checkpoint never stalls ingest. Cadence is telemetry time, never
 // the wall clock: a snapshot is cut when the ingested telemetry clock
 // has advanced CheckpointEvery past the previous snapshot's clock,
-// mirroring how rounds trigger on window span. Checkpoints are never
+// mirroring how rounds trigger on window span, and that clock restarts at
+// the first entry after a snapshot, as the round clock restarts at the
+// first entry after a round cut. Checkpoints are never
 // taken while a round is in flight — mid-round the round owns the window
 // and it would be silently absent from the snapshot.
 //
@@ -19,14 +21,13 @@ package controlplane
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"slices"
 	"sort"
 	"time"
 
 	"sdfm/internal/controlplane/ckpt"
-	"sdfm/internal/telemetry"
+	"sdfm/internal/model"
 )
 
 // ErrNoCheckpointDir rejects checkpoint operations on a controller
@@ -72,9 +73,7 @@ func Restore(cfg Config) (*Controller, RestoreReport, error) {
 	if s == nil {
 		return c, rep, nil
 	}
-	if err := c.adoptSnapshot(s); err != nil {
-		return nil, RestoreReport{}, err
-	}
+	c.adoptSnapshot(s)
 	rep.Agents = len(s.Agents)
 	rep.Rounds = len(s.Rounds)
 	rep.QueuedEntries = s.QueuedEntries()
@@ -83,26 +82,21 @@ func Restore(cfg Config) (*Controller, RestoreReport, error) {
 }
 
 // adoptSnapshot loads a decoded checkpoint into a freshly built
-// controller. Called before the controller is shared, so no locking.
-func (c *Controller) adoptSnapshot(s *ckpt.Snapshot) error {
+// controller. Called before the controller is shared, so no locking. The
+// decoder has already refused what the controller cannot take: an
+// invalid (K, S), an empty or duplicate agent ID, a window entry that
+// fails validation or its checksum.
+func (c *Controller) adoptSnapshot(s *ckpt.Snapshot) {
 	c.incumbent = s.Incumbent
 	c.epoch.Store(s.Epoch)
 	c.telemetryMax = s.TelemetrySec
-	c.ckptBase = s.TelemetrySec
 	c.ckptGen = s.Generation
 
-	// Agent registry. Snapshot order is sorted, but the file is external
-	// input: re-sort and reject duplicates rather than trusting it. The
-	// decoder has already refused any invalid (K, S). Each entry gets a
-	// queue of its own instead of a view into the decoded block.
+	// Agent registry, sorted by ID whatever order the file holds. Each
+	// agent gets a queue of its own instead of a view into the decoded
+	// block.
 	for _, a := range s.Agents {
-		if a.ID == "" {
-			return fmt.Errorf("%w: empty agent id", ckpt.ErrCorrupt)
-		}
 		st := c.stripeFor(a.ID)
-		if _, dup := st.agents[a.ID]; dup {
-			return fmt.Errorf("%w: duplicate agent %q", ckpt.ErrCorrupt, a.ID)
-		}
 		a.Queue = slices.Clone(a.Queue)
 		st.agents[a.ID] = &a
 		st.queued += len(a.Queue)
@@ -119,34 +113,18 @@ func (c *Controller) adoptSnapshot(s *ckpt.Snapshot) error {
 	c.nCorrupt = s.Counters.RejectedCorrupt
 	c.nInvalid = s.Counters.RejectedInvalid
 
-	// Tuning window. The entries skipped Tick's validation on the way in,
-	// so they get it here (a round panics on one the compiler cannot
-	// take); the window's bounds are read off them, never off the file.
-	// Queued entries need nothing: they reach Tick after the restore.
-	sums := telemetry.AppendChecksums(nil, s.Window)
+	// Tuning window, folded the way Tick folds it; its bounds are read off
+	// the entries, never off the file. Queued entries need nothing: they
+	// reach Tick after the restore.
+	slots, _ := c.window.Resolve(nil, nil, s.Window)
 	for i := range s.Window {
-		e := &s.Window[i]
-		err := e.Validate(len(telemetry.DefaultThresholds))
-		if err == nil && sums[i] != e.Checksum {
-			err = e.ChecksumError(sums[i])
-		}
-		if err != nil {
-			return fmt.Errorf("%w: window entry %d: %v", ckpt.ErrCorrupt, i, err)
-		}
-		if i == 0 || e.TimestampSec > c.windowMax {
-			c.windowMax = e.TimestampSec
-		}
-	}
-	if n := len(s.Window); n > 0 {
-		c.window = [][]telemetry.Entry{s.Window[:n:n]}
-		c.windowLen = n
+		c.foldLocked(&s.Window[i], slots[i])
 	}
 
 	// Round history, so round numbering and /statusz continue seamlessly.
 	c.rounds = s.Rounds
 
 	c.m.ckptGen.Set(float64(s.Generation))
-	return nil
 }
 
 // Checkpoint forces a snapshot to CheckpointDir regardless of cadence —
@@ -171,7 +149,6 @@ func (c *Controller) Checkpoint() (string, error) {
 	}
 	c.ckptGen++
 	s, window := c.snapshotLocked()
-	c.ckptBase = s.TelemetrySec
 	c.mu.Unlock()
 	return c.persistSnapshot(s, window)
 }
@@ -209,7 +186,6 @@ func (c *Controller) maybeCheckpoint() bool {
 	}
 	c.ckptGen++
 	s, window := c.snapshotLocked()
-	c.ckptBase = s.TelemetrySec
 	c.ckptWG.Add(1)
 	c.mu.Unlock()
 	go func() {
@@ -220,13 +196,13 @@ func (c *Controller) maybeCheckpoint() bool {
 }
 
 // persistSnapshot encodes and writes an already-extracted snapshot with
-// no controller locks held, first joining the window's segment views into
-// the snapshot's one Window slice, so the file holds the bytes of a flat
-// window. The single-writer discipline enforced by ckptSchedMu/ckptWG
-// means prune never races a write, and generation numbers assigned under
-// the control mutex keep file names monotonic.
-func (c *Controller) persistSnapshot(s *ckpt.Snapshot, window [][]telemetry.Entry) (string, error) {
-	s.Window = flattenWindow(window)
+// no controller locks held, first materializing the window view into the
+// snapshot's Window, in ingest order. The single-writer discipline
+// enforced by ckptSchedMu/ckptWG means prune never races a write, and
+// generation numbers assigned under the control mutex keep file names
+// monotonic.
+func (c *Controller) persistSnapshot(s *ckpt.Snapshot, window model.View) (string, error) {
+	s.Window = window.Entries()
 	path, err := ckpt.WriteFile(c.cfg.CheckpointDir, s)
 	var pruneErr error
 	if err == nil {
@@ -251,27 +227,25 @@ func (c *Controller) persistSnapshot(s *ckpt.Snapshot, window [][]telemetry.Entr
 	return path, nil
 }
 
-// snapshotLocked extracts a checkpoint snapshot and a view of the
-// window's segments, which persistSnapshot joins into its Window. Caller
-// holds the control mutex; stripe mutexes are taken briefly per agent,
-// matching every other whole-registry read (Status, assignFraction).
-// Everything the snapshot references is a copy or immutable, so encoding
-// can run lock-free.
-func (c *Controller) snapshotLocked() (*ckpt.Snapshot, [][]telemetry.Entry) {
+// snapshotLocked cuts a checkpoint: it extracts the snapshot and a view
+// of the window, which persistSnapshot materializes, and restarts the
+// checkpoint clock at the next entry. Caller holds the control mutex;
+// stripe mutexes are taken briefly per agent, matching every other
+// whole-registry read (Status, assignFraction). Everything the snapshot
+// references is a copy or immutable, so encoding can run lock-free.
+func (c *Controller) snapshotLocked() (*ckpt.Snapshot, model.View) {
 	s := &ckpt.Snapshot{
 		Generation:   c.ckptGen,
 		TelemetrySec: c.telemetryMax,
 		Incumbent:    c.incumbent,
 		Epoch:        c.epoch.Load(),
 	}
-	// Zero-copy: segments are append-only until a round takes them
-	// (leaving their backing arrays untouched), so the background writer
-	// can read these views while ingest keeps appending past them. Each
-	// view is capped, so it never sees those appends.
-	window := make([][]telemetry.Entry, len(c.window))
-	for i, seg := range c.window {
-		window[i] = seg[:len(seg):len(seg)]
-	}
+	c.ckptBase = -1
+	// Zero-copy: the window's columns only grow past the view's rows or
+	// move to new arrays, never rewriting a row the view holds, so the
+	// background writer can read it while ingest keeps folding and a
+	// round finishes the window.
+	window := c.window.View()
 	for _, id := range c.ids {
 		st := c.stripeFor(id)
 		st.mu.Lock()
@@ -284,15 +258,6 @@ func (c *Controller) snapshotLocked() (*ckpt.Snapshot, [][]telemetry.Entry) {
 	s.Rounds = slices.Clone(c.rounds)
 	s.Counters, _ = c.ingestTotalsLocked()
 	return s, window
-}
-
-// flattenWindow joins a window's segments into one slice; a window of one
-// segment is that segment, uncopied.
-func flattenWindow(segs [][]telemetry.Entry) []telemetry.Entry {
-	if len(segs) == 1 {
-		return segs[0]
-	}
-	return slices.Concat(segs...)
 }
 
 // ensureCheckpointDir creates the checkpoint directory at boot so the

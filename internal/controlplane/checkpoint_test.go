@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -470,37 +471,57 @@ func TestRestoreFallsBackWithAccounting(t *testing.T) {
 
 // TestRestoreRefusesHostileWindowEntry: the checkpoint directory is a
 // trust boundary. A CRC-valid file whose window entry the compiler cannot
-// take (3 tails instead of 21) must be refused at Restore, not believed
-// and left to panic the next round.
+// take (3 tails instead of 21), whose window entry fails its checksum, or
+// whose agent ID is empty or repeated is skipped with accounting like any
+// corrupt file, and the older generation boots: neither believed and
+// left to panic the next round, nor a reason for the daemon to exit.
 func TestRestoreRefusesHostileWindowEntry(t *testing.T) {
 	tr := testTrace(t, 1, 1, 1, time.Hour, 1)
-	for name, damage := range map[string]func(e *telemetry.Entry){
-		"invalid": func(e *telemetry.Entry) {
+	for name, damage := range map[string]func(s *ckpt.Snapshot){
+		"invalid": func(s *ckpt.Snapshot) {
+			e := &s.Window[0]
 			e.ColdTails, e.PromoTails = e.ColdTails[:3], e.PromoTails[:3]
 			e.Checksum = e.ComputeChecksum()
 		},
-		"corrupt":   func(e *telemetry.Entry) { e.WSSPages++ }, // checksum now stale
-		"unstamped": func(e *telemetry.Entry) { e.Checksum = 0 },
+		"corrupt":         func(s *ckpt.Snapshot) { s.Window[0].WSSPages++ }, // checksum now stale
+		"unstamped":       func(s *ckpt.Snapshot) { s.Window[0].Checksum = 0 },
+		"empty agent id":  func(s *ckpt.Snapshot) { s.Agents[0].ID = "" },
+		"duplicate agent": func(s *ckpt.Snapshot) { s.Agents[1].ID = s.Agents[0].ID },
 	} {
 		t.Run(name, func(t *testing.T) {
-			e := tr.Entries[0]
-			damage(&e)
 			dir := t.TempDir()
-			if _, err := ckpt.WriteFile(dir, &ckpt.Snapshot{
-				Generation:   1,
-				TelemetrySec: e.TimestampSec,
-				Incumbent:    core.DefaultParams,
-				Window:       []telemetry.Entry{e},
-			}); err != nil {
-				t.Fatalf("WriteFile: %v", err)
+			snap := func(gen uint64) *ckpt.Snapshot {
+				e := tr.Entries[0]
+				e.ColdTails, e.PromoTails = slices.Clone(e.ColdTails), slices.Clone(e.PromoTails)
+				s := &ckpt.Snapshot{
+					Generation:   gen,
+					TelemetrySec: e.TimestampSec,
+					Incumbent:    core.DefaultParams,
+					Window:       []telemetry.Entry{e},
+				}
+				for _, id := range []string{"c0/m0", "c0/m1"} {
+					s.Agents = append(s.Agents, ckpt.Agent{ID: id, Params: core.DefaultParams, LastTS: -1})
+				}
+				return s
+			}
+			bad := snap(2)
+			damage(bad)
+			for _, s := range []*ckpt.Snapshot{snap(1), bad} {
+				if _, err := ckpt.WriteFile(dir, s); err != nil {
+					t.Fatalf("WriteFile: %v", err)
+				}
 			}
 			c, rep, err := Restore(ckptTestConfig(dir))
-			if err == nil {
-				c.Close()
-				t.Fatalf("Restore believed the file (%+v)", rep)
+			if err != nil {
+				t.Fatalf("Restore: %v", err)
 			}
-			if !errors.Is(err, ckpt.ErrCorrupt) {
-				t.Fatalf("Restore: %v, want an error wrapping ckpt.ErrCorrupt", err)
+			t.Cleanup(c.Close)
+			if !rep.Restored || rep.Generation != 1 || len(rep.Skipped) != 1 ||
+				rep.Skipped[0].Name != ckpt.FileName(2) || !errors.Is(rep.Skipped[0].Err, ckpt.ErrCorrupt) {
+				t.Fatalf("RestoreReport %+v, want generation 1 with generation 2 skipped as corrupt", rep)
+			}
+			if st := c.Status(); st.WindowEntries != 1 || len(st.Agents) != 2 {
+				t.Errorf("restored %d window entries and %d agents, want generation 1's 1 and 2", st.WindowEntries, len(st.Agents))
 			}
 		})
 	}
@@ -768,5 +789,49 @@ func TestRestoreSkipsInvalidParams(t *testing.T) {
 				t.Errorf("Poll after restore: %+v, want generation 1's params", resp)
 			}
 		})
+	}
+}
+
+// TestCheckpointClockRestartsAfterCut: the checkpoint clock restarts at
+// the first entry after a snapshot, as the round clock restarts at the
+// first entry after a round cut. With CheckpointEvery equal to
+// RoundEvery the two cadences then stay in step: every periodic
+// checkpoint is cut in the Tick that runs a round, after the round, and
+// holds an empty window — none lands an interval before the round with
+// the window nearly full and its write still in flight when the round
+// starts.
+func TestCheckpointClockRestartsAfterCut(t *testing.T) {
+	dir := t.TempDir()
+	cfg := ckptTestConfig(dir)
+	cfg.RoundEvery = time.Hour
+	cfg.CheckpointEvery = time.Hour
+	c := newTestController(t, cfg)
+	rc := groupTrace(testTrace(t, 1, 2, 2, 6*time.Hour, 3))
+	agents := registerAgents(t, c, rc)
+	checkpoints := 0
+	for _, ts := range rc.tsList {
+		sendInterval(t, agents, rc, ts)
+		rep := c.Tick()
+		if !rep.Checkpointed {
+			continue
+		}
+		checkpoints++
+		if !rep.RoundRan {
+			t.Fatalf("checkpoint %d cut at t=%ds, in a Tick that ran no round", checkpoints, ts)
+		}
+		c.ckptSchedMu.Lock()
+		c.ckptWG.Wait()
+		c.ckptSchedMu.Unlock()
+		s, _, err := ckpt.Restore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Window) != 0 || len(s.Rounds) != len(c.Rounds()) {
+			t.Fatalf("checkpoint %d at t=%ds holds %d window entries and %d rounds, want none and the %d run",
+				checkpoints, ts, len(s.Window), len(s.Rounds), len(c.Rounds()))
+		}
+	}
+	if checkpoints < 4 || checkpoints != len(c.Rounds()) {
+		t.Fatalf("%d checkpoints over %d rounds, want one per round and several", checkpoints, len(c.Rounds()))
 	}
 }

@@ -46,8 +46,10 @@
 // such a file with ErrUnsupportedVersion and Restore skips it.
 //
 // A torn or damaged file — truncation, a bad CRC, counts that cannot
-// fit the bytes present, a (K, S) that core.Params.Validate refuses —
-// fails decode with an error wrapping ErrCorrupt; Restore then falls
+// fit the bytes present, a (K, S) that core.Params.Validate refuses, an
+// empty or duplicate agent ID, a window entry that fails validation
+// against telemetry.DefaultThresholds or its checksum — fails decode
+// with an error wrapping ErrCorrupt; Restore then falls
 // back to the next-older generation with accounting, so one bad write
 // never costs more than one checkpoint interval of learned state.
 package ckpt
@@ -426,9 +428,28 @@ func (s *Snapshot) decodeIncumbent(c *colfmt.Cursor) {
 	s.Epoch = c.Varint()
 }
 
+// decodeWindow reads the window and fails the section on an entry the
+// controller's Tick would have refused — one that fails validation
+// against the default threshold set, or its checksum — since a window
+// entry is never checked again before a round compiles it.
 func (s *Snapshot) decodeWindow(c *colfmt.Cursor) {
 	s.TelemetrySec = c.Varint()
 	s.Window = colfmt.DecodeEntries(c, c.Count(math.MaxInt32, 0, "window entries"), colfmt.Prefixed)
+	if c.Err() != nil {
+		return
+	}
+	sums := telemetry.AppendChecksums(nil, s.Window)
+	for i := range s.Window {
+		e := &s.Window[i]
+		err := e.Validate(len(telemetry.DefaultThresholds))
+		if err == nil && sums[i] != e.Checksum {
+			err = e.ChecksumError(sums[i])
+		}
+		if err != nil {
+			c.Failf("window entry %d: %v", i, err)
+			return
+		}
+	}
 }
 
 func (s *Snapshot) decodeAgents(c *colfmt.Cursor) {
@@ -437,8 +458,14 @@ func (s *Snapshot) decodeAgents(c *colfmt.Cursor) {
 		return
 	}
 	agents := make([]Agent, n)
+	seen := make(map[string]bool, n)
 	for i := range agents {
-		agents[i].ID = c.Str(maxStringLen)
+		id := c.Str(maxStringLen)
+		if c.Err() == nil && (id == "" || seen[id]) {
+			c.Failf("agent %d has an empty or duplicate id %q", i, id)
+		}
+		seen[id] = true
+		agents[i].ID = id
 	}
 	for i := range agents {
 		agents[i].Params = readParams(c)

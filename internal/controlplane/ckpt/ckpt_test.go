@@ -14,16 +14,23 @@ import (
 	"sdfm/internal/telemetry"
 )
 
+// testEntry is a valid, stamped entry over telemetry.DefaultThresholds,
+// as every window entry must be.
 func testEntry(cluster, machine, job string, ts int64) telemetry.Entry {
+	n := len(telemetry.DefaultThresholds)
 	e := telemetry.Entry{
 		Key:              telemetry.JobKey{Cluster: cluster, Machine: machine, Job: job},
 		TimestampSec:     ts,
 		IntervalMinutes:  5,
 		WSSPages:         1 << 16,
 		TotalPages:       1 << 18,
-		ColdTails:        []uint64{900, 700, 400, 100},
-		PromoTails:       []uint64{40, 30, 10, 2},
+		ColdTails:        make([]uint64, n),
+		PromoTails:       make([]uint64, n),
 		CompressibleFrac: 0.67,
+	}
+	for i := range n {
+		e.ColdTails[i] = uint64(900 - 40*i)
+		e.PromoTails[i] = uint64(40 - 2*i)
 	}
 	e.Checksum = e.ComputeChecksum()
 	return e

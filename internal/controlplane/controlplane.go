@@ -4,8 +4,8 @@
 // control-plane parameters (K, S) they should run. The controller ingests
 // telemetry through bounded per-agent queues with explicit backpressure
 // and drop accounting, keeps the open tuning window, and — every time
-// the ingested telemetry spans a full tuning window — compiles the
-// window into the fast far memory model, asks the GP-bandit for a new
+// the ingested telemetry spans a full tuning window — replays the
+// window through the fast far memory model, asks the GP-bandit for a new
 // candidate, and pushes it through staged deployment rings with a health
 // check after each ring and rollback on violation (tuner.StagedRollout
 // semantics, §5.3).
@@ -21,9 +21,10 @@
 // list, the tuning window, the incumbent, round state, and every obs
 // instrument write and metrics render. Lock order is always control mutex → stripe mutex,
 // and no stripe mutex is ever held while acquiring the control mutex, so
-// the two layers cannot deadlock. Tuning rounds take the window under the
-// control mutex and then run Compile→Autotune→StagedRollout with no locks
-// held; stage pushes re-acquire locks briefly to move agent rings.
+// the two layers cannot deadlock. The window is compiled as Tick ingests
+// it; tuning rounds take it under the control mutex and then run
+// Finish→Autotune→StagedRollout with no locks held; stage pushes
+// re-acquire locks briefly to move agent rings.
 //
 // The controller itself is transport-agnostic and driven entirely by the
 // telemetry it ingests: tuning rounds trigger on telemetry timestamps, not
@@ -244,15 +245,14 @@ type Controller struct {
 	incumbent core.Params
 
 	// window is the open tuning window: every entry ingested since the
-	// last round cut, in ingest order, held in append-only segments (see
-	// windowSegMin). An entry is written once, into the last segment, and
-	// never moves; a round takes the segments and leaves nil behind, which
-	// keeps capped views of them valid for the background checkpoint
-	// writer. windowLen counts its entries, windowMax is its newest
-	// timestamp.
-	window    [][]telemetry.Entry
-	windowLen int
-	windowMax int64
+	// last round cut, folded into the fast model's per-job columns as it
+	// is ingested, which are its only storage (model.NewWindow). A round
+	// takes it and only finishes it; a checkpoint takes a View of it and
+	// gets the entries back in ingest order. windowStart is the timestamp
+	// of its first entry, windowMax its newest.
+	window      *model.StreamCompiler
+	windowStart int64
+	windowMax   int64
 
 	roundInFlight bool
 	rounds        []RoundReport
@@ -288,6 +288,8 @@ type Controller struct {
 
 	drainScratch []telemetry.Entry // Tick's per-agent drain buffer
 	sumScratch   []uint64          // the drained batch's content checksums
+	keyScratch   []uint64          // the drained batch's key checksum prefixes
+	slotScratch  []int             // the drained batch's job slots in the window
 
 	m cpMetrics
 }
@@ -306,6 +308,7 @@ func New(cfg Config) (*Controller, error) {
 		cfg:          cfg,
 		roundSec:     int64(cfg.RoundEvery / time.Second),
 		incumbent:    cfg.Incumbent,
+		window:       model.NewWindow(telemetry.DefaultThresholds, cfg.SLO),
 		telemetryMax: -1,
 		ckptBase:     -1,
 		ckptEverySec: checkpointEverySeconds(cfg.CheckpointEvery),
@@ -501,7 +504,7 @@ type TickReport struct {
 // every round's input) is deterministic regardless of the stripe count —
 // validating every entry (schema and checksum) and accounting rejects.
 // Each agent's stripe mutex is held only long enough to splice its batch
-// out of the queue; validation and the window append run under the
+// out of the queue; validation and the window fold run under the
 // control mutex alone, so concurrent Reports keep landing while a tick
 // digests. When the drained window spans RoundEvery of telemetry time,
 // Tick runs a tuning round before returning. The daemon calls Tick on a
@@ -510,7 +513,7 @@ type TickReport struct {
 func (c *Controller) Tick() TickReport {
 	c.mu.Lock()
 	var rep TickReport
-	scratch, sums := c.drainScratch, c.sumScratch
+	scratch, sums, keySums, slots := c.drainScratch, c.sumScratch, c.keyScratch, c.slotScratch
 	for _, id := range c.ids {
 		s := c.stripeFor(id)
 		s.mu.Lock()
@@ -525,12 +528,17 @@ func (c *Controller) Tick() TickReport {
 			scratch, a.Queue = a.Queue, scratch[:0]
 		} else {
 			scratch = append(scratch[:0], a.Queue[:n]...)
-			a.Queue = append(a.Queue[:0], a.Queue[n:]...)
+			rest := copy(a.Queue, a.Queue[n:])
+			clear(a.Queue[rest:]) // see below: no stale entry outlives its drain
+			a.Queue = a.Queue[:rest]
 		}
 		s.queued -= n
 		rep.Remaining += len(a.Queue)
 		s.mu.Unlock()
-		sums = telemetry.AppendChecksums(sums[:0], scratch)
+		// One job lookup per entry answers both where it folds and its
+		// key's checksum prefix.
+		slots, keySums = c.window.Resolve(slots[:0], keySums[:0], scratch)
+		sums = telemetry.AppendChecksumsKeyed(sums[:0], scratch, keySums)
 		for i := range scratch {
 			e := &scratch[i]
 			if err := e.Validate(len(telemetry.DefaultThresholds)); err != nil {
@@ -543,13 +551,17 @@ func (c *Controller) Tick() TickReport {
 				c.nCorrupt++
 				continue
 			}
-			c.ingestLocked(*e)
+			c.ingestLocked(e, slots[i])
 			rep.Drained++
 		}
+		// The window keeps only the entries' values, so nothing may keep
+		// the entries: the buffer goes to the next agent's queue, and a
+		// stale entry there would pin the decode arena its tails share.
+		clear(scratch)
 	}
-	c.drainScratch, c.sumScratch = scratch[:0], sums[:0]
-	trigger := !c.roundInFlight && c.windowLen > 0 &&
-		c.windowMax-c.windowStartLocked() >= c.roundSec
+	c.drainScratch, c.sumScratch, c.keyScratch, c.slotScratch = scratch[:0], sums[:0], keySums[:0], slots[:0]
+	trigger := !c.roundInFlight && c.window.Len() > 0 &&
+		c.windowMax-c.windowStart >= c.roundSec
 	c.mu.Unlock()
 	if trigger {
 		if rr, err := c.RunRound(); err == nil {
@@ -583,40 +595,30 @@ func (c *Controller) ingestTotalsLocked() (IngestStats, int) {
 	return t, queued
 }
 
-// Window segment sizes, in entries. The first segment is small, so a
-// window of a few reports holds little, and each later one doubles up to
-// windowSegMax: a window never copies an entry to grow, and no more than
-// one segment's worth of it stands empty.
-const (
-	windowSegMin = 64
-	windowSegMax = 1024
-)
-
-// ingestLocked appends one validated entry to the tuning window.
-func (c *Controller) ingestLocked(e telemetry.Entry) {
-	if c.windowLen == 0 || e.TimestampSec > c.windowMax {
-		c.windowMax = e.TimestampSec
-	}
-	n := len(c.window)
-	if n == 0 || len(c.window[n-1]) == cap(c.window[n-1]) {
-		size := windowSegMin
-		if n > 0 {
-			size = min(2*cap(c.window[n-1]), windowSegMax)
-		}
-		c.window = append(c.window, make([]telemetry.Entry, 0, size))
-		n++
-	}
-	c.window[n-1] = append(c.window[n-1], e)
-	c.windowLen++
+// ingestLocked folds one validated entry into the tuning window at its
+// job slot (Resolve's answer) and advances the telemetry clocks.
+func (c *Controller) ingestLocked(e *telemetry.Entry, slot int) {
+	c.foldLocked(e, slot)
 	if e.TimestampSec > c.telemetryMax {
 		c.telemetryMax = e.TimestampSec
 	}
 	if c.ckptBase < 0 {
-		// First telemetry ever: start the checkpoint cadence here, the
-		// same way the round cadence starts at the window's first entry.
+		// The first entry after a checkpoint (or ever) starts the
+		// checkpoint cadence, the way a window's first entry starts the
+		// round cadence.
 		c.ckptBase = e.TimestampSec
 	}
 	c.nIngested++
+}
+
+// foldLocked adds one entry to the window and its bounds.
+func (c *Controller) foldLocked(e *telemetry.Entry, slot int) {
+	if c.window.Len() == 0 {
+		c.windowStart, c.windowMax = e.TimestampSec, e.TimestampSec
+	} else if e.TimestampSec > c.windowMax {
+		c.windowMax = e.TimestampSec
+	}
+	c.window.Fold(slot, e)
 }
 
 // RoundReport is the outcome of one tuning round: the window it judged,
@@ -624,30 +626,26 @@ func (c *Controller) ingestLocked(e telemetry.Entry) {
 // checkpoint's round record, so the history restores without a copy.
 type RoundReport = ckpt.Round
 
-// windowStartLocked is the timestamp of the window's first entry; the
-// window must not be empty.
-func (c *Controller) windowStartLocked() int64 { return c.window[0][0].TimestampSec }
-
 // roundWindow is the window a round judges, taken under the mutex.
 type roundWindow struct {
-	segs     [][]telemetry.Entry
+	compiled *model.StreamCompiler
 	entries  int
 	startSec int64
 	endSec   int64
 }
 
-// beginRoundLocked hands the (non-empty) window's segments to a round
-// and leaves an empty window behind. Entries ingested after this belong
-// to the next round.
+// beginRoundLocked hands the (non-empty) window to a round and leaves
+// the next, empty one behind, which knows the jobs this one held.
+// Entries ingested after this belong to the next round.
 func (c *Controller) beginRoundLocked() roundWindow {
 	w := roundWindow{
-		segs:     c.window,
-		entries:  c.windowLen,
-		startSec: c.windowStartLocked(),
+		compiled: c.window,
+		entries:  c.window.Len(),
+		startSec: c.windowStart,
 		endSec:   c.windowMax,
 	}
-	c.window = nil
-	c.windowLen = 0
+	c.window = c.window.Next()
+	c.windowStart = 0
 	c.windowMax = 0
 	c.roundInFlight = true
 	return w
@@ -659,14 +657,14 @@ func (c *Controller) beginRoundLocked() roundWindow {
 // flush hook. It takes the window under the control mutex, releases every
 // lock, and runs the round pipeline with ingest fully live: Reports land
 // on their stripes and Ticks keep folding the *next* window while this
-// round's Compile→Autotune→StagedRollout churns.
+// round's Finish→Autotune→StagedRollout churns.
 func (c *Controller) RunRound() (RoundReport, error) {
 	c.mu.Lock()
 	if c.roundInFlight {
 		c.mu.Unlock()
 		return RoundReport{}, ErrRoundInFlight
 	}
-	if c.windowLen == 0 {
+	if c.window.Len() == 0 {
 		c.mu.Unlock()
 		return RoundReport{}, ErrNoTelemetry
 	}
@@ -698,8 +696,8 @@ func (c *Controller) RunRound() (RoundReport, error) {
 }
 
 // executeRound runs the tune-and-push pipeline on one window. It holds no
-// locks during model compilation and GP search; stage pushes re-acquire
-// the mutexes briefly to move agent rings.
+// locks while it finishes the window's compile and runs the GP search;
+// stage pushes re-acquire the mutexes briefly to move agent rings.
 func (c *Controller) executeRound(w roundWindow, incumbent core.Params) RoundReport {
 	rr := RoundReport{
 		WindowStartSec: w.startSec,
@@ -707,7 +705,7 @@ func (c *Controller) executeRound(w roundWindow, incumbent core.Params) RoundRep
 		Entries:        w.entries,
 		Chosen:         incumbent,
 	}
-	ct := model.CompileSegments(telemetry.DefaultThresholds, w.segs)
+	ct := w.compiled.Finish()
 	rr.Jobs = ct.Jobs()
 	res, err := tuner.Autotune(tuner.CompiledObjective(ct, c.cfg.SLO), c.cfg.Tuner)
 	rr.TunerEvals = len(res.History)
@@ -896,7 +894,7 @@ func (c *Controller) Status() Status {
 		Draining:       c.draining.Load(),
 		WindowStartSec: -1, // an empty window has no start
 		WindowEndSec:   c.windowMax,
-		WindowEntries:  c.windowLen,
+		WindowEntries:  c.window.Len(),
 		Ingest:         ingest,
 		Rounds:         len(c.rounds),
 	}
@@ -915,8 +913,8 @@ func (c *Controller) Status() Status {
 		})
 		s.mu.Unlock()
 	}
-	if c.windowLen > 0 {
-		st.WindowStartSec = c.windowStartLocked()
+	if c.window.Len() > 0 {
+		st.WindowStartSec = c.windowStart
 	}
 	if len(c.rounds) > 0 {
 		last := c.rounds[len(c.rounds)-1]

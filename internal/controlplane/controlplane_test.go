@@ -280,7 +280,7 @@ func TestTickVerifiesEveryLane(t *testing.T) {
 		t.Errorf("Tick = drained %d corrupt %d invalid %d, want %d/%d/%d",
 			rep.Drained, rep.RejectedCorrupt, rep.RejectedInvalid, len(want), corrupt, invalid)
 	}
-	if got := flattenWindow(c.window); !reflect.DeepEqual(got, want) {
+	if got := windowEntries(c); !reflect.DeepEqual(got, want) {
 		t.Errorf("window holds %d entries, not the %d that verify one at a time", len(got), len(want))
 	}
 }

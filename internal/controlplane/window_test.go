@@ -2,10 +2,11 @@ package controlplane
 
 import (
 	"bytes"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -40,118 +41,196 @@ func ingestAll(t *testing.T, c *Controller, id string, entries []telemetry.Entry
 	return valid
 }
 
-// checkWindow holds the segmented window to the flat slice of validated
-// entries the controller kept before its window had segments: the same
-// entries in ingest order, and segments of windowSegMin doubling up to
-// windowSegMax, none copied.
+// windowEntries materializes the open window, in ingest order. Caller
+// holds the control mutex, or owns the controller alone.
+func windowEntries(c *Controller) []telemetry.Entry {
+	return c.window.View().Entries()
+}
+
+// checkWindow holds the window to the validated entries it was fed: the
+// same entries, in ingest order, starting at the first one's timestamp.
 func checkWindow(t *testing.T, c *Controller, want []telemetry.Entry) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if got := flattenWindow(c.window); c.windowLen != len(want) || !reflect.DeepEqual(got, want) {
-		t.Fatalf("window holds %d entries (windowLen %d), want the %d validated ones in ingest order",
-			len(got), c.windowLen, len(want))
+	if got := windowEntries(c); c.window.Len() != len(want) || len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+		t.Fatalf("window holds %d entries (Len %d), want the %d validated ones in ingest order",
+			len(got), c.window.Len(), len(want))
 	}
-	if st := c.windowStartLocked(); st != want[0].TimestampSec {
-		t.Errorf("window starts at %d, want %d", st, want[0].TimestampSec)
+	if len(want) > 0 && c.windowStart != want[0].TimestampSec {
+		t.Errorf("window starts at %d, want %d", c.windowStart, want[0].TimestampSec)
 	}
-	for i, seg := range c.window[:max(len(c.window)-1, 0)] {
-		if len(seg) != cap(seg) {
-			t.Errorf("segment %d of %d holds %d of %d entries before the last", i, len(c.window), len(seg), cap(seg))
+}
+
+// windowKeys are the jobs fuzzWindowEntries draws from: two that print
+// alike ("a/b/c/d"), and one that is rare enough to hold one row.
+var windowKeys = []telemetry.JobKey{
+	{Cluster: "c", Machine: "m", Job: "j0"},
+	{Cluster: "c", Machine: "m", Job: "j1"},
+	{Cluster: "a", Machine: "b/c", Job: "d"},
+	{Cluster: "a/b", Machine: "c", Job: "d"},
+	{Cluster: "c", Machine: "m2", Job: "j0"},
+}
+
+// Window operations a record may ask for after its entry is reported.
+const (
+	opTick     = iota // drain what is queued into the window
+	opSnapshot        // drain, then cut a checkpoint snapshot
+	opCut             // drain, then take the window as a round would
+	opNone
+)
+
+// fuzzWindowEntries decodes data, four bytes a record, into valid,
+// stamped entries and the operation each asks for. Timestamps fall on
+// eight 5-minute slots, so equal and out-of-order ones within a job are
+// common; a fifth of entries have CompressibleFrac 0 and a fifth 1.
+func fuzzWindowEntries(data []byte) ([]telemetry.Entry, []int) {
+	nT := len(telemetry.DefaultThresholds)
+	var entries []telemetry.Entry
+	var ops []int
+	for ; len(data) >= 4; data = data[4:] {
+		b0, b1, b2, b3 := data[0], data[1], data[2], data[3]
+		key := windowKeys[int(b0)%len(windowKeys)]
+		if key.Machine == "m2" && b0%3 != 0 {
+			key = windowKeys[0]
+		}
+		e := telemetry.Entry{
+			Key:              key,
+			TimestampSec:     int64(b1%8+1) * 300,
+			IntervalMinutes:  float64(5 + b3%2),
+			WSSPages:         uint64(b3%5) * 100,
+			TotalPages:       1 << 16,
+			ColdTails:        make([]uint64, nT),
+			PromoTails:       make([]uint64, nT),
+			CompressibleFrac: []float64{0, 1, 0.5, 0.37, 0.9}[int(b2)%5],
+		}
+		for i := range nT {
+			e.ColdTails[i] = (uint64(b1) + 1) * 400 / uint64(i+1)
+			e.PromoTails[i] = uint64(b2) / uint64(i+1)
+		}
+		e.Checksum = e.ComputeChecksum()
+		entries = append(entries, e)
+		ops = append(ops, min(int(b3>>4)%8, opNone))
+	}
+	return entries, ops
+}
+
+// compiledOf is what model.Compile makes of entries, with the best
+// thresholds for slo derived the way a window derives them as it folds.
+func compiledOf(t *testing.T, entries []telemetry.Entry, slo core.SLO) *model.CompiledTrace {
+	t.Helper()
+	tr := telemetry.NewTrace()
+	tr.Entries = entries
+	ct := model.Compile(tr)
+	if _, err := ct.Run(model.Config{SLO: slo, Params: core.DefaultParams}); err != nil {
+		t.Fatal(err)
+	}
+	return ct
+}
+
+// checkWindowOps feeds the entries data decodes to a controller, one
+// agent, snapshots and round cuts where the records ask, and holds the
+// window to the entries: (a) each cut window compiles exactly as
+// model.Compile of the entries ingested since the previous cut; (b) each
+// snapshot's window — materialized only at the end, after later folds,
+// regrowths and cuts — is those entries in ingest order, and encodes to
+// the bytes a snapshot holding them does; (c) restoring that snapshot
+// compiles exactly as they do too.
+func checkWindowOps(t *testing.T, data []byte) {
+	c := newTestController(t, Config{RoundEvery: 1000 * time.Hour, QueueCap: 1 << 20, BatchSize: 1 << 20})
+	if _, err := c.Register(RegisterRequest{AgentID: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	slo := c.cfg.SLO
+	entries, ops := fuzzWindowEntries(data)
+	var since, pending []telemetry.Entry // ingested since the last cut; reported, not drained
+	flush := func() {
+		if len(pending) == 0 {
+			return
+		}
+		if _, err := c.Report(ReportRequest{AgentID: "a", Entries: pending}); err != nil {
+			t.Fatal(err)
+		}
+		if rep := c.Tick(); rep.Drained != len(pending) {
+			t.Fatalf("Tick drained %d of %d valid entries", rep.Drained, len(pending))
+		}
+		since, pending = append(since, pending...), nil
+	}
+	type snap struct {
+		s    *ckpt.Snapshot
+		view model.View
+		want []telemetry.Entry
+	}
+	var snaps []snap
+	for i, e := range entries {
+		pending = append(pending, e)
+		if ops[i] == opNone {
+			continue
+		}
+		flush()
+		c.mu.Lock()
+		switch {
+		case ops[i] == opSnapshot:
+			s, v := c.snapshotLocked()
+			snaps = append(snaps, snap{s, v, slices.Clone(since)})
+		case ops[i] == opCut && len(since) > 0:
+			w := c.beginRoundLocked()
+			c.roundInFlight = false
+			c.mu.Unlock()
+			if got, want := w.compiled.Finish(), compiledOf(t, since, slo); !reflect.DeepEqual(got, want) {
+				t.Fatalf("a window of %d entries compiles otherwise than model.Compile of them", len(since))
+			}
+			since = nil
+			c.mu.Lock()
+		}
+		c.mu.Unlock()
+	}
+	flush()
+	checkWindow(t, c, since)
+	for k, sn := range snaps {
+		got := sn.view.Entries()
+		if len(got) != len(sn.want) || (len(got) > 0 && !reflect.DeepEqual(got, sn.want)) {
+			t.Fatalf("snapshot %d holds %d entries, not the %d ingested before it in order", k, len(got), len(sn.want))
+		}
+		sn.s.Window = got
+		b, err := ckpt.Encode(nil, sn.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn.s.Window = sn.want
+		if want, _ := ckpt.Encode(nil, sn.s); !bytes.Equal(b, want) {
+			t.Fatalf("snapshot %d encodes to %d bytes, not the %d of the entries ingested", k, len(b), len(want))
+		}
+		d, err := ckpt.Decode(b)
+		if err != nil {
+			t.Fatalf("snapshot %d: %v", k, err)
+		}
+		r := newTestController(t, c.cfg)
+		r.adoptSnapshot(d)
+		checkWindow(t, r, sn.want)
+		if len(sn.want) > 0 {
+			if got, want := r.window.Finish(), compiledOf(t, sn.want, slo); !reflect.DeepEqual(got, want) {
+				t.Fatalf("snapshot %d restores a window that compiles otherwise than its entries", k)
+			}
 		}
 	}
 }
 
-// TestSegmentedWindowMatchesFlat ingests across several segment
-// boundaries, past the largest segment size, and holds what the window
-// feeds — a round's compile, a checkpoint's bytes, a restore — to what
-// the flat slice of the same entries gives.
-func TestSegmentedWindowMatchesFlat(t *testing.T) {
-	dir := t.TempDir()
-	cfg := ckptTestConfig(dir)
-	cfg.RoundEvery = 1000 * time.Hour
-	cfg.CheckpointEvery = 1000 * time.Hour
-	cfg.QueueCap = 1 << 20
-	cfg.BatchSize = 1 << 20
-	c := newTestController(t, cfg)
-	if _, err := c.Register(RegisterRequest{AgentID: "a"}); err != nil {
-		t.Fatal(err)
+// TestWindowMatchesEntries runs checkWindowOps over random record
+// streams long enough that every job's columns regrow.
+func TestWindowMatchesEntries(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		data := make([]byte, 4*(50+int(seed)*150))
+		rand.New(rand.NewSource(seed)).Read(data)
+		checkWindowOps(t, data)
 	}
-	tr := testTrace(t, 1, 4, 5, 24*time.Hour, 3) // 5,760 entries
-	half := len(tr.Entries) / 2
+}
 
-	// Each window: segments of 64, 128, …, 1024, then 1024 again.
-	want := ingestAll(t, c, "a", tr.Entries[:half], 37)
-	checkWindow(t, c, want)
-	if n := len(c.window); n < 4 || cap(c.window[0]) != windowSegMin || cap(c.window[n-1]) != windowSegMax {
-		t.Fatalf("%d segments of first cap %d and last cap %d, want several from %d up to %d",
-			n, cap(c.window[0]), cap(c.window[n-1]), windowSegMin, windowSegMax)
-	}
-	flat := telemetry.NewTrace()
-	flat.Entries = want
-	segCT := model.CompileSegments(telemetry.DefaultThresholds, c.window)
-	flatCT := model.Compile(flat)
-	mcfg := model.Config{SLO: core.DefaultSLO, Params: core.DefaultParams}
-	segRes, err := segCT.Run(mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flatRes, err := flatCT.Run(mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if segCT.Jobs() != flatCT.Jobs() || segCT.Intervals() != flatCT.Intervals() || !reflect.DeepEqual(segRes, flatRes) {
-		t.Fatalf("the segments compile to %d jobs / %d intervals, the flat window to %d / %d, replays equal: %v",
-			segCT.Jobs(), segCT.Intervals(), flatCT.Jobs(), flatCT.Intervals(), reflect.DeepEqual(segRes, flatRes))
-	}
-	rr, err := c.RunRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Entries != len(want) || rr.Jobs != flatCT.Jobs() || rr.WindowStartSec != want[0].TimestampSec {
-		t.Errorf("round judged %d entries of %d jobs from %d, want %d of %d from %d",
-			rr.Entries, rr.Jobs, rr.WindowStartSec, len(want), flatCT.Jobs(), want[0].TimestampSec)
-	}
-	if st := c.Status(); st.WindowEntries != 0 || st.WindowStartSec != -1 {
-		t.Errorf("after the round the window holds %d entries from %d, want none", st.WindowEntries, st.WindowStartSec)
-	}
-
-	// Window two, checkpointed: the file holds a flat window's bytes.
-	want = ingestAll(t, c, "a", tr.Entries[half:], 53)
-	checkWindow(t, c, want)
-	path, err := c.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	s, _ := c.snapshotLocked()
-	c.mu.Unlock()
-	s.Window = want
-	wantBytes, err := ckpt.Encode(nil, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, wantBytes) {
-		t.Fatalf("checkpoint of the segmented window is %d bytes, not the flat window's %d", len(got), len(wantBytes))
-	}
-
-	// Restored, the window is one segment, and ingest appends past it.
-	r, _, err := Restore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(r.Close)
-	checkWindow(t, r, want)
-	if st := r.Status(); st.WindowEntries != len(want) || st.WindowStartSec != want[0].TimestampSec {
-		t.Errorf("restored status: %d entries from %d, want %d from %d", st.WindowEntries, st.WindowStartSec, len(want), want[0].TimestampSec)
-	}
-	more := testTrace(t, 1, 2, 3, 12*time.Hour, 4)
-	want = append(want, ingestAll(t, r, "a", more.Entries, 41)...)
-	checkWindow(t, r, want)
+// FuzzWindow is checkWindowOps over arbitrary record streams.
+func FuzzWindow(f *testing.F) {
+	f.Add([]byte{0, 7, 0, 0x10, 1, 3, 1, 0x21, 2, 3, 2, 0x00, 3, 0, 3, 0x11, 4, 5, 4, 0x70})
+	f.Add([]byte{0, 1, 0, 0x70, 0, 1, 1, 0x70, 0, 0, 2, 0x10, 2, 9, 3, 0x20, 3, 9, 4, 0x20})
+	f.Fuzz(checkWindowOps)
 }
 
 // TestReportFrameNotAliased sends report frames through the server's

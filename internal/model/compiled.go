@@ -14,14 +14,16 @@ import (
 // (§5.3). Compiling performs, once, all the work that does not depend on
 // the (K, S) parameters under evaluation — grouping entries into per-job
 // series, sorting them by timestamp, detecting reporting gaps, and laying
-// the per-interval tail sums out in dense columns — so that a tuning
-// session evaluating dozens of candidate configurations pays the trace
-// preparation cost once instead of per evaluation.
+// each field out in a dense column — so that a tuning session evaluating
+// dozens of candidate configurations pays the trace preparation cost once
+// instead of per evaluation.
 //
 // The per-interval best-threshold index (the §4.3 feedback signal) depends
 // on the SLO but not on the parameters; it is derived lazily on the first
 // replay for a given SLO and cached, so the common compile-once /
-// replay-many pattern of tuner.Autotune computes it exactly once.
+// replay-many pattern of tuner.Autotune computes it exactly once. A trace
+// finished from a window (NewWindow) arrives with it already derived for
+// the window's SLO.
 //
 // A CompiledTrace is immutable after Compile and safe for concurrent
 // replays.
@@ -38,28 +40,38 @@ type CompiledTrace struct {
 	haveBest bool
 }
 
-// compiledJob is one job's interval series in columnar form. All slices
-// have length n except the flattened per-threshold columns, which have
-// length n*nThresh with interval i occupying [i*nThresh, (i+1)*nThresh).
+// compiledJob is one job's interval series in columnar form, every field
+// of its entries kept as reported, so each entry can be rebuilt (entry).
+// Scalar columns have length n; the flattened tail columns have length
+// n*nThresh with interval i occupying [i*nThresh, (i+1)*nThresh).
 type compiledJob struct {
 	key telemetry.JobKey
 	n   int
 
-	tsSec       []int64   // interval-end timestamps, sorted ascending
+	tsSec       []int64   // interval-end timestamps, sorted ascending once compiled
 	intervalMin []float64 // aggregation interval lengths
-	wssF        []float64 // float64(WSSPages)
-	coldMin     []float64 // float64(ColdTails[0]): the coverage denominator
-	totalF      []float64 // float64(TotalPages)
-	promoTails  []uint64  // flattened PromoTails (kept for per-SLO best derivation)
-
-	// coldComp[i*nThresh+j] is the compressible cold page count the replay
-	// charges when operating at threshold j: uint64(float64(ColdTails[j]) *
-	// compressibleFrac), pre-truncated exactly as the reference replay does.
-	coldComp []float64
+	wss         []uint64  // WSSPages
+	total       []uint64  // TotalPages
+	frac        []float64 // CompressibleFrac as reported (coldAt reads 0 as 1)
+	sum         []uint64  // Checksum
+	coldTails   []uint64  // flattened ColdTails; [i*nThresh] is the coverage denominator
+	promoTails  []uint64  // flattened PromoTails
 
 	// gaps is the total inferred missing intervals (timestamp jumps larger
 	// than 1.5x the previous reporting interval) — params-independent.
 	gaps int
+}
+
+// coldAt is the compressible cold page count the replay charges for
+// interval i at threshold t: uint64(float64(ColdTails[t]) *
+// compressibleFrac), truncated exactly as the reference replay does so
+// replays stay bit-identical to it.
+func (j *compiledJob) coldAt(i, t, nT int) float64 {
+	frac := j.frac[i]
+	if frac == 0 {
+		frac = 1 // zero means "not reported": every cold page compresses
+	}
+	return float64(uint64(float64(j.coldTails[i*nT+t]) * frac))
 }
 
 // Compile builds the replay-optimized representation of trace. The result
@@ -69,64 +81,51 @@ type compiledJob struct {
 // and then allocates every column once, at its final size, instead of
 // growing it entry by entry.
 func Compile(trace *telemetry.Trace) *CompiledTrace {
-	segs := [1][]telemetry.Entry{trace.Entries}
-	return CompileSegments(trace.Thresholds, segs[:])
-}
-
-// CompileSegments is Compile over the entries of segs in order, as if
-// they were one trace's Entries under thresholds: a window kept in
-// segments compiles without first being copied into one slice. Every
-// entry must match the threshold count.
-func CompileSegments(thresholds []int, segs [][]telemetry.Entry) *CompiledTrace {
-	sc := NewStreamCompiler(thresholds)
+	sc := NewStreamCompiler(trace.Thresholds)
 	type slot struct{ job, row int }
-	rows := 0
-	for _, seg := range segs {
-		rows += len(seg)
-	}
-	slots := make([]slot, 0, rows)
-	for _, seg := range segs {
-		for i := range seg {
-			job, row, err := sc.admit(&seg[i])
-			if err != nil {
-				// Entries in a validated window always match the threshold set.
-				panic(err)
-			}
-			slots = append(slots, slot{job, row})
+	slots := make([]slot, len(trace.Entries))
+	for i := range trace.Entries {
+		e := &trace.Entries[i]
+		if err := sc.check(e); err != nil {
+			// Trace.Append validates every entry against the threshold set.
+			panic(err)
 		}
+		ji := sc.slot(&e.Key)
+		slots[i] = slot{ji, sc.jobs[ji].admit(e.TimestampSec)}
 	}
 
 	// One allocation per column family, cut into per-job sub-slices whose
 	// capacity ends at the job's last row.
+	rows := len(trace.Entries)
 	nT := sc.nThresh
 	tsSec := make([]int64, rows)
 	intervalMin := make([]float64, rows)
-	wssF := make([]float64, rows)
-	coldMin := make([]float64, rows)
-	totalF := make([]float64, rows)
+	wss := make([]uint64, rows)
+	total := make([]uint64, rows)
+	frac := make([]float64, rows)
+	sum := make([]uint64, rows)
+	coldTails := make([]uint64, rows*nT)
 	promoTails := make([]uint64, rows*nT)
-	coldComp := make([]float64, rows*nT)
 	a := 0
 	for i := range sc.jobs {
 		j := &sc.jobs[i]
 		b := a + j.n
-		j.tsSec = tsSec[a:b:b]
-		j.intervalMin = intervalMin[a:b:b]
-		j.wssF = wssF[a:b:b]
-		j.coldMin = coldMin[a:b:b]
-		j.totalF = totalF[a:b:b]
-		j.promoTails = promoTails[a*nT : b*nT : b*nT]
-		j.coldComp = coldComp[a*nT : b*nT : b*nT]
+		j.blocks = []block{{compiledJob: compiledJob{
+			key:         j.key,
+			n:           j.n,
+			tsSec:       tsSec[a:b:b],
+			intervalMin: intervalMin[a:b:b],
+			wss:         wss[a:b:b],
+			total:       total[a:b:b],
+			frac:        frac[a:b:b],
+			sum:         sum[a:b:b],
+			coldTails:   coldTails[a*nT : b*nT : b*nT],
+			promoTails:  promoTails[a*nT : b*nT : b*nT],
+		}}}
 		a = b
 	}
-
-	k := 0
-	for _, seg := range segs {
-		for i := range seg {
-			s := slots[k]
-			sc.jobs[s.job].fill(s.row, &seg[i], nT)
-			k++
-		}
+	for i, s := range slots {
+		sc.jobs[s.job].blocks[0].fill(s.row, &trace.Entries[i], nT)
 	}
 	return sc.Finish()
 }
@@ -159,17 +158,8 @@ func (ct *CompiledTrace) bestFor(slo core.SLO) [][]uint8 {
 	for ji := range ct.jobs {
 		j := &ct.jobs[ji]
 		col := make([]uint8, j.n)
-		for i := 0; i < j.n; i++ {
-			limit := slo.TargetRatePerMin * j.wssF[i]
-			row := i * nT
-			best := nT - 1
-			for t := 0; t < nT; t++ {
-				if float64(j.promoTails[row+t])/j.intervalMin[i] <= limit {
-					best = t
-					break
-				}
-			}
-			col[i] = uint8(best)
+		for i := range col {
+			col[i] = bestThreshold(j.promoTails[i*nT:(i+1)*nT], j.intervalMin[i], j.wss[i], slo.TargetRatePerMin)
 		}
 		cols[ji] = col
 	}
@@ -177,6 +167,26 @@ func (ct *CompiledTrace) bestFor(slo core.SLO) [][]uint8 {
 	ct.bestCols = cols
 	ct.haveBest = true
 	return cols
+}
+
+// bestThreshold is one interval's best threshold index: the smallest
+// whose promotion rate, promo[t] per minute of the interval, is within
+// target per working-set page; the last when none is. Promotion tails
+// never increase with the threshold (telemetry.Entry.Validate holds every
+// entry to that), so neither does the rate, and the index is found by
+// bisection.
+func bestThreshold(promo []uint64, intervalMin float64, wss uint64, target float64) uint8 {
+	limit := target * float64(wss)
+	lo, hi := 0, len(promo)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if float64(promo[m])/intervalMin <= limit {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return uint8(min(lo, len(promo)-1))
 }
 
 // TimeBounds returns the [min, max] interval timestamps in the compiled
@@ -197,15 +207,20 @@ func (ct *CompiledTrace) TimeBounds() (minSec, maxSec int64) {
 // Slice returns the part of the compiled trace a staged deployment asks
 // about: the intervals with timestamp in [loSec, hiSec) of the jobs keep
 // accepts (nil keeps every job). hiSec <= loSec selects nothing. The
-// result is a view — its columns alias ct's — that replays exactly as a
-// fresh Compile of the same entries would: jobs left without an interval
-// are omitted and gap counts cover only the selected range.
+// result is a view — its columns alias ct's, best-threshold columns
+// already derived included — that replays exactly as a fresh Compile of
+// the same entries would: jobs left without an interval are omitted and
+// gap counts cover only the selected range.
 func (ct *CompiledTrace) Slice(loSec, hiSec int64, keep func(telemetry.JobKey) bool) *CompiledTrace {
 	nT := ct.nThresh
 	out := &CompiledTrace{nThresh: nT}
 	if hiSec <= loSec {
 		return out
 	}
+	ct.mu.Lock()
+	best := ct.bestCols
+	out.bestSLO, out.haveBest = ct.bestSLO, ct.haveBest
+	ct.mu.Unlock()
 	for i := range ct.jobs {
 		j := &ct.jobs[i]
 		a := sort.Search(j.n, func(k int) bool { return j.tsSec[k] >= loSec })
@@ -218,13 +233,17 @@ func (ct *CompiledTrace) Slice(loSec, hiSec int64, keep func(telemetry.JobKey) b
 			n:           b - a,
 			tsSec:       j.tsSec[a:b],
 			intervalMin: j.intervalMin[a:b],
-			wssF:        j.wssF[a:b],
-			coldMin:     j.coldMin[a:b],
-			totalF:      j.totalF[a:b],
+			wss:         j.wss[a:b],
+			total:       j.total[a:b],
+			frac:        j.frac[a:b],
+			sum:         j.sum[a:b],
+			coldTails:   j.coldTails[a*nT : b*nT],
 			promoTails:  j.promoTails[a*nT : b*nT],
-			coldComp:    j.coldComp[a*nT : b*nT],
 			gaps:        inferGaps(j.tsSec[a:b], j.intervalMin[a:b]),
 		})
+		if out.haveBest {
+			out.bestCols = append(out.bestCols, best[i][a:b])
+		}
 	}
 	return out
 }
@@ -322,8 +341,8 @@ func (r *replayer) replay(j *compiledJob, best []uint8, cold []float64) JobResul
 		// The cold ceiling (coverage denominator) exists whether or not
 		// zswap is enabled for the job; otherwise a long warmup S would
 		// "improve" coverage simply by excluding young jobs from it.
-		sumColdMin += j.coldMin[i]
-		sumTotal += j.totalF[i]
+		sumColdMin += float64(j.coldTails[i*nT])
+		sumTotal += float64(j.total[i])
 		if p.Enabled && r.ctl.Enabled(now) {
 			// Operating threshold chosen from history before this interval;
 			// with no history yet, the most conservative one.
@@ -334,13 +353,14 @@ func (r *replayer) replay(j *compiledJob, best []uint8, cold []float64) JobResul
 			// Normalized promotion rate at the operating threshold, derived
 			// here with the reference replay's two divisions in its order.
 			rate := 0.0
-			if j.wssF[i] > 0 {
-				rate = float64(j.promoTails[i*nT+idx]) / j.intervalMin[i] / j.wssF[i]
+			if wss := float64(j.wss[i]); wss > 0 {
+				rate = float64(j.promoTails[i*nT+idx]) / j.intervalMin[i] / wss
 			}
 			jr.Enabled++
-			sumCold += j.coldComp[i*nT+idx]
+			c := j.coldAt(i, idx, nT)
+			sumCold += c
 			if cold != nil {
-				cold[i] = j.coldComp[i*nT+idx]
+				cold[i] = c
 			}
 			sumRate += rate
 			if rate > r.target {

@@ -117,7 +117,8 @@ func fuzzEntries(raw []byte) []Entry {
 }
 
 // FuzzAppendChecksums: the four-lane kernel equals ComputeChecksum entry
-// by entry, appended after whatever dst already holds.
+// by entry, appended after whatever dst already holds, both when it
+// hashes the keys itself and when it is handed their KeySums.
 func FuzzAppendChecksums(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 22, 22})  // one lock-step group, empty keys, zero values
@@ -141,9 +142,14 @@ func FuzzAppendChecksums(f *testing.F) {
 		if len(got) != 1+len(entries) || got[0] != 42 {
 			t.Fatalf("appended %d sums after %v for %d entries", len(got)-1, got[:1], len(entries))
 		}
+		keySums := make([]uint64, len(entries))
 		for i := range entries {
-			if want := entries[i].ComputeChecksum(); got[1+i] != want {
-				t.Fatalf("entry %d of %d: batch sum %#x, ComputeChecksum %#x", i, len(entries), got[1+i], want)
+			keySums[i] = KeySum(&entries[i].Key)
+		}
+		keyed := AppendChecksumsKeyed(nil, entries, keySums)
+		for i := range entries {
+			if want := entries[i].ComputeChecksum(); got[1+i] != want || keyed[i] != want {
+				t.Fatalf("entry %d of %d: batch sum %#x, keyed %#x, ComputeChecksum %#x", i, len(entries), got[1+i], keyed[i], want)
 			}
 		}
 	})

@@ -141,10 +141,11 @@ func fnvWord(h, v uint64) uint64 {
 
 // ComputeChecksum digests every field except Checksum itself.
 func (e *Entry) ComputeChecksum() uint64 {
-	h := fnvOffset64
-	h = fnvString(h, e.Key.Cluster)
-	h = fnvString(h, e.Key.Machine)
-	h = fnvString(h, e.Key.Job)
+	return e.checksumFrom(KeySum(&e.Key))
+}
+
+// checksumFrom is ComputeChecksum continued from h, the key's KeySum.
+func (e *Entry) checksumFrom(h uint64) uint64 {
 	h = fnvWord(h, uint64(e.TimestampSec))
 	h = fnvWord(h, math.Float64bits(e.IntervalMinutes))
 	h = fnvWord(h, e.WSSPages)
@@ -161,6 +162,13 @@ func (e *Entry) ComputeChecksum() uint64 {
 	return h
 }
 
+// KeySum is ComputeChecksum's prefix over a job key: the part of every
+// entry's checksum its key alone decides. A verifier that sees one key
+// many times computes it once and hands it to AppendChecksumsKeyed.
+func KeySum(k *JobKey) uint64 {
+	return fnvString(fnvString(fnvString(fnvOffset64, k.Cluster), k.Machine), k.Job)
+}
+
 // AppendChecksums appends entries[i].ComputeChecksum() for every entry to
 // dst and returns the extended slice. It is the batch form every verifier
 // uses: one FNV-1a chain is a serial multiply per byte, so four entries
@@ -168,17 +176,35 @@ func (e *Entry) ComputeChecksum() uint64 {
 // chains overlap in the multiplier. A group of four whose tail lengths
 // differ (damaged entries) is hashed one entry at a time.
 func AppendChecksums(dst []uint64, entries []Entry) []uint64 {
+	return appendChecksums(dst, entries, nil)
+}
+
+// AppendChecksumsKeyed is AppendChecksums given keySums[i] ==
+// KeySum(&entries[i].Key) for every entry, so no key is hashed here.
+func AppendChecksumsKeyed(dst []uint64, entries []Entry, keySums []uint64) []uint64 {
+	return appendChecksums(dst, entries, keySums[:len(entries)])
+}
+
+// appendChecksums is AppendChecksums, taking each key's prefix from
+// keySums when it is not nil.
+func appendChecksums(dst []uint64, entries []Entry, keySums []uint64) []uint64 {
+	keySum := func(i int) uint64 {
+		if keySums != nil {
+			return keySums[i]
+		}
+		return KeySum(&entries[i].Key)
+	}
 	dst = slices.Grow(dst, len(entries))
 	i := 0
 	for ; i+4 <= len(entries); i += 4 {
 		a, b, c, d := &entries[i], &entries[i+1], &entries[i+2], &entries[i+3]
+		h0, h1, h2, h3 := keySum(i), keySum(i+1), keySum(i+2), keySum(i+3)
 		nc, np := len(a.ColdTails), len(a.PromoTails)
 		if len(b.ColdTails) != nc || len(c.ColdTails) != nc || len(d.ColdTails) != nc ||
 			len(b.PromoTails) != np || len(c.PromoTails) != np || len(d.PromoTails) != np {
-			dst = append(dst, a.ComputeChecksum(), b.ComputeChecksum(), c.ComputeChecksum(), d.ComputeChecksum())
+			dst = append(dst, a.checksumFrom(h0), b.checksumFrom(h1), c.checksumFrom(h2), d.checksumFrom(h3))
 			continue
 		}
-		h0, h1, h2, h3 := keyHash(&a.Key), keyHash(&b.Key), keyHash(&c.Key), keyHash(&d.Key)
 		h0, h1, h2, h3 = fnvWord4(h0, h1, h2, h3,
 			uint64(a.TimestampSec), uint64(b.TimestampSec), uint64(c.TimestampSec), uint64(d.TimestampSec))
 		h0, h1, h2, h3 = fnvWord4(h0, h1, h2, h3,
@@ -204,14 +230,9 @@ func AppendChecksums(dst []uint64, entries []Entry) []uint64 {
 		dst = append(dst, h0, h1, h2, h3)
 	}
 	for ; i < len(entries); i++ {
-		dst = append(dst, entries[i].ComputeChecksum())
+		dst = append(dst, entries[i].checksumFrom(keySum(i)))
 	}
 	return dst
-}
-
-// keyHash is ComputeChecksum's prefix over the job key.
-func keyHash(k *JobKey) uint64 {
-	return fnvString(fnvString(fnvString(fnvOffset64, k.Cluster), k.Machine), k.Job)
 }
 
 // fnvWord4 is fnvWord on four independent states.
