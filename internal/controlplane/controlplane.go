@@ -75,8 +75,10 @@ type Config struct {
 	// Incumbent is the configuration agents start on (default
 	// core.DefaultParams).
 	Incumbent core.Params
-	// Tuner configures the per-round GP-bandit search. Its SLO defaults
-	// to this config's when zero. The Seed makes rounds deterministic;
+	// Tuner configures the per-round GP-bandit search. Its SLO is this
+	// config's: zero takes it, and any other value is refused, so one SLO
+	// judges a round's candidates, replays and rollout. The Seed makes
+	// rounds deterministic;
 	// every round reuses the same seed so a round's decision depends only
 	// on its window's telemetry. Its Obs field is ignored (tuner
 	// instruments would be written outside the controller mutex and race
@@ -164,6 +166,9 @@ func (c Config) Validate() error {
 	}
 	if err := d.Tuner.Validate(); err != nil {
 		return err
+	}
+	if d.Tuner.SLO != d.SLO {
+		return fmt.Errorf("controlplane: tuner SLO %+v differs from the round's SLO %+v", d.Tuner.SLO, d.SLO)
 	}
 	if c.RoundEvery < 0 {
 		return fmt.Errorf("controlplane: negative RoundEvery %v", c.RoundEvery)

@@ -52,6 +52,30 @@ func newTestController(t *testing.T, cfg Config) *Controller {
 	return c
 }
 
+// TestNewRejectsSecondSLO: the tuner judges candidates under the round's
+// SLO, the one its replays and rollout checks use, so a tuner SLO other
+// than zero or that one is refused.
+func TestNewRejectsSecondSLO(t *testing.T) {
+	loose := core.SLO{TargetRatePerMin: 0.01, MinThreshold: core.DefaultSLO.MinThreshold}
+	for _, cfg := range []Config{
+		{Tuner: tuner.Config{SLO: loose}},
+		{SLO: loose, Tuner: tuner.Config{SLO: core.DefaultSLO}},
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate accepted round SLO %+v with tuner SLO %+v", cfg.SLO, cfg.Tuner.SLO)
+		}
+	}
+	for _, cfg := range []Config{
+		{SLO: loose},
+		{SLO: loose, Tuner: tuner.Config{SLO: loose}},
+		{Tuner: tuner.Config{SLO: core.DefaultSLO}},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("round SLO %+v, tuner SLO %+v: %v", cfg.SLO, cfg.Tuner.SLO, err)
+		}
+	}
+}
+
 // TestNewRejectsBadRings: each ring must hold a fraction in (0, 1] and be
 // no smaller than the ring before it, or the controller would leave more
 // agents on the candidate than the ring whose health it judges.

@@ -101,33 +101,48 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// BestThreshold returns the smallest cold-age bucket whose promotion rate
-// over the past interval would have met the SLO.
-//
-// promoInterval is the promotion histogram restricted to the interval
-// (counts of accesses by page age-at-access), wssPages the job's working
-// set in pages, and intervalMinutes the interval length. The search floor
-// is the bucket of slo.MinThreshold (nothing hotter than the minimum
-// threshold is ever considered cold). If even the coldest bucket violates
-// the SLO, histogram.MaxBucket is returned: the controller then
-// effectively compresses only the very coldest tail.
+// MinBucket is the floor of the §4.3 rule under s: the cold-age bucket of
+// MinThreshold on the scan-period grid (histogram.DefaultScanPeriod) that
+// the node's histograms and the telemetry thresholds share, and never
+// bucket 0, since age-0 pages are by definition not cold.
+func (s SLO) MinBucket() int {
+	return min(max(int(s.MinThreshold/histogram.DefaultScanPeriod), 1), histogram.MaxBucket)
+}
+
+// BestThreshold returns the smallest cold-age bucket, from slo.MinBucket,
+// whose promotion rate over the past interval would have met the SLO:
+// BestIndex over every bucket of promoInterval, the interval's promotions
+// by page age-at-access on kstaled's scan-period grid. wssPages is the
+// job's working set and intervalMinutes the interval length. If even the
+// coldest bucket violates the SLO, histogram.MaxBucket is returned: the
+// controller then effectively compresses only the very coldest tail.
 func BestThreshold(promoInterval *histogram.Histogram, wssPages uint64, intervalMinutes float64, slo SLO) int {
 	if intervalMinutes <= 0 {
 		panic(fmt.Sprintf("core: non-positive interval %v", intervalMinutes))
 	}
-	limit := slo.TargetRatePerMin * float64(wssPages) // promotions/min allowed
 	tails := promoInterval.TailSums()
-	minBucket := promoInterval.BucketFor(slo.MinThreshold)
-	if minBucket < 1 {
-		minBucket = 1 // age 0 pages are by definition not cold
-	}
-	for b := minBucket; b < histogram.NumBuckets; b++ {
-		rate := float64(tails[b]) / intervalMinutes
-		if rate <= limit {
-			return b
+	return BestIndex(tails[:], slo.MinBucket(), wssPages, intervalMinutes, slo)
+}
+
+// BestIndex is the §4.3 best-threshold rule, shared by the node agent
+// (BestThreshold) and the fast model. tails are one interval's promotion
+// tail sums at ascending thresholds, so they never increase; the answer is
+// the smallest index at or above from whose promotions per minute of the
+// interval fit within slo.TargetRatePerMin × wssPages, or the last index
+// when none does. As the rate never increases with the index, bisection
+// finds it.
+func BestIndex(tails []uint64, from int, wssPages uint64, intervalMinutes float64, slo SLO) int {
+	limit := slo.TargetRatePerMin * float64(wssPages) // promotions/min allowed
+	lo, hi := from, len(tails)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if float64(tails[m])/intervalMinutes <= limit {
+			hi = m
+		} else {
+			lo = m + 1
 		}
 	}
-	return histogram.MaxBucket
+	return min(lo, len(tails)-1)
 }
 
 // WorkingSetPages derives the working set from a cold-age census: the
@@ -178,9 +193,6 @@ type observation struct {
 
 // ControllerConfig configures a Controller.
 type ControllerConfig struct {
-	// SLO is the objective the job's best thresholds are computed under;
-	// NewController refuses an invalid one.
-	SLO    SLO
 	Params Params
 	// JobStart is the simulated time the job began executing; the
 	// controller disables zswap until JobStart+Params.S.
@@ -189,9 +201,6 @@ type ControllerConfig struct {
 
 // NewController creates a controller for one job.
 func NewController(cfg ControllerConfig) (*Controller, error) {
-	if err := cfg.SLO.Validate(); err != nil {
-		return nil, err
-	}
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -208,8 +217,8 @@ func (c *Controller) Params() Params { return c.params }
 
 // Reset restarts the controller for a job that began at jobStart: the
 // pool, the last best threshold and the observation state are cleared, so
-// it behaves as a NewController with the same SLO and parameters. The
-// pool's storage is kept; nothing is allocated.
+// it behaves as a NewController with the same parameters. The pool's
+// storage is kept; nothing is allocated.
 func (c *Controller) Reset(jobStart time.Duration) {
 	if c.n > 0 {
 		c.poolCounts = [histogram.NumBuckets]uint32{}

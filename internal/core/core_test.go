@@ -162,7 +162,7 @@ func (c *clocked) observe(b int) {
 
 func newCtrl(t *testing.T, p Params) *clocked {
 	t.Helper()
-	c, err := NewController(ControllerConfig{SLO: DefaultSLO, Params: p})
+	c, err := NewController(ControllerConfig{Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,6 @@ func TestControllerSpikeResponse(t *testing.T) {
 
 func TestControllerWarmup(t *testing.T) {
 	c, err := NewController(ControllerConfig{
-		SLO:      DefaultSLO,
 		Params:   Params{K: 98, S: 10 * time.Minute},
 		JobStart: time.Hour,
 	})
@@ -297,7 +296,7 @@ func TestControllerResetMatchesFresh(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := Params{K: float64(rng.Intn(101)), S: 10 * time.Minute}
-		cfg := ControllerConfig{SLO: DefaultSLO, Params: p}
+		cfg := ControllerConfig{Params: p}
 		reused, err := NewController(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -369,9 +368,7 @@ func TestControllerThresholdMatchesSortedPool(t *testing.T) {
 	}
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		c, err := NewController(ControllerConfig{
-			SLO: DefaultSLO, Params: Params{K: 100 * rng.Float64()},
-		})
+		c, err := NewController(ControllerConfig{Params: Params{K: 100 * rng.Float64()}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -541,7 +538,7 @@ func walkPercentile(c *Controller) int {
 func TestThresholdMatchesWalk(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		c, err := NewController(ControllerConfig{SLO: DefaultSLO, Params: Params{K: 100 * rng.Float64()}})
+		c, err := NewController(ControllerConfig{Params: Params{K: 100 * rng.Float64()}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,64 +14,8 @@ import (
 	"time"
 
 	"sdfm/internal/mem"
-	"sdfm/internal/obs"
 	"sdfm/internal/zswap"
 )
-
-// Metrics is the set of obs instruments the reclaimer reports into,
-// labelled by reclaim kind ("proactive" for SLO-driven ReclaimCold,
-// "pressure" for reactive direct reclaim). Nil disables instrumentation.
-type Metrics struct {
-	proactive reclaimMetrics
-	pressure  reclaimMetrics
-}
-
-type reclaimMetrics struct {
-	passes     *obs.Counter
-	stored     *obs.Counter
-	rejected   *obs.Counter
-	poolFull   *obs.Counter
-	errored    *obs.Counter
-	bytes      *obs.Counter
-	cpuSeconds *obs.Counter
-}
-
-// NewMetrics registers the reclaimer instruments on o (nil o → nil).
-func NewMetrics(o *obs.Observer) *Metrics {
-	if o == nil {
-		return nil
-	}
-	reg := func(kind string) reclaimMetrics {
-		l := obs.Label{Key: "kind", Value: kind}
-		return reclaimMetrics{
-			passes:     o.Counter("sdfm_kreclaimd_passes_total", "Reclaim passes run.", l),
-			stored:     o.Counter("sdfm_kreclaimd_stored_pages_total", "Pages moved to far memory.", l),
-			rejected:   o.Counter("sdfm_kreclaimd_rejected_pages_total", "Pages marked incompressible.", l),
-			poolFull:   o.Counter("sdfm_kreclaimd_pool_full_total", "Pages refused for tier capacity.", l),
-			errored:    o.Counter("sdfm_kreclaimd_errored_pages_total", "Pages left resident by a transient store failure.", l),
-			bytes:      o.Counter("sdfm_kreclaimd_stored_bytes_total", "Compressed payload bytes written.", l),
-			cpuSeconds: o.Counter("sdfm_kreclaimd_cpu_seconds_total", "Compression cycles charged to reclaim.", l),
-		}
-	}
-	return &Metrics{proactive: reg("proactive"), pressure: reg("pressure")}
-}
-
-func (mx *Metrics) observe(res Result, pressure bool) {
-	if mx == nil {
-		return
-	}
-	rm := &mx.proactive
-	if pressure {
-		rm = &mx.pressure
-	}
-	rm.passes.Inc()
-	rm.stored.AddInt(res.Stored)
-	rm.rejected.AddInt(res.Rejected)
-	rm.poolFull.AddInt(res.PoolFull)
-	rm.errored.AddInt(res.Errored)
-	rm.bytes.Add(float64(res.StoredBytes))
-	rm.cpuSeconds.Add(res.CPUTime.Seconds())
-}
 
 // Result summarizes one reclaim pass. Every eligible page ends in exactly
 // one outcome: Eligible == Stored + Rejected + PoolFull + Errored.
@@ -114,16 +58,12 @@ type Reclaimer struct {
 	// ids is the reusable candidate-gather buffer, so steady-state reclaim
 	// passes allocate nothing.
 	ids []mem.PageID
-	mx  *Metrics
 }
 
 // New creates a reclaimer backed by tier.
 func New(tier zswap.FarMemory) *Reclaimer {
 	return &Reclaimer{tier: tier}
 }
-
-// SetMetrics attaches obs instruments (nil detaches). Observation-only.
-func (r *Reclaimer) SetMetrics(mx *Metrics) { r.mx = mx }
 
 // ReclaimCold compresses every reclaimable page of m whose age is at least
 // thresholdBucket scan periods. Pages whose accessed bit is currently set
@@ -145,7 +85,6 @@ func (r *Reclaimer) ReclaimCold(m *mem.Memcg, thresholdBucket int) Result {
 	for _, id := range r.ids {
 		res.count(r.tier.Store(m, id))
 	}
-	r.mx.observe(res, false)
 	return res
 }
 
@@ -174,6 +113,5 @@ func (r *Reclaimer) ReclaimUnderPressure(m *mem.Memcg, targetBytes uint64) Resul
 		}
 	}
 	res.Scanned = m.NumPages()
-	r.mx.observe(res, true)
 	return res
 }

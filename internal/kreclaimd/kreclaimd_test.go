@@ -7,7 +7,6 @@ import (
 
 	"sdfm/internal/fault"
 	"sdfm/internal/mem"
-	"sdfm/internal/obs"
 	"sdfm/internal/pagedata"
 	"sdfm/internal/zswap"
 )
@@ -186,8 +185,7 @@ func TestReclaimUnderPressureIgnoresSLO(t *testing.T) {
 // TestReclaimAccountsEveryOutcome drives both reclaim kinds over a tier
 // that produces all five store outcomes — a compressor-error window over a
 // capacity-bounded pool fed zero, text and random pages — and requires
-// every eligible page to be counted under exactly one of them, in the
-// Result and in the metrics.
+// every eligible page to be counted under exactly one of them.
 func TestReclaimAccountsEveryOutcome(t *testing.T) {
 	plan := &fault.Plan{Name: "errors", Seed: 3, Events: []fault.Event{
 		{Kind: fault.CompressorError, At: 0, Duration: time.Hour, Magnitude: 0.3},
@@ -205,11 +203,7 @@ func TestReclaimAccountsEveryOutcome(t *testing.T) {
 			ageAll(m, 100)
 			pool := zswap.NewPool(zswap.WithCapacity(64 << 10))
 			tier := fault.WrapTier(pool, fault.NewInjector(plan, "m0"), func() time.Duration { return time.Minute })
-			r := New(tier)
-			o := &obs.Observer{Reg: obs.NewRegistry()}
-			r.SetMetrics(NewMetrics(o))
-
-			res := k.reclaim(r, m)
+			res := k.reclaim(New(tier), m)
 			if res.Stored == 0 || res.Rejected == 0 || res.PoolFull == 0 || res.Errored == 0 {
 				t.Fatalf("fixture must produce every outcome, got %+v", res)
 			}
@@ -218,10 +212,6 @@ func TestReclaimAccountsEveryOutcome(t *testing.T) {
 			}
 			if got := tier.TierStats().InjectedErrors; uint64(res.Errored) != got {
 				t.Errorf("Errored = %d, tier injected %d", res.Errored, got)
-			}
-			l := obs.Label{Key: "kind", Value: k.name}
-			if got := o.Counter("sdfm_kreclaimd_errored_pages_total", "", l).Value(); got != float64(res.Errored) {
-				t.Errorf("sdfm_kreclaimd_errored_pages_total{kind=%q} = %v, want %d", k.name, got, res.Errored)
 			}
 		})
 	}

@@ -13,42 +13,7 @@ import (
 
 	"sdfm/internal/histogram"
 	"sdfm/internal/mem"
-	"sdfm/internal/obs"
 )
-
-// Metrics is the set of obs instruments the scanner reports into. One
-// Metrics is shared by every Tracker of a machine (trackers come and go
-// with jobs and crashes; the counters are machine-lifetime). All methods
-// tolerate a nil receiver, which disables instrumentation.
-type Metrics struct {
-	scans        *obs.Counter
-	pagesScanned *obs.Counter
-	cpuSeconds   *obs.Counter
-	promotions   *obs.Counter
-}
-
-// NewMetrics registers the scanner instruments on o (nil o → nil Metrics).
-func NewMetrics(o *obs.Observer) *Metrics {
-	if o == nil {
-		return nil
-	}
-	return &Metrics{
-		scans:        o.Counter("sdfm_kstaled_scans_total", "Completed kstaled scan passes."),
-		pagesScanned: o.Counter("sdfm_kstaled_pages_scanned_total", "Pages examined by kstaled scans."),
-		cpuSeconds:   o.Counter("sdfm_kstaled_cpu_seconds_total", "Modelled kstaled scanner CPU."),
-		promotions:   o.Counter("sdfm_kstaled_promotions_total", "Accessed-bit promotions harvested by scans."),
-	}
-}
-
-func (mx *Metrics) onScan(pages int, cpu time.Duration, promos uint64) {
-	if mx == nil {
-		return
-	}
-	mx.scans.Inc()
-	mx.pagesScanned.AddInt(pages)
-	mx.cpuSeconds.Add(cpu.Seconds())
-	mx.promotions.Add(float64(promos))
-}
 
 // DefaultScanPeriod matches the production configuration: 120 s, tuned to
 // keep kstaled under ~11% of one logical core.
@@ -67,18 +32,22 @@ type Tracker struct {
 	census     *histogram.Histogram // age distribution as of the last scan
 	scans      uint64
 	cpu        time.Duration
-	mx         *Metrics
+}
+
+// ScanResult is what one scan pass did.
+type ScanResult struct {
+	Pages      int           // pages walked
+	CPUTime    time.Duration // modelled scanner CPU
+	Promotions uint64        // accessed-bit promotions harvested
 }
 
 // NewTracker creates a tracker for m. The initial census reflects the
-// memcg's starting state (all pages age 0). mx, shared across a machine's
-// trackers, receives scan observations; nil disables instrumentation.
-func NewTracker(m *mem.Memcg, mx *Metrics) *Tracker {
+// memcg's starting state (all pages age 0).
+func NewTracker(m *mem.Memcg) *Tracker {
 	t := &Tracker{
 		m:          m,
 		promotions: histogram.New(DefaultScanPeriod),
 		census:     histogram.New(DefaultScanPeriod),
-		mx:         mx,
 	}
 	t.census.Add(0, uint64(m.NumPages()))
 	return t
@@ -91,21 +60,21 @@ func NewTracker(m *mem.Memcg, mx *Metrics) *Tracker {
 // the age-at-access tallies are folded into the cumulative promotion
 // histogram. The modelled CPU is that of the kernel's walk — every page's
 // PTEs, touched or not — whatever the simulator's own bookkeeping costs.
-func (t *Tracker) Scan() {
+func (t *Tracker) Scan() ScanResult {
 	var promos [mem.NumAges]uint64
 	t.m.ScanAges(&promos)
-	var promoSum uint64
+	res := ScanResult{Pages: t.m.NumPages()}
 	for b, n := range promos {
 		if n != 0 {
 			t.promotions.Add(b, n)
-			promoSum += n
+			res.Promotions += n
 		}
 	}
 	t.census.SetCounts(t.m.AgeCounts())
 	t.scans++
-	cost := time.Duration(t.m.NumPages()) * DefaultCostPerPage
-	t.cpu += cost
-	t.mx.onScan(t.m.NumPages(), cost, promoSum)
+	res.CPUTime = time.Duration(res.Pages) * DefaultCostPerPage
+	t.cpu += res.CPUTime
+	return res
 }
 
 // RecordPromotionFault accounts an actual promotion (a fault on a

@@ -28,8 +28,8 @@ import (
 // A CompiledTrace is immutable after Compile and safe for concurrent
 // replays.
 type CompiledTrace struct {
-	nThresh int
-	jobs    []compiledJob
+	thresholds []int // the predefined threshold set, in scan periods
+	jobs       []compiledJob
 
 	// Lazily derived, SLO-dependent best-threshold columns (one []uint8
 	// per job, parallel to jobs). Guarded by mu; replaced wholesale when a
@@ -43,7 +43,7 @@ type CompiledTrace struct {
 // compiledJob is one job's interval series in columnar form, every field
 // of its entries kept as reported, so each entry can be rebuilt (entry).
 // Scalar columns have length n; the flattened tail columns have length
-// n*nThresh with interval i occupying [i*nThresh, (i+1)*nThresh).
+// n*nT with interval i occupying [i*nT, (i+1)*nT), nT thresholds a row.
 type compiledJob struct {
 	key telemetry.JobKey
 	n   int
@@ -54,7 +54,7 @@ type compiledJob struct {
 	total       []uint64  // TotalPages
 	frac        []float64 // CompressibleFrac as reported (coldAt reads 0 as 1)
 	sum         []uint64  // Checksum
-	coldTails   []uint64  // flattened ColdTails; [i*nThresh] is the coverage denominator
+	coldTails   []uint64  // flattened ColdTails; [i*nT] is the coverage denominator
 	promoTails  []uint64  // flattened PromoTails
 
 	// gaps is the total inferred missing intervals (timestamp jumps larger
@@ -97,7 +97,7 @@ func Compile(trace *telemetry.Trace) *CompiledTrace {
 	// One allocation per column family, cut into per-job sub-slices whose
 	// capacity ends at the job's last row.
 	rows := len(trace.Entries)
-	nT := sc.nThresh
+	nT := len(sc.thresholds)
 	tsSec := make([]int64, rows)
 	intervalMin := make([]float64, rows)
 	wss := make([]uint64, rows)
@@ -144,7 +144,7 @@ func (ct *CompiledTrace) Intervals() int {
 
 // bestFor returns the per-job best-threshold-index columns for slo,
 // deriving and caching them on first use. The best index for an interval
-// is the smallest predefined threshold whose promotion rate met the SLO —
+// is core.BestIndex's, from the first threshold at or above slo's floor —
 // SLO-dependent but params-independent, so one derivation serves every
 // (K, S) candidate of a tuning session.
 func (ct *CompiledTrace) bestFor(slo core.SLO) [][]uint8 {
@@ -154,12 +154,12 @@ func (ct *CompiledTrace) bestFor(slo core.SLO) [][]uint8 {
 		return ct.bestCols
 	}
 	cols := make([][]uint8, len(ct.jobs))
-	nT := ct.nThresh
+	nT, from := len(ct.thresholds), floorIndex(ct.thresholds, slo)
 	for ji := range ct.jobs {
 		j := &ct.jobs[ji]
 		col := make([]uint8, j.n)
 		for i := range col {
-			col[i] = bestThreshold(j.promoTails[i*nT:(i+1)*nT], j.intervalMin[i], j.wss[i], slo.TargetRatePerMin)
+			col[i] = uint8(core.BestIndex(j.promoTails[i*nT:(i+1)*nT], from, j.wss[i], j.intervalMin[i], slo))
 		}
 		cols[ji] = col
 	}
@@ -169,24 +169,10 @@ func (ct *CompiledTrace) bestFor(slo core.SLO) [][]uint8 {
 	return cols
 }
 
-// bestThreshold is one interval's best threshold index: the smallest
-// whose promotion rate, promo[t] per minute of the interval, is within
-// target per working-set page; the last when none is. Promotion tails
-// never increase with the threshold (telemetry.Entry.Validate holds every
-// entry to that), so neither does the rate, and the index is found by
-// bisection.
-func bestThreshold(promo []uint64, intervalMin float64, wss uint64, target float64) uint8 {
-	limit := target * float64(wss)
-	lo, hi := 0, len(promo)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if float64(promo[m])/intervalMin <= limit {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	return uint8(min(lo, len(promo)-1))
+// floorIndex is where core.BestIndex starts over tails taken at thresholds
+// (ascending, in scan periods): the first at or above slo's floor bucket.
+func floorIndex(thresholds []int, slo core.SLO) int {
+	return sort.SearchInts(thresholds, slo.MinBucket())
 }
 
 // TimeBounds returns the [min, max] interval timestamps in the compiled
@@ -212,8 +198,8 @@ func (ct *CompiledTrace) TimeBounds() (minSec, maxSec int64) {
 // the same entries would: jobs left without an interval are omitted and
 // gap counts cover only the selected range.
 func (ct *CompiledTrace) Slice(loSec, hiSec int64, keep func(telemetry.JobKey) bool) *CompiledTrace {
-	nT := ct.nThresh
-	out := &CompiledTrace{nThresh: nT}
+	nT := len(ct.thresholds)
+	out := &CompiledTrace{thresholds: ct.thresholds}
 	if hiSec <= loSec {
 		return out
 	}
@@ -276,7 +262,7 @@ func (ct *CompiledTrace) replayAll(phases []Phase, cfg Config, cold [][]float64)
 	// result is identical no matter how jobs land on workers.
 	reps := make([]*replayer, workers)
 	for w := range reps {
-		ctl, err := core.NewController(core.ControllerConfig{SLO: cfg.SLO, Params: phases[0].Params})
+		ctl, err := core.NewController(core.ControllerConfig{Params: phases[0].Params})
 		if err != nil {
 			return nil, err
 		}
@@ -322,7 +308,7 @@ func (r *replayer) replay(j *compiledJob, best []uint8, cold []float64) JobResul
 	if j.n == 0 {
 		return jr
 	}
-	nT := r.ct.nThresh
+	nT := len(r.ct.thresholds)
 	lastIdx := nT - 1
 	r.ctl.Reset(time.Duration(j.tsSec[0]) * time.Second)
 

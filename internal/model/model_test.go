@@ -2,10 +2,12 @@ package model
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"sdfm/internal/core"
+	"sdfm/internal/histogram"
 	"sdfm/internal/telemetry"
 )
 
@@ -219,7 +221,7 @@ func TestBestIndexZeroWSS(t *testing.T) {
 	}
 	check := func(want int) {
 		t.Helper()
-		if got := bestIndex(e, core.DefaultSLO); got != want {
+		if got := bestIndex(e, tr.Thresholds, core.DefaultSLO); got != want {
 			t.Errorf("bestIndex = %d, want %d", got, want)
 		}
 		tr.Entries = []telemetry.Entry{e}
@@ -234,6 +236,57 @@ func TestBestIndexZeroWSS(t *testing.T) {
 		e.PromoTails[i] = uint64(n - i)
 	}
 	check(n - 1)
+}
+
+// TestBestThresholdFloorsAtMinThreshold: under an SLO whose floor is 10
+// minutes (bucket 5), every interval's best threshold is the first
+// threshold at or above that bucket, in the compiled columns and in a
+// window's, though every threshold meets the rate. That is the bucket the
+// node agent's rule picks on the same promotions, and the replay matches
+// the reference under it. Under the default SLO the floor is threshold 0.
+func TestBestThresholdFloorsAtMinThreshold(t *testing.T) {
+	tr := buildTrace(2, 30, 0) // 10 promotions past every threshold: 2/min, limit 6/min
+	slo := core.SLO{TargetRatePerMin: core.DefaultSLO.TargetRatePerMin, MinThreshold: 10 * time.Minute}
+	floor := tr.ThresholdIndexFor(5)
+	if tr.Thresholds[floor] != 5 {
+		t.Fatalf("threshold set %v has no 5-period threshold", tr.Thresholds)
+	}
+	h := histogram.New(histogram.DefaultScanPeriod)
+	h.Add(histogram.MaxBucket, 10)
+	if got := core.BestThreshold(h, 3000, 5, slo); got != tr.Thresholds[floor] {
+		t.Fatalf("node rule picks bucket %d, want the floor %d", got, tr.Thresholds[floor])
+	}
+	_, window := windowCompile(tr, slo, 7)
+	for _, c := range []struct {
+		name string
+		ct   *CompiledTrace
+		slo  core.SLO
+		want int
+	}{
+		{"compiled", Compile(tr), slo, floor},
+		{"window", window, slo, floor},
+		{"default SLO", Compile(tr), core.DefaultSLO, 0},
+	} {
+		for ji, col := range c.ct.bestFor(c.slo) {
+			for i, b := range col {
+				if int(b) != c.want {
+					t.Fatalf("%s: job %d interval %d best index %d, want %d", c.name, ji, i, b, c.want)
+				}
+			}
+		}
+	}
+	cfg := Config{Params: core.Params{K: 50, S: 10 * time.Minute}, SLO: slo}
+	want, err := RunBaseline(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Compile(tr).Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("compiled replay under a 10-minute floor diverges from the reference:\n%v\n%v", got, want)
+	}
 }
 
 func TestFleetResultString(t *testing.T) {

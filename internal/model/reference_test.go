@@ -92,7 +92,6 @@ func replayJob(trace *telemetry.Trace, key telemetry.JobKey, entries []telemetry
 		return JobResult{Key: key}, nil
 	}
 	ctrl, err := core.NewController(core.ControllerConfig{
-		SLO:      cfg.SLO,
 		Params:   cfg.Params,
 		JobStart: time.Duration(entries[0].TimestampSec) * time.Second,
 	})
@@ -139,7 +138,7 @@ func replayJob(trace *telemetry.Trace, key telemetry.JobKey, entries []telemetry
 				jr.Violations++
 			}
 		}
-		ctrl.Observe(now, bestIndex(e, cfg.SLO))
+		ctrl.Observe(now, bestIndex(e, trace.Thresholds, cfg.SLO))
 	}
 
 	n := float64(jr.Intervals)
@@ -165,11 +164,14 @@ func compressibleColdPages(e telemetry.Entry, idx int) float64 {
 }
 
 // bestIndex is core.BestThreshold in predefined-threshold-index space: the
-// smallest threshold index whose promotion rate met the SLO over the
-// interval.
-func bestIndex(e telemetry.Entry, slo core.SLO) int {
+// smallest threshold index, among those at or above the SLO's floor
+// bucket, whose promotion rate met the SLO over the interval.
+func bestIndex(e telemetry.Entry, thresholds []int, slo core.SLO) int {
 	limit := slo.TargetRatePerMin * float64(e.WSSPages)
 	for i := range e.PromoTails {
+		if thresholds[i] < slo.MinBucket() {
+			continue
+		}
 		rate := float64(e.PromoTails[i]) / e.IntervalMinutes
 		if rate <= limit {
 			return i
@@ -217,7 +219,6 @@ func referencePhaseAt(phases []Phase, t time.Duration) int {
 // replayTimelineJob adds one job's per-interval cold pages into agg.
 func replayTimelineJob(trace *telemetry.Trace, entries []telemetry.Entry, phases []Phase, cfg Config, agg map[time.Duration]*TimelinePoint) error {
 	ctrl, err := core.NewController(core.ControllerConfig{
-		SLO:      cfg.SLO,
 		Params:   phases[0].Params,
 		JobStart: time.Duration(entries[0].TimestampSec) * time.Second,
 	})
@@ -247,7 +248,7 @@ func replayTimelineJob(trace *telemetry.Trace, entries []telemetry.Entry, phases
 			p.ColdBytes += compressibleColdPages(e, idx)
 		}
 		p.ColdBytesAtMin += float64(e.ColdTails[0])
-		ctrl.Observe(now, bestIndex(e, cfg.SLO))
+		ctrl.Observe(now, bestIndex(e, trace.Thresholds, cfg.SLO))
 	}
 	return nil
 }

@@ -28,19 +28,21 @@ import (
 // timestamp order are permutation-sorted at Finish. The result is
 // equivalent to Compile on a trace holding the same entries.
 type StreamCompiler struct {
-	nThresh int
-	index   map[telemetry.JobKey]int // position of each job in jobs
-	jobs    []streamJob              // in order of first sight
+	thresholds []int                    // the predefined threshold set, in scan periods
+	index      map[telemetry.JobKey]int // position of each job in jobs
+	jobs       []streamJob              // in order of first sight
 	// arrivals is the job slot of every entry folded, in arrival order.
 	// Each job's rows stay in arrival order until Finish, so the slots
 	// alone put the entries back in order.
 	arrivals []uint32
 
-	// foldBest makes Fold derive each row's best threshold index for slo
-	// (see CompiledTrace.bestFor) while the entry is at hand; Finish then
-	// hands the columns to the compiled trace as its cached ones.
+	// foldBest makes Fold derive each row's best threshold index for slo,
+	// starting at slo's floor index from (see CompiledTrace.bestFor), while
+	// the entry is at hand; Finish then hands the columns to the compiled
+	// trace as its cached ones.
 	foldBest bool
 	slo      core.SLO
+	from     int
 }
 
 // streamJob is one job's rows under construction, plus the ordering
@@ -73,8 +75,8 @@ const minRows = 8
 // predefined threshold set.
 func NewStreamCompiler(thresholds []int) *StreamCompiler {
 	return &StreamCompiler{
-		nThresh: len(thresholds),
-		index:   make(map[telemetry.JobKey]int),
+		thresholds: slices.Clone(thresholds),
+		index:      make(map[telemetry.JobKey]int),
 	}
 }
 
@@ -84,7 +86,7 @@ func NewStreamCompiler(thresholds []int) *StreamCompiler {
 // derive.
 func NewWindow(thresholds []int, slo core.SLO) *StreamCompiler {
 	sc := NewStreamCompiler(thresholds)
-	sc.foldBest, sc.slo = true, slo
+	sc.foldBest, sc.slo, sc.from = true, slo, floorIndex(sc.thresholds, slo)
 	return sc
 }
 
@@ -102,7 +104,7 @@ func (sc *StreamCompiler) Add(e telemetry.Entry) error {
 
 // check refuses an entry whose tail counts do not match the threshold set.
 func (sc *StreamCompiler) check(e *telemetry.Entry) error {
-	if nT := sc.nThresh; len(e.ColdTails) != nT || len(e.PromoTails) != nT {
+	if nT := len(sc.thresholds); len(e.ColdTails) != nT || len(e.PromoTails) != nT {
 		return fmt.Errorf("model: entry %s has %d/%d tails, compiler expects %d",
 			e.Key, len(e.ColdTails), len(e.PromoTails), nT)
 	}
@@ -165,7 +167,7 @@ func (sc *StreamCompiler) Resolve(slots []int, keySums []uint64, entries []telem
 // a quarter of a job's columns, or minRows, and no row is ever copied to
 // make room.
 func (sc *StreamCompiler) Fold(slot int, e *telemetry.Entry) {
-	nT := sc.nThresh
+	nT := len(sc.thresholds)
 	j := &sc.jobs[slot]
 	j.admit(e.TimestampSec)
 	if k := len(j.blocks); k == 0 || j.blocks[k-1].n == len(j.blocks[k-1].tsSec) {
@@ -179,7 +181,7 @@ func (sc *StreamCompiler) Fold(slot int, e *telemetry.Entry) {
 	b := &j.blocks[len(j.blocks)-1]
 	b.fill(b.n, e, nT)
 	if sc.foldBest {
-		b.best[b.n] = bestThreshold(e.PromoTails, e.IntervalMinutes, e.WSSPages, sc.slo.TargetRatePerMin)
+		b.best[b.n] = uint8(core.BestIndex(e.PromoTails, sc.from, e.WSSPages, e.IntervalMinutes, sc.slo))
 	}
 	b.n++
 	sc.arrivals = append(sc.arrivals, uint32(slot))
@@ -311,14 +313,14 @@ type View struct {
 // View takes a view of the entries folded so far.
 func (sc *StreamCompiler) View() View {
 	v := View{
-		nThresh:  sc.nThresh,
+		nThresh:  len(sc.thresholds),
 		jobs:     make([][]block, len(sc.jobs)),
 		arrivals: sc.arrivals[:len(sc.arrivals):len(sc.arrivals)],
 	}
 	for i := range sc.jobs {
 		bs := slices.Clone(sc.jobs[i].blocks)
 		if k := len(bs) - 1; k >= 0 {
-			bs[k] = bs[k].rows(sc.nThresh)
+			bs[k] = bs[k].rows(len(sc.thresholds))
 		}
 		v.jobs[i] = bs
 	}
@@ -347,7 +349,7 @@ func (v View) Entries() []telemetry.Entry {
 // adding a job, and its first block holds the rows it holds here; a job
 // with no rows here is forgotten. Call it before Finish.
 func (sc *StreamCompiler) Next() *StreamCompiler {
-	nx := &StreamCompiler{nThresh: sc.nThresh, index: make(map[telemetry.JobKey]int), foldBest: sc.foldBest, slo: sc.slo}
+	nx := &StreamCompiler{thresholds: sc.thresholds, index: make(map[telemetry.JobKey]int), foldBest: sc.foldBest, slo: sc.slo, from: sc.from}
 	for i := range sc.jobs {
 		j := &sc.jobs[i]
 		if j.n == 0 {
@@ -387,8 +389,8 @@ func (sc *StreamCompiler) Finish() *CompiledTrace {
 		return a.j.key.Compare(b.j.key)
 	})
 
-	nT := sc.nThresh
-	ct := &CompiledTrace{nThresh: nT, jobs: make([]compiledJob, len(order))}
+	nT := len(sc.thresholds)
+	ct := &CompiledTrace{thresholds: sc.thresholds, jobs: make([]compiledJob, len(order))}
 	if sc.foldBest {
 		ct.bestSLO, ct.haveBest = sc.slo, true
 		ct.bestCols = make([][]uint8, len(order))

@@ -47,7 +47,7 @@ func windowCompile(tr *telemetry.Trace, slo core.SLO, batch int) (View, *Compile
 // job order, row counts, gap counts, every column bit for bit, and the
 // best-threshold columns both derive for core.DefaultSLO.
 func sameCompiled(a, b *CompiledTrace) (string, bool) {
-	if a.nThresh != b.nThresh || len(a.jobs) != len(b.jobs) {
+	if !slices.Equal(a.thresholds, b.thresholds) || len(a.jobs) != len(b.jobs) {
 		return "shape", false
 	}
 	sameF := func(x, y []float64) bool {
@@ -143,7 +143,7 @@ func TestCompileMatchesStreamCompiler(t *testing.T) {
 		t.Fatalf("%s missing from the compile", dupKey)
 	}
 	for r, e := range arrived {
-		if got := ct.jobs[ji].coldTails[r*ct.nThresh]; got != e.ColdTails[0] {
+		if got := ct.jobs[ji].coldTails[r*len(ct.thresholds)]; got != e.ColdTails[0] {
 			t.Fatalf("row %d of %s holds cold %v, arrival order says %v", r, dupKey, got, e.ColdTails[0])
 		}
 	}

@@ -81,7 +81,7 @@ func (ct *CompiledTrace) Timeline(phases []Phase, cfg Config) ([]TimelinePoint, 
 				pts = append(pts, TimelinePoint{Time: time.Duration(ts) * time.Second})
 			}
 			pts[k].ColdBytes += cold[ji][i]
-			pts[k].ColdBytesAtMin += float64(j.coldTails[i*ct.nThresh])
+			pts[k].ColdBytesAtMin += float64(j.coldTails[i*len(ct.thresholds)])
 		}
 	}
 	sort.Slice(pts, func(a, b int) bool { return pts[a].Time < pts[b].Time })

@@ -228,11 +228,14 @@ type Machine struct {
 	auditDeepEvery uint64
 	auditprev      auditPrev
 
+	// What kstaled and kreclaimd did over the machine's lifetime, crashes
+	// included (see obs.go).
+	scanned         scanTotals
+	coldReclaim     reclaimTotals // proactive passes (ReclaimCold)
+	pressureReclaim reclaimTotals // direct reclaim (ReclaimUnderPressure)
+
 	// Observability (see obs.go); nil when Config.Obs is nil.
 	obs *machineObs
-	// kstaledMx is the machine-wide scanner metrics, shared by the
-	// trackers AddJob and crash restarts build.
-	kstaledMx *kstaled.Metrics
 }
 
 // NewMachine builds a machine.
@@ -313,7 +316,6 @@ func (m *Machine) Tier() zswap.FarMemory { return m.pool }
 // current time.
 func (m *Machine) AddJob(w *workload.Workload) (*Job, error) {
 	ctrl, err := core.NewController(core.ControllerConfig{
-		SLO:      m.cfg.SLO,
 		Params:   m.cfg.Params,
 		JobStart: m.now,
 	})
@@ -328,7 +330,7 @@ func (m *Machine) AddJob(w *workload.Workload) (*Job, error) {
 	j := &Job{
 		Workload:   w,
 		Memcg:      memcg,
-		Tracker:    kstaled.NewTracker(memcg, m.kstaledMx),
+		Tracker:    kstaled.NewTracker(memcg),
 		Controller: ctrl,
 		Started:    m.now,
 		Priority:   w.Archetype().Priority,
@@ -535,7 +537,7 @@ func (m *Machine) Step() error {
 	if !scanWedged {
 		for _, j := range m.jobs {
 			if j.State == JobRunning {
-				j.Tracker.Scan()
+				m.scanned.add(j.Tracker.Scan())
 			}
 		}
 	}
@@ -631,6 +633,7 @@ func (m *Machine) control(j *Job, intervalMinutes float64) {
 			}
 		}
 		res := m.reclaimer.ReclaimCold(j.Memcg, th)
+		m.coldReclaim.add(res)
 		j.CompressCPU += res.CPUTime
 		j.StoredPages += uint64(res.Stored)
 		j.StoredBytes += res.StoredBytes
@@ -686,7 +689,7 @@ func (m *Machine) crash() error {
 			return err
 		}
 		j.Memcg.ResetAges()
-		j.Tracker = kstaled.NewTracker(j.Memcg, m.kstaledMx)
+		j.Tracker = kstaled.NewTracker(j.Memcg)
 		j.Controller.Reset(m.now)
 		j.prevPromo = [histogram.NumBuckets]uint64{}
 		j.exportPromo = [histogram.NumBuckets]uint64{}
@@ -797,6 +800,7 @@ func (m *Machine) handlePressure() error {
 					budget = need
 				}
 				res := m.reclaimer.ReclaimUnderPressure(j.Memcg, budget)
+				m.pressureReclaim.add(res)
 				j.StallTime += res.CPUTime // direct reclaim stalls the allocating thread
 				j.CompressCPU += res.CPUTime
 				j.StoredPages += uint64(res.Stored)

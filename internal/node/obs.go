@@ -217,6 +217,70 @@ func (m *Machine) attachObs(o *obs.Observer) {
 	if zp := m.zswapPool(); zp != nil {
 		registerFarTier(o, zp)
 	}
-	m.kstaledMx = kstaled.NewMetrics(o)
-	m.reclaimer.SetMetrics(kreclaimd.NewMetrics(o))
+	m.registerDaemons(o)
+}
+
+// scanTotals sums the kstaled passes a machine ran.
+type scanTotals struct {
+	scans int
+	kstaled.ScanResult
+}
+
+func (t *scanTotals) add(r kstaled.ScanResult) {
+	t.scans++
+	t.Pages += r.Pages
+	t.CPUTime += r.CPUTime
+	t.Promotions += r.Promotions
+}
+
+// reclaimTotals sums one kind of kreclaimd pass a machine ran: the passes
+// and their outcomes (Scanned and Eligible are not kept).
+type reclaimTotals struct {
+	passes int
+	kreclaimd.Result
+}
+
+func (t *reclaimTotals) add(r kreclaimd.Result) {
+	t.passes++
+	t.Stored += r.Stored
+	t.Rejected += r.Rejected
+	t.PoolFull += r.PoolFull
+	t.Errored += r.Errored
+	t.StoredBytes += r.StoredBytes
+	t.CPUTime += r.CPUTime
+}
+
+// registerDaemons exports what kstaled scanned and what kreclaimd did,
+// per kind ("proactive" for SLO-driven ReclaimCold, "pressure" for
+// direct reclaim), read from the machine's totals at export.
+func (m *Machine) registerDaemons(o *obs.Observer) {
+	count, sc := o.CounterFunc, &m.scanned
+	count("sdfm_kstaled_scans_total", "Completed kstaled scan passes.",
+		func() float64 { return float64(sc.scans) })
+	count("sdfm_kstaled_pages_scanned_total", "Pages examined by kstaled scans.",
+		func() float64 { return float64(sc.Pages) })
+	count("sdfm_kstaled_cpu_seconds_total", "Modelled kstaled scanner CPU.",
+		func() float64 { return sc.CPUTime.Seconds() })
+	count("sdfm_kstaled_promotions_total", "Accessed-bit promotions harvested by scans.",
+		func() float64 { return float64(sc.Promotions) })
+	for _, k := range []struct {
+		kind string
+		t    *reclaimTotals
+	}{{"proactive", &m.coldReclaim}, {"pressure", &m.pressureReclaim}} {
+		l, t := obs.Label{Key: "kind", Value: k.kind}, k.t
+		count("sdfm_kreclaimd_passes_total", "Reclaim passes run.",
+			func() float64 { return float64(t.passes) }, l)
+		count("sdfm_kreclaimd_stored_pages_total", "Pages moved to far memory.",
+			func() float64 { return float64(t.Stored) }, l)
+		count("sdfm_kreclaimd_rejected_pages_total", "Pages marked incompressible.",
+			func() float64 { return float64(t.Rejected) }, l)
+		count("sdfm_kreclaimd_pool_full_total", "Pages refused for tier capacity.",
+			func() float64 { return float64(t.PoolFull) }, l)
+		count("sdfm_kreclaimd_errored_pages_total", "Pages left resident by a transient store failure.",
+			func() float64 { return float64(t.Errored) }, l)
+		count("sdfm_kreclaimd_stored_bytes_total", "Compressed payload bytes written.",
+			func() float64 { return float64(t.StoredBytes) }, l)
+		count("sdfm_kreclaimd_cpu_seconds_total", "Compression cycles charged to reclaim.",
+			func() float64 { return t.CPUTime.Seconds() }, l)
+	}
 }

@@ -5,64 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 )
-
-// Observer bundles the metrics registry and tracer for one domain: one
-// simulated machine, one tuner run, one fleet generator. Everything hanging
-// off an Observer is single-writer (the owning domain), which is what keeps
-// instrumented parallel runs byte-identical to serial ones.
-//
-// A nil *Observer is a valid "observability off" value: every method
-// returns nil instruments whose methods are no-ops.
-type Observer struct {
-	// Process names the domain in exports (Chrome trace process name,
-	// Prometheus base labels carry the details).
-	Process string
-	Reg     *Registry
-	Trace   *Tracer
-}
-
-// Counter registers a counter on the observer's registry (nil-safe).
-func (o *Observer) Counter(name, help string, labels ...Label) *Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Reg.Counter(name, help, labels...)
-}
-
-// Gauge registers a gauge on the observer's registry (nil-safe).
-func (o *Observer) Gauge(name, help string, labels ...Label) *Gauge {
-	if o == nil {
-		return nil
-	}
-	return o.Reg.Gauge(name, help, labels...)
-}
-
-// CounterFunc registers a read-at-export counter on the observer's
-// registry (nil-safe).
-func (o *Observer) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	if o == nil {
-		return
-	}
-	o.Reg.CounterFunc(name, help, fn, labels...)
-}
-
-// GaugeFunc registers a read-at-export gauge on the observer's registry
-// (nil-safe).
-func (o *Observer) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	if o == nil {
-		return
-	}
-	o.Reg.GaugeFunc(name, help, fn, labels...)
-}
-
-// Histogram registers a histogram on the observer's registry (nil-safe).
-func (o *Observer) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.Reg.Histogram(name, help, buckets, labels...)
-}
 
 // Lane registers a trace lane on the observer's tracer (nil-safe, -1 when
 // disabled).
@@ -104,13 +48,11 @@ func (m *Multi) Observer(process string, labels ...Label) *Observer {
 	if m == nil {
 		return nil
 	}
-	all := make([]Label, 0, len(m.base)+len(labels))
-	all = append(all, m.base...)
-	all = append(all, labels...)
 	o := &Observer{
 		Process: process,
-		Reg:     NewRegistry(all...),
 		Trace:   NewTracer(DefaultMaxSpans),
+		base:    append(slices.Clip(m.base), labels...),
+		byName:  make(map[string]*family),
 	}
 	m.observers = append(m.observers, o)
 	return o

@@ -1,7 +1,7 @@
-// Package obs is the simulator's observability layer: a deterministic,
-// allocation-light metrics registry (counters, gauges, fixed-bucket
-// histograms) plus phase/span tracing of simulation steps, with exporters
-// for the Prometheus text format and the Chrome trace_event JSON format.
+// Package obs is the simulator's observability layer: deterministic,
+// allocation-light metrics (counters, gauges, fixed-bucket histograms)
+// plus phase/span tracing of simulation steps, with exporters for the
+// Prometheus text format and the Chrome trace_event JSON format.
 // A counter or gauge either holds what its owner pushes or, registered
 // by CounterFunc/GaugeFunc, reads its owner's state when rendered.
 //
@@ -85,23 +85,30 @@ func (s *series) current() float64 {
 	return s.value
 }
 
-// Registry holds metric families in stable registration order. A Registry
-// belongs to a single domain and must only be mutated by that domain's
-// goroutine; rendering (via Multi) happens after the run.
-type Registry struct {
+// Observer is one domain's metrics and tracer: one simulated machine, one
+// tuner run, one fleet generator. Its metric families render in
+// registration order, and every series carries the observer's base labels
+// (e.g. machine="m0007") ahead of its own. Everything on an Observer is
+// single-writer (the owning domain), which is what keeps instrumented
+// parallel runs byte-identical to serial ones; rendering (via Multi)
+// happens after the run.
+//
+// A nil *Observer is a valid "observability off" value: every method
+// returns nil instruments whose methods are no-ops. Multi.Observer makes
+// them.
+type Observer struct {
+	// Process names the domain in exports (Chrome trace process name;
+	// the Prometheus base labels carry the details).
+	Process string
+	Trace   *Tracer
+
 	base     []Label
 	families []*family
 	byName   map[string]*family
 }
 
-// NewRegistry returns a registry whose every series carries the given base
-// labels (e.g. machine="m0007") ahead of any per-series labels.
-func NewRegistry(base ...Label) *Registry {
-	return &Registry{base: base, byName: make(map[string]*family)}
-}
-
-func (r *Registry) family(name, help string, k kind, buckets []float64) *family {
-	if f, ok := r.byName[name]; ok {
+func (o *Observer) family(name, help string, k kind, buckets []float64) *family {
+	if f, ok := o.byName[name]; ok {
 		if f.kind != k {
 			panic(fmt.Sprintf("obs: metric %q registered as both %s and %s", name, f.kind, k))
 		}
@@ -111,14 +118,14 @@ func (r *Registry) family(name, help string, k kind, buckets []float64) *family 
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
 	f := &family{name: name, help: help, kind: k, buckets: buckets}
-	r.byName[name] = f
-	r.families = append(r.families, f)
+	o.byName[name] = f
+	o.families = append(o.families, f)
 	return f
 }
 
-func (r *Registry) seriesFor(f *family, labels []Label) *series {
-	merged := make([]Label, 0, len(r.base)+len(labels))
-	merged = append(merged, r.base...)
+func (o *Observer) seriesFor(f *family, labels []Label) *series {
+	merged := make([]Label, 0, len(o.base)+len(labels))
+	merged = append(merged, o.base...)
 	merged = append(merged, labels...)
 	str := renderLabels(merged)
 	for _, s := range f.series {
@@ -135,50 +142,50 @@ func (r *Registry) seriesFor(f *family, labels []Label) *series {
 }
 
 // Counter registers (or finds) a monotonically increasing series.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	if r == nil {
+func (o *Observer) Counter(name, help string, labels ...Label) *Counter {
+	if o == nil {
 		return nil
 	}
-	f := r.family(name, help, kindCounter, nil)
-	return &Counter{s: r.seriesFor(f, labels)}
+	f := o.family(name, help, kindCounter, nil)
+	return &Counter{s: o.seriesFor(f, labels)}
 }
 
 // Gauge registers (or finds) a series holding a current value.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
+func (o *Observer) Gauge(name, help string, labels ...Label) *Gauge {
+	if o == nil {
 		return nil
 	}
-	f := r.family(name, help, kindGauge, nil)
-	return &Gauge{s: r.seriesFor(f, labels)}
+	f := o.family(name, help, kindGauge, nil)
+	return &Gauge{s: o.seriesFor(f, labels)}
 }
 
 // CounterFunc registers a counter series whose value is read by calling fn
 // at export, for totals the owning domain already keeps in its own state.
 // fn must be monotonic and is called by the renderer, so it must be safe
-// wherever the registry is rendered. Re-registering the name with Counter
+// wherever the observer is rendered. Re-registering the name with Counter
 // returns this series; Add on it has no effect.
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	if r == nil {
+func (o *Observer) CounterFunc(name, help string, fn func() float64, labels ...Label) {
+	if o == nil {
 		return
 	}
-	r.seriesFor(r.family(name, help, kindCounter, nil), labels).fn = fn
+	o.seriesFor(o.family(name, help, kindCounter, nil), labels).fn = fn
 }
 
 // GaugeFunc registers a gauge series whose value is read by calling fn at
 // export, on the same terms as CounterFunc.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	if r == nil {
+func (o *Observer) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
+	if o == nil {
 		return
 	}
-	r.seriesFor(r.family(name, help, kindGauge, nil), labels).fn = fn
+	o.seriesFor(o.family(name, help, kindGauge, nil), labels).fn = fn
 }
 
 // Histogram registers (or finds) a fixed-bucket histogram series. Buckets
 // are upper bounds and must be strictly ascending; an implicit +Inf bucket
 // is always appended. The bucket layout is fixed by the first registration
-// of the name within this registry.
-func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	if r == nil {
+// of the name on this observer.
+func (o *Observer) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
+	if o == nil {
 		return nil
 	}
 	if len(buckets) == 0 || !sort.Float64sAreSorted(buckets) {
@@ -186,8 +193,8 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	}
 	b := make([]float64, len(buckets))
 	copy(b, buckets)
-	f := r.family(name, help, kindHistogram, b)
-	return &Histogram{s: r.seriesFor(f, labels), buckets: f.buckets}
+	f := o.family(name, help, kindHistogram, b)
+	return &Histogram{s: o.seriesFor(f, labels), buckets: f.buckets}
 }
 
 // Counter is a monotonically increasing metric. All methods are safe on a

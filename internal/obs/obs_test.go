@@ -36,7 +36,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestRegistryFindOrCreate(t *testing.T) {
-	r := NewRegistry(Label{"machine", "m0"})
+	r := NewMulti().Observer("p", Label{"machine", "m0"})
 	a := r.Counter("sdfm_test_total", "help")
 	b := r.Counter("sdfm_test_total", "help")
 	a.Inc()
@@ -97,7 +97,7 @@ func TestRegistryPanicsOnAbuse(t *testing.T) {
 		}()
 		fn()
 	}
-	r := NewRegistry()
+	r := NewMulti().Observer("p")
 	r.Counter("dual_total", "h")
 	expectPanic("kind clash", func() { r.Gauge("dual_total", "h") })
 	expectPanic("bad name", func() { r.Counter("bad name", "h") })
@@ -230,7 +230,7 @@ func TestChromeTraceValidJSON(t *testing.T) {
 }
 
 func TestHistogramBucketing(t *testing.T) {
-	r := NewRegistry()
+	r := NewMulti().Observer("p")
 	h := r.Histogram("b_x", "h", []float64{10, 20})
 	for _, v := range []float64{5, 10, 15, 25} {
 		h.Observe(v)
@@ -245,7 +245,7 @@ func TestHistogramBucketing(t *testing.T) {
 }
 
 func TestGaugeAndCounterSemantics(t *testing.T) {
-	r := NewRegistry()
+	r := NewMulti().Observer("p")
 	c := r.Counter("c_total", "h")
 	c.Add(-5) // ignored: counters are monotonic
 	c.Add(2)

@@ -20,10 +20,10 @@ func (m *Multi) WritePrometheus(w io.Writer) error {
 	var order []string
 	merged := make(map[string][]*family)
 	for _, o := range m.observers {
-		if o == nil || o.Reg == nil {
+		if o == nil {
 			continue
 		}
-		for _, f := range o.Reg.families {
+		for _, f := range o.families {
 			if _, ok := merged[f.name]; !ok {
 				order = append(order, f.name)
 			}

@@ -18,8 +18,8 @@ type Span struct {
 }
 
 // Tracer records phase spans for one domain (one machine, one tuner run).
-// Like Registry it is single-writer: only the owning domain's goroutine may
-// call Lane or Emit. All methods are nil-receiver safe.
+// Like its Observer it is single-writer: only the owning domain's
+// goroutine may call Lane or Emit. All methods are nil-receiver safe.
 type Tracer struct {
 	lanes   []string
 	laneIdx map[string]int
