@@ -49,6 +49,7 @@ import (
 
 	"sdfm/internal/controlplane/ckpt"
 	"sdfm/internal/core"
+	"sdfm/internal/histogram"
 	"sdfm/internal/model"
 	"sdfm/internal/obs"
 	"sdfm/internal/telemetry"
@@ -313,7 +314,7 @@ func New(cfg Config) (*Controller, error) {
 		cfg:          cfg,
 		roundSec:     int64(cfg.RoundEvery / time.Second),
 		incumbent:    cfg.Incumbent,
-		window:       model.NewWindow(telemetry.DefaultThresholds, cfg.SLO),
+		window:       model.NewWindow(telemetry.DefaultThresholds, histogram.DefaultScanPeriod, cfg.SLO),
 		telemetryMax: -1,
 		ckptBase:     -1,
 		ckptEverySec: checkpointEverySeconds(cfg.CheckpointEvery),

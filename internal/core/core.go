@@ -101,15 +101,17 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// MinBucket is the floor of the §4.3 rule under s: the cold-age bucket of
-// MinThreshold on the scan-period grid (histogram.DefaultScanPeriod) that
-// the node's histograms and the telemetry thresholds share, and never
-// bucket 0, since age-0 pages are by definition not cold.
-func (s SLO) MinBucket() int {
-	return min(max(int(s.MinThreshold/histogram.DefaultScanPeriod), 1), histogram.MaxBucket)
+// MinBucket is the floor of the §4.3 rule under s on a cold-age grid of
+// scanPeriod: the bucket of MinThreshold, and never bucket 0, since age-0
+// pages are by definition not cold. The node's histograms run on
+// histogram.DefaultScanPeriod; a trace's thresholds run on the trace's own
+// scan period. A floor past a grid's last bucket leaves BestIndex only
+// the last.
+func (s SLO) MinBucket(scanPeriod time.Duration) int {
+	return max(int(s.MinThreshold/scanPeriod), 1)
 }
 
-// BestThreshold returns the smallest cold-age bucket, from slo.MinBucket,
+// BestThreshold returns the smallest cold-age bucket, from slo's floor,
 // whose promotion rate over the past interval would have met the SLO:
 // BestIndex over every bucket of promoInterval, the interval's promotions
 // by page age-at-access on kstaled's scan-period grid. wssPages is the
@@ -121,7 +123,7 @@ func BestThreshold(promoInterval *histogram.Histogram, wssPages uint64, interval
 		panic(fmt.Sprintf("core: non-positive interval %v", intervalMinutes))
 	}
 	tails := promoInterval.TailSums()
-	return BestIndex(tails[:], slo.MinBucket(), wssPages, intervalMinutes, slo)
+	return BestIndex(tails[:], slo.MinBucket(histogram.DefaultScanPeriod), wssPages, intervalMinutes, slo)
 }
 
 // BestIndex is the §4.3 best-threshold rule, shared by the node agent
@@ -129,7 +131,7 @@ func BestThreshold(promoInterval *histogram.Histogram, wssPages uint64, interval
 // tail sums at ascending thresholds, so they never increase; the answer is
 // the smallest index at or above from whose promotions per minute of the
 // interval fit within slo.TargetRatePerMin × wssPages, or the last index
-// when none does. As the rate never increases with the index, bisection
+// when none does (or from is past it). As the rate never increases with the index, bisection
 // finds it.
 func BestIndex(tails []uint64, from int, wssPages uint64, intervalMinutes float64, slo SLO) int {
 	limit := slo.TargetRatePerMin * float64(wssPages) // promotions/min allowed

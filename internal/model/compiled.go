@@ -28,7 +28,8 @@ import (
 // A CompiledTrace is immutable after Compile and safe for concurrent
 // replays.
 type CompiledTrace struct {
-	thresholds []int // the predefined threshold set, in scan periods
+	thresholds []int         // the predefined threshold set, in scan periods
+	scanPeriod time.Duration // the trace's scan period, the thresholds' unit
 	jobs       []compiledJob
 
 	// Lazily derived, SLO-dependent best-threshold columns (one []uint8
@@ -81,7 +82,7 @@ func (j *compiledJob) coldAt(i, t, nT int) float64 {
 // and then allocates every column once, at its final size, instead of
 // growing it entry by entry.
 func Compile(trace *telemetry.Trace) *CompiledTrace {
-	sc := NewStreamCompiler(trace.Thresholds)
+	sc := NewStreamCompiler(trace.Thresholds, time.Duration(trace.ScanPeriodSeconds)*time.Second)
 	type slot struct{ job, row int }
 	slots := make([]slot, len(trace.Entries))
 	for i := range trace.Entries {
@@ -154,7 +155,7 @@ func (ct *CompiledTrace) bestFor(slo core.SLO) [][]uint8 {
 		return ct.bestCols
 	}
 	cols := make([][]uint8, len(ct.jobs))
-	nT, from := len(ct.thresholds), floorIndex(ct.thresholds, slo)
+	nT, from := len(ct.thresholds), floorIndex(ct.thresholds, ct.scanPeriod, slo)
 	for ji := range ct.jobs {
 		j := &ct.jobs[ji]
 		col := make([]uint8, j.n)
@@ -170,9 +171,10 @@ func (ct *CompiledTrace) bestFor(slo core.SLO) [][]uint8 {
 }
 
 // floorIndex is where core.BestIndex starts over tails taken at thresholds
-// (ascending, in scan periods): the first at or above slo's floor bucket.
-func floorIndex(thresholds []int, slo core.SLO) int {
-	return sort.SearchInts(thresholds, slo.MinBucket())
+// (ascending, in scan periods of scanPeriod): the first at or above slo's
+// floor bucket on that grid.
+func floorIndex(thresholds []int, scanPeriod time.Duration, slo core.SLO) int {
+	return sort.SearchInts(thresholds, slo.MinBucket(scanPeriod))
 }
 
 // TimeBounds returns the [min, max] interval timestamps in the compiled
@@ -199,7 +201,7 @@ func (ct *CompiledTrace) TimeBounds() (minSec, maxSec int64) {
 // gap counts cover only the selected range.
 func (ct *CompiledTrace) Slice(loSec, hiSec int64, keep func(telemetry.JobKey) bool) *CompiledTrace {
 	nT := len(ct.thresholds)
-	out := &CompiledTrace{thresholds: ct.thresholds}
+	out := &CompiledTrace{thresholds: ct.thresholds, scanPeriod: ct.scanPeriod}
 	if hiSec <= loSec {
 		return out
 	}

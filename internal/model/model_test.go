@@ -221,7 +221,7 @@ func TestBestIndexZeroWSS(t *testing.T) {
 	}
 	check := func(want int) {
 		t.Helper()
-		if got := bestIndex(e, tr.Thresholds, core.DefaultSLO); got != want {
+		if got := bestIndex(e, tr, core.DefaultSLO); got != want {
 			t.Errorf("bestIndex = %d, want %d", got, want)
 		}
 		tr.Entries = []telemetry.Entry{e}
@@ -239,53 +239,65 @@ func TestBestIndexZeroWSS(t *testing.T) {
 }
 
 // TestBestThresholdFloorsAtMinThreshold: under an SLO whose floor is 10
-// minutes (bucket 5), every interval's best threshold is the first
-// threshold at or above that bucket, in the compiled columns and in a
-// window's, though every threshold meets the rate. That is the bucket the
-// node agent's rule picks on the same promotions, and the replay matches
-// the reference under it. Under the default SLO the floor is threshold 0.
+// minutes (bucket 5 of 120 s), every interval's best threshold is the
+// first threshold at or above that bucket, in the compiled columns and in
+// a window's, though every threshold meets the rate. That is the bucket
+// the node agent's rule picks on the same promotions, and the replay
+// matches the reference under it. Under the default SLO the floor is
+// threshold 0. A trace on another scan-period grid floors at the buckets
+// of 10 minutes and of the default 2 minutes on its own grid: buckets 10
+// and 2 of 60 s, buckets 2 and 1 of 300 s.
 func TestBestThresholdFloorsAtMinThreshold(t *testing.T) {
-	tr := buildTrace(2, 30, 0) // 10 promotions past every threshold: 2/min, limit 6/min
 	slo := core.SLO{TargetRatePerMin: core.DefaultSLO.TargetRatePerMin, MinThreshold: 10 * time.Minute}
-	floor := tr.ThresholdIndexFor(5)
-	if tr.Thresholds[floor] != 5 {
-		t.Fatalf("threshold set %v has no 5-period threshold", tr.Thresholds)
-	}
 	h := histogram.New(histogram.DefaultScanPeriod)
 	h.Add(histogram.MaxBucket, 10)
-	if got := core.BestThreshold(h, 3000, 5, slo); got != tr.Thresholds[floor] {
-		t.Fatalf("node rule picks bucket %d, want the floor %d", got, tr.Thresholds[floor])
+	if got := core.BestThreshold(h, 3000, 5, slo); got != 5 {
+		t.Fatalf("node rule picks bucket %d, want the floor 5", got)
 	}
-	_, window := windowCompile(tr, slo, 7)
-	for _, c := range []struct {
-		name string
-		ct   *CompiledTrace
-		slo  core.SLO
-		want int
-	}{
-		{"compiled", Compile(tr), slo, floor},
-		{"window", window, slo, floor},
-		{"default SLO", Compile(tr), core.DefaultSLO, 0},
-	} {
-		for ji, col := range c.ct.bestFor(c.slo) {
-			for i, b := range col {
-				if int(b) != c.want {
-					t.Fatalf("%s: job %d interval %d best index %d, want %d", c.name, ji, i, b, c.want)
+	for _, grid := range []struct {
+		periodSec     int64
+		bucket        int // of the 10-minute floor
+		defaultBucket int // of DefaultSLO's
+	}{{120, 5, 1}, {60, 10, 2}, {300, 2, 1}} {
+		tr := buildTrace(2, 30, 0) // 10 promotions past every threshold: 2/min, limit 6/min
+		tr.ScanPeriodSeconds = grid.periodSec
+		floor := tr.ThresholdIndexFor(grid.bucket)
+		if tr.Thresholds[floor] != grid.bucket {
+			t.Fatalf("threshold set %v has no %d-period threshold", tr.Thresholds, grid.bucket)
+		}
+		_, window := windowCompile(tr, slo, 7)
+		for _, c := range []struct {
+			name string
+			ct   *CompiledTrace
+			slo  core.SLO
+			want int
+		}{
+			{"compiled", Compile(tr), slo, floor},
+			{"window", window, slo, floor},
+			{"default SLO", Compile(tr), core.DefaultSLO, tr.ThresholdIndexFor(grid.defaultBucket)},
+		} {
+			for ji, col := range c.ct.bestFor(c.slo) {
+				for i, b := range col {
+					if int(b) != c.want {
+						t.Fatalf("%d s grid, %s: job %d interval %d best index %d, want %d",
+							grid.periodSec, c.name, ji, i, b, c.want)
+					}
 				}
 			}
 		}
-	}
-	cfg := Config{Params: core.Params{K: 50, S: 10 * time.Minute}, SLO: slo}
-	want, err := RunBaseline(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Compile(tr).Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("compiled replay under a 10-minute floor diverges from the reference:\n%v\n%v", got, want)
+		cfg := Config{Params: core.Params{K: 50, S: 10 * time.Minute}, SLO: slo}
+		want, err := RunBaseline(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Compile(tr).Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%d s grid: compiled replay under a 10-minute floor diverges from the reference:\n%v\n%v",
+				grid.periodSec, got, want)
+		}
 	}
 }
 

@@ -138,7 +138,7 @@ func replayJob(trace *telemetry.Trace, key telemetry.JobKey, entries []telemetry
 				jr.Violations++
 			}
 		}
-		ctrl.Observe(now, bestIndex(e, trace.Thresholds, cfg.SLO))
+		ctrl.Observe(now, bestIndex(e, trace, cfg.SLO))
 	}
 
 	n := float64(jr.Intervals)
@@ -163,13 +163,15 @@ func compressibleColdPages(e telemetry.Entry, idx int) float64 {
 	return float64(uint64(float64(e.ColdTails[idx]) * frac))
 }
 
-// bestIndex is core.BestThreshold in predefined-threshold-index space: the
-// smallest threshold index, among those at or above the SLO's floor
-// bucket, whose promotion rate met the SLO over the interval.
-func bestIndex(e telemetry.Entry, thresholds []int, slo core.SLO) int {
+// bestIndex is core.BestThreshold in trace's predefined-threshold-index
+// space: the smallest threshold index, among those at or above the SLO's
+// floor bucket on the trace's scan-period grid, whose promotion rate met
+// the SLO over the interval.
+func bestIndex(e telemetry.Entry, trace *telemetry.Trace, slo core.SLO) int {
 	limit := slo.TargetRatePerMin * float64(e.WSSPages)
+	floor := slo.MinBucket(time.Duration(trace.ScanPeriodSeconds) * time.Second)
 	for i := range e.PromoTails {
-		if thresholds[i] < slo.MinBucket() {
+		if trace.Thresholds[i] < floor {
 			continue
 		}
 		rate := float64(e.PromoTails[i]) / e.IntervalMinutes
@@ -248,7 +250,7 @@ func replayTimelineJob(trace *telemetry.Trace, entries []telemetry.Entry, phases
 			p.ColdBytes += compressibleColdPages(e, idx)
 		}
 		p.ColdBytesAtMin += float64(e.ColdTails[0])
-		ctrl.Observe(now, bestIndex(e, trace.Thresholds, cfg.SLO))
+		ctrl.Observe(now, bestIndex(e, trace, cfg.SLO))
 	}
 	return nil
 }

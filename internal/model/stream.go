@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"time"
 
 	"sdfm/internal/core"
 	"sdfm/internal/telemetry"
@@ -29,6 +30,7 @@ import (
 // equivalent to Compile on a trace holding the same entries.
 type StreamCompiler struct {
 	thresholds []int                    // the predefined threshold set, in scan periods
+	scanPeriod time.Duration            // the thresholds' unit
 	index      map[telemetry.JobKey]int // position of each job in jobs
 	jobs       []streamJob              // in order of first sight
 	// arrivals is the job slot of every entry folded, in arrival order.
@@ -72,10 +74,15 @@ type block struct {
 const minRows = 8
 
 // NewStreamCompiler starts an out-of-core compile for the given
-// predefined threshold set.
-func NewStreamCompiler(thresholds []int) *StreamCompiler {
+// predefined threshold set, in units of scanPeriod (a trace's
+// ScanPeriodSeconds).
+func NewStreamCompiler(thresholds []int, scanPeriod time.Duration) *StreamCompiler {
+	if scanPeriod <= 0 {
+		panic(fmt.Sprintf("model: non-positive scan period %v", scanPeriod))
+	}
 	return &StreamCompiler{
 		thresholds: slices.Clone(thresholds),
+		scanPeriod: scanPeriod,
 		index:      make(map[telemetry.JobKey]int),
 	}
 }
@@ -84,9 +91,9 @@ func NewStreamCompiler(thresholds []int) *StreamCompiler {
 // under slo: Fold also derives each row's best threshold index for slo,
 // so the compiled trace's first replay under slo has nothing left to
 // derive.
-func NewWindow(thresholds []int, slo core.SLO) *StreamCompiler {
-	sc := NewStreamCompiler(thresholds)
-	sc.foldBest, sc.slo, sc.from = true, slo, floorIndex(sc.thresholds, slo)
+func NewWindow(thresholds []int, scanPeriod time.Duration, slo core.SLO) *StreamCompiler {
+	sc := NewStreamCompiler(thresholds, scanPeriod)
+	sc.foldBest, sc.slo, sc.from = true, slo, floorIndex(sc.thresholds, scanPeriod, slo)
 	return sc
 }
 
@@ -349,7 +356,7 @@ func (v View) Entries() []telemetry.Entry {
 // adding a job, and its first block holds the rows it holds here; a job
 // with no rows here is forgotten. Call it before Finish.
 func (sc *StreamCompiler) Next() *StreamCompiler {
-	nx := &StreamCompiler{thresholds: sc.thresholds, index: make(map[telemetry.JobKey]int), foldBest: sc.foldBest, slo: sc.slo, from: sc.from}
+	nx := &StreamCompiler{thresholds: sc.thresholds, scanPeriod: sc.scanPeriod, index: make(map[telemetry.JobKey]int), foldBest: sc.foldBest, slo: sc.slo, from: sc.from}
 	for i := range sc.jobs {
 		j := &sc.jobs[i]
 		if j.n == 0 {
@@ -390,7 +397,7 @@ func (sc *StreamCompiler) Finish() *CompiledTrace {
 	})
 
 	nT := len(sc.thresholds)
-	ct := &CompiledTrace{thresholds: sc.thresholds, jobs: make([]compiledJob, len(order))}
+	ct := &CompiledTrace{thresholds: sc.thresholds, scanPeriod: sc.scanPeriod, jobs: make([]compiledJob, len(order))}
 	if sc.foldBest {
 		ct.bestSLO, ct.haveBest = sc.slo, true
 		ct.bestCols = make([][]uint8, len(order))

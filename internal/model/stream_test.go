@@ -17,7 +17,7 @@ import (
 // streamCompile is the out-of-core path over an in-memory trace.
 func streamCompile(t *testing.T, tr *telemetry.Trace) *CompiledTrace {
 	t.Helper()
-	sc := NewStreamCompiler(tr.Thresholds)
+	sc := NewStreamCompiler(tr.Thresholds, time.Duration(tr.ScanPeriodSeconds)*time.Second)
 	for _, e := range tr.Entries {
 		if err := sc.Add(e); err != nil {
 			t.Fatal(err)
@@ -30,7 +30,7 @@ func streamCompile(t *testing.T, tr *telemetry.Trace) *CompiledTrace {
 // way the control plane does, Resolve then Fold, in batches of batch
 // entries, and returns its View and the finished compile.
 func windowCompile(tr *telemetry.Trace, slo core.SLO, batch int) (View, *CompiledTrace) {
-	w := NewWindow(tr.Thresholds, slo)
+	w := NewWindow(tr.Thresholds, time.Duration(tr.ScanPeriodSeconds)*time.Second, slo)
 	var slots []int
 	for lo := 0; lo < len(tr.Entries); lo += batch {
 		b := tr.Entries[lo:min(lo+batch, len(tr.Entries))]
@@ -201,7 +201,7 @@ func TestJobsThatPrintAlikeCompileInOneOrder(t *testing.T) {
 // reports as often again finishes in that one block, uncopied.
 func TestWindowGrowth(t *testing.T) {
 	tr := equivTrace(t)
-	w := NewWindow(tr.Thresholds, core.DefaultSLO)
+	w := NewWindow(tr.Thresholds, time.Duration(tr.ScanPeriodSeconds)*time.Second, core.DefaultSLO)
 	var slots []int
 	for i := range tr.Entries {
 		slots, _ = w.Resolve(slots[:0], nil, tr.Entries[i:i+1])

@@ -234,7 +234,7 @@ func (t *scanTotals) add(r kstaled.ScanResult) {
 }
 
 // reclaimTotals sums one kind of kreclaimd pass a machine ran: the passes
-// and their outcomes (Scanned and Eligible are not kept).
+// and every field of their results, so the totals keep Result's invariant.
 type reclaimTotals struct {
 	passes int
 	kreclaimd.Result
@@ -242,6 +242,8 @@ type reclaimTotals struct {
 
 func (t *reclaimTotals) add(r kreclaimd.Result) {
 	t.passes++
+	t.Scanned += r.Scanned
+	t.Eligible += r.Eligible
 	t.Stored += r.Stored
 	t.Rejected += r.Rejected
 	t.PoolFull += r.PoolFull

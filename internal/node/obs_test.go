@@ -154,7 +154,7 @@ func (s *scanTally) step(t *testing.T, m *Machine) {
 // tier saw, over a proactive machine whose run crashes and meets every
 // store outcome (a capacity-bounded pool behind a compressor-error window)
 // and a reactive machine under direct reclaim. Each machine's other kind
-// stays at zero.
+// stays at zero, and the totals keep kreclaimd.Result's invariant.
 func TestDaemonExportsMatchMachineTotals(t *testing.T) {
 	plan := &fault.Plan{Name: "errors-crash", Seed: 3, Events: []fault.Event{
 		{Kind: fault.CompressorError, At: 0, Duration: 3 * time.Hour, Magnitude: 0.3},
@@ -257,6 +257,14 @@ func TestDaemonExportsMatchMachineTotals(t *testing.T) {
 						t.Errorf("%s{kind=%q} = %v, want %v", name, k, v, w)
 					}
 				}
+			}
+			// The totals are a Result too, and keep its invariant.
+			totals := m.coldReclaim.Result
+			if tc.mode == ModeReactive {
+				totals = m.pressureReclaim.Result
+			}
+			if outcomes := res.Stored + res.Rejected + res.PoolFull + res.Errored; totals.Eligible != outcomes || totals.Scanned < totals.Eligible {
+				t.Errorf("%s totals: %d scanned, %d eligible; the tally filed %d outcomes", tc.kind, totals.Scanned, totals.Eligible, outcomes)
 			}
 		})
 	}

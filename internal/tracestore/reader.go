@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
+	"time"
 
 	"sdfm/internal/compress"
 	"sdfm/internal/model"
@@ -368,7 +369,7 @@ func (r *Reader) readChunk(ci chunkInfo, bufs *chunkBufs) ([]telemetry.Entry, er
 // traces that never fit in memory at once. Damage is skipped and surfaces
 // as replay gap intervals.
 func (r *Reader) Compile() (*model.CompiledTrace, error) {
-	sc := model.NewStreamCompiler(r.meta.Thresholds)
+	sc := model.NewStreamCompiler(r.meta.Thresholds, time.Duration(r.meta.ScanPeriodSeconds)*time.Second)
 	if err := r.Scan(sc.Add); err != nil {
 		return nil, err
 	}
